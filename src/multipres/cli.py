@@ -306,8 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="multipres",
         description="finitely presented multiparameter persistence modules",
-        epilog="MULTIPERS_THREADS caps internal parallelism (0 = auto); "
-               "identical flags and seed give byte-identical reports",
+        epilog="identical flags and seed give byte-identical reports",
     )
     sub = top.add_subparsers(dest="command", required=True)
 

@@ -6,6 +6,12 @@ because the push is order-preserving.  Barcodes then come out of the usual
 left-to-right column reduction over F_p: a pivot pairs a relation with the
 generator it kills, unpaired generators live forever, zero-length bars are
 dropped.  Bars are half-open [b, d) multisets.
+
+restrict and barcode build a 1-parameter Presentation with Fraction grades.
+The matching-distance line loop skips that: IntegerLine turns a line into
+integer units for grades scaled by a common S, so the pushes of a
+ScaledModule are Python ints with the same order, and pair_bars, shared with
+barcode, pairs them into bars in those units.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ from fractions import Fraction
 
 from . import kernels
 from .grades import Grade, LineSpec, push, rat, rat_str
-from .presentation import Generator, Presentation, Relation
+from .presentation import Generator, Presentation, Relation, ScaledModule, common_scale, scale_grade
 
 INF = math.inf
 
@@ -95,25 +101,74 @@ def barcode(Q: Presentation) -> Barcode:
     """
     if Q.n != 1:
         raise ValueError("barcode extraction needs a 1-parameter presentation")
-    gen_order = sorted(range(len(Q.gens)), key=lambda i: (Q.gens[i].grade.coords[0], i))
-    row_of = {g: row for row, g in enumerate(gen_order)}
-    rel_order = sorted(range(len(Q.rels)), key=lambda j: (Q.rels[j].grade.coords[0], j))
-    columns = [{row_of[i]: c for i, c in Q.rels[j].col} for j in rel_order]
-    pivots = kernels.reduce_pivots(columns, Q.p)
-    bars: Counter = Counter()
+    return Barcode(pair_bars([g.grade.coords[0] for g in Q.gens],
+                             [r.grade.coords[0] for r in Q.rels],
+                             [r.as_dict() for r in Q.rels], Q.p))
+
+
+def pair_bars(gen_params, rel_params, cols, p: int) -> list[tuple]:
+    """Bars [birth, death) of a 1-parameter presentation, death INF if unpaired.
+
+    The parameters may be Fractions or the integers of one IntegerLine; the
+    columns are {generator index: coefficient} dicts.  Rows and columns are
+    ordered by (parameter, input index), a pivot pairs a relation with the
+    generator it kills, and zero-length bars are dropped.
+    """
+    gen_order = sorted(range(len(gen_params)), key=gen_params.__getitem__)
+    row_of = [0] * len(gen_order)
+    for row, i in enumerate(gen_order):
+        row_of[i] = row
+    rel_order = sorted(range(len(rel_params)), key=rel_params.__getitem__)
+    columns = [{row_of[i]: c for i, c in cols[j].items()} for j in rel_order]
+    pivots = kernels.reduce_pivots(columns, p)
+    bars = []
     killed = set()
     for j, piv in zip(rel_order, pivots):
         if piv < 0:
             continue
         killed.add(piv)
-        birth = Q.gens[gen_order[piv]].grade.coords[0]
-        death = Q.rels[j].grade.coords[0]
+        birth, death = gen_params[gen_order[piv]], rel_params[j]
         if death != birth:
-            bars[(birth, death)] += 1
-    for row, g in enumerate(gen_order):
-        if row not in killed:
-            bars[(Q.gens[g].grade.coords[0], INF)] += 1
-    return Barcode(bars)
+            bars.append((birth, death))
+    bars += [(gen_params[i], INF) for row, i in enumerate(gen_order) if row not in killed]
+    return bars
+
+
+@dataclass(frozen=True)
+class IntegerLine:
+    """A line in the integer units of a grade scale S.
+
+    With A the lcm of the denominators of the base b and B the lcm of the
+    denominators of the 1/d_i, a grade g scaled by S has the integer
+    parameter T(g) = max_i (g_i A - S A b_i) (B / d_i) = L push(g), where
+    L = S A B.  Sorting by (T, index) is sorting by (push, index).
+    """
+
+    slopes: tuple[int, ...]  # A B / d_i
+    offsets: tuple[int, ...]  # S A b_i B / d_i
+    unit: int  # L
+
+    @classmethod
+    def of(cls, line: LineSpec, scale: int) -> "IntegerLine":
+        a = common_scale(line.base.coords)
+        b = math.lcm(*(d.numerator for d in line.direction))
+        steps = [b * d.denominator // d.numerator for d in line.direction]
+        base = scale_grade(line.base, scale * a)
+        return cls(tuple(a * k for k in steps), tuple(o * k for o, k in zip(base, steps)),
+                   scale * a * b)
+
+    def params(self, grades) -> list[int]:
+        """T(g) for each scaled grade g."""
+        out = None
+        for i, (m, o) in enumerate(zip(self.slopes, self.offsets)):
+            axis = [g[i] * m - o for g in grades]
+            out = axis if out is None else list(map(max, out, axis))
+        return out
+
+    def bars(self, M: ScaledModule) -> list[tuple]:
+        """Bars of M restricted to the line, endpoints in units of 1/L."""
+        return pair_bars(self.params(M.gens), self.params([g for g, _ in M.rels]),
+                         [col for _, col in M.rels], M.p)
 
 
 def simplify_barcode(B: Barcode, eps) -> Barcode:

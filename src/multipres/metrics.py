@@ -1,35 +1,37 @@
 """Distances, certificates and the local-equivalence experiment.
 
-The exact bottleneck distance between barcodes is solved by binary search
-over the finite candidate-cost set with an augmenting-path feasibility
-matching (infinite bars may only match infinite bars).  The matching
-distance is approximated from below by sampling weighted lines, always
-including the slope-1 lines through every Betti-grid point of both modules,
-which witness diagonal translates exactly.
+The exact bottleneck distance between barcodes is a min-max assignment with
+deletions (infinite bars may only match infinite bars).  One routine solves
+it in doubled integer units, where a matched pair costs 2 * l-infinity and
+a deletion d - b: it builds the cost matrix once, tests feasibility at a
+threshold by augmenting paths (a greedy pass, then an explicit stack), and
+binary-searches the finite candidate costs.
 
-Interleaving witnesses are checked independently of how they were produced:
-grade compatibility of every entry, relations mapped into the target's
-relation submodule, and both 2-eps coherence identities, all modulo
-relations via grade-bounded column reduction.  Rank conditions extracted
-from the interleaving definition give certified lower bounds for the
-interleaving distance: at points, and over staircase intervals through
-the generalized rank, which separates modules sharing a fibered bar code
-(the incompleteness pair is certified at exactly [1, 1]).
+The matching distance is approximated from below by sampling weighted
+lines, always including the slope-1 lines through every Betti-grid point of
+both modules, which witness diagonal translates exactly.  Each module's
+Betti data is computed once per call, and its grades are scaled once to
+integers; every line then runs on Python ints in its own units
+(fibered.IntegerLine), from the pushes through the bar pairing to the
+bottleneck value.  A line is first probed at the floor of best * 2L / w(L):
+if the bottleneck is feasible there, the line cannot raise the maximum and
+is skipped.  Only the reported value becomes a Fraction again.
 """
 
 from __future__ import annotations
 
 import math
-import os
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 from . import kernels
-from .fibered import Barcode, barcode, restrict
+from .fibered import Barcode, IntegerLine, restrict  # noqa: F401  (still importable as metrics.restrict)
 from .functors import InterleavingWitness
 from .grades import Grade, LineSpec, line_weight, rat, rat_str
 from .presentation import (
+    BettiData,
     Presentation,
     PresentationError,
     ScaledModule,
@@ -44,58 +46,101 @@ from .presentation import (
 INF = math.inf
 
 
-def thread_budget() -> int:
-    """Value of MULTIPERS_THREADS (0 = auto); evaluation currently runs on one."""
-    raw = os.environ.get("MULTIPERS_THREADS", "0")
-    try:
-        k = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"MULTIPERS_THREADS must be an integer, got {raw!r}") from exc
-    if k < 0:
-        raise ValueError("MULTIPERS_THREADS must be nonnegative")
-    return k if k else 1
-
-
 # -- min-max assignment with deletions ------------------------------------------
 
 
-def _feasible(cost, del_left, del_right, c) -> bool:
-    """Perfect-matching feasibility at threshold c, diagonal slots included.
+def _saturates(rows, size: int, limits, must) -> bool:
+    """Can a matching cover every left vertex in must?
 
-    Left side: items of A then one slot per item of B; right side: items of
-    B then one slot per item of A.  An A item may take a B item (cost <= c)
-    or its own slot (deletion <= c); slots pair with slots for free.
+    rows[u] lists u's right neighbours by increasing cost and limits[u] is how
+    many of them are admitted.  A greedy pass matches what it can, then
+    augmenting paths are searched depth first with an explicit stack.
     """
-    n1, n2 = len(del_left), len(del_right)
-    size = n1 + n2
-    adj: list[list[int]] = [[] for _ in range(size)]
-    for i in range(n1):
-        for j in range(n2):
-            if cost[i][j] <= c:
-                adj[i].append(j)
-        if del_left[i] <= c:
-            adj[i].append(n2 + i)
-    for j in range(n2):
-        if del_right[j] <= c:
-            adj[n1 + j].append(j)
-        for i in range(n1):
-            adj[n1 + j].append(n2 + i)
     match_right = [-1] * size
+    free = []
+    for u in must:
+        row = rows[u]
+        for k in range(limits[u]):
+            v = row[k]
+            if match_right[v] < 0:
+                match_right[v] = u
+                break
+        else:
+            free.append(u)
+    for root in free:
+        seen = [False] * size
+        stack = [(root, 0)]
+        path = []  # path[k]: the right vertex taken out of stack[k]
+        while stack:
+            u, k = stack[-1]
+            row, limit = rows[u], limits[u]
+            while k < limit and seen[row[k]]:
+                k += 1
+            if k == limit:
+                stack.pop()
+                if path:
+                    path.pop()
+                continue
+            v = row[k]
+            seen[v] = True
+            stack[-1] = (u, k + 1)
+            path.append(v)
+            if match_right[v] < 0:
+                for (w, _), x in zip(stack, path):
+                    match_right[x] = w
+                break
+            stack.append((match_right[v], 0))
+        else:
+            return False
+    return True
 
-    def augment(u: int, seen: list[bool]) -> bool:
-        for v in adj[u]:
-            if not seen[v]:
-                seen[v] = True
-                if match_right[v] < 0 or augment(match_right[v], seen):
-                    match_right[v] = u
-                    return True
-        return False
 
-    matched = 0
-    for u in range(size):
-        if augment(u, [False] * size):
-            matched += 1
-    return matched == size
+class _Assignment:
+    """Threshold feasibility for min-max assignment with deletions.
+
+    A threshold c is feasible when some partial matching of left items to
+    right items uses only costs <= c and leaves unmatched only items whose
+    deletion cost is <= c.  By the Mendelsohn-Dulmage theorem that holds
+    exactly when the left items with deletion > c can all be matched, and
+    so can the right items with deletion > c, each side on its own.  Every
+    row and column is sorted by cost once, so a threshold admits a prefix.
+    """
+
+    def __init__(self, cost, del_left, del_right):
+        cols = [[row[j] for row in cost] for j in range(len(del_right))]
+        # per side: deletion costs, neighbours by increasing cost, those
+        # costs, and the number of vertices on the other side
+        self.sides = []
+        for dels, rows, width in ((del_left, cost, len(del_right)), (del_right, cols, len(del_left))):
+            orders = [sorted(range(width), key=row.__getitem__) for row in rows]
+            costs = [[row[j] for j in order] for row, order in zip(rows, orders)]
+            self.sides.append((dels, orders, costs, width))
+
+    def candidates(self) -> list:
+        """Every finite cost and deletion, and 0, in increasing order."""
+        cands = {0}
+        for dels, _, costs, _ in self.sides:
+            cands |= {d for d in dels if d != INF}
+            cands |= {c for row in costs for c in row if c != INF}
+        return sorted(cands)
+
+    def feasible(self, c) -> bool:
+        for dels, orders, costs, width in self.sides:
+            must = [i for i, d in enumerate(dels) if d > c]
+            if not _saturates(orders, width, {i: bisect_right(costs[i], c) for i in must}, must):
+                return False
+        return True
+
+    def least_feasible(self, ordered):
+        """The first feasible threshold of an increasing list; the last must be feasible."""
+        lo, hi = 0, len(ordered) - 1
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if self.feasible(ordered[mid]):
+                hi = mid
+            else:
+                lo = mid + 1
+        return ordered[lo]
 
 
 def min_max_assignment(cost, del_left, del_right):
@@ -103,35 +148,36 @@ def min_max_assignment(cost, del_left, del_right):
 
     cost[i][j], del_left[i], del_right[j] are exact rationals or INF.
     """
-    cands = {c for row in cost for c in row if c != INF}
-    cands |= {d for d in del_left if d != INF}
-    cands |= {d for d in del_right if d != INF}
-    cands.add(Fraction(0))
-    ordered = sorted(cands)
-    lo, hi = 0, len(ordered) - 1
-    if not _feasible(cost, del_left, del_right, ordered[hi]):
+    problem = _Assignment(cost, del_left, del_right)
+    ordered = problem.candidates()
+    if not problem.feasible(ordered[-1]):
         return INF
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if _feasible(cost, del_left, del_right, ordered[mid]):
-            hi = mid
-        else:
-            lo = mid + 1
-    return ordered[lo]
+    return problem.least_feasible(ordered)
 
 
-def _bar_cost(x, y):
-    (b1, d1), (b2, d2) = x, y
-    if (d1 == INF) != (d2 == INF):
+def _bars_bottleneck(xs, ys, floor: int):
+    """Bottleneck distance of two integer bar lists in doubled units, or None.
+
+    Costs are 2 * l-infinity and a finite bar's deletion is d - b, so every
+    candidate is an integer.  None when the distance is <= floor (the probe
+    a line loop uses to skip a line that cannot raise its maximum; floor -1
+    always solves).  Infinite bars must match infinite bars, which on the
+    line is optimal in sorted order; finite bars go through _Assignment,
+    whose matrices are built once for the probe and the search.
+    """
+    inf1 = sorted(b for b, d in xs if d == INF)
+    inf2 = sorted(b for b, d in ys if d == INF)
+    if len(inf1) != len(inf2):
         return INF
-    if d1 == INF:
-        return abs(b1 - b2)
-    return max(abs(b1 - b2), abs(d1 - d2))
-
-
-def _bar_deletion(bar):
-    b, d = bar
-    return INF if d == INF else (d - b) / 2
+    low = max((2 * abs(u - v) for u, v in zip(inf1, inf2)), default=0)
+    fin1 = [bar for bar in xs if bar[1] != INF]
+    fin2 = [bar for bar in ys if bar[1] != INF]
+    cost = [[2 * max(abs(b1 - b2), abs(d1 - d2)) for b2, d2 in fin2] for b1, d1 in fin1]
+    problem = _Assignment(cost, [d - b for b, d in fin1], [d - b for b, d in fin2])
+    if low <= floor and problem.feasible(floor):
+        return None
+    least = max(floor + 1, low)
+    return problem.least_feasible([least] + [c for c in problem.candidates() if c > least])
 
 
 def bottleneck(B1: Barcode, B2: Barcode):
@@ -139,22 +185,21 @@ def bottleneck(B1: Barcode, B2: Barcode):
 
     Minimum over partial matchings of the max of matched l-infinity costs
     and unmatched half-lengths; infinite bars must match infinite bars, so
-    mismatched infinite multiplicities give INF.
+    mismatched infinite multiplicities give INF.  Solved in integer units.
     """
-    xs = B1.expand()
-    ys = B2.expand()
-    cost = [[_bar_cost(x, y) for y in ys] for x in xs]
-    return min_max_assignment(cost, [_bar_deletion(x) for x in xs], [_bar_deletion(y) for y in ys])
+    xs, ys = B1.expand(), B2.expand()
+    scale = common_scale(c for bar in xs + ys for c in bar if c != INF)
+
+    def scaled(bars):
+        return [(int(b * scale), d if d == INF else int(d * scale)) for b, d in bars]
+
+    c = _bars_bottleneck(scaled(xs), scaled(ys), -1)
+    return c if c == INF else Fraction(c, 2 * scale)
 
 
 def bottleneck_at_most(B1: Barcode, B2: Barcode, c) -> bool:
     """Single feasibility probe: is the bottleneck distance <= c?"""
-    if c == INF:
-        return True
-    xs = B1.expand()
-    ys = B2.expand()
-    cost = [[_bar_cost(x, y) for y in ys] for x in xs]
-    return _feasible(cost, [_bar_deletion(x) for x in xs], [_bar_deletion(y) for y in ys], c)
+    return c == INF or bottleneck(B1, B2) <= c
 
 
 # -- line sampling ----------------------------------------------------------------
@@ -165,6 +210,9 @@ class LineSample:
     lines: tuple[LineSpec, ...]
     strategy: str = "grid"
     bounds: tuple[Grade, Grade] | None = None
+    # Betti points of the two modules the sample was drawn for; adaptive
+    # rounds refine around them (None: computed from the modules compared)
+    points: tuple[Grade, ...] | None = None
 
     def __post_init__(self):
         if not self.lines:
@@ -194,9 +242,11 @@ def _direction_for_slope(m: Fraction) -> tuple[Fraction, Fraction]:
     return (Fraction(1), m)
 
 
-def _betti_points(P: Presentation) -> list[Grade]:
-    data = betti_and_grid(P)
-    return sorted(set(data.xi0) | set(data.xi1), key=lambda g: g.lex_key())
+def _betti_points(data: Sequence[BettiData]) -> list[Grade]:
+    pts: set[Grade] = set()
+    for d in data:
+        pts |= set(d.xi0) | set(d.xi1)
+    return sorted(pts, key=lambda g: g.lex_key())
 
 
 def sample_lines(P: Presentation, Q: Presentation, slopes: int = 64,
@@ -208,15 +258,16 @@ def sample_lines(P: Presentation, Q: Presentation, slopes: int = 64,
     modules a mediant-spaced slope grid is crossed with offsets through
     every Betti point, midpoints between consecutive offsets, and the
     padded bounding-box edges.  A seed appends extra jittered lines
-    reproducibly.
+    reproducibly.  Each module's Betti data is computed once.
     """
-    pts = sorted(set(_betti_points(P)) | set(_betti_points(Q)), key=lambda g: g.lex_key())
+    data = (betti_and_grid(P), betti_and_grid(Q))
+    pts = _betti_points(data)
+    betti = tuple(pts)
     n = P.n
     if not pts:
         pts = [Grade([0] * n)]
     anchors = set(pts)
-    for M in (P, Q):
-        grid = betti_and_grid(M).grid
+    for grid in (d.grid for d in data):
         if 0 < grid.image_size() <= 64:
             anchors |= set(grid.points())
     lines: dict[tuple, LineSpec] = {}
@@ -251,7 +302,7 @@ def sample_lines(P: Presentation, Q: Presentation, slopes: int = 64,
             jitter = Grade([c + Fraction(rng.randint(-64, 64), 128) for c in anchor.coords])
             add(LineSpec.through(jitter, d))
     ordered = tuple(lines[k] for k in sorted(lines))
-    return LineSample(ordered, "grid", bounds)
+    return LineSample(ordered, "grid", bounds, betti)
 
 
 @dataclass(frozen=True)
@@ -271,9 +322,42 @@ class DistanceReport:
         return out
 
 
+class _Fibers:
+    """Two modules with their grades scaled to integers once, for the line loop.
+
+    Each line is evaluated in its IntegerLine units, from the pushes to the
+    bottleneck value in Python ints; only the returned value is a Fraction.
+    """
+
+    def __init__(self, P: Presentation, Q: Presentation):
+        self.n = P.n
+        self.scale = common_scale(c for M in (P, Q) for g in M.betti_grades() for c in g.coords)
+        self.views = (ScaledModule(P, self.scale), ScaledModule(Q, self.scale))
+
+    def value(self, line: LineSpec, best=None):
+        """w(L) times the bottleneck of the restrictions; None when that is <= best.
+
+        The bottleneck is first probed at floor(best * 2L / w(L)) in doubled
+        units: if it is feasible there, the line cannot beat best.
+        """
+        if line.n != self.n:
+            raise ValueError(f"line dimension {line.n} != module dimension {self.n}")
+        if best == INF:
+            return None
+        w = line_weight(line)
+        units = IntegerLine.of(line, self.scale)
+        floor = -1
+        if best is not None:
+            floor = best.numerator * 2 * units.unit * w.denominator // (best.denominator * w.numerator)
+        c = _bars_bottleneck(units.bars(self.views[0]), units.bars(self.views[1]), floor)
+        if c is None or c == INF:
+            return c
+        return w * Fraction(c, 2 * units.unit)
+
+
 def weighted_bottleneck(P: Presentation, Q: Presentation, line: LineSpec):
     """w(L) times the bottleneck of the two restricted barcodes."""
-    return line_weight(line) * bottleneck(barcode(restrict(P, line)), barcode(restrict(Q, line)))
+    return _Fibers(P, Q).value(line)
 
 
 def _refine_near(line: LineSpec, pts: list[Grade]) -> list[LineSpec]:
@@ -307,29 +391,24 @@ def matching_distance(P: Presentation, Q: Presentation, sample: LineSample | Non
     """
     if P.n != Q.n or P.p != Q.p:
         raise PresentationError("matching distance needs matching dimension and field")
-    thread_budget()  # validates MULTIPERS_THREADS; line loop runs on one worker
     if sample is None:
         sample = sample_lines(P, Q, slopes=slopes, seed=seed, extra=extra)
+    fibers = _Fibers(P, Q)
     best = Fraction(0)
     arg = None
     for line in sample.lines:
-        w = line_weight(line)
-        b1 = barcode(restrict(P, line))
-        b2 = barcode(restrict(Q, line))
-        # cheap prune: a line cannot raise the max if its bottleneck stays
-        # at or below best / w(L)
-        if best and bottleneck_at_most(b1, b2, best / w):
-            continue
-        v = w * bottleneck(b1, b2)
-        if v > best:
+        v = fibers.value(line, best)
+        if v is not None:
             best, arg = v, line
     if adaptive_rounds and arg is not None:
-        pts = sorted(set(_betti_points(P)) | set(_betti_points(Q)), key=lambda g: g.lex_key())
+        pts = sample.points
+        if pts is None:
+            pts = _betti_points((betti_and_grid(P), betti_and_grid(Q)))
         for _ in range(adaptive_rounds):
             improved = False
             for line in _refine_near(arg, pts):
-                v = weighted_bottleneck(P, Q, line)
-                if v > best:
+                v = fibers.value(line, best)
+                if v is not None:
                     best, arg, improved = v, line, True
             if not improved:
                 break
@@ -486,7 +565,9 @@ def rank_lower_bound(P: Presentation, Q: Presentation,
     """Certified interleaving-distance lower bound from rank conditions.
 
     Point probes: an eps-interleaving forces rank(M_a -> M_{a+2eps}) <= dim
-    N_{a+eps} and symmetrically.  These are functions of the rank
+    N_{a+eps} and symmetrically.  The probe points a are the Betti grades of
+    both minimal presentations (and their grid points when the grid is
+    small), plus the given probes, if any.  These are functions of the rank
     invariant, so they cannot tell apart modules that share it.  Interval
     probes (2 parameters): for a staircase interval K, an eps-interleaving
     forces rk_M(K) <= rk_N(K eroded by eps) whenever the erosion
@@ -505,7 +586,9 @@ def rank_lower_bound(P: Presentation, Q: Presentation,
     if P.n != Q.n or P.p != Q.p:
         raise PresentationError("rank bound needs matching dimension and field")
     minimal = (minimize(P), minimize(Q))
-    probe_list = list(probes) if probes is not None else _default_probes(minimal)
+    probe_list = _default_probes(minimal)
+    if probes is not None:
+        probe_list = sorted(set(probe_list) | set(probes), key=lambda g: g.lex_key())
     grades = [g for M in minimal for g in M.betti_grades()]
     # quarter units: candidates include halved differences, and their midpoints
     scale = 4 * common_scale(c for g in grades + probe_list for c in g.coords)

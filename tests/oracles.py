@@ -3,7 +3,8 @@
 Everything here recomputes results through a different route than the
 package: dense textbook row reduction instead of the sparse pivot kernel,
 inclusion-exclusion of ranks instead of reduction pairing for barcodes,
-exhaustive enumeration for matchings and grids.
+exhaustive enumeration for matchings and grids, and for larger matchings
+the textbook diagonal-slot reduction to perfect bipartite matching.
 """
 
 from __future__ import annotations
@@ -140,6 +141,47 @@ def brute_bottleneck(bars1: list[tuple], bars2: list[tuple]):
                         worst = max(worst, deletion(bars2[j]))
                 best = min(best, worst)
     return best
+
+
+def slot_min_max_assignment(cost, del_left, del_right):
+    """Least threshold admitting a partial matching, by perfect matching with slots.
+
+    Left vertices are the left items and one slot per right item; right
+    vertices are the right items and one slot per left item.  An item may
+    take an item at cost <= c or its own slot if its deletion is <= c, and
+    slots pair with slots freely.  Each threshold runs Kuhn's recursive
+    augmenting-path search from scratch (fine for a few dozen items).
+    """
+    n1, n2 = len(del_left), len(del_right)
+    size = n1 + n2
+
+    def perfect(c):
+        adj = [[] for _ in range(size)]
+        for i in range(n1):
+            adj[i] = [j for j in range(n2) if cost[i][j] <= c]
+            if del_left[i] <= c:
+                adj[i].append(n2 + i)
+        for j in range(n2):
+            adj[n1 + j] = ([j] if del_right[j] <= c else []) + [n2 + i for i in range(n1)]
+        owner = [-1] * size
+
+        def augment(u, seen):
+            for v in adj[u]:
+                if not seen[v]:
+                    seen[v] = True
+                    if owner[v] < 0 or augment(owner[v], seen):
+                        owner[v] = u
+                        return True
+            return False
+
+        return all(augment(u, [False] * size) for u in range(size))
+
+    cands = sorted({c for row in cost for c in row if c != INF}
+                   | {d for d in list(del_left) + list(del_right) if d != INF} | {0})
+    for c in cands:
+        if perfect(c):
+            return c
+    return INF
 
 
 def push_by_scan(line, p: Grade, step=Fraction(1, 64), span: int = 4096):

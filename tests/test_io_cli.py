@@ -145,6 +145,8 @@ def files(tmp_path_factory):
     (root / "B.blocks").write_text(fio.serialize_blocks([Block("oo", F(1, 2), 2)]))
     (root / "B1.bars").write_text("bar 0 10 1\nbar 0 1 1\n")
     (root / "B2.bars").write_text("bar 1 9 1\n")
+    (root / "long1.bars").write_text("".join(f"bar {i} {i + 10} 1\n" for i in range(1000)))
+    (root / "long2.bars").write_text("".join(f"bar {2 * i + 1}/2 {i + 10} 1\n" for i in range(1000)))
     (root / "broken.fpres").write_text("fpres 1\nfield 2\nparams 2\ngenerators 1\ng a 1 1\nrelations 1\nr 0 0 ; 1:0\n")
     return root
 
@@ -202,6 +204,11 @@ class TestCli:
         code, out, _ = run_cli("bottleneck", str(files / "B1.bars"), str(files / "B2.bars"))
         assert code == 0 and "bottleneck 1 (1.000000)" in out
 
+    def test_bottleneck_thousand_bars(self, files):
+        # a recursive augmenting-path search overflowed the stack on this pair
+        code, out, err = run_cli("bottleneck", str(files / "long1.bars"), str(files / "long2.bars"))
+        assert code == 0 and out.strip() == "bottleneck 1/2 (0.500000)", err
+
     def test_tabular_format(self, files):
         code, out, _ = run_cli("bottleneck", str(files / "B1.bars"), str(files / "B2.bars"),
                                "--format", "tabular")
@@ -224,6 +231,10 @@ class TestCli:
         assert code == 0 and "interleaving-lower-bound 1/2 (0.500000)" in out
         code, out, _ = run_cli("lower-bound", str(files / "rect.fpres"),
                                str(files / "rect_shift.fpres"), "--probe", "0 0")
+        assert code == 0 and "interleaving-lower-bound 1/2 (0.500000)" in out
+        # a probe is added to the default ones, it does not replace them
+        code, out, _ = run_cli("lower-bound", str(files / "rect.fpres"),
+                               str(files / "rect_shift.fpres"), "--probe", "100 100")
         assert code == 0 and "interleaving-lower-bound 1/2 (0.500000)" in out
 
     def test_interpolate(self, files):

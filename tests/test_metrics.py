@@ -26,7 +26,9 @@ from multipres import (
     zero_module,
 )
 from multipres.functors import InterleavingWitness, shift_with_witness
-from multipres.metrics import LineSample, _rank_violation, thread_budget
+from multipres.fibered import IntegerLine, barcode, restrict
+from multipres.grades import LineSpec, line_weight
+from multipres.metrics import LineSample, _rank_violation, _refine_near, min_max_assignment
 from multipres.experiments import (
     incompleteness_pair,
     incompleteness_witness,
@@ -34,9 +36,18 @@ from multipres.experiments import (
     random_module,
     random_staircase,
 )
-from multipres.presentation import ScaledModule, betti_and_grid, interval_rank
+from multipres.presentation import (
+    Generator,
+    Presentation,
+    Relation,
+    ScaledModule,
+    betti_and_grid,
+    common_scale,
+    interval_rank,
+    make_column,
+)
 
-from oracles import brute_bottleneck
+from oracles import brute_bottleneck, slot_min_max_assignment
 
 INF = math.inf
 
@@ -89,6 +100,45 @@ class TestBottleneck:
             assert ab == ba
             assert bottleneck(A, C) <= ab + bottleneck(B, C)
 
+    def test_against_slot_matching(self):
+        # crowded bars on a small lattice: the greedy pass leaves work for long
+        # augmenting paths, and some candidates are feasible only after them
+        rng = random.Random(67)
+        for _ in range(40):
+            B1, B2 = (random_barcode(rng, max_bars=14, allow_inf=rng.random() < 0.3)
+                      for _ in range(2))
+            xs, ys = B1.expand(), B2.expand()
+
+            def cost(x, y):
+                if (x[1] == INF) != (y[1] == INF):
+                    return INF
+                return abs(x[0] - y[0]) if x[1] == INF else max(abs(x[0] - y[0]), abs(x[1] - y[1]))
+
+            def deletion(x):
+                return INF if x[1] == INF else (x[1] - x[0]) / 2
+
+            assert bottleneck(B1, B2) == slot_min_max_assignment(
+                [[cost(x, y) for y in ys] for x in xs], [deletion(x) for x in xs], [deletion(y) for y in ys])
+
+    def test_min_max_assignment_against_slot_matching(self):
+        # left items 1 and 2 both need right item 2, which the greedy pass
+        # gives to item 0; after item 1 takes it over, item 2 must fail
+        cost = [[1, 2, 0], [INF, INF, 0], [INF, INF, 0]]
+        assert min_max_assignment(cost, [INF] * 3, [0] * 3) == INF
+        rng = random.Random(68)
+        for _ in range(150):
+            n1, n2 = rng.randint(0, 9), rng.randint(0, 9)
+            cost = [[rng.choice([INF] * 4 + list(range(6))) for _ in range(n2)] for _ in range(n1)]
+            dl = [rng.choice([INF, INF, 2, 3, 4, 5, 6]) for _ in range(n1)]
+            dr = [rng.choice([INF, INF, 2, 3, 4, 5, 6]) for _ in range(n2)]
+            assert min_max_assignment(cost, dl, dr) == slot_min_max_assignment(cost, dl, dr)
+
+    def test_five_hundred_shifted_bars(self):
+        # a recursive augmenting-path search overflowed the stack on this pair
+        A = Barcode([(i, i + 10) for i in range(500)])
+        B = Barcode([(i + F(1, 2), i + 10) for i in range(500)])
+        assert bottleneck(A, B) == F(1, 2)
+
 
 class TestMatchingDistance:
     def test_self_distance(self):
@@ -118,12 +168,134 @@ class TestMatchingDistance:
         with pytest.raises(ValueError):
             LineSample(())
 
+    def test_gain_of_one_unit_is_not_pruned(self):
+        # one bar [0, 2) on the slope-1 line through the origin and [0, 1) on
+        # the one through (1, 0): values 1 and 1/2, one doubled unit apart
+        P = staircase_interval([g(0, 0)], [g(2, 0), g(0, 3)])
+        Z = zero_module(2, 2)
+        near, far = LineSpec([1, 1], g(1, 0)), LineSpec([1, 1], g(0, 0))
+        assert matching_distance(P, Z, sample=LineSample((near,))).value == F(1, 2)
+        report = matching_distance(P, Z, sample=LineSample((near, far)))
+        assert (report.value, report.argmax_line) == (1, far)
+
     def test_adaptive_never_decreases(self):
         rng = random.Random(65)
         P, Q = random_module(rng), random_module(rng)
         base = matching_distance(P, Q, slopes=6)
         refined = matching_distance(P, Q, slopes=6, adaptive_rounds=2)
         assert refined.value >= base.value
+
+
+def entangled(P, rng):
+    """A non-minimal presentation of P's module.
+
+    Adds a generator z with the cancelling relation z + c * x_i at z's grade,
+    mixes that relation into some relations above it, and appends the sum
+    of two relations at a grade above both.
+    """
+    p = P.p
+    i = rng.randrange(len(P.gens))
+    a = P.gens[i].grade.plus([rng.randint(0, 2), rng.randint(0, 2)])
+    pair = [(len(P.gens), 1), (i, rng.randint(1, p - 1))]
+    rels = []
+    for r in P.rels:
+        col = list(r.col)
+        if a.leq(r.grade) and rng.random() < 0.5:
+            col += [(j, rng.randint(1, p - 1) * c) for j, c in pair]
+        rels.append(Relation(r.grade, make_column(col, p)))
+    rels.append(Relation(a, make_column(pair, p)))
+    r1, r2 = rng.sample(rels, 2)
+    rels.append(Relation(r1.grade.join(r2.grade).plus([F(1, 3), 0]),
+                         make_column(list(r1.col) + list(r2.col), p)))
+    return Presentation(2, p, P.gens + (Generator("z", a),), tuple(rels))
+
+
+def reference_distance(P, Q, lines, adaptive_rounds=0):
+    """The sampled matching distance composed from restrict, barcode and bottleneck."""
+
+    def value(line):
+        return line_weight(line) * bottleneck(barcode(restrict(P, line)), barcode(restrict(Q, line)))
+
+    best, arg = F(0), None
+    for line in lines:
+        v = value(line)
+        if v > best:
+            best, arg = v, line
+    if adaptive_rounds and arg is not None:
+        pts = set()
+        for M in (P, Q):
+            data = betti_and_grid(M)
+            pts |= set(data.xi0) | set(data.xi1)
+        pts = sorted(pts, key=lambda x: x.lex_key())
+        for _ in range(adaptive_rounds):
+            improved = False
+            for line in _refine_near(arg, pts):
+                v = value(line)
+                if v > best:
+                    best, arg, improved = v, line, True
+            if not improved:
+                break
+    return best, arg
+
+
+class TestIntegerLineLoop:
+    """The integer line loop reproduces the Fraction composition exactly."""
+
+    @staticmethod
+    def pairs():
+        rng = random.Random(72)
+        for p in (2, 3):
+            for k in (1, 2, 3, 4):
+                P = random_staircase(rng, p=p)
+                for _ in range(k - 1):
+                    P = direct_sum(P, random_staircase(rng, p=p))
+                yield P, jitter_module(P, rng, F(1, 3))
+                yield entangled(P, rng), jitter_module(P, rng, F(2, 7))
+        # one immortal summand more on one side: infinite bars cannot match
+        S = random_staircase(rng)
+        yield direct_sum(S, random_staircase(rng, immortal=True)), S
+
+    @staticmethod
+    def lines(P, Q, seed):
+        rng = random.Random(seed)
+        out = list(sample_lines(P, Q, slopes=3, seed=seed, extra=6).lines)
+        for _ in range(4):
+            point = g(*(F(rng.randint(-40, 200), rng.randint(1, 97)) for _ in range(2)))
+            out.append(LineSpec.through(point, [F(rng.randint(1, 89), rng.randint(1, 89)), 1]))
+        return out
+
+    def test_bars_match_restricted_barcode(self):
+        for n, (P, Q) in enumerate(self.pairs()):
+            scale = common_scale(c for M in (P, Q) for x in M.betti_grades() for c in x.coords)
+            views = [ScaledModule(M, scale) for M in (P, Q)]
+            for line in self.lines(P, Q, n):
+                units = IntegerLine.of(line, scale)
+                for M, view in zip((P, Q), views):
+                    got = Barcode([(F(b, units.unit), d if d == INF else F(d, units.unit))
+                                   for b, d in units.bars(view)])
+                    assert got == barcode(restrict(M, line)), (n, str(line))
+
+    def test_weighted_bottleneck_matches_composition(self):
+        for n, (P, Q) in enumerate(self.pairs()):
+            for line in self.lines(P, Q, n)[::5]:
+                assert weighted_bottleneck(P, Q, line) == line_weight(line) * bottleneck(
+                    barcode(restrict(P, line)), barcode(restrict(Q, line)))
+
+    @pytest.mark.parametrize("rounds", [0, 2])
+    def test_distance_and_argmax_match_reference(self, rounds):
+        values = set()
+        for n, (P, Q) in enumerate(self.pairs()):
+            lines = self.lines(P, Q, n)
+            report = matching_distance(P, Q, sample=LineSample(tuple(lines)), adaptive_rounds=rounds)
+            assert (report.value, report.argmax_line) == reference_distance(P, Q, lines, rounds), n
+            values.add(report.value == INF)
+            if not rounds or n % 8 >= 2:  # the one-summand pairs and the unmatched pair
+                continue
+            # the sample drawn inside carries the Betti points the rounds refine around
+            report = matching_distance(P, Q, slopes=3, seed=n, extra=6, adaptive_rounds=rounds)
+            lines = sample_lines(P, Q, slopes=3, seed=n, extra=6).lines
+            assert (report.value, report.argmax_line) == reference_distance(P, Q, lines, rounds), n
+        assert values == {False, True}
 
 
 class TestVerifyInterleaving:
@@ -300,13 +472,3 @@ class TestLocalEquivalence:
         M = free([g(0, 0)])
         with pytest.raises(ValueError):
             local_equivalence_experiment(M, M, F(1, 34))
-
-
-def test_thread_budget_env(monkeypatch):
-    monkeypatch.setenv("MULTIPERS_THREADS", "0")
-    assert thread_budget() == 1
-    monkeypatch.setenv("MULTIPERS_THREADS", "4")
-    assert thread_budget() == 4
-    monkeypatch.setenv("MULTIPERS_THREADS", "soup")
-    with pytest.raises(ValueError):
-        thread_budget()
