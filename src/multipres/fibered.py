@@ -7,11 +7,13 @@ left-to-right column reduction over F_p: a pivot pairs a relation with the
 generator it kills, unpaired generators live forever, zero-length bars are
 dropped.  Bars are half-open [b, d) multisets.
 
-restrict and barcode build a 1-parameter Presentation with Fraction grades.
-The matching-distance line loop skips that: IntegerLine turns a line into
-integer units for grades scaled by a common S, so the pushes of a
-ScaledModule are Python ints with the same order, and pair_bars, shared with
-barcode, pairs them into bars in those units.
+restrict and barcode work in two number systems.  On a Presentation and a
+LineSpec they build a 1-parameter Presentation with Fraction grades and its
+Barcode.  The matching-distance line loop uses the integer form: IntegerLine
+turns a line into integer units for grades scaled by a common S, so
+restricting a ScaledModule gives a Fiber whose pushes are Python ints in the
+same order, and barcode pairs them into bars in those units.  Both forms
+share one pairing routine, pair_bars.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import kernels
 from .grades import Grade, LineSpec, push, rat, rat_str
@@ -77,13 +80,62 @@ class Barcode:
         return "; ".join(f"[{rat_str(b)}, {rat_str(d)})x{m}" for b, d, m in self.bars) or "(empty)"
 
 
-def restrict(P: Presentation, line: LineSpec) -> Presentation:
-    """1-parameter presentation of the module along the line.
+@dataclass(frozen=True)
+class IntegerLine:
+    """A line in the integer units of a grade scale S.
 
-    Generators land at their push parameters, relations likewise, columns
-    unchanged.  Bar endpoints are reported in the line's own parameter, with
-    t = 0 at the base point on {x_n = 0}.
+    With A the lcm of the denominators of the base b and B the lcm of the
+    denominators of the 1/d_i, a grade g scaled by S has the integer
+    parameter T(g) = max_i (g_i A - S A b_i) (B / d_i) = L push(g), where
+    L = S A B.  Sorting by (T, index) is sorting by (push, index).
     """
+
+    slopes: tuple[int, ...]  # A B / d_i
+    offsets: tuple[int, ...]  # S A b_i B / d_i
+    unit: int  # L
+
+    @classmethod
+    def of(cls, line: LineSpec, scale: int) -> "IntegerLine":
+        a = common_scale(line.base.coords)
+        b = math.lcm(*(d.numerator for d in line.direction))
+        steps = [b * d.denominator // d.numerator for d in line.direction]
+        base = scale_grade(line.base, scale * a)
+        return cls(tuple(a * k for k in steps), tuple(o * k for o, k in zip(base, steps)),
+                   scale * a * b)
+
+    def params(self, grades) -> list[int]:
+        """T(g) for each scaled grade g."""
+        out = None
+        for i, (m, o) in enumerate(zip(self.slopes, self.offsets)):
+            axis = [g[i] * m - o for g in grades]
+            out = axis if out is None else list(map(max, out, axis))
+        return out
+
+
+class Fiber(NamedTuple):
+    """A ScaledModule restricted to an IntegerLine: parameters T, columns unchanged."""
+
+    gen_params: list[int]
+    rel_params: list[int]
+    cols: list[dict[int, int]]
+    p: int
+
+
+def restrict(P: Presentation | ScaledModule, line: LineSpec | IntegerLine):
+    """1-parameter restriction of the module along the line.
+
+    For a Presentation and a LineSpec: a 1-parameter Presentation, with
+    generators and relations at their push parameters and the columns
+    unchanged.  Bar endpoints are reported in the line's own parameter, with
+    t = 0 at the base point on {x_n = 0}.  For a ScaledModule and the
+    IntegerLine of its scale: the Fiber holding the same restriction in the
+    line's integer parameters T = L push.
+    """
+    if isinstance(line, IntegerLine):
+        if len(line.slopes) != P.n:
+            raise ValueError(f"line dimension {len(line.slopes)} != module dimension {P.n}")
+        return Fiber(line.params(P.gens), line.params([g for g, _ in P.rels]),
+                     [col for _, col in P.rels], P.p)
     if line.n != P.n:
         raise ValueError(f"line dimension {line.n} != module dimension {P.n}")
     gens = tuple(Generator(g.label, Grade([push(line, g.grade)])) for g in P.gens)
@@ -91,14 +143,17 @@ def restrict(P: Presentation, line: LineSpec) -> Presentation:
     return Presentation(1, P.p, gens, rels)
 
 
-def barcode(Q: Presentation) -> Barcode:
+def barcode(Q: Presentation | Fiber):
     """Barcode of a 1-parameter presentation by graded column reduction.
 
     Generators and relations are sorted by (parameter, input index);
     generators come first at ties, so a relation at a generator's own
     parameter kills it into a zero-length bar, which is dropped.  The bar
-    multiset does not depend on the tie-breaking.
+    multiset does not depend on the tie-breaking.  A Fiber gives the list of
+    its bars (birth, death) in its integer units, death INF when unpaired.
     """
+    if isinstance(Q, Fiber):
+        return pair_bars(*Q)
     if Q.n != 1:
         raise ValueError("barcode extraction needs a 1-parameter presentation")
     return Barcode(pair_bars([g.grade.coords[0] for g in Q.gens],
@@ -132,43 +187,6 @@ def pair_bars(gen_params, rel_params, cols, p: int) -> list[tuple]:
             bars.append((birth, death))
     bars += [(gen_params[i], INF) for row, i in enumerate(gen_order) if row not in killed]
     return bars
-
-
-@dataclass(frozen=True)
-class IntegerLine:
-    """A line in the integer units of a grade scale S.
-
-    With A the lcm of the denominators of the base b and B the lcm of the
-    denominators of the 1/d_i, a grade g scaled by S has the integer
-    parameter T(g) = max_i (g_i A - S A b_i) (B / d_i) = L push(g), where
-    L = S A B.  Sorting by (T, index) is sorting by (push, index).
-    """
-
-    slopes: tuple[int, ...]  # A B / d_i
-    offsets: tuple[int, ...]  # S A b_i B / d_i
-    unit: int  # L
-
-    @classmethod
-    def of(cls, line: LineSpec, scale: int) -> "IntegerLine":
-        a = common_scale(line.base.coords)
-        b = math.lcm(*(d.numerator for d in line.direction))
-        steps = [b * d.denominator // d.numerator for d in line.direction]
-        base = scale_grade(line.base, scale * a)
-        return cls(tuple(a * k for k in steps), tuple(o * k for o, k in zip(base, steps)),
-                   scale * a * b)
-
-    def params(self, grades) -> list[int]:
-        """T(g) for each scaled grade g."""
-        out = None
-        for i, (m, o) in enumerate(zip(self.slopes, self.offsets)):
-            axis = [g[i] * m - o for g in grades]
-            out = axis if out is None else list(map(max, out, axis))
-        return out
-
-    def bars(self, M: ScaledModule) -> list[tuple]:
-        """Bars of M restricted to the line, endpoints in units of 1/L."""
-        return pair_bars(self.params(M.gens), self.params([g for g, _ in M.rels]),
-                         [col for _, col in M.rels], M.p)
 
 
 def simplify_barcode(B: Barcode, eps) -> Barcode:

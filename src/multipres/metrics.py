@@ -9,11 +9,12 @@ binary-searches the finite candidate costs.
 
 The matching distance is approximated from below by sampling weighted
 lines, always including the slope-1 lines through every Betti-grid point of
-both modules, which witness diagonal translates exactly.  Each module's
-Betti data is computed once per call, and its grades are scaled once to
-integers; every line then runs on Python ints in its own units
-(fibered.IntegerLine), from the pushes through the bar pairing to the
-bottleneck value.  A line is first probed at the floor of best * 2L / w(L):
+both modules, which witness diagonal translates exactly.  sample_lines
+computes each module's Betti data once, and matching_distance scales each
+module's grades to integers once; every line then runs on Python ints in
+its own units (fibered.IntegerLine, with restrict and barcode in their
+integer form), from the pushes through the bar pairing to the bottleneck
+value.  A line is first probed at the floor of best * 2L / w(L):
 if the bottleneck is feasible there, the line cannot raise the maximum and
 is skipped.  Only the reported value becomes a Fraction again.
 """
@@ -27,7 +28,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from . import kernels
-from .fibered import Barcode, IntegerLine, restrict  # noqa: F401  (still importable as metrics.restrict)
+from .fibered import Barcode, IntegerLine, barcode, restrict
 from .functors import InterleavingWitness
 from .grades import Grade, LineSpec, line_weight, rat, rat_str
 from .presentation import (
@@ -155,29 +156,48 @@ def min_max_assignment(cost, del_left, del_right):
     return problem.least_feasible(ordered)
 
 
-def _bars_bottleneck(xs, ys, floor: int):
-    """Bottleneck distance of two integer bar lists in doubled units, or None.
+class _Bars:
+    """The bottleneck problem of two integer bar lists, in doubled units.
 
     Costs are 2 * l-infinity and a finite bar's deletion is d - b, so every
-    candidate is an integer.  None when the distance is <= floor (the probe
-    a line loop uses to skip a line that cannot raise its maximum; floor -1
-    always solves).  Infinite bars must match infinite bars, which on the
-    line is optimal in sorted order; finite bars go through _Assignment,
-    whose matrices are built once for the probe and the search.
+    candidate is an integer.  Infinite bars must match infinite bars, which
+    on the line is optimal in sorted order and gives the lower bound low
+    (INF when their counts differ); finite bars go through _Assignment, whose
+    matrices are built once for a probe and the search after it.
     """
-    inf1 = sorted(b for b, d in xs if d == INF)
-    inf2 = sorted(b for b, d in ys if d == INF)
-    if len(inf1) != len(inf2):
-        return INF
-    low = max((2 * abs(u - v) for u, v in zip(inf1, inf2)), default=0)
-    fin1 = [bar for bar in xs if bar[1] != INF]
-    fin2 = [bar for bar in ys if bar[1] != INF]
-    cost = [[2 * max(abs(b1 - b2), abs(d1 - d2)) for b2, d2 in fin2] for b1, d1 in fin1]
-    problem = _Assignment(cost, [d - b for b, d in fin1], [d - b for b, d in fin2])
-    if low <= floor and problem.feasible(floor):
-        return None
-    least = max(floor + 1, low)
-    return problem.least_feasible([least] + [c for c in problem.candidates() if c > least])
+
+    def __init__(self, xs, ys):
+        inf1 = sorted(b for b, d in xs if d == INF)
+        inf2 = sorted(b for b, d in ys if d == INF)
+        self.low = INF
+        if len(inf1) == len(inf2):
+            self.low = max((2 * abs(u - v) for u, v in zip(inf1, inf2)), default=0)
+            fin1 = [bar for bar in xs if bar[1] != INF]
+            fin2 = [bar for bar in ys if bar[1] != INF]
+            cost = [[2 * max(abs(b1 - b2), abs(d1 - d2)) for b2, d2 in fin2] for b1, d1 in fin1]
+            self.problem = _Assignment(cost, [d - b for b, d in fin1], [d - b for b, d in fin2])
+
+    def at_most(self, c: int) -> bool:
+        """Is the distance <= c?"""
+        return self.low <= c and self.problem.feasible(c)
+
+    def least_above(self, floor: int):
+        """The distance, known to be > floor (floor -1 always holds)."""
+        if self.low == INF:
+            return INF
+        least = max(floor + 1, self.low)
+        return self.problem.least_feasible([least] + [c for c in self.problem.candidates() if c > least])
+
+
+def _scaled_bars(B1: Barcode, B2: Barcode):
+    """Both barcodes' bars as integers scaled by the lcm of their denominators."""
+    xs, ys = B1.expand(), B2.expand()
+    scale = common_scale(c for bar in xs + ys for c in bar if c != INF)
+
+    def scaled(bars):
+        return [(int(b * scale), d if d == INF else int(d * scale)) for b, d in bars]
+
+    return _Bars(scaled(xs), scaled(ys)), scale
 
 
 def bottleneck(B1: Barcode, B2: Barcode):
@@ -187,19 +207,17 @@ def bottleneck(B1: Barcode, B2: Barcode):
     and unmatched half-lengths; infinite bars must match infinite bars, so
     mismatched infinite multiplicities give INF.  Solved in integer units.
     """
-    xs, ys = B1.expand(), B2.expand()
-    scale = common_scale(c for bar in xs + ys for c in bar if c != INF)
-
-    def scaled(bars):
-        return [(int(b * scale), d if d == INF else int(d * scale)) for b, d in bars]
-
-    c = _bars_bottleneck(scaled(xs), scaled(ys), -1)
+    bars, scale = _scaled_bars(B1, B2)
+    c = bars.least_above(-1)
     return c if c == INF else Fraction(c, 2 * scale)
 
 
 def bottleneck_at_most(B1: Barcode, B2: Barcode, c) -> bool:
     """Single feasibility probe: is the bottleneck distance <= c?"""
-    return c == INF or bottleneck(B1, B2) <= c
+    if c == INF:
+        return True
+    bars, scale = _scaled_bars(B1, B2)
+    return bars.at_most(math.floor(2 * scale * rat(c)))
 
 
 # -- line sampling ----------------------------------------------------------------
@@ -210,9 +228,6 @@ class LineSample:
     lines: tuple[LineSpec, ...]
     strategy: str = "grid"
     bounds: tuple[Grade, Grade] | None = None
-    # Betti points of the two modules the sample was drawn for; adaptive
-    # rounds refine around them (None: computed from the modules compared)
-    points: tuple[Grade, ...] | None = None
 
     def __post_init__(self):
         if not self.lines:
@@ -262,7 +277,6 @@ def sample_lines(P: Presentation, Q: Presentation, slopes: int = 64,
     """
     data = (betti_and_grid(P), betti_and_grid(Q))
     pts = _betti_points(data)
-    betti = tuple(pts)
     n = P.n
     if not pts:
         pts = [Grade([0] * n)]
@@ -302,7 +316,7 @@ def sample_lines(P: Presentation, Q: Presentation, slopes: int = 64,
             jitter = Grade([c + Fraction(rng.randint(-64, 64), 128) for c in anchor.coords])
             add(LineSpec.through(jitter, d))
     ordered = tuple(lines[k] for k in sorted(lines))
-    return LineSample(ordered, "grid", bounds, betti)
+    return LineSample(ordered, "grid", bounds)
 
 
 @dataclass(frozen=True)
@@ -330,7 +344,6 @@ class _Fibers:
     """
 
     def __init__(self, P: Presentation, Q: Presentation):
-        self.n = P.n
         self.scale = common_scale(c for M in (P, Q) for g in M.betti_grades() for c in g.coords)
         self.views = (ScaledModule(P, self.scale), ScaledModule(Q, self.scale))
 
@@ -340,19 +353,18 @@ class _Fibers:
         The bottleneck is first probed at floor(best * 2L / w(L)) in doubled
         units: if it is feasible there, the line cannot beat best.
         """
-        if line.n != self.n:
-            raise ValueError(f"line dimension {line.n} != module dimension {self.n}")
         if best == INF:
             return None
         w = line_weight(line)
         units = IntegerLine.of(line, self.scale)
+        bars = _Bars(*(barcode(restrict(view, units)) for view in self.views))
         floor = -1
         if best is not None:
             floor = best.numerator * 2 * units.unit * w.denominator // (best.denominator * w.numerator)
-        c = _bars_bottleneck(units.bars(self.views[0]), units.bars(self.views[1]), floor)
-        if c is None or c == INF:
-            return c
-        return w * Fraction(c, 2 * units.unit)
+            if bars.at_most(floor):
+                return None
+        c = bars.least_above(floor)
+        return c if c == INF else w * Fraction(c, 2 * units.unit)
 
 
 def weighted_bottleneck(P: Presentation, Q: Presentation, line: LineSpec):
@@ -401,9 +413,7 @@ def matching_distance(P: Presentation, Q: Presentation, sample: LineSample | Non
         if v is not None:
             best, arg = v, line
     if adaptive_rounds and arg is not None:
-        pts = sample.points
-        if pts is None:
-            pts = _betti_points((betti_and_grid(P), betti_and_grid(Q)))
+        pts = _betti_points((betti_and_grid(P), betti_and_grid(Q)))
         for _ in range(adaptive_rounds):
             improved = False
             for line in _refine_near(arg, pts):

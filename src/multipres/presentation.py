@@ -455,7 +455,7 @@ class ScaledModule:
     """
 
     def __init__(self, P: Presentation, scale: int):
-        self.p = P.p
+        self.n, self.p = P.n, P.p
         self.gens = [scale_grade(g.grade, scale) for g in P.gens]
         self.rels = [(scale_grade(r.grade, scale), r.as_dict()) for r in P.rels]
         self._bases: dict[tuple[int, ...], list] = {}

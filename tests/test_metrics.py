@@ -28,7 +28,13 @@ from multipres import (
 from multipres.functors import InterleavingWitness, shift_with_witness
 from multipres.fibered import IntegerLine, barcode, restrict
 from multipres.grades import LineSpec, line_weight
-from multipres.metrics import LineSample, _rank_violation, _refine_near, min_max_assignment
+from multipres.metrics import (
+    LineSample,
+    _rank_violation,
+    _refine_near,
+    bottleneck_at_most,
+    min_max_assignment,
+)
 from multipres.experiments import (
     incompleteness_pair,
     incompleteness_witness,
@@ -91,6 +97,17 @@ class TestBottleneck:
         for _ in range(60):
             B1, B2 = random_barcode(rng), random_barcode(rng)
             assert bottleneck(B1, B2) == brute_bottleneck(B1.expand(), B2.expand())
+
+    def test_at_most_probe(self):
+        rng = random.Random(66)
+        for _ in range(60):
+            B1, B2 = random_barcode(rng), random_barcode(rng)
+            d = bottleneck(B1, B2)
+            for c in (0, -1, F(1, 3), F(7, 2), INF):
+                assert bottleneck_at_most(B1, B2, c) == (d <= c)
+            if d not in (0, INF):
+                for c in (d, d - F(1, 97), d + F(1, 97)):
+                    assert bottleneck_at_most(B1, B2, c) == (d <= c)
 
     def test_metric_axioms_sampled(self):
         rng = random.Random(62)
@@ -272,8 +289,18 @@ class TestIntegerLineLoop:
                 units = IntegerLine.of(line, scale)
                 for M, view in zip((P, Q), views):
                     got = Barcode([(F(b, units.unit), d if d == INF else F(d, units.unit))
-                                   for b, d in units.bars(view)])
+                                   for b, d in barcode(restrict(view, units))])
                     assert got == barcode(restrict(M, line)), (n, str(line))
+
+    def test_dimension_mismatch_rejected(self):
+        P = staircase_interval([g(0, 0)], [g(2, 0), g(0, 3)])
+        R = free([g(0, 0, 0)])
+        line = LineSpec([1, 1], g(0, 0))
+        for pair in ((P, R), (R, P)):
+            with pytest.raises(ValueError):
+                weighted_bottleneck(*pair, line)
+        with pytest.raises(ValueError):
+            restrict(ScaledModule(R, 1), IntegerLine.of(line, 1))
 
     def test_weighted_bottleneck_matches_composition(self):
         for n, (P, Q) in enumerate(self.pairs()):
@@ -291,7 +318,7 @@ class TestIntegerLineLoop:
             values.add(report.value == INF)
             if not rounds or n % 8 >= 2:  # the one-summand pairs and the unmatched pair
                 continue
-            # the sample drawn inside carries the Betti points the rounds refine around
+            # the rounds refine around the Betti points of the modules compared
             report = matching_distance(P, Q, slopes=3, seed=n, extra=6, adaptive_rounds=rounds)
             lines = sample_lines(P, Q, slopes=3, seed=n, extra=6).lines
             assert (report.value, report.argmax_line) == reference_distance(P, Q, lines, rounds), n
