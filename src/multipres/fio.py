@@ -84,18 +84,33 @@ def _parse_header(cur: _Cursor, key: str, what: str) -> tuple[int, list[str]]:
     return lineno, toks
 
 
+def _header_value(cur: _Cursor, key: str, what: str) -> tuple[int, str]:
+    lineno, toks = _parse_header(cur, key, what)
+    if len(toks) != 2:
+        raise FormatError(lineno, f"expected {what}")
+    return lineno, toks[1]
+
+
+def _header_count(cur: _Cursor, key: str, what: str) -> int:
+    lineno, tok = _header_value(cur, key, what)
+    try:
+        value = int(tok)
+    except ValueError:
+        raise FormatError(lineno, f"bad {key} value {tok!r}, expected {what}") from None
+    if value < 0:
+        raise FormatError(lineno, f"negative {key} value {value}")
+    return value
+
+
 def _parse_fpres_block(cur: _Cursor, rel_gen_limit: int | None = None):
     """One fpres block; relation gen-indices may exceed the local generator
     count up to rel_gen_limit (used by joint files)."""
     lineno, toks = _parse_header(cur, "fpres", "'fpres 1' header")
     if toks[1:] != ["1"]:
         raise FormatError(lineno, "unsupported fpres version")
-    lineno, toks = _parse_header(cur, "field", "'field <p>'")
-    p = int(toks[1])
-    lineno, toks = _parse_header(cur, "params", "'params <n>'")
-    n = int(toks[1])
-    lineno, toks = _parse_header(cur, "generators", "'generators <k>'")
-    k = int(toks[1])
+    p = _header_count(cur, "field", "'field <p>'")
+    n = _header_count(cur, "params", "'params <n>'")
+    k = _header_count(cur, "generators", "'generators <k>'")
     gens = []
     for _ in range(k):
         lineno, toks = cur.next("generator line")
@@ -103,8 +118,7 @@ def _parse_fpres_block(cur: _Cursor, rel_gen_limit: int | None = None):
             raise FormatError(lineno, f"expected 'g <label> <{n} rationals>'")
         grade = Grade([parse_rational(t, lineno) for t in toks[2:]])
         gens.append(Generator(toks[1], grade))
-    lineno, toks = _parse_header(cur, "relations", "'relations <m>'")
-    m = int(toks[1])
+    m = _header_count(cur, "relations", "'relations <m>'")
     limit = rel_gen_limit if rel_gen_limit is not None else k
     rels = []
     for idx in range(m):
@@ -168,8 +182,8 @@ def serialize_joint(J: JointPresentation) -> str:
 
 def parse_joint(text: str) -> JointPresentation:
     cur = _Cursor(text)
-    lineno, toks = _parse_header(cur, "epsilon", "'epsilon <rational>' header")
-    eps = parse_rational(toks[1], lineno)
+    lineno, tok = _header_value(cur, "epsilon", "'epsilon <rational>' header")
+    eps = parse_rational(tok, lineno)
     if eps in (INF, -INF):
         raise FormatError(lineno, "epsilon must be finite")
     unbounded = 1 << 30
@@ -278,8 +292,8 @@ def parse_witness(text: str, P: Presentation, Q: Presentation) -> InterleavingWi
     if len(p_index) != len(P.gens) or len(q_index) != len(Q.gens):
         raise FormatError(1, "witness files need unique generator labels on both sides")
     cur = _Cursor(text)
-    lineno, toks = _parse_header(cur, "witness", "'witness <epsilon>' header")
-    eps = parse_rational(toks[1], lineno)
+    lineno, tok = _header_value(cur, "witness", "'witness <epsilon>' header")
+    eps = parse_rational(tok, lineno)
     if eps in (INF, -INF):
         raise FormatError(lineno, "witness epsilon must be finite")
     f: dict[tuple[int, int], int] = {}

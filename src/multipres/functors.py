@@ -22,16 +22,22 @@ path of an eps-interleaving, with endpoints isomorphic to the two modules.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from .grades import Grade, GridFunction, controlling_constant, merge_grade, rat
 from .presentation import (
+    Below,
     Generator,
     Presentation,
     PresentationError,
     Relation,
+    _leq,
+    bits,
+    common_scale,
     make_column,
     minimize,
+    scale_grade,
 )
 
 # step multiples of the base budget used by grid_align, and their total
@@ -65,11 +71,6 @@ def _matrix(entries: dict[tuple[int, int], int], p: int) -> tuple[tuple[int, int
         if c:
             out.append((i, j, c))
     return tuple(out)
-
-
-def identity_witness(P: Presentation, eps=0) -> InterleavingWitness:
-    ident = _matrix({(i, i): 1 for i in range(len(P.gens))}, P.p)
-    return InterleavingWitness(rat(eps), ident, ident)
 
 
 def compose_witnesses(w1: InterleavingWitness, w2: InterleavingWitness, p: int) -> InterleavingWitness:
@@ -131,42 +132,52 @@ def _image_relations(P: Presentation, e: Fraction) -> list[tuple[Grade, dict[int
     finite generating set.  When every relation dominates its support by
     eps this reduces to regrading each column to gr(r) v (support + eps);
     entangled columns additionally shed eliminated combinations early.
+
+    The sweep runs on integer grades: the relation grades and the translated
+    generator grades are scaled once by the lcm S of their denominators, and
+    the grid points, integer tuples in lexicographic order, become Grades
+    again only when a relation is kept.  The active relations and the early
+    generators at a point are bitmasks read off a Below index.  A point
+    whose key (active relations, early generators) already occurred is
+    skipped, and the skip is exact.
+    Let s0 be the first point in lex order with key K and s a later one.
+    Their meet is a grid point with key K and is not lex-later than s0, so it
+    is s0, and s0 <= s.  The pure columns at s are those at s0, and every
+    relation kept at or before s0 is known at s, so every residual at s is 0.
     """
     from . import kernels
 
     if not P.rels:
         return []
-    axes = []
-    for k in range(P.n):
-        vals = {r.grade.coords[k] for r in P.rels}
-        vals |= {g.grade.coords[k] + e for g in P.gens}
-        axes.append(sorted(vals))
-    grid_points = [[]]
-    for axis in axes:
-        grid_points = [pref + [v] for pref in grid_points for v in axis]
-    candidates = sorted((Grade(pt) for pt in grid_points), key=lambda g: g.lex_key())
+    shifted = [g.grade.translate(e) for g in P.gens]
+    S = common_scale(c for x in [r.grade for r in P.rels] + shifted for c in x.coords)
+    rels = [scale_grade(r.grade, S) for r in P.rels]
+    gens = [scale_grade(x, S) for x in shifted]
+    axes = [sorted({x[k] for x in rels + gens}) for k in range(P.n)]
+    rels_below, gens_below = Below(rels, P.n), Below(gens, P.n)
 
     out: list[tuple[Grade, dict[int, int]]] = []
-    for s in candidates:
-        active = [r for r in P.rels if r.grade.leq(s)]
-        if not active:
+    out_grades: list[tuple[int, ...]] = []
+    seen = set()
+    for s in itertools.product(*axes):
+        act, ear = rels_below(s), gens_below(s)
+        if not act or (act, ear) in seen:
             continue
-        early = [i for i, g in enumerate(P.gens) if g.grade.translate(e).leq(s)]
-        early_set = set(early)
+        seen.add((act, ear))
+        early = bits(ear)
         # order rows so late generators take pivot priority; echelon columns
         # whose pivot lands early are then supported purely on early rows
-        order = early + [i for i in range(len(P.gens)) if i not in early_set]
+        order = early + [i for i in range(len(gens)) if not ear >> i & 1]
         row_of = {i: k for k, i in enumerate(order)}
-        cols = [{row_of[i]: c for i, c in r.col} for r in active]
-        cut = len(early)
+        cols = [{row_of[i]: c for i, c in P.rels[k].col} for k in bits(act)]
         basis = kernels.echelonize(cols, P.p)
-        pure = [col for low, col in basis if low < cut]
+        pure = [col for low, col in basis if low < len(early)]
         if not pure:
             continue
         have = [
             {row_of[i]: c for i, c in col.items()}
-            for g2, col in out
-            if g2.leq(s)
+            for t, (_, col) in zip(out_grades, out)
+            if _leq(t, s)
         ]
         known = kernels.echelonize(have, P.p)
         for col in pure:
@@ -174,7 +185,8 @@ def _image_relations(P: Presentation, e: Fraction) -> list[tuple[Grade, dict[int
             if res:
                 known.append((max(res), res))
                 vec = {order[row]: c for row, c in col.items()}
-                out.append((s, vec))
+                out.append((Grade(Fraction(v, S) for v in s), vec))
+                out_grades.append(s)
     return out
 
 

@@ -36,6 +36,7 @@ from .presentation import (
     Presentation,
     PresentationError,
     ScaledModule,
+    _leq,
     betti_and_grid,
     betti_of_minimal,
     common_scale,
@@ -453,12 +454,6 @@ def _apply(matrix: dict[tuple[int, int], int], vec: dict[int, int], p: int) -> d
     return out
 
 
-def _in_relation_span(P: Presentation, vec: dict[int, int], grade: Grade) -> bool:
-    cols = P.rel_columns_leq(grade)
-    basis = kernels.echelonize(cols, P.p)
-    return not kernels.residual(vec, basis, P.p)
-
-
 def verify_interleaving(P: Presentation, Q: Presentation, w: InterleavingWitness) -> VerifyReport:
     """Accept iff w is a genuine epsilon-interleaving between P and Q.
 
@@ -466,39 +461,52 @@ def verify_interleaving(P: Presentation, Q: Presentation, w: InterleavingWitness
     each side landing in the other's relation submodule at the shifted
     grade, and both compositions agreeing with the 2-eps internal
     translation modulo relations.  The report names the first failure.
+    Grades are compared as integer tuples under one scale that also clears
+    eps, and each side's echelon basis is computed once per relation set.
     """
     eps = rat(w.epsilon)
     if eps < 0:
         return VerifyReport(False, eps, "negative epsilon")
     if P.n != Q.n or P.p != Q.p:
         return VerifyReport(False, eps, "dimension or field mismatch")
+    scale = common_scale([eps] + [c for M in (P, Q) for g in M.betti_grades() for c in g.coords])
+    VP, VQ = ScaledModule(P, scale), ScaledModule(Q, scale)
+    e = (eps * scale).numerator
+
+    def up(grade, times):
+        return tuple(v + times * e for v in grade)
+
+    def in_span(view, vec, grade) -> bool:
+        return not kernels.residual(vec, view.rel_basis(grade)[1], P.p)
+
     fd, gd = w.f_dict(), w.g_dict()
-    for name, mat, src, dst in (("f", fd, P, Q), ("g", gd, Q, P)):
+    sides = (("f", fd, P, Q, VP, VQ), ("g", gd, Q, P, VQ, VP))
+    for name, mat, src, dst, vs, vd in sides:
         for (i, j), c in mat.items():
             if not (0 <= i < len(src.gens) and 0 <= j < len(dst.gens)):
                 return VerifyReport(False, eps, f"{name} entry ({i},{j}) out of range")
             if not 0 < c < P.p:
                 return VerifyReport(False, eps, f"{name} coefficient {c} out of range")
-            if not dst.gens[j].grade.leq(src.gens[i].grade.translate(eps)):
+            if not _leq(vd.gens[j], up(vs.gens[i], 1)):
                 return VerifyReport(
                     False, eps,
                     f"{name} entry {src.gens[i].label} -> {dst.gens[j].label} violates grades",
                 )
-    for name, mat, src, dst in (("f", fd, P, Q), ("g", gd, Q, P)):
+    for name, mat, src, dst, vs, vd in sides:
         for k, r in enumerate(src.rels):
             image = _apply(mat, r.as_dict(), P.p)
-            if image and not _in_relation_span(dst, image, r.grade.translate(eps)):
+            if image and not in_span(vd, image, up(vs.rels[k][0], 1)):
                 return VerifyReport(
                     False, eps,
                     f"{name} sends relation {k} (grade {r.grade}) outside the relation submodule",
                 )
-    for name, first, second, side in (("g.f", fd, gd, P), ("f.g", gd, fd, Q)):
+    for name, first, second, side, view in (("g.f", fd, gd, P, VP), ("f.g", gd, fd, Q, VQ)):
         for i, gen in enumerate(side.gens):
             vec = _apply(second, _apply(first, {i: 1}, P.p), P.p)
             vec[i] = (vec.get(i, 0) - 1) % P.p
             if not vec[i]:
                 del vec[i]
-            if vec and not _in_relation_span(side, vec, gen.grade.translate(2 * eps)):
+            if vec and not in_span(view, vec, up(view.gens[i], 2)):
                 return VerifyReport(
                     False, eps,
                     f"coherence {name} fails at generator {gen.label}",

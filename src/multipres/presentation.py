@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 import operator
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -36,14 +37,31 @@ class PresentationError(ValueError):
     """Structurally invalid presentation data."""
 
 
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+PRIME_LIMIT = 3317044064679887385961981  # least strong pseudoprime to all the bases
+
+
 def _is_prime(p: int) -> bool:
+    """Miller-Rabin with the primes up to 37 as bases, exact for p < PRIME_LIMIT."""
     if p < 2:
         return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
+    if p >= PRIME_LIMIT:
+        raise PresentationError(f"field characteristic {p} is too large to certify as prime")
+    if any(p % a == 0 for a in _PRIME_BASES):
+        return p in _PRIME_BASES
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _PRIME_BASES:
+        x = pow(a, d, p)
+        if x in (1, p - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
@@ -264,31 +282,29 @@ def direct_sum(P: Presentation, Q: Presentation) -> Presentation:
 # -- minimization ---------------------------------------------------------------
 
 
-def _reduction_pass(gens, rels, p):
-    """One grade-ordered reduction sweep; returns (new rels, dropped-any flag).
+def _reduction_pass(rels, p):
+    """One grade-ordered reduction sweep over (grade, scaled grade, column) triples.
 
     Relations are visited in (lexicographic grade, input index) order and
     reduced against already-kept relations of dominated grade, which are the
     only ones that may act on them through monomial-shifted column ops.
+    Dependent relations are dropped.
     """
-    order = sorted(range(len(rels)), key=lambda i: (rels[i][0].lex_key(), i))
-    kept: list[tuple[Grade, dict[int, int]]] = []
-    dropped = False
+    order = sorted(range(len(rels)), key=lambda i: (rels[i][1], i))
+    kept: list[tuple[Grade, tuple[int, ...], dict[int, int]]] = []
     for i in order:
-        grade, col = rels[i]
-        usable = [c for (g2, c) in kept if g2.leq(grade)]
+        grade, key, col = rels[i]
+        usable = [c for (_, k2, c) in kept if _leq(k2, key)]
         basis = kernels.echelonize(usable, p)
         res = kernels.residual(col, basis, p)
         if res:
-            kept.append((grade, res))
-        else:
-            dropped = True
-    return kept, dropped
+            kept.append((grade, key, res))
+    return kept
 
 
 def _find_cancellation(gens, rels):
-    for j, (grade, col) in enumerate(rels):
-        hits = [i for i in sorted(col) if gens[i].grade == grade]
+    for j, (_, key, col) in enumerate(rels):
+        hits = [i for i in sorted(col) if gens[i][1] == key]
         if hits:
             return j, hits[0]
     return None
@@ -296,12 +312,12 @@ def _find_cancellation(gens, rels):
 
 def _cancel(gens, rels, j, b, p):
     """Remove relation j and generator b, substituting b's expression everywhere."""
-    grade, col = rels[j]
+    col = rels[j][2]
     c = col[b]
     cinv = pow(c, p - 2, p)
     rest = {i: v for i, v in col.items() if i != b}
     out = []
-    for k, (g2, col2) in enumerate(rels):
+    for k, (g2, key, col2) in enumerate(rels):
         if k == j:
             continue
         d = col2.get(b)
@@ -315,10 +331,10 @@ def _cancel(gens, rels, j, b, p):
                     new[i] = w
                 else:
                     new.pop(i, None)
-        out.append((g2, new))
+        out.append((g2, key, new))
     new_gens = [g for i, g in enumerate(gens) if i != b]
     remap = {i: (i if i < b else i - 1) for i in range(len(gens)) if i != b}
-    out = [(g2, {remap[i]: v for i, v in col2.items()}) for g2, col2 in out]
+    out = [(g2, key, {remap[i]: v for i, v in col2.items()}) for g2, key, col2 in out]
     return new_gens, out
 
 
@@ -328,12 +344,15 @@ def minimize(P: Presentation) -> Presentation:
     Alternates grade-ordered column reduction (dropping dependent relations)
     with generator/relation cancellation wherever a relation carries a unit
     pivot on a generator of equal grade, until neither applies.  The Hilbert
-    function is preserved at every grade.
+    function is preserved at every grade.  Order tests compare each grade's
+    integer tuple under the common scale of all grades; the output carries
+    the original Grades.
     """
-    gens = list(P.gens)
-    rels = [(r.grade, r.as_dict()) for r in P.rels]
+    scale = common_scale(c for g in P.betti_grades() for c in g.coords)
+    gens = [(g, scale_grade(g.grade, scale)) for g in P.gens]
+    rels = [(r.grade, scale_grade(r.grade, scale), r.as_dict()) for r in P.rels]
     while True:
-        rels, _ = _reduction_pass(gens, rels, P.p)
+        rels = _reduction_pass(rels, P.p)
         hit = _find_cancellation(gens, rels)
         if hit is None:
             break
@@ -342,8 +361,8 @@ def minimize(P: Presentation) -> Presentation:
     return Presentation(
         P.n,
         P.p,
-        tuple(gens),
-        tuple(Relation(g, make_column(col, P.p)) for g, col in rels),
+        tuple(g for g, _ in gens),
+        tuple(Relation(g, make_column(col, P.p)) for g, _, col in rels),
     )
 
 
@@ -358,17 +377,6 @@ def betti_of_minimal(M: Presentation) -> BettiData:
     xi1 = Counter(r.grade for r in M.rels)
     grid = grid_from_grades(set(xi0) | set(xi1)) if (xi0 or xi1) else GridFunction([[]] * M.n)
     return BettiData(xi0, xi1, grid, controlling_constant(grid))
-
-
-def homogeneity_violations(n, p, gens, rels) -> list[int]:
-    """Indices of relations whose grade fails to dominate their support."""
-    bad = []
-    for k, (grade, col) in enumerate(rels):
-        for i, _ in col:
-            if not gens[i].grade.leq(grade):
-                bad.append(k)
-                break
-    return bad
 
 
 # -- integer-scaled queries and the generalized rank over staircase intervals ----
@@ -445,10 +453,44 @@ def staircase_fences(births, deaths):
     return B, joins, tops, meets
 
 
+class Below:
+    """Which of a list of integer points lie below a query point, as a bitmask.
+
+    Per axis it keeps the sorted coordinates and, for each prefix, the mask
+    of the points in it, so a query costs one bisection and one AND per axis.
+    """
+
+    def __init__(self, points: Sequence[tuple[int, ...]], n: int):
+        self.axes = []
+        for k in range(n):
+            order = sorted(range(len(points)), key=lambda i: points[i][k])
+            masks = [0]
+            for i in order:
+                masks.append(masks[-1] | 1 << i)
+            self.axes.append(([points[i][k] for i in order], masks))
+
+    def __call__(self, a) -> int:
+        mask = -1
+        for (vals, masks), v in zip(self.axes, a):
+            mask &= masks[bisect_right(vals, v)]
+        return mask
+
+
+def bits(mask: int) -> list[int]:
+    """The indices of the set bits of a mask, in increasing order."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
 class ScaledModule:
     """A presentation with every grade multiplied by a common integer scale.
 
-    Order tests then compare integer tuples instead of Fractions.  The echelon
+    Order tests then compare integer tuples instead of Fractions, through one
+    Below index each for the generators and the relations.  The echelon
     basis of the relation columns below a grade is memoized by the set of
     relations it spans, so a sweep that asks many rank questions reduces each
     distinct relation set once.  Query grades must be scaled the same way.
@@ -458,35 +500,36 @@ class ScaledModule:
         self.n, self.p = P.n, P.p
         self.gens = [scale_grade(g.grade, scale) for g in P.gens]
         self.rels = [(scale_grade(r.grade, scale), r.as_dict()) for r in P.rels]
-        self._bases: dict[tuple[int, ...], list] = {}
-        self._ranks: dict[tuple, int] = {}
+        self._gens_below = Below(self.gens, self.n)
+        self._rels_below = Below([g for g, _ in self.rels], self.n)
+        self._bases: dict[int, list] = {}
+        self._ranks: dict[tuple[int, int], int] = {}
 
-    def gens_leq(self, a) -> tuple[int, ...]:
-        return tuple(i for i, g in enumerate(self.gens) if _leq(g, a))
+    def gens_leq(self, a) -> list[int]:
+        return bits(self._gens_below(a))
 
-    def rel_basis(self, b) -> tuple[tuple[int, ...], list]:
-        """(indices of the relations <= b, echelon basis of their columns)."""
-        key = tuple(k for k, (g, _) in enumerate(self.rels) if _leq(g, b))
+    def rel_basis(self, b) -> tuple[int, list]:
+        """(bitmask of the relations <= b, echelon basis of their columns)."""
+        key = self._rels_below(b)
         basis = self._bases.get(key)
         if basis is None:
-            basis = self._bases[key] = kernels.echelonize([self.rels[k][1] for k in key], self.p)
+            basis = self._bases[key] = kernels.echelonize([self.rels[k][1] for k in bits(key)], self.p)
         return key, basis
 
     def dim(self, a) -> int:
         """dim M_a."""
-        k = len(self.gens_leq(a))
+        k = self._gens_below(a).bit_count()
         return k - len(self.rel_basis(a)[1]) if k else 0
 
     def rank_between(self, a, b) -> int:
         """Rank of M_a -> M_b for a <= b: the units born by a, modulo the relations <= b."""
-        gens = self.gens_leq(a)
+        gens = self._gens_below(a)
         if not gens:
             return 0
         key, basis = self.rel_basis(b)
-        memo = (gens, key)
-        r = self._ranks.get(memo)
+        r = self._ranks.get((gens, key))
         if r is None:
-            r = self._ranks[memo] = _rank_over(basis, [{i: 1} for i in gens], self.p)
+            r = self._ranks[gens, key] = _rank_over(basis, [{i: 1} for i in bits(gens)], self.p)
         return r
 
     def interval_rank(self, births, deaths) -> int | None:

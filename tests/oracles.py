@@ -356,3 +356,45 @@ def interval_rank_dense(P, births, deaths):
             row[offset[c0] + k] = x[offset[c0] + k]
         image.append(row)
     return dense_rank_mod_p(glue + image, p) - dense_rank_mod_p(glue, p)
+
+
+def image_relations_by_full_sweep(P, e: Fraction) -> list[tuple[Grade, dict[int, int]]]:
+    """Relations of the eps-translation image by the plain Fraction grid sweep.
+
+    The reference for functors._image_relations: every point of the product
+    grid of relation coordinates and translated generator coordinates is
+    visited in lexicographic order, with Fraction grades, and each one
+    re-derives the intersection of the active relation span with the early
+    generators' coordinates from scratch.  No point is skipped.
+    """
+    from multipres import kernels
+
+    if not P.rels:
+        return []
+    axes = []
+    for k in range(P.n):
+        vals = {r.grade.coords[k] for r in P.rels}
+        vals |= {g.grade.coords[k] + e for g in P.gens}
+        axes.append(sorted(vals))
+    candidates = sorted((Grade(pt) for pt in itertools.product(*axes)), key=lambda g: g.lex_key())
+
+    out: list[tuple[Grade, dict[int, int]]] = []
+    for s in candidates:
+        active = [r for r in P.rels if r.grade.leq(s)]
+        if not active:
+            continue
+        early = [i for i, g in enumerate(P.gens) if g.grade.translate(e).leq(s)]
+        order = early + [i for i in range(len(P.gens)) if i not in set(early)]
+        row_of = {i: k for k, i in enumerate(order)}
+        cols = [{row_of[i]: c for i, c in r.col} for r in active]
+        pure = [col for low, col in kernels.echelonize(cols, P.p) if low < len(early)]
+        if not pure:
+            continue
+        have = [{row_of[i]: c for i, c in col.items()} for g2, col in out if g2.leq(s)]
+        known = kernels.echelonize(have, P.p)
+        for col in pure:
+            res = kernels.residual(col, known, P.p)
+            if res:
+                known.append((max(res), res))
+                out.append((s, {order[row]: c for row, c in col.items()}))
+    return out

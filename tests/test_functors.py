@@ -11,6 +11,7 @@ from multipres import (
     PresentationError,
     barcode,
     betti_and_grid,
+    direct_sum,
     free,
     grid_align,
     interleaving_witness,
@@ -29,9 +30,9 @@ from multipres import (
 )
 from multipres.functors import PIPELINE_FACTORS, PIPELINE_TOTAL, compose_witnesses, shift_with_witness
 from multipres.experiments import jitter_module, random_module, random_staircase
-from multipres.presentation import Generator, Presentation, Relation
+from multipres.presentation import Generator, Presentation, Relation, make_column
 
-from oracles import dim_at
+from oracles import dim_at, image_relations_by_full_sweep
 
 
 def g(*coords):
@@ -152,6 +153,66 @@ class TestSimplify:
             for _ in range(100):
                 x = g(F(rng.randint(-4, 60), 4), F(rng.randint(-4, 60), 4))
                 assert lhs.hilbert(x) == rhs.hilbert(x)
+
+
+def entangle(P, rng):
+    """A non-minimal presentation of P's module.
+
+    Adds a generator z with the cancelling relation z + c * x_i at z's grade,
+    mixes that relation into some relations above it, and appends the sum of
+    two relations at a grade above both.
+    """
+    p = P.p
+    i = rng.randrange(len(P.gens))
+    a = P.gens[i].grade.plus([F(rng.randint(0, 4), 2) for _ in range(P.n)])
+    pair = [(len(P.gens), 1), (i, rng.randint(1, p - 1))]
+    rels = []
+    for r in P.rels:
+        col = list(r.col)
+        if a.leq(r.grade) and rng.random() < 0.5:
+            col += [(j, rng.randint(1, p - 1) * c) for j, c in pair]
+        rels.append(Relation(r.grade, make_column(col, p)))
+    rels.append(Relation(a, make_column(pair, p)))
+    r1, r2 = rng.sample(rels, 2)
+    extra = make_column(list(r1.col) + list(r2.col), p)
+    if extra:
+        rels.append(Relation(r1.grade.join(r2.grade).plus([F(1, 3)] * P.n), extra))
+    return Presentation(P.n, p, P.gens + (Generator("z", a),), tuple(rels))
+
+
+class TestImageRelationSweep:
+    """The integer sweep with skipped keys keeps exactly the full sweep's relations."""
+
+    EPS = (F(1, 2), F(1, 3), F(5, 7), F(3))
+
+    @staticmethod
+    def modules():
+        rng = random.Random(46)
+        for p in (2, 3):
+            for k in (1, 2, 3, 4):
+                P = random_staircase(rng, p=p)
+                for _ in range(k - 1):
+                    P = direct_sum(P, random_staircase(rng, p=p))
+                yield P
+                yield entangle(P, rng)
+        gens = (Generator("a", g(0, 0, 0)), Generator("b", g(1, 0, F(5, 2))),
+                Generator("c", g(0, 2, 1)))
+        rels = (Relation(g(1, 0, F(5, 2)), ((0, 1), (1, 1))),
+                Relation(g(1, 2, F(5, 2)), ((1, 1), (2, 1))),
+                Relation(g(4, 3, 3), ((0, 1),)),
+                Relation(g(3, F(9, 2), 4), ((2, 1),)))
+        P = Presentation(3, 2, gens, rels)
+        yield P
+        yield entangle(P, rng)
+
+    def test_matches_full_sweep(self):
+        for n, P in enumerate(self.modules()):
+            for e in self.EPS:
+                ref = tuple(Relation(grade, make_column(col, P.p))
+                            for grade, col in image_relations_by_full_sweep(P, e))
+                assert translate_image(P, e).rels == ref, (n, e)
+                lowered = tuple(Relation(r.grade.translate(-e), r.col) for r in ref)
+                assert simplify(P, e, minimized=False).rels == lowered, (n, e)
 
 
 class TestWitnesses:

@@ -148,6 +148,8 @@ def files(tmp_path_factory):
     (root / "long1.bars").write_text("".join(f"bar {i} {i + 10} 1\n" for i in range(1000)))
     (root / "long2.bars").write_text("".join(f"bar {2 * i + 1}/2 {i + 10} 1\n" for i in range(1000)))
     (root / "broken.fpres").write_text("fpres 1\nfield 2\nparams 2\ngenerators 1\ng a 1 1\nrelations 1\nr 0 0 ; 1:0\n")
+    mersenne = fio.serialize_fpres(rect).replace("field 2", f"field {2 ** 61 - 1}")
+    (root / "mersenne.fpres").write_text(mersenne)
     return root
 
 
@@ -277,3 +279,25 @@ class TestCli:
         assert code == 1 and "line 7" in err
         code, _, err = run_cli("betti", str(files / "missing.fpres"))
         assert code == 1
+
+    @pytest.mark.parametrize("header, lineno", [
+        ("# bad count\nfpres 1\nfield x\n", 3),
+        ("fpres 1\nfield\n", 2),
+        ("fpres 1\nfield 2\nparams 2\ngenerators x\n", 4),
+        ("fpres 1\nfield 2\nparams 2\ngenerators 0\nrelations -1\n", 5),
+    ])
+    def test_bad_header_value_exits_one_with_line(self, files, header, lineno):
+        path = files / f"header{lineno}.fpres"
+        path.write_text(header)
+        code, _, err = run_cli("minimize", str(path))
+        assert code == 1 and f"line {lineno}" in err and "Traceback" not in err
+
+    def test_bare_joint_epsilon_exits_one_with_line(self, files):
+        path = files / "bare.joint"
+        path.write_text("epsilon\n")
+        code, _, err = run_cli("interpolate", str(path), "--t", "1/2")
+        assert code == 1 and "line 1" in err and "Traceback" not in err
+
+    def test_mersenne_prime_field(self, files):
+        code, out, _ = run_cli("minimize", str(files / "mersenne.fpres"))
+        assert code == 0 and fio.parse_fpres(out).p == 2 ** 61 - 1

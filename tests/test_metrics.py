@@ -370,6 +370,27 @@ class TestVerifyInterleaving:
         report = verify_interleaving(P, Q, w)
         assert not report.accepted and "grades" in report.reason
 
+    def test_third_of_a_unit(self):
+        P = direct_sum(staircase_interval([g(0, 9), g(6, 3), g(9, 0)], [g(24, 24)], p=3),
+                       staircase_interval([g(9, 6)], [g(24, 21)], p=3))
+        ident = tuple((i, i, 1) for i in range(len(P.gens)))
+        below = F(1, 3) - F(1, 97)
+        Q = shift(P, F(1, 3))
+        S, _ = simplify_with_witness(P, F(1, 3))
+        cases = [
+            (P, Q, "f entry b0 -> b0 violates grades"),
+            (Q, P, "g entry b0 -> b0 violates grades"),
+            (P, S, "g sends relation 2 (grade 71/3 62/3) outside the relation submodule"),
+            (S, P, "f sends relation 2 (grade 71/3 62/3) outside the relation submodule"),
+        ]
+        for A, B, reason in cases:
+            assert verify_interleaving(A, B, InterleavingWitness(F(1, 3), ident, ident)).accepted
+            report = verify_interleaving(A, B, InterleavingWitness(below, ident, ident))
+            assert report.render() == f"reject at epsilon 94/291: {reason}"
+        twice = tuple((i, i, 2) for i in range(len(P.gens)))
+        report = verify_interleaving(P, Q, InterleavingWitness(F(1, 3), ident, twice))
+        assert report.reason == "coherence g.f fails at generator b0"
+
     def test_stability_per_line(self):
         rng = random.Random(68)
         for _ in range(5):

@@ -1,4 +1,6 @@
+import math
 import random
+import time
 from collections import Counter
 from fractions import Fraction as F
 
@@ -22,9 +24,12 @@ from multipres.functors import shift_with_witness
 from multipres.presentation import (
     DISCONNECTED,
     EMPTY,
+    PRIME_LIMIT,
     Generator,
     Presentation,
+    PresentationError,
     Relation,
+    _is_prime,
     interval_rank,
     make_column,
     staircase_fences,
@@ -87,6 +92,30 @@ class TestConstruct:
     def test_staircase_needs_two_params(self):
         with pytest.raises(PresentationError):
             staircase_interval([g(0, 0, 0)])
+
+
+class TestFieldCharacteristic:
+    def test_agrees_with_trial_division_below_ten_thousand(self):
+        def by_division(p):
+            return p >= 2 and all(p % d for d in range(2, math.isqrt(p) + 1))
+
+        assert all(_is_prime(p) == by_division(p) for p in range(-2, 10 ** 4))
+
+    def test_mersenne_prime_accepted_fast(self):
+        start = time.perf_counter()
+        P = staircase_interval([g(0, 0)], [g(2, 0), g(0, 3)], p=2 ** 61 - 1)
+        assert P.p == 2 ** 61 - 1 and time.perf_counter() - start < 0.5
+
+    def test_pseudoprimes_rejected(self):
+        # 3215031751 is a strong pseudoprime to the bases 2, 3, 5 and 7
+        for n in (561, 3215031751, (2 ** 31 - 1) ** 2):
+            assert not _is_prime(n)
+            with pytest.raises(PresentationError):
+                free([g(0, 0)], p=n)
+
+    def test_beyond_certified_range_rejected(self):
+        with pytest.raises(PresentationError, match="too large"):
+            free([g(0, 0)], p=PRIME_LIMIT + 2)
 
 
 class TestMinimize:
