@@ -76,6 +76,5 @@ from .blocks import (
     block_presentation,
     extend_block,
 )
-from .kernels import BACKEND as KERNEL_BACKEND
 
 __version__ = "0.1.0"

@@ -395,7 +395,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("path-length", help="summed matching distance over waypoints")
     p.add_argument("modules", nargs="+")
-    p.add_argument("--lines", type=int, default=16)
+    p.add_argument("--lines", type=int, default=16,
+                   help="slope count of the sampling grid for each pair of waypoints")
     p.add_argument("--format", choices=["text", "tabular"], default="text")
     p.set_defaults(func=_cmd_path_length)
 
@@ -413,7 +414,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("experiment", help="built-in experiment harnesses")
     p.add_argument("experiment", choices=["example31", "local-equiv", "sandwich"])
     p.add_argument("--seed", type=int)
-    p.add_argument("--lines", type=int)
+    p.add_argument("--lines", type=int,
+                   help="example31: minimum number of sampled lines (default 500)")
     p.add_argument("--instances", type=int, default=5)
     p.set_defaults(func=_cmd_experiment)
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from .grades import Grade, GridFunction, controlling_constant, merge_grade, rat
+from .grades import Grade, GridFunction, controlling_constant, merge_delta, rat, snap_grade
 from .presentation import (
     Below,
     Generator,
@@ -108,12 +108,12 @@ def merge_with_witness(P: Presentation, grid: GridFunction, delta, variant: str 
     f(b) = x^(delta + (b - merge(b))) merge(b) and symmetrically for g, the
     grade gaps being bounded by delta coordinate-wise.
     """
-    d = rat(delta)
+    d = merge_delta(grid, delta, P.n, variant)
     gens = tuple(
-        Generator(g.label, merge_grade(grid, d, g.grade, variant)) for g in P.gens
+        Generator(g.label, snap_grade(grid, d, g.grade, variant)) for g in P.gens
     )
     rels = tuple(
-        Relation(merge_grade(grid, d, r.grade, variant), r.col) for r in P.rels
+        Relation(snap_grade(grid, d, r.grade, variant), r.col) for r in P.rels
     )
     out = Presentation(P.n, P.p, gens, rels)
     ident = _matrix({(i, i): 1 for i in range(len(P.gens))}, P.p)

@@ -280,14 +280,15 @@ def _merge_coordinate(axis: tuple[Fraction, ...], delta: Fraction, x: Fraction, 
 
 
 def _check_merge_delta(grid: GridFunction, delta: Fraction) -> None:
-    c = controlling_constant(grid)
-    if not (delta < c / 2 if c != INF else True):
-        raise ValueError(f"delta {rat_str(delta)} must be below half the controlling constant {rat_str(c)}")
     gap = grid.min_axis_gap()
-    if gap != INF and not delta < gap / 2:
-        # only reachable on degenerate grids with an empty axis next to a
-        # populated one; snapping would be ambiguous there
-        raise ValueError(f"delta {rat_str(delta)} must be below half the axis gap {rat_str(gap)}")
+    if gap == INF or delta < gap / 2:
+        return
+    if grid.image_size() > 1:
+        # the gap is the controlling constant here (see controlling_constant)
+        raise ValueError(f"delta {rat_str(delta)} must be below half the controlling constant {rat_str(gap)}")
+    # only reachable on degenerate grids with an empty axis next to a
+    # populated one; snapping would be ambiguous there
+    raise ValueError(f"delta {rat_str(delta)} must be below half the axis gap {rat_str(gap)}")
 
 
 def merge_grade(grid: GridFunction, delta, p: Grade, variant: str = "two_sided") -> Grade:
@@ -295,19 +296,29 @@ def merge_grade(grid: GridFunction, delta, p: Grade, variant: str = "two_sided")
 
     Idempotent, order-preserving projection; two_sided = minus o plus.
     """
+    return snap_grade(grid, merge_delta(grid, delta, p.n, variant), p, variant)
+
+
+def merge_delta(grid: GridFunction, delta, n: int, variant: str = "two_sided") -> Fraction:
+    """Check the arguments of merge_grade for n-parameter grades; delta as a Fraction."""
     if variant not in _MERGE_VARIANTS:
         raise ValueError(f"unknown merge variant {variant!r}")
-    if p.n != grid.n:
-        raise DimensionMismatch(f"grade dim {p.n} != grid dim {grid.n}")
+    if n != grid.n:
+        raise DimensionMismatch(f"grade dim {n} != grid dim {grid.n}")
     d = rat(delta)
     if d < 0:
         raise ValueError("delta must be nonnegative")
     _check_merge_delta(grid, d)
+    return d
+
+
+def snap_grade(grid: GridFunction, delta: Fraction, p: Grade, variant: str = "two_sided") -> Grade:
+    """merge_grade for a delta that merge_delta has accepted on this grid."""
     if variant == "two_sided":
-        coords = [_merge_coordinate(a, d, _merge_coordinate(a, d, x, "plus"), "minus")
+        coords = [_merge_coordinate(a, delta, _merge_coordinate(a, delta, x, "plus"), "minus")
                   for a, x in zip(grid.axes, p.coords)]
     else:
-        coords = [_merge_coordinate(a, d, x, variant) for a, x in zip(grid.axes, p.coords)]
+        coords = [_merge_coordinate(a, delta, x, variant) for a, x in zip(grid.axes, p.coords)]
     return Grade(coords)
 
 
@@ -324,7 +335,7 @@ def unmerge(grid: GridFunction, delta, p: Grade) -> Grade:
     if not grid.on_grid(p):
         raise ValueError(f"grade {p} does not lie on the grid hyperplanes")
     _check_merge_delta(grid, d)
-    merged = merge_grade(grid, d, p)
+    merged = snap_grade(grid, d, p)
     bumps = []
     for axis, x in zip(grid.axes, p.coords):
         close = any(abs(x - v) <= d for v in axis)

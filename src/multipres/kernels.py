@@ -1,41 +1,87 @@
-"""Backend selector for the F_p reduction kernels.
+"""Sparse column reduction over a prime field F_p.
 
-Tries the compiled extension first and falls back to the pure-Python twin.
-Set MULTIPRES_PURE=1 to force the fallback (used by tests and benchmarks to
-exercise both paths).
+Columns are dicts {row index: nonzero coefficient mod p}.  Reduction is the
+standard left-to-right scheme with max-index pivots, which serves three
+masters: persistence pairing (pivot row = paired row), rank computation
+(count of nonzero pivots) and span membership (residual after reducing
+against an echelon basis).  Over F_2, reduce_pivots reads a column's rows as
+the bits of a Python int and adds columns by XOR.
 """
 
 from __future__ import annotations
 
-import os
-
-from . import _fp_core as _pure
-
-if os.environ.get("MULTIPRES_PURE"):
-    _impl = _pure
-    BACKEND = "pure"
-else:
-    try:
-        from . import _fp_core_cy as _impl  # type: ignore[attr-defined]
-
-        BACKEND = "compiled"
-    except ImportError:
-        _impl = _pure
-        BACKEND = "pure"
-
-reduce_pivots = _impl.reduce_pivots
-echelonize = _impl.echelonize
-rank = _impl.rank
-residual = _impl.residual
+BACKEND = "pure"
 
 
-def backends():
-    """All importable backends, name -> module (for benchmarks and tests)."""
-    found = {"pure": _pure}
-    try:
-        from . import _fp_core_cy  # type: ignore[attr-defined]
+def _inv_mod(c: int, p: int) -> int:
+    return pow(c, p - 2, p)
 
-        found["compiled"] = _fp_core_cy
-    except ImportError:
-        pass
-    return found
+
+def reduce_pivots(columns, p):
+    """Reduce columns in order; return the pivot row of each (-1 if zeroed).
+
+    Each column is reduced against the previously committed columns sharing
+    its current max-index row until the row is fresh or the column dies.
+    """
+    out = []
+    if p == 2:
+        masks: dict[int, int] = {}
+        for col in columns:
+            v = sum(1 << row for row in col)
+            while v:
+                low = v.bit_length() - 1
+                other = masks.get(low)
+                if other is None:
+                    masks[low] = v
+                    break
+                v ^= other
+            out.append(v.bit_length() - 1)
+        return out
+    piv: dict[int, dict[int, int]] = {}
+    for col in columns:
+        c = _residual_dict(dict(col), piv, p)
+        low = max(c, default=-1)
+        if c:
+            piv[low] = c
+        out.append(low)
+    return out
+
+
+def _residual_dict(c, piv, p):
+    while c:
+        low = max(c)
+        other = piv.get(low)
+        if other is None:
+            return c
+        factor = (c[low] * _inv_mod(other[low], p)) % p if p != 2 else 1
+        for row, val in other.items():
+            new = (c.get(row, 0) - factor * val) % p
+            if new:
+                c[row] = new
+            else:
+                c.pop(row, None)
+    return c
+
+
+def _pivot_columns(columns, p) -> dict[int, dict[int, int]]:
+    """Reduced columns of an echelon basis keyed by pivot row, in input order."""
+    piv: dict[int, dict[int, int]] = {}
+    for col in columns:
+        c = _residual_dict(dict(col), piv, p)
+        if c:
+            piv[max(c)] = c
+    return piv
+
+
+def echelonize(columns, p):
+    """Echelon basis of the column span: list of (pivot row, reduced column)."""
+    return list(_pivot_columns(columns, p).items())
+
+
+def rank(columns, p):
+    return len(_pivot_columns(columns, p))
+
+
+def residual(vector, basis, p):
+    """Reduce a vector against an echelon basis; {} means it lies in the span."""
+    return _residual_dict(dict(vector), dict(basis), p)

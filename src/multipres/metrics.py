@@ -441,16 +441,23 @@ class VerifyReport:
         return f"reject at epsilon {rat_str(self.epsilon)}: {self.reason}"
 
 
-def _apply(matrix: dict[tuple[int, int], int], vec: dict[int, int], p: int) -> dict[int, int]:
+def _by_source(matrix: dict[tuple[int, int], int]) -> dict[int, list[tuple[int, int]]]:
+    """A witness matrix {(i, j): coeff} as {i: [(j, coeff), ...]}, entries in matrix order."""
+    rows: dict[int, list[tuple[int, int]]] = {}
+    for (i, j), d in matrix.items():
+        rows.setdefault(i, []).append((j, d))
+    return rows
+
+
+def _apply(rows: dict[int, list[tuple[int, int]]], vec: dict[int, int], p: int) -> dict[int, int]:
     out: dict[int, int] = {}
     for i, c in vec.items():
-        for (i2, j), d in matrix.items():
-            if i2 == i:
-                v = (out.get(j, 0) + c * d) % p
-                if v:
-                    out[j] = v
-                else:
-                    out.pop(j, None)
+        for j, d in rows.get(i, ()):
+            v = (out.get(j, 0) + c * d) % p
+            if v:
+                out[j] = v
+            else:
+                out.pop(j, None)
     return out
 
 
@@ -480,8 +487,9 @@ def verify_interleaving(P: Presentation, Q: Presentation, w: InterleavingWitness
         return not kernels.residual(vec, view.rel_basis(grade)[1], P.p)
 
     fd, gd = w.f_dict(), w.g_dict()
-    sides = (("f", fd, P, Q, VP, VQ), ("g", gd, Q, P, VQ, VP))
-    for name, mat, src, dst, vs, vd in sides:
+    fr, gr = _by_source(fd), _by_source(gd)
+    sides = (("f", fd, fr, P, Q, VP, VQ), ("g", gd, gr, Q, P, VQ, VP))
+    for name, mat, _, src, dst, vs, vd in sides:
         for (i, j), c in mat.items():
             if not (0 <= i < len(src.gens) and 0 <= j < len(dst.gens)):
                 return VerifyReport(False, eps, f"{name} entry ({i},{j}) out of range")
@@ -492,15 +500,15 @@ def verify_interleaving(P: Presentation, Q: Presentation, w: InterleavingWitness
                     False, eps,
                     f"{name} entry {src.gens[i].label} -> {dst.gens[j].label} violates grades",
                 )
-    for name, mat, src, dst, vs, vd in sides:
+    for name, _, rows, src, dst, vs, vd in sides:
         for k, r in enumerate(src.rels):
-            image = _apply(mat, r.as_dict(), P.p)
+            image = _apply(rows, r.as_dict(), P.p)
             if image and not in_span(vd, image, up(vs.rels[k][0], 1)):
                 return VerifyReport(
                     False, eps,
                     f"{name} sends relation {k} (grade {r.grade}) outside the relation submodule",
                 )
-    for name, first, second, side, view in (("g.f", fd, gd, P, VP), ("f.g", gd, fd, Q, VQ)):
+    for name, first, second, side, view in (("g.f", fr, gr, P, VP), ("f.g", gr, fr, Q, VQ)):
         for i, gen in enumerate(side.gens):
             vec = _apply(second, _apply(first, {i: 1}, P.p), P.p)
             vec[i] = (vec.get(i, 0) - 1) % P.p

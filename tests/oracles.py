@@ -43,6 +43,30 @@ def dense_rank_mod_p(rows: list[list[int]], p: int) -> int:
     return rank
 
 
+def dense_low_pivots(columns: list[list[int]], p: int) -> list[int]:
+    """Pivot row of each dense column after left-to-right reduction mod p.
+
+    A column is reduced by the earlier reduced column whose pivot, its
+    largest nonzero row, equals the column's own, until no earlier column
+    has its pivot or the column is zero (pivot -1).
+    """
+    done: list[tuple[int, list[int]]] = []
+    out = []
+    for column in columns:
+        v = [x % p for x in column]
+        while True:
+            low = max((i for i, x in enumerate(v) if x), default=-1)
+            earlier = next((w for row, w in done if row == low), None)
+            if low < 0 or earlier is None:
+                break
+            f = v[low] * pow(earlier[low], p - 2, p) % p
+            v = [(a - f * b) % p for a, b in zip(v, earlier)]
+        if low >= 0:
+            done.append((low, v))
+        out.append(low)
+    return out
+
+
 def dim_at(P, a: Grade) -> int:
     """Pointwise dimension by dense elimination (independent of the kernels)."""
     alive = [i for i, g in enumerate(P.gens) if g.grade.leq(a)]

@@ -105,8 +105,15 @@ class TestMerge:
 
     def test_delta_too_large_rejected(self):
         grid = GridFunction([[0, 1], [0, 3]])
-        with pytest.raises(ValueError):
+        message = "delta 1/2 must be below half the controlling constant 1"
+        with pytest.raises(ValueError, match=message):
             merge_grade(grid, F(1, 2), g(0, 0))
+        with pytest.raises(ValueError, match=message):
+            unmerge(grid, F(1, 2), g(0, 0))
+        # an empty axis leaves Im G empty but the other axis still has a gap
+        with pytest.raises(ValueError, match="delta 5/2 must be below half the axis gap 5"):
+            merge_grade(GridFunction([[], [0, 5]]), F(5, 2), g(0, 0))
+        assert merge_grade(GridFunction([[], [0, 5]]), F(12, 5), g(1, 2)) == g(1, 0)
 
     def test_idempotent_order_preserving_bounded(self):
         rng = random.Random(13)

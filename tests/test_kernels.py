@@ -4,7 +4,9 @@ import pytest
 
 from multipres import kernels
 
-from oracles import dense_rank_mod_p
+from oracles import dense_low_pivots, dense_rank_mod_p
+
+PRIMES = [2, 3, 5, 13, 2**61 - 1]
 
 
 def random_columns(rng, nrows, ncols, p):
@@ -13,6 +15,27 @@ def random_columns(rng, nrows, ncols, p):
         col = {}
         for _ in range(rng.randint(0, nrows)):
             col[rng.randrange(nrows)] = rng.randint(1, p - 1)
+        cols.append(col)
+    return cols
+
+
+def dependent_columns(rng, nrows, ncols, p):
+    """Sparse columns, a third of them combinations of earlier ones."""
+    cols = []
+    for _ in range(ncols):
+        col = {}
+        if cols and rng.random() < 1 / 3:
+            for other in rng.sample(cols, min(len(cols), rng.randint(1, 3))):
+                f = rng.randint(1, p - 1)
+                for i, c in other.items():
+                    v = (col.get(i, 0) + f * c) % p
+                    if v:
+                        col[i] = v
+                    else:
+                        col.pop(i, None)
+        else:
+            for _ in range(rng.randint(0, 4)):
+                col[rng.randrange(nrows)] = rng.randint(1, p - 1)
         cols.append(col)
     return cols
 
@@ -27,47 +50,62 @@ def to_dense_rows(cols, nrows):
     return rows
 
 
-@pytest.mark.parametrize("name", sorted(kernels.backends()))
-@pytest.mark.parametrize("p", [2, 3, 5, 13])
-def test_rank_against_dense_oracle(name, p):
-    impl = kernels.backends()[name]
+@pytest.mark.parametrize("p", PRIMES)
+def test_rank_against_dense_oracle(p):
     rng = random.Random(101)
     for _ in range(30):
         nrows = rng.randint(1, 12)
         cols = random_columns(rng, nrows, rng.randint(0, 16), p)
         expected = dense_rank_mod_p(to_dense_rows(cols, nrows), p) if cols else 0
-        assert impl.rank(cols, p) == expected
-        pivots = impl.reduce_pivots(cols, p)
+        assert kernels.rank(cols, p) == expected
+        pivots = kernels.reduce_pivots(cols, p)
         assert sum(1 for x in pivots if x >= 0) == expected
 
 
-@pytest.mark.parametrize("p", [2, 7])
-def test_backends_agree(p):
-    backs = kernels.backends()
-    if len(backs) < 2:
-        pytest.skip("only one backend importable")
-    rng = random.Random(102)
-    for _ in range(40):
-        nrows = rng.randint(1, 10)
-        cols = random_columns(rng, nrows, rng.randint(0, 14), p)
-        results = {name: impl.reduce_pivots(cols, p) for name, impl in backs.items()}
-        vals = list(results.values())
-        assert all(v == vals[0] for v in vals)
-        vecs = random_columns(rng, nrows, 3, p)
-        for vec in vecs:
-            residuals = {
-                name: impl.residual(vec, impl.echelonize(cols, p), p)
-                for name, impl in backs.items()
-            }
-            empties = {name: not r for name, r in residuals.items()}
-            assert len(set(empties.values())) == 1
+@pytest.mark.parametrize("p", PRIMES)
+def test_pivot_rows_against_dense_oracle(p):
+    rng = random.Random(103)
+    cases = [random_columns(rng, n, rng.randint(0, 16), p)
+             for n in (rng.randint(1, 12) for _ in range(30))]
+    # more than 64 rows: F_2 columns span several machine words as bitmasks
+    for nrows in (65, 96, 130, 200):
+        cases.append(random_columns(rng, nrows, rng.randint(20, 40), p))
+        cases.append(dependent_columns(rng, nrows, rng.randint(40, 80), p))
+    cases.append([{0: 1, 64: 1}, {64: 1}, {63: 1, 64: 1, 128: 1}, {0: 1, 63: 1, 128: 1},
+                  {128: 1}, {63: 1}, {0: 1}])
+    for cols in cases:
+        nrows = 1 + max((i for col in cols for i in col), default=0)
+        expected = dense_low_pivots(to_dense_rows(cols, nrows), p)
+        assert kernels.reduce_pivots(cols, p) == expected
+        assert [low for low, _ in kernels.echelonize(cols, p)] == [x for x in expected if x >= 0]
 
 
-@pytest.mark.parametrize("name", sorted(kernels.backends()))
-def test_membership_semantics(name):
-    impl = kernels.backends()[name]
+def test_membership_semantics():
     cols = [{0: 1, 1: 1}, {1: 1}]
-    basis = impl.echelonize(cols, 2)
-    assert not impl.residual({0: 1}, basis, 2)
-    assert impl.residual({2: 1}, basis, 2)
-    assert not impl.residual({}, basis, 2)
+    basis = kernels.echelonize(cols, 2)
+    assert not kernels.residual({0: 1}, basis, 2)
+    assert kernels.residual({2: 1}, basis, 2)
+    assert not kernels.residual({}, basis, 2)
+
+
+def test_membership_large_prime():
+    p = 2**61 - 1
+    rng = random.Random(104)
+    for _ in range(30):
+        nrows = rng.randint(1, 80)
+        cols = dependent_columns(rng, nrows, rng.randint(1, 20), p)
+        basis = kernels.echelonize(cols, p)
+        inside = {}
+        for col in cols:
+            f = rng.randrange(p)
+            for i, c in col.items():
+                inside[i] = (inside.get(i, 0) + f * c) % p
+        inside = {i: c for i, c in inside.items() if c}
+        assert not kernels.residual(inside, basis, p)
+        vec = random_columns(rng, nrows, 1, p)[0]
+        rows = to_dense_rows(cols, nrows)
+        spanned = dense_rank_mod_p(rows + to_dense_rows([vec], nrows), p) == dense_rank_mod_p(rows, p)
+        assert (not kernels.residual(vec, basis, p)) == spanned
+    basis = kernels.echelonize([{0: 1, 1: p - 1}, {1: 5}], p)
+    assert not kernels.residual({0: 3}, basis, p)
+    assert kernels.residual({2: 1}, basis, p)
