@@ -12,7 +12,8 @@ rectangle in the plane with one generator and at most two relations:
 Lists of blocks become direct sums of rectangle presentations, and the
 block-matching interleaving distance pairs same-kind blocks with a closed
 form per pair (corner distance capped by deletion radii), solved with the
-same threshold-feasibility matching as the bottleneck distance.
+same threshold-feasibility matching as the bottleneck distance, whose
+perfect matchings also give shift/deletion witnesses.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .grades import Grade, rat, rat_str
-from .metrics import min_max_assignment
+from .metrics import _saturates, min_max_assignment
 from .presentation import Generator, Presentation, PresentationError, Relation, direct_sum
 
 INF = math.inf
@@ -110,25 +111,24 @@ def block_presentation(blocks: list[Block], p: int = 2) -> Presentation:
     return out
 
 
-def rectangle_distance(r1: ExtendedRectangle, r2: ExtendedRectangle):
-    """Closed-form interleaving distance between rectangle modules.
-
-    min(max(corner distances), max(radii)): either slide one onto the other
-    or delete both.  Infinite sides only meet infinite sides here (same-kind
-    blocks), contributing zero to the corner term.
-    """
+def rectangle_shift(r1: ExtendedRectangle, r2: ExtendedRectangle):
+    """Largest corner distance; INF unless the same sides are infinite (same kind)."""
 
     def coord_gap(u, v):
         if (u == INF) != (v == INF):
             return INF
         return Fraction(0) if u == INF else abs(u - v)
 
-    corner = max(
+    return max(
         r1.lower.linf(r2.lower),
         coord_gap(r1.upper[0], r2.upper[0]),
         coord_gap(r1.upper[1], r2.upper[1]),
     )
-    return min(corner, max(r1.radius(), r2.radius()))
+
+
+def rectangle_distance(r1: ExtendedRectangle, r2: ExtendedRectangle):
+    """Closed-form interleaving distance: slide one onto the other, or delete both."""
+    return min(rectangle_shift(r1, r2), max(r1.radius(), r2.radius()))
 
 
 def block_distance(x: Block, y: Block):
@@ -173,30 +173,23 @@ def unextended_block_distance(x: Block, y: Block):
 def matched_pairs_witness_entries(A: list[Block], B: list[Block], eps):
     """Identity entries for a shift/deletion witness at threshold eps.
 
-    Exhaustive search over partial matchings (meant for small instances);
-    returns None when every assignment strands a non-deletable block.
+    A perfect matching of A plus one slot per B against B plus one slot per
+    A: A[i] meets B[j] when their rectangles shift onto each other within
+    eps (a pair within block_distance only by the radii is two deletions),
+    a block meets its own slot when its deletion is <= eps, and slots meet
+    slots.  None when there is none, i.e. eps < block_matching_distance.
     """
-
-    def solve(i: int, used: frozenset):
-        if i == len(A):
-            for j in range(len(B)):
-                if j not in used and not block_deletion(B[j]) <= eps:
-                    return None
-            return []
-        if block_deletion(A[i]) <= eps:
-            rest = solve(i + 1, used)
-            if rest is not None:
-                return rest
-        for j in range(len(B)):
-            if j not in used and block_distance(A[i], B[j]) <= eps:
-                rest = solve(i + 1, used | {j})
-                if rest is not None:
-                    return [(i, j)] + rest
+    m, k = len(A), len(B)
+    rects = [extend_block(y) for y in B]
+    rows = []
+    for i, x in enumerate(A):
+        rx = extend_block(x)
+        rows.append([j for j, r in enumerate(rects) if rectangle_shift(rx, r) <= eps]
+                    + ([k + i] if rx.radius() <= eps else []))
+    slots = list(range(k, k + m))
+    rows += [([j] if r.radius() <= eps else []) + slots for j, r in enumerate(rects)]
+    match = _saturates(rows, m + k, [len(row) for row in rows], range(m + k))
+    if match is None:
         return None
-
-    pairs = solve(0, frozenset())
-    if pairs is None:
-        return None
-    f = {(i, j): 1 for i, j in pairs}
-    g = {(j, i): 1 for i, j in pairs}
-    return f, g
+    pairs = [(match[j], j) for j in range(k) if match[j] < m]
+    return {(i, j): 1 for i, j in pairs}, {(j, i): 1 for i, j in pairs}

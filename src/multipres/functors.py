@@ -9,7 +9,7 @@ in the interleaving distance:
 * simplify is the shifted translation image, which deletes features shorter
   than eps (distance at most eps);
 * grid_align chains simplify/merge twice with factors (2, 10, 20) of a base
-  step, for a composed certificate of 34 steps total.
+  step, for a composed witness of 34 steps total.
 
 Witnesses are sparse generator-to-generator matrices with the grade shift
 implied: entry (i -> j, c) means c * x^(gr_i + eps - gr_j) applied to the

@@ -15,6 +15,7 @@ than up to tolerance.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -266,16 +267,19 @@ _MERGE_VARIANTS = ("two_sided", "plus", "minus")
 
 
 def _merge_coordinate(axis: tuple[Fraction, ...], delta: Fraction, x: Fraction, variant: str) -> Fraction:
-    for v in axis:
-        if variant == "two_sided":
-            if v - delta <= x <= v + delta:
-                return v
-        elif variant == "plus":
-            if v - delta <= x <= v:
-                return v
-        else:
-            if v <= x <= v + delta:
-                return v
+    """The axis value in [x, x + delta] (plus) or [x - delta, x] (minus), else x.
+
+    delta is below half the axis gap, so only the nearest axis value on the
+    snapping side can qualify, and one bisection finds it.
+    """
+    if variant == "plus":
+        i = bisect_left(axis, x)
+        if i < len(axis) and axis[i] - delta <= x:
+            return axis[i]
+    else:
+        i = bisect_right(axis, x)
+        if i and x <= axis[i - 1] + delta:
+            return axis[i - 1]
     return x
 
 
@@ -336,8 +340,6 @@ def unmerge(grid: GridFunction, delta, p: Grade) -> Grade:
         raise ValueError(f"grade {p} does not lie on the grid hyperplanes")
     _check_merge_delta(grid, d)
     merged = snap_grade(grid, d, p)
-    bumps = []
-    for axis, x in zip(grid.axes, p.coords):
-        close = any(abs(x - v) <= d for v in axis)
-        bumps.append(d if close else Fraction(0))
-    return merged.plus(bumps)
+    # a coordinate within delta of an axis value snaps onto it, and one that
+    # lands on the axis was within delta
+    return merged.plus([d if x in axis else Fraction(0) for axis, x in zip(grid.axes, merged.coords)])

@@ -1,4 +1,4 @@
-"""Distances, certificates and the local-equivalence experiment.
+"""Distances, interleaving checks and the local-equivalence experiment.
 
 The exact bottleneck distance between barcodes is a min-max assignment with
 deletions (infinite bars may only match infinite bars).  One routine solves
@@ -51,12 +51,14 @@ INF = math.inf
 # -- min-max assignment with deletions ------------------------------------------
 
 
-def _saturates(rows, size: int, limits, must) -> bool:
-    """Can a matching cover every left vertex in must?
+def _saturates(rows, size: int, limits, must) -> list[int] | None:
+    """A matching that covers every left vertex in must, or None if none does.
 
     rows[u] lists u's right neighbours by increasing cost and limits[u] is how
     many of them are admitted.  A greedy pass matches what it can, then
-    augmenting paths are searched depth first with an explicit stack.
+    augmenting paths are searched depth first with an explicit stack.  The
+    matching is returned as match_right: the left vertex matched to each of
+    the size right vertices, or -1.
     """
     match_right = [-1] * size
     free = []
@@ -93,8 +95,8 @@ def _saturates(rows, size: int, limits, must) -> bool:
                 break
             stack.append((match_right[v], 0))
         else:
-            return False
-    return True
+            return None
+    return match_right
 
 
 class _Assignment:
@@ -129,7 +131,7 @@ class _Assignment:
     def feasible(self, c) -> bool:
         for dels, orders, costs, width in self.sides:
             must = [i for i, d in enumerate(dels) if d > c]
-            if not _saturates(orders, width, {i: bisect_right(costs[i], c) for i in must}, must):
+            if _saturates(orders, width, {i: bisect_right(costs[i], c) for i in must}, must) is None:
                 return False
         return True
 
@@ -227,7 +229,6 @@ def bottleneck_at_most(B1: Barcode, B2: Barcode, c) -> bool:
 @dataclass(frozen=True)
 class LineSample:
     lines: tuple[LineSpec, ...]
-    strategy: str = "grid"
     bounds: tuple[Grade, Grade] | None = None
 
     def __post_init__(self):
@@ -267,7 +268,7 @@ def _betti_points(data: Sequence[BettiData]) -> list[Grade]:
 
 def sample_lines(P: Presentation, Q: Presentation, slopes: int = 64,
                  seed: int | None = None, extra: int = 0) -> LineSample:
-    """Grid strategy sample anchored at both modules' Betti data.
+    """Grid sample anchored at both modules' Betti data.
 
     Slope-1 lines through every Betti-grid point of both modules are always
     present (they witness diagonal translates exactly).  For 2-parameter
@@ -317,15 +318,14 @@ def sample_lines(P: Presentation, Q: Presentation, slopes: int = 64,
             jitter = Grade([c + Fraction(rng.randint(-64, 64), 128) for c in anchor.coords])
             add(LineSpec.through(jitter, d))
     ordered = tuple(lines[k] for k in sorted(lines))
-    return LineSample(ordered, "grid", bounds)
+    return LineSample(ordered, bounds)
 
 
 @dataclass(frozen=True)
 class DistanceReport:
     value: object  # exact rational or INF
     argmax_line: LineSpec | None
-    kind: str  # exact | lower_bound | upper_bound
-    certificate: InterleavingWitness | None = None
+    kind: str  # lower_bound
 
     def render(self) -> str:
         head = f"{rat_str(self.value)}"

@@ -11,6 +11,10 @@ grade-ordered column reduction with generator/relation cancellation, Betti
 multisets with their grid and controlling constant, the pointwise Hilbert
 function, internal-morphism ranks, the generalized rank over 2-parameter
 staircase intervals, direct sums and grade shifts.
+
+ScaledModule alone answers which generators and relations lie below a
+grade, on integer grades; hilbert and rank_between floor their rational
+queries into one ScaledModule at the presentation's own scale.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ import operator
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -78,9 +83,6 @@ class Relation:
     grade: Grade
     col: tuple[tuple[int, int], ...]  # (generator index, coefficient mod p), sorted
 
-    def support(self) -> tuple[int, ...]:
-        return tuple(i for i, _ in self.col)
-
     def as_dict(self) -> dict[int, int]:
         return dict(self.col)
 
@@ -129,33 +131,22 @@ class Presentation:
 
     # -- pointwise linear algebra -------------------------------------------
 
-    def gen_indices_leq(self, a: Grade) -> list[int]:
-        return [i for i, g in enumerate(self.gens) if g.grade.leq(a)]
-
-    def rel_columns_leq(self, a: Grade) -> list[dict[int, int]]:
-        return [r.as_dict() for r in self.rels if r.grade.leq(a)]
+    @cached_property
+    def _scaled(self) -> ScaledModule:
+        return ScaledModule(self, common_scale(c for g in self.betti_grades() for c in g.coords))
 
     def hilbert(self, a: Grade) -> int:
         """dim M_a = #{generators <= a} - rank of the relation columns <= a."""
-        if a.n != self.n:
-            raise PresentationError(f"grade dimension {a.n} != {self.n}")
-        k = len(self.gen_indices_leq(a))
-        if k == 0:
-            return 0
-        return k - kernels.rank(self.rel_columns_leq(a), self.p)
+        M = self._scaled
+        return M.dim(M.floor(a))
 
     def rank_between(self, a: Grade, b: Grade) -> int:
-        """Rank of the internal morphism M_a -> M_b for a <= b.
-
-        Computed as rank([R_<=b | E_a]) - rank(R_<=b) where E_a is one unit
-        column per generator born by a.
-        """
+        """Rank of the internal morphism M_a -> M_b for a <= b."""
+        M = self._scaled
+        fa, fb = M.floor(a), M.floor(b)
         if not a.leq(b):
             raise PresentationError("rank_between needs a <= b")
-        cols = self.rel_columns_leq(b)
-        base = kernels.rank(cols, self.p)
-        unit = [{i: 1} for i in self.gen_indices_leq(a)]
-        return kernels.rank(cols + unit, self.p) - base
+        return M.rank_between(fa, fb)
 
     # -- derived data --------------------------------------------------------
 
@@ -384,15 +375,18 @@ def betti_of_minimal(M: Presentation) -> BettiData:
 
 def common_scale(values: Iterable) -> int:
     """Least common multiple of the denominators of exact rationals."""
-    return math.lcm(1, *(rat(v).denominator for v in values))
+    return math.lcm(1, *{rat(v).denominator for v in values})
 
 
 def scale_grade(a: Grade, scale: int) -> tuple[int, ...]:
     """The integer coordinates of scale * a; scale must clear a's denominators."""
-    out = [c * scale for c in a.coords]
-    if any(v.denominator != 1 for v in out):
-        raise PresentationError(f"scale {scale} does not clear the denominators of ({a})")
-    return tuple(v.numerator for v in out)
+    out = []
+    for c in a.coords:
+        q, r = divmod(scale, c.denominator)
+        if r:
+            raise PresentationError(f"scale {scale} does not clear the denominators of ({a})")
+        out.append(c.numerator * q)
+    return tuple(out)
 
 
 def _leq(a, b) -> bool:
@@ -493,17 +487,24 @@ class ScaledModule:
     Below index each for the generators and the relations.  The echelon
     basis of the relation columns below a grade is memoized by the set of
     relations it spans, so a sweep that asks many rank questions reduces each
-    distinct relation set once.  Query grades must be scaled the same way.
+    distinct relation set once.  Query grades are integer tuples in the same
+    units: scale_grade of a corner, or floor of any rational grade.
     """
 
     def __init__(self, P: Presentation, scale: int):
-        self.n, self.p = P.n, P.p
+        self.n, self.p, self.scale = P.n, P.p, scale
         self.gens = [scale_grade(g.grade, scale) for g in P.gens]
         self.rels = [(scale_grade(r.grade, scale), r.as_dict()) for r in P.rels]
         self._gens_below = Below(self.gens, self.n)
         self._rels_below = Below([g for g, _ in self.rels], self.n)
         self._bases: dict[int, list] = {}
         self._ranks: dict[tuple[int, int], int] = {}
+
+    def floor(self, a: Grade) -> tuple[int, ...]:
+        """scale * a rounded down: scaled grades are integers, so g <= scale * a iff g <= floor(a)."""
+        if a.n != self.n:
+            raise PresentationError(f"grade dimension {a.n} != {self.n}")
+        return tuple(c.numerator * self.scale // c.denominator for c in a.coords)
 
     def gens_leq(self, a) -> list[int]:
         return bits(self._gens_below(a))

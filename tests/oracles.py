@@ -219,6 +219,21 @@ def push_by_scan(line, p: Grade, step=Fraction(1, 64), span: int = 4096):
     raise AssertionError("scan window too small")
 
 
+def merge_coordinate_by_scan(axis, delta, x, variant: str):
+    """The first axis value that x snaps to under a merge variant, by a full scan."""
+    for v in axis:
+        if variant == "two_sided":
+            if v - delta <= x <= v + delta:
+                return v
+        elif variant == "plus":
+            if v - delta <= x <= v:
+                return v
+        else:
+            if v <= x <= v + delta:
+                return v
+    return x
+
+
 def min_pairwise_linf(points: list[Grade]):
     best = INF
     for i, a in enumerate(points):

@@ -98,8 +98,8 @@ def test_criterion_1_incompleteness_reproduction():
     check(
         "1 rank lower bound separates the pair",
         lower > 0,
-        f"lower bound {lower}; rank conditions are functions of the shared "
-        "fibered bar code, so no sound probe can exceed 0 here",
+        f"lower bound {lower}; the pair shares its fibered bar code, so point "
+        "rank probes stay at 0 and the interval-rank probes separate it",
     )
 
 

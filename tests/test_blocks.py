@@ -129,10 +129,15 @@ class TestBlockMatching:
 
     def test_value_certified_on_small_instances(self):
         rng = random.Random(83)
-        for _ in range(20):
-            kinds = [rng.choice(KINDS) for _ in range(rng.randint(1, 3))]
-            A = [random_block(rng, k) for k in kinds]
-            B = [random_block(rng, rng.choice(KINDS)) for _ in range(rng.randint(0, 3))]
+        certified = 0
+        for trial in range(20):
+            A = [random_block(rng, rng.choice(KINDS)) for _ in range(rng.randint(1, 12))]
+            kinds = [rng.choice(KINDS) for _ in range(rng.randint(0, 12))]
+            if trial % 2:
+                # quadrants cannot be deleted: give B as many as A, so the value is finite
+                quadrants = sum(x.kind == "cc" for x in A)
+                kinds = [k for k in kinds if k != "cc"][:12 - quadrants] + ["cc"] * quadrants
+            B = [random_block(rng, k) for k in kinds]
             value = block_matching_distance(A, B)
             PA, PB = block_presentation(A, 2), None
             from multipres.presentation import zero_module
@@ -140,6 +145,8 @@ class TestBlockMatching:
             PB = block_presentation(B, 2) if B else zero_module(2, 2)
             if value != INF:
                 assert rank_lower_bound(PA, PB).value <= value
+                if value > 0:
+                    assert matched_pairs_witness_entries(A, B, value - F(1, 1000)) is None
                 entries = matched_pairs_witness_entries(A, B, value)
                 assert entries is not None
                 f, gmat = entries
@@ -149,6 +156,22 @@ class TestBlockMatching:
                     tuple((i, j, c) for (i, j), c in sorted(gmat.items())),
                 )
                 assert verify_interleaving(PA, PB, w).accepted
+                certified += 1
+        assert certified >= 10
+
+    def test_witness_on_twelve_block_lists(self):
+        rng = random.Random(86)
+        for _ in range(4):
+            A = [random_block(rng, rng.choice(KINDS)) for _ in range(12)]
+            B = [random_block(rng, x.kind) for x in A]
+            rng.shuffle(B)
+            value = block_matching_distance(A, B)
+            assert 0 < value < INF
+            assert matched_pairs_witness_entries(A, B, value - F(1, 1000)) is None
+            f, gmat = matched_pairs_witness_entries(A, B, value)
+            w = InterleavingWitness(value, tuple((i, j, c) for (i, j), c in sorted(f.items())),
+                                    tuple((i, j, c) for (i, j), c in sorted(gmat.items())))
+            assert verify_interleaving(block_presentation(A), block_presentation(B), w).accepted
 
 
 class TestSandwich:

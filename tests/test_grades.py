@@ -13,10 +13,11 @@ from multipres.grades import (
     line_weight,
     merge_grade,
     push,
+    snap_grade,
     unmerge,
 )
 
-from oracles import min_pairwise_linf, push_by_scan
+from oracles import merge_coordinate_by_scan, min_pairwise_linf, push_by_scan
 
 INF = float("inf")
 
@@ -132,6 +133,26 @@ class TestMerge:
             assert mp_.linf(p) <= delta
             via = merge_grade(grid, delta, merge_grade(grid, delta, p, "plus"), "minus")
             assert via == merge_grade(grid, delta, p)
+
+    def test_snap_grade_against_scan(self):
+        rng = random.Random(15)
+        for _ in range(200):
+            den = rng.choice([1, 2, 3, 7])
+            grid = GridFunction([[F(v, den) for v in rng.sample(range(-20, 40), rng.randint(0, 6))]
+                                 for _ in range(rng.randint(1, 3))])
+            gap = grid.min_axis_gap()
+            top = F(3) if gap == INF else gap / 2
+            delta = top * F(rng.randint(0, 11), 12)  # below half the gap, 0 included
+            near = [v + s for axis in grid.axes for v in axis for s in (-delta, 0, delta)]
+            for _ in range(10):
+                coords = [rng.choice(near) if near and rng.random() < 0.6 else F(rng.randint(-100, 200), 5 * den)
+                          for _ in grid.axes]
+                p = Grade(coords)
+                for variant in ("plus", "minus", "two_sided"):
+                    want = [merge_coordinate_by_scan(axis, delta, x, variant)
+                            for axis, x in zip(grid.axes, coords)]
+                    assert snap_grade(grid, delta, p, variant) == Grade(want), (grid, delta, p, variant)
+                    assert merge_grade(grid, delta, p, variant) == Grade(want)
 
 
 class TestUnmerge:

@@ -32,10 +32,12 @@ from multipres.presentation import (
     _is_prime,
     interval_rank,
     make_column,
+    scale_grade,
     staircase_fences,
 )
 
 from oracles import dim_at, interval_rank_by_summands, interval_rank_dense
+from oracles import rank_between as oracle_rank_between
 
 INF = float("inf")
 
@@ -255,6 +257,58 @@ class TestHilbert:
             for _ in range(15):
                 a = g(F(rng.randint(-4, 48), 2), F(rng.randint(-4, 48), 2))
                 assert P.hilbert(a) == dim_at(P, a)
+
+
+def _integer_module(rng, p: int) -> Presentation:
+    """Random 2-parameter presentation on integer grades with dense columns."""
+    k = rng.randint(1, 6)
+    gens = tuple(Generator(f"g{i}", g(rng.randint(0, 6), rng.randint(0, 6))) for i in range(k))
+    rels = []
+    for _ in range(rng.randint(0, 8)):
+        support = rng.sample(range(k), rng.randint(1, k))
+        grade = gens[support[0]].grade
+        for i in support[1:]:
+            grade = grade.join(gens[i].grade)
+        grade = grade.plus([rng.randint(0, 3), rng.randint(0, 3)])
+        rels.append(Relation(grade, tuple(sorted((i, rng.randint(1, p - 1)) for i in support))))
+    return Presentation(2, p, gens, tuple(rels))
+
+
+class TestRankBetween:
+    def test_against_dense_oracle_at_unscaled_queries(self):
+        # integer grades have scale 1, so queries in halves and sevenths are floored
+        rng = random.Random(28)
+        for trial in range(60):
+            p = rng.choice([2, 3, 5])
+            P = _integer_module(rng, p) if trial % 2 else random_module(rng, p=p, summands=3)
+            for _ in range(20):
+                den = rng.choice([2, 7])
+                a = g(F(rng.randint(-2 * den, 14 * den), den), F(rng.randint(-2 * den, 14 * den), den))
+                b = a.plus([F(rng.randint(0, 6 * den), den), F(rng.randint(0, 6 * den), den)])
+                assert P.rank_between(a, b) == oracle_rank_between(P, a, b), f"trial {trial}: ({a}) -> ({b})"
+                assert P.rank_between(a, a) == P.hilbert(a) == dim_at(P, a)
+
+    def test_needs_a_below_b(self):
+        P = staircase_interval([g(0, 0)], [g(4, 4)])
+        assert P.rank_between(g(1, 1), g(3, 3)) == 1
+        assert P.rank_between(g(1, 1), g(5, 5)) == 0
+        with pytest.raises(PresentationError, match="needs a <= b"):
+            P.rank_between(g(3, F(7, 2)), g(F(7, 2), 3))
+
+    def test_scale_grade_is_exact_or_rejected(self):
+        assert scale_grade(g(F(3, 4), F(-5, 6), 2), 12) == (9, -10, 24)
+        with pytest.raises(PresentationError, match="does not clear"):
+            scale_grade(g(F(1, 4), F(1, 3)), 6)
+
+    def test_wrong_dimension_query_rejected(self):
+        P = staircase_interval([g(0, 0)], [g(4, 4)])
+        for a in (g(1), g(1, 1, 1)):
+            with pytest.raises(PresentationError, match="grade dimension"):
+                P.hilbert(a)
+            with pytest.raises(PresentationError, match="grade dimension"):
+                P.rank_between(a, a)
+            with pytest.raises(PresentationError, match="grade dimension"):
+                P.rank_between(g(0, 0), a)
 
 
 class TestDirectSum:
