@@ -9,6 +9,7 @@ and identical configuration plus seed gives byte-identical output.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from fractions import Fraction
@@ -17,7 +18,7 @@ from pathlib import Path
 from . import experiments, fio
 from .fibered import barcode, restrict, simplify_barcode
 from .functors import grid_align, interpolate, merge_module, simplify
-from .grades import Grade, GridFunction, LineSpec, rat, rat_str
+from .grades import Grade, GridFunction, LineSpec, rat, rat_dec, rat_str
 from .metrics import (
     bottleneck,
     matching_distance,
@@ -26,20 +27,14 @@ from .metrics import (
     sample_lines,
     verify_interleaving,
 )
-from .presentation import PresentationError, betti_and_grid, minimize
+from .presentation import betti_and_grid
 from .blocks import block_matching_distance, extend_block
 
 INF = math.inf
 
 
-class InputError(Exception):
-    pass
-
-
-def _q(value) -> str:
-    if value in (INF, -INF):
-        return rat_str(value)
-    return f"{rat_str(value)} ({float(value):.6f})"
+class InputError(ValueError):
+    """Bad input or arguments; main reports it, like any ValueError, with exit 1."""
 
 
 def _read(path: str) -> str:
@@ -118,7 +113,7 @@ def _report(args, rows: list[tuple[str, object]]) -> None:
                 dec = "" if value in (INF, -INF) else f"{float(value):.6f}"
                 out.append(f"{key}\t{rat_str(value)}\t{dec}".rstrip())
             else:
-                out.append(f"{key} {_q(value)}")
+                out.append(f"{key} {rat_dec(value)}")
         else:
             out.append(f"{key}{sep}{value}")
     print("\n".join(out))
@@ -129,7 +124,7 @@ def _report(args, rows: list[tuple[str, object]]) -> None:
 
 def _cmd_minimize(args) -> int:
     P = _load_fpres(args.module)
-    _emit(fio.serialize_fpres(minimize(P)), args.output)
+    _emit(fio.serialize_fpres(P.minimal), args.output)
     return 0
 
 
@@ -173,12 +168,9 @@ def _cmd_simplify(args) -> int:
 def _cmd_grid_align(args) -> int:
     P = _load_fpres(args.module)
     grid = _parse_grid(args)
-    try:
-        result = grid_align(P, grid, _rational(args.kap_eps))
-    except PresentationError as exc:
-        raise InputError(str(exc)) from exc
+    result = grid_align(P, grid, _rational(args.kap_eps))
     _emit(fio.serialize_fpres(result.module), args.output)
-    print(f"# certified interleaving budget {_q(result.budget)}", file=sys.stderr)
+    print(f"# certified interleaving budget {rat_dec(result.budget)}", file=sys.stderr)
     return 0
 
 
@@ -218,11 +210,8 @@ def _cmd_match_dist(args) -> int:
 
 
 def _cmd_bottleneck(args) -> int:
-    try:
-        B1 = fio.parse_barcode(_read(args.first))
-        B2 = fio.parse_barcode(_read(args.second))
-    except fio.FormatError as exc:
-        raise InputError(str(exc)) from exc
+    B1 = fio.parse_barcode(_read(args.first))
+    B2 = fio.parse_barcode(_read(args.second))
     _report(args, [("bottleneck", bottleneck(B1, B2))])
     return 0
 
@@ -249,42 +238,33 @@ def _cmd_lower_bound(args) -> int:
 
 
 def _cmd_interpolate(args) -> int:
-    try:
-        J = fio.parse_joint(_read(args.joint))
-        out = interpolate(J, _rational(args.t))
-    except (fio.FormatError, PresentationError) as exc:
-        raise InputError(str(exc)) from exc
+    J = fio.parse_joint(_read(args.joint))
+    out = interpolate(J, _rational(args.t))
     _emit(fio.serialize_fpres(out), args.output)
     return 0
 
 
 def _cmd_path_length(args) -> int:
     mods = [_load_fpres(p) for p in args.modules]
-    try:
-        total = path_length_d0(mods, slopes=args.lines)
-    except (ValueError, PresentationError) as exc:
-        raise InputError(str(exc)) from exc
+    total = path_length_d0(mods, slopes=args.lines)
     _report(args, [("path-length", total)])
     return 0
 
 
 def _cmd_blocks(args) -> int:
-    try:
-        A = fio.parse_blocks(_read(args.first))
-        if args.blocks_cmd == "extend":
-            lines = []
-            for blk in A:
-                r = extend_block(blk)
-                u1, u2 = r.upper
-                lines.append(
-                    f"rect {blk.kind} [{rat_str(r.lower.coords[0])}, {rat_str(u1)}) x "
-                    f"[{rat_str(r.lower.coords[1])}, {rat_str(u2)})"
-                )
-            _emit("\n".join(lines), None)
-            return 0
-        B = fio.parse_blocks(_read(args.second))
-    except fio.FormatError as exc:
-        raise InputError(str(exc)) from exc
+    A = fio.parse_blocks(_read(args.first))
+    if args.blocks_cmd == "extend":
+        lines = []
+        for blk in A:
+            r = extend_block(blk)
+            u1, u2 = r.upper
+            lines.append(
+                f"rect {blk.kind} [{rat_str(r.lower.coords[0])}, {rat_str(u1)}) x "
+                f"[{rat_str(r.lower.coords[1])}, {rat_str(u2)})"
+            )
+        _emit("\n".join(lines), None)
+        return 0
+    B = fio.parse_blocks(_read(args.second))
     _report(args, [("block-matching-distance", block_matching_distance(A, B))])
     return 0
 
@@ -302,7 +282,9 @@ def _cmd_experiment(args) -> int:
     return 0 if report.passed else 2
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process and shared by every main call."""
     top = argparse.ArgumentParser(
         prog="multipres",
         description="finitely presented multiparameter persistence modules",
@@ -426,10 +408,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (PresentationError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .functors import InterleavingWitness, shift_with_witness
-from .grades import Grade, rat, rat_str
+from .grades import Grade, rat, rat_dec, rat_str
 from .metrics import (
     DistanceReport,
     LocalEquivalenceReport,
@@ -98,9 +98,9 @@ class Example31Report:
         out = [
             "incompleteness experiment (equal fibered barcodes, positive interleaving distance)",
             f"lines sampled      {self.lines_sampled}",
-            f"d0 sampled         {rat_str(self.d0.value)} ({float(self.d0.value):.6f})",
-            f"d_I lower bound    {rat_str(self.d_i_lower)} ({float(self.d_i_lower):.6f})",
-            f"d_I upper bound    {rat_str(self.witness_eps)} ({float(self.witness_eps):.6f})"
+            f"d0 sampled         {rat_dec(self.d0.value)}",
+            f"d_I lower bound    {rat_dec(self.d_i_lower)}",
+            f"d_I upper bound    {rat_dec(self.witness_eps)}"
             f" [witness {'accepted' if self.witness_ok else 'REJECTED'}]",
             "note: point rank conditions cannot separate modules sharing a fibered bar",
             "code; the interval probes do: O has the union U of N's rectangles as a",

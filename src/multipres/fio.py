@@ -66,15 +66,19 @@ class _Cursor:
 # -- FPRES -------------------------------------------------------------------------
 
 
-def serialize_fpres(P: Presentation) -> str:
-    out = ["fpres 1", f"field {P.p}", f"params {P.n}", f"generators {len(P.gens)}"]
-    for g in P.gens:
-        out.append(f"g {g.label} {g.grade}")
-    out.append(f"relations {len(P.rels)}")
-    for r in P.rels:
+def _fpres_block(n: int, p: int, gens, rels) -> list[str]:
+    """The lines of one fpres block, from its header to its last relation."""
+    out = ["fpres 1", f"field {p}", f"params {n}", f"generators {len(gens)}"]
+    out += [f"g {g.label} {g.grade}" for g in gens]
+    out.append(f"relations {len(rels)}")
+    for r in rels:
         entries = " ".join(f"{c}:{i}" for i, c in r.col)
         out.append(f"r {r.grade} ; {entries}".rstrip())
-    return "\n".join(out) + "\n"
+    return out
+
+
+def serialize_fpres(P: Presentation) -> str:
+    return "\n".join(_fpres_block(P.n, P.p, P.gens, P.rels)) + "\n"
 
 
 def _parse_header(cur: _Cursor, key: str, what: str) -> tuple[int, list[str]]:
@@ -170,13 +174,7 @@ def serialize_joint(J: JointPresentation) -> str:
     concatenation of both generator lists (first block's generators first)."""
     out = [f"epsilon {rat_str(J.epsilon)}"]
     for gens, rels in ((J.x_m, J.r_m), (J.x_n, J.r_n)):
-        out += ["fpres 1", f"field {J.p}", f"params {J.n}", f"generators {len(gens)}"]
-        for g in gens:
-            out.append(f"g {g.label} {g.grade}")
-        out.append(f"relations {len(rels)}")
-        for r in rels:
-            entries = " ".join(f"{c}:{i}" for i, c in r.col)
-            out.append(f"r {r.grade} ; {entries}".rstrip())
+        out += _fpres_block(J.n, J.p, gens, rels)
     return "\n".join(out) + "\n"
 
 

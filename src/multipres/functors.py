@@ -36,7 +36,6 @@ from .presentation import (
     bits,
     common_scale,
     make_column,
-    minimize,
     scale_grade,
 )
 
@@ -99,7 +98,7 @@ def merge_module(P: Presentation, grid: GridFunction, delta, variant: str = "two
     the partial order.  The result is minimized unless told otherwise.
     """
     out, _ = merge_with_witness(P, grid, delta, variant)
-    return minimize(out) if minimized else out
+    return out.minimal if minimized else out
 
 
 def merge_with_witness(P: Presentation, grid: GridFunction, delta, variant: str = "two_sided"):
@@ -220,7 +219,7 @@ def simplify(P: Presentation, eps, minimized: bool = True) -> Presentation:
     give off.
     """
     out, _ = simplify_with_witness(P, eps)
-    return minimize(out) if minimized else out
+    return out.minimal if minimized else out
 
 
 def simplify_with_witness(P: Presentation, eps):
@@ -292,7 +291,7 @@ def grid_align(P: Presentation, grid: GridFunction, kap_eps) -> GridAlignResult:
     s2, w3 = simplify_with_witness(m1, 10 * k)
     m2, w4 = merge_with_witness(s2, grid, 20 * k)
     w = compose_witnesses(compose_witnesses(compose_witnesses(w1, w2, P.p), w3, P.p), w4, P.p)
-    return GridAlignResult(minimize(m2), m2, w, PIPELINE_TOTAL * k)
+    return GridAlignResult(m2.minimal, m2, w, PIPELINE_TOTAL * k)
 
 
 # -- joint presentations and interpolation ------------------------------------------

@@ -48,6 +48,13 @@ def rat_str(x) -> str:
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 
+def rat_dec(x) -> str:
+    """rat_str followed by a 6-place decimal in parentheses; infinities alone."""
+    if x in (INF, -INF):
+        return rat_str(x)
+    return f"{rat_str(x)} ({float(x):.6f})"
+
+
 @dataclass(frozen=True)
 class Grade:
     """A point of R^n with exact rational coordinates."""

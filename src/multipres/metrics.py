@@ -9,14 +9,16 @@ binary-searches the finite candidate costs.
 
 The matching distance is approximated from below by sampling weighted
 lines, always including the slope-1 lines through every Betti-grid point of
-both modules, which witness diagonal translates exactly.  sample_lines
-computes each module's Betti data once, and matching_distance scales each
-module's grades to integers once; every line then runs on Python ints in
-its own units (fibered.IntegerLine, with restrict and barcode in their
-integer form), from the pushes through the bar pairing to the bottleneck
-value.  A line is first probed at the floor of best * 2L / w(L):
-if the bottleneck is feasible there, the line cannot raise the maximum and
-is skipped.  Only the reported value becomes a Fraction again.
+both modules, which witness diagonal translates exactly.  Each module is
+minimized once (Presentation.minimal): sample_lines reads its Betti data
+from that minimal form, and matching_distance scales the minimal forms'
+grades to integers once.  The weighted bottleneck on a line is an invariant
+of the modules, so every line restricts the minimal presentations and runs
+on Python ints in its own units (fibered.IntegerLine, with restrict and
+barcode in their integer form), from the pushes through the bar pairing to
+the bottleneck value.  A line is first probed at the floor of
+best * 2L / w(L): if the bottleneck is feasible there, the line cannot
+raise the maximum and is skipped.  Only the reported value becomes a Fraction again.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from typing import Iterable, Sequence
 from . import kernels
 from .fibered import Barcode, IntegerLine, barcode, restrict
 from .functors import InterleavingWitness
-from .grades import Grade, LineSpec, line_weight, rat, rat_str
+from .grades import Grade, LineSpec, line_weight, rat, rat_dec, rat_str
 from .presentation import (
     BettiData,
     Presentation,
@@ -38,10 +40,8 @@ from .presentation import (
     ScaledModule,
     _leq,
     betti_and_grid,
-    betti_of_minimal,
     common_scale,
     minimal_elements,
-    minimize,
     scale_grade,
 )
 
@@ -275,7 +275,8 @@ def sample_lines(P: Presentation, Q: Presentation, slopes: int = 64,
     modules a mediant-spaced slope grid is crossed with offsets through
     every Betti point, midpoints between consecutive offsets, and the
     padded bounding-box edges.  A seed appends extra jittered lines
-    reproducibly.  Each module's Betti data is computed once.
+    reproducibly.  The Betti data come from P.minimal and Q.minimal, which
+    matching_distance then reuses for its line loop.
     """
     data = (betti_and_grid(P), betti_and_grid(Q))
     pts = _betti_points(data)
@@ -328,25 +329,24 @@ class DistanceReport:
     kind: str  # lower_bound
 
     def render(self) -> str:
-        head = f"{rat_str(self.value)}"
-        if self.value not in (INF, -INF):
-            head += f" ({float(self.value):.6f})"
-        out = f"{head} [{self.kind}]"
+        out = f"{rat_dec(self.value)} [{self.kind}]"
         if self.argmax_line is not None:
             out += f" argmax {self.argmax_line}"
         return out
 
 
 class _Fibers:
-    """Two modules with their grades scaled to integers once, for the line loop.
+    """Two modules' minimal forms with their grades scaled to integers once.
 
-    Each line is evaluated in its IntegerLine units, from the pushes to the
-    bottleneck value in Python ints; only the returned value is a Fraction.
+    A line's weighted bottleneck is an invariant of the modules, so the loop
+    restricts the smallest presentations of them.  Each line is evaluated in
+    its IntegerLine units, from the pushes to the bottleneck value in Python
+    ints; only the returned value is a Fraction.
     """
 
     def __init__(self, P: Presentation, Q: Presentation):
-        self.scale = common_scale(c for M in (P, Q) for g in M.betti_grades() for c in g.coords)
-        self.views = (ScaledModule(P, self.scale), ScaledModule(Q, self.scale))
+        self.scale = common_scale(c for M in (P, Q) for g in M.minimal.betti_grades() for c in g.coords)
+        self.views = (ScaledModule(P.minimal, self.scale), ScaledModule(Q.minimal, self.scale))
 
     def value(self, line: LineSpec, best=None):
         """w(L) times the bottleneck of the restrictions; None when that is <= best.
@@ -525,10 +525,10 @@ def verify_interleaving(P: Presentation, Q: Presentation, w: InterleavingWitness
 # -- rank-condition lower bound ------------------------------------------------------
 
 
-def _default_probes(minimal: Sequence[Presentation]) -> list[Grade]:
+def _default_probes(modules: Sequence[Presentation]) -> list[Grade]:
     pts: set[Grade] = set()
-    for M in minimal:
-        data = betti_of_minimal(M)
+    for M in modules:
+        data = betti_and_grid(M)
         pts |= set(data.xi0) | set(data.xi1)
         if 0 < data.grid.image_size() <= 128:
             pts |= set(data.grid.points())
@@ -606,19 +606,18 @@ def rank_lower_bound(P: Presentation, Q: Presentation,
 
     The bound is the largest eps0, from the halved and whole coordinate
     differences of both Betti grids and all probe corners, below which some
-    probe violates its condition everywhere.  The sweep runs on grades
-    scaled to integers; each module is minimized once.
+    probe violates its condition everywhere.  The sweep runs on the minimal
+    forms (P.minimal, Q.minimal), with grades scaled to integers.
     """
     if P.n != Q.n or P.p != Q.p:
         raise PresentationError("rank bound needs matching dimension and field")
-    minimal = (minimize(P), minimize(Q))
-    probe_list = _default_probes(minimal)
+    probe_list = _default_probes((P, Q))
     if probes is not None:
         probe_list = sorted(set(probe_list) | set(probes), key=lambda g: g.lex_key())
-    grades = [g for M in minimal for g in M.betti_grades()]
+    grades = P.minimal.betti_grades() + Q.minimal.betti_grades()
     # quarter units: candidates include halved differences, and their midpoints
     scale = 4 * common_scale(c for g in grades + probe_list for c in g.coords)
-    views = [ScaledModule(M, scale) for M in minimal]
+    views = [ScaledModule(M.minimal, scale) for M in (P, Q)]
     points = [scale_grade(a, scale) for a in probe_list]
     betti_points = [scale_grade(g, scale) for g in grades]
     intervals = []
@@ -702,11 +701,7 @@ class LocalEquivalenceReport:
 
     def render(self) -> str:
         def fmt(x):
-            if x is None:
-                return "unknown"
-            if x in (INF, -INF):
-                return rat_str(x)
-            return f"{rat_str(x)} ({float(x):.6f})"
+            return "unknown" if x is None else rat_dec(x)
 
         lines = [
             f"kappa              {fmt(self.kappa)}",

@@ -7,7 +7,8 @@ rationals.  Homogeneity means every relation dominates the grades of the
 generators it touches, so the monomial carrying each entry exists.
 
 The operations here are construction and validation, minimization by
-grade-ordered column reduction with generator/relation cancellation, Betti
+grade-ordered column reduction with generator/relation cancellation (each
+Presentation keeps its minimal form once computed, as .minimal), Betti
 multisets with their grid and controlling constant, the pointwise Hilbert
 function, internal-morphism ranks, the generalized rank over 2-parameter
 staircase intervals, direct sums and grade shifts.
@@ -149,6 +150,11 @@ class Presentation:
         return M.rank_between(fa, fb)
 
     # -- derived data --------------------------------------------------------
+
+    @cached_property
+    def minimal(self) -> Presentation:
+        """The minimal presentation of the same module, computed once per object."""
+        return minimize(self)
 
     def labels(self) -> list[str]:
         return [g.label for g in self.gens]
@@ -358,12 +364,8 @@ def minimize(P: Presentation) -> Presentation:
 
 
 def betti_and_grid(P: Presentation) -> BettiData:
-    """Betti multisets xi0/xi1 from a minimal presentation, plus grid and c."""
-    return betti_of_minimal(minimize(P))
-
-
-def betti_of_minimal(M: Presentation) -> BettiData:
-    """betti_and_grid for a presentation that is already minimal."""
+    """Betti multisets xi0/xi1 of P.minimal, plus grid and c."""
+    M = P.minimal
     xi0 = Counter(g.grade for g in M.gens)
     xi1 = Counter(r.grade for r in M.rels)
     grid = grid_from_grades(set(xi0) | set(xi1)) if (xi0 or xi1) else GridFunction([[]] * M.n)

@@ -28,8 +28,10 @@ from multipres import (
 from multipres.functors import InterleavingWitness, shift_with_witness
 from multipres.fibered import IntegerLine, barcode, restrict
 from multipres.grades import LineSpec, line_weight
+from multipres import presentation
 from multipres.metrics import (
     LineSample,
+    _Fibers,
     _rank_violation,
     _refine_near,
     bottleneck_at_most,
@@ -51,6 +53,7 @@ from multipres.presentation import (
     common_scale,
     interval_rank,
     make_column,
+    minimize,
 )
 
 from oracles import brute_bottleneck, slot_min_max_assignment
@@ -323,6 +326,39 @@ class TestIntegerLineLoop:
             lines = sample_lines(P, Q, slopes=3, seed=n, extra=6).lines
             assert (report.value, report.argmax_line) == reference_distance(P, Q, lines, rounds), n
         assert values == {False, True}
+
+
+class TestMinimalFormsOnce:
+    """Each module is minimized once, and the line loop restricts that minimal form."""
+
+    @staticmethod
+    def module(seed):
+        rng = random.Random(seed)
+        P = random_staircase(rng)
+        for _ in range(3):
+            P = direct_sum(P, random_staircase(rng))
+        return entangled(P, rng)
+
+    def test_line_loop_restricts_minimal_forms(self):
+        P, Q = self.module(75), self.module(76)
+        for M, view in zip((P, Q), _Fibers(P, Q).views):
+            least = minimize(M)
+            assert len(view.gens) == len(least.gens) < len(M.gens)
+            assert len(view.rels) == len(least.rels)
+
+    def test_local_equivalence_minimizes_each_module_once(self, monkeypatch):
+        M = self.module(77)
+        N, w = shift_with_witness(M, F(1, 2))
+        calls = []
+        original = presentation.minimize
+
+        def counting(P):
+            calls.append(id(P))
+            return original(P)
+
+        monkeypatch.setattr(presentation, "minimize", counting)
+        local_equivalence_experiment(M, N, F(1, 35), certified_eps=F(1, 2), witness=w, slopes=4)
+        assert sorted(calls) == sorted([id(M), id(N)])
 
 
 class TestVerifyInterleaving:
