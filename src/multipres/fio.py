@@ -15,7 +15,7 @@ from .blocks import Block
 from .fibered import Barcode
 from .functors import InterleavingWitness, JointPresentation
 from .grades import Grade, rat, rat_str
-from .presentation import Generator, Presentation, PresentationError, Relation
+from .presentation import Generator, Presentation, PresentationError, Relation, check_field
 
 INF = math.inf
 
@@ -95,14 +95,20 @@ def _header_value(cur: _Cursor, key: str, what: str) -> tuple[int, str]:
     return lineno, toks[1]
 
 
-def _header_count(cur: _Cursor, key: str, what: str) -> int:
+def _header_count(cur: _Cursor, key: str, what: str, least: int = 0, check=None) -> int:
+    """An integer header of at least least; check may reject it with a PresentationError."""
     lineno, tok = _header_value(cur, key, what)
     try:
         value = int(tok)
     except ValueError:
         raise FormatError(lineno, f"bad {key} value {tok!r}, expected {what}") from None
-    if value < 0:
-        raise FormatError(lineno, f"negative {key} value {value}")
+    if value < least:
+        raise FormatError(lineno, f"{key} value {value} is below {least}")
+    if check is not None:
+        try:
+            check(value)
+        except PresentationError as exc:
+            raise FormatError(lineno, str(exc)) from None
     return value
 
 
@@ -112,8 +118,8 @@ def _parse_fpres_block(cur: _Cursor, rel_gen_limit: int | None = None):
     lineno, toks = _parse_header(cur, "fpres", "'fpres 1' header")
     if toks[1:] != ["1"]:
         raise FormatError(lineno, "unsupported fpres version")
-    p = _header_count(cur, "field", "'field <p>'")
-    n = _header_count(cur, "params", "'params <n>'")
+    p = _header_count(cur, "field", "'field <p>'", check=check_field)
+    n = _header_count(cur, "params", "'params <n>'", least=1)
     k = _header_count(cur, "generators", "'generators <k>'")
     gens = []
     for _ in range(k):
@@ -156,14 +162,18 @@ def parse_fpres(text: str) -> Presentation:
     left = cur.peek()
     if left is not None:
         raise FormatError(left[0], f"trailing content {' '.join(left[1])!r}")
+    _check_homogeneous(rels, gens, [g.grade for g in gens])
+    return Presentation(n, p, tuple(gens), tuple(r for _, _, r in rels))
+
+
+def _check_homogeneous(rels, gens, grades) -> None:
+    """Every relation must dominate the given grades of the generators it touches."""
     for lineno, idx, r in rels:
         for i, _ in r.col:
-            if not gens[i].grade.leq(r.grade):
+            if i >= len(gens):
+                raise FormatError(lineno, f"relation {idx}: generator index {i} out of range")
+            if not grades[i].leq(r.grade):
                 raise FormatError(lineno, f"relation {idx} lies below generator {gens[i].label!r}")
-    try:
-        return Presentation(n, p, tuple(gens), tuple(r for _, _, r in rels))
-    except PresentationError as exc:
-        raise FormatError(1, str(exc)) from exc
 
 
 # -- joint presentations -------------------------------------------------------------
@@ -184,6 +194,8 @@ def parse_joint(text: str) -> JointPresentation:
     eps = parse_rational(tok, lineno)
     if eps in (INF, -INF):
         raise FormatError(lineno, "epsilon must be finite")
+    if eps < 0:
+        raise FormatError(lineno, "epsilon must be nonnegative")
     unbounded = 1 << 30
     n1, p1, gens_m, rels_m = _parse_fpres_block(cur, rel_gen_limit=unbounded)
     n2, p2, gens_n, rels_n = _parse_fpres_block(cur, rel_gen_limit=unbounded)
@@ -192,19 +204,13 @@ def parse_joint(text: str) -> JointPresentation:
     left = cur.peek()
     if left is not None:
         raise FormatError(left[0], f"trailing content {' '.join(left[1])!r}")
-    total = len(gens_m) + len(gens_n)
-    for lineno_, idx, r in list(rels_m) + list(rels_n):
-        for i, _ in r.col:
-            if i >= total:
-                raise FormatError(lineno_, f"relation {idx}: generator index {i} out of range")
-    try:
-        return JointPresentation(
-            n1, p1, rat(eps),
-            tuple(gens_m), tuple(gens_n),
-            tuple(r for _, _, r in rels_m), tuple(r for _, _, r in rels_n),
-        )
-    except PresentationError as exc:
-        raise FormatError(1, str(exc)) from exc
+    # endpoint validity: r_m at t = 0 (second block up by eps), r_n at t = 1
+    k, gens = len(gens_m), gens_m + gens_n
+    up = [g.grade.translate(eps) for g in gens]
+    _check_homogeneous(rels_m, gens, [g.grade for g in gens_m] + up[k:])
+    _check_homogeneous(rels_n, gens, up[:k] + [g.grade for g in gens_n])
+    return JointPresentation(n1, p1, eps, tuple(gens_m), tuple(gens_n),
+                             tuple(r for _, _, r in rels_m), tuple(r for _, _, r in rels_n))
 
 
 # -- barcodes ------------------------------------------------------------------------

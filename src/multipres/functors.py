@@ -27,16 +27,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from .grades import Grade, GridFunction, controlling_constant, merge_delta, rat, snap_grade
 from .presentation import (
-    Below,
     Generator,
     Presentation,
     PresentationError,
     Relation,
+    ScaledModule,
     _leq,
     bits,
     common_scale,
     make_column,
-    scale_grade,
 )
 
 # step multiples of the base budget used by grid_align, and their total
@@ -132,13 +131,14 @@ def _image_relations(P: Presentation, e: Fraction) -> list[tuple[Grade, dict[int
     eps this reduces to regrading each column to gr(r) v (support + eps);
     entangled columns additionally shed eliminated combinations early.
 
-    The sweep runs on integer grades: the relation grades and the translated
-    generator grades are scaled once by the lcm S of their denominators, and
-    the grid points, integer tuples in lexicographic order, become Grades
-    again only when a relation is kept.  The active relations and the early
-    generators at a point are bitmasks read off a Below index.  A point
-    whose key (active relations, early generators) already occurred is
-    skipped, and the skip is exact.
+    The sweep runs on integer grades, on ScaledModule(P, S) with S the lcm
+    of P's own scale and eps's denominator, and the grid points, integer
+    tuples in lexicographic order, become Grades again only when a relation
+    is kept.  The active relations at s and the early generators are the
+    bitmasks that ScaledModule reports below s and below s - eps * S: a
+    generator is early exactly when its scaled grade is <= s - eps * S.  A
+    point whose key (active relations, early generators) already occurred
+    is skipped, and the skip is exact.
     Let s0 be the first point in lex order with key K and s a later one.
     Their meet is a grid point with key K and is not lex-later than s0, so it
     is s0, and s0 <= s.  The pure columns at s are those at s0, and every
@@ -148,25 +148,24 @@ def _image_relations(P: Presentation, e: Fraction) -> list[tuple[Grade, dict[int
 
     if not P.rels:
         return []
-    shifted = [g.grade.translate(e) for g in P.gens]
-    S = common_scale(c for x in [r.grade for r in P.rels] + shifted for c in x.coords)
-    rels = [scale_grade(r.grade, S) for r in P.rels]
-    gens = [scale_grade(x, S) for x in shifted]
-    axes = [sorted({x[k] for x in rels + gens}) for k in range(P.n)]
-    rels_below, gens_below = Below(rels, P.n), Below(gens, P.n)
+    S = common_scale([e] + [c for g in P.betti_grades() for c in g.coords])
+    M = ScaledModule(P, S)
+    e_s = e.numerator * (S // e.denominator)
+    grades = [g for g, _ in M.rels] + [tuple(v + e_s for v in g) for g in M.gens]
+    axes = [sorted({x[k] for x in grades}) for k in range(P.n)]
 
     out: list[tuple[Grade, dict[int, int]]] = []
     out_grades: list[tuple[int, ...]] = []
     seen = set()
     for s in itertools.product(*axes):
-        act, ear = rels_below(s), gens_below(s)
+        act, ear = M.rels_below(s), M.gens_below(tuple(v - e_s for v in s))
         if not act or (act, ear) in seen:
             continue
         seen.add((act, ear))
         early = bits(ear)
         # order rows so late generators take pivot priority; echelon columns
         # whose pivot lands early are then supported purely on early rows
-        order = early + [i for i in range(len(gens)) if not ear >> i & 1]
+        order = early + [i for i in range(len(P.gens)) if not ear >> i & 1]
         row_of = {i: k for k, i in enumerate(order)}
         cols = [{row_of[i]: c for i, c in P.rels[k].col} for k in bits(act)]
         basis = kernels.echelonize(cols, P.p)

@@ -22,8 +22,6 @@ from typing import Iterable, Sequence
 
 INF = math.inf
 
-RationalLike = "Fraction | int | str"
-
 
 class DimensionMismatch(ValueError):
     """Operands live in grading posets of different dimension."""
@@ -228,6 +226,8 @@ class LineSpec:
     def through(cls, point: Grade, direction: Iterable) -> "LineSpec":
         """The normalized line with the given direction passing through point."""
         d = [rat(c) for c in direction]
+        if point.n != len(d):
+            raise DimensionMismatch(f"point dimension {point.n} != direction dimension {len(d)}")
         if any(c <= 0 for c in d):
             raise ValueError("line direction components must all be positive")
         top = max(d)

@@ -229,7 +229,6 @@ def bottleneck_at_most(B1: Barcode, B2: Barcode, c) -> bool:
 @dataclass(frozen=True)
 class LineSample:
     lines: tuple[LineSpec, ...]
-    bounds: tuple[Grade, Grade] | None = None
 
     def __post_init__(self):
         if not self.lines:
@@ -298,7 +297,6 @@ def sample_lines(P: Presentation, Q: Presentation, slopes: int = 64,
     hi = Grade([max(p.coords[i] for p in pts) for i in range(n)])
     diam = lo.linf(hi)
     pad = diam if diam else Fraction(1)
-    bounds = (Grade([c - pad for c in lo.coords]), Grade([c + pad for c in hi.coords]))
     if n == 2:
         for m in _mediant_slopes(slopes):
             d = _direction_for_slope(m)
@@ -319,7 +317,7 @@ def sample_lines(P: Presentation, Q: Presentation, slopes: int = 64,
             jitter = Grade([c + Fraction(rng.randint(-64, 64), 128) for c in anchor.coords])
             add(LineSpec.through(jitter, d))
     ordered = tuple(lines[k] for k in sorted(lines))
-    return LineSample(ordered, bounds)
+    return LineSample(ordered)
 
 
 @dataclass(frozen=True)
@@ -394,8 +392,7 @@ def _refine_near(line: LineSpec, pts: list[Grade]) -> list[LineSpec]:
 
 
 def matching_distance(P: Presentation, Q: Presentation, sample: LineSample | None = None,
-                      slopes: int = 16, adaptive_rounds: int = 0,
-                      seed: int | None = None, extra: int = 0) -> DistanceReport:
+                      slopes: int = 16, adaptive_rounds: int = 0) -> DistanceReport:
     """Sampled matching distance: max over lines of w(L) * d_B of restrictions.
 
     A lower bound for the true supremum (and hence for the interleaving
@@ -405,7 +402,7 @@ def matching_distance(P: Presentation, Q: Presentation, sample: LineSample | Non
     if P.n != Q.n or P.p != Q.p:
         raise PresentationError("matching distance needs matching dimension and field")
     if sample is None:
-        sample = sample_lines(P, Q, slopes=slopes, seed=seed, extra=extra)
+        sample = sample_lines(P, Q, slopes=slopes)
     fibers = _Fibers(P, Q)
     best = Fraction(0)
     arg = None
@@ -614,6 +611,9 @@ def rank_lower_bound(P: Presentation, Q: Presentation,
     probe_list = _default_probes((P, Q))
     if probes is not None:
         probe_list = sorted(set(probe_list) | set(probes), key=lambda g: g.lex_key())
+    for a in probe_list:
+        if a.n != P.n:
+            raise PresentationError(f"probe ({a}) has dimension {a.n}, expected {P.n}")
     grades = P.minimal.betti_grades() + Q.minimal.betti_grades()
     # quarter units: candidates include halved differences, and their midpoints
     scale = 4 * common_scale(c for g in grades + probe_list for c in g.coords)
@@ -667,8 +667,7 @@ def rank_lower_bound(P: Presentation, Q: Presentation,
 # -- intrinsic-metric estimate and the local equivalence experiment -------------------
 
 
-def path_length_d0(path: Sequence[Presentation], sample: LineSample | None = None,
-                   slopes: int = 16) -> Fraction:
+def path_length_d0(path: Sequence[Presentation], slopes: int = 16) -> Fraction:
     """Sum of sampled matching distances over consecutive waypoints.
 
     A lower bound for the d0-length of any continuous path through them.
@@ -677,7 +676,7 @@ def path_length_d0(path: Sequence[Presentation], sample: LineSample | None = Non
         raise ValueError("path length needs at least two modules")
     total = Fraction(0)
     for A, B in zip(path, path[1:]):
-        total += matching_distance(A, B, sample=sample, slopes=slopes).value
+        total += matching_distance(A, B, slopes=slopes).value
     return total
 
 
@@ -721,7 +720,7 @@ class LocalEquivalenceReport:
 
 def local_equivalence_experiment(M: Presentation, N: Presentation, kappa, *,
                                  certified_eps=None, witness: InterleavingWitness | None = None,
-                                 sample: LineSample | None = None, slopes: int = 16) -> LocalEquivalenceReport:
+                                 slopes: int = 16) -> LocalEquivalenceReport:
     """Check d0(M, N) > kappa * eps under eps < c_M / (2 (34 kappa + 1)).
 
     eps-hat is exact when a certified value is supplied (and consistent with
@@ -756,7 +755,7 @@ def local_equivalence_experiment(M: Presentation, N: Presentation, kappa, *,
             f"eps {rat_str(eps_hat)} vs c_M/(2(34k+1)) {rat_str(bound)}"
             if c_m != INF else f"c_M infinite, any eps qualifies"
         )
-    d0 = matching_distance(M, N, sample=sample, slopes=slopes).value
+    d0 = matching_distance(M, N, slopes=slopes).value
     threshold = None if eps_hat is None else k * eps_hat
     strict = None if threshold is None else d0 > threshold
     nonstrict = None if threshold is None else d0 >= threshold

@@ -14,8 +14,9 @@ function, internal-morphism ranks, the generalized rank over 2-parameter
 staircase intervals, direct sums and grade shifts.
 
 ScaledModule alone answers which generators and relations lie below a
-grade, on integer grades; hilbert and rank_between floor their rational
-queries into one ScaledModule at the presentation's own scale.
+grade, on integer grades; minimize sweeps the presentation's own cached
+ScaledModule, and hilbert and rank_between floor their rational queries
+into it.
 """
 
 from __future__ import annotations
@@ -71,6 +72,11 @@ def _is_prime(p: int) -> bool:
     return True
 
 
+def check_field(p: int) -> None:
+    if not _is_prime(p):
+        raise PresentationError(f"field characteristic {p} is not prime")
+
+
 @dataclass(frozen=True)
 class Generator:
     label: str
@@ -111,8 +117,7 @@ class Presentation:
     def __post_init__(self):
         if self.n < 1:
             raise PresentationError("parameter count must be at least 1")
-        if not _is_prime(self.p):
-            raise PresentationError(f"field characteristic {self.p} is not prime")
+        check_field(self.p)
         for g in self.gens:
             if g.grade.n != self.n:
                 raise PresentationError(f"generator {g.label!r} has dimension {g.grade.n}, expected {self.n}")
@@ -279,60 +284,42 @@ def direct_sum(P: Presentation, Q: Presentation) -> Presentation:
 # -- minimization ---------------------------------------------------------------
 
 
-def _reduction_pass(rels, p):
-    """One grade-ordered reduction sweep over (grade, scaled grade, column) triples.
+def _reduction_pass(rels, below, p):
+    """One grade-ordered reduction sweep over (input index, column) pairs.
 
-    Relations are visited in (lexicographic grade, input index) order and
-    reduced against already-kept relations of dominated grade, which are the
-    only ones that may act on them through monomial-shifted column ops.
-    Dependent relations are dropped.
+    Each relation k is reduced against the already-kept relations of
+    dominated grade, the bits of below[k], which are the only ones that may
+    act on it through monomial-shifted column ops.  Dependent relations are
+    dropped, so the kept list keeps the visiting order.
     """
-    order = sorted(range(len(rels)), key=lambda i: (rels[i][1], i))
-    kept: list[tuple[Grade, tuple[int, ...], dict[int, int]]] = []
-    for i in order:
-        grade, key, col = rels[i]
-        usable = [c for (_, k2, c) in kept if _leq(k2, key)]
-        basis = kernels.echelonize(usable, p)
+    kept: list[tuple[int, dict[int, int]]] = []
+    for k, col in rels:
+        mask = below[k]
+        basis = kernels.echelonize([c for j, c in kept if mask >> j & 1], p)
         res = kernels.residual(col, basis, p)
         if res:
-            kept.append((grade, key, res))
+            kept.append((k, res))
     return kept
 
 
-def _find_cancellation(gens, rels):
-    for j, (_, key, col) in enumerate(rels):
-        hits = [i for i in sorted(col) if gens[i][1] == key]
-        if hits:
-            return j, hits[0]
-    return None
-
-
-def _cancel(gens, rels, j, b, p):
+def _cancel(rels, j, b, p):
     """Remove relation j and generator b, substituting b's expression everywhere."""
-    col = rels[j][2]
-    c = col[b]
-    cinv = pow(c, p - 2, p)
+    col = rels[j][1]
+    cinv = pow(col[b], p - 2, p)
     rest = {i: v for i, v in col.items() if i != b}
     out = []
-    for k, (g2, key, col2) in enumerate(rels):
-        if k == j:
-            continue
+    for k, col2 in rels[:j] + rels[j + 1:]:
         d = col2.get(b)
-        if d is None:
-            new = dict(col2)
-        else:
-            new = {i: v for i, v in col2.items() if i != b}
+        if d is not None:
+            col2 = {i: v for i, v in col2.items() if i != b}
             for i, v in rest.items():
-                w = (new.get(i, 0) - d * cinv * v) % p
+                w = (col2.get(i, 0) - d * cinv * v) % p
                 if w:
-                    new[i] = w
+                    col2[i] = w
                 else:
-                    new.pop(i, None)
-        out.append((g2, key, new))
-    new_gens = [g for i, g in enumerate(gens) if i != b]
-    remap = {i: (i if i < b else i - 1) for i in range(len(gens)) if i != b}
-    out = [(g2, key, {remap[i]: v for i, v in col2.items()}) for g2, key, col2 in out]
-    return new_gens, out
+                    col2.pop(i, None)
+        out.append((k, col2))
+    return out
 
 
 def minimize(P: Presentation) -> Presentation:
@@ -341,26 +328,28 @@ def minimize(P: Presentation) -> Presentation:
     Alternates grade-ordered column reduction (dropping dependent relations)
     with generator/relation cancellation wherever a relation carries a unit
     pivot on a generator of equal grade, until neither applies.  The Hilbert
-    function is preserved at every grade.  Order tests compare each grade's
-    integer tuple under the common scale of all grades; the output carries
-    the original Grades.
+    function is preserved at every grade.  The sweep runs on P._scaled: the
+    relations are sorted once by (scaled grade, input index), an order that
+    dropping and cancelling keep, and the ones below each are read off its
+    Below index.  Columns keep the input generator indices until the output.
     """
-    scale = common_scale(c for g in P.betti_grades() for c in g.coords)
-    gens = [(g, scale_grade(g.grade, scale)) for g in P.gens]
-    rels = [(r.grade, scale_grade(r.grade, scale), r.as_dict()) for r in P.rels]
+    M = P._scaled
+    below = [M.rels_below(g) for g, _ in M.rels]
+    rels = [(k, M.rels[k][1]) for k in sorted(range(len(M.rels)), key=lambda k: (M.rels[k][0], k))]
+    cancelled = set()
     while True:
-        rels = _reduction_pass(rels, P.p)
-        hit = _find_cancellation(gens, rels)
+        rels = _reduction_pass(rels, below, P.p)
+        # the first relation with a unit pivot on a generator of its own grade
+        hit = next(((j, i) for j, (k, col) in enumerate(rels) for i in sorted(col)
+                    if M.gens[i] == M.rels[k][0]), None)
         if hit is None:
             break
-        j, b = hit
-        gens, rels = _cancel(gens, rels, j, b, P.p)
-    return Presentation(
-        P.n,
-        P.p,
-        tuple(g for g, _ in gens),
-        tuple(Relation(g, make_column(col, P.p)) for g, _, col in rels),
-    )
+        rels = _cancel(rels, *hit, P.p)
+        cancelled.add(hit[1])
+    live = [i for i in range(len(P.gens)) if i not in cancelled]
+    index = {i: k for k, i in enumerate(live)}
+    return Presentation(P.n, P.p, tuple(P.gens[i] for i in live), tuple(
+        Relation(P.rels[k].grade, make_column({index[i]: c for i, c in col.items()}, P.p)) for k, col in rels))
 
 
 def betti_and_grid(P: Presentation) -> BettiData:
@@ -395,8 +384,9 @@ def _leq(a, b) -> bool:
     return all(map(operator.le, a, b))
 
 
-def _lt(a, b) -> bool:
-    return all(map(operator.lt, a, b))
+def _just_below(c) -> tuple[int, ...]:
+    """On integer grades, a < c in every coordinate iff a <= c - (1, ..., 1)."""
+    return tuple(v - 1 for v in c)
 
 
 def minimal_elements(points) -> list[tuple[int, int]]:
@@ -442,7 +432,7 @@ def staircase_fences(births, deaths):
         return DISCONNECTED
 
     def reached(c) -> bool:
-        return any(_lt(b, c) for b in B)
+        return any(_leq(b, _just_below(c)) for b in B)
 
     tops = [c for c in ((D[i + 1][0], D[i][1]) for i in range(len(D) - 1)) if reached(c)]
     meets = [(tops[i][0], tops[i + 1][1]) for i in range(len(tops) - 1)]
@@ -485,20 +475,20 @@ def bits(mask: int) -> list[int]:
 class ScaledModule:
     """A presentation with every grade multiplied by a common integer scale.
 
-    Order tests then compare integer tuples instead of Fractions, through one
-    Below index each for the generators and the relations.  The echelon
-    basis of the relation columns below a grade is memoized by the set of
-    relations it spans, so a sweep that asks many rank questions reduces each
-    distinct relation set once.  Query grades are integer tuples in the same
-    units: scale_grade of a corner, or floor of any rational grade.
+    Its two Below indexes are the one answer to which generators and
+    relations lie below a grade, for hilbert, minimize, the simplify sweep
+    and the interval ranks.  The echelon basis of the relations below a
+    grade is memoized by the set it spans, so a sweep reduces each distinct
+    relation set once.  Query grades are integer tuples in the same units:
+    scale_grade of a corner, or floor of any rational grade.
     """
 
     def __init__(self, P: Presentation, scale: int):
         self.n, self.p, self.scale = P.n, P.p, scale
         self.gens = [scale_grade(g.grade, scale) for g in P.gens]
         self.rels = [(scale_grade(r.grade, scale), r.as_dict()) for r in P.rels]
-        self._gens_below = Below(self.gens, self.n)
-        self._rels_below = Below([g for g, _ in self.rels], self.n)
+        self.gens_below = Below(self.gens, self.n)
+        self.rels_below = Below([g for g, _ in self.rels], self.n)
         self._bases: dict[int, list] = {}
         self._ranks: dict[tuple[int, int], int] = {}
 
@@ -509,11 +499,15 @@ class ScaledModule:
         return tuple(c.numerator * self.scale // c.denominator for c in a.coords)
 
     def gens_leq(self, a) -> list[int]:
-        return bits(self._gens_below(a))
+        return bits(self.gens_below(a))
+
+    def rels_leq(self, a) -> list[dict[int, int]]:
+        """The columns of the relations <= a, by input index."""
+        return [self.rels[k][1] for k in bits(self.rels_below(a))]
 
     def rel_basis(self, b) -> tuple[int, list]:
         """(bitmask of the relations <= b, echelon basis of their columns)."""
-        key = self._rels_below(b)
+        key = self.rels_below(b)
         basis = self._bases.get(key)
         if basis is None:
             basis = self._bases[key] = kernels.echelonize([self.rels[k][1] for k in bits(key)], self.p)
@@ -521,12 +515,12 @@ class ScaledModule:
 
     def dim(self, a) -> int:
         """dim M_a."""
-        k = self._gens_below(a).bit_count()
+        k = self.gens_below(a).bit_count()
         return k - len(self.rel_basis(a)[1]) if k else 0
 
     def rank_between(self, a, b) -> int:
         """Rank of M_a -> M_b for a <= b: the units born by a, modulo the relations <= b."""
-        gens = self._gens_below(a)
+        gens = self.gens_below(a)
         if not gens:
             return 0
         key, basis = self.rel_basis(b)
@@ -554,7 +548,7 @@ class ScaledModule:
         T = [{i: 1} for i in self.gens_leq(B[-1])]
         for b, j in zip(reversed(B[:-1]), reversed(joins)):
             inside = set(self.gens_leq(b))
-            span = T + [col for g, col in self.rels if _leq(g, j)]
+            span = T + self.rels_leq(j)
             # outside coordinates go above every inside one, so echelon vectors
             # with an inside pivot are exactly a basis of the intersection
             cols = [{(i if i in inside else i + n): c for i, c in v.items()} for v in span]
@@ -563,11 +557,10 @@ class ScaledModule:
             return 0
         glue = []
         for k, top in enumerate(tops):
-            glue += [{i + k * n: c for i, c in col.items()} for g, col in self.rels if _lt(g, top)]
+            glue += [{i + k * n: c for i, c in col.items()} for col in self.rels_leq(_just_below(top))]
         for k, m in enumerate(meets):
-            glue += [{i + k * n: 1, i + (k + 1) * n: p - 1}
-                     for i, g in enumerate(self.gens) if _lt(g, m)]
-        k0 = next(k for k, top in enumerate(tops) if _lt(B[0], top))
+            glue += [{i + k * n: 1, i + (k + 1) * n: p - 1} for i in self.gens_leq(_just_below(m))]
+        k0 = next(k for k, top in enumerate(tops) if _leq(B[0], _just_below(top)))
         image = [{i + k0 * n: c for i, c in v.items()} for v in T]
         return _rank_over(kernels.echelonize(glue, p), image, p)
 

@@ -437,3 +437,70 @@ def image_relations_by_full_sweep(P, e: Fraction) -> list[tuple[Grade, dict[int,
                 known.append((max(res), res))
                 out.append((s, {order[row]: c for row, c in col.items()}))
     return out
+
+
+def minimize_by_scan(P):
+    """Minimal presentation by the plain scan of (grade, scaled grade, column) triples.
+
+    The reference for presentation.minimize, with the same visiting order and
+    output: every reduction pass sorts the relations by (scaled grade,
+    position) and tests each kept relation's grade against the current one
+    with a coordinate-wise scan; a cancellation renumbers the generators
+    above the cancelled one at once.
+    """
+    from multipres import kernels
+    from multipres.presentation import Presentation, Relation, common_scale, make_column, scale_grade
+
+    def leq(a, b):
+        return all(x <= y for x, y in zip(a, b))
+
+    def reduction_pass(rels):
+        order = sorted(range(len(rels)), key=lambda i: (rels[i][1], i))
+        kept = []
+        for i in order:
+            grade, key, col = rels[i]
+            basis = kernels.echelonize([c for _, k2, c in kept if leq(k2, key)], P.p)
+            res = kernels.residual(col, basis, P.p)
+            if res:
+                kept.append((grade, key, res))
+        return kept
+
+    def find_cancellation(gens, rels):
+        for j, (_, key, col) in enumerate(rels):
+            hits = [i for i in sorted(col) if gens[i][1] == key]
+            if hits:
+                return j, hits[0]
+        return None
+
+    def cancel(gens, rels, j, b):
+        p = P.p
+        col = rels[j][2]
+        cinv = pow(col[b], p - 2, p)
+        rest = {i: v for i, v in col.items() if i != b}
+        out = []
+        for k, (g2, key, col2) in enumerate(rels):
+            if k == j:
+                continue
+            new = {i: v for i, v in col2.items() if i != b}
+            d = col2.get(b)
+            if d is not None:
+                for i, v in rest.items():
+                    w = (new.get(i, 0) - d * cinv * v) % p
+                    if w:
+                        new[i] = w
+                    else:
+                        new.pop(i, None)
+            out.append((g2, key, {(i if i < b else i - 1): v for i, v in new.items()}))
+        return [g for i, g in enumerate(gens) if i != b], out
+
+    scale = common_scale(c for g in P.betti_grades() for c in g.coords)
+    gens = [(g, scale_grade(g.grade, scale)) for g in P.gens]
+    rels = [(r.grade, scale_grade(r.grade, scale), r.as_dict()) for r in P.rels]
+    while True:
+        rels = reduction_pass(rels)
+        hit = find_cancellation(gens, rels)
+        if hit is None:
+            break
+        gens, rels = cancel(gens, rels, *hit)
+    return Presentation(P.n, P.p, tuple(g for g, _ in gens),
+                        tuple(Relation(g, make_column(col, P.p)) for g, _, col in rels))

@@ -50,6 +50,11 @@ class TestPush:
         with pytest.raises(DimensionMismatch):
             push(L, g(1, 1, 1))
 
+    def test_through_needs_matching_dimensions(self):
+        for point, direction in ((g(1, 2, 2), [1, 1]), (g(1, 2), [1, 1, 1])):
+            with pytest.raises(DimensionMismatch):
+                LineSpec.through(point, direction)
+
     def test_order_preserving_random(self):
         rng = random.Random(11)
         for _ in range(100):

@@ -193,6 +193,9 @@ class TestCli:
         code, out, _ = run_cli("barcode", str(files / "rect.fpres"),
                                "--direction", "1 1", "--base", "0 0", "--simplify", "1")
         assert code == 0 and out.strip() == "bar 0 1 1"
+        code, out, err = run_cli("restrict", str(files / "rect.fpres"),
+                                 "--direction", "1 1", "--through", "1 2 2")
+        assert code == 1 and not out and "error:" in err and "Traceback" not in err
 
     def test_match_dist_deterministic(self, files):
         args = ("match-dist", str(files / "N.fpres"), str(files / "O.fpres"),
@@ -238,6 +241,12 @@ class TestCli:
         code, out, _ = run_cli("lower-bound", str(files / "rect.fpres"),
                                str(files / "rect_shift.fpres"), "--probe", "100 100")
         assert code == 0 and "interleaving-lower-bound 1/2 (0.500000)" in out
+        # a probe of the wrong dimension is an input error, neither a crash nor cut short
+        for probe in ("1 1 1", "1"):
+            code, out, err = run_cli("lower-bound", str(files / "rect.fpres"),
+                                     str(files / "rect_shift.fpres"), "--probe", probe)
+            assert code == 1 and not out and f"error: probe ({probe}) has dimension" in err
+            assert "Traceback" not in err
 
     def test_interpolate(self, files):
         code, out, _ = run_cli("interpolate", str(files / "J.joint"), "--t", "1/2")
@@ -285,6 +294,8 @@ class TestCli:
         ("fpres 1\nfield\n", 2),
         ("fpres 1\nfield 2\nparams 2\ngenerators x\n", 4),
         ("fpres 1\nfield 2\nparams 2\ngenerators 0\nrelations -1\n", 5),
+        ("fpres 1\nfield 4\nparams 2\ngenerators 0\nrelations 0\n", 2),
+        ("fpres 1\nfield 2\n\n# no axes\nparams 0\ngenerators 0\nrelations 0\n", 5),
     ])
     def test_bad_header_value_exits_one_with_line(self, files, header, lineno):
         path = files / f"header{lineno}.fpres"
@@ -297,6 +308,17 @@ class TestCli:
         path.write_text("epsilon\n")
         code, _, err = run_cli("interpolate", str(path), "--t", "1/2")
         assert code == 1 and "line 1" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("second, lineno", [
+        ("fpres 1\nfield 4\nparams 1\ngenerators 0\nrelations 0\n", 9),
+        # at t = 1 the first block's generator sits at 1, above the relation
+        ("fpres 1\nfield 2\nparams 1\ngenerators 0\nrelations 1\nr 0 ; 1:0\n", 13),
+    ])
+    def test_bad_joint_exits_one_with_line(self, files, second, lineno):
+        path = files / f"bad{lineno}.joint"
+        path.write_text("epsilon 1\nfpres 1\nfield 2\nparams 1\ngenerators 1\ng a 0\nrelations 0\n" + second)
+        code, _, err = run_cli("interpolate", str(path), "--t", "1/2")
+        assert code == 1 and f"line {lineno}:" in err and "Traceback" not in err
 
     def test_mersenne_prime_field(self, files):
         code, out, _ = run_cli("minimize", str(files / "mersenne.fpres"))

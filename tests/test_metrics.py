@@ -47,6 +47,7 @@ from multipres.experiments import (
 from multipres.presentation import (
     Generator,
     Presentation,
+    PresentationError,
     Relation,
     ScaledModule,
     betti_and_grid,
@@ -322,8 +323,9 @@ class TestIntegerLineLoop:
             if not rounds or n % 8 >= 2:  # the one-summand pairs and the unmatched pair
                 continue
             # the rounds refine around the Betti points of the modules compared
-            report = matching_distance(P, Q, slopes=3, seed=n, extra=6, adaptive_rounds=rounds)
-            lines = sample_lines(P, Q, slopes=3, seed=n, extra=6).lines
+            sample = sample_lines(P, Q, slopes=3, seed=n, extra=6)
+            report = matching_distance(P, Q, sample=sample, adaptive_rounds=rounds)
+            lines = sample.lines
             assert (report.value, report.argmax_line) == reference_distance(P, Q, lines, rounds), n
         assert values == {False, True}
 
@@ -444,6 +446,12 @@ class TestRankLowerBound:
 
     def test_free_vs_zero_infinite(self):
         assert rank_lower_bound(free([g(0, 0)]), zero_module(2, 2)).value == INF
+
+    def test_probe_of_wrong_dimension_rejected(self):
+        P = staircase_interval([g(0, 0)], [g(2, 0), g(0, 3)])
+        for probe in (g(1, 1, 1), g(1)):
+            with pytest.raises(PresentationError, match=rf"probe \({probe}\)"):
+                rank_lower_bound(P, P, [probe])
 
     def test_square_vs_zero(self):
         P = staircase_interval([g(0, 0)], [g(2, 0), g(0, 2)])

@@ -15,6 +15,7 @@ from multipres import (
     free,
     minimize,
     shift,
+    simplify,
     staircase_interval,
     verify_interleaving,
     zero_module,
@@ -36,7 +37,7 @@ from multipres.presentation import (
     staircase_fences,
 )
 
-from oracles import dim_at, interval_rank_by_summands, interval_rank_dense
+from oracles import dim_at, interval_rank_by_summands, interval_rank_dense, minimize_by_scan
 from oracles import rank_between as oracle_rank_between
 
 INF = float("inf")
@@ -196,6 +197,17 @@ class TestMinimize:
             assert Counter(r.grade for r in M.rels) == Counter(r.grade for r in M2.rels)
             for r in M.rels:
                 assert all(M.gens[i].grade != r.grade for i, _ in r.col)
+
+    def test_output_equals_scan_reference(self):
+        # the same generators and relation columns in the same order, not
+        # only the same module
+        rng = random.Random(29)
+        for p in (2, 3, 5):
+            for _ in range(10):
+                P = random_module(rng, p=p, summands=rng.randint(1, 4))
+                E = entangle(entangle(P, rng), rng)
+                for Q in (P, E, simplify(E, 2, minimized=False), simplify(P, F(3, 2), minimized=False)):
+                    assert minimize(Q) == minimize_by_scan(Q)
 
     def test_no_equal_grade_unit_pair_left(self):
         rng = random.Random(23)

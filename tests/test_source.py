@@ -1,0 +1,39 @@
+"""Static checks on the package source that need no linter."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "multipres"
+
+
+def unused_imports(source: str) -> list[str]:
+    """Module-level imported names that nothing in the module reads.
+
+    An import binds the name it is known by (the alias, or the first part
+    of a dotted module); a name counts as read wherever it appears as an
+    expression, attribute bases and annotations included.  from __future__
+    lines bind nothing.
+    """
+    tree = ast.parse(source)
+    bound = []
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            bound += [a.asname or a.name.split(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound += [a.asname or a.name for a in node.names]
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return [name for name in bound if name not in read]
+
+
+def test_unused_import_is_found():
+    source = "from __future__ import annotations\nimport os.path\nimport math as m\nfrom a import b, c\nx = c(m.pi)\n"
+    assert unused_imports(source) == ["os", "b"]
+
+
+# __init__.py imports its names to re-export them
+@pytest.mark.parametrize("path", sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py"),
+                         ids=lambda p: p.name)
+def test_no_unused_module_imports(path):
+    assert unused_imports(path.read_text()) == []
