@@ -18,7 +18,7 @@ from pathlib import Path
 from . import experiments, fio
 from .fibered import barcode, restrict, simplify_barcode
 from .functors import grid_align, interpolate, merge_module, simplify
-from .grades import Grade, GridFunction, LineSpec, rat, rat_dec, rat_str
+from .grades import Grade, GridFunction, LineSpec, rat, rat_dec, rat_str, unit_direction
 from .metrics import (
     bottleneck,
     matching_distance,
@@ -61,7 +61,7 @@ def _emit(text: str, out: str | None) -> None:
 def _parse_grade(text: str) -> Grade:
     try:
         return Grade([rat(tok) for tok in text.replace(",", " ").split()])
-    except (ValueError, ZeroDivisionError) as exc:
+    except ValueError as exc:
         raise InputError(f"bad grade {text!r}: {exc}") from exc
 
 
@@ -76,7 +76,7 @@ def _parse_grid(args) -> GridFunction:
                 for axis in args.grid.split(";")
             ]
             return GridFunction(axes)
-        except (ValueError, ZeroDivisionError) as exc:
+        except ValueError as exc:
             raise InputError(f"bad grid {args.grid!r}: {exc}") from exc
     raise InputError("need --grid or --grid-of")
 
@@ -84,21 +84,20 @@ def _parse_grid(args) -> GridFunction:
 def _parse_line(args, n: int) -> LineSpec:
     try:
         direction = [rat(tok) for tok in args.direction.replace(",", " ").split()]
-    except (ValueError, ZeroDivisionError) as exc:
+    except ValueError as exc:
         raise InputError(f"bad direction {args.direction!r}: {exc}") from exc
     if len(direction) != n:
         raise InputError(f"direction needs {n} components")
     if args.through:
         return LineSpec.through(_parse_grade(args.through), direction)
     base = _parse_grade(args.base) if args.base else Grade([0] * n)
-    top = max(direction)
-    return LineSpec([d / top for d in direction], base)
+    return LineSpec(unit_direction(direction), base)
 
 
 def _rational(text: str) -> Fraction:
     try:
         return rat(text)
-    except (ValueError, ZeroDivisionError) as exc:
+    except ValueError as exc:
         raise InputError(f"bad rational {text!r}") from exc
 
 
@@ -282,10 +281,18 @@ def _cmd_experiment(args) -> int:
     return 0 if report.passed else 2
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Reports a bad argument with the usage and exit 1, like any input error."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process and shared by every main call."""
-    top = argparse.ArgumentParser(
+    top = _ArgumentParser(
         prog="multipres",
         description="finitely presented multiparameter persistence modules",
         epilog="identical flags and seed give byte-identical reports",

@@ -1,15 +1,14 @@
 """Text formats: FPRES presentations, BLOCKS, barcodes, witnesses, joints.
 
 All formats are line-based with '#' comments and blank lines ignored, one
-datum per line, rationals as 'num/den' (plain integer when den = 1).
-Parsers report the offending line number; serializers round-trip bit-exact
-through their own grammar.
+datum per line, rationals as grades.rat reads them.  Parsers report the
+offending line; relation columns are checked by Presentation alone, and the
+parsers map its errors to lines.  Serializers round-trip bit-exact.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from .blocks import Block
 from .fibered import Barcode
@@ -34,8 +33,8 @@ def parse_rational(tok: str, lineno: int = 0):
     if tok == "-inf":
         return -INF
     try:
-        return Fraction(tok)
-    except (ValueError, ZeroDivisionError) as exc:
+        return rat(tok)
+    except ValueError as exc:
         raise FormatError(lineno, f"bad rational {tok!r}") from exc
 
 
@@ -61,6 +60,11 @@ class _Cursor:
         item = self.items[self.pos]
         self.pos += 1
         return item
+
+    def end(self) -> None:
+        if self.pos < len(self.items):
+            lineno, toks = self.items[self.pos]
+            raise FormatError(lineno, f"trailing content {' '.join(toks)!r}")
 
 
 # -- FPRES -------------------------------------------------------------------------
@@ -112,12 +116,11 @@ def _header_count(cur: _Cursor, key: str, what: str, least: int = 0, check=None)
     return value
 
 
-def _parse_fpres_block(cur: _Cursor, rel_gen_limit: int | None = None):
-    """One fpres block; relation gen-indices may exceed the local generator
-    count up to rel_gen_limit (used by joint files)."""
-    lineno, toks = _parse_header(cur, "fpres", "'fpres 1' header")
+def _parse_fpres_block(cur: _Cursor):
+    """One fpres block as (header line, n, p, gens, rels, each relation's line), columns unchecked."""
+    start, toks = _parse_header(cur, "fpres", "'fpres 1' header")
     if toks[1:] != ["1"]:
-        raise FormatError(lineno, "unsupported fpres version")
+        raise FormatError(start, "unsupported fpres version")
     p = _header_count(cur, "field", "'field <p>'", check=check_field)
     n = _header_count(cur, "params", "'params <n>'", least=1)
     k = _header_count(cur, "generators", "'generators <k>'")
@@ -129,9 +132,8 @@ def _parse_fpres_block(cur: _Cursor, rel_gen_limit: int | None = None):
         grade = Grade([parse_rational(t, lineno) for t in toks[2:]])
         gens.append(Generator(toks[1], grade))
     m = _header_count(cur, "relations", "'relations <m>'")
-    limit = rel_gen_limit if rel_gen_limit is not None else k
-    rels = []
-    for idx in range(m):
+    rels, lines = [], []
+    for _ in range(m):
         lineno, toks = cur.next("relation line")
         if toks[0] != "r" or ";" not in toks:
             raise FormatError(lineno, "expected 'r <rationals> ; <coeff>:<gen-index> ...'")
@@ -143,37 +145,27 @@ def _parse_fpres_block(cur: _Cursor, rel_gen_limit: int | None = None):
         for ent in toks[sep + 1:]:
             try:
                 c_s, i_s = ent.split(":")
-                c, i = int(c_s), int(i_s)
+                col.append((int(i_s), int(c_s)))
             except ValueError as exc:
                 raise FormatError(lineno, f"bad column entry {ent!r}") from exc
-            if not 0 <= i < limit:
-                raise FormatError(lineno, f"relation {idx}: generator index {i} out of range")
-            if not 0 <= c < p:
-                raise FormatError(lineno, f"relation {idx}: coefficient {c} out of range for F_{p}")
-            if c:
-                col.append((i, c))
-        rels.append((lineno, idx, Relation(grade, tuple(sorted(col)))))
-    return n, p, gens, rels
+        rels.append(Relation(grade, tuple(sorted(col))))
+        lines.append(lineno)
+    return start, n, p, tuple(gens), tuple(rels), lines
+
+
+def _validated(lines: list[int], build, *fields):
+    """build(*fields), with a rejected relation reported at lines[its index]."""
+    try:
+        return build(*fields)
+    except PresentationError as exc:
+        raise FormatError(lines[exc.relation], str(exc)) from None
 
 
 def parse_fpres(text: str) -> Presentation:
     cur = _Cursor(text)
-    n, p, gens, rels = _parse_fpres_block(cur)
-    left = cur.peek()
-    if left is not None:
-        raise FormatError(left[0], f"trailing content {' '.join(left[1])!r}")
-    _check_homogeneous(rels, gens, [g.grade for g in gens])
-    return Presentation(n, p, tuple(gens), tuple(r for _, _, r in rels))
-
-
-def _check_homogeneous(rels, gens, grades) -> None:
-    """Every relation must dominate the given grades of the generators it touches."""
-    for lineno, idx, r in rels:
-        for i, _ in r.col:
-            if i >= len(gens):
-                raise FormatError(lineno, f"relation {idx}: generator index {i} out of range")
-            if not grades[i].leq(r.grade):
-                raise FormatError(lineno, f"relation {idx} lies below generator {gens[i].label!r}")
+    _, n, p, gens, rels, lines = _parse_fpres_block(cur)
+    cur.end()
+    return _validated(lines, Presentation, n, p, gens, rels)
 
 
 # -- joint presentations -------------------------------------------------------------
@@ -196,21 +188,13 @@ def parse_joint(text: str) -> JointPresentation:
         raise FormatError(lineno, "epsilon must be finite")
     if eps < 0:
         raise FormatError(lineno, "epsilon must be nonnegative")
-    unbounded = 1 << 30
-    n1, p1, gens_m, rels_m = _parse_fpres_block(cur, rel_gen_limit=unbounded)
-    n2, p2, gens_n, rels_n = _parse_fpres_block(cur, rel_gen_limit=unbounded)
-    if (n1, p1) != (n2, p2):
-        raise FormatError(1, "joint blocks disagree on field or parameter count")
-    left = cur.peek()
-    if left is not None:
-        raise FormatError(left[0], f"trailing content {' '.join(left[1])!r}")
-    # endpoint validity: r_m at t = 0 (second block up by eps), r_n at t = 1
-    k, gens = len(gens_m), gens_m + gens_n
-    up = [g.grade.translate(eps) for g in gens]
-    _check_homogeneous(rels_m, gens, [g.grade for g in gens_m] + up[k:])
-    _check_homogeneous(rels_n, gens, up[:k] + [g.grade for g in gens_n])
-    return JointPresentation(n1, p1, eps, tuple(gens_m), tuple(gens_n),
-                             tuple(r for _, _, r in rels_m), tuple(r for _, _, r in rels_n))
+    _, n, p, gens_m, rels_m, lines_m = _parse_fpres_block(cur)
+    start, n2, p2, gens_n, rels_n, lines_n = _parse_fpres_block(cur)
+    if (n, p) != (n2, p2):
+        raise FormatError(start, "joint blocks disagree on field or parameter count")
+    cur.end()
+    # the waypoints that validate a joint list r_m before r_n
+    return _validated(lines_m + lines_n, JointPresentation, n, p, eps, gens_m, gens_n, rels_m, rels_n)
 
 
 # -- barcodes ------------------------------------------------------------------------
@@ -318,6 +302,8 @@ def parse_witness(text: str, P: Presentation, Q: Presentation) -> InterleavingWi
                 raise FormatError(lineno, f"bad entry {ent!r}") from exc
             if label not in dst_index:
                 raise FormatError(lineno, f"unknown target generator {label!r}")
+            if (i, dst_index[label]) in store:
+                raise FormatError(lineno, f"repeated entry {toks[0]} {toks[1]} -> {label}")
             store[(i, dst_index[label])] = c
     return InterleavingWitness(
         rat(eps),

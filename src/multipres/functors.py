@@ -318,7 +318,7 @@ class JointPresentation:
         if rat(self.epsilon) < 0:
             raise PresentationError("joint presentation needs eps >= 0")
         for t in (0, 1):
-            interpolate(self, t)  # endpoint homogeneity is the validity test
+            interpolate(self, t)  # the endpoint presentations check every relation column
 
 
 def interpolate(J: JointPresentation, t) -> Presentation:

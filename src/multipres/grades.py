@@ -15,6 +15,7 @@ than up to tolerance.
 from __future__ import annotations
 
 import math
+import re
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -27,10 +28,23 @@ class DimensionMismatch(ValueError):
     """Operands live in grading posets of different dimension."""
 
 
+_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/(0*[1-9][0-9]*))?")
+
+
 def rat(x) -> Fraction:
-    """Coerce ints, strings like '3/4', and Fractions to an exact rational."""
+    """Coerce ints, Fractions and strings '[+-]digits[/digits]' to an exact rational.
+
+    The one string-to-rational conversion: any other string, '1/0' and
+    exponents such as '1e9' included, raises ValueError.
+    """
     if isinstance(x, Fraction):
         return x
+    if isinstance(x, str):
+        m = _RATIONAL.fullmatch(x)
+        if m is None:
+            raise ValueError(f"bad rational {x!r}, expected [+-]digits[/digits]")
+        num, den = m.groups()
+        return Fraction(int(num), int(den)) if den else Fraction(int(num))
     if isinstance(x, float):
         raise TypeError(f"refusing float {x!r}; pass a Fraction, int or 'p/q' string")
     return Fraction(x)
@@ -194,6 +208,15 @@ def grid_from_grades(points: Iterable[Grade]) -> GridFunction:
     return GridFunction([sorted({p.coords[i] for p in pts}) for i in range(n)])
 
 
+def unit_direction(direction: Iterable) -> list[Fraction]:
+    """direction scaled to max component 1; every component must be positive."""
+    d = [rat(c) for c in direction]
+    if not d or any(c <= 0 for c in d):
+        raise ValueError("line direction components must all be positive")
+    top = max(d)
+    return [c / top for c in d]
+
+
 @dataclass(frozen=True)
 class LineSpec:
     """A positively sloped line, l-infinity-isometrically parameterized.
@@ -225,13 +248,9 @@ class LineSpec:
     @classmethod
     def through(cls, point: Grade, direction: Iterable) -> "LineSpec":
         """The normalized line with the given direction passing through point."""
-        d = [rat(c) for c in direction]
+        d = unit_direction(direction)
         if point.n != len(d):
             raise DimensionMismatch(f"point dimension {point.n} != direction dimension {len(d)}")
-        if any(c <= 0 for c in d):
-            raise ValueError("line direction components must all be positive")
-        top = max(d)
-        d = [c / top for c in d]
         t = point.coords[-1] / d[-1]
         base = Grade(c - t * dc for c, dc in zip(point.coords, d))
         return cls(d, base)

@@ -5,6 +5,9 @@ R, standing for the module Free[X] / <R>.  Coefficients live in F_p (default
 p = 2, any prime accepted) and are stored sparsely; grades are exact
 rationals.  Homogeneity means every relation dominates the grades of the
 generators it touches, so the monomial carrying each entry exists.
+Presentation.__post_init__ is the one check of relation columns (index
+range, strictly increasing indices, coefficients in [0, p), homogeneity)
+and drops zero entries; its PresentationError carries the column's index.
 
 The operations here are construction and validation, minimization by
 grade-ordered column reduction with generator/relation cancellation (each
@@ -41,7 +44,11 @@ from .grades import (
 
 
 class PresentationError(ValueError):
-    """Structurally invalid presentation data."""
+    """Structurally invalid presentation data; relation indexes the rejected relation column, if any."""
+
+    def __init__(self, message: str, relation: int | None = None):
+        super().__init__(message)
+        self.relation = relation
 
 
 _PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -88,7 +95,7 @@ class Relation:
     """A homogeneous relation: its grade and a sparse column over generators."""
 
     grade: Grade
-    col: tuple[tuple[int, int], ...]  # (generator index, coefficient mod p), sorted
+    col: tuple[tuple[int, int], ...]  # (generator index, nonzero coefficient mod p), indices increasing
 
     def as_dict(self) -> dict[int, int]:
         return dict(self.col)
@@ -121,19 +128,25 @@ class Presentation:
         for g in self.gens:
             if g.grade.n != self.n:
                 raise PresentationError(f"generator {g.label!r} has dimension {g.grade.n}, expected {self.n}")
+        gens, p, zeros = self.gens, self.p, False
         for k, r in enumerate(self.rels):
             if r.grade.n != self.n:
-                raise PresentationError(f"relation {k} has dimension {r.grade.n}, expected {self.n}")
+                raise PresentationError(f"relation {k} has dimension {r.grade.n}, expected {self.n}", k)
+            last = -1
             for i, c in r.col:
-                if not 0 <= i < len(self.gens):
-                    raise PresentationError(f"relation {k} references generator index {i}")
-                if not 0 < c < self.p:
-                    raise PresentationError(f"relation {k} coefficient {c} out of range for F_{self.p}")
-                if not self.gens[i].grade.leq(r.grade):
-                    raise PresentationError(
-                        f"relation {k} at grade ({r.grade}) lies below generator "
-                        f"{self.gens[i].label!r} at ({self.gens[i].grade})"
-                    )
+                if not 0 <= i < len(gens):
+                    raise PresentationError(f"relation {k} references generator index {i}", k)
+                if i <= last:
+                    raise PresentationError(f"relation {k} names generator {i} twice or out of order", k)
+                if not 0 <= c < p:
+                    raise PresentationError(f"relation {k} coefficient {c} out of range for F_{p}", k)
+                if not gens[i].grade.leq(r.grade):
+                    raise PresentationError(f"relation {k} at grade ({r.grade}) lies below generator "
+                                            f"{gens[i].label!r} at ({gens[i].grade})", k)
+                zeros = zeros or not c
+                last = i
+        if zeros:  # text formats may write entries with coefficient 0: checked above, dropped here
+            object.__setattr__(self, "rels", tuple(Relation(r.grade, make_column(r.col, p)) for r in self.rels))
 
     # -- pointwise linear algebra -------------------------------------------
 

@@ -81,8 +81,10 @@ class TestFpresFormat:
         assert fio.parse_rational("3/4") == F(3, 4)
         assert fio.parse_rational("-7") == -7
         assert fio.parse_rational("inf") == INF
-        with pytest.raises(fio.FormatError):
-            fio.parse_rational("1/0", 3)
+        assert fio.parse_rational("+1/003") == F(1, 3)
+        for bad in ("1/0", "1e3", "0.5", "1/-2", " 1", "1_0"):
+            with pytest.raises(fio.FormatError):
+                fio.parse_rational(bad, 3)
 
 
 class TestOtherFormats:
@@ -115,9 +117,10 @@ class TestOtherFormats:
 
 
 def run_cli(*args):
+    # a hanging input fails its test instead of stalling the suite
     proc = subprocess.run(
         [sys.executable, "-m", "multipres.cli", *args],
-        capture_output=True, text=True,
+        capture_output=True, text=True, timeout=10,
     )
     return proc.returncode, proc.stdout, proc.stderr
 
@@ -168,6 +171,22 @@ class TestCli:
     def test_hilbert(self, files):
         code, out, _ = run_cli("hilbert", str(files / "N.fpres"), "--at", "1 1")
         assert code == 0 and out.strip() == "2"
+        # the grammar is [+-]digits[/digits]: no exponents, no decimals
+        for at in ("1e3 1", "0.5 1", "1/0 1"):
+            code, out, err = run_cli("hilbert", str(files / "N.fpres"), "--at", at)
+            assert code == 1 and not out and "bad grade" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("args", [
+        ("match-dist", "N.fpres", "O.fpres", "--lines", "x"),
+        ("match-dist", "N.fpres"),
+    ])
+    def test_bad_arguments_exit_one_with_usage(self, files, args):
+        code, out, err = run_cli(*(str(files / a) if a.endswith(".fpres") else a for a in args))
+        assert code == 1 and not out and "usage: multipres match-dist" in err
+
+    def test_help_exits_zero(self):
+        code, out, _ = run_cli("match-dist", "--help")
+        assert code == 0 and "usage: multipres match-dist" in out
 
     def test_merge_and_simplify(self, files):
         code, out, _ = run_cli("merge", str(files / "rect.fpres"),
@@ -196,6 +215,14 @@ class TestCli:
         code, out, err = run_cli("restrict", str(files / "rect.fpres"),
                                  "--direction", "1 1", "--through", "1 2 2")
         assert code == 1 and not out and "error:" in err and "Traceback" not in err
+        for direction in ("0 0", "-1 -1"):
+            for cmd in ("restrict", "barcode"):
+                code, out, err = run_cli(cmd, str(files / "rect.fpres"), f"--direction={direction}")
+                assert code == 1 and not out and "must all be positive" in err
+                assert "Traceback" not in err
+        code, out, err = run_cli("restrict", str(files / "rect.fpres"),
+                                 "--direction", "1 1", "--base", "0 1")
+        assert code == 1 and not out and "{x_n = 0}" in err and "Traceback" not in err
 
     def test_match_dist_deterministic(self, files):
         args = ("match-dist", str(files / "N.fpres"), str(files / "O.fpres"),
@@ -229,6 +256,19 @@ class TestCli:
         code, out, _ = run_cli("verify", str(files / "N.fpres"), str(files / "O.fpres"),
                                str(files / "w_bad.txt"))
         assert code == 2 and "reject" in out
+
+    @pytest.mark.parametrize("rows, lineno", [
+        # over F2, 1:a 1:a is a + a = 0, not the identity
+        ("f a -> 1:a 1:a\ng a -> 1:a\n", 2),
+        ("f a -> 1:a\nf a -> 1:a\ng a -> 1:a\n", 3),
+    ])
+    def test_repeated_witness_entry_exits_one_with_line(self, files, rows, lineno):
+        (files / "point.fpres").write_text(fio.serialize_fpres(free([g(0, 0)], labels=["a"])))
+        path = files / f"repeated{lineno}.txt"
+        path.write_text("witness 0\n" + rows)
+        code, out, err = run_cli("verify", str(files / "point.fpres"), str(files / "point.fpres"),
+                                 str(path))
+        assert code == 1 and not out and f"line {lineno}:" in err and "Traceback" not in err
 
     def test_lower_bound(self, files):
         code, out, _ = run_cli("lower-bound", str(files / "rect.fpres"),
@@ -296,6 +336,13 @@ class TestCli:
         ("fpres 1\nfield 2\nparams 2\ngenerators 0\nrelations -1\n", 5),
         ("fpres 1\nfield 4\nparams 2\ngenerators 0\nrelations 0\n", 2),
         ("fpres 1\nfield 2\n\n# no axes\nparams 0\ngenerators 0\nrelations 0\n", 5),
+        # over F2, 1:0 1:0 is a + a = 0, not a = 0
+        ("fpres 1\nfield 2\nparams 2\ngenerators 1\ng a 0 0\nrelations 2\n"
+         "r 1 1 ;\nr 1 1 ; 1:0 1:0\n", 8),
+        ("fpres 1\nfield 2\nparams 2\ngenerators 1\ng a 1e100000000 0\nrelations 0\n", 5),
+        ("fpres 1\nfield 2\nparams 2\ngenerators 1\ng a 0 0\nrelations 1\nr 1 1 ; 1:1\n", 7),
+        ("fpres 1\nfield 2\nparams 2\ngenerators 1\ng a 0 0\nrelations 1\nr 1 1 ; 3:0\n", 7),
+        ("fpres 1\nfield 2\nparams 2\ngenerators 1\ng a 0 0\nrelations 1\nr 1 1 ; 0:7\n", 7),
     ])
     def test_bad_header_value_exits_one_with_line(self, files, header, lineno):
         path = files / f"header{lineno}.fpres"
@@ -313,6 +360,10 @@ class TestCli:
         ("fpres 1\nfield 4\nparams 1\ngenerators 0\nrelations 0\n", 9),
         # at t = 1 the first block's generator sits at 1, above the relation
         ("fpres 1\nfield 2\nparams 1\ngenerators 0\nrelations 1\nr 0 ; 1:0\n", 13),
+        # blocks that disagree on field or params: the second block's header line
+        ("fpres 1\nfield 3\nparams 1\ngenerators 0\nrelations 0\n", 8),
+        ("fpres 1\nfield 2\nparams 2\ngenerators 0\nrelations 0\n", 8),
+        ("fpres 1\nfield 2\nparams 1\ngenerators 0\nrelations 1\nr 2 ; 1:0 1:0\n", 13),
     ])
     def test_bad_joint_exits_one_with_line(self, files, second, lineno):
         path = files / f"bad{lineno}.joint"

@@ -86,6 +86,20 @@ class TestConstruct:
         with pytest.raises(PresentationError):
             Presentation(2, 2, (Generator("a", g(1, 1)),), (Relation(g(0, 0), ((0, 1),)),))
 
+    def test_rejected_column_carries_its_index(self):
+        a = (Generator("a", g(0, 0)),)
+        for col in (((0, 1), (0, 1)), ((1, 1),), ((0, 2),)):
+            with pytest.raises(PresentationError) as err:
+                Presentation(2, 2, a, (Relation(g(1, 1), ()), Relation(g(1, 1), col)))
+            assert err.value.relation == 1
+
+    def test_zero_entries_checked_then_dropped(self):
+        a = (Generator("a", g(0, 0)), Generator("b", g(0, 0)))
+        P = Presentation(2, 2, a, (Relation(g(1, 1), ((0, 0), (1, 1))),))
+        assert P.rels == (Relation(g(1, 1), ((1, 1),)),)
+        with pytest.raises(PresentationError):
+            Presentation(2, 2, a, (Relation(g(1, 1), ((2, 0),)),))
+
     def test_construct_dispatch(self):
         P = construct("free", grades=[g(0, 0)])
         assert len(P.gens) == 1
