@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .grades import Grade, rat, rat_str
-from .metrics import _saturates, min_max_assignment
+from .metrics import min_max_assignment, saturates
 from .presentation import Generator, Presentation, PresentationError, Relation, direct_sum
 
 INF = math.inf
@@ -188,7 +188,7 @@ def matched_pairs_witness_entries(A: list[Block], B: list[Block], eps):
                     + ([k + i] if rx.radius() <= eps else []))
     slots = list(range(k, k + m))
     rows += [([j] if r.radius() <= eps else []) + slots for j, r in enumerate(rects)]
-    match = _saturates(rows, m + k, [len(row) for row in rows], range(m + k))
+    match = saturates(rows, m + k, [len(row) for row in rows], range(m + k))
     if match is None:
         return None
     pairs = [(match[j], j) for j in range(k) if match[j] < m]

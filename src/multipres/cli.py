@@ -281,6 +281,21 @@ def _cmd_experiment(args) -> int:
     return 0 if report.passed else 2
 
 
+def _count(least: int = 0):
+    """argparse type for an integer count of at least least."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid count {text!r}") from None
+        if value < least:
+            raise argparse.ArgumentTypeError(f"count {value} is below {least}")
+        return value
+
+    return parse
+
+
 class _ArgumentParser(argparse.ArgumentParser):
     """Reports a bad argument with the usage and exit 1, like any input error."""
 
@@ -346,10 +361,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("match-dist", help="sampled matching distance")
     p.add_argument("module")
     p.add_argument("other")
-    p.add_argument("--lines", type=int, default=64, help="slope count of the sampling grid")
-    p.add_argument("--adaptive", type=int, default=0, help="refinement rounds")
+    p.add_argument("--lines", type=_count(), default=64, help="slope count of the sampling grid")
+    p.add_argument("--adaptive", type=_count(), default=0, help="refinement rounds")
     p.add_argument("--seed", type=int, help="seed for jittered extra lines")
-    p.add_argument("--extra", type=int, default=0, help="jittered lines to append")
+    p.add_argument("--extra", type=_count(), default=0, help="jittered lines to append")
     p.add_argument("--emit-argmax", action="store_true")
     p.add_argument("--format", choices=["text", "tabular"], default="text")
     p.set_defaults(func=_cmd_match_dist)
@@ -384,7 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("path-length", help="summed matching distance over waypoints")
     p.add_argument("modules", nargs="+")
-    p.add_argument("--lines", type=int, default=16,
+    p.add_argument("--lines", type=_count(), default=16,
                    help="slope count of the sampling grid for each pair of waypoints")
     p.add_argument("--format", choices=["text", "tabular"], default="text")
     p.set_defaults(func=_cmd_path_length)
@@ -403,9 +418,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("experiment", help="built-in experiment harnesses")
     p.add_argument("experiment", choices=["example31", "local-equiv", "sandwich"])
     p.add_argument("--seed", type=int)
-    p.add_argument("--lines", type=int,
+    p.add_argument("--lines", type=_count(),
                    help="example31: minimum number of sampled lines (default 500)")
-    p.add_argument("--instances", type=int, default=5)
+    p.add_argument("--instances", type=_count(1), default=5)
     p.set_defaults(func=_cmd_experiment)
 
     return top

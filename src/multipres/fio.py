@@ -1,7 +1,9 @@
 """Text formats: FPRES presentations, BLOCKS, barcodes, witnesses, joints.
 
 All formats are line-based with '#' comments and blank lines ignored, one
-datum per line, rationals as grades.rat reads them.  Parsers report the
+datum per line, rationals as grades.rat reads them; 'inf' is read only where
+a format takes an infinite upper end (bar deaths, block endpoints, which
+Block then rejects at their line).  Parsers report the
 offending line; relation columns are checked by Presentation alone, and the
 parsers map its errors to lines.  Serializers round-trip bit-exact.
 """
@@ -28,14 +30,16 @@ class FormatError(ValueError):
 
 
 def parse_rational(tok: str, lineno: int = 0):
-    if tok == "inf":
-        return INF
-    if tok == "-inf":
-        return -INF
+    """A finite exact rational, as grades.rat reads it."""
     try:
         return rat(tok)
     except ValueError as exc:
         raise FormatError(lineno, f"bad rational {tok!r}") from exc
+
+
+def parse_bound(tok: str, lineno: int = 0):
+    """A rational or 'inf', for the fields whose format takes an infinite upper end."""
+    return INF if tok == "inf" else parse_rational(tok, lineno)
 
 
 def _lines(text: str):
@@ -184,8 +188,6 @@ def parse_joint(text: str) -> JointPresentation:
     cur = _Cursor(text)
     lineno, tok = _header_value(cur, "epsilon", "'epsilon <rational>' header")
     eps = parse_rational(tok, lineno)
-    if eps in (INF, -INF):
-        raise FormatError(lineno, "epsilon must be finite")
     if eps < 0:
         raise FormatError(lineno, "epsilon must be nonnegative")
     _, n, p, gens_m, rels_m, lines_m = _parse_fpres_block(cur)
@@ -213,13 +215,11 @@ def parse_barcode(text: str) -> Barcode:
         if toks[0] != "bar" or len(toks) != 4:
             raise FormatError(lineno, "expected 'bar <birth> <death|inf> <multiplicity>'")
         b = parse_rational(toks[1], lineno)
-        d = parse_rational(toks[2], lineno)
+        d = parse_bound(toks[2], lineno)
         try:
             m = int(toks[3])
         except ValueError as exc:
             raise FormatError(lineno, f"bad multiplicity {toks[3]!r}") from exc
-        if b == INF or b == -INF or d == -INF:
-            raise FormatError(lineno, "births must be finite and deaths above -inf")
         if d != INF and d < b:
             raise FormatError(lineno, "bar dies before it is born")
         if m < 0:
@@ -247,7 +247,7 @@ def parse_blocks(text: str) -> list[Block]:
         if toks[0] != "blk" or len(toks) != 4:
             raise FormatError(lineno, "expected 'blk <kind> <a> <b|inf>'")
         a = parse_rational(toks[2], lineno)
-        b = parse_rational(toks[3], lineno)
+        b = parse_bound(toks[3], lineno)
         try:
             out.append(Block(toks[1], a, b))
         except ValueError as exc:
@@ -282,8 +282,6 @@ def parse_witness(text: str, P: Presentation, Q: Presentation) -> InterleavingWi
     cur = _Cursor(text)
     lineno, tok = _header_value(cur, "witness", "'witness <epsilon>' header")
     eps = parse_rational(tok, lineno)
-    if eps in (INF, -INF):
-        raise FormatError(lineno, "witness epsilon must be finite")
     f: dict[tuple[int, int], int] = {}
     g: dict[tuple[int, int], int] = {}
     while cur.peek() is not None:
@@ -306,7 +304,7 @@ def parse_witness(text: str, P: Presentation, Q: Presentation) -> InterleavingWi
                 raise FormatError(lineno, f"repeated entry {toks[0]} {toks[1]} -> {label}")
             store[(i, dst_index[label])] = c
     return InterleavingWitness(
-        rat(eps),
+        eps,
         tuple((i, j, c) for (i, j), c in sorted(f.items())),
         tuple((i, j, c) for (i, j), c in sorted(g.items())),
     )

@@ -32,9 +32,9 @@ from .presentation import (
     PresentationError,
     Relation,
     ScaledModule,
-    _leq,
     bits,
     common_scale,
+    leq,
     make_column,
 )
 
@@ -175,7 +175,7 @@ def _image_relations(P: Presentation, e: Fraction) -> list[tuple[Grade, dict[int
         have = [
             {row_of[i]: c for i, c in col.items()}
             for t, (_, col) in zip(out_grades, out)
-            if _leq(t, s)
+            if leq(t, s)
         ]
         known = kernels.echelonize(have, P.p)
         for col in pure:

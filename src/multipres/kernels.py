@@ -5,7 +5,9 @@ standard left-to-right scheme with max-index pivots, which serves three
 masters: persistence pairing (pivot row = paired row), rank computation
 (count of nonzero pivots) and span membership (residual after reducing
 against an echelon basis).  Over F_2, reduce_pivots reads a column's rows as
-the bits of a Python int and adds columns by XOR.
+the bits of a Python int and adds columns by XOR.  EchelonStack is an echelon
+basis grown column by column that can be cut back to any prefix, for sweeps
+whose spans share long prefixes.
 """
 
 from __future__ import annotations
@@ -85,3 +87,42 @@ def rank(columns, p):
 def residual(vector, basis, p):
     """Reduce a vector against an echelon basis; {} means it lies in the span."""
     return _residual_dict(dict(vector), dict(basis), p)
+
+
+class EchelonStack:
+    """The echelon basis of a list of columns that grows and shrinks at its end.
+
+    pivots is, after any sequence of push and truncate, the pivot map that
+    echelonize builds from the columns pushed and not cut off, in their
+    order: each push reduces its column against the pivots already there
+    and records the pivot row it added (None for a column in their span),
+    so truncate only deletes the rows that the pushes it cuts added.  keys holds the
+    caller's name for each column, so a caller can find the longest prefix
+    it shares with the next list it needs.
+    """
+
+    def __init__(self, p: int):
+        self.p = p
+        self.keys: list = []
+        self.pivots: dict[int, dict[int, int]] = {}
+        self._lows: list[int | None] = []
+
+    def push(self, key, column) -> None:
+        c = _residual_dict(dict(column), self.pivots, self.p)
+        low = max(c) if c else None
+        if c:
+            self.pivots[low] = c
+        self.keys.append(key)
+        self._lows.append(low)
+
+    def truncate(self, size: int) -> None:
+        """Cut the stack back to its first size columns."""
+        while len(self.keys) > size:
+            self.keys.pop()
+            low = self._lows.pop()
+            if low is not None:
+                del self.pivots[low]
+
+    def residual(self, vector) -> dict[int, int]:
+        """residual(vector, echelonize(columns), p) for the columns on the stack."""
+        return _residual_dict(dict(vector), self.pivots, self.p)

@@ -38,9 +38,9 @@ from .presentation import (
     Presentation,
     PresentationError,
     ScaledModule,
-    _leq,
     betti_and_grid,
     common_scale,
+    leq,
     minimal_elements,
     scale_grade,
 )
@@ -51,7 +51,7 @@ INF = math.inf
 # -- min-max assignment with deletions ------------------------------------------
 
 
-def _saturates(rows, size: int, limits, must) -> list[int] | None:
+def saturates(rows, size: int, limits, must) -> list[int] | None:
     """A matching that covers every left vertex in must, or None if none does.
 
     rows[u] lists u's right neighbours by increasing cost and limits[u] is how
@@ -131,7 +131,7 @@ class _Assignment:
     def feasible(self, c) -> bool:
         for dels, orders, costs, width in self.sides:
             must = [i for i, d in enumerate(dels) if d > c]
-            if _saturates(orders, width, {i: bisect_right(costs[i], c) for i in must}, must) is None:
+            if saturates(orders, width, {i: bisect_right(costs[i], c) for i in must}, must) is None:
                 return False
         return True
 
@@ -492,7 +492,7 @@ def verify_interleaving(P: Presentation, Q: Presentation, w: InterleavingWitness
                 return VerifyReport(False, eps, f"{name} entry ({i},{j}) out of range")
             if not 0 < c < P.p:
                 return VerifyReport(False, eps, f"{name} coefficient {c} out of range")
-            if not _leq(vd.gens[j], up(vs.gens[i], 1)):
+            if not leq(vd.gens[j], up(vs.gens[i], 1)):
                 return VerifyReport(
                     False, eps,
                     f"{name} entry {src.gens[i].label} -> {dst.gens[j].label} violates grades",

@@ -297,31 +297,50 @@ def direct_sum(P: Presentation, Q: Presentation) -> Presentation:
 # -- minimization ---------------------------------------------------------------
 
 
-def _reduction_pass(rels, below, p):
+def _reduction_pass(rels, below, dirty, p):
     """One grade-ordered reduction sweep over (input index, column) pairs.
 
-    Each relation k is reduced against the already-kept relations of
-    dominated grade, the bits of below[k], which are the only ones that may
-    act on it through monomial-shifted column ops.  Dependent relations are
-    dropped, so the kept list keeps the visiting order.
+    Each relation k in dirty is reduced against the already-kept relations
+    of dominated grade, the bits of below[k], which are the only ones that
+    may act on it through monomial-shifted column ops; the others keep their
+    column.  Dependent relations are dropped, so the kept list keeps the
+    visiting order.  One EchelonStack serves the pass: for each relation it
+    is cut back to the longest prefix its kept-below list shares with the
+    last one's and then extended, which gives the basis echelonize would
+    build from that list.
     """
     kept: list[tuple[int, dict[int, int]]] = []
+    stack = kernels.EchelonStack(p)
     for k, col in rels:
-        mask = below[k]
-        basis = kernels.echelonize([c for j, c in kept if mask >> j & 1], p)
-        res = kernels.residual(col, basis, p)
-        if res:
-            kept.append((k, res))
+        if k in dirty:
+            mask = below[k]
+            want = [(j, c) for j, c in kept if mask >> j & 1]
+            size = 0
+            for key, (j, _) in zip(stack.keys, want):
+                if key != j:
+                    break
+                size += 1
+            stack.truncate(size)
+            for j, c in want[size:]:
+                stack.push(j, c)
+            col = stack.residual(col)
+            if not col:
+                continue
+        kept.append((k, col))
     return kept
 
 
 def _cancel(rels, j, b, p):
-    """Remove relation j and generator b, substituting b's expression everywhere."""
+    """Remove relation j and generator b, substituting b's expression everywhere.
+
+    Returns the new relation list and the input indices of the relations it
+    rewrote, those with an entry on b.  None of them comes before j.
+    """
     col = rels[j][1]
     cinv = pow(col[b], p - 2, p)
     rest = {i: v for i, v in col.items() if i != b}
-    out = []
-    for k, col2 in rels[:j] + rels[j + 1:]:
+    out, rewritten = rels[:j], set()
+    for k, col2 in rels[j + 1:]:
         d = col2.get(b)
         if d is not None:
             col2 = {i: v for i, v in col2.items() if i != b}
@@ -331,8 +350,9 @@ def _cancel(rels, j, b, p):
                     col2[i] = w
                 else:
                     col2.pop(i, None)
+            rewritten.add(k)
         out.append((k, col2))
-    return out
+    return out, rewritten
 
 
 def minimize(P: Presentation) -> Presentation:
@@ -345,20 +365,42 @@ def minimize(P: Presentation) -> Presentation:
     relations are sorted once by (scaled grade, input index), an order that
     dropping and cancelling keep, and the ones below each are read off its
     Below index.  Columns keep the input generator indices until the output.
+
+    Each pass after the first does only what the last cancellation changed,
+    with the same output as a full pass:
+
+    - Only the relations the cancellation rewrote are reduced again.  A
+      relation k it did not touch holds a residual of the last pass: its top
+      row is not a pivot row of the span of the relations kept below it, and
+      the pivot rows of an echelon basis depend on the span alone.  Its new
+      kept-below span lies inside the old one, by induction along the
+      sweep: a rewritten relation r below k differs from its old residual
+      by a multiple of the cancelled relation j and by relations kept below
+      r, and r holds the cancelled generator b, so grade(r) >= grade(b) =
+      grade(j): j was kept below r, hence below k.  So reducing k again
+      would return its column unchanged.
+    - The next search for a cancellation starts at j's position.  The
+      relations before it are unchanged, and none of them holds b: one that
+      did would have j's grade and so a unit on b, an earlier hit.
+    - The pass keeps one echelon basis, cut back and extended per relation
+      (_reduction_pass); the same columns in the same order give the same
+      pivot map, so the residuals are those of a basis built from scratch.
     """
     M = P._scaled
     below = [M.rels_below(g) for g, _ in M.rels]
     rels = [(k, M.rels[k][1]) for k in sorted(range(len(M.rels)), key=lambda k: (M.rels[k][0], k))]
     cancelled = set()
+    dirty, start = set(range(len(M.rels))), 0
     while True:
-        rels = _reduction_pass(rels, below, P.p)
+        rels = _reduction_pass(rels, below, dirty, P.p)
         # the first relation with a unit pivot on a generator of its own grade
-        hit = next(((j, i) for j, (k, col) in enumerate(rels) for i in sorted(col)
-                    if M.gens[i] == M.rels[k][0]), None)
+        hit = next(((j, i) for j in range(start, len(rels)) for i in sorted(rels[j][1])
+                    if M.gens[i] == M.rels[rels[j][0]][0]), None)
         if hit is None:
             break
-        rels = _cancel(rels, *hit, P.p)
-        cancelled.add(hit[1])
+        start, b = hit
+        rels, dirty = _cancel(rels, start, b, P.p)
+        cancelled.add(b)
     live = [i for i in range(len(P.gens)) if i not in cancelled]
     index = {i: k for k, i in enumerate(live)}
     return Presentation(P.n, P.p, tuple(P.gens[i] for i in live), tuple(
@@ -393,7 +435,8 @@ def scale_grade(a: Grade, scale: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _leq(a, b) -> bool:
+def leq(a, b) -> bool:
+    """a <= b in every coordinate, on integer grade tuples."""
     return all(map(operator.le, a, b))
 
 
@@ -406,7 +449,7 @@ def minimal_elements(points) -> list[tuple[int, int]]:
     """The minimal elements of a set of 2-d points, by increasing x (so decreasing y)."""
     out: list[tuple[int, int]] = []
     for q in sorted(set(points)):
-        if not any(_leq(o, q) for o in out):
+        if not any(leq(o, q) for o in out):
             out.append(q)
     return out
 
@@ -433,7 +476,7 @@ def staircase_fences(births, deaths):
     D = minimal_elements(deaths)
 
     def dead(q) -> bool:
-        return any(_leq(d, q) for d in D)
+        return any(leq(d, q) for d in D)
 
     B = [b for b in minimal_elements(births) if not dead(b)]
     if not B:
@@ -445,7 +488,7 @@ def staircase_fences(births, deaths):
         return DISCONNECTED
 
     def reached(c) -> bool:
-        return any(_leq(b, _just_below(c)) for b in B)
+        return any(leq(b, _just_below(c)) for b in B)
 
     tops = [c for c in ((D[i + 1][0], D[i][1]) for i in range(len(D) - 1)) if reached(c)]
     meets = [(tops[i][0], tops[i + 1][1]) for i in range(len(tops) - 1)]
@@ -573,7 +616,7 @@ class ScaledModule:
             glue += [{i + k * n: c for i, c in col.items()} for col in self.rels_leq(_just_below(top))]
         for k, m in enumerate(meets):
             glue += [{i + k * n: 1, i + (k + 1) * n: p - 1} for i in self.gens_leq(_just_below(m))]
-        k0 = next(k for k, top in enumerate(tops) if _leq(B[0], _just_below(top)))
+        k0 = next(k for k, top in enumerate(tops) if leq(B[0], _just_below(top)))
         image = [{i + k0 * n: c for i, c in v.items()} for v in T]
         return _rank_over(kernels.echelonize(glue, p), image, p)
 

@@ -80,11 +80,15 @@ class TestFpresFormat:
     def test_rational_grammar(self):
         assert fio.parse_rational("3/4") == F(3, 4)
         assert fio.parse_rational("-7") == -7
-        assert fio.parse_rational("inf") == INF
         assert fio.parse_rational("+1/003") == F(1, 3)
-        for bad in ("1/0", "1e3", "0.5", "1/-2", " 1", "1_0"):
+        for bad in ("1/0", "1e3", "0.5", "1/-2", " 1", "1_0", "inf", "-inf"):
             with pytest.raises(fio.FormatError):
                 fio.parse_rational(bad, 3)
+        # only the fields that take an infinite upper end read 'inf'
+        assert fio.parse_bound("inf") == INF
+        assert fio.parse_bound("-3/4") == F(-3, 4)
+        with pytest.raises(fio.FormatError):
+            fio.parse_bound("-inf", 3)
 
 
 class TestOtherFormats:
@@ -183,6 +187,21 @@ class TestCli:
     def test_bad_arguments_exit_one_with_usage(self, files, args):
         code, out, err = run_cli(*(str(files / a) if a.endswith(".fpres") else a for a in args))
         assert code == 1 and not out and "usage: multipres match-dist" in err
+
+    @pytest.mark.parametrize("args", [
+        ("match-dist", "N.fpres", "O.fpres", "--lines", "-3"),
+        ("match-dist", "N.fpres", "O.fpres", "--adaptive", "-1"),
+        ("match-dist", "N.fpres", "O.fpres", "--seed", "1", "--extra", "-5"),
+        ("path-length", "N.fpres", "O.fpres", "--lines", "-1"),
+        ("experiment", "example31", "--lines", "-1"),
+        ("experiment", "local-equiv", "--instances", "-2"),
+        ("experiment", "local-equiv", "--instances", "0"),
+    ])
+    def test_negative_count_exits_one_with_usage(self, files, args):
+        code, out, err = run_cli(*(str(files / a) if a.endswith(".fpres") else a for a in args))
+        option = next(a for a in reversed(args) if a.startswith("--"))
+        assert code == 1 and not out and f"usage: multipres {args[0]}" in err
+        assert f"argument {option}: count" in err and "Traceback" not in err
 
     def test_help_exits_zero(self):
         code, out, _ = run_cli("match-dist", "--help")
@@ -343,6 +362,9 @@ class TestCli:
         ("fpres 1\nfield 2\nparams 2\ngenerators 1\ng a 0 0\nrelations 1\nr 1 1 ; 1:1\n", 7),
         ("fpres 1\nfield 2\nparams 2\ngenerators 1\ng a 0 0\nrelations 1\nr 1 1 ; 3:0\n", 7),
         ("fpres 1\nfield 2\nparams 2\ngenerators 1\ng a 0 0\nrelations 1\nr 1 1 ; 0:7\n", 7),
+        # grades are finite rationals
+        ("fpres 1\nfield 2\nparams 2\ngenerators 1\ng a inf 0\nrelations 0\n", 5),
+        ("fpres 1\nfield 2\nparams 2\ngenerators 1\ng a 0 0\nrelations 1\nr 1 -inf ; 1:0\n", 7),
     ])
     def test_bad_header_value_exits_one_with_line(self, files, header, lineno):
         path = files / f"header{lineno}.fpres"

@@ -109,3 +109,26 @@ def test_membership_large_prime():
     basis = kernels.echelonize([{0: 1, 1: p - 1}, {1: 5}], p)
     assert not kernels.residual({0: 3}, basis, p)
     assert kernels.residual({2: 1}, basis, p)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_echelon_stack_matches_echelonize_of_its_prefix(p):
+    rng = random.Random(107)
+    for _ in range(20):
+        nrows = rng.randint(1, 14)
+        pool = dependent_columns(rng, nrows, 30, p)
+        stack, prefix = kernels.EchelonStack(p), []
+        for step in range(60):
+            if prefix and rng.random() < 0.3:
+                size = rng.randrange(len(prefix) + 1)
+                stack.truncate(size)
+                del prefix[size:]
+            else:
+                k = rng.randrange(len(pool))
+                stack.push(k, pool[k])
+                prefix.append(k)
+            assert stack.keys == prefix
+            basis = kernels.echelonize([pool[k] for k in prefix], p)
+            assert list(stack.pivots.items()) == basis
+            vec = rng.choice(pool + random_columns(rng, nrows, 1, p))
+            assert stack.residual(vec) == kernels.residual(vec, basis, p)

@@ -223,6 +223,21 @@ class TestMinimize:
                 for Q in (P, E, simplify(E, 2, minimized=False), simplify(P, F(3, 2), minimized=False)):
                     assert minimize(Q) == minimize_by_scan(Q)
 
+    def test_output_equals_scan_reference_with_a_pair_per_generator(self):
+        # many cancellations per call, each cancelled generator held by
+        # several later relations, and relations tied at one grade
+        rng = random.Random(31)
+        cancelled = 0
+        for p in (2, 3, 5, 7):
+            for _ in range(8):
+                P = random_module(rng, p=p, summands=rng.randint(3, 6))
+                for Q in (pair_every_generator(P, rng), pair_every_generator(entangle(P, rng), rng)):
+                    M = minimize(Q)
+                    assert M == minimize_by_scan(Q)
+                    assert len(M.gens) == len(minimize(P).gens)
+                    cancelled += len(Q.gens) - len(M.gens)
+        assert cancelled >= 400, cancelled
+
     def test_no_equal_grade_unit_pair_left(self):
         rng = random.Random(23)
         for _ in range(20):
@@ -418,6 +433,38 @@ def entangle(P, rng):
     if extra:
         rels.append(Relation(r1.grade.join(r2.grade).plus([1, 0]), extra))
     return Presentation(2, p, P.gens + (Generator("z", a),), tuple(rels))
+
+
+def pair_every_generator(P, rng):
+    """A shuffled non-minimal presentation of P with one trivial pair per generator.
+
+    For each generator of P a new generator z is added at a relation grade of
+    P or just above the generator, with the relation z + (some generators
+    below it) at z's grade.  That relation is added to about half of the
+    relations above it, the earlier pairs' relations included, so a
+    cancellation of z rewrites several later relations.
+    """
+    p = P.p
+    gens = [x.grade for x in P.gens]
+    rels = [(r.grade, r.as_dict()) for r in P.rels]
+    for i in range(len(P.gens)):
+        at = rng.choice([gens[i].plus([rng.randint(0, 2), rng.randint(0, 2)])] + [a for a, _ in rels])
+        pair = {len(gens): 1}
+        for j, b in enumerate(gens):
+            if b.leq(at) and rng.random() < 0.5:
+                pair[j] = rng.randint(1, p - 1)
+        gens.append(at)
+        for k, (a, col) in enumerate(rels):
+            if at.leq(a) and rng.random() < 0.5:
+                d = rng.randint(1, p - 1)
+                rels[k] = (a, dict(make_column(list(col.items()) + [(j, d * c) for j, c in pair.items()], p)))
+        rels.append((at, pair))
+    order = list(range(len(gens)))
+    rng.shuffle(order)
+    new = {old: k for k, old in enumerate(order)}
+    rng.shuffle(rels)
+    return Presentation(P.n, p, tuple(Generator(f"g{k}", gens[old]) for k, old in enumerate(order)), tuple(
+        Relation(a, make_column({new[i]: c for i, c in col.items()}, p)) for a, col in rels))
 
 
 class TestIntervalRank:

@@ -27,6 +27,38 @@ def unused_imports(source: str) -> list[str]:
     return [name for name in bound if name not in read]
 
 
+def foreign_private_names(source: str) -> list[str]:
+    """Underscore names of other modules that a module imports or reads.
+
+    Flags `from m import _name` and `m._name` where m is a name bound by an
+    import; dunder names are not private.  A module's own underscore names
+    are its business.
+    """
+    def private(name: str) -> bool:
+        return name.startswith("_") and not name.endswith("__")
+
+    tree = ast.parse(source)
+    modules, found = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules |= {a.asname or a.name.split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            found += [a.name for a in node.names if private(a.name)]
+            if node.module is None:  # from . import kernels binds modules
+                modules |= {a.asname or a.name for a in node.names}
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in modules and private(node.attr)):
+            found.append(f"{node.value.id}.{node.attr}")
+    return found
+
+
+def test_foreign_private_name_is_found():
+    source = ("from . import kernels\nimport os\nfrom .metrics import _saturates, rank\n"
+              "def f(self):\n    return kernels._residual_dict, os.__name__, self._x, _own\n")
+    assert foreign_private_names(source) == ["_saturates", "kernels._residual_dict"]
+
+
 def test_unused_import_is_found():
     source = "from __future__ import annotations\nimport os.path\nimport math as m\nfrom a import b, c\nx = c(m.pi)\n"
     assert unused_imports(source) == ["os", "b"]
@@ -37,3 +69,8 @@ def test_unused_import_is_found():
                          ids=lambda p: p.name)
 def test_no_unused_module_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_foreign_private_names(path):
+    assert foreign_private_names(path.read_text()) == []
