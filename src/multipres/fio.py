@@ -1,10 +1,10 @@
 """Text formats: FPRES presentations, BLOCKS, barcodes, witnesses, joints.
 
 All formats are line-based with '#' comments and blank lines ignored, one
-datum per line, rationals as grades.rat reads them; 'inf' is read only where
-a format takes an infinite upper end (bar deaths, block endpoints, which
-Block then rejects at their line).  Parsers report the
-offending line; relation columns are checked by Presentation alone, and the
+datum per line, rationals as grades.rat reads them; 'inf' is read only for
+bar deaths, the one field whose format takes an infinite upper end (block
+endpoints are finite, as Block requires).  Parsers report the offending
+line; relation columns are checked by Presentation alone, and the
 parsers map its errors to lines.  Serializers round-trip bit-exact.
 """
 
@@ -38,7 +38,7 @@ def parse_rational(tok: str, lineno: int = 0):
 
 
 def parse_bound(tok: str, lineno: int = 0):
-    """A rational or 'inf', for the fields whose format takes an infinite upper end."""
+    """A rational or 'inf', for a bar's death, the one field whose format takes an infinite upper end."""
     return INF if tok == "inf" else parse_rational(tok, lineno)
 
 
@@ -245,9 +245,9 @@ def parse_blocks(text: str) -> list[Block]:
     while cur.peek() is not None:
         lineno, toks = cur.next("block line")
         if toks[0] != "blk" or len(toks) != 4:
-            raise FormatError(lineno, "expected 'blk <kind> <a> <b|inf>'")
+            raise FormatError(lineno, "expected 'blk <kind> <a> <b>'")
         a = parse_rational(toks[2], lineno)
-        b = parse_bound(toks[3], lineno)
+        b = parse_rational(toks[3], lineno)
         try:
             out.append(Block(toks[1], a, b))
         except ValueError as exc:

@@ -1,11 +1,14 @@
 """Distances, interleaving checks and the local-equivalence experiment.
 
 The exact bottleneck distance between barcodes is a min-max assignment with
-deletions (infinite bars may only match infinite bars).  One routine solves
-it in doubled integer units, where a matched pair costs 2 * l-infinity and
-a deletion d - b: it builds the cost matrix once, tests feasibility at a
-threshold by augmenting paths (a greedy pass, then an explicit stack), and
-binary-searches the finite candidate costs.
+deletions (infinite bars may only match infinite bars).  It is solved in
+doubled integer units, where a matched pair costs 2 * l-infinity and a
+deletion d - b, testing feasibility at a threshold by augmenting paths (a
+greedy pass, then an explicit stack).  A probe finds each bar's neighbours
+by bisecting the other side's births, which are sorted once, and builds no
+cost matrix; the exact distance bisects the integer thresholds with the
+same probe.  min_max_assignment, for block barcodes, sorts a full cost
+matrix instead and binary-searches its finite candidate costs.
 
 The matching distance is approximated from below by sampling weighted
 lines, always including the slope-1 lines through every Betti-grid point of
@@ -24,7 +27,7 @@ raise the maximum and is skipped.  Only the reported value becomes a Fraction ag
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -165,8 +168,14 @@ class _Bars:
     Costs are 2 * l-infinity and a finite bar's deletion is d - b, so every
     candidate is an integer.  Infinite bars must match infinite bars, which
     on the line is optimal in sorted order and gives the lower bound low
-    (INF when their counts differ); finite bars go through _Assignment, whose
-    matrices are built once for a probe and the search after it.
+    (INF when their counts differ).  Each side's finite bars are sorted by
+    birth once.  A probe at c tests the two conditions of _Assignment
+    without a cost matrix: on each side, the bars with deletion > c must all
+    be matched, and a bar's neighbours are the other side's bars whose birth
+    and death both lie within c // 2 of its own, found by bisecting that
+    side's births (after Kerber, Morozov and Nigmetov, "Geometry helps to
+    compare persistence diagrams", JEA 2017).  Feasibility is monotone in
+    c, so least_above bisects the integers with the same probe.
     """
 
     def __init__(self, xs, ys):
@@ -175,21 +184,43 @@ class _Bars:
         self.low = INF
         if len(inf1) == len(inf2):
             self.low = max((2 * abs(u - v) for u, v in zip(inf1, inf2)), default=0)
-            fin1 = [bar for bar in xs if bar[1] != INF]
-            fin2 = [bar for bar in ys if bar[1] != INF]
-            cost = [[2 * max(abs(b1 - b2), abs(d1 - d2)) for b2, d2 in fin2] for b1, d1 in fin1]
-            self.problem = _Assignment(cost, [d - b for b, d in fin1], [d - b for b, d in fin2])
+            fins = [sorted(bar for bar in bars if bar[1] != INF) for bars in (xs, ys)]
+            # per side: births and deaths of the finite bars, sorted by birth
+            self.sides = [([b for b, _ in fin], [d for _, d in fin]) for fin in fins]
 
     def at_most(self, c: int) -> bool:
         """Is the distance <= c?"""
-        return self.low <= c and self.problem.feasible(c)
+        if self.low > c:
+            return False
+        h = c // 2
+        for (births, deaths), (others, other_deaths) in (self.sides, self.sides[::-1]):
+            rows = {}
+            for u, (b, d) in enumerate(zip(births, deaths)):
+                if d - b > c:
+                    lo, hi = d - h, d + h
+                    row = [v for v in range(bisect_left(others, b - h), bisect_right(others, b + h))
+                           if lo <= other_deaths[v] <= hi]
+                    if not row:
+                        return False
+                    rows[u] = row
+            if saturates(rows, len(others), {u: len(row) for u, row in rows.items()}, rows) is None:
+                return False
+        return True
 
     def least_above(self, floor: int):
         """The distance, known to be > floor (floor -1 always holds)."""
         if self.low == INF:
             return INF
-        least = max(floor + 1, self.low)
-        return self.problem.least_feasible([least] + [c for c in self.problem.candidates() if c > least])
+        lo = max(floor + 1, self.low)
+        # deleting every finite bar is feasible once c covers each deletion
+        hi = max([lo] + [d - b for births, deaths in self.sides for b, d in zip(births, deaths)])
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if self.at_most(mid):
+                hi = mid
+            else:
+                lo = mid + 1
+        return lo
 
 
 def _scaled_bars(B1: Barcode, B2: Barcode):

@@ -101,8 +101,11 @@ class TestOtherFormats:
         assert fio.parse_blocks(fio.serialize_blocks(blocks)) == blocks
 
     def test_block_infinite_endpoint_rejected(self):
-        with pytest.raises(fio.FormatError):
+        # block endpoints are finite rationals; 'inf' is read only for bar deaths
+        with pytest.raises(fio.FormatError, match=r"^line 2: bad rational 'inf'$"):
             fio.parse_blocks("blocks 1\nblk co 0 inf\n")
+        with pytest.raises(fio.FormatError, match=r"^line 2: expected 'blk <kind> <a> <b>'$"):
+            fio.parse_blocks("blocks 1\nblk co 0\n")
 
     def test_witness_round_trip(self):
         N, O = incompleteness_pair()
@@ -324,6 +327,10 @@ class TestCli:
         assert code == 0 and "rect oo [-2, 0) x [0, 2)" in out
         code, out, _ = run_cli("blocks", "dist", str(files / "A.blocks"), str(files / "B.blocks"))
         assert code == 0 and "block-matching-distance inf" in out
+        path = files / "infinite.blocks"
+        path.write_text("blocks 1\nblk co 0 inf\n")
+        code, out, err = run_cli("blocks", "dist", str(files / "A.blocks"), str(path))
+        assert code == 1 and not out and "line 2" in err and "Traceback" not in err
 
     def test_experiment_example31(self, files):
         code, out, _ = run_cli("experiment", "example31", "--lines", "40")

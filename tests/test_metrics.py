@@ -66,6 +66,22 @@ def g(*coords):
     return Grade(coords)
 
 
+def slot_distance(B1, B2):
+    """The bottleneck distance by tests/oracles.py's slot matching."""
+    xs, ys = B1.expand(), B2.expand()
+
+    def cost(x, y):
+        if (x[1] == INF) != (y[1] == INF):
+            return INF
+        return abs(x[0] - y[0]) if x[1] == INF else max(abs(x[0] - y[0]), abs(x[1] - y[1]))
+
+    def deletion(x):
+        return INF if x[1] == INF else (x[1] - x[0]) / 2
+
+    return slot_min_max_assignment([[cost(x, y) for y in ys] for x in xs],
+                                   [deletion(x) for x in xs], [deletion(y) for y in ys])
+
+
 def random_barcode(rng, max_bars=4, allow_inf=True):
     bars = {}
     for _ in range(rng.randint(0, max_bars)):
@@ -128,18 +144,34 @@ class TestBottleneck:
         for _ in range(40):
             B1, B2 = (random_barcode(rng, max_bars=14, allow_inf=rng.random() < 0.3)
                       for _ in range(2))
-            xs, ys = B1.expand(), B2.expand()
+            assert bottleneck(B1, B2) == slot_distance(B1, B2)
 
-            def cost(x, y):
-                if (x[1] == INF) != (y[1] == INF):
-                    return INF
-                return abs(x[0] - y[0]) if x[1] == INF else max(abs(x[0] - y[0]), abs(x[1] - y[1]))
+    def test_probe_against_slot_matching(self):
+        # integer bars on a small lattice, so the doubled units are c * 2 and
+        # every threshold k / 2, odd k and even k, sits on or between costs;
+        # ties, infinite bars and unequal infinite counts included
+        rng = random.Random(69)
+        for trial in range(120):
+            span = (3, 6, 12)[trial % 3]
 
-            def deletion(x):
-                return INF if x[1] == INF else (x[1] - x[0]) / 2
+            def bars():
+                out = []
+                for _ in range(rng.randint(0, 10)):
+                    b = rng.randint(0, span)
+                    out.append((b, INF if rng.random() < 0.2 else b + rng.randint(1, span)))
+                return out
 
-            assert bottleneck(B1, B2) == slot_min_max_assignment(
-                [[cost(x, y) for y in ys] for x in xs], [deletion(x) for x in xs], [deletion(y) for y in ys])
+            xs = bars()
+            # a near copy shares most bars with ties, a fresh list shares few
+            ys = [(b + rng.randint(-1, 1), d) for b, d in xs if d == INF or d > b + 1] if trial % 2 else bars()
+            B1, B2 = Barcode(xs), Barcode(ys)
+            d = slot_distance(B1, B2)
+            for k in range(-1, 2 * span + 3):
+                assert bottleneck_at_most(B1, B2, F(k, 2)) == (d <= F(k, 2)), (xs, ys, k)
+        A = Barcode([(i, i + 10) for i in range(500)])
+        B = Barcode([(i + F(1, 2), i + 10) for i in range(500)])
+        # distance 1/2, two doubled units at scale 2
+        assert [bottleneck_at_most(A, B, F(k, 4)) for k in range(-1, 5)] == [False] * 3 + [True] * 3
 
     def test_min_max_assignment_against_slot_matching(self):
         # left items 1 and 2 both need right item 2, which the greedy pass
@@ -275,6 +307,11 @@ class TestIntegerLineLoop:
         # one immortal summand more on one side: infinite bars cannot match
         S = random_staircase(rng)
         yield direct_sum(S, random_staircase(rng, immortal=True)), S
+        # two entangled forms of one module: distance 0, so every line's probe
+        # at c = 0 holds and both sides pair equal bar multisets
+        for p in (2, 3):
+            S = direct_sum(random_staircase(rng, p=p), random_staircase(rng, p=p))
+            yield entangled(S, rng), entangled(S, rng)
 
     @staticmethod
     def lines(P, Q, seed):
@@ -319,15 +356,16 @@ class TestIntegerLineLoop:
             lines = self.lines(P, Q, n)
             report = matching_distance(P, Q, sample=LineSample(tuple(lines)), adaptive_rounds=rounds)
             assert (report.value, report.argmax_line) == reference_distance(P, Q, lines, rounds), n
-            values.add(report.value == INF)
-            if not rounds or n % 8 >= 2:  # the one-summand pairs and the unmatched pair
+            values.add(report.value)
+            # re-check only the one-summand pairs and the unmatched pair; not the distance-0 pairs
+            if not rounds or n % 8 >= 2 or n > 16:
                 continue
             # the rounds refine around the Betti points of the modules compared
             sample = sample_lines(P, Q, slopes=3, seed=n, extra=6)
             report = matching_distance(P, Q, sample=sample, adaptive_rounds=rounds)
             lines = sample.lines
             assert (report.value, report.argmax_line) == reference_distance(P, Q, lines, rounds), n
-        assert values == {False, True}
+        assert {0, INF} < values  # and some positive finite distance
 
 
 class TestMinimalFormsOnce:
