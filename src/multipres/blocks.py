@@ -9,11 +9,12 @@ rectangle in the plane with one generator and at most two relations:
     oc (a,b]  ->  [-b, a ) x [a, oo)
     cc [a,b]  ->  [-b, oo) x [a, oo)
 
-Lists of blocks become direct sums of rectangle presentations, and the
-block-matching interleaving distance pairs same-kind blocks with a closed
-form per pair (corner distance capped by deletion radii), solved with the
-same threshold-feasibility matching as the bottleneck distance, whose
-perfect matchings also give shift/deletion witnesses.
+Lists of blocks become direct sums of rectangle presentations.  The
+block-matching interleaving distance pairs same-kind blocks that shift onto
+each other and deletes the rest at their rectangles' radii.  One probe, a
+perfect matching with deletion slots at a threshold, gives both the
+distance (the least threshold it accepts) and the shift/deletion witness
+at a threshold (its matched pairs).
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .grades import Grade, rat, rat_str
-from .metrics import min_max_assignment, saturates
+from .metrics import saturates
 from .presentation import Generator, Presentation, PresentationError, Relation, direct_sum
 
 INF = math.inf
@@ -45,6 +46,10 @@ class Block:
         aq, bq = rat(a), rat(b)
         if aq > bq:
             raise ValueError(f"block endpoints out of order: {rat_str(aq)} > {rat_str(bq)}")
+        # the extension's finite sides are b - a (oo, co) and a + b (oc)
+        if kind in ("oo", "co") and aq == bq or kind == "oc" and aq + bq <= 0:
+            need = "a + b > 0" if kind == "oc" else "a < b"
+            raise ValueError(f"empty block {kind}({rat_str(aq)}, {rat_str(bq)}): its extension needs {need}")
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "a", aq)
         object.__setattr__(self, "b", bq)
@@ -131,21 +136,52 @@ def rectangle_distance(r1: ExtendedRectangle, r2: ExtendedRectangle):
     return min(rectangle_shift(r1, r2), max(r1.radius(), r2.radius()))
 
 
-def block_distance(x: Block, y: Block):
-    """Per-pair matching cost; only same-kind blocks may match."""
-    if x.kind != y.kind:
-        return INF
-    return rectangle_distance(extend_block(x), extend_block(y))
+class _SlotMatching:
+    """Perfect matchings of two block lists with deletion slots, by threshold.
 
+    Left vertices are A's blocks and one slot per B block; right vertices
+    are B's blocks and one slot per A block.  At eps, A[i] meets B[j] when
+    their rectangles shift onto each other within eps, a block meets its
+    own slot when its deletion radius is <= eps, and slots meet slots.  A
+    pair within rectangle_distance only by the radii is two deletions, so a
+    perfect matching exists exactly when eps >= block_matching_distance.
+    The shifts and radii are computed once.
+    """
 
-def block_deletion(x: Block):
-    return extend_block(x).radius()
+    def __init__(self, A: list[Block], B: list[Block]):
+        ra, rb = [extend_block(x) for x in A], [extend_block(y) for y in B]
+        self.shifts = [[rectangle_shift(x, y) for y in rb] for x in ra]
+        self.radii = [r.radius() for r in ra], [r.radius() for r in rb]
+
+    def matching(self, eps) -> list[int] | None:
+        """The left vertex matched to each right vertex at eps, or None."""
+        left, right = self.radii
+        m, k = len(left), len(right)
+        rows = [[j for j, s in enumerate(row) if s <= eps] + ([k + i] if left[i] <= eps else [])
+                for i, row in enumerate(self.shifts)]
+        slots = list(range(k, k + m))
+        rows += [([j] if r <= eps else []) + slots for j, r in enumerate(right)]
+        return saturates(rows, m + k, range(m + k))
 
 
 def block_matching_distance(A: list[Block], B: list[Block]):
-    """Bottleneck assignment over extended rectangles, same-kind edges only."""
-    cost = [[block_distance(x, y) for y in B] for x in A]
-    return min_max_assignment(cost, [block_deletion(x) for x in A], [block_deletion(y) for y in B])
+    """Least eps with a slot matching; INF when there is none.
+
+    The distance is 0, a shift or a radius, so the probe bisects those.
+    """
+    probe = _SlotMatching(A, B)
+    costs = [c for row in probe.shifts for c in row] + [r for side in probe.radii for r in side]
+    cands = sorted({0} | {c for c in costs if c != INF})
+    if probe.matching(cands[-1]) is None:
+        return INF
+    lo, hi = 0, len(cands) - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if probe.matching(cands[mid]) is None:
+            lo = mid + 1
+        else:
+            hi = mid
+    return cands[lo]
 
 
 def unextended_block_distance(x: Block, y: Block):
@@ -173,23 +209,11 @@ def unextended_block_distance(x: Block, y: Block):
 def matched_pairs_witness_entries(A: list[Block], B: list[Block], eps):
     """Identity entries for a shift/deletion witness at threshold eps.
 
-    A perfect matching of A plus one slot per B against B plus one slot per
-    A: A[i] meets B[j] when their rectangles shift onto each other within
-    eps (a pair within block_distance only by the radii is two deletions),
-    a block meets its own slot when its deletion is <= eps, and slots meet
-    slots.  None when there is none, i.e. eps < block_matching_distance.
+    The block pairs of the slot matching at eps; None when there is none,
+    i.e. eps < block_matching_distance.
     """
-    m, k = len(A), len(B)
-    rects = [extend_block(y) for y in B]
-    rows = []
-    for i, x in enumerate(A):
-        rx = extend_block(x)
-        rows.append([j for j, r in enumerate(rects) if rectangle_shift(rx, r) <= eps]
-                    + ([k + i] if rx.radius() <= eps else []))
-    slots = list(range(k, k + m))
-    rows += [([j] if r.radius() <= eps else []) + slots for j, r in enumerate(rects)]
-    match = saturates(rows, m + k, [len(row) for row in rows], range(m + k))
+    match = _SlotMatching(A, B).matching(eps)
     if match is None:
         return None
-    pairs = [(match[j], j) for j in range(k) if match[j] < m]
+    pairs = [(match[j], j) for j in range(len(B)) if match[j] < len(A)]
     return {(i, j): 1 for i, j in pairs}, {(j, i): 1 for i, j in pairs}

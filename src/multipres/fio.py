@@ -11,6 +11,7 @@ parsers map its errors to lines.  Serializers round-trip bit-exact.
 from __future__ import annotations
 
 import math
+from collections import Counter
 
 from .blocks import Block
 from .fibered import Barcode
@@ -208,8 +209,6 @@ def serialize_barcode(B: Barcode) -> str:
 
 
 def parse_barcode(text: str) -> Barcode:
-    from collections import Counter
-
     bars: Counter = Counter()
     for lineno, toks in _lines(text):
         if toks[0] != "bar" or len(toks) != 4:

@@ -25,6 +25,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+
+from . import kernels
 from .grades import Grade, GridFunction, controlling_constant, merge_delta, rat, snap_grade
 from .presentation import (
     Generator,
@@ -36,6 +38,7 @@ from .presentation import (
     common_scale,
     leq,
     make_column,
+    shift,
 )
 
 # step multiples of the base budget used by grid_align, and their total
@@ -144,8 +147,6 @@ def _image_relations(P: Presentation, e: Fraction) -> list[tuple[Grade, dict[int
     is s0, and s0 <= s.  The pure columns at s are those at s0, and every
     relation kept at or before s0 is known at s, so every residual at s is 0.
     """
-    from . import kernels
-
     if not P.rels:
         return []
     S = common_scale([e] + [c for g in P.betti_grades() for c in g.coords])
@@ -240,8 +241,6 @@ def simplify_with_witness(P: Presentation, eps):
 
 def shift_with_witness(P: Presentation, delta):
     """Diagonal translate of P plus its identity delta-witness."""
-    from .presentation import shift
-
     d = rat(delta)
     if d < 0:
         raise PresentationError("shift witness needs delta >= 0")

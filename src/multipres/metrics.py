@@ -7,8 +7,7 @@ deletion d - b, testing feasibility at a threshold by augmenting paths (a
 greedy pass, then an explicit stack).  A probe finds each bar's neighbours
 by bisecting the other side's births, which are sorted once, and builds no
 cost matrix; the exact distance bisects the integer thresholds with the
-same probe.  min_max_assignment, for block barcodes, sorts a full cost
-matrix instead and binary-searches its finite candidate costs.
+same probe.
 
 The matching distance is approximated from below by sampling weighted
 lines, always including the slope-1 lines through every Betti-grid point of
@@ -27,6 +26,7 @@ raise the maximum and is skipped.  Only the reported value becomes a Fraction ag
 from __future__ import annotations
 
 import math
+import random
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -54,21 +54,18 @@ INF = math.inf
 # -- min-max assignment with deletions ------------------------------------------
 
 
-def saturates(rows, size: int, limits, must) -> list[int] | None:
+def saturates(rows, size: int, must) -> list[int] | None:
     """A matching that covers every left vertex in must, or None if none does.
 
-    rows[u] lists u's right neighbours by increasing cost and limits[u] is how
-    many of them are admitted.  A greedy pass matches what it can, then
-    augmenting paths are searched depth first with an explicit stack.  The
-    matching is returned as match_right: the left vertex matched to each of
-    the size right vertices, or -1.
+    rows[u] lists u's right neighbours.  A greedy pass matches what it can,
+    then augmenting paths are searched depth first with an explicit stack.
+    The matching is returned as match_right: the left vertex matched to
+    each of the size right vertices, or -1.
     """
     match_right = [-1] * size
     free = []
     for u in must:
-        row = rows[u]
-        for k in range(limits[u]):
-            v = row[k]
+        for v in rows[u]:
             if match_right[v] < 0:
                 match_right[v] = u
                 break
@@ -80,10 +77,10 @@ def saturates(rows, size: int, limits, must) -> list[int] | None:
         path = []  # path[k]: the right vertex taken out of stack[k]
         while stack:
             u, k = stack[-1]
-            row, limit = rows[u], limits[u]
-            while k < limit and seen[row[k]]:
+            row = rows[u]
+            while k < len(row) and seen[row[k]]:
                 k += 1
-            if k == limit:
+            if k == len(row):
                 stack.pop()
                 if path:
                     path.pop()
@@ -102,66 +99,6 @@ def saturates(rows, size: int, limits, must) -> list[int] | None:
     return match_right
 
 
-class _Assignment:
-    """Threshold feasibility for min-max assignment with deletions.
-
-    A threshold c is feasible when some partial matching of left items to
-    right items uses only costs <= c and leaves unmatched only items whose
-    deletion cost is <= c.  By the Mendelsohn-Dulmage theorem that holds
-    exactly when the left items with deletion > c can all be matched, and
-    so can the right items with deletion > c, each side on its own.  Every
-    row and column is sorted by cost once, so a threshold admits a prefix.
-    """
-
-    def __init__(self, cost, del_left, del_right):
-        cols = [[row[j] for row in cost] for j in range(len(del_right))]
-        # per side: deletion costs, neighbours by increasing cost, those
-        # costs, and the number of vertices on the other side
-        self.sides = []
-        for dels, rows, width in ((del_left, cost, len(del_right)), (del_right, cols, len(del_left))):
-            orders = [sorted(range(width), key=row.__getitem__) for row in rows]
-            costs = [[row[j] for j in order] for row, order in zip(rows, orders)]
-            self.sides.append((dels, orders, costs, width))
-
-    def candidates(self) -> list:
-        """Every finite cost and deletion, and 0, in increasing order."""
-        cands = {0}
-        for dels, _, costs, _ in self.sides:
-            cands |= {d for d in dels if d != INF}
-            cands |= {c for row in costs for c in row if c != INF}
-        return sorted(cands)
-
-    def feasible(self, c) -> bool:
-        for dels, orders, costs, width in self.sides:
-            must = [i for i, d in enumerate(dels) if d > c]
-            if saturates(orders, width, {i: bisect_right(costs[i], c) for i in must}, must) is None:
-                return False
-        return True
-
-    def least_feasible(self, ordered):
-        """The first feasible threshold of an increasing list; the last must be feasible."""
-        lo, hi = 0, len(ordered) - 1
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self.feasible(ordered[mid]):
-                hi = mid
-            else:
-                lo = mid + 1
-        return ordered[lo]
-
-
-def min_max_assignment(cost, del_left, del_right):
-    """Least threshold admitting a partial matching; INF when none exists.
-
-    cost[i][j], del_left[i], del_right[j] are exact rationals or INF.
-    """
-    problem = _Assignment(cost, del_left, del_right)
-    ordered = problem.candidates()
-    if not problem.feasible(ordered[-1]):
-        return INF
-    return problem.least_feasible(ordered)
-
-
 class _Bars:
     """The bottleneck problem of two integer bar lists, in doubled units.
 
@@ -169,13 +106,19 @@ class _Bars:
     candidate is an integer.  Infinite bars must match infinite bars, which
     on the line is optimal in sorted order and gives the lower bound low
     (INF when their counts differ).  Each side's finite bars are sorted by
-    birth once.  A probe at c tests the two conditions of _Assignment
-    without a cost matrix: on each side, the bars with deletion > c must all
-    be matched, and a bar's neighbours are the other side's bars whose birth
-    and death both lie within c // 2 of its own, found by bisecting that
-    side's births (after Kerber, Morozov and Nigmetov, "Geometry helps to
-    compare persistence diagrams", JEA 2017).  Feasibility is monotone in
-    c, so least_above bisects the integers with the same probe.
+    birth once.
+
+    A threshold c is feasible when some partial matching uses only costs
+    <= c and leaves unmatched only bars whose deletion is <= c.  By the
+    Mendelsohn-Dulmage theorem that holds exactly when the bars of the
+    first side with deletion > c can all be matched, and so can those of
+    the second side, each side on its own.  A probe at c tests these two
+    conditions without a cost matrix: a bar's neighbours are the other
+    side's bars whose birth and death both lie within c // 2 of its own,
+    found by bisecting that side's births (after Kerber, Morozov and
+    Nigmetov, "Geometry helps to compare persistence diagrams", JEA 2017).
+    Feasibility is monotone in c, so least_above bisects the integers with
+    the same probe.
     """
 
     def __init__(self, xs, ys):
@@ -203,7 +146,7 @@ class _Bars:
                     if not row:
                         return False
                     rows[u] = row
-            if saturates(rows, len(others), {u: len(row) for u, row in rows.items()}, rows) is None:
+            if saturates(rows, len(others), rows) is None:
                 return False
         return True
 
@@ -337,8 +280,6 @@ def sample_lines(P: Presentation, Q: Presentation, slopes: int = 64,
             for o in sorted(set(offsets) | set(mids) | set(edges)):
                 add(LineSpec(d, Grade([o, 0])))
     if seed is not None and extra:
-        import random
-
         rng = random.Random(seed)
         for _ in range(extra):
             d = [Fraction(rng.randint(1, 64), 64) for _ in range(n)]

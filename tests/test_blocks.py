@@ -18,7 +18,7 @@ from multipres.blocks import (
 from multipres.experiments import random_block
 from multipres.functors import InterleavingWitness
 
-from oracles import dim_at
+from oracles import dim_at, slot_min_max_assignment
 
 INF = math.inf
 
@@ -45,8 +45,11 @@ class TestExtendBlock:
         assert r.lower == g(-3, 1) and r.upper == (F(1), INF)
 
     def test_degenerate_rejected(self):
-        with pytest.raises(ValueError):
-            extend_block(Block("oo", 2, 2))
+        # blocks whose extension would be empty
+        for kind, a, b in (("oo", 2, 2), ("co", 1, 1), ("oc", -3, 1), ("oc", -1, 1)):
+            with pytest.raises(ValueError, match="^empty block"):
+                Block(kind, a, b)
+        assert extend_block(Block("oc", -1, 2)).upper == (F(-1), INF)
         with pytest.raises(ValueError):
             Block("cc", 3, 1)
         with pytest.raises(ValueError):
@@ -109,6 +112,24 @@ class TestBlockMatching:
     def test_kind_mismatch_forces_deletions(self):
         d = block_matching_distance([Block("oo", 0, 2)], [Block("co", 0, 2)])
         assert d == max(F(1), F(1))  # both deleted at their radii
+
+    def test_against_slot_matching(self):
+        # the slot oracle with the closed-form rectangle distance as every
+        # pair's cost: all kinds, empty lists, tied blocks (drawn from a small
+        # pool), and quadrant-only lists of unequal length, which give INF
+        rng = random.Random(87)
+        values = []
+        for trial in range(120):
+            kinds = ("cc",) if trial % 4 == 0 else KINDS
+            pool = [random_block(rng, rng.choice(kinds)) for _ in range(4)]
+            A, B = ([rng.choice(pool) for _ in range(rng.randint(0, 6))] for _ in range(2))
+            ra, rb = [extend_block(x) for x in A], [extend_block(y) for y in B]
+            expected = slot_min_max_assignment([[rectangle_distance(x, y) for y in rb] for x in ra],
+                                               [r.radius() for r in ra], [r.radius() for r in rb])
+            values.append(block_matching_distance(A, B))
+            assert values[-1] == expected, (A, B)
+        assert {0, INF} < set(values)
+        assert block_matching_distance([], []) == 0
 
     def test_deletion_certified_both_ways(self):
         # cost-to-zero of an open block: rank bound below, witness above

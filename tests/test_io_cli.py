@@ -331,6 +331,12 @@ class TestCli:
         path.write_text("blocks 1\nblk co 0 inf\n")
         code, out, err = run_cli("blocks", "dist", str(files / "A.blocks"), str(path))
         assert code == 1 and not out and "line 2" in err and "Traceback" not in err
+        for line in ("blk oo 2 2", "blk co 1 1", "blk oc -3 1"):
+            path = files / "empty.blocks"
+            path.write_text(f"blocks 1\n{line}\n")
+            for args in (("extend", str(path)), ("dist", str(files / "A.blocks"), str(path))):
+                code, out, err = run_cli("blocks", *args)
+                assert code == 1 and not out and "line 2: empty block" in err and "Traceback" not in err
 
     def test_experiment_example31(self, files):
         code, out, _ = run_cli("experiment", "example31", "--lines", "40")

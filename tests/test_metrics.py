@@ -35,7 +35,7 @@ from multipres.metrics import (
     _rank_violation,
     _refine_near,
     bottleneck_at_most,
-    min_max_assignment,
+    saturates,
 )
 from multipres.experiments import (
     incompleteness_pair,
@@ -173,18 +173,12 @@ class TestBottleneck:
         # distance 1/2, two doubled units at scale 2
         assert [bottleneck_at_most(A, B, F(k, 4)) for k in range(-1, 5)] == [False] * 3 + [True] * 3
 
-    def test_min_max_assignment_against_slot_matching(self):
-        # left items 1 and 2 both need right item 2, which the greedy pass
-        # gives to item 0; after item 1 takes it over, item 2 must fail
-        cost = [[1, 2, 0], [INF, INF, 0], [INF, INF, 0]]
-        assert min_max_assignment(cost, [INF] * 3, [0] * 3) == INF
-        rng = random.Random(68)
-        for _ in range(150):
-            n1, n2 = rng.randint(0, 9), rng.randint(0, 9)
-            cost = [[rng.choice([INF] * 4 + list(range(6))) for _ in range(n2)] for _ in range(n1)]
-            dl = [rng.choice([INF, INF, 2, 3, 4, 5, 6]) for _ in range(n1)]
-            dr = [rng.choice([INF, INF, 2, 3, 4, 5, 6]) for _ in range(n2)]
-            assert min_max_assignment(cost, dl, dr) == slot_min_max_assignment(cost, dl, dr)
+    def test_saturates_after_greedy_conflict(self):
+        # left vertices 1 and 2 both need right vertex 2, which the greedy pass
+        # gives to vertex 0; after vertex 1 takes it over, vertex 2 must fail
+        rows = [[2, 0, 1], [2], [2]]
+        assert saturates(rows, 3, [0, 1, 2]) is None
+        assert saturates(rows, 3, [0, 1]) == [0, -1, 1]
 
     def test_five_hundred_shifted_bars(self):
         # a recursive augmenting-path search overflowed the stack on this pair

@@ -53,6 +53,19 @@ def foreign_private_names(source: str) -> list[str]:
     return found
 
 
+def nested_imports(source: str) -> list[int]:
+    """Line numbers of the imports inside a function or class body.
+
+    A module's dependencies are read from its top, so every import sits
+    at module level.
+    """
+    found = set()
+    for scope in ast.walk(ast.parse(source)):
+        if isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            found |= {node.lineno for node in ast.walk(scope) if isinstance(node, (ast.Import, ast.ImportFrom))}
+    return sorted(found)
+
+
 def test_foreign_private_name_is_found():
     source = ("from . import kernels\nimport os\nfrom .metrics import _saturates, rank\n"
               "def f(self):\n    return kernels._residual_dict, os.__name__, self._x, _own\n")
@@ -62,6 +75,12 @@ def test_foreign_private_name_is_found():
 def test_unused_import_is_found():
     source = "from __future__ import annotations\nimport os.path\nimport math as m\nfrom a import b, c\nx = c(m.pi)\n"
     assert unused_imports(source) == ["os", "b"]
+
+
+def test_nested_import_is_found():
+    source = ("import os\ndef f():\n    import random\n    def g():\n        from . import kernels\n"
+              "class C:\n    from collections import Counter\n")
+    assert nested_imports(source) == [3, 5, 7]
 
 
 # __init__.py imports its names to re-export them
@@ -74,3 +93,8 @@ def test_no_unused_module_imports(path):
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_foreign_private_names(path):
     assert foreign_private_names(path.read_text()) == []
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_nested_imports(path):
+    assert nested_imports(path.read_text()) == []
