@@ -201,7 +201,7 @@ def _cmd_match_dist(args) -> int:
                           extra=args.extra if args.seed is not None else 0)
     report = matching_distance(P, Q, sample=sample, adaptive_rounds=args.adaptive)
     rows = [("matching-distance", report.value), ("kind", report.kind),
-            ("lines", len(sample.lines))]
+            ("lines", len(sample))]
     if args.emit_argmax and report.argmax_line is not None:
         rows.append(("argmax", str(report.argmax_line)))
     _report(args, rows)

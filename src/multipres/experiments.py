@@ -117,14 +117,14 @@ def run_example31(eps=1, p: int = 2, min_lines: int = 500, slopes: int = 64) -> 
     bound and the witness upper bound."""
     N, O = incompleteness_pair(eps, p)
     sample = sample_lines(N, O, slopes=slopes)
-    if len(sample.lines) < min_lines:
-        sample = sample_lines(N, O, slopes=slopes, seed=0, extra=min_lines - len(sample.lines))
+    if len(sample) < min_lines:
+        sample = sample_lines(N, O, slopes=slopes, seed=0, extra=min_lines - len(sample))
     d0 = matching_distance(N, O, sample=sample)
     lower = rank_lower_bound(N, O).value
     w = incompleteness_witness(eps, p)
     check = verify_interleaving(N, O, w)
-    passed = d0.value == 0 and check.accepted and len(sample.lines) >= min_lines and lower > 0
-    return Example31Report(d0, len(sample.lines), lower, check.accepted, w.epsilon, passed)
+    passed = d0.value == 0 and check.accepted and len(sample) >= min_lines and lower > 0
+    return Example31Report(d0, len(sample), lower, check.accepted, w.epsilon, passed)
 
 
 # -- random module generators (shared by the harnesses and the test suite) ------------

@@ -10,9 +10,13 @@ dropped.  Bars are half-open [b, d) multisets.
 restrict and barcode work in two number systems.  On a Presentation and a
 LineSpec they build a 1-parameter Presentation with Fraction grades and its
 Barcode.  The matching-distance line loop uses the integer form: IntegerLine
-turns a line into integer units for grades scaled by a common S, so
+puts a line into integer units for grades scaled by a common S, so
 restricting a ScaledModule gives a Fiber whose pushes are Python ints in the
-same order, and barcode pairs them into bars in those units.  Both forms
+same order, and barcode pairs them into bars in those units.  integer_lines
+builds the IntegerLines of the lines of one direction, which share their
+slopes; the ScaledModule keeps its grades times the last slopes it was
+restricted along, so a loop over the lines grouped by direction multiplies
+the grades once per direction and subtracts one offset per line.  Both forms
 share one pairing routine, pair_bars.
 """
 
@@ -80,36 +84,51 @@ class Barcode:
         return "; ".join(f"[{rat_str(b)}, {rat_str(d)})x{m}" for b, d, m in self.bars) or "(empty)"
 
 
-@dataclass(frozen=True)
-class IntegerLine:
+class IntegerLine(NamedTuple):
     """A line in the integer units of a grade scale S.
 
-    With A the lcm of the denominators of the base b and B the lcm of the
-    denominators of the 1/d_i, a grade g scaled by S has the integer
-    parameter T(g) = max_i (g_i A - S A b_i) (B / d_i) = L push(g), where
-    L = S A B.  Sorting by (T, index) is sorting by (push, index).
+    The line has direction d_i = p_i / q_i in lowest terms and base point
+    k / D, with k an integer vector and k_n = 0.  With P = lcm(p_i), a grade
+    g scaled by S has the integer parameter T(g) = max_i (g_i m_i - o_i) for
+    the slopes m_i = D q_i P / p_i and offsets o_i = S k_i q_i P / p_i, and
+    T = L push(g) for the unit L = S D P.  Sorting by (T, index) is sorting
+    by (push, index).  Any D that clears the base gives the same order and
+    the same exact values once divided by L.
     """
 
-    slopes: tuple[int, ...]  # A B / d_i
-    offsets: tuple[int, ...]  # S A b_i B / d_i
-    unit: int  # L
+    slopes: tuple[int, ...]
+    offsets: tuple[int, ...]
+    unit: int
 
     @classmethod
     def of(cls, line: LineSpec, scale: int) -> "IntegerLine":
-        a = common_scale(line.base.coords)
-        b = math.lcm(*(d.numerator for d in line.direction))
-        steps = [b * d.denominator // d.numerator for d in line.direction]
-        base = scale_grade(line.base, scale * a)
-        return cls(tuple(a * k for k in steps), tuple(o * k for o, k in zip(base, steps)),
-                   scale * a * b)
+        den = common_scale(line.base.coords)
+        return next(integer_lines(line.direction, den, [scale_grade(line.base, den)[:-1]], scale))
 
-    def params(self, grades) -> list[int]:
-        """T(g) for each scaled grade g."""
-        out = None
-        for i, (m, o) in enumerate(zip(self.slopes, self.offsets)):
-            axis = [g[i] * m - o for g in grades]
-            out = axis if out is None else list(map(max, out, axis))
-        return out
+
+def integer_lines(direction, denominator: int, bases, scale: int):
+    """The IntegerLine, for the grade scale S, of each line (direction, (k, 0) / denominator).
+
+    bases holds the integer vectors k of the first n - 1 base coordinates.
+    The lines share their slopes tuple and unit.
+    """
+    top = math.lcm(*(d.numerator for d in direction))
+    steps = [top * d.denominator // d.numerator for d in direction]
+    slopes = tuple(denominator * s for s in steps)
+    unit = scale * denominator * top
+    factors = [scale * s for s in steps[:-1]]
+    for k in bases:
+        yield IntegerLine(slopes, tuple([c * f for c, f in zip(k, factors)] + [0]), unit)
+
+
+def _params(products, offsets) -> list[int]:
+    """T = max_i (products[i] - offsets[i]), elementwise over the per-axis product lists."""
+    out = None
+    for xs, o in zip(products, offsets):
+        if o:
+            xs = [x - o for x in xs]
+        out = xs if out is None else list(map(max, out, xs))
+    return out
 
 
 class Fiber(NamedTuple):
@@ -129,13 +148,16 @@ def restrict(P: Presentation | ScaledModule, line: LineSpec | IntegerLine):
     unchanged.  Bar endpoints are reported in the line's own parameter, with
     t = 0 at the base point on {x_n = 0}.  For a ScaledModule and the
     IntegerLine of its scale: the Fiber holding the same restriction in the
-    line's integer parameters T = L push.
+    line's integer parameters T = L push.  The grades times the line's
+    slopes come from the ScaledModule's cache for the last slopes (see
+    ScaledModule.along), so a line of the same direction as the one before
+    costs one subtraction and one max per grade.
     """
     if isinstance(line, IntegerLine):
         if len(line.slopes) != P.n:
             raise ValueError(f"line dimension {len(line.slopes)} != module dimension {P.n}")
-        return Fiber(line.params(P.gens), line.params([g for g, _ in P.rels]),
-                     [col for _, col in P.rels], P.p)
+        gens, rels, cols = P.along(line.slopes)
+        return Fiber(_params(gens, line.offsets), _params(rels, line.offsets), cols, P.p)
     if line.n != P.n:
         raise ValueError(f"line dimension {line.n} != module dimension {P.n}")
     gens = tuple(Generator(g.label, Grade([push(line, g.grade)])) for g in P.gens)

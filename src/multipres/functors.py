@@ -170,7 +170,7 @@ def _image_relations(P: Presentation, e: Fraction) -> list[tuple[Grade, dict[int
         row_of = {i: k for k, i in enumerate(order)}
         cols = [{row_of[i]: c for i, c in P.rels[k].col} for k in bits(act)]
         basis = kernels.echelonize(cols, P.p)
-        pure = [col for low, col in basis if low < len(early)]
+        pure = [col for low, col in basis.items() if low < len(early)]
         if not pure:
             continue
         have = [
@@ -182,7 +182,7 @@ def _image_relations(P: Presentation, e: Fraction) -> list[tuple[Grade, dict[int
         for col in pure:
             res = kernels.residual(col, known, P.p)
             if res:
-                known.append((max(res), res))
+                known[max(res)] = res
                 vec = {order[row]: c for row, c in col.items()}
                 out.append((Grade(Fraction(v, S) for v in s), vec))
                 out_grades.append(s)

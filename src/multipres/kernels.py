@@ -75,9 +75,9 @@ def _pivot_columns(columns, p) -> dict[int, dict[int, int]]:
     return piv
 
 
-def echelonize(columns, p):
-    """Echelon basis of the column span: list of (pivot row, reduced column)."""
-    return list(_pivot_columns(columns, p).items())
+def echelonize(columns, p) -> dict[int, dict[int, int]]:
+    """Echelon basis of the column span: {pivot row: reduced column}, in input order."""
+    return _pivot_columns(columns, p)
 
 
 def rank(columns, p):
@@ -85,8 +85,11 @@ def rank(columns, p):
 
 
 def residual(vector, basis, p):
-    """Reduce a vector against an echelon basis; {} means it lies in the span."""
-    return _residual_dict(dict(vector), dict(basis), p)
+    """Reduce a vector against an echelon basis {pivot row: column}; {} means it lies in the span.
+
+    The basis is read, not copied or changed.
+    """
+    return _residual_dict(dict(vector), basis, p)
 
 
 class EchelonStack:

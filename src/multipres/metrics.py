@@ -14,13 +14,18 @@ lines, always including the slope-1 lines through every Betti-grid point of
 both modules, which witness diagonal translates exactly.  Each module is
 minimized once (Presentation.minimal): sample_lines reads its Betti data
 from that minimal form, and matching_distance scales the minimal forms'
-grades to integers once.  The weighted bottleneck on a line is an invariant
-of the modules, so every line restricts the minimal presentations and runs
-on Python ints in its own units (fibered.IntegerLine, with restrict and
+grades to integers once.  sample_lines builds the lines in integer units,
+grouped by direction: each group has one denominator and a sorted list of
+integer base offsets (LineSample, LineGroup), and a LineSpec is built only
+on demand.  The weighted bottleneck on a line is an invariant of the
+modules, so every line restricts the minimal presentations and runs on
+Python ints in its own units (fibered.IntegerLine, with restrict and
 barcode in their integer form), from the pushes through the bar pairing to
-the bottleneck value.  A line is first probed at the floor of
-best * 2L / w(L): if the bottleneck is feasible there, the line cannot
-raise the maximum and is skipped.  Only the reported value becomes a Fraction again.
+the bottleneck value; the lines of a group share their slopes, so each
+module multiplies its grades once per direction.  A line is first probed
+at the floor of best * 2L / w(L): if the bottleneck is feasible there, the
+line cannot raise the maximum and is skipped.  Only the reported value
+becomes a Fraction again, and only the argmax a LineSpec.
 """
 
 from __future__ import annotations
@@ -30,10 +35,10 @@ import random
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from . import kernels
-from .fibered import Barcode, IntegerLine, barcode, restrict
+from .fibered import Barcode, IntegerLine, barcode, integer_lines, restrict
 from .functors import InterleavingWitness
 from .grades import Grade, LineSpec, line_weight, rat, rat_dec, rat_str
 from .presentation import (
@@ -200,13 +205,57 @@ def bottleneck_at_most(B1: Barcode, B2: Barcode, c) -> bool:
 # -- line sampling ----------------------------------------------------------------
 
 
+class LineGroup(NamedTuple):
+    """Lines of one direction, through the base points (k, 0) / denominator.
+
+    bases holds the integer vectors k of the first n - 1 base coordinates,
+    sorted, so the lines are in the order of their rational bases.
+    """
+
+    direction: tuple[Fraction, ...]
+    denominator: int
+    bases: tuple[tuple[int, ...], ...]
+
+    def line(self, k: tuple[int, ...]) -> LineSpec:
+        return LineSpec(self.direction, Grade([Fraction(c, self.denominator) for c in k] + [0]))
+
+
 @dataclass(frozen=True)
 class LineSample:
-    lines: tuple[LineSpec, ...]
+    """Sampled lines, grouped by direction with integer bases.
+
+    The line loop reads the groups: each group's lines share the slopes of
+    their IntegerLines, so restrict multiplies the grades once per group.
+    LineSpecs are built only on demand, by lines.
+    """
+
+    groups: tuple[LineGroup, ...]
 
     def __post_init__(self):
-        if not self.lines:
+        if not any(group.bases for group in self.groups):
             raise ValueError("line sample is empty")
+
+    @classmethod
+    def of(cls, lines: Iterable[LineSpec]) -> "LineSample":
+        """The given lines in their order; each run of one direction is one group."""
+        runs: list[tuple[tuple, list[Grade]]] = []
+        for line in lines:
+            if runs and runs[-1][0] == line.direction:
+                runs[-1][1].append(line.base)
+            else:
+                runs.append((line.direction, [line.base]))
+        groups = []
+        for direction, bases in runs:
+            den = common_scale(c for b in bases for c in b.coords)
+            groups.append(LineGroup(direction, den, tuple(scale_grade(b, den)[:-1] for b in bases)))
+        return cls(tuple(groups))
+
+    def __len__(self) -> int:
+        return sum(len(group.bases) for group in self.groups)
+
+    @property
+    def lines(self) -> tuple[LineSpec, ...]:
+        return tuple(group.line(k) for group in self.groups for k in group.bases)
 
 
 def _mediant_slopes(count: int) -> list[Fraction]:
@@ -250,46 +299,65 @@ def sample_lines(P: Presentation, Q: Presentation, slopes: int = 64,
     padded bounding-box edges.  A seed appends extra jittered lines
     reproducibly.  The Betti data come from P.minimal and Q.minimal, which
     matching_distance then reuses for its line loop.
+
+    Every line is built in integer units.  With S the common scale of the
+    anchors and X, Y their scaled coordinates, a line of slope a/b has the
+    base offset x - y b/a, an integer 2(X a - Y b) in units of 1/(2 S a),
+    and so are the midpoints and the padded edges; the slope-1 line through
+    an anchor has base offsets 2(X_i - X_n) in units of 1/(2 S), and an
+    extra line of direction r through a jittered anchor has them in units
+    of 1/(128 S r_n).  A direction's lines share one denominator, the lcm
+    of its units; they are deduplicated and sorted on these integers, and
+    the directions are sorted, which is the order of (direction, base).
     """
+    if P.n != Q.n or P.p != Q.p:
+        raise PresentationError("matching distance needs matching dimension and field")
     data = (betti_and_grid(P), betti_and_grid(Q))
-    pts = _betti_points(data)
     n = P.n
-    if not pts:
-        pts = [Grade([0] * n)]
+    pts = _betti_points(data) or [Grade([0] * n)]
     anchors = set(pts)
     for grid in (d.grid for d in data):
         if 0 < grid.image_size() <= 64:
             anchors |= set(grid.points())
-    lines: dict[tuple, LineSpec] = {}
+    scale = common_scale(c for g in anchors for c in g.coords)
+    points = [scale_grade(g, scale) for g in pts]  # in lex order, as pts
+    # direction -> denominator -> integer bases
+    found: dict[tuple, dict[int, set[tuple[int, ...]]]] = {}
 
-    def add(line: LineSpec):
-        lines.setdefault((line.direction, line.base.coords), line)
+    def add(direction, den: int, bases) -> None:
+        found.setdefault(direction, {}).setdefault(den, set()).update(bases)
 
-    for g in sorted(anchors, key=lambda x: x.lex_key()):
-        add(LineSpec.slope_one(g))
-    lo = Grade([min(p.coords[i] for p in pts) for i in range(n)])
-    hi = Grade([max(p.coords[i] for p in pts) for i in range(n)])
-    diam = lo.linf(hi)
-    pad = diam if diam else Fraction(1)
+    add((Fraction(1),) * n, 2 * scale,
+        {tuple(2 * (c - g[-1]) for c in g[:-1]) for g in (scale_grade(a, scale) for a in anchors)})
     if n == 2:
+        # pad times the scale: the bounding box's l-infinity diameter, or 1
+        pad = max(max(g[i] for g in points) - min(g[i] for g in points) for i in range(n)) or scale
         for m in _mediant_slopes(slopes):
-            d = _direction_for_slope(m)
-            offsets = sorted({p.coords[0] - p.coords[1] * d[0] / d[1] for p in pts})
-            mids = [(a + b) / 2 for a, b in zip(offsets, offsets[1:])]
-            edges = [offsets[0] - pad, offsets[-1] + pad]
-            for o in sorted(set(offsets) | set(mids) | set(edges)):
-                add(LineSpec(d, Grade([o, 0])))
+            a, b = m.numerator, m.denominator
+            offsets = sorted({2 * (x * a - y * b) for x, y in points})
+            mids = [(u + v) // 2 for u, v in zip(offsets, offsets[1:])]
+            edges = [offsets[0] - 2 * a * pad, offsets[-1] + 2 * a * pad]
+            add(_direction_for_slope(m), 2 * scale * a, [(o,) for o in offsets + mids + edges])
     if seed is not None and extra:
         rng = random.Random(seed)
         for _ in range(extra):
-            d = [Fraction(rng.randint(1, 64), 64) for _ in range(n)]
-            top = max(d)
-            d = [c / top for c in d]
-            anchor = pts[rng.randrange(len(pts))]
-            jitter = Grade([c + Fraction(rng.randint(-64, 64), 128) for c in anchor.coords])
-            add(LineSpec.through(jitter, d))
-    ordered = tuple(lines[k] for k in sorted(lines))
-    return LineSample(ordered)
+            r = [rng.randint(1, 64) for _ in range(n)]
+            anchor = points[rng.randrange(len(points))]
+            # 128 S times the jittered anchor, and the line through it with direction r
+            jitter = [128 * c + scale * rng.randint(-64, 64) for c in anchor]
+            top = max(r)
+            add(tuple(Fraction(c, top) for c in r), 128 * scale * r[-1],
+                [tuple(jitter[i] * r[-1] - jitter[-1] * r[i] for i in range(n - 1))])
+    groups = []
+    for direction in sorted(found):
+        by_den = found[direction]
+        den = math.lcm(*by_den)
+        bases: set[tuple[int, ...]] = set()
+        for d, ks in by_den.items():
+            f = den // d
+            bases |= ks if f == 1 else {tuple(c * f for c in k) for k in ks}
+        groups.append(LineGroup(direction, den, tuple(sorted(bases))))
+    return LineSample(tuple(groups))
 
 
 @dataclass(frozen=True)
@@ -318,7 +386,7 @@ class _Fibers:
         self.scale = common_scale(c for M in (P, Q) for g in M.minimal.betti_grades() for c in g.coords)
         self.views = (ScaledModule(P.minimal, self.scale), ScaledModule(Q.minimal, self.scale))
 
-    def value(self, line: LineSpec, best=None):
+    def value(self, units: IntegerLine, w: Fraction, best=None):
         """w(L) times the bottleneck of the restrictions; None when that is <= best.
 
         The bottleneck is first probed at floor(best * 2L / w(L)) in doubled
@@ -326,8 +394,6 @@ class _Fibers:
         """
         if best == INF:
             return None
-        w = line_weight(line)
-        units = IntegerLine.of(line, self.scale)
         bars = _Bars(*(barcode(restrict(view, units)) for view in self.views))
         floor = -1
         if best is not None:
@@ -337,10 +403,14 @@ class _Fibers:
         c = bars.least_above(floor)
         return c if c == INF else w * Fraction(c, 2 * units.unit)
 
+    def line_value(self, line: LineSpec, best=None):
+        """value for a LineSpec."""
+        return self.value(IntegerLine.of(line, self.scale), line_weight(line), best)
+
 
 def weighted_bottleneck(P: Presentation, Q: Presentation, line: LineSpec):
     """w(L) times the bottleneck of the two restricted barcodes."""
-    return _Fibers(P, Q).value(line)
+    return _Fibers(P, Q).line_value(line)
 
 
 def _refine_near(line: LineSpec, pts: list[Grade]) -> list[LineSpec]:
@@ -368,8 +438,10 @@ def matching_distance(P: Presentation, Q: Presentation, sample: LineSample | Non
     """Sampled matching distance: max over lines of w(L) * d_B of restrictions.
 
     A lower bound for the true supremum (and hence for the interleaving
-    distance); adding lines never decreases it.  Adaptive rounds refine the
-    sample around the current argmax.
+    distance); adding lines never decreases it.  The sample's lines are
+    visited group by group, as IntegerLines of their direction; only the
+    argmax becomes a LineSpec.  Adaptive rounds refine the sample around
+    the current argmax.
     """
     if P.n != Q.n or P.p != Q.p:
         raise PresentationError("matching distance needs matching dimension and field")
@@ -377,17 +449,21 @@ def matching_distance(P: Presentation, Q: Presentation, sample: LineSample | Non
         sample = sample_lines(P, Q, slopes=slopes)
     fibers = _Fibers(P, Q)
     best = Fraction(0)
-    arg = None
-    for line in sample.lines:
-        v = fibers.value(line, best)
-        if v is not None:
-            best, arg = v, line
+    top = None  # (group, base) of the argmax
+    for group in sample.groups:
+        w = min(group.direction)
+        lines = integer_lines(group.direction, group.denominator, group.bases, fibers.scale)
+        for k, units in zip(group.bases, lines):
+            v = fibers.value(units, w, best)
+            if v is not None:
+                best, top = v, (group, k)
+    arg = None if top is None else top[0].line(top[1])
     if adaptive_rounds and arg is not None:
         pts = _betti_points((betti_and_grid(P), betti_and_grid(Q)))
         for _ in range(adaptive_rounds):
             improved = False
             for line in _refine_near(arg, pts):
-                v = fibers.value(line, best)
+                v = fibers.line_value(line, best)
                 if v is not None:
                     best, arg, improved = v, line, True
             if not improved:

@@ -536,7 +536,9 @@ class ScaledModule:
     and the interval ranks.  The echelon basis of the relations below a
     grade is memoized by the set it spans, so a sweep reduces each distinct
     relation set once.  Query grades are integer tuples in the same units:
-    scale_grade of a corner, or floor of any rational grade.
+    scale_grade of a corner, or floor of any rational grade.  For
+    restriction to lines it keeps one entry: its grades times the slopes of
+    the last line it was restricted along (along).
     """
 
     def __init__(self, P: Presentation, scale: int):
@@ -545,8 +547,9 @@ class ScaledModule:
         self.rels = [(scale_grade(r.grade, scale), r.as_dict()) for r in P.rels]
         self.gens_below = Below(self.gens, self.n)
         self.rels_below = Below([g for g, _ in self.rels], self.n)
-        self._bases: dict[int, list] = {}
+        self._bases: dict[int, dict[int, dict[int, int]]] = {}
         self._ranks: dict[tuple[int, int], int] = {}
+        self._along: tuple | None = None
 
     def floor(self, a: Grade) -> tuple[int, ...]:
         """scale * a rounded down: scaled grades are integers, so g <= scale * a iff g <= floor(a)."""
@@ -561,7 +564,22 @@ class ScaledModule:
         """The columns of the relations <= a, by input index."""
         return [self.rels[k][1] for k in bits(self.rels_below(a))]
 
-    def rel_basis(self, b) -> tuple[int, list]:
+    def along(self, slopes: tuple[int, ...]) -> tuple[list, list, list]:
+        """Per axis i, the generators' and the relations' coordinate i times
+        slopes[i], and the relation columns.
+
+        Only the last slopes asked for are kept, so a caller that visits the
+        lines of one direction together multiplies once per direction and
+        holds one module's worth of products.
+        """
+        if self._along is None or self._along[0] != slopes:
+            self._along = (slopes,
+                           [[g[i] * m for g in self.gens] for i, m in enumerate(slopes)],
+                           [[g[i] * m for g, _ in self.rels] for i, m in enumerate(slopes)],
+                           [col for _, col in self.rels])
+        return self._along[1:]
+
+    def rel_basis(self, b) -> tuple[int, dict[int, dict[int, int]]]:
         """(bitmask of the relations <= b, echelon basis of their columns)."""
         key = self.rels_below(b)
         basis = self._bases.get(key)
@@ -608,7 +626,7 @@ class ScaledModule:
             # outside coordinates go above every inside one, so echelon vectors
             # with an inside pivot are exactly a basis of the intersection
             cols = [{(i if i in inside else i + n): c for i, c in v.items()} for v in span]
-            T = [v for low, v in kernels.echelonize(cols, p) if low < n]
+            T = [v for low, v in kernels.echelonize(cols, p).items() if low < n]
         if not T:
             return 0
         glue = []
@@ -623,7 +641,7 @@ class ScaledModule:
 
 def _rank_over(basis, vectors, p) -> int:
     """rank(span(basis) + span(vectors)) - rank(span(basis)), basis in echelon form."""
-    return kernels.rank([col for _, col in basis] + vectors, p) - len(basis)
+    return kernels.rank(list(basis.values()) + vectors, p) - len(basis)
 
 
 def interval_rank(P: Presentation, births: Sequence[Grade], deaths: Sequence[Grade]) -> int | None:

@@ -11,10 +11,12 @@ from __future__ import annotations
 
 import itertools
 import math
+import random
 from collections import Counter
 from fractions import Fraction
 
-from multipres.grades import Grade
+from multipres.grades import Grade, LineSpec
+from multipres.presentation import betti_and_grid
 
 INF = math.inf
 
@@ -426,7 +428,7 @@ def image_relations_by_full_sweep(P, e: Fraction) -> list[tuple[Grade, dict[int,
         order = early + [i for i in range(len(P.gens)) if i not in set(early)]
         row_of = {i: k for k, i in enumerate(order)}
         cols = [{row_of[i]: c for i, c in r.col} for r in active]
-        pure = [col for low, col in kernels.echelonize(cols, P.p) if low < len(early)]
+        pure = [col for low, col in kernels.echelonize(cols, P.p).items() if low < len(early)]
         if not pure:
             continue
         have = [{row_of[i]: c for i, c in col.items()} for g2, col in out if g2.leq(s)]
@@ -434,7 +436,7 @@ def image_relations_by_full_sweep(P, e: Fraction) -> list[tuple[Grade, dict[int,
         for col in pure:
             res = kernels.residual(col, known, P.p)
             if res:
-                known.append((max(res), res))
+                known[max(res)] = res
                 out.append((s, {order[row]: c for row, c in col.items()}))
     return out
 
@@ -504,3 +506,83 @@ def minimize_by_scan(P):
         gens, rels = cancel(gens, rels, *hit)
     return Presentation(P.n, P.p, tuple(g for g, _ in gens),
                         tuple(Relation(g, make_column(col, P.p)) for g, _, col in rels))
+
+
+def _mediant_slopes(count: int) -> list[Fraction]:
+    """Log-spaced rational slopes in [1/16, 16] by mediant subdivision.
+
+    Subdivides until at least `count` slopes exist (slope 1 always present).
+    """
+    if count <= 1:
+        return [Fraction(1)]
+    slopes = [Fraction(1, 16), Fraction(1), Fraction(16)]
+    while len(slopes) < count:
+        refined = [slopes[0]]
+        for a, b in zip(slopes, slopes[1:]):
+            refined.append(Fraction(a.numerator + b.numerator, a.denominator + b.denominator))
+            refined.append(b)
+        slopes = refined
+    return slopes
+
+
+def _direction_for_slope(m: Fraction) -> tuple[Fraction, Fraction]:
+    if m >= 1:
+        return (Fraction(1) / m, Fraction(1))
+    return (Fraction(1), m)
+
+
+def _betti_points(data) -> list[Grade]:
+    pts: set[Grade] = set()
+    for d in data:
+        pts |= set(d.xi0) | set(d.xi1)
+    return sorted(pts, key=lambda g: g.lex_key())
+
+
+def sample_lines_by_fractions(P, Q, slopes: int = 64, seed: int | None = None,
+                              extra: int = 0) -> tuple[LineSpec, ...]:
+    """The line sample of metrics.sample_lines built line by line in Fractions.
+
+    Slope-1 lines through every Betti-grid point of both modules, and for
+    2-parameter modules a mediant-spaced slope grid crossed with offsets
+    through every Betti point, midpoints between consecutive offsets and the
+    padded bounding-box edges; a seed appends extra jittered lines.  Every
+    line is a LineSpec, deduplicated by (direction, base) and sorted by it.
+    """
+    data = (betti_and_grid(P), betti_and_grid(Q))
+    pts = _betti_points(data)
+    n = P.n
+    if not pts:
+        pts = [Grade([0] * n)]
+    anchors = set(pts)
+    for grid in (d.grid for d in data):
+        if 0 < grid.image_size() <= 64:
+            anchors |= set(grid.points())
+    lines: dict[tuple, LineSpec] = {}
+
+    def add(line: LineSpec):
+        lines.setdefault((line.direction, line.base.coords), line)
+
+    for g in sorted(anchors, key=lambda x: x.lex_key()):
+        add(LineSpec.slope_one(g))
+    lo = Grade([min(p.coords[i] for p in pts) for i in range(n)])
+    hi = Grade([max(p.coords[i] for p in pts) for i in range(n)])
+    diam = lo.linf(hi)
+    pad = diam if diam else Fraction(1)
+    if n == 2:
+        for m in _mediant_slopes(slopes):
+            d = _direction_for_slope(m)
+            offsets = sorted({p.coords[0] - p.coords[1] * d[0] / d[1] for p in pts})
+            mids = [(a + b) / 2 for a, b in zip(offsets, offsets[1:])]
+            edges = [offsets[0] - pad, offsets[-1] + pad]
+            for o in sorted(set(offsets) | set(mids) | set(edges)):
+                add(LineSpec(d, Grade([o, 0])))
+    if seed is not None and extra:
+        rng = random.Random(seed)
+        for _ in range(extra):
+            d = [Fraction(rng.randint(1, 64), 64) for _ in range(n)]
+            top = max(d)
+            d = [c / top for c in d]
+            anchor = pts[rng.randrange(len(pts))]
+            jitter = Grade([c + Fraction(rng.randint(-64, 64), 128) for c in anchor.coords])
+            add(LineSpec.through(jitter, d))
+    return tuple(lines[k] for k in sorted(lines))

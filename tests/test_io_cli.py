@@ -158,6 +158,8 @@ def files(tmp_path_factory):
     (root / "long1.bars").write_text("".join(f"bar {i} {i + 10} 1\n" for i in range(1000)))
     (root / "long2.bars").write_text("".join(f"bar {2 * i + 1}/2 {i + 10} 1\n" for i in range(1000)))
     (root / "broken.fpres").write_text("fpres 1\nfield 2\nparams 2\ngenerators 1\ng a 1 1\nrelations 1\nr 0 0 ; 1:0\n")
+    (root / "rect_f3.fpres").write_text(fio.serialize_fpres(rect).replace("field 2", "field 3"))
+    (root / "cube.fpres").write_text(fio.serialize_fpres(free([g(0, 0, 0), g(1, F(1, 2), 0)])))
     mersenne = fio.serialize_fpres(rect).replace("field 2", f"field {2 ** 61 - 1}")
     (root / "mersenne.fpres").write_text(mersenne)
     return root
@@ -205,6 +207,12 @@ class TestCli:
         option = next(a for a in reversed(args) if a.startswith("--"))
         assert code == 1 and not out and f"usage: multipres {args[0]}" in err
         assert f"argument {option}: count" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("pair", [("cube", "rect"), ("rect", "cube"), ("rect", "rect_f3")])
+    def test_match_dist_mismatch_exits_one_without_traceback(self, files, pair):
+        code, out, err = run_cli("match-dist", *(str(files / f"{name}.fpres") for name in pair))
+        assert code == 1 and not out and "Traceback" not in err
+        assert err.strip() == "error: matching distance needs matching dimension and field"
 
     def test_help_exits_zero(self):
         code, out, _ = run_cli("match-dist", "--help")

@@ -77,15 +77,18 @@ def test_pivot_rows_against_dense_oracle(p):
         nrows = 1 + max((i for col in cols for i in col), default=0)
         expected = dense_low_pivots(to_dense_rows(cols, nrows), p)
         assert kernels.reduce_pivots(cols, p) == expected
-        assert [low for low, _ in kernels.echelonize(cols, p)] == [x for x in expected if x >= 0]
+        assert list(kernels.echelonize(cols, p)) == [x for x in expected if x >= 0]
 
 
 def test_membership_semantics():
     cols = [{0: 1, 1: 1}, {1: 1}]
     basis = kernels.echelonize(cols, 2)
+    assert basis == {1: {0: 1, 1: 1}, 0: {0: 1}}
     assert not kernels.residual({0: 1}, basis, 2)
     assert kernels.residual({2: 1}, basis, 2)
     assert not kernels.residual({}, basis, 2)
+    # residual reads the basis and leaves it as it was
+    assert basis == {1: {0: 1, 1: 1}, 0: {0: 1}}
 
 
 def test_membership_large_prime():
@@ -129,6 +132,6 @@ def test_echelon_stack_matches_echelonize_of_its_prefix(p):
                 prefix.append(k)
             assert stack.keys == prefix
             basis = kernels.echelonize([pool[k] for k in prefix], p)
-            assert list(stack.pivots.items()) == basis
+            assert list(stack.pivots.items()) == list(basis.items())
             vec = rng.choice(pool + random_columns(rng, nrows, 1, p))
             assert stack.residual(vec) == kernels.residual(vec, basis, p)

@@ -27,7 +27,7 @@ from multipres import (
 )
 from multipres.functors import InterleavingWitness, shift_with_witness
 from multipres.fibered import IntegerLine, barcode, restrict
-from multipres.grades import LineSpec, line_weight
+from multipres.grades import LineSpec, line_weight, push
 from multipres import presentation
 from multipres.metrics import (
     LineSample,
@@ -57,7 +57,7 @@ from multipres.presentation import (
     minimize,
 )
 
-from oracles import brute_bottleneck, slot_min_max_assignment
+from oracles import brute_bottleneck, sample_lines_by_fractions, slot_min_max_assignment
 
 INF = math.inf
 
@@ -207,13 +207,15 @@ class TestMatchingDistance:
         rng = random.Random(64)
         P, Q = random_module(rng), random_module(rng)
         small = sample_lines(P, Q, slopes=4)
-        big = LineSample(small.lines + sample_lines(P, Q, slopes=10).lines)
+        big = LineSample.of(small.lines + sample_lines(P, Q, slopes=10).lines)
         assert matching_distance(P, Q, sample=small).value <= \
             matching_distance(P, Q, sample=big).value
 
     def test_empty_sample_rejected(self):
         with pytest.raises(ValueError):
             LineSample(())
+        with pytest.raises(ValueError):
+            LineSample.of(())
 
     def test_gain_of_one_unit_is_not_pruned(self):
         # one bar [0, 2) on the slope-1 line through the origin and [0, 1) on
@@ -221,8 +223,8 @@ class TestMatchingDistance:
         P = staircase_interval([g(0, 0)], [g(2, 0), g(0, 3)])
         Z = zero_module(2, 2)
         near, far = LineSpec([1, 1], g(1, 0)), LineSpec([1, 1], g(0, 0))
-        assert matching_distance(P, Z, sample=LineSample((near,))).value == F(1, 2)
-        report = matching_distance(P, Z, sample=LineSample((near, far)))
+        assert matching_distance(P, Z, sample=LineSample.of((near,))).value == F(1, 2)
+        report = matching_distance(P, Z, sample=LineSample.of((near, far)))
         assert (report.value, report.argmax_line) == (1, far)
 
     def test_adaptive_never_decreases(self):
@@ -308,13 +310,24 @@ class TestIntegerLineLoop:
             yield entangled(S, rng), entangled(S, rng)
 
     @staticmethod
-    def lines(P, Q, seed):
+    def off_grid(seed):
         rng = random.Random(seed)
-        out = list(sample_lines(P, Q, slopes=3, seed=seed, extra=6).lines)
+        out = []
         for _ in range(4):
             point = g(*(F(rng.randint(-40, 200), rng.randint(1, 97)) for _ in range(2)))
             out.append(LineSpec.through(point, [F(rng.randint(1, 89), rng.randint(1, 89)), 1]))
         return out
+
+    @classmethod
+    def lines(cls, P, Q, seed):
+        """The Fraction-built sample, then four lines off its grid."""
+        return list(sample_lines_by_fractions(P, Q, slopes=3, seed=seed, extra=6)) + cls.off_grid(seed)
+
+    @classmethod
+    def sample(cls, P, Q, seed):
+        """The integer sample of the same lines, in the same order."""
+        groups = sample_lines(P, Q, slopes=3, seed=seed, extra=6).groups
+        return LineSample(groups + LineSample.of(cls.off_grid(seed)).groups)
 
     def test_bars_match_restricted_barcode(self):
         for n, (P, Q) in enumerate(self.pairs()):
@@ -348,18 +361,125 @@ class TestIntegerLineLoop:
         values = set()
         for n, (P, Q) in enumerate(self.pairs()):
             lines = self.lines(P, Q, n)
-            report = matching_distance(P, Q, sample=LineSample(tuple(lines)), adaptive_rounds=rounds)
+            report = matching_distance(P, Q, sample=self.sample(P, Q, n), adaptive_rounds=rounds)
             assert (report.value, report.argmax_line) == reference_distance(P, Q, lines, rounds), n
             values.add(report.value)
             # re-check only the one-summand pairs and the unmatched pair; not the distance-0 pairs
             if not rounds or n % 8 >= 2 or n > 16:
                 continue
-            # the rounds refine around the Betti points of the modules compared
+            # the rounds refine around the Betti points of the modules compared;
+            # the reference loops over the Fraction-built sample
             sample = sample_lines(P, Q, slopes=3, seed=n, extra=6)
             report = matching_distance(P, Q, sample=sample, adaptive_rounds=rounds)
-            lines = sample.lines
+            lines = sample_lines_by_fractions(P, Q, slopes=3, seed=n, extra=6)
             assert (report.value, report.argmax_line) == reference_distance(P, Q, lines, rounds), n
         assert {0, INF} < values  # and some positive finite distance
+
+
+def three_parameter_pair():
+    def col(*entries):
+        return make_column(list(entries), 2)
+
+    P = Presentation(3, 2, (Generator("a", g(0, 0, 0)), Generator("b", g(1, F(1, 2), 0))),
+                     (Relation(g(2, 0, 1), col((0, 1))), Relation(g(1, 3, 2), col((0, 1), (1, 1)))))
+    Q = Presentation(3, 2, (Generator("a", g(0, F(1, 3), 0)), Generator("b", g(1, F(1, 2), F(1, 5)))),
+                     (Relation(g(2, 1, 1), col((0, 1))), Relation(g(3, 3, 2), col((1, 1)))))
+    return P, Q
+
+
+class TestSampleOracle:
+    """The integer sample holds the Fraction-built sample's lines, in its order."""
+
+    @staticmethod
+    def pairs():
+        rng = random.Random(81)
+        for p in (2, 3):
+            for k in (1, 2, 3, 4):
+                P = random_staircase(rng, p=p)
+                for _ in range(k - 1):
+                    P = direct_sum(P, random_staircase(rng, p=p))
+                yield P, jitter_module(P, rng, F(rng.randint(1, 96), 97))
+                yield P, jitter_module(P, rng, F(1, rng.choice([2, 3, 7, 97])))
+        yield zero_module(2, 2), zero_module(2, 2)
+        yield incompleteness_pair()
+        yield three_parameter_pair()
+
+    @staticmethod
+    def check(P, Q, **kw):
+        sample = sample_lines(P, Q, **kw)
+        assert sample.lines == sample_lines_by_fractions(P, Q, **kw)
+        assert len(sample) == len(sample.lines)
+
+    def test_slope_counts(self):
+        for n, (P, Q) in enumerate(self.pairs()):
+            for slopes in ((0, 1, 2, 3, 16, 64) if n % 4 == 0 else (2, 3)):
+                self.check(P, Q, slopes=slopes)
+
+    def test_seeded_extras(self):
+        for n, (P, Q) in enumerate(self.pairs()):
+            self.check(P, Q, slopes=2, seed=n, extra=40)
+
+    def test_of_keeps_the_order_and_repeats(self):
+        P, Q = next(self.pairs())
+        lines = sample_lines_by_fractions(P, Q, slopes=3, seed=1, extra=3)
+        mixed = lines[::2] + lines[1::2] + lines[:3]
+        assert LineSample.of(mixed).lines == mixed
+        assert len(LineSample.of(mixed)) == len(mixed)
+
+
+class TestRestrictCache:
+    """A ScaledModule multiplies its grades once per direction and gives the same fibers."""
+
+    @staticmethod
+    def fresh(view, units):
+        """The Fiber of units computed from scratch from the scaled grades."""
+        def params(grades):
+            return [max(x * m - o for x, m, o in zip(a, units.slopes, units.offsets)) for a in grades]
+
+        return params(view.gens), params([a for a, _ in view.rels]), [c for _, c in view.rels], view.p
+
+    def test_directions_a_b_a(self):
+        rng = random.Random(82)
+        P = direct_sum(random_staircase(rng, p=3), random_staircase(rng, p=3))
+        cases = [(P, [LineSpec([F(1, 3), 1], g(F(5, 2), 0)), LineSpec([1, F(2, 7)], g(-4, 0)),
+                      LineSpec([F(1, 3), 1], g(F(-1, 5), 0))]),
+                 (three_parameter_pair()[1],
+                  [LineSpec([1, F(1, 2), F(3, 4)], g(F(1, 3), -1, 0)), LineSpec([1, 1, 1], g(0, 0, 0)),
+                   LineSpec([1, F(1, 2), F(3, 4)], g(2, F(-2, 5), 0))])]
+        for M, lines in cases:
+            scale = common_scale(c for x in M.betti_grades() for c in x.coords)
+            view = ScaledModule(M, scale)
+            for line in lines:
+                units = IntegerLine.of(line, scale)
+                fiber = restrict(view, units)
+                assert tuple(fiber) == self.fresh(ScaledModule(M, scale), units)
+                assert fiber.gen_params == [push(line, x.grade) * units.unit for x in M.gens]
+            # the last direction's products are reused, and a wrong dimension is still refused
+            assert view.along(units.slopes)[0] is view.along(units.slopes)[0]
+            with pytest.raises(ValueError):
+                restrict(view, IntegerLine.of(LineSpec([1] * (M.n + 1), g(*[0] * (M.n + 1))), scale))
+
+    def test_line_loop_builds_no_line_spec_per_line(self, monkeypatch):
+        rng = random.Random(83)
+        P = direct_sum(random_staircase(rng), random_staircase(rng))
+        Q = jitter_module(P, rng, F(1, 3))
+        assert len(sample_lines(P, Q, slopes=16)) > 50
+        specs, units = [], []
+        original_init, original_of = LineSpec.__init__, IntegerLine.of
+
+        def counting_init(self, *args):
+            specs.append(1)
+            original_init(self, *args)
+
+        def counting_of(cls, *args):
+            units.append(1)
+            return original_of(*args)
+
+        monkeypatch.setattr(LineSpec, "__init__", counting_init)
+        monkeypatch.setattr(IntegerLine, "of", classmethod(counting_of))
+        report = matching_distance(P, Q)
+        assert report.value > 0 and report.argmax_line is not None
+        assert (len(specs), len(units)) == (1, 0)
 
 
 class TestMinimalFormsOnce:
