@@ -197,8 +197,7 @@ def _cmd_barcode(args) -> int:
 def _cmd_match_dist(args) -> int:
     P = _load_fpres(args.module)
     Q = _load_fpres(args.other)
-    sample = sample_lines(P, Q, slopes=args.lines, seed=args.seed,
-                          extra=args.extra if args.seed is not None else 0)
+    sample = sample_lines(P, Q, slopes=args.lines, seed=args.seed, extra=args.extra)
     report = matching_distance(P, Q, sample=sample, adaptive_rounds=args.adaptive)
     rows = [("matching-distance", report.value), ("kind", report.kind),
             ("lines", len(sample))]
@@ -349,13 +348,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = module_cmd("restrict", _cmd_restrict, "1-parameter restriction to a line")
     p.add_argument("--direction", required=True, help="positive components, e.g. '1 2'")
-    p.add_argument("--base", help="base point with last coordinate 0")
-    p.add_argument("--through", help="any point the line should pass through")
+    point = p.add_mutually_exclusive_group()
+    point.add_argument("--base", help="base point with last coordinate 0")
+    point.add_argument("--through", help="any point the line should pass through")
 
     p = module_cmd("barcode", _cmd_barcode, "barcode of a 1-parameter module or restriction")
     p.add_argument("--direction", help="restrict first when the module is multiparameter")
-    p.add_argument("--base")
-    p.add_argument("--through")
+    point = p.add_mutually_exclusive_group()
+    point.add_argument("--base")
+    point.add_argument("--through")
     p.add_argument("--simplify", help="apply barcode simplification at this eps")
 
     p = sub.add_parser("match-dist", help="sampled matching distance")
@@ -364,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lines", type=_count(), default=64, help="slope count of the sampling grid")
     p.add_argument("--adaptive", type=_count(), default=0, help="refinement rounds")
     p.add_argument("--seed", type=int, help="seed for jittered extra lines")
-    p.add_argument("--extra", type=_count(), default=0, help="jittered lines to append")
+    p.add_argument("--extra", type=_count(), default=0, help="jittered lines to append (needs --seed)")
     p.add_argument("--emit-argmax", action="store_true")
     p.add_argument("--format", choices=["text", "tabular"], default="text")
     p.set_defaults(func=_cmd_match_dist)

@@ -9,15 +9,16 @@ dropped.  Bars are half-open [b, d) multisets.
 
 restrict and barcode work in two number systems.  On a Presentation and a
 LineSpec they build a 1-parameter Presentation with Fraction grades and its
-Barcode.  The matching-distance line loop uses the integer form: IntegerLine
-puts a line into integer units for grades scaled by a common S, so
-restricting a ScaledModule gives a Fiber whose pushes are Python ints in the
-same order, and barcode pairs them into bars in those units.  integer_lines
-builds the IntegerLines of the lines of one direction, which share their
-slopes; the ScaledModule keeps its grades times the last slopes it was
-restricted along, so a loop over the lines grouped by direction multiplies
-the grades once per direction and subtracts one offset per line.  Both forms
-share one pairing routine, pair_bars.
+Barcode.  The matching-distance line loop, which evaluates every line the
+library compares modules on, uses the integer form: IntegerLine puts a line
+into integer units for grades scaled by a common S, so restricting a
+ScaledModule gives a Fiber whose pushes are Python ints in the same order,
+and barcode pairs them into bars in those units.  integer_lines builds the
+IntegerLines of the lines of one direction, which share their slopes; the
+ScaledModule keeps its grades times the last slopes it was restricted
+along, so a loop over the lines grouped by direction multiplies the grades
+once per direction and subtracts one offset per line.  Both forms share one
+pairing routine, pair_bars.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from typing import NamedTuple
 
 from . import kernels
 from .grades import Grade, LineSpec, push, rat, rat_str
-from .presentation import Generator, Presentation, Relation, ScaledModule, common_scale, scale_grade
+from .presentation import Generator, Presentation, Relation, ScaledModule
 
 INF = math.inf
 
@@ -93,17 +94,13 @@ class IntegerLine(NamedTuple):
     the slopes m_i = D q_i P / p_i and offsets o_i = S k_i q_i P / p_i, and
     T = L push(g) for the unit L = S D P.  Sorting by (T, index) is sorting
     by (push, index).  Any D that clears the base gives the same order and
-    the same exact values once divided by L.
+    the same exact values once divided by L.  integer_lines builds them, a
+    direction's lines at a time.
     """
 
     slopes: tuple[int, ...]
     offsets: tuple[int, ...]
     unit: int
-
-    @classmethod
-    def of(cls, line: LineSpec, scale: int) -> "IntegerLine":
-        den = common_scale(line.base.coords)
-        return next(integer_lines(line.direction, den, [scale_grade(line.base, den)[:-1]], scale))
 
 
 def integer_lines(direction, denominator: int, bases, scale: int):
@@ -188,16 +185,17 @@ def pair_bars(gen_params, rel_params, cols, p: int) -> list[tuple]:
 
     The parameters may be Fractions or the integers of one IntegerLine; the
     columns are {generator index: coefficient} dicts.  Rows and columns are
-    ordered by (parameter, input index), a pivot pairs a relation with the
-    generator it kills, and zero-length bars are dropped.
+    ordered by (parameter, input index): the columns go to the kernel as
+    they are, in relation order, with the row of each generator, and the
+    kernel relabels each column once as it reads it.  A pivot pairs a
+    relation with the generator it kills, and zero-length bars are dropped.
     """
     gen_order = sorted(range(len(gen_params)), key=gen_params.__getitem__)
     row_of = [0] * len(gen_order)
     for row, i in enumerate(gen_order):
         row_of[i] = row
     rel_order = sorted(range(len(rel_params)), key=rel_params.__getitem__)
-    columns = [{row_of[i]: c for i, c in cols[j].items()} for j in rel_order]
-    pivots = kernels.reduce_pivots(columns, p)
+    pivots = kernels.reduce_pivots([cols[j] for j in rel_order], p, row_of)
     bars = []
     killed = set()
     for j, piv in zip(rel_order, pivots):

@@ -4,10 +4,12 @@ Columns are dicts {row index: nonzero coefficient mod p}.  Reduction is the
 standard left-to-right scheme with max-index pivots, which serves three
 masters: persistence pairing (pivot row = paired row), rank computation
 (count of nonzero pivots) and span membership (residual after reducing
-against an echelon basis).  Over F_2, reduce_pivots reads a column's rows as
-the bits of a Python int and adds columns by XOR.  EchelonStack is an echelon
-basis grown column by column that can be cut back to any prefix, for sweeps
-whose spans share long prefixes.
+against an echelon basis).  reduce_pivots takes its columns with the
+caller's indices and a row map, and relabels each entry once as it reads
+the column; over F_2 it reads the relabelled rows as the bits of a Python
+int and adds columns by XOR.  EchelonStack is an echelon basis grown column
+by column that can be cut back to any prefix, for sweeps whose spans share
+long prefixes.
 """
 
 from __future__ import annotations
@@ -19,17 +21,18 @@ def _inv_mod(c: int, p: int) -> int:
     return pow(c, p - 2, p)
 
 
-def reduce_pivots(columns, p):
+def reduce_pivots(columns, p, rows):
     """Reduce columns in order; return the pivot row of each (-1 if zeroed).
 
-    Each column is reduced against the previously committed columns sharing
-    its current max-index row until the row is fresh or the column dies.
+    Column entries {i: coefficient} lie in row rows[i].  Each column is
+    reduced against the previously committed columns sharing its current
+    max-index row until the row is fresh or the column dies.
     """
     out = []
     if p == 2:
         masks: dict[int, int] = {}
         for col in columns:
-            v = sum(1 << row for row in col)
+            v = sum(1 << rows[i] for i in col)
             while v:
                 low = v.bit_length() - 1
                 other = masks.get(low)
@@ -41,7 +44,7 @@ def reduce_pivots(columns, p):
         return out
     piv: dict[int, dict[int, int]] = {}
     for col in columns:
-        c = _residual_dict(dict(col), piv, p)
+        c = _residual_dict({rows[i]: v for i, v in col.items()}, piv, p)
         low = max(c, default=-1)
         if c:
             piv[low] = c

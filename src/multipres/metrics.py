@@ -14,18 +14,21 @@ lines, always including the slope-1 lines through every Betti-grid point of
 both modules, which witness diagonal translates exactly.  Each module is
 minimized once (Presentation.minimal): sample_lines reads its Betti data
 from that minimal form, and matching_distance scales the minimal forms'
-grades to integers once.  sample_lines builds the lines in integer units,
-grouped by direction: each group has one denominator and a sorted list of
-integer base offsets (LineSample, LineGroup), and a LineSpec is built only
-on demand.  The weighted bottleneck on a line is an invariant of the
-modules, so every line restricts the minimal presentations and runs on
-Python ints in its own units (fibered.IntegerLine, with restrict and
-barcode in their integer form), from the pushes through the bar pairing to
-the bottleneck value; the lines of a group share their slopes, so each
-module multiplies its grades once per direction.  A line is first probed
-at the floor of best * 2L / w(L): if the bottleneck is feasible there, the
-line cannot raise the maximum and is skipped.  Only the reported value
-becomes a Fraction again, and only the argmax a LineSpec.
+grades to integers once.  Lines are held in integer units, grouped by
+direction: each group has one denominator and a sorted list of integer base
+offsets (LineSample, LineGroup), and a LineSpec is built only on demand.
+Every line is evaluated by one loop, _best_line: the sampled lines, the
+lines each adaptive round refines around the argmax, and the one line of
+weighted_bottleneck, each as a LineSample.  The weighted bottleneck on a
+line is an invariant of the modules, so the loop restricts the minimal
+presentations and runs on Python ints in the line's own units
+(fibered.IntegerLine, with restrict and barcode in their integer form),
+from the pushes through the bar pairing to the bottleneck value; the lines
+of a group share their slopes, so each module multiplies its grades once
+per direction.  A line is first probed at the floor of best * 2L / w(L): if
+the bottleneck is feasible there, the line cannot raise the maximum and is
+skipped.  Only the reported value becomes a Fraction again, and only the
+argmax a LineSpec.
 """
 
 from __future__ import annotations
@@ -38,9 +41,9 @@ from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
 
 from . import kernels
-from .fibered import Barcode, IntegerLine, barcode, integer_lines, restrict
+from .fibered import Barcode, barcode, integer_lines, restrict
 from .functors import InterleavingWitness
-from .grades import Grade, LineSpec, line_weight, rat, rat_dec, rat_str
+from .grades import Grade, LineSpec, rat, rat_dec, rat_str
 from .presentation import (
     BettiData,
     Presentation,
@@ -222,11 +225,12 @@ class LineGroup(NamedTuple):
 
 @dataclass(frozen=True)
 class LineSample:
-    """Sampled lines, grouped by direction with integer bases.
+    """Lines grouped by direction with integer bases: a sample, a
+    refinement or a single line.
 
-    The line loop reads the groups: each group's lines share the slopes of
-    their IntegerLines, so restrict multiplies the grades once per group.
-    LineSpecs are built only on demand, by lines.
+    The line loop (_best_line) reads the groups: each group's lines share
+    the slopes of their IntegerLines, so restrict multiplies the grades once
+    per group.  LineSpecs are built only on demand, by lines.
     """
 
     groups: tuple[LineGroup, ...]
@@ -281,10 +285,13 @@ def _direction_for_slope(m: Fraction) -> tuple[Fraction, Fraction]:
     return (Fraction(1), m)
 
 
-def _betti_points(data: Sequence[BettiData]) -> list[Grade]:
+def _anchor_points(data: Sequence[BettiData], grid_limit: int) -> list[Grade]:
+    """The Betti grades, plus the points of each grid with at most grid_limit points, in lex order."""
     pts: set[Grade] = set()
     for d in data:
         pts |= set(d.xi0) | set(d.xi1)
+        if 0 < d.grid.image_size() <= grid_limit:
+            pts |= set(d.grid.points())
     return sorted(pts, key=lambda g: g.lex_key())
 
 
@@ -297,8 +304,9 @@ def sample_lines(P: Presentation, Q: Presentation, slopes: int = 64,
     modules a mediant-spaced slope grid is crossed with offsets through
     every Betti point, midpoints between consecutive offsets, and the
     padded bounding-box edges.  A seed appends extra jittered lines
-    reproducibly.  The Betti data come from P.minimal and Q.minimal, which
-    matching_distance then reuses for its line loop.
+    reproducibly; extra lines without a seed are refused.  The Betti data
+    come from P.minimal and Q.minimal, which matching_distance then reuses
+    for its line loop.
 
     Every line is built in integer units.  With S the common scale of the
     anchors and X, Y their scaled coordinates, a line of slope a/b has the
@@ -312,13 +320,12 @@ def sample_lines(P: Presentation, Q: Presentation, slopes: int = 64,
     """
     if P.n != Q.n or P.p != Q.p:
         raise PresentationError("matching distance needs matching dimension and field")
+    if extra and seed is None:
+        raise ValueError("extra jittered lines need a seed (--seed)")
     data = (betti_and_grid(P), betti_and_grid(Q))
     n = P.n
-    pts = _betti_points(data) or [Grade([0] * n)]
-    anchors = set(pts)
-    for grid in (d.grid for d in data):
-        if 0 < grid.image_size() <= 64:
-            anchors |= set(grid.points())
+    pts = _anchor_points(data, 0) or [Grade([0] * n)]
+    anchors = _anchor_points(data, 64) or pts
     scale = common_scale(c for g in anchors for c in g.coords)
     points = [scale_grade(g, scale) for g in pts]  # in lex order, as pts
     # direction -> denominator -> integer bases
@@ -338,7 +345,7 @@ def sample_lines(P: Presentation, Q: Presentation, slopes: int = 64,
             mids = [(u + v) // 2 for u, v in zip(offsets, offsets[1:])]
             edges = [offsets[0] - 2 * a * pad, offsets[-1] + 2 * a * pad]
             add(_direction_for_slope(m), 2 * scale * a, [(o,) for o in offsets + mids + edges])
-    if seed is not None and extra:
+    if extra:
         rng = random.Random(seed)
         for _ in range(extra):
             r = [rng.randint(1, 64) for _ in range(n)]
@@ -373,44 +380,37 @@ class DistanceReport:
         return out
 
 
-class _Fibers:
-    """Two modules' minimal forms with their grades scaled to integers once.
+def _best_line(views: Sequence[ScaledModule], sample: LineSample, best):
+    """The maximum of best and w(L) * d_B over the sample's lines, with the
+    first line that attains it, or None when no line beats best.
 
-    A line's weighted bottleneck is an invariant of the modules, so the loop
-    restricts the smallest presentations of them.  Each line is evaluated in
-    its IntegerLine units, from the pushes to the bottleneck value in Python
-    ints; only the returned value is a Fraction.
+    This is the one place lines are evaluated.  views are two modules'
+    minimal forms scaled by one S, and each line is evaluated as an
+    IntegerLine of its group in the units of S, from the pushes to the
+    bottleneck value in Python ints.  The bottleneck is first probed at
+    floor(best * 2L / w(L)) in doubled units: if it is feasible there, the
+    line cannot beat best and is skipped.  Only the returned value is a
+    Fraction, and only the argmax a LineSpec.
     """
-
-    def __init__(self, P: Presentation, Q: Presentation):
-        self.scale = common_scale(c for M in (P, Q) for g in M.minimal.betti_grades() for c in g.coords)
-        self.views = (ScaledModule(P.minimal, self.scale), ScaledModule(Q.minimal, self.scale))
-
-    def value(self, units: IntegerLine, w: Fraction, best=None):
-        """w(L) times the bottleneck of the restrictions; None when that is <= best.
-
-        The bottleneck is first probed at floor(best * 2L / w(L)) in doubled
-        units: if it is feasible there, the line cannot beat best.
-        """
-        if best == INF:
-            return None
-        bars = _Bars(*(barcode(restrict(view, units)) for view in self.views))
-        floor = -1
-        if best is not None:
+    top = None  # (group, base) of the argmax
+    for group in sample.groups:
+        w = min(group.direction)
+        for k, units in zip(group.bases, integer_lines(group.direction, group.denominator,
+                                                       group.bases, views[0].scale)):
+            if best == INF:  # no line beats it
+                break
+            bars = _Bars(*(barcode(restrict(view, units)) for view in views))
             floor = best.numerator * 2 * units.unit * w.denominator // (best.denominator * w.numerator)
-            if bars.at_most(floor):
-                return None
-        c = bars.least_above(floor)
-        return c if c == INF else w * Fraction(c, 2 * units.unit)
-
-    def line_value(self, line: LineSpec, best=None):
-        """value for a LineSpec."""
-        return self.value(IntegerLine.of(line, self.scale), line_weight(line), best)
+            if not bars.at_most(floor):
+                c = bars.least_above(floor)
+                best, top = (c if c == INF else w * Fraction(c, 2 * units.unit)), (group, k)
+    return best, None if top is None else top[0].line(top[1])
 
 
 def weighted_bottleneck(P: Presentation, Q: Presentation, line: LineSpec):
-    """w(L) times the bottleneck of the two restricted barcodes."""
-    return _Fibers(P, Q).line_value(line)
+    """w(L) times the bottleneck of the two restricted barcodes: the sampled
+    matching distance of the one-line sample."""
+    return matching_distance(P, Q, LineSample.of((line,))).value
 
 
 def _refine_near(line: LineSpec, pts: list[Grade]) -> list[LineSpec]:
@@ -438,36 +438,30 @@ def matching_distance(P: Presentation, Q: Presentation, sample: LineSample | Non
     """Sampled matching distance: max over lines of w(L) * d_B of restrictions.
 
     A lower bound for the true supremum (and hence for the interleaving
-    distance); adding lines never decreases it.  The sample's lines are
-    visited group by group, as IntegerLines of their direction; only the
-    argmax becomes a LineSpec.  Adaptive rounds refine the sample around
-    the current argmax.
+    distance); adding lines never decreases it.  The weighted bottleneck on
+    a line is an invariant of the modules, so both minimal forms are scaled
+    to integers once and _best_line evaluates the sample on them.  Each
+    adaptive round evaluates the refinement around the current argmax in
+    the same way, against the running maximum; the rounds stop early when
+    there is no refinement (n != 2) or no refined line beats the maximum.
     """
     if P.n != Q.n or P.p != Q.p:
         raise PresentationError("matching distance needs matching dimension and field")
     if sample is None:
         sample = sample_lines(P, Q, slopes=slopes)
-    fibers = _Fibers(P, Q)
-    best = Fraction(0)
-    top = None  # (group, base) of the argmax
-    for group in sample.groups:
-        w = min(group.direction)
-        lines = integer_lines(group.direction, group.denominator, group.bases, fibers.scale)
-        for k, units in zip(group.bases, lines):
-            v = fibers.value(units, w, best)
-            if v is not None:
-                best, top = v, (group, k)
-    arg = None if top is None else top[0].line(top[1])
+    scale = common_scale(c for M in (P, Q) for g in M.minimal.betti_grades() for c in g.coords)
+    views = (ScaledModule(P.minimal, scale), ScaledModule(Q.minimal, scale))
+    best, arg = _best_line(views, sample, Fraction(0))
     if adaptive_rounds and arg is not None:
-        pts = _betti_points((betti_and_grid(P), betti_and_grid(Q)))
+        pts = _anchor_points((betti_and_grid(P), betti_and_grid(Q)), 0)
         for _ in range(adaptive_rounds):
-            improved = False
-            for line in _refine_near(arg, pts):
-                v = fibers.line_value(line, best)
-                if v is not None:
-                    best, arg, improved = v, line, True
-            if not improved:
+            refined = _refine_near(arg, pts)
+            if not refined:
                 break
+            best, line = _best_line(views, LineSample.of(refined), best)
+            if line is None:
+                break
+            arg = line
     return DistanceReport(best, arg, "lower_bound")
 
 
@@ -570,16 +564,6 @@ def verify_interleaving(P: Presentation, Q: Presentation, w: InterleavingWitness
 # -- rank-condition lower bound ------------------------------------------------------
 
 
-def _default_probes(modules: Sequence[Presentation]) -> list[Grade]:
-    pts: set[Grade] = set()
-    for M in modules:
-        data = betti_and_grid(M)
-        pts |= set(data.xi0) | set(data.xi1)
-        if 0 < data.grid.image_size() <= 128:
-            pts |= set(data.grid.points())
-    return sorted(pts, key=lambda g: g.lex_key())
-
-
 def _interval_probes(M: ScaledModule, top: tuple[int, int]) -> list[tuple[list, list]]:
     """Staircase intervals read off a minimal presentation, in scaled grades.
 
@@ -656,7 +640,7 @@ def rank_lower_bound(P: Presentation, Q: Presentation,
     """
     if P.n != Q.n or P.p != Q.p:
         raise PresentationError("rank bound needs matching dimension and field")
-    probe_list = _default_probes((P, Q))
+    probe_list = _anchor_points((betti_and_grid(P), betti_and_grid(Q)), 128)
     if probes is not None:
         probe_list = sorted(set(probe_list) | set(probes), key=lambda g: g.lex_key())
     for a in probe_list:

@@ -160,6 +160,8 @@ def files(tmp_path_factory):
     (root / "broken.fpres").write_text("fpres 1\nfield 2\nparams 2\ngenerators 1\ng a 1 1\nrelations 1\nr 0 0 ; 1:0\n")
     (root / "rect_f3.fpres").write_text(fio.serialize_fpres(rect).replace("field 2", "field 3"))
     (root / "cube.fpres").write_text(fio.serialize_fpres(free([g(0, 0, 0), g(1, F(1, 2), 0)])))
+    (root / "cube_shift.fpres").write_text(
+        fio.serialize_fpres(free([g(0, F(1, 3), 0), g(1, F(1, 2), F(1, 5))])))
     mersenne = fio.serialize_fpres(rect).replace("field 2", f"field {2 ** 61 - 1}")
     (root / "mersenne.fpres").write_text(mersenne)
     return root
@@ -188,10 +190,13 @@ class TestCli:
     @pytest.mark.parametrize("args", [
         ("match-dist", "N.fpres", "O.fpres", "--lines", "x"),
         ("match-dist", "N.fpres"),
+        ("restrict", "rect.fpres", "--direction", "1 1", "--base", "0 0", "--through", "1 1"),
+        ("barcode", "rect.fpres", "--direction", "1 1", "--through", "1 1", "--base", "0 0"),
     ])
     def test_bad_arguments_exit_one_with_usage(self, files, args):
         code, out, err = run_cli(*(str(files / a) if a.endswith(".fpres") else a for a in args))
-        assert code == 1 and not out and "usage: multipres match-dist" in err
+        assert code == 1 and not out and f"usage: multipres {args[0]}" in err
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("args", [
         ("match-dist", "N.fpres", "O.fpres", "--lines", "-3"),
@@ -213,6 +218,21 @@ class TestCli:
         code, out, err = run_cli("match-dist", *(str(files / f"{name}.fpres") for name in pair))
         assert code == 1 and not out and "Traceback" not in err
         assert err.strip() == "error: matching distance needs matching dimension and field"
+
+    def test_extra_lines_need_a_seed(self, files):
+        args = ("match-dist", str(files / "N.fpres"), str(files / "O.fpres"), "--lines", "2")
+        code, out, err = run_cli(*args, "--extra", "3")
+        assert code == 1 and not out and "Traceback" not in err
+        assert err.strip() == "error: extra jittered lines need a seed (--seed)"
+        code, out, _ = run_cli(*args, "--extra", "0")
+        assert code == 0 and "matching-distance 0 (0.000000)" in out
+
+    def test_match_dist_adaptive_rounds_in_three_parameters(self, files):
+        # lines in three parameters have no refinement, so the rounds stop at once
+        args = ("match-dist", str(files / "cube.fpres"), str(files / "cube_shift.fpres"), "--emit-argmax")
+        code, out, err = run_cli(*args, "--adaptive", "2")
+        assert code == 0 and "argmax line" in out, err
+        assert run_cli(*args) == (code, out, err)
 
     def test_help_exits_zero(self):
         code, out, _ = run_cli("match-dist", "--help")

@@ -58,7 +58,7 @@ def test_rank_against_dense_oracle(p):
         cols = random_columns(rng, nrows, rng.randint(0, 16), p)
         expected = dense_rank_mod_p(to_dense_rows(cols, nrows), p) if cols else 0
         assert kernels.rank(cols, p) == expected
-        pivots = kernels.reduce_pivots(cols, p)
+        pivots = kernels.reduce_pivots(cols, p, range(nrows))
         assert sum(1 for x in pivots if x >= 0) == expected
 
 
@@ -76,8 +76,21 @@ def test_pivot_rows_against_dense_oracle(p):
     for cols in cases:
         nrows = 1 + max((i for col in cols for i in col), default=0)
         expected = dense_low_pivots(to_dense_rows(cols, nrows), p)
-        assert kernels.reduce_pivots(cols, p) == expected
+        assert kernels.reduce_pivots(cols, p, range(nrows)) == expected
         assert list(kernels.echelonize(cols, p)) == [x for x in expected if x >= 0]
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_row_map_relabels_each_column_entry(p):
+    rng = random.Random(107)
+    for _ in range(20):
+        nrows = rng.randint(1, 12)
+        cols = random_columns(rng, nrows, rng.randint(0, 16), p)
+        before = [dict(col) for col in cols]
+        rows = rng.sample(range(nrows), nrows)
+        moved = [{rows[i]: c for i, c in col.items()} for col in cols]
+        assert kernels.reduce_pivots(cols, p, rows) == dense_low_pivots(to_dense_rows(moved, nrows), p)
+        assert cols == before
 
 
 def test_membership_semantics():

@@ -26,12 +26,11 @@ from multipres import (
     zero_module,
 )
 from multipres.functors import InterleavingWitness, shift_with_witness
-from multipres.fibered import IntegerLine, barcode, restrict
+from multipres.fibered import barcode, integer_lines, restrict
 from multipres.grades import LineSpec, line_weight, push
-from multipres import presentation
+from multipres import metrics, presentation
 from multipres.metrics import (
     LineSample,
-    _Fibers,
     _rank_violation,
     _refine_near,
     bottleneck_at_most,
@@ -64,6 +63,12 @@ INF = math.inf
 
 def g(*coords):
     return Grade(coords)
+
+
+def units_of(line, scale):
+    """The IntegerLine of line for the grade scale: integer_lines of its one-line sample."""
+    (group,) = LineSample.of((line,)).groups
+    return next(integer_lines(group.direction, group.denominator, group.bases, scale))
 
 
 def slot_distance(B1, B2):
@@ -334,21 +339,30 @@ class TestIntegerLineLoop:
             scale = common_scale(c for M in (P, Q) for x in M.betti_grades() for c in x.coords)
             views = [ScaledModule(M, scale) for M in (P, Q)]
             for line in self.lines(P, Q, n):
-                units = IntegerLine.of(line, scale)
+                units = units_of(line, scale)
                 for M, view in zip((P, Q), views):
                     got = Barcode([(F(b, units.unit), d if d == INF else F(d, units.unit))
                                    for b, d in barcode(restrict(view, units))])
                     assert got == barcode(restrict(M, line)), (n, str(line))
 
+    @staticmethod
+    def assert_refused(P, Q):
+        line = LineSpec([1, 1], g(0, 0))
+        for pair in ((P, Q), (Q, P)):
+            for compare in (weighted_bottleneck, lambda M, N, _: matching_distance(M, N)):
+                with pytest.raises(PresentationError, match="needs matching dimension and field"):
+                    compare(*pair, line)
+
     def test_dimension_mismatch_rejected(self):
         P = staircase_interval([g(0, 0)], [g(2, 0), g(0, 3)])
         R = free([g(0, 0, 0)])
-        line = LineSpec([1, 1], g(0, 0))
-        for pair in ((P, R), (R, P)):
-            with pytest.raises(ValueError):
-                weighted_bottleneck(*pair, line)
+        self.assert_refused(P, R)
         with pytest.raises(ValueError):
-            restrict(ScaledModule(R, 1), IntegerLine.of(line, 1))
+            restrict(ScaledModule(R, 1), units_of(LineSpec([1, 1], g(0, 0)), 1))
+
+    def test_field_mismatch_rejected(self):
+        P = staircase_interval([g(0, 0)], [g(2, 0), g(0, 3)])
+        self.assert_refused(P, Presentation(2, 3, P.gens, P.rels))  # the same staircase over F_3
 
     def test_weighted_bottleneck_matches_composition(self):
         for n, (P, Q) in enumerate(self.pairs()):
@@ -374,6 +388,13 @@ class TestIntegerLineLoop:
             lines = sample_lines_by_fractions(P, Q, slopes=3, seed=n, extra=6)
             assert (report.value, report.argmax_line) == reference_distance(P, Q, lines, rounds), n
         assert {0, INF} < values  # and some positive finite distance
+
+    def test_rounds_stop_without_refinement(self):
+        # lines in three parameters have no refinement: the rounds change nothing
+        P, Q = three_parameter_pair()
+        report = matching_distance(P, Q, adaptive_rounds=2)
+        assert report.argmax_line is not None
+        assert report == matching_distance(P, Q)
 
 
 def three_parameter_pair():
@@ -450,36 +471,37 @@ class TestRestrictCache:
             scale = common_scale(c for x in M.betti_grades() for c in x.coords)
             view = ScaledModule(M, scale)
             for line in lines:
-                units = IntegerLine.of(line, scale)
+                units = units_of(line, scale)
                 fiber = restrict(view, units)
                 assert tuple(fiber) == self.fresh(ScaledModule(M, scale), units)
                 assert fiber.gen_params == [push(line, x.grade) * units.unit for x in M.gens]
             # the last direction's products are reused, and a wrong dimension is still refused
             assert view.along(units.slopes)[0] is view.along(units.slopes)[0]
             with pytest.raises(ValueError):
-                restrict(view, IntegerLine.of(LineSpec([1] * (M.n + 1), g(*[0] * (M.n + 1))), scale))
+                restrict(view, units_of(LineSpec([1] * (M.n + 1), g(*[0] * (M.n + 1))), scale))
 
     def test_line_loop_builds_no_line_spec_per_line(self, monkeypatch):
         rng = random.Random(83)
         P = direct_sum(random_staircase(rng), random_staircase(rng))
         Q = jitter_module(P, rng, F(1, 3))
-        assert len(sample_lines(P, Q, slopes=16)) > 50
+        sample = sample_lines(P, Q, slopes=16)
+        assert len(sample) > 50
         specs, units = [], []
-        original_init, original_of = LineSpec.__init__, IntegerLine.of
+        original_init, original_lines = LineSpec.__init__, metrics.integer_lines
 
         def counting_init(self, *args):
             specs.append(1)
             original_init(self, *args)
 
-        def counting_of(cls, *args):
+        def counting_lines(*args):
             units.append(1)
-            return original_of(*args)
+            return original_lines(*args)
 
         monkeypatch.setattr(LineSpec, "__init__", counting_init)
-        monkeypatch.setattr(IntegerLine, "of", classmethod(counting_of))
+        monkeypatch.setattr(metrics, "integer_lines", counting_lines)
         report = matching_distance(P, Q)
         assert report.value > 0 and report.argmax_line is not None
-        assert (len(specs), len(units)) == (1, 0)
+        assert (len(specs), len(units)) == (1, len(sample.groups))
 
 
 class TestMinimalFormsOnce:
@@ -493,9 +515,20 @@ class TestMinimalFormsOnce:
             P = direct_sum(P, random_staircase(rng))
         return entangled(P, rng)
 
-    def test_line_loop_restricts_minimal_forms(self):
+    def test_line_loop_restricts_minimal_forms(self, monkeypatch):
         P, Q = self.module(75), self.module(76)
-        for M, view in zip((P, Q), _Fibers(P, Q).views):
+        wrapped, views = [], []
+        original = metrics.ScaledModule
+
+        def recording(M, scale):
+            wrapped.append(M)
+            views.append(original(M, scale))
+            return views[-1]
+
+        monkeypatch.setattr(metrics, "ScaledModule", recording)
+        assert matching_distance(P, Q, slopes=4, adaptive_rounds=2).argmax_line is not None
+        assert [id(M) for M in wrapped] == [id(P.minimal), id(Q.minimal)]
+        for M, view in zip((P, Q), views):
             least = minimize(M)
             assert len(view.gens) == len(least.gens) < len(M.gens)
             assert len(view.rels) == len(least.rels)
