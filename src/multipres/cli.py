@@ -18,7 +18,7 @@ from pathlib import Path
 from . import experiments, fio
 from .fibered import barcode, restrict, simplify_barcode
 from .functors import grid_align, interpolate, merge_module, simplify
-from .grades import Grade, GridFunction, LineSpec, rat, rat_dec, rat_str, unit_direction
+from .grades import Grade, GridFunction, LineSpec, integer, rat, rat_dec, rat_str, unit_direction
 from .metrics import (
     bottleneck,
     matching_distance,
@@ -66,19 +66,17 @@ def _parse_grade(text: str) -> Grade:
 
 
 def _parse_grid(args) -> GridFunction:
+    """The grid of --grid or --grid-of, which argparse lets through one at a time."""
     if args.grid_of:
-        data = betti_and_grid(_load_fpres(args.grid_of))
-        return data.grid
-    if args.grid:
-        try:
-            axes = [
-                [rat(tok) for tok in axis.replace(",", " ").split()]
-                for axis in args.grid.split(";")
-            ]
-            return GridFunction(axes)
-        except ValueError as exc:
-            raise InputError(f"bad grid {args.grid!r}: {exc}") from exc
-    raise InputError("need --grid or --grid-of")
+        return betti_and_grid(_load_fpres(args.grid_of)).grid
+    try:
+        axes = [
+            [rat(tok) for tok in axis.replace(",", " ").split()]
+            for axis in args.grid.split(";")
+        ]
+        return GridFunction(axes)
+    except ValueError as exc:
+        raise InputError(f"bad grid {args.grid!r}: {exc}") from exc
 
 
 def _parse_line(args, n: int) -> LineSpec:
@@ -269,13 +267,11 @@ def _cmd_blocks(args) -> int:
 
 def _cmd_experiment(args) -> int:
     if args.experiment == "example31":
-        report = experiments.run_example31(min_lines=args.lines or 500)
+        report = experiments.run_example31(min_lines=args.lines)
     elif args.experiment == "local-equiv":
-        report = experiments.run_local_equiv(seed=args.seed or 0,
-                                             instances=args.instances)
+        report = experiments.run_local_equiv(seed=args.seed, instances=args.instances)
     else:
-        report = experiments.run_sandwich(seed=args.seed or 0,
-                                          cases=args.instances * 10)
+        report = experiments.run_sandwich(seed=args.seed, cases=args.instances * 10)
     print(report.render())
     return 0 if report.passed else 2
 
@@ -285,7 +281,7 @@ def _count(least: int = 0):
 
     def parse(text: str) -> int:
         try:
-            value = int(text)
+            value = integer(text)
         except ValueError:
             raise argparse.ArgumentTypeError(f"invalid count {text!r}") from None
         if value < least:
@@ -330,9 +326,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--at", required=True, help="grade, e.g. '1 1/2'")
     p.set_defaults(func=_cmd_hilbert)
 
+    def grid_options(p):
+        grid = p.add_mutually_exclusive_group(required=True)
+        grid.add_argument("--grid", help="axis lists, e.g. '0 1; 0 3'")
+        grid.add_argument("--grid-of", help="use this module's Betti grid")
+
     p = module_cmd("merge", _cmd_merge, "snap grades onto a grid")
-    p.add_argument("--grid", help="axis lists, e.g. '0 1; 0 3'")
-    p.add_argument("--grid-of", help="use this module's Betti grid")
+    grid_options(p)
     p.add_argument("--delta", required=True)
     p.add_argument("--variant", choices=["two_sided", "plus", "minus"], default="two_sided")
     p.add_argument("--raw", action="store_true", help="skip minimization")
@@ -342,8 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--raw", action="store_true", help="skip minimization")
 
     p = module_cmd("grid-align", _cmd_grid_align, "pull Betti grades onto a grid")
-    p.add_argument("--grid")
-    p.add_argument("--grid-of")
+    grid_options(p)
     p.add_argument("--kap-eps", required=True, help="base step budget")
 
     p = module_cmd("restrict", _cmd_restrict, "1-parameter restriction to a line")
@@ -364,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("other")
     p.add_argument("--lines", type=_count(), default=64, help="slope count of the sampling grid")
     p.add_argument("--adaptive", type=_count(), default=0, help="refinement rounds")
-    p.add_argument("--seed", type=int, help="seed for jittered extra lines")
+    p.add_argument("--seed", type=integer, help="seed for jittered extra lines (needs --extra)")
     p.add_argument("--extra", type=_count(), default=0, help="jittered lines to append (needs --seed)")
     p.add_argument("--emit-argmax", action="store_true")
     p.add_argument("--format", choices=["text", "tabular"], default="text")
@@ -417,12 +416,15 @@ def build_parser() -> argparse.ArgumentParser:
     pd.set_defaults(func=_cmd_blocks)
 
     p = sub.add_parser("experiment", help="built-in experiment harnesses")
-    p.add_argument("experiment", choices=["example31", "local-equiv", "sandwich"])
-    p.add_argument("--seed", type=int)
-    p.add_argument("--lines", type=_count(),
-                   help="example31: minimum number of sampled lines (default 500)")
-    p.add_argument("--instances", type=_count(1), default=5)
     p.set_defaults(func=_cmd_experiment)
+    esub = p.add_subparsers(dest="experiment", required=True)
+    pe = esub.add_parser("example31", help="the incompleteness pair: sampled d0 = 0 < d_I")
+    pe.add_argument("--lines", type=_count(), default=500, help="minimum number of sampled lines")
+    for name, help_ in (("local-equiv", "certified diagonal translates and the glued incompleteness pair"),
+                        ("sandwich", "extended-rectangle distance within [d, 2d] of the block distance")):
+        pe = esub.add_parser(name, help=help_)
+        pe.add_argument("--seed", type=integer, default=0)
+        pe.add_argument("--instances", type=_count(1), default=5)
 
     return top
 

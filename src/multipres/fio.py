@@ -1,11 +1,14 @@
 """Text formats: FPRES presentations, BLOCKS, barcodes, witnesses, joints.
 
 All formats are line-based with '#' comments and blank lines ignored, one
-datum per line, rationals as grades.rat reads them; 'inf' is read only for
-bar deaths, the one field whose format takes an infinite upper end (block
-endpoints are finite, as Block requires).  Parsers report the offending
+datum per line, rationals as grades.rat reads them and integers as
+grades.integer does; 'inf' is read only for bar deaths, the one field whose
+format takes an infinite upper end (block endpoints are finite, as Block
+requires).  Parsers report the offending
 line; relation columns are checked by Presentation alone, and the
-parsers map its errors to lines.  Serializers round-trip bit-exact.
+parsers map its errors to lines.  A barcode file holds at most MAX_BARS
+bars, counted with multiplicity, so reading one never expands into more
+memory than that.  Serializers round-trip bit-exact.
 """
 
 from __future__ import annotations
@@ -16,10 +19,12 @@ from collections import Counter
 from .blocks import Block
 from .fibered import Barcode
 from .functors import InterleavingWitness, JointPresentation
-from .grades import Grade, rat, rat_str
+from .grades import Grade, integer, rat, rat_str
 from .presentation import Generator, Presentation, PresentationError, Relation, check_field
 
 INF = math.inf
+# the most bars, counted with multiplicity, that a barcode file may hold
+MAX_BARS = 10**6
 
 
 class FormatError(ValueError):
@@ -108,7 +113,7 @@ def _header_count(cur: _Cursor, key: str, what: str, least: int = 0, check=None)
     """An integer header of at least least; check may reject it with a PresentationError."""
     lineno, tok = _header_value(cur, key, what)
     try:
-        value = int(tok)
+        value = integer(tok)
     except ValueError:
         raise FormatError(lineno, f"bad {key} value {tok!r}, expected {what}") from None
     if value < least:
@@ -150,7 +155,7 @@ def _parse_fpres_block(cur: _Cursor):
         for ent in toks[sep + 1:]:
             try:
                 c_s, i_s = ent.split(":")
-                col.append((int(i_s), int(c_s)))
+                col.append((integer(i_s), integer(c_s)))
             except ValueError as exc:
                 raise FormatError(lineno, f"bad column entry {ent!r}") from exc
         rels.append(Relation(grade, tuple(sorted(col))))
@@ -210,19 +215,23 @@ def serialize_barcode(B: Barcode) -> str:
 
 def parse_barcode(text: str) -> Barcode:
     bars: Counter = Counter()
+    total = 0
     for lineno, toks in _lines(text):
         if toks[0] != "bar" or len(toks) != 4:
             raise FormatError(lineno, "expected 'bar <birth> <death|inf> <multiplicity>'")
         b = parse_rational(toks[1], lineno)
         d = parse_bound(toks[2], lineno)
         try:
-            m = int(toks[3])
+            m = integer(toks[3])
         except ValueError as exc:
             raise FormatError(lineno, f"bad multiplicity {toks[3]!r}") from exc
         if d != INF and d < b:
             raise FormatError(lineno, "bar dies before it is born")
         if m < 0:
             raise FormatError(lineno, "negative multiplicity")
+        total += m
+        if total > MAX_BARS:
+            raise FormatError(lineno, f"more than {MAX_BARS} bars in the file")
         bars[(b, d)] += m
     return Barcode(bars)
 
@@ -294,7 +303,7 @@ def parse_witness(text: str, P: Presentation, Q: Presentation) -> InterleavingWi
         for ent in toks[3:]:
             try:
                 c_s, label = ent.split(":", 1)
-                c = int(c_s)
+                c = integer(c_s)
             except ValueError as exc:
                 raise FormatError(lineno, f"bad entry {ent!r}") from exc
             if label not in dst_index:

@@ -126,7 +126,8 @@ def _image_relations(P: Presentation, e: Fraction) -> list[tuple[Grade, dict[int
 
     At a grade s the image's relation space is the span of the original
     columns active by s, intersected with the coordinates of generators
-    already translated past s (those with gr(b) + eps <= s).  The
+    already translated past s (those with gr(b) + eps <= s): one
+    kernels.intersect, whose columns are the pure relations at s.  The
     intersection only jumps on the product grid of relation coordinates and
     translated generator coordinates, so sweeping those grid points in a
     linear extension and keeping each new intersection element yields a
@@ -146,6 +147,13 @@ def _image_relations(P: Presentation, e: Fraction) -> list[tuple[Grade, dict[int
     Their meet is a grid point with key K and is not lex-later than s0, so it
     is s0, and s0 <= s.  The pure columns at s are those at s0, and every
     relation kept at or before s0 is known at s, so every residual at s is 0.
+
+    A pure column is kept when it is not in the span of the relations kept
+    at grades <= s and the ones kept before it at s.  That span is one
+    EchelonStack in generator indices, keyed by each kept relation's index
+    in the output and rebased at every point with pure columns, so the
+    prefix of kept relations two points share is reduced once.  Membership
+    in a span depends neither on its basis nor on the order of the rows.
     """
     if not P.rels:
         return []
@@ -157,34 +165,21 @@ def _image_relations(P: Presentation, e: Fraction) -> list[tuple[Grade, dict[int
 
     out: list[tuple[Grade, dict[int, int]]] = []
     out_grades: list[tuple[int, ...]] = []
+    known = kernels.EchelonStack(P.p)
     seen = set()
     for s in itertools.product(*axes):
         act, ear = M.rels_below(s), M.gens_below(tuple(v - e_s for v in s))
         if not act or (act, ear) in seen:
             continue
         seen.add((act, ear))
-        early = bits(ear)
-        # order rows so late generators take pivot priority; echelon columns
-        # whose pivot lands early are then supported purely on early rows
-        order = early + [i for i in range(len(P.gens)) if not ear >> i & 1]
-        row_of = {i: k for k, i in enumerate(order)}
-        cols = [{row_of[i]: c for i, c in P.rels[k].col} for k in bits(act)]
-        basis = kernels.echelonize(cols, P.p)
-        pure = [col for low, col in basis.items() if low < len(early)]
+        pure = kernels.intersect([M.rels[k][1] for k in bits(act)], bits(ear), P.p)
         if not pure:
             continue
-        have = [
-            {row_of[i]: c for i, c in col.items()}
-            for t, (_, col) in zip(out_grades, out)
-            if leq(t, s)
-        ]
-        known = kernels.echelonize(have, P.p)
+        known.rebase([(k, col) for k, (t, (_, col)) in enumerate(zip(out_grades, out)) if leq(t, s)])
         for col in pure:
-            res = kernels.residual(col, known, P.p)
-            if res:
-                known[max(res)] = res
-                vec = {order[row]: c for row, c in col.items()}
-                out.append((Grade(Fraction(v, S) for v in s), vec))
+            if kernels.residual(col, known.pivots, P.p):
+                known.push(len(out), col)
+                out.append((Grade(Fraction(v, S) for v in s), col))
                 out_grades.append(s)
     return out
 

@@ -31,6 +31,19 @@ class DimensionMismatch(ValueError):
 _RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/(0*[1-9][0-9]*))?")
 
 
+def integer(text: str) -> int:
+    """Read '[+-]digits' as an int, the one string-to-integer conversion.
+
+    Unlike int(), it refuses '_' separators, surrounding whitespace and
+    non-ASCII digits with ValueError: past the sign, every character is an
+    ASCII character that str.isdigit accepts, so one of 0-9.
+    """
+    digits = text[1:] if text[:1] in "+-" else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"bad integer {text!r}, expected [+-]digits")
+    return int(text)
+
+
 def rat(x) -> Fraction:
     """Coerce ints, Fractions and strings '[+-]digits[/digits]' to an exact rational.
 

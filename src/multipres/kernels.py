@@ -7,9 +7,12 @@ masters: persistence pairing (pivot row = paired row), rank computation
 against an echelon basis).  reduce_pivots takes its columns with the
 caller's indices and a row map, and relabels each entry once as it reads
 the column; over F_2 it reads the relabelled rows as the bits of a Python
-int and adds columns by XOR.  EchelonStack is an echelon basis grown column
-by column that can be cut back to any prefix, for sweeps whose spans share
-long prefixes.
+int and adds columns by XOR.  intersect meets a column span with the
+coordinate subspace on a set of rows, the step behind the translation
+image's relations and the interval ranks.  EchelonStack is an echelon basis
+grown column by column that can be cut back to any prefix; its rebase moves
+it to a new list of columns through the longest prefix the two share, for
+sweeps whose spans share long prefixes.
 """
 
 from __future__ import annotations
@@ -87,6 +90,25 @@ def rank(columns, p):
     return len(_pivot_columns(columns, p))
 
 
+def intersect(columns, inside, p) -> list[dict[int, int]]:
+    """Echelon basis of span(columns) meet the coordinate subspace on the
+    rows in inside, which lists them in increasing order.
+
+    The inside rows are relabelled below every other row, each class in
+    index order, and the columns are echelonized once; the reduced columns
+    whose pivot is inside are returned on their original rows, in
+    echelonize's order.  They are a basis of the meet.  Each lies inside:
+    its pivot is its top row, and every outside row lies above every inside
+    one.  A vector of the meet has its top row inside, and the pivots are
+    distinct, so its top row is the highest pivot of the basis columns that
+    write it, and all of those pivots are inside.
+    """
+    row_of = {i: k for k, i in enumerate(inside)}
+    m = len(inside)
+    cols = [{row_of.get(i, m + i): c for i, c in col.items()} for col in columns]
+    return [{inside[r]: c for r, c in v.items()} for low, v in echelonize(cols, p).items() if low < m]
+
+
 def residual(vector, basis, p):
     """Reduce a vector against an echelon basis {pivot row: column}; {} means it lies in the span.
 
@@ -98,13 +120,12 @@ def residual(vector, basis, p):
 class EchelonStack:
     """The echelon basis of a list of columns that grows and shrinks at its end.
 
-    pivots is, after any sequence of push and truncate, the pivot map that
-    echelonize builds from the columns pushed and not cut off, in their
-    order: each push reduces its column against the pivots already there
-    and records the pivot row it added (None for a column in their span),
-    so truncate only deletes the rows that the pushes it cuts added.  keys holds the
-    caller's name for each column, so a caller can find the longest prefix
-    it shares with the next list it needs.
+    pivots is, after any sequence of push, truncate and rebase, the pivot
+    map that echelonize builds from the columns pushed and not cut off, in
+    their order: each push reduces its column against the pivots already
+    there and records the pivot row it added (None for a column in their
+    span), so truncate only deletes the rows that the pushes it cuts added.
+    keys holds the caller's name for each column.
     """
 
     def __init__(self, p: int):
@@ -128,6 +149,23 @@ class EchelonStack:
             low = self._lows.pop()
             if low is not None:
                 del self.pivots[low]
+
+    def rebase(self, items) -> None:
+        """Make the stack hold exactly items, a list of (key, column), in order.
+
+        The longest prefix of pushes whose keys match items is kept and the
+        rest of items pushed.  A caller names each column by one key, so a
+        matching key means the same column pushed at the same place, and the
+        pivots are those of a stack built from items alone.
+        """
+        size = 0
+        for key, (k, _) in zip(self.keys, items):
+            if key != k:
+                break
+            size += 1
+        self.truncate(size)
+        for key, column in items[size:]:
+            self.push(key, column)
 
     def residual(self, vector) -> dict[int, int]:
         """residual(vector, echelonize(columns), p) for the columns on the stack."""

@@ -304,9 +304,9 @@ def sample_lines(P: Presentation, Q: Presentation, slopes: int = 64,
     modules a mediant-spaced slope grid is crossed with offsets through
     every Betti point, midpoints between consecutive offsets, and the
     padded bounding-box edges.  A seed appends extra jittered lines
-    reproducibly; extra lines without a seed are refused.  The Betti data
-    come from P.minimal and Q.minimal, which matching_distance then reuses
-    for its line loop.
+    reproducibly; extra lines without a seed, and a seed without extra
+    lines, are refused.  The Betti data come from P.minimal and Q.minimal,
+    which matching_distance then reuses for its line loop.
 
     Every line is built in integer units.  With S the common scale of the
     anchors and X, Y their scaled coordinates, a line of slope a/b has the
@@ -322,6 +322,8 @@ def sample_lines(P: Presentation, Q: Presentation, slopes: int = 64,
         raise PresentationError("matching distance needs matching dimension and field")
     if extra and seed is None:
         raise ValueError("extra jittered lines need a seed (--seed)")
+    if seed is not None and not extra:
+        raise ValueError("a seed needs extra jittered lines (--extra)")
     data = (betti_and_grid(P), betti_and_grid(Q))
     n = P.n
     pts = _anchor_points(data, 0) or [Grade([0] * n)]
@@ -373,12 +375,6 @@ class DistanceReport:
     argmax_line: LineSpec | None
     kind: str  # lower_bound
 
-    def render(self) -> str:
-        out = f"{rat_dec(self.value)} [{self.kind}]"
-        if self.argmax_line is not None:
-            out += f" argmax {self.argmax_line}"
-        return out
-
 
 def _best_line(views: Sequence[ScaledModule], sample: LineSample, best):
     """The maximum of best and w(L) * d_B over the sample's lines, with the
@@ -421,10 +417,7 @@ def _refine_near(line: LineSpec, pts: list[Grade]) -> list[LineSpec]:
     m = dy / dx
     out = []
     for factor in (Fraction(3, 4), Fraction(7, 8), Fraction(9, 8), Fraction(5, 4)):
-        mm = m * factor
-        if mm <= 0:
-            continue
-        d = _direction_for_slope(mm)
+        d = _direction_for_slope(m * factor)
         for p in pts:
             out.append(LineSpec.through(p, d))
     base = line.base.coords[0]

@@ -304,25 +304,17 @@ def _reduction_pass(rels, below, dirty, p):
     of dominated grade, the bits of below[k], which are the only ones that
     may act on it through monomial-shifted column ops; the others keep their
     column.  Dependent relations are dropped, so the kept list keeps the
-    visiting order.  One EchelonStack serves the pass: for each relation it
-    is cut back to the longest prefix its kept-below list shares with the
-    last one's and then extended, which gives the basis echelonize would
-    build from that list.
+    visiting order.  One EchelonStack serves the pass, keyed by input
+    index: for each relation it is rebased onto its kept-below list, which
+    reuses the prefix that list shares with the last one and gives the
+    basis echelonize would build from it.
     """
     kept: list[tuple[int, dict[int, int]]] = []
     stack = kernels.EchelonStack(p)
     for k, col in rels:
         if k in dirty:
             mask = below[k]
-            want = [(j, c) for j, c in kept if mask >> j & 1]
-            size = 0
-            for key, (j, _) in zip(stack.keys, want):
-                if key != j:
-                    break
-                size += 1
-            stack.truncate(size)
-            for j, c in want[size:]:
-                stack.push(j, c)
+            stack.rebase([(j, c) for j, c in kept if mask >> j & 1])
             col = stack.residual(col)
             if not col:
                 continue
@@ -612,7 +604,8 @@ class ScaledModule:
         span of the generators born by B[i].  The colimit is one block of
         generators per top corner, each modulo the relations strictly below
         it, glued along the generators strictly below each meet.  The rank
-        is the dimension of T_0's image in that quotient.
+        is the dimension of T_0's image in that quotient.  Each meet is one
+        kernels.intersect of T_{i+1} and R_{join} with the rows of V_i.
         """
         fences = staircase_fences(births, deaths)
         if isinstance(fences, str):
@@ -621,12 +614,7 @@ class ScaledModule:
         p, n = self.p, len(self.gens)
         T = [{i: 1} for i in self.gens_leq(B[-1])]
         for b, j in zip(reversed(B[:-1]), reversed(joins)):
-            inside = set(self.gens_leq(b))
-            span = T + self.rels_leq(j)
-            # outside coordinates go above every inside one, so echelon vectors
-            # with an inside pivot are exactly a basis of the intersection
-            cols = [{(i if i in inside else i + n): c for i, c in v.items()} for v in span]
-            T = [v for low, v in kernels.echelonize(cols, p).items() if low < n]
+            T = kernels.intersect(T + self.rels_leq(j), self.gens_leq(b), p)
         if not T:
             return 0
         glue = []

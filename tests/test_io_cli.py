@@ -77,6 +77,18 @@ class TestFpresFormat:
         with pytest.raises(fio.FormatError):
             fio.parse_fpres("fpres 2\n")
 
+    def test_integer_grammar(self):
+        # integers are [+-]digits: int() would read 0_1 as 1 and a fullwidth 3 as 3
+        head = "fpres 1\nfield 2\nparams 2\ngenerators 2\ng a 0 0\ng b 0 0\nrelations 1\n"
+        for text, lineno in ((head + "r 3 3 ; 1:0_1\n", 8), (head + "r 3 3 ; +1:-0\n", None),
+                             ("fpres 1\nfield \uff13\nparams 1\ngenerators 0\nrelations 0\n", 2),
+                             ("fpres 1\nfield 2\nparams 2\ngenerators 0\nrelations 0_0\n", 5)):
+            if lineno is None:
+                assert fio.parse_fpres(text).rels[0].col == ((0, 1),)
+                continue
+            with pytest.raises(fio.FormatError, match=f"^line {lineno}: "):
+                fio.parse_fpres(text)
+
     def test_rational_grammar(self):
         assert fio.parse_rational("3/4") == F(3, 4)
         assert fio.parse_rational("-7") == -7
@@ -106,6 +118,18 @@ class TestOtherFormats:
             fio.parse_blocks("blocks 1\nblk co 0 inf\n")
         with pytest.raises(fio.FormatError, match=r"^line 2: expected 'blk <kind> <a> <b>'$"):
             fio.parse_blocks("blocks 1\nblk co 0\n")
+
+    def test_multiplicities_are_bounded_integers(self):
+        for text, lineno in (("bar 0 1 1_0\n", 1), ("bar 0 1 1000000000000\n", 1),
+                             (f"bar 0 1 {fio.MAX_BARS // 2}\nbar 0 2 {fio.MAX_BARS // 2}\nbar 0 3 1\n", 3)):
+            with pytest.raises(fio.FormatError, match=f"^line {lineno}: "):
+                fio.parse_barcode(text)
+        assert fio.parse_barcode(f"bar 0 1 {fio.MAX_BARS}\n").total() == fio.MAX_BARS
+
+    def test_witness_coefficient_grammar(self):
+        P = free([g(0, 0)], labels=["a"])
+        with pytest.raises(fio.FormatError, match=r"^line 3: bad entry '1_1:a'$"):
+            fio.parse_witness("witness 0\nf a -> 1:a\ng a -> 1_1:a\n", P, P)
 
     def test_witness_round_trip(self):
         N, O = incompleteness_pair()
@@ -192,6 +216,13 @@ class TestCli:
         ("match-dist", "N.fpres"),
         ("restrict", "rect.fpres", "--direction", "1 1", "--base", "0 0", "--through", "1 1"),
         ("barcode", "rect.fpres", "--direction", "1 1", "--through", "1 1", "--base", "0 0"),
+        # one grid, from --grid or from --grid-of
+        ("merge", "N.fpres", "--grid", "0 5; 0 5", "--grid-of", "N.fpres", "--delta", "2", "--raw"),
+        ("grid-align", "rect.fpres", "--kap-eps", "1/128"),
+        # integers are [+-]digits: no '_' separators, no non-ASCII digits
+        ("match-dist", "N.fpres", "O.fpres", "--lines", "1_0"),
+        ("match-dist", "N.fpres", "O.fpres", "--seed", "1_0", "--extra", "2"),
+        ("experiment", "local-equiv", "--seed", "\uff17"),
     ])
     def test_bad_arguments_exit_one_with_usage(self, files, args):
         code, out, err = run_cli(*(str(files / a) if a.endswith(".fpres") else a for a in args))
@@ -226,6 +257,13 @@ class TestCli:
         assert err.strip() == "error: extra jittered lines need a seed (--seed)"
         code, out, _ = run_cli(*args, "--extra", "0")
         assert code == 0 and "matching-distance 0 (0.000000)" in out
+
+    def test_seed_needs_extra_lines(self, files):
+        # without extra lines a seed changed nothing, so it is refused
+        code, out, err = run_cli("match-dist", str(files / "N.fpres"), str(files / "O.fpres"),
+                                 "--lines", "2", "--seed", "7")
+        assert code == 1 and not out and "Traceback" not in err
+        assert err.strip() == "error: a seed needs extra jittered lines (--extra)"
 
     def test_match_dist_adaptive_rounds_in_three_parameters(self, files):
         # lines in three parameters have no refinement, so the rounds stop at once
@@ -377,6 +415,12 @@ class TestCli:
         code, out, _ = run_cli("experiment", "sandwich", "--seed", "3", "--instances", "2")
         assert code == 0 and "status PASS" in out
 
+    @pytest.mark.parametrize("args", [("sandwich", "--lines", "3"), ("example31", "--seed", "1")])
+    def test_experiment_refuses_options_it_ignores(self, args):
+        code, out, err = run_cli("experiment", *args)
+        assert code == 1 and not out and "usage: multipres" in err and "Traceback" not in err
+        assert f"unrecognized arguments: {' '.join(args[1:])}" in err
+
     def test_experiment_local_equiv_deterministic(self, files):
         args = ("experiment", "local-equiv", "--seed", "5", "--instances", "2")
         assert run_cli(*args) == run_cli(*args)
@@ -412,6 +456,13 @@ class TestCli:
         path.write_text(header)
         code, _, err = run_cli("minimize", str(path))
         assert code == 1 and f"line {lineno}" in err and "Traceback" not in err
+
+    def test_huge_multiplicity_exits_one_with_line(self, files):
+        # expanding 10^12 bars raised MemoryError
+        path = files / "big.bars"
+        path.write_text("bar 0 1 1000000000000\n")
+        code, out, err = run_cli("bottleneck", str(path), str(files / "B2.bars"))
+        assert code == 1 and not out and "line 1:" in err and "Traceback" not in err
 
     def test_bare_joint_epsilon_exits_one_with_line(self, files):
         path = files / "bare.joint"

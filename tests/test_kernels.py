@@ -135,10 +135,17 @@ def test_echelon_stack_matches_echelonize_of_its_prefix(p):
         pool = dependent_columns(rng, nrows, 30, p)
         stack, prefix = kernels.EchelonStack(p), []
         for step in range(60):
-            if prefix and rng.random() < 0.3:
+            roll = rng.random()
+            if prefix and roll < 0.3:
                 size = rng.randrange(len(prefix) + 1)
                 stack.truncate(size)
                 del prefix[size:]
+            elif roll < 0.5:
+                # rebase onto a list sharing a random prefix, then diverging,
+                # shorter, longer or empty
+                size = rng.randrange(len(prefix) + 1)
+                prefix = prefix[:size] + [rng.randrange(len(pool)) for _ in range(rng.randrange(4))]
+                stack.rebase([(k, pool[k]) for k in prefix])
             else:
                 k = rng.randrange(len(pool))
                 stack.push(k, pool[k])
@@ -148,3 +155,22 @@ def test_echelon_stack_matches_echelonize_of_its_prefix(p):
             assert list(stack.pivots.items()) == list(basis.items())
             vec = rng.choice(pool + random_columns(rng, nrows, 1, p))
             assert stack.residual(vec) == kernels.residual(vec, basis, p)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_intersect_is_a_basis_of_the_meet(p):
+    rng = random.Random(109)
+    for _ in range(40):
+        nrows = rng.randint(1, 12)
+        cols = dependent_columns(rng, nrows, rng.randint(0, 12), p)
+        for inside in ([], list(range(nrows)), sorted(rng.sample(range(nrows), rng.randint(1, nrows)))):
+            meet = kernels.intersect(cols, inside, p)
+            span = to_dense_rows(cols, nrows)
+            units = to_dense_rows([{i: 1} for i in inside], nrows)
+            rk = dense_rank_mod_p(span, p)
+            # dim(S meet V) = rk S + rk V - rk(S + V)
+            assert len(meet) == rk + len(inside) - dense_rank_mod_p(span + units, p)
+            assert len({max(v) for v in meet}) == len(meet)
+            for v in meet:
+                assert v and set(v) <= set(inside) and all(0 < c < p for c in v.values())
+                assert dense_rank_mod_p(span + to_dense_rows([v], nrows), p) == rk

@@ -66,6 +66,22 @@ def nested_imports(source: str) -> list[int]:
     return sorted(found)
 
 
+def builtin_int_uses(source: str) -> list[int]:
+    """Line numbers where a module calls the builtin int or passes it as a type= argument.
+
+    int() also reads '1_0' and non-ASCII digits, so files and arguments read
+    integers through grades.integer instead.
+    """
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            if isinstance(node.func, ast.Name) and node.func.id == "int":
+                found.add(node.lineno)
+            found |= {kw.value.lineno for kw in node.keywords
+                      if kw.arg == "type" and isinstance(kw.value, ast.Name) and kw.value.id == "int"}
+    return sorted(found)
+
+
 def test_foreign_private_name_is_found():
     source = ("from . import kernels\nimport os\nfrom .metrics import _saturates, rank\n"
               "def f(self):\n    return kernels._residual_dict, os.__name__, self._x, _own\n")
@@ -83,6 +99,12 @@ def test_nested_import_is_found():
     assert nested_imports(source) == [3, 5, 7]
 
 
+def test_builtin_int_use_is_found():
+    source = ("def f(tok: int) -> int:\n    return int(tok)\n"
+              "p.add_argument('--seed', type=int)\np.add_argument('--n', type=integer)\nx = isinstance(1, int)\n")
+    assert builtin_int_uses(source) == [2, 3]
+
+
 # __init__.py imports its names to re-export them
 @pytest.mark.parametrize("path", sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py"),
                          ids=lambda p: p.name)
@@ -98,3 +120,8 @@ def test_no_foreign_private_names(path):
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_nested_imports(path):
     assert nested_imports(path.read_text()) == []
+
+
+@pytest.mark.parametrize("name", ["fio.py", "cli.py"])
+def test_input_integers_are_read_strictly(name):
+    assert builtin_int_uses((SRC / name).read_text()) == []
