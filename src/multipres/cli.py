@@ -292,7 +292,18 @@ def _count(least: int = 0):
 
 
 class _ArgumentParser(argparse.ArgumentParser):
-    """Reports a bad argument with the usage and exit 1, like any input error."""
+    """Reports a bad argument with the usage and exit 1, like any input error.
+
+    Each parser reports the arguments it does not know itself, so an unknown
+    option of a subcommand shows that subcommand's usage; argparse would
+    hand them up to the top parser, whose usage names no subcommand.
+    """
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, rest = super().parse_known_args(args, namespace)
+        if rest:
+            self.error(f"unrecognized arguments: {' '.join(rest)}")
+        return namespace, rest
 
     def error(self, message):
         self.print_usage(sys.stderr)

@@ -3,15 +3,16 @@
 Columns are dicts {row index: nonzero coefficient mod p}.  Reduction is the
 standard left-to-right scheme with max-index pivots, which serves three
 masters: persistence pairing (pivot row = paired row), rank computation
-(count of nonzero pivots) and span membership (residual after reducing
-against an echelon basis).  reduce_pivots takes its columns with the
-caller's indices and a row map, and relabels each entry once as it reads
-the column; over F_2 it reads the relabelled rows as the bits of a Python
-int and adds columns by XOR.  intersect meets a column span with the
-coordinate subspace on a set of rows, the step behind the translation
-image's relations and the interval ranks.  EchelonStack is an echelon basis
-grown column by column that can be cut back to any prefix; its rebase moves
-it to a new list of columns through the longest prefix the two share, for
+(count of nonzero pivots; rank_over counts the pivots that vectors add to
+an echelon basis) and span membership (residual after reducing against an
+echelon basis).  reduce_pivots takes its columns with the caller's indices
+and a row map, and relabels each entry once as it reads the column; over
+F_2 it reads the relabelled rows as the bits of a Python int and adds
+columns by XOR.  intersect meets a column span with the coordinate
+subspace on a set of rows, the step behind the translation image's
+relations and the interval ranks.  EchelonStack is an echelon basis grown
+column by column that can be cut back to any prefix; its rebase moves it
+to a new list of columns through the longest prefix the two share, for
 sweeps whose spans share long prefixes.
 """
 
@@ -107,6 +108,21 @@ def intersect(columns, inside, p) -> list[dict[int, int]]:
     m = len(inside)
     cols = [{row_of.get(i, m + i): c for i, c in col.items()} for col in columns]
     return [{inside[r]: c for r, c in v.items()} for low, v in echelonize(cols, p).items() if low < m]
+
+
+def rank_over(basis, vectors, p) -> int:
+    """rank(span(basis) + span(vectors)) - len(basis), for an echelon basis
+    {pivot row: column}.
+
+    Only the vectors are reduced, against a copy of the pivot map; basis and
+    its columns are read, not changed, so one basis can serve many queries.
+    """
+    piv = dict(basis)
+    for vector in vectors:
+        c = _residual_dict(dict(vector), piv, p)
+        if c:
+            piv[max(c)] = c
+    return len(piv) - len(basis)
 
 
 def residual(vector, basis, p):

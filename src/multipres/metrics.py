@@ -516,7 +516,7 @@ def verify_interleaving(P: Presentation, Q: Presentation, w: InterleavingWitness
         return tuple(v + times * e for v in grade)
 
     def in_span(view, vec, grade) -> bool:
-        return not kernels.residual(vec, view.rel_basis(grade)[1], P.p)
+        return not kernels.residual(vec, view.rel_basis(view.rels_below(grade)), P.p)
 
     fd, gd = w.f_dict(), w.g_dict()
     fr, gr = _by_source(fd), _by_source(gd)

@@ -453,17 +453,18 @@ DISCONNECTED = "disconnected"
 def staircase_fences(births, deaths):
     """Lower and upper fence of K = up(births) minus up(deaths), 2-d integer corners.
 
-    Returns (B, joins, tops, meets), or EMPTY / DISCONNECTED.  B are the
-    births outside up(deaths), sorted by x, and joins the joins of
-    consecutive ones; lim over K is the limit over the zigzag B[0] <= joins[0]
-    >= B[1] <= ...  tops are the corners of up(deaths) that K approaches from
-    below (a birth lies strictly below them) and meets the meets of
-    consecutive tops; colim over K is the colimit over the zigzag of points
-    just below them (grades < corner in every coordinate).  K is connected
-    iff no join lies in up(deaths): a dead join splits K into the part left
-    of it and the part below it.  When K is connected, every meet has a birth strictly
-    below it, so the upper fence lies in K too.  Raises PresentationError
-    when a nonempty K is unbounded.
+    Returns (B, joins, tops), or EMPTY / DISCONNECTED.  B are the births
+    outside up(deaths), sorted by x, and joins the joins of consecutive
+    ones; lim over K is the limit over the zigzag B[0] <= joins[0] >= B[1]
+    <= ...  tops are the corners of up(deaths) that K approaches from below
+    (a birth lies strictly below them), x increasing and y decreasing, so
+    the tops a grade lies strictly below form a run; colim over K is M
+    just below the tops (grades < corner in every coordinate), each grade's
+    copies glued into one.  K is connected iff no join lies in up(deaths):
+    a dead join splits K into the part left of it and the part below it.
+    When K is connected, consecutive tops have a birth strictly below their
+    meet, so the upper fence lies in K too.  Raises PresentationError when
+    a nonempty K is unbounded.
     """
     D = minimal_elements(deaths)
 
@@ -483,8 +484,7 @@ def staircase_fences(births, deaths):
         return any(leq(b, _just_below(c)) for b in B)
 
     tops = [c for c in ((D[i + 1][0], D[i][1]) for i in range(len(D) - 1)) if reached(c)]
-    meets = [(tops[i][0], tops[i + 1][1]) for i in range(len(tops) - 1)]
-    return B, joins, tops, meets
+    return B, joins, tops
 
 
 class Below:
@@ -525,9 +525,10 @@ class ScaledModule:
 
     Its two Below indexes are the one answer to which generators and
     relations lie below a grade, for hilbert, minimize, the simplify sweep
-    and the interval ranks.  The echelon basis of the relations below a
-    grade is memoized by the set it spans, so a sweep reduces each distinct
-    relation set once.  Query grades are integer tuples in the same units:
+    and the interval ranks.  One memo of echelon bases, keyed by the bitmask
+    of the relations they span, serves dim, rank_between and interval_rank
+    (and verify's span tests), so each distinct relation set is reduced
+    once per module.  Query grades are integer tuples in the same units:
     scale_grade of a corner, or floor of any rational grade.  For
     restriction to lines it keeps one entry: its grades times the slopes of
     the last line it was restricted along (along).
@@ -571,28 +572,31 @@ class ScaledModule:
                            [col for _, col in self.rels])
         return self._along[1:]
 
-    def rel_basis(self, b) -> tuple[int, dict[int, dict[int, int]]]:
-        """(bitmask of the relations <= b, echelon basis of their columns)."""
-        key = self.rels_below(b)
+    def rel_basis(self, key: int) -> dict[int, dict[int, int]]:
+        """Echelon basis of the columns of the relations in the bitmask key.
+
+        It is shared between callers, who read it and never change it.
+        """
         basis = self._bases.get(key)
         if basis is None:
             basis = self._bases[key] = kernels.echelonize([self.rels[k][1] for k in bits(key)], self.p)
-        return key, basis
+        return basis
 
     def dim(self, a) -> int:
         """dim M_a."""
         k = self.gens_below(a).bit_count()
-        return k - len(self.rel_basis(a)[1]) if k else 0
+        return k - len(self.rel_basis(self.rels_below(a))) if k else 0
 
     def rank_between(self, a, b) -> int:
         """Rank of M_a -> M_b for a <= b: the units born by a, modulo the relations <= b."""
         gens = self.gens_below(a)
         if not gens:
             return 0
-        key, basis = self.rel_basis(b)
+        key = self.rels_below(b)
         r = self._ranks.get((gens, key))
         if r is None:
-            r = self._ranks[gens, key] = _rank_over(basis, [{i: 1} for i in bits(gens)], self.p)
+            units = [{i: 1} for i in bits(gens)]
+            r = self._ranks[gens, key] = kernels.rank_over(self.rel_basis(key), units, self.p)
         return r
 
     def interval_rank(self, births, deaths) -> int | None:
@@ -601,35 +605,28 @@ class ScaledModule:
         None when K is empty or disconnected.  The limit is the set of
         values at B[0] that extend along the lower fence, found by walking
         it from the right: T_i = V_i meet (T_{i+1} + R_{join}), with V_i the
-        span of the generators born by B[i].  The colimit is one block of
-        generators per top corner, each modulo the relations strictly below
-        it, glued along the generators strictly below each meet.  The rank
-        is the dimension of T_0's image in that quotient.  Each meet is one
-        kernels.intersect of T_{i+1} and R_{join} with the rows of V_i.
+        span of the generators born by B[i], one kernels.intersect each.
+        A generator lies strictly below a run of consecutive tops (they run
+        x-increasing and y-decreasing), and strictly below the meet of two
+        tops iff below both, so the colimit glues its copies into one:
+        colim_K M is the free module on the generators strictly below some
+        top modulo R_U, the relations strictly below some top.  T_0 lies in
+        it (B[0] is strictly below a top), and the rank is the number of
+        pivots T_0 adds to the memoized echelon basis of R_U.
         """
         fences = staircase_fences(births, deaths)
         if isinstance(fences, str):
             return None
-        B, joins, tops, meets = fences
-        p, n = self.p, len(self.gens)
+        B, joins, tops = fences
         T = [{i: 1} for i in self.gens_leq(B[-1])]
         for b, j in zip(reversed(B[:-1]), reversed(joins)):
-            T = kernels.intersect(T + self.rels_leq(j), self.gens_leq(b), p)
+            T = kernels.intersect(T + self.rels_leq(j), self.gens_leq(b), self.p)
         if not T:
             return 0
-        glue = []
-        for k, top in enumerate(tops):
-            glue += [{i + k * n: c for i, c in col.items()} for col in self.rels_leq(_just_below(top))]
-        for k, m in enumerate(meets):
-            glue += [{i + k * n: 1, i + (k + 1) * n: p - 1} for i in self.gens_leq(_just_below(m))]
-        k0 = next(k for k, top in enumerate(tops) if leq(B[0], _just_below(top)))
-        image = [{i + k0 * n: c for i, c in v.items()} for v in T]
-        return _rank_over(kernels.echelonize(glue, p), image, p)
-
-
-def _rank_over(basis, vectors, p) -> int:
-    """rank(span(basis) + span(vectors)) - rank(span(basis)), basis in echelon form."""
-    return kernels.rank(list(basis.values()) + vectors, p) - len(basis)
+        key = 0
+        for top in tops:
+            key |= self.rels_below(_just_below(top))
+        return kernels.rank_over(self.rel_basis(key), T, self.p)
 
 
 def interval_rank(P: Presentation, births: Sequence[Grade], deaths: Sequence[Grade]) -> int | None:

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import subprocess
@@ -223,10 +224,14 @@ class TestCli:
         ("match-dist", "N.fpres", "O.fpres", "--lines", "1_0"),
         ("match-dist", "N.fpres", "O.fpres", "--seed", "1_0", "--extra", "2"),
         ("experiment", "local-equiv", "--seed", "\uff17"),
+        # an unknown option is reported by the subcommand that got it, with its usage
+        ("experiment", "sandwich", "--lines", "3"),
+        ("lower-bound", "N.fpres", "O.fpres", "--bogus"),
     ])
     def test_bad_arguments_exit_one_with_usage(self, files, args):
         code, out, err = run_cli(*(str(files / a) if a.endswith(".fpres") else a for a in args))
-        assert code == 1 and not out and f"usage: multipres {args[0]}" in err
+        command = " ".join(itertools.takewhile(lambda a: not a.startswith("-") and "." not in a, args))
+        assert code == 1 and not out and f"usage: multipres {command} " in err
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("args", [

@@ -1,3 +1,4 @@
+import copy
 import random
 
 import pytest
@@ -174,3 +175,28 @@ def test_intersect_is_a_basis_of_the_meet(p):
             for v in meet:
                 assert v and set(v) <= set(inside) and all(0 < c < p for c in v.values())
                 assert dense_rank_mod_p(span + to_dense_rows([v], nrows), p) == rk
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_rank_over_counts_what_vectors_add_and_leaves_the_basis(p):
+    rng = random.Random(113)
+    for _ in range(40):
+        nrows = rng.randint(1, 12)
+        basis = kernels.echelonize(dependent_columns(rng, nrows, rng.randint(0, 10), p), p)
+        vectors = random_columns(rng, nrows, rng.randint(0, 4), p)
+        for _ in range(rng.randint(0, 3)):
+            # a vector inside span(basis)
+            vec = {}
+            for col in rng.sample(list(basis.values()), min(len(basis), 2)):
+                f = rng.randint(1, p - 1)
+                for i, c in col.items():
+                    vec[i] = (vec.get(i, 0) + f * c) % p
+            vectors.append({i: c for i, c in vec.items() if c})
+        vectors += [{}] + [dict(v) for v in vectors if rng.random() < 0.5]
+        rng.shuffle(vectors)
+        before = copy.deepcopy(basis)
+        want = kernels.rank(list(basis.values()) + vectors, p) - len(basis)
+        assert kernels.rank_over(basis, vectors, p) == want
+        # the basis and each of its columns are as they were
+        assert basis == before and list(basis) == list(before)
+    assert kernels.rank_over({}, [], p) == kernels.rank_over({}, [{}], p) == 0

@@ -22,6 +22,7 @@ from multipres import (
 )
 from multipres.experiments import incompleteness_pair, random_module, random_staircase
 from multipres.functors import shift_with_witness
+from multipres.metrics import _interval_probes
 from multipres.presentation import (
     DISCONNECTED,
     EMPTY,
@@ -30,6 +31,7 @@ from multipres.presentation import (
     Presentation,
     PresentationError,
     Relation,
+    ScaledModule,
     _is_prime,
     interval_rank,
     make_column,
@@ -496,6 +498,46 @@ class TestIntervalRank:
                     assert want == interval_rank_by_summands(summands, births, deaths)
                 seen[want] += 1
         assert {None, 0, 1, 2} <= set(seen), seen
+
+    def test_lower_bound_probes_match_dense_oracle(self):
+        """The interval probes rank_lower_bound reads off minimal forms
+        (metrics._interval_probes, in its quarter units), eroded at several
+        eps, on each module of the pair: the minimal form of a sum and that
+        of a shuffled non-minimal presentation of it.  The dense oracle runs
+        per summand, the generalized rank being additive over direct sums.
+        """
+        rng = random.Random(5)
+        seen = Counter()
+        for case, sizes in enumerate([(2, 3), (3, 4), (4, 2)]):
+            p = (2, 3, 5)[case]
+            pair = []
+            for k in sizes:
+                parts = [random_staircase(rng, p=p) for _ in range(k)]
+                P = parts[0]
+                for S in parts[1:]:
+                    P = direct_sum(P, S)
+                E = pair_every_generator(entangle(P, rng), rng)
+                pair.append((parts, [ScaledModule(M.minimal, 4) for M in (P, E)]))
+            # rank_lower_bound closes the probes a Betti-grid width above the grid
+            corners = [q for _, views in pair for V in views for q in V.gens + [a for a, _ in V.rels]]
+            lo, hi = ([f(q[i] for q in corners) for i in range(2)] for f in (min, max))
+            pad = max(h - l for h, l in zip(hi, lo))
+            top = (hi[0] + pad, hi[1] + pad)
+            probes = {(tuple(b), tuple(d)) for _, views in pair for V in views for b, d in _interval_probes(V, top)}
+            for births, deaths in sorted(probes):
+                for e in (0, 2, 4):
+                    B, D = [(x + e, y + e) for x, y in births], [(x - e, y - e) for x, y in deaths]
+                    fences = staircase_fences(B, D)
+                    tops = 0 if isinstance(fences, str) else len(fences[2])
+                    GB, GD = ([g(F(x, 4), F(y, 4)) for x, y in C] for C in (B, D))
+                    for parts, views in pair:
+                        ranks = [interval_rank_dense(S, GB, GD) for S in parts]
+                        want = None if None in ranks else sum(ranks)
+                        for V in views:
+                            assert V.interval_rank(B, D) == want, (case, B, D)
+                        seen[want, min(tops, 3)] += 1
+        # nonzero and zero ranks over intervals with three or more tops
+        assert any(r and t == 3 for r, t in seen) and seen[0, 3], seen
 
     def test_rectangles_and_their_union(self):
         N, O = incompleteness_pair(1, 3)
