@@ -1,12 +1,13 @@
 """Text formats: FPRES presentations, BLOCKS, barcodes, witnesses, joints.
 
 All formats are line-based with '#' comments and blank lines ignored, one
-datum per line, rationals as grades.rat reads them and integers as
-grades.integer does; 'inf' is read only for bar deaths, the one field whose
-format takes an infinite upper end (block endpoints are finite, as Block
-requires).  Parsers report the offending
-line; relation columns are checked by Presentation alone, and the
-parsers map its errors to lines.  A barcode file holds at most MAX_BARS
+datum per line, rationals as grades.rational reads them and integers as
+grades.integer does (an FPRES column entry 'coeff:index' as
+grades.integer_pair does); 'inf' is read only for bar deaths, the one
+field whose format takes an infinite upper end (block endpoints are
+finite, as Block requires).  Parsers report the offending line; relation
+columns are checked by Presentation alone, and the parsers map its errors
+to lines.  A barcode file holds at most MAX_BARS
 bars, counted with multiplicity, so reading one never expands into more
 memory than that.  Serializers round-trip bit-exact.
 """
@@ -19,7 +20,7 @@ from collections import Counter
 from .blocks import Block
 from .fibered import Barcode
 from .functors import InterleavingWitness, JointPresentation
-from .grades import Grade, integer, rat, rat_str
+from .grades import Grade, integer, integer_pair, rat_str, rational
 from .presentation import Generator, Presentation, PresentationError, Relation, check_field
 
 INF = math.inf
@@ -36,9 +37,9 @@ class FormatError(ValueError):
 
 
 def parse_rational(tok: str, lineno: int = 0):
-    """A finite exact rational, as grades.rat reads it."""
+    """A finite exact rational, as grades.rational reads it."""
     try:
-        return rat(tok)
+        return rational(tok)
     except ValueError as exc:
         raise FormatError(lineno, f"bad rational {tok!r}") from exc
 
@@ -127,7 +128,19 @@ def _header_count(cur: _Cursor, key: str, what: str, least: int = 0, check=None)
 
 
 def _parse_fpres_block(cur: _Cursor):
-    """One fpres block as (header line, n, p, gens, rels, each relation's line), columns unchecked."""
+    """One fpres block as (header line, n, p, gens, rels, each relation's line), columns unchecked.
+
+    Each distinct grade token is read once per block, and each column entry
+    with one grades.integer_pair match.
+    """
+    seen = {}
+
+    def grade(toks: list[str], lineno: int) -> Grade:
+        for t in toks:
+            if t not in seen:
+                seen[t] = parse_rational(t, lineno)
+        return Grade.exact(tuple(map(seen.__getitem__, toks)))
+
     start, toks = _parse_header(cur, "fpres", "'fpres 1' header")
     if toks[1:] != ["1"]:
         raise FormatError(start, "unsupported fpres version")
@@ -139,8 +152,7 @@ def _parse_fpres_block(cur: _Cursor):
         lineno, toks = cur.next("generator line")
         if toks[0] != "g" or len(toks) != 2 + n:
             raise FormatError(lineno, f"expected 'g <label> <{n} rationals>'")
-        grade = Grade([parse_rational(t, lineno) for t in toks[2:]])
-        gens.append(Generator(toks[1], grade))
+        gens.append(Generator(toks[1], grade(toks[2:], lineno)))
     m = _header_count(cur, "relations", "'relations <m>'")
     rels, lines = [], []
     for _ in range(m):
@@ -150,15 +162,15 @@ def _parse_fpres_block(cur: _Cursor):
         sep = toks.index(";")
         if sep != 1 + n:
             raise FormatError(lineno, f"relation needs {n} grade coordinates before ';'")
-        grade = Grade([parse_rational(t, lineno) for t in toks[1:sep]])
+        at = grade(toks[1:sep], lineno)
         col = []
         for ent in toks[sep + 1:]:
             try:
-                c_s, i_s = ent.split(":")
-                col.append((integer(i_s), integer(c_s)))
+                c, i = integer_pair(ent)
             except ValueError as exc:
                 raise FormatError(lineno, f"bad column entry {ent!r}") from exc
-        rels.append(Relation(grade, tuple(sorted(col))))
+            col.append((i, c))
+        rels.append(Relation(at, tuple(sorted(col))))
         lines.append(lineno)
     return start, n, p, tuple(gens), tuple(rels), lines
 

@@ -23,11 +23,12 @@ path of an eps-interleaving, with endpoints isomorphic to the two modules.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import kernels
-from .grades import Grade, GridFunction, controlling_constant, merge_delta, rat, snap_grade
+from .grades import Grade, GridFunction, controlling_constant, merge_delta, rat, snap_coordinates
 from .presentation import (
     Generator,
     Presentation,
@@ -35,7 +36,6 @@ from .presentation import (
     Relation,
     ScaledModule,
     bits,
-    common_scale,
     leq,
     make_column,
     shift,
@@ -108,14 +108,24 @@ def merge_with_witness(P: Presentation, grid: GridFunction, delta, variant: str 
 
     f(b) = x^(delta + (b - merge(b))) merge(b) and symmetrically for g, the
     grade gaps being bounded by delta coordinate-wise.
+
+    The grades snap on integer axes: the grid, delta and P's integer grades
+    times one scale S that clears all three.  A coordinate comes back as it
+    was or as an axis value, so the output grades reuse P's Fractions and
+    the grid's, and no new Fraction is built.
     """
     d = merge_delta(grid, delta, P.n, variant)
-    gens = tuple(
-        Generator(g.label, snap_grade(grid, d, g.grade, variant)) for g in P.gens
-    )
-    rels = tuple(
-        Relation(snap_grade(grid, d, r.grade, variant), r.col) for r in P.rels
-    )
+    S = math.lcm(P.scale, d.denominator, *(v.denominator for axis in grid.axes for v in axis))
+    axes = [[v.numerator * S // v.denominator for v in axis] for axis in grid.axes]
+    values = [dict(zip(scaled, axis)) for scaled, axis in zip(axes, grid.axes)]
+    d_s, factor = d.numerator * S // d.denominator, S // P.scale
+
+    def merged(grade: Grade, point: tuple[int, ...]) -> Grade:
+        snapped = snap_coordinates(axes, d_s, [v * factor for v in point], variant)
+        return Grade.exact(tuple(value.get(x, c) for value, x, c in zip(values, snapped, grade.coords)))
+
+    gens = tuple(Generator(g.label, merged(g.grade, a)) for g, a in zip(P.gens, P.scaled_gens))
+    rels = tuple(Relation(merged(r.grade, a), r.col) for r, a in zip(P.rels, P.scaled_rels))
     out = Presentation(P.n, P.p, gens, rels)
     ident = _matrix({(i, i): 1 for i in range(len(P.gens))}, P.p)
     return out, InterleavingWitness(d, ident, ident)
@@ -157,7 +167,7 @@ def _image_relations(P: Presentation, e: Fraction) -> list[tuple[Grade, dict[int
     """
     if not P.rels:
         return []
-    S = common_scale([e] + [c for g in P.betti_grades() for c in g.coords])
+    S = math.lcm(P.scale, e.denominator)
     M = ScaledModule(P, S)
     e_s = e.numerator * (S // e.denominator)
     grades = [g for g, _ in M.rels] + [tuple(v + e_s for v in g) for g in M.gens]
@@ -179,7 +189,7 @@ def _image_relations(P: Presentation, e: Fraction) -> list[tuple[Grade, dict[int
         for col in pure:
             if kernels.residual(col, known.pivots, P.p):
                 known.push(len(out), col)
-                out.append((Grade(Fraction(v, S) for v in s), col))
+                out.append((Grade.exact(tuple(Fraction(v, S) for v in s)), col))
                 out_grades.append(s)
     return out
 

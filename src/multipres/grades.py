@@ -9,7 +9,9 @@ with their controlling constants, and the merge/unmerge snapping maps.
 Everything here is an immutable value and every operation is a pure
 function; rationals stay exact end to end (fractions.Fraction), so the
 projection/idempotence/bound identities below hold with equality rather
-than up to tolerance.
+than up to tolerance.  The text edge is here too: integer, integer_pair
+and rational are the strict readers of file and argument tokens, and
+rat_str the one printer.
 """
 
 from __future__ import annotations
@@ -29,6 +31,8 @@ class DimensionMismatch(ValueError):
 
 
 _RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/(0*[1-9][0-9]*))?")
+# [0-9] is the ASCII digits alone, so both parts follow integer's rules
+_INTEGER_PAIR = re.compile(r"([+-]?[0-9]+):([+-]?[0-9]+)")
 
 
 def integer(text: str) -> int:
@@ -44,33 +48,51 @@ def integer(text: str) -> int:
     return int(text)
 
 
-def rat(x) -> Fraction:
-    """Coerce ints, Fractions and strings '[+-]digits[/digits]' to an exact rational.
+def integer_pair(text: str) -> tuple[int, int]:
+    """Read '[+-]digits:[+-]digits' as two ints, each under integer's rules, in one match."""
+    m = _INTEGER_PAIR.fullmatch(text)
+    if m is None:
+        raise ValueError(f"bad integer pair {text!r}, expected [+-]digits:[+-]digits")
+    return int(m[1]), int(m[2])
 
-    The one string-to-rational conversion: any other string, '1/0' and
-    exponents such as '1e9' included, raises ValueError.
+
+def rational(text: str) -> Fraction:
+    """Read '[+-]digits[/digits]' as a Fraction in one match, the one string-to-rational conversion.
+
+    Any other string, '1/0' and exponents such as '1e9' included, raises
+    ValueError.
     """
+    m = _RATIONAL.fullmatch(text)
+    if m is None:
+        raise ValueError(f"bad rational {text!r}, expected [+-]digits[/digits]")
+    num, den = m.groups()
+    return Fraction(int(num), int(den)) if den else Fraction(int(num))
+
+
+def rat(x) -> Fraction:
+    """Coerce ints, Fractions and strings (as rational reads them) to an exact rational."""
     if isinstance(x, Fraction):
         return x
     if isinstance(x, str):
-        m = _RATIONAL.fullmatch(x)
-        if m is None:
-            raise ValueError(f"bad rational {x!r}, expected [+-]digits[/digits]")
-        num, den = m.groups()
-        return Fraction(int(num), int(den)) if den else Fraction(int(num))
+        return rational(x)
     if isinstance(x, float):
         raise TypeError(f"refusing float {x!r}; pass a Fraction, int or 'p/q' string")
     return Fraction(x)
 
 
 def rat_str(x) -> str:
-    """Canonical text form: 'num/den' with den > 0, plain integer when den == 1."""
-    if x == INF:
-        return "inf"
-    if x == -INF:
-        return "-inf"
-    q = rat(x)
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+    """Canonical text form: 'num/den' with den > 0, plain integer when den == 1.
+
+    A Fraction is formatted at once; only other values are compared with
+    the float infinities, which is the slow comparison for a Fraction.
+    """
+    if not isinstance(x, Fraction):
+        if x == INF:
+            return "inf"
+        if x == -INF:
+            return "-inf"
+        x = rat(x)
+    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
 def rat_dec(x) -> str:
@@ -87,9 +109,16 @@ class Grade:
     coords: tuple[Fraction, ...]
 
     def __init__(self, coords: Iterable):
-        object.__setattr__(self, "coords", tuple(rat(c) for c in coords))
+        object.__setattr__(self, "coords", tuple(map(rat, coords)))
         if not self.coords:
             raise ValueError("grades need at least one coordinate")
+
+    @classmethod
+    def exact(cls, coords: tuple[Fraction, ...]) -> "Grade":
+        """The grade of a nonempty tuple of Fractions, taken as it is, with no coercion."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "coords", coords)
+        return out
 
     @property
     def n(self) -> int:
@@ -129,7 +158,7 @@ class Grade:
         return self.coords
 
     def __str__(self) -> str:
-        return " ".join(rat_str(c) for c in self.coords)
+        return " ".join(map(rat_str, self.coords))
 
 
 @dataclass(frozen=True)
@@ -305,11 +334,12 @@ def line_weight(line: LineSpec) -> Fraction:
 _MERGE_VARIANTS = ("two_sided", "plus", "minus")
 
 
-def _merge_coordinate(axis: tuple[Fraction, ...], delta: Fraction, x: Fraction, variant: str) -> Fraction:
+def _merge_coordinate(axis: Sequence, delta, x, variant: str):
     """The axis value in [x, x + delta] (plus) or [x - delta, x] (minus), else x.
 
     delta is below half the axis gap, so only the nearest axis value on the
-    snapping side can qualify, and one bisection finds it.
+    snapping side can qualify, and one bisection finds it.  The values may
+    be Fractions or integers under one scale.
     """
     if variant == "plus":
         i = bisect_left(axis, x)
@@ -355,14 +385,23 @@ def merge_delta(grid: GridFunction, delta, n: int, variant: str = "two_sided") -
     return d
 
 
+def snap_coordinates(axes: Sequence[Sequence], delta, coords: Sequence, variant: str) -> list:
+    """The coordinates of merge_grade, for a delta that merge_delta has accepted.
+
+    Each coordinate comes back as it is or as a value of its axis.  Axes,
+    delta and coordinates are all Fractions, or all integers: the same
+    values times one scale that clears them, which snap to the same values
+    times that scale.
+    """
+    if variant == "two_sided":
+        return [_merge_coordinate(a, delta, _merge_coordinate(a, delta, x, "plus"), "minus")
+                for a, x in zip(axes, coords)]
+    return [_merge_coordinate(a, delta, x, variant) for a, x in zip(axes, coords)]
+
+
 def snap_grade(grid: GridFunction, delta: Fraction, p: Grade, variant: str = "two_sided") -> Grade:
     """merge_grade for a delta that merge_delta has accepted on this grid."""
-    if variant == "two_sided":
-        coords = [_merge_coordinate(a, delta, _merge_coordinate(a, delta, x, "plus"), "minus")
-                  for a, x in zip(grid.axes, p.coords)]
-    else:
-        coords = [_merge_coordinate(a, delta, x, variant) for a, x in zip(grid.axes, p.coords)]
-    return Grade(coords)
+    return Grade(snap_coordinates(grid.axes, delta, p.coords, variant))
 
 
 def unmerge(grid: GridFunction, delta, p: Grade) -> Grade:

@@ -442,7 +442,7 @@ def matching_distance(P: Presentation, Q: Presentation, sample: LineSample | Non
         raise PresentationError("matching distance needs matching dimension and field")
     if sample is None:
         sample = sample_lines(P, Q, slopes=slopes)
-    scale = common_scale(c for M in (P, Q) for g in M.minimal.betti_grades() for c in g.coords)
+    scale = math.lcm(P.minimal.scale, Q.minimal.scale)
     views = (ScaledModule(P.minimal, scale), ScaledModule(Q.minimal, scale))
     best, arg = _best_line(views, sample, Fraction(0))
     if adaptive_rounds and arg is not None:
@@ -508,7 +508,7 @@ def verify_interleaving(P: Presentation, Q: Presentation, w: InterleavingWitness
         return VerifyReport(False, eps, "negative epsilon")
     if P.n != Q.n or P.p != Q.p:
         return VerifyReport(False, eps, "dimension or field mismatch")
-    scale = common_scale([eps] + [c for M in (P, Q) for g in M.betti_grades() for c in g.coords])
+    scale = math.lcm(eps.denominator, P.scale, Q.scale)
     VP, VQ = ScaledModule(P, scale), ScaledModule(Q, scale)
     e = (eps * scale).numerator
 
@@ -639,14 +639,13 @@ def rank_lower_bound(P: Presentation, Q: Presentation,
     for a in probe_list:
         if a.n != P.n:
             raise PresentationError(f"probe ({a}) has dimension {a.n}, expected {P.n}")
-    grades = P.minimal.betti_grades() + Q.minimal.betti_grades()
     # quarter units: candidates include halved differences, and their midpoints
-    scale = 4 * common_scale(c for g in grades + probe_list for c in g.coords)
+    scale = 4 * math.lcm(P.minimal.scale, Q.minimal.scale, common_scale(c for a in probe_list for c in a.coords))
     views = [ScaledModule(M.minimal, scale) for M in (P, Q)]
     points = [scale_grade(a, scale) for a in probe_list]
-    betti_points = [scale_grade(g, scale) for g in grades]
+    betti_points = [a for M in views for a in M.gens + [r for r, _ in M.rels]]
     intervals = []
-    if P.n == 2 and grades:
+    if P.n == 2 and betti_points:
         lo = [min(g[i] for g in betti_points) for i in range(2)]
         hi = [max(g[i] for g in betti_points) for i in range(2)]
         pad = max(h - l for h, l in zip(hi, lo)) or scale

@@ -5,9 +5,12 @@ R, standing for the module Free[X] / <R>.  Coefficients live in F_p (default
 p = 2, any prime accepted) and are stored sparsely; grades are exact
 rationals.  Homogeneity means every relation dominates the grades of the
 generators it touches, so the monomial carrying each entry exists.
-Presentation.__post_init__ is the one check of relation columns (index
-range, strictly increasing indices, coefficients in [0, p), homogeneity)
-and drops zero entries; its PresentationError carries the column's index.
+Presentation.__post_init__ derives the integer form once (scale, the lcm
+of the grades' denominators, and every grade times it as an integer
+tuple), is the one check of relation columns (index range, strictly
+increasing indices, coefficients in [0, p), homogeneity on the integer
+tuples) and drops zero entries; its PresentationError carries the
+column's index.
 
 The operations here are construction and validation, minimization by
 grade-ordered column reduction with generator/relation cancellation (each
@@ -17,18 +20,22 @@ function, internal-morphism ranks, the generalized rank over 2-parameter
 staircase intervals, direct sums and grade shifts.
 
 ScaledModule alone answers which generators and relations lie below a
-grade, on integer grades; minimize sweeps the presentation's own cached
-ScaledModule, and hilbert and rank_between floor their rational queries
-into it.
+grade, on integer grades; it starts from the presentation's integer form,
+multiplied when a caller needs a common scale with other grades.
+minimize sweeps the presentation's own cached ScaledModule, and hilbert and
+rank_between floor their rational queries into it.  common_scale and
+scale_grade serve the grades that are not a module's: probes, corners and
+line bases.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from bisect import bisect_right
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -116,10 +123,21 @@ def make_column(entries: dict[int, int] | Iterable[tuple[int, int]], p: int) -> 
 
 @dataclass(frozen=True)
 class Presentation:
+    """The module Free[gens] / <rels>, with its integer form derived once.
+
+    scale is the lcm of the denominators of every generator and relation
+    grade; scaled_gens and scaled_rels are those grades times scale, as
+    integer tuples in input order.  Homogeneity is checked on them, and
+    every ScaledModule of the presentation starts from them.
+    """
+
     n: int
     p: int
     gens: tuple[Generator, ...]
     rels: tuple[Relation, ...]
+    scale: int = field(init=False, repr=False, compare=False)
+    scaled_gens: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+    scaled_rels: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n < 1:
@@ -128,6 +146,15 @@ class Presentation:
         for g in self.gens:
             if g.grade.n != self.n:
                 raise PresentationError(f"generator {g.label!r} has dimension {g.grade.n}, expected {self.n}")
+        grades = [g.grade for g in self.gens] + [r.grade for r in self.rels]
+        ratios = [c.as_integer_ratio() for a in grades for c in a.coords]
+        scale = math.lcm(1, *{d for _, d in ratios})
+        scaled = iter([v * scale // d for v, d in ratios])
+        points = [tuple(itertools.islice(scaled, a.n)) for a in grades]
+        G, R = tuple(points[:len(self.gens)]), tuple(points[len(self.gens):])
+        object.__setattr__(self, "scale", scale)
+        object.__setattr__(self, "scaled_gens", G)
+        object.__setattr__(self, "scaled_rels", R)
         gens, p, zeros = self.gens, self.p, False
         for k, r in enumerate(self.rels):
             if r.grade.n != self.n:
@@ -140,7 +167,7 @@ class Presentation:
                     raise PresentationError(f"relation {k} names generator {i} twice or out of order", k)
                 if not 0 <= c < p:
                     raise PresentationError(f"relation {k} coefficient {c} out of range for F_{p}", k)
-                if not gens[i].grade.leq(r.grade):
+                if not leq(G[i], R[k]):
                     raise PresentationError(f"relation {k} at grade ({r.grade}) lies below generator "
                                             f"{gens[i].label!r} at ({gens[i].grade})", k)
                 zeros = zeros or not c
@@ -152,7 +179,7 @@ class Presentation:
 
     @cached_property
     def _scaled(self) -> ScaledModule:
-        return ScaledModule(self, common_scale(c for g in self.betti_grades() for c in g.coords))
+        return ScaledModule(self, self.scale)
 
     def hilbert(self, a: Grade) -> int:
         """dim M_a = #{generators <= a} - rank of the relation columns <= a."""
@@ -523,9 +550,12 @@ def bits(mask: int) -> list[int]:
 class ScaledModule:
     """A presentation with every grade multiplied by a common integer scale.
 
-    Its two Below indexes are the one answer to which generators and
-    relations lie below a grade, for hilbert, minimize, the simplify sweep
-    and the interval ranks.  One memo of echelon bases, keyed by the bitmask
+    The scale is a multiple of the presentation's own: its integer grades
+    are P's integer form, taken as they are at P.scale and multiplied by
+    scale // P.scale otherwise, as when a caller puts two modules, or a
+    module and eps, under one scale.  Its two Below indexes are the one
+    answer to which generators and relations lie below a grade, for
+    hilbert, minimize, the simplify sweep and the interval ranks.  One memo of echelon bases, keyed by the bitmask
     of the relations they span, serves dim, rank_between and interval_rank
     (and verify's span tests), so each distinct relation set is reduced
     once per module.  Query grades are integer tuples in the same units:
@@ -535,9 +565,16 @@ class ScaledModule:
     """
 
     def __init__(self, P: Presentation, scale: int):
+        factor, rest = divmod(scale, P.scale)
+        if rest:
+            raise PresentationError(f"scale {scale} is not a multiple of the module's scale {P.scale}")
         self.n, self.p, self.scale = P.n, P.p, scale
-        self.gens = [scale_grade(g.grade, scale) for g in P.gens]
-        self.rels = [(scale_grade(r.grade, scale), r.as_dict()) for r in P.rels]
+        gens, rels = P.scaled_gens, P.scaled_rels
+        if factor != 1:
+            gens = [tuple(v * factor for v in a) for a in gens]
+            rels = [tuple(v * factor for v in a) for a in rels]
+        self.gens = list(gens)
+        self.rels = [(a, r.as_dict()) for a, r in zip(rels, P.rels)]
         self.gens_below = Below(self.gens, self.n)
         self.rels_below = Below([g for g, _ in self.rels], self.n)
         self._bases: dict[int, dict[int, dict[int, int]]] = {}
@@ -640,7 +677,7 @@ def interval_rank(P: Presentation, births: Sequence[Grade], deaths: Sequence[Gra
     corners = list(births) + list(deaths)
     if P.n != 2 or any(g.n != 2 for g in corners):
         raise PresentationError("interval ranks are 2-parameter only")
-    scale = common_scale(c for g in corners + P.betti_grades() for c in g.coords)
+    scale = math.lcm(P.scale, common_scale(c for g in corners for c in g.coords))
     M = ScaledModule(P, scale)
     return M.interval_rank([scale_grade(b, scale) for b in births],
                            [scale_grade(d, scale) for d in deaths])

@@ -274,10 +274,12 @@ def _rref_mod_p(rows: list[list[int]], ncols: int, p: int) -> list[tuple[int, li
         mat[r], mat[pivot] = mat[pivot], mat[r]
         inv = pow(mat[r][col], p - 2, p)
         mat[r] = [(v * inv) % p for v in mat[r]]
+        # the pivot row is zero left of col, so the update starts there
+        tail = mat[r][col:]
         for i in range(len(mat)):
             if i != r and mat[i][col]:
                 f = mat[i][col]
-                mat[i] = [(a - f * b) % p for a, b in zip(mat[i], mat[r])]
+                mat[i][col:] = [(a - f * b) % p for a, b in zip(mat[i][col:], tail)]
         cols.append(col)
         r += 1
     return list(zip(cols, mat))
@@ -390,13 +392,20 @@ def interval_rank_dense(P, births, deaths):
             equations.append(row)
     lim = _nullspace_mod_p(equations, total, p)
     c0 = cells[0]
+    # rank(glue + image) - rank(glue): the image rows reduced against one
+    # reduced echelon form of the glue span the image modulo the glue
+    glue_rref = _rref_mod_p(glue, total, p)
     image = []
     for x in lim:
         row = [0] * total
         for k in range(len(quot[c0][3])):
             row[offset[c0] + k] = x[offset[c0] + k]
+        for col, pivot_row in glue_rref:
+            if row[col]:
+                f = row[col]
+                row = [(a - f * b) % p for a, b in zip(row, pivot_row)]
         image.append(row)
-    return dense_rank_mod_p(glue + image, p) - dense_rank_mod_p(glue, p)
+    return dense_rank_mod_p(image, p)
 
 
 def image_relations_by_full_sweep(P, e: Fraction) -> list[tuple[Grade, dict[int, int]]]:

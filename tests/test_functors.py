@@ -28,7 +28,14 @@ from multipres import (
     translate_joint,
     verify_interleaving,
 )
-from multipres.functors import PIPELINE_FACTORS, PIPELINE_TOTAL, compose_witnesses, shift_with_witness
+from multipres.functors import (
+    PIPELINE_FACTORS,
+    PIPELINE_TOTAL,
+    compose_witnesses,
+    merge_with_witness,
+    shift_with_witness,
+)
+from multipres.grades import merge_grade
 from multipres.experiments import jitter_module, random_module, random_staircase
 from multipres.presentation import Generator, Presentation, Relation, make_column
 
@@ -101,6 +108,33 @@ class TestMergeModule:
                             lo = v - delta
                     floor.append(lo)
                 assert M.hilbert(a) == P.hilbert(g(*floor))
+
+    def test_integer_merge_matches_merge_grade(self):
+        # merge_with_witness snaps on integer axes; merge_grade on Fractions
+        rng = random.Random(43)
+        tiny = F(1, 97 ** 3)
+        for _ in range(60):
+            n = rng.randint(1, 3)
+            grid = GridFunction([[F(rng.randint(-30, 30), rng.randint(1, 97)) for _ in range(rng.randint(1, 4))]
+                                 for _ in range(n)])
+            gap = grid.min_axis_gap()
+            below_half = F(5, 3) if gap == float("inf") else gap / 2 - tiny
+            for delta in (F(0), below_half):
+                # on an axis value, at and just past delta from it, between two
+                # values, and past both ends, with coordinates of either sign
+                near = [[c for v in axis for c in (v, v - delta, v + delta, v - delta - tiny, v + delta + tiny)]
+                        + [(a + b) / 2 for a, b in zip(axis, axis[1:])]
+                        + [axis[0] - rng.randint(1, 9), axis[-1] + F(rng.randint(1, 9), rng.randint(1, 97))]
+                        for axis in grid.axes]
+                gens = tuple(Generator(f"x{i}", Grade(rng.choice(c) for c in near)) for i in range(8))
+                rels = tuple(Relation(Grade(max(x, rng.choice(c)) for x, c in zip(gens[i].grade.coords, near)),
+                                      ((i, 1),)) for i in range(8))
+                P = Presentation(n, 2, gens, rels)
+                for variant in ("two_sided", "plus", "minus"):
+                    out, w = merge_with_witness(P, grid, delta, variant)
+                    assert [x.grade for x in out.gens] == [merge_grade(grid, delta, x.grade, variant) for x in gens]
+                    assert [r.grade for r in out.rels] == [merge_grade(grid, delta, r.grade, variant) for r in rels]
+                    assert [r.col for r in out.rels] == [r.col for r in rels] and w.epsilon == delta
 
 
 class TestTranslateImage:

@@ -13,6 +13,7 @@ from multipres.grades import (
     line_weight,
     merge_grade,
     push,
+    rat_str,
     snap_grade,
     unmerge,
 )
@@ -24,6 +25,16 @@ INF = float("inf")
 
 def g(*coords):
     return Grade(coords)
+
+
+class TestText:
+    def test_rat_str(self):
+        # a Fraction is formatted before any comparison with the float infinities
+        cases = [(F(3, 4), "3/4"), (F(-6, 4), "-3/2"), (F(8, 2), "4"), (F(0), "0"), (F(-5), "-5"),
+                 (7, "7"), (-2, "-2"), (0, "0"), ("6/4", "3/2"), (INF, "inf"), (-INF, "-inf")]
+        for x, want in cases:
+            assert rat_str(x) == want, x
+        assert str(Grade([F(1, 2), -3, 0])) == "1/2 -3 0"
 
 
 class TestPush:

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -14,10 +15,11 @@ from multipres.experiments import (
     incompleteness_pair,
     incompleteness_witness,
     random_module,
+    random_staircase,
 )
 from multipres.fibered import Barcode
 from multipres.functors import translate_joint
-from multipres.presentation import Generator, Presentation, Relation, free, staircase_interval
+from multipres.presentation import Generator, Presentation, Relation, direct_sum, free, staircase_interval
 
 INF = math.inf
 
@@ -38,6 +40,46 @@ class TestFpresFormat:
         for _ in range(10):
             P = random_module(rng)
             assert fio.parse_fpres(fio.serialize_fpres(P)) == P
+
+    def test_text_round_trip(self):
+        # serialize(parse(t)) == t for staircase sums, their jittered copies
+        # with denominators up to 97, and 1- and 3-parameter modules
+        rng = random.Random(92)
+
+        def exact(k):
+            return F(rng.randint(-40, 40), rng.randint(1, 97)) if k else F(0)
+
+        def jittered(P):
+            # generators move down and relations up, so the columns stay homogeneous
+            return Presentation(P.n, P.p,
+                                tuple(Generator(x.label, x.grade.plus([-abs(exact(rng.randint(0, 1)))] * P.n))
+                                      for x in P.gens),
+                                tuple(Relation(r.grade.plus([abs(exact(rng.randint(0, 1)))] * P.n), r.col)
+                                      for r in P.rels))
+
+        def lifted(n, p):
+            gens = tuple(Generator(f"x{i}", Grade(exact(1) for _ in range(n))) for i in range(rng.randint(0, 5)))
+            rels = []
+            for _ in range(rng.randint(0, 5) if gens else 0):
+                support = sorted(rng.sample(range(len(gens)), rng.randint(1, len(gens))))
+                top = [max(gens[i].grade.coords[k] for i in support) + abs(exact(rng.randint(0, 1)))
+                       for k in range(n)]
+                rels.append(Relation(Grade(top), tuple((i, rng.randint(1, p - 1)) for i in support)))
+            return Presentation(n, p, gens, tuple(rels))
+
+        modules = []
+        for k in (1, 2, 4, 8):
+            p = rng.choice([2, 3, 5])
+            P = random_staircase(rng, p=p)
+            for _ in range(k - 1):
+                P = direct_sum(P, random_staircase(rng, p=p))
+            modules += [P, jittered(P)]
+        modules += [lifted(n, p) for n in (1, 3) for p in (2, 7) for _ in range(5)]
+        assert {P.n for P in modules} == {1, 2, 3} and any(P.scale > 97 for P in modules)
+        for P in modules:
+            text = fio.serialize_fpres(P)
+            assert fio.serialize_fpres(fio.parse_fpres(text)) == text
+            assert fio.parse_fpres(text) == P
 
     def test_round_trip_zero_module(self):
         from multipres import zero_module
@@ -89,6 +131,13 @@ class TestFpresFormat:
                 continue
             with pytest.raises(fio.FormatError, match=f"^line {lineno}: "):
                 fio.parse_fpres(text)
+
+    @pytest.mark.parametrize("entry", ["1_0:0", "1:\u0663", "+:1", "1:2:3", ":1"])
+    def test_column_entry_grammar(self, entry):
+        # one '[+-]digits:[+-]digits' match per entry, with grades.integer's rules
+        text = f"fpres 1\nfield 2\nparams 1\ngenerators 1\ng a 0\nrelations 1\nr 1 ; {entry}\n"
+        with pytest.raises(fio.FormatError, match=f"^line 7: bad column entry {re.escape(repr(entry))}$"):
+            fio.parse_fpres(text)
 
     def test_rational_grammar(self):
         assert fio.parse_rational("3/4") == F(3, 4)
@@ -455,6 +504,9 @@ class TestCli:
         # grades are finite rationals
         ("fpres 1\nfield 2\nparams 2\ngenerators 1\ng a inf 0\nrelations 0\n", 5),
         ("fpres 1\nfield 2\nparams 2\ngenerators 1\ng a 0 0\nrelations 1\nr 1 -inf ; 1:0\n", 7),
+        # column entries are '[+-]digits:[+-]digits', ASCII digits only
+        *((f"fpres 1\nfield 2\nparams 2\ngenerators 1\ng a 0 0\nrelations 1\nr 1 1 ; {entry}\n", 7)
+          for entry in ("1_0:0", "1:\u0663", "+:1", "1:2:3", ":1")),
     ])
     def test_bad_header_value_exits_one_with_line(self, files, header, lineno):
         path = files / f"header{lineno}.fpres"

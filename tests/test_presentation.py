@@ -12,6 +12,7 @@ from multipres import (
     betti_and_grid,
     construct,
     direct_sum,
+    fio,
     free,
     minimize,
     shift,
@@ -33,6 +34,7 @@ from multipres.presentation import (
     Relation,
     ScaledModule,
     _is_prime,
+    common_scale,
     interval_rank,
     make_column,
     scale_grade,
@@ -352,6 +354,85 @@ class TestRankBetween:
                 P.rank_between(a, a)
             with pytest.raises(PresentationError, match="grade dimension"):
                 P.rank_between(g(0, 0), a)
+
+
+def exact_grade(rng, n):
+    """A grade with denominators up to 97 and coordinates of either sign."""
+    return Grade(F(rng.randint(-40, 40), rng.randint(1, 97)) for _ in range(n))
+
+
+def fpres_text(n, p, gens, rels):
+    """FPRES text of unchecked data: the relation k line is 6 + len(gens) + k."""
+    lines = ["fpres 1", f"field {p}", f"params {n}", f"generators {len(gens)}"]
+    lines += [f"g {x.label} {x.grade}" for x in gens]
+    lines.append(f"relations {len(rels)}")
+    lines += [f"r {r.grade} ; " + " ".join(f"{c}:{i}" for i, c in r.col) for r in rels]
+    return "\n".join(lines) + "\n"
+
+
+class TestIntegerForm:
+    """The integer grades each Presentation derives once, against Fraction grades."""
+
+    @staticmethod
+    def random_columns(rng, n):
+        """Generators and relations whose grades sit on, near and off the joins of their supports."""
+        gens = tuple(Generator(f"g{i}", exact_grade(rng, n)) for i in range(rng.randint(1, 5)))
+        rels = []
+        for _ in range(rng.randint(1, 6)):
+            support = sorted(rng.sample(range(len(gens)), rng.randint(1, len(gens))))
+            top = gens[support[0]].grade
+            for i in support[1:]:
+                top = top.join(gens[i].grade)
+            # at the join, above it, a hair below it in one coordinate, or anywhere
+            shift = [rng.choice([0, F(1, rng.randint(1, 97))]) for _ in range(n)]
+            if rng.random() < 0.2:
+                shift[rng.randrange(n)] = F(-1, 97 * 97)
+            grade = top.plus(shift) if rng.random() < 0.85 else exact_grade(rng, n)
+            rels.append(Relation(grade, tuple((i, rng.randint(1, 2)) for i in support)))
+        return gens, tuple(rels)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_homogeneity_check_matches_fraction_order(self, n):
+        rng = random.Random(170 + n)
+        rejected = accepted = 0
+        for _ in range(150):
+            gens, rels = self.random_columns(rng, n)
+            want = next((k for k, r in enumerate(rels)
+                         if not all(gens[i].grade.leq(r.grade) for i, _ in r.col)), None)
+            if want is None:
+                Presentation(n, 3, gens, rels)
+                fio.parse_fpres(fpres_text(n, 3, gens, rels))
+                accepted += 1
+                continue
+            with pytest.raises(PresentationError, match="lies below generator") as err:
+                Presentation(n, 3, gens, rels)
+            assert err.value.relation == want
+            with pytest.raises(fio.FormatError, match="lies below generator") as err:
+                fio.parse_fpres(fpres_text(n, 3, gens, rels))
+            assert err.value.lineno == 6 + len(gens) + want
+            rejected += 1
+        assert rejected > 20 and accepted > 20, (rejected, accepted)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_scaled_module_matches_scale_grade(self, n):
+        rng = random.Random(180 + n)
+        for _ in range(60):
+            gens, rels = self.random_columns(rng, n)
+            P = Presentation(n, 3, gens, tuple(r for r in rels
+                                               if all(gens[i].grade.leq(r.grade) for i, _ in r.col)))
+            grades = P.betti_grades()
+            assert P.scale == common_scale(c for a in grades for c in a.coords)
+            for S in (P.scale, 4 * P.scale, math.lcm(P.scale, 7)):
+                M = ScaledModule(P, S)
+                assert M.gens == [scale_grade(x.grade, S) for x in P.gens]
+                assert [a for a, _ in M.rels] == [scale_grade(r.grade, S) for r in P.rels]
+                assert [col for _, col in M.rels] == [r.as_dict() for r in P.rels]
+
+    def test_scale_must_be_a_multiple_of_the_module_scale(self):
+        P = free([g(F(1, 6), 0)])
+        assert P.scale == 6
+        with pytest.raises(PresentationError, match="not a multiple"):
+            ScaledModule(P, 4)
 
 
 class TestDirectSum:
