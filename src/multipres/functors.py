@@ -74,15 +74,33 @@ def _matrix(entries: dict[tuple[int, int], int], p: int) -> tuple[tuple[int, int
     return tuple(out)
 
 
+def by_source(matrix: dict[tuple[int, int], int]) -> dict[int, list[tuple[int, int]]]:
+    """A witness matrix {(i, j): coeff} as {i: [(j, coeff), ...]}, entries in matrix order."""
+    rows: dict[int, list[tuple[int, int]]] = {}
+    for (i, j), d in matrix.items():
+        rows.setdefault(i, []).append((j, d))
+    return rows
+
+
+def apply_rows(rows: dict[int, list[tuple[int, int]]], vec: dict[int, int], p: int) -> dict[int, int]:
+    """The image of a vector {i: coeff} under a matrix given by_source."""
+    out: dict[int, int] = {}
+    for i, c in vec.items():
+        for j, d in rows.get(i, ()):
+            v = (out.get(j, 0) + c * d) % p
+            if v:
+                out[j] = v
+            else:
+                out.pop(j, None)
+    return out
+
+
 def compose_witnesses(w1: InterleavingWitness, w2: InterleavingWitness, p: int) -> InterleavingWitness:
     """Witness for the composite interleaving at epsilon_1 + epsilon_2."""
     def product(a: dict, b: dict) -> dict:
-        out: dict[tuple[int, int], int] = {}
-        for (i, j), c in a.items():
-            for (j2, k), d in b.items():
-                if j == j2:
-                    out[(i, k)] = (out.get((i, k), 0) + c * d) % p
-        return out
+        rows = by_source(b)
+        return {(i, k): c for i, row in by_source(a).items()
+                for k, c in apply_rows(rows, dict(row), p).items()}
 
     f = product(w1.f_dict(), w2.f_dict())
     g = product(w2.g_dict(), w1.g_dict())
@@ -164,6 +182,9 @@ def _image_relations(P: Presentation, e: Fraction) -> list[tuple[Grade, dict[int
     in the output and rebased at every point with pure columns, so the
     prefix of kept relations two points share is reduced once.  Membership
     in a span depends neither on its basis nor on the order of the rows.
+    A relation kept at t <= s lies in pure(t), inside pure(s), so the known
+    span lies in pure(s) and at most len(pure) minus its rank can be kept
+    at s: the loop stops once that many are, as every later residual is 0.
     """
     if not P.rels:
         return []
@@ -186,11 +207,15 @@ def _image_relations(P: Presentation, e: Fraction) -> list[tuple[Grade, dict[int
         if not pure:
             continue
         known.rebase([(k, col) for k, (t, (_, col)) in enumerate(zip(out_grades, out)) if leq(t, s)])
+        room = len(pure) - len(known.pivots)
         for col in pure:
+            if not room:
+                break
             if kernels.residual(col, known.pivots, P.p):
                 known.push(len(out), col)
                 out.append((Grade.exact(tuple(Fraction(v, S) for v in s)), col))
                 out_grades.append(s)
+                room -= 1
     return out
 
 

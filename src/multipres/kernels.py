@@ -3,17 +3,18 @@
 Columns are dicts {row index: nonzero coefficient mod p}.  Reduction is the
 standard left-to-right scheme with max-index pivots, which serves three
 masters: persistence pairing (pivot row = paired row), rank computation
-(count of nonzero pivots; rank_over counts the pivots that vectors add to
-an echelon basis) and span membership (residual after reducing against an
-echelon basis).  reduce_pivots takes its columns with the caller's indices
-and a row map, and relabels each entry once as it reads the column; over
-F_2 it reads the relabelled rows as the bits of a Python int and adds
-columns by XOR.  intersect meets a column span with the coordinate
-subspace on a set of rows, the step behind the translation image's
-relations and the interval ranks.  EchelonStack is an echelon basis grown
-column by column that can be cut back to any prefix; its rebase moves it
-to a new list of columns through the longest prefix the two share, for
-sweeps whose spans share long prefixes.
+(count of nonzero pivots) and span membership (residual after reducing
+against an echelon basis).  extend builds every echelon basis: it reduces
+columns into a copy of a given one, empty for echelonize and rank.
+reduce_pivots takes its columns with the caller's indices and a row map,
+and relabels each entry once as it reads the column; over F_2 it reads the
+relabelled rows as the bits of a Python int and adds columns by XOR.
+intersect meets a column span with the coordinate subspace on a set of
+rows, the step behind the translation image's relations and the interval
+ranks.  EchelonStack is an echelon basis grown column by column that can be
+cut back to any prefix; its rebase moves it to a new list of columns
+through the longest prefix the two share, for sweeps whose spans share long
+prefixes.
 """
 
 from __future__ import annotations
@@ -72,9 +73,10 @@ def _residual_dict(c, piv, p):
     return c
 
 
-def _pivot_columns(columns, p) -> dict[int, dict[int, int]]:
-    """Reduced columns of an echelon basis keyed by pivot row, in input order."""
-    piv: dict[int, dict[int, int]] = {}
+def extend(basis, columns, p) -> dict[int, dict[int, int]]:
+    """Echelon basis of span(basis) + span(columns): a copy of basis
+    {pivot row: column}, which is read, not changed, with columns reduced in."""
+    piv = dict(basis)
     for col in columns:
         c = _residual_dict(dict(col), piv, p)
         if c:
@@ -84,11 +86,11 @@ def _pivot_columns(columns, p) -> dict[int, dict[int, int]]:
 
 def echelonize(columns, p) -> dict[int, dict[int, int]]:
     """Echelon basis of the column span: {pivot row: reduced column}, in input order."""
-    return _pivot_columns(columns, p)
+    return extend({}, columns, p)
 
 
 def rank(columns, p):
-    return len(_pivot_columns(columns, p))
+    return len(extend({}, columns, p))
 
 
 def intersect(columns, inside, p) -> list[dict[int, int]]:
@@ -112,17 +114,8 @@ def intersect(columns, inside, p) -> list[dict[int, int]]:
 
 def rank_over(basis, vectors, p) -> int:
     """rank(span(basis) + span(vectors)) - len(basis), for an echelon basis
-    {pivot row: column}.
-
-    Only the vectors are reduced, against a copy of the pivot map; basis and
-    its columns are read, not changed, so one basis can serve many queries.
-    """
-    piv = dict(basis)
-    for vector in vectors:
-        c = _residual_dict(dict(vector), piv, p)
-        if c:
-            piv[max(c)] = c
-    return len(piv) - len(basis)
+    {pivot row: column}, which is left as it was."""
+    return len(extend(basis, vectors, p)) - len(basis)
 
 
 def residual(vector, basis, p):

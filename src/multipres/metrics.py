@@ -40,9 +40,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
 
-from . import kernels
 from .fibered import Barcode, barcode, integer_lines, restrict
-from .functors import InterleavingWitness
+from .functors import InterleavingWitness, apply_rows, by_source
 from .grades import Grade, LineSpec, rat, rat_dec, rat_str
 from .presentation import (
     BettiData,
@@ -473,26 +472,6 @@ class VerifyReport:
         return f"reject at epsilon {rat_str(self.epsilon)}: {self.reason}"
 
 
-def _by_source(matrix: dict[tuple[int, int], int]) -> dict[int, list[tuple[int, int]]]:
-    """A witness matrix {(i, j): coeff} as {i: [(j, coeff), ...]}, entries in matrix order."""
-    rows: dict[int, list[tuple[int, int]]] = {}
-    for (i, j), d in matrix.items():
-        rows.setdefault(i, []).append((j, d))
-    return rows
-
-
-def _apply(rows: dict[int, list[tuple[int, int]]], vec: dict[int, int], p: int) -> dict[int, int]:
-    out: dict[int, int] = {}
-    for i, c in vec.items():
-        for j, d in rows.get(i, ()):
-            v = (out.get(j, 0) + c * d) % p
-            if v:
-                out[j] = v
-            else:
-                out.pop(j, None)
-    return out
-
-
 def verify_interleaving(P: Presentation, Q: Presentation, w: InterleavingWitness) -> VerifyReport:
     """Accept iff w is a genuine epsilon-interleaving between P and Q.
 
@@ -501,7 +480,7 @@ def verify_interleaving(P: Presentation, Q: Presentation, w: InterleavingWitness
     grade, and both compositions agreeing with the 2-eps internal
     translation modulo relations.  The report names the first failure.
     Grades are compared as integer tuples under one scale that also clears
-    eps, and each side's echelon basis is computed once per relation set.
+    eps, and each span test is its side's ScaledModule.in_span.
     """
     eps = rat(w.epsilon)
     if eps < 0:
@@ -515,11 +494,8 @@ def verify_interleaving(P: Presentation, Q: Presentation, w: InterleavingWitness
     def up(grade, times):
         return tuple(v + times * e for v in grade)
 
-    def in_span(view, vec, grade) -> bool:
-        return not kernels.residual(vec, view.rel_basis(view.rels_below(grade)), P.p)
-
     fd, gd = w.f_dict(), w.g_dict()
-    fr, gr = _by_source(fd), _by_source(gd)
+    fr, gr = by_source(fd), by_source(gd)
     sides = (("f", fd, fr, P, Q, VP, VQ), ("g", gd, gr, Q, P, VQ, VP))
     for name, mat, _, src, dst, vs, vd in sides:
         for (i, j), c in mat.items():
@@ -534,19 +510,19 @@ def verify_interleaving(P: Presentation, Q: Presentation, w: InterleavingWitness
                 )
     for name, _, rows, src, dst, vs, vd in sides:
         for k, r in enumerate(src.rels):
-            image = _apply(rows, r.as_dict(), P.p)
-            if image and not in_span(vd, image, up(vs.rels[k][0], 1)):
+            image = apply_rows(rows, r.as_dict(), P.p)
+            if not vd.in_span(image, up(vs.rels[k][0], 1)):
                 return VerifyReport(
                     False, eps,
                     f"{name} sends relation {k} (grade {r.grade}) outside the relation submodule",
                 )
     for name, first, second, side, view in (("g.f", fr, gr, P, VP), ("f.g", gr, fr, Q, VQ)):
         for i, gen in enumerate(side.gens):
-            vec = _apply(second, _apply(first, {i: 1}, P.p), P.p)
+            vec = apply_rows(second, apply_rows(first, {i: 1}, P.p), P.p)
             vec[i] = (vec.get(i, 0) - 1) % P.p
             if not vec[i]:
                 del vec[i]
-            if vec and not in_span(view, vec, up(view.gens[i], 2)):
+            if not view.in_span(vec, up(view.gens[i], 2)):
                 return VerifyReport(
                     False, eps,
                     f"coherence {name} fails at generator {gen.label}",

@@ -473,6 +473,8 @@ def minimal_elements(points) -> list[tuple[int, int]]:
     return out
 
 
+BASIS_WINDOW = 32
+
 EMPTY = "empty"
 DISCONNECTED = "disconnected"
 
@@ -537,6 +539,12 @@ class Below:
         return mask
 
 
+def _monic(vector: dict[int, int], p: int) -> tuple:
+    """The entries of a nonzero vector's multiple whose lowest-index entry is 1, in index order."""
+    inv = pow(vector[min(vector)], p - 2, p)
+    return tuple(sorted((i, c * inv % p) for i, c in vector.items()))
+
+
 def bits(mask: int) -> list[int]:
     """The indices of the set bits of a mask, in increasing order."""
     out = []
@@ -555,10 +563,9 @@ class ScaledModule:
     scale // P.scale otherwise, as when a caller puts two modules, or a
     module and eps, under one scale.  Its two Below indexes are the one
     answer to which generators and relations lie below a grade, for
-    hilbert, minimize, the simplify sweep and the interval ranks.  One memo of echelon bases, keyed by the bitmask
-    of the relations they span, serves dim, rank_between and interval_rank
-    (and verify's span tests), so each distinct relation set is reduced
-    once per module.  Query grades are integer tuples in the same units:
+    hilbert, minimize, the simplify sweep and the interval ranks.  One memo
+    of echelon bases (rel_basis) serves dim, rank_between, interval_rank
+    and in_span.  Query grades are integer tuples in the same units:
     scale_grade of a corner, or floor of any rational grade.  For
     restriction to lines it keeps one entry: its grades times the slopes of
     the last line it was restricted along (along).
@@ -577,8 +584,7 @@ class ScaledModule:
         self.rels = [(a, r.as_dict()) for a, r in zip(rels, P.rels)]
         self.gens_below = Below(self.gens, self.n)
         self.rels_below = Below([g for g, _ in self.rels], self.n)
-        self._bases: dict[int, dict[int, dict[int, int]]] = {}
-        self._ranks: dict[tuple[int, int], int] = {}
+        self._bases: dict[int, dict[int, dict[int, int]]] = {0: {}}  # in the order built
         self._along: tuple | None = None
 
     def floor(self, a: Grade) -> tuple[int, ...]:
@@ -610,14 +616,42 @@ class ScaledModule:
         return self._along[1:]
 
     def rel_basis(self, key: int) -> dict[int, dict[int, int]]:
-        """Echelon basis of the columns of the relations in the bitmask key.
+        """Echelon basis of the columns in the bitmask key: bit k < R is
+        relation k's column and bit R + i the unit vector e_i, R = len(rels).
 
-        It is shared between callers, who read it and never change it.
+        A new key grows a copy of the basis of its largest subset among the
+        last BASIS_WINDOW keys built (or of the empty key) by the columns it
+        adds.  Callers read only ranks and memberships from a basis, which
+        do not depend on the basis chosen, and never change it.
         """
         basis = self._bases.get(key)
         if basis is None:
-            basis = self._bases[key] = kernels.echelonize([self.rels[k][1] for k in bits(key)], self.p)
+            recent = itertools.islice(reversed(self._bases), BASIS_WINDOW)
+            base = max((k for k in recent if not k & ~key), key=int.bit_count, default=0)
+            R = len(self.rels)
+            columns = [self.rels[k][1] if k < R else {k - R: 1} for k in bits(key & ~base)]
+            basis = self._bases[key] = kernels.extend(self._bases[base], columns, self.p)
         return basis
+
+    @cached_property
+    def _monic_rels(self) -> dict[tuple, int]:
+        """The mask of the relations with each monic column."""
+        index: dict[tuple, int] = {}
+        for k, (_, col) in enumerate(self.rels):
+            if col:
+                m = _monic(col, self.p)
+                index[m] = index.get(m, 0) | 1 << k
+        return index
+
+    def in_span(self, vector: dict[int, int], a) -> bool:
+        """Is vector in the span of the relation columns <= a?  A multiple
+        of one of them is, with no elimination; others are reduced."""
+        if not vector:
+            return True
+        key = self.rels_below(a)
+        if self._monic_rels.get(_monic(vector, self.p), 0) & key:
+            return True
+        return not kernels.residual(vector, self.rel_basis(key), self.p)
 
     def dim(self, a) -> int:
         """dim M_a."""
@@ -630,11 +664,8 @@ class ScaledModule:
         if not gens:
             return 0
         key = self.rels_below(b)
-        r = self._ranks.get((gens, key))
-        if r is None:
-            units = [{i: 1} for i in bits(gens)]
-            r = self._ranks[gens, key] = kernels.rank_over(self.rel_basis(key), units, self.p)
-        return r
+        rels = len(self.rel_basis(key))
+        return len(self.rel_basis(key | gens << len(self.rels))) - rels
 
     def interval_rank(self, births, deaths) -> int | None:
         """rank(lim_K M -> colim_K M) for K = up(births) minus up(deaths).

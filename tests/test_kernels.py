@@ -200,3 +200,22 @@ def test_rank_over_counts_what_vectors_add_and_leaves_the_basis(p):
         # the basis and each of its columns are as they were
         assert basis == before and list(basis) == list(before)
     assert kernels.rank_over({}, [], p) == kernels.rank_over({}, [{}], p) == 0
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_extend_grows_a_copy_of_its_basis(p):
+    rng = random.Random(127)
+    for _ in range(40):
+        nrows = rng.randint(1, 12)
+        first = dependent_columns(rng, nrows, rng.randint(0, 8), p)
+        more = dependent_columns(rng, nrows, rng.randint(0, 8), p) + [dict(c) for c in first if rng.random() < 0.3]
+        basis = kernels.echelonize(first, p)
+        before = copy.deepcopy(basis)
+        grown = kernels.extend(basis, more, p)
+        # the input basis and each of its columns are as they were
+        assert basis == before and list(basis) == list(before)
+        # growing echelonize(first) by more is echelonize(first + more), order included
+        assert list(grown.items()) == list(kernels.echelonize(first + more, p).items())
+        rows = to_dense_rows(first + more, nrows)
+        assert len(grown) == (dense_rank_mod_p(rows, p) if rows else 0)
+        assert all(low == max(col) for low, col in grown.items())

@@ -8,6 +8,8 @@ import pytest
 
 from multipres import (
     Grade,
+    kernels,
+    presentation,
     PresentationError,
     betti_and_grid,
     construct,
@@ -17,12 +19,13 @@ from multipres import (
     minimize,
     shift,
     simplify,
+    simplify_with_witness,
     staircase_interval,
     verify_interleaving,
     zero_module,
 )
 from multipres.experiments import incompleteness_pair, random_module, random_staircase
-from multipres.functors import shift_with_witness
+from multipres.functors import InterleavingWitness, shift_with_witness
 from multipres.metrics import _interval_probes
 from multipres.presentation import (
     DISCONNECTED,
@@ -659,3 +662,140 @@ class TestIntervalRank:
             interval_rank(P, [g(0, 0)], [g(2, 2)])
         with pytest.raises(PresentationError):
             interval_rank(free([g(0, 0, 0)]), [g(0, 0, 0)], [g(1, 1, 1)])
+
+
+class TestBasisMemo:
+    """ScaledModule grows each basis of its memo from a memoized subset."""
+
+    def test_queries_in_any_order_match_oracles(self):
+        rng = random.Random(31)
+        seen = Counter()
+        for case in range(9):
+            p = (2, 3, 5)[case % 3]
+            parts = [random_staircase(rng, p=p) for _ in range(rng.randint(1, 3))]
+            P = parts[0]
+            for S in parts[1:]:
+                P = direct_sum(P, S)
+            summands = [([x.grade for x in S.gens], [r.grade for r in S.rels if len(r.col) == 1])
+                        for S in parts]
+            intervals = [closed(b, d) for b, d in summands]
+            intervals += [closed(random_antichain(rng, rng.randint(1, 3), 0, 12),
+                                 random_antichain(rng, rng.randint(1, 3), 3, 30)) for _ in range(2)]
+            for births, deaths in list(intervals):
+                e = F(rng.randint(1, 8), 2)
+                intervals.append(([b.translate(e) for b in births], [d.translate(-e) for d in deaths]))
+            queries = []
+            for _ in range(12):
+                a = g(F(rng.randint(-2, 50), 2), F(rng.randint(-2, 50), 2))
+                b = a.plus([F(rng.randint(0, 24), 2), F(rng.randint(0, 24), 2)])
+                queries += [("dim", a, dim_at(P, a)), ("rank", (a, b), oracle_rank_between(P, a, b))]
+            for births, deaths in intervals:
+                if not isinstance(staircase_fences(*([scale_grade(c, 2) for c in C] for C in (births, deaths))), str):
+                    queries.append(("interval", (births, deaths), interval_rank_by_summands(summands, births, deaths)))
+            for M in (P, entangle(P, rng), entangle(entangle(P, rng), rng)):
+                for _ in range(3):
+                    rng.shuffle(queries)
+                    V = ScaledModule(M, 2 * M.scale)
+                    for kind, q, want in queries:
+                        if kind == "dim":
+                            got = V.dim(V.floor(q))
+                        elif kind == "rank":
+                            got = V.rank_between(V.floor(q[0]), V.floor(q[1]))
+                        else:
+                            got = V.interval_rank(*([scale_grade(c, V.scale) for c in C] for C in q))
+                        assert got == want, (case, kind, q)
+                        seen[kind, min(want, 2)] += 1
+        assert all(seen[kind, r] for kind in ("dim", "rank", "interval") for r in (0, 1, 2)), seen
+
+    def test_growth_reduces_only_the_added_columns(self, monkeypatch):
+        P = staircase_interval([g(0, 6), g(3, 3), g(6, 0)], [g(8, 9), g(9, 8)], p=3)
+        assert len(P.rels) == 4
+        full = kernels.rank([r.as_dict() for r in P.rels], 3)
+        calls = []
+        extend = kernels.extend
+
+        def counting(basis, columns, p):
+            calls.append((len(basis), len(columns)))
+            return extend(basis, columns, p)
+
+        monkeypatch.setattr(kernels, "extend", counting)
+        V = ScaledModule(P, 1)
+        R = len(V.rels)
+        V.rel_basis(0b0011)
+        assert calls == [(0, 2)]
+        # grown from 0b0011: only relations 2 and 3 are reduced
+        assert len(V.rel_basis(0b1111)) == full
+        assert calls[-1] == (2, 2)
+        # a repeated key reduces nothing
+        V.rel_basis(0b1111)
+        V.rel_basis(0b0011)
+        assert len(calls) == 2
+        # units on top of the largest memoized subset: one column each
+        units = 0b101 << R
+        V.rel_basis(0b1111 | units)
+        assert calls[-1] == (len(V.rel_basis(0b1111)), 2)
+        # no memoized subset but the empty key
+        V.rel_basis(0b0100 | 0b010 << R)
+        assert calls[-1] == (0, 2)
+        # rank_between reads two memoized bases and reduces nothing new for a repeat
+        n = len(calls)
+        first = V.rank_between((3, 3), (9, 9))
+        assert V.rank_between((3, 3), (9, 9)) == first == oracle_rank_between(P, g(3, 3), g(9, 9))
+        assert len(calls) <= n + 2
+
+    def test_window_bounds_the_subsets_searched(self, monkeypatch):
+        monkeypatch.setattr(presentation, "BASIS_WINDOW", 2)
+        P = staircase_interval([g(0, 6), g(3, 3), g(6, 0)], [g(8, 9), g(9, 8)], p=2)
+        V = ScaledModule(P, 1)
+        calls = []
+        extend = kernels.extend
+        monkeypatch.setattr(kernels, "extend", lambda b, c, p: calls.append(len(c)) or extend(b, c, p))
+        for key in (0b0001, 0b0010, 0b0100):
+            V.rel_basis(key)
+        # 0b0001 has left the window, so 0b0011 grows from 0b0010
+        V.rel_basis(0b0011)
+        assert calls == [1, 1, 1, 1]
+        V.rel_basis(0b1011)
+        assert calls[-1] == 1
+
+
+class TestSpanCertificate:
+    def test_multiple_of_a_column_is_certified_only_below_its_grade(self, monkeypatch):
+        P = Presentation(2, 5, (Generator("a", g(0, 0)), Generator("b", g(1, 0))), (
+            Relation(g(2, 2), ((0, 1), (1, 2))),
+            Relation(g(4, 4), ((0, 3),)),
+        ))
+        V = ScaledModule(P, 1)
+        reduced = []
+        residual = kernels.residual
+        monkeypatch.setattr(kernels, "residual", lambda v, b, p: reduced.append(v) or residual(v, b, p))
+        # 3 * (a + 2b) and 4 * (3a): multiples of a column at or below the grade
+        assert V.in_span({0: 3, 1: 1}, (2, 2)) and V.in_span({0: 4}, (4, 4))
+        assert V.in_span({}, (0, 0))
+        assert reduced == []
+        # a multiple of the column at (4, 4), asked at (3, 3), is not certified
+        assert not V.in_span({0: 2}, (3, 3))
+        assert reduced == [{0: 2}]
+        # the wrong ratio between the entries is no multiple of a + 2b
+        assert not V.in_span({0: 3, 1: 2}, (2, 2))
+        # a combination of both columns is found by the residual test
+        assert V.in_span({0: 1, 1: 4}, (4, 4))
+        assert not V.in_span({1: 1}, (3, 3)) and V.in_span({1: 1}, (4, 4))
+
+    @pytest.mark.parametrize("p", [3, 5])
+    def test_verify_still_rejects(self, p):
+        P = direct_sum(staircase_interval([g(0, 6), g(6, 0)], [g(20, 20)], p=p),
+                       staircase_interval([g(3, 3)], [g(9, 9)], p=p))
+        ident = tuple((i, i, 1) for i in range(len(P.gens)))
+        eps = F(2)
+        S, w = simplify_with_witness(P, eps)
+        assert verify_interleaving(P, S, w).accepted and verify_interleaving(S, P, w).accepted
+        # smaller eps: S's relations reach P a little before P's own do
+        smaller = InterleavingWitness(eps - F(1, 7), ident, ident)
+        report = verify_interleaving(S, P, smaller)
+        assert not report.accepted and "outside the relation submodule" in report.reason
+        # f sends generator 0 to 2 times itself: the merge relation's image
+        # is no multiple of a relation column
+        changed = tuple((i, i, 2 if i == 0 else 1) for i in range(len(P.gens)))
+        report = verify_interleaving(P, P, InterleavingWitness(F(0), changed, ident))
+        assert report.reason == "f sends relation 0 (grade 6 6) outside the relation submodule"
