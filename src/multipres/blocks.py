@@ -11,10 +11,9 @@ rectangle in the plane with one generator and at most two relations:
 
 Lists of blocks become direct sums of rectangle presentations.  The
 block-matching interleaving distance pairs same-kind blocks that shift onto
-each other and deletes the rest at their rectangles' radii.  One probe, a
-perfect matching with deletion slots at a threshold, gives both the
-distance (the least threshold it accepts) and the shift/deletion witness
-at a threshold (its matched pairs).
+each other and deletes the rest at their rectangles' radii.  The distance
+bisects the bottleneck probe over the blocks' endpoints; the witness at a
+threshold is the matched pairs of a perfect matching with deletion slots.
 """
 
 from __future__ import annotations
@@ -24,8 +23,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .grades import Grade, rat, rat_str
-from .metrics import saturates
-from .presentation import Generator, Presentation, PresentationError, Relation, direct_sum
+from .metrics import cover_within, least, saturates
+from .presentation import Generator, Presentation, PresentationError, Relation, common_scale, direct_sum
 
 INF = math.inf
 
@@ -83,13 +82,8 @@ class ExtendedRectangle:
 
 def extend_block(blk: Block) -> ExtendedRectangle:
     a, b = blk.a, blk.b
-    if blk.kind == "oo":
-        return ExtendedRectangle(Grade([-b, a]), (-a, b))
-    if blk.kind == "co":
-        return ExtendedRectangle(Grade([-b, a]), (INF, b))
-    if blk.kind == "oc":
-        return ExtendedRectangle(Grade([-b, a]), (a, INF))
-    return ExtendedRectangle(Grade([-b, a]), (INF, INF))
+    upper = {"oo": (-a, b), "co": (INF, b), "oc": (a, INF), "cc": (INF, INF)}[blk.kind]
+    return ExtendedRectangle(Grade([-b, a]), upper)
 
 
 def rectangle_presentation(rect: ExtendedRectangle, p: int = 2, label: str = "g") -> Presentation:
@@ -124,11 +118,7 @@ def rectangle_shift(r1: ExtendedRectangle, r2: ExtendedRectangle):
             return INF
         return Fraction(0) if u == INF else abs(u - v)
 
-    return max(
-        r1.lower.linf(r2.lower),
-        coord_gap(r1.upper[0], r2.upper[0]),
-        coord_gap(r1.upper[1], r2.upper[1]),
-    )
+    return max([r1.lower.linf(r2.lower)] + [coord_gap(u, v) for u, v in zip(r1.upper, r2.upper)])
 
 
 def rectangle_distance(r1: ExtendedRectangle, r2: ExtendedRectangle):
@@ -136,52 +126,35 @@ def rectangle_distance(r1: ExtendedRectangle, r2: ExtendedRectangle):
     return min(rectangle_shift(r1, r2), max(r1.radius(), r2.radius()))
 
 
-class _SlotMatching:
-    """Perfect matchings of two block lists with deletion slots, by threshold.
-
-    Left vertices are A's blocks and one slot per B block; right vertices
-    are B's blocks and one slot per A block.  At eps, A[i] meets B[j] when
-    their rectangles shift onto each other within eps, a block meets its
-    own slot when its deletion radius is <= eps, and slots meet slots.  A
-    pair within rectangle_distance only by the radii is two deletions, so a
-    perfect matching exists exactly when eps >= block_matching_distance.
-    The shifts and radii are computed once.
-    """
-
-    def __init__(self, A: list[Block], B: list[Block]):
-        ra, rb = [extend_block(x) for x in A], [extend_block(y) for y in B]
-        self.shifts = [[rectangle_shift(x, y) for y in rb] for x in ra]
-        self.radii = [r.radius() for r in ra], [r.radius() for r in rb]
-
-    def matching(self, eps) -> list[int] | None:
-        """The left vertex matched to each right vertex at eps, or None."""
-        left, right = self.radii
-        m, k = len(left), len(right)
-        rows = [[j for j, s in enumerate(row) if s <= eps] + ([k + i] if left[i] <= eps else [])
-                for i, row in enumerate(self.shifts)]
-        slots = list(range(k, k + m))
-        rows += [([j] if r <= eps else []) + slots for j, r in enumerate(right)]
-        return saturates(rows, m + k, range(m + k))
-
-
 def block_matching_distance(A: list[Block], B: list[Block]):
-    """Least eps with a slot matching; INF when there is none.
+    """Least eps at which each list's blocks of radius > eps can be shifted
+    within eps onto distinct blocks of the other list; INF when never.
 
-    The distance is 0, a shift or a radius, so the probe bisects those.
+    By the Mendelsohn-Dulmage theorem the two one-sided matchings join into
+    one that deletes only blocks of radius <= eps.  Blocks of one kind shift
+    by the l-infinity distance of their endpoints (a, b), and never onto
+    another kind, so the probe is metrics.cover_within on each kind's
+    endpoints times S.  The distance is 0, a shift or a radius: an integer
+    in units of 1/S, at most the largest finite radius or endpoint gap.
     """
-    probe = _SlotMatching(A, B)
-    costs = [c for row in probe.shifts for c in row] + [r for side in probe.radii for r in side]
-    cands = sorted({0} | {c for c in costs if c != INF})
-    if probe.matching(cands[-1]) is None:
-        return INF
-    lo, hi = 0, len(cands) - 1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if probe.matching(cands[mid]) is None:
-            lo = mid + 1
-        else:
-            hi = mid
-    return cands[lo]
+    scale = 2 * common_scale(c for x in A + B for c in (x.a, x.b))
+
+    def points(blocks, kind):
+        """The kind's blocks in order of a: scaled endpoints (a's, b's) and radii."""
+        own = sorted((x for x in blocks if x.kind == kind), key=lambda x: x.a)
+        return (([int(x.a * scale) for x in own], [int(x.b * scale) for x in own]),
+                [r if r == INF else int(r * scale) for r in (extend_block(x).radius() for x in own)])
+
+    sides = [[points(blocks, kind) for kind in KINDS] for blocks in (A, B)]
+
+    def feasible(e: int) -> bool:
+        return all(cover_within(side, [u for u, r in enumerate(radii) if r > e], near, e)
+                   for one, other in (sides, sides[::-1]) for (side, radii), (near, _) in zip(one, other))
+
+    ends = [c for per in sides for (a, b), _ in per for c in a + b]
+    hi = max([r for per in sides for _, radii in per for r in radii if r != INF]
+             + [max(ends, default=0) - min(ends, default=0)])
+    return Fraction(least(feasible, 0, hi), scale) if feasible(hi) else INF
 
 
 def unextended_block_distance(x: Block, y: Block):
@@ -209,11 +182,20 @@ def unextended_block_distance(x: Block, y: Block):
 def matched_pairs_witness_entries(A: list[Block], B: list[Block], eps):
     """Identity entries for a shift/deletion witness at threshold eps.
 
-    The block pairs of the slot matching at eps; None when there is none,
+    The block pairs of a perfect matching with deletion slots: A's blocks
+    and one slot per B block on the left, B's blocks and one slot per A
+    block on the right.  A[i] meets B[j] when their rectangles shift onto
+    each other within eps, a block meets its own slot when its radius is
+    <= eps, and slots meet slots.  None when there is no such matching,
     i.e. eps < block_matching_distance.
     """
-    match = _SlotMatching(A, B).matching(eps)
+    ra, rb = [extend_block(x) for x in A], [extend_block(y) for y in B]
+    m, k = len(ra), len(rb)
+    rows = [[j for j, y in enumerate(rb) if rectangle_shift(x, y) <= eps]
+            + ([k + i] if x.radius() <= eps else []) for i, x in enumerate(ra)]
+    rows += [([j] if y.radius() <= eps else []) + list(range(k, k + m)) for j, y in enumerate(rb)]
+    match = saturates(rows, m + k, range(m + k))
     if match is None:
         return None
-    pairs = [(match[j], j) for j in range(len(B)) if match[j] < len(A)]
+    pairs = [(match[j], j) for j in range(k) if match[j] < m]
     return {(i, j): 1 for i, j in pairs}, {(j, i): 1 for i, j in pairs}

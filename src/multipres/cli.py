@@ -276,16 +276,19 @@ def _cmd_experiment(args) -> int:
     return 0 if report.passed else 2
 
 
+MAX_COUNT = 4096  # of any count option: match-dist --lines 4096 takes 4 s on example 3.1
+
+
 def _count(least: int = 0):
-    """argparse type for an integer count of at least least."""
+    """argparse type for an integer count of at least least and at most MAX_COUNT."""
 
     def parse(text: str) -> int:
         try:
             value = integer(text)
         except ValueError:
             raise argparse.ArgumentTypeError(f"invalid count {text!r}") from None
-        if value < least:
-            raise argparse.ArgumentTypeError(f"count {value} is below {least}")
+        if not least <= value <= MAX_COUNT:
+            raise argparse.ArgumentTypeError(f"count {value} is outside [{least}, {MAX_COUNT}]")
         return value
 
     return parse

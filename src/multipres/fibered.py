@@ -5,7 +5,7 @@ by its push parameter; the columns are untouched and stay homogeneous
 because the push is order-preserving.  Barcodes then come out of the usual
 left-to-right column reduction over F_p: a pivot pairs a relation with the
 generator it kills, unpaired generators live forever, zero-length bars are
-dropped.  Bars are half-open [b, d) multisets.
+dropped.  Bars are half-open [b, d) multisets, listed in birth order.
 
 restrict and barcode work in two number systems.  On a Presentation and a
 LineSpec they build a 1-parameter Presentation with Fraction grades and its
@@ -57,19 +57,14 @@ class Barcode:
                 raise ValueError("negative multiplicity")
             if b != d and m:
                 counts[(b, d)] += m
-        ordered = tuple(sorted(((b, d, m) for (b, d), m in counts.items()),
-                               key=lambda t: (t[0], t[1])))
-        object.__setattr__(self, "bars", ordered)
+        object.__setattr__(self, "bars", tuple(sorted((b, d, m) for (b, d), m in counts.items())))
 
     def as_counter(self) -> Counter:
         return Counter({(b, d): m for b, d, m in self.bars})
 
     def expand(self) -> list[tuple[Fraction, object]]:
-        """Every bar repeated by multiplicity."""
-        out = []
-        for b, d, m in self.bars:
-            out.extend([(b, d)] * m)
-        return out
+        """Every bar repeated by multiplicity, in birth order."""
+        return [(b, d) for b, d, m in self.bars for _ in range(m)]
 
     def union(self, other: "Barcode") -> "Barcode":
         return Barcode(self.as_counter() + other.as_counter())
@@ -169,7 +164,7 @@ def barcode(Q: Presentation | Fiber):
     generators come first at ties, so a relation at a generator's own
     parameter kills it into a zero-length bar, which is dropped.  The bar
     multiset does not depend on the tie-breaking.  A Fiber gives the list of
-    its bars (birth, death) in its integer units, death INF when unpaired.
+    its bars (birth, death) in birth order, in its integer units, death INF when unpaired.
     """
     if isinstance(Q, Fiber):
         return pair_bars(*Q)
@@ -181,32 +176,25 @@ def barcode(Q: Presentation | Fiber):
 
 
 def pair_bars(gen_params, rel_params, cols, p: int) -> list[tuple]:
-    """Bars [birth, death) of a 1-parameter presentation, death INF if unpaired.
+    """Bars [birth, death) of a 1-parameter presentation in birth order, death INF if unpaired.
 
     The parameters may be Fractions or the integers of one IntegerLine; the
     columns are {generator index: coefficient} dicts.  Rows and columns are
     ordered by (parameter, input index): the columns go to the kernel as
     they are, in relation order, with the row of each generator, and the
-    kernel relabels each column once as it reads it.  A pivot pairs a
-    relation with the generator it kills, and zero-length bars are dropped.
+    kernel relabels each column once as it reads it.  A pivot sets the death
+    of the row it kills, and the rows' (birth, death) less the zero-length
+    bars are the bars, ties in generator order.
     """
     gen_order = sorted(range(len(gen_params)), key=gen_params.__getitem__)
-    row_of = [0] * len(gen_order)
-    for row, i in enumerate(gen_order):
-        row_of[i] = row
+    row_of = sorted(range(len(gen_order)), key=gen_order.__getitem__)
     rel_order = sorted(range(len(rel_params)), key=rel_params.__getitem__)
     pivots = kernels.reduce_pivots([cols[j] for j in rel_order], p, row_of)
-    bars = []
-    killed = set()
+    death = [INF] * len(gen_order)
     for j, piv in zip(rel_order, pivots):
-        if piv < 0:
-            continue
-        killed.add(piv)
-        birth, death = gen_params[gen_order[piv]], rel_params[j]
-        if death != birth:
-            bars.append((birth, death))
-    bars += [(gen_params[i], INF) for row, i in enumerate(gen_order) if row not in killed]
-    return bars
+        if piv >= 0:
+            death[piv] = rel_params[j]
+    return [(b, d) for b, d in zip(map(gen_params.__getitem__, gen_order), death) if b != d]
 
 
 def simplify_barcode(B: Barcode, eps) -> Barcode:

@@ -37,7 +37,9 @@ def reduce_pivots(columns, p, rows):
     if p == 2:
         masks: dict[int, int] = {}
         for col in columns:
-            v = sum(1 << rows[i] for i in col)
+            v = 0
+            for i in col:
+                v |= 1 << rows[i]
             while v:
                 low = v.bit_length() - 1
                 other = masks.get(low)

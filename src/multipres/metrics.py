@@ -5,9 +5,9 @@ deletions (infinite bars may only match infinite bars).  It is solved in
 doubled integer units, where a matched pair costs 2 * l-infinity and a
 deletion d - b, testing feasibility at a threshold by augmenting paths (a
 greedy pass, then an explicit stack).  A probe finds each bar's neighbours
-by bisecting the other side's births, which are sorted once, and builds no
-cost matrix; the exact distance bisects the integer thresholds with the
-same probe.
+by bisecting the other side's births, which come sorted from the pairing or
+a Barcode, and builds no cost matrix; the exact distance bisects the
+integer thresholds with the same probe.
 
 The matching distance is approximated from below by sampling weighted
 lines, always including the slope-1 lines through every Betti-grid point of
@@ -106,54 +106,66 @@ def saturates(rows, size: int, must) -> list[int] | None:
     return match_right
 
 
+def cover_within(side, must, other, h: int) -> bool:
+    """Can the points u in must go to distinct points of other within h in
+    both coordinates?  Points are (births, deaths) lists, other's sorted by
+    birth.  A greedy pass settles most probes; saturates gets the rest.
+    """
+    births, deaths = side
+    others, other_deaths = other
+    taken = [False] * len(others)
+    for u in must:
+        b, d = births[u], deaths[u]
+        for v in range(bisect_left(others, b - h), bisect_right(others, b + h)):
+            if not taken[v] and d - h <= other_deaths[v] <= d + h:
+                taken[v] = True
+                break
+        else:
+            rows = {w: [v for v in range(bisect_left(others, births[w] - h),
+                                         bisect_right(others, births[w] + h))
+                        if deaths[w] - h <= other_deaths[v] <= deaths[w] + h] for w in must}
+            return all(rows.values()) and saturates(rows, len(others), must) is not None
+    return True
+
+
 class _Bars:
     """The bottleneck problem of two integer bar lists, in doubled units.
 
     Costs are 2 * l-infinity and a finite bar's deletion is d - b, so every
     candidate is an integer.  Infinite bars must match infinite bars, which
     on the line is optimal in sorted order and gives the lower bound low
-    (INF when their counts differ).  Each side's finite bars are sorted by
-    birth once.
+    (INF when their counts differ).  Each side's bars come sorted by birth;
+    their order among equal births only relabels the probe's vertices.
 
     A threshold c is feasible when some partial matching uses only costs
     <= c and leaves unmatched only bars whose deletion is <= c.  By the
     Mendelsohn-Dulmage theorem that holds exactly when the bars of the
     first side with deletion > c can all be matched, and so can those of
     the second side, each side on its own.  A probe at c tests these two
-    conditions without a cost matrix: a bar's neighbours are the other
-    side's bars whose birth and death both lie within c // 2 of its own,
-    found by bisecting that side's births (after Kerber, Morozov and
-    Nigmetov, "Geometry helps to compare persistence diagrams", JEA 2017).
+    conditions without a cost matrix (cover_within): a bar's neighbours are
+    the other side's bars whose birth and death both lie within c // 2 of
+    its own, found by bisecting that side's births (after Kerber, Morozov
+    and Nigmetov, "Geometry helps to compare persistence diagrams", JEA 2017).
     Feasibility is monotone in c, so least_above bisects the integers with
     the same probe.
     """
 
     def __init__(self, xs, ys):
-        inf1 = sorted(b for b, d in xs if d == INF)
-        inf2 = sorted(b for b, d in ys if d == INF)
+        inf1 = [b for b, d in xs if d == INF]
+        inf2 = [b for b, d in ys if d == INF]
         self.low = INF
         if len(inf1) == len(inf2):
             self.low = max((2 * abs(u - v) for u, v in zip(inf1, inf2)), default=0)
-            fins = [sorted(bar for bar in bars if bar[1] != INF) for bars in (xs, ys)]
-            # per side: births and deaths of the finite bars, sorted by birth
-            self.sides = [([b for b, _ in fin], [d for _, d in fin]) for fin in fins]
+            # per side: births and deaths of the finite bars, in birth order
+            self.sides = [([b for b, d in bars if d != INF], [d for _, d in bars if d != INF])
+                          for bars in (xs, ys)]
 
     def at_most(self, c: int) -> bool:
         """Is the distance <= c?"""
         if self.low > c:
             return False
-        h = c // 2
-        for (births, deaths), (others, other_deaths) in (self.sides, self.sides[::-1]):
-            rows = {}
-            for u, (b, d) in enumerate(zip(births, deaths)):
-                if d - b > c:
-                    lo, hi = d - h, d + h
-                    row = [v for v in range(bisect_left(others, b - h), bisect_right(others, b + h))
-                           if lo <= other_deaths[v] <= hi]
-                    if not row:
-                        return False
-                    rows[u] = row
-            if saturates(rows, len(others), rows) is None:
+        for side, other in (self.sides, self.sides[::-1]):
+            if not cover_within(side, [u for u, (b, d) in enumerate(zip(*side)) if d - b > c], other, c // 2):
                 return False
         return True
 
@@ -164,24 +176,26 @@ class _Bars:
         lo = max(floor + 1, self.low)
         # deleting every finite bar is feasible once c covers each deletion
         hi = max([lo] + [d - b for births, deaths in self.sides for b, d in zip(births, deaths)])
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self.at_most(mid):
-                hi = mid
-            else:
-                lo = mid + 1
-        return lo
+        return least(self.at_most, lo, hi)
+
+
+def least(probe, lo: int, hi: int) -> int:
+    """The least c in [lo, hi] at which a monotone probe holds; it holds at hi."""
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if probe(mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
 
 
 def _scaled_bars(B1: Barcode, B2: Barcode):
     """Both barcodes' bars as integers scaled by the lcm of their denominators."""
     xs, ys = B1.expand(), B2.expand()
     scale = common_scale(c for bar in xs + ys for c in bar if c != INF)
-
-    def scaled(bars):
-        return [(int(b * scale), d if d == INF else int(d * scale)) for b, d in bars]
-
-    return _Bars(scaled(xs), scaled(ys)), scale
+    return _Bars(*([(int(b * scale), d if d == INF else int(d * scale)) for b, d in bars]
+                   for bars in (xs, ys))), scale
 
 
 def bottleneck(B1: Barcode, B2: Barcode):
@@ -384,21 +398,28 @@ def _best_line(views: Sequence[ScaledModule], sample: LineSample, best):
     IntegerLine of its group in the units of S, from the pushes to the
     bottleneck value in Python ints.  The bottleneck is first probed at
     floor(best * 2L / w(L)) in doubled units: if it is feasible there, the
-    line cannot beat best and is skipped.  Only the returned value is a
-    Fraction, and only the argmax a LineSpec.
+    line cannot beat best and is skipped.  A group shares L and w, so the
+    floor is computed once per group and is c after a line beats best with
+    c; the loop stops at INF.  Only the returned value is a Fraction, and
+    only the argmax a LineSpec.
     """
     top = None  # (group, base) of the argmax
+    if best == INF:
+        return best, None
     for group in sample.groups:
         w = min(group.direction)
+        floor = None
         for k, units in zip(group.bases, integer_lines(group.direction, group.denominator,
                                                        group.bases, views[0].scale)):
-            if best == INF:  # no line beats it
-                break
+            if floor is None:
+                floor = best.numerator * 2 * units.unit * w.denominator // (best.denominator * w.numerator)
             bars = _Bars(*(barcode(restrict(view, units)) for view in views))
-            floor = best.numerator * 2 * units.unit * w.denominator // (best.denominator * w.numerator)
             if not bars.at_most(floor):
-                c = bars.least_above(floor)
-                best, top = (c if c == INF else w * Fraction(c, 2 * units.unit)), (group, k)
+                floor = bars.least_above(floor)
+                top = group, k
+                if floor == INF:
+                    return INF, group.line(k)
+                best = w * Fraction(floor, 2 * units.unit)
     return best, None if top is None else top[0].line(top[1])
 
 

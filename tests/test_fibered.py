@@ -19,6 +19,7 @@ from multipres import (
     staircase_interval,
 )
 from multipres.experiments import incompleteness_pair, random_module
+from multipres.fibered import pair_bars
 from multipres.presentation import Generator, Presentation, Relation
 
 from oracles import barcode_by_rank_counts, dim_at
@@ -98,6 +99,23 @@ class TestBarcode:
         for _ in range(10):
             Q = random_one_param(rng, p=5)
             assert barcode(Q).as_counter() == barcode_by_rank_counts(Q)
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_pair_bars_come_in_birth_order(self, p):
+        # few distinct parameters, in no order: births and deaths tie often
+        rng = random.Random(36 + p)
+        for _ in range(40):
+            gens = [rng.randint(0, 4) for _ in range(rng.randint(1, 8))]
+            rels = []
+            for _ in range(rng.randint(0, 9)):
+                support = rng.sample(range(len(gens)), rng.randint(1, min(3, len(gens))))
+                rels.append((max(gens[i] for i in support) + rng.randint(0, 3),
+                             {i: rng.randint(1, p - 1) for i in support}))
+            Q = one_param(gens, rels, p)
+            bars = pair_bars([x.grade.coords[0] for x in Q.gens], [r.grade.coords[0] for r in Q.rels],
+                             [r.as_dict() for r in Q.rels], p)
+            assert [b for b, _ in bars] == sorted(b for b, _ in bars)
+            assert Counter(bars) == barcode_by_rank_counts(Q)
 
     def test_order_independence(self):
         rng = random.Random(32)

@@ -11,6 +11,7 @@ import pytest
 
 from multipres import Grade, fio
 from multipres.blocks import Block
+from multipres.cli import MAX_COUNT, build_parser
 from multipres.experiments import (
     incompleteness_pair,
     incompleteness_witness,
@@ -276,6 +277,15 @@ class TestCli:
         # an unknown option is reported by the subcommand that got it, with its usage
         ("experiment", "sandwich", "--lines", "3"),
         ("lower-bound", "N.fpres", "O.fpres", "--bogus"),
+        # every count option stops at cli.MAX_COUNT
+        ("match-dist", "N.fpres", "O.fpres", "--lines", "4097"),
+        ("match-dist", "N.fpres", "O.fpres", "--lines", "100000000"),
+        ("match-dist", "N.fpres", "O.fpres", "--adaptive", "4097"),
+        ("match-dist", "N.fpres", "O.fpres", "--seed", "1", "--extra", "4097"),
+        ("path-length", "N.fpres", "O.fpres", "--lines", "4097"),
+        ("experiment", "example31", "--lines", "4097"),
+        ("experiment", "local-equiv", "--instances", "4097"),
+        ("experiment", "sandwich", "--instances", "4097"),
     ])
     def test_bad_arguments_exit_one_with_usage(self, files, args):
         code, out, err = run_cli(*(str(files / a) if a.endswith(".fpres") else a for a in args))
@@ -297,6 +307,16 @@ class TestCli:
         option = next(a for a in reversed(args) if a.startswith("--"))
         assert code == 1 and not out and f"usage: multipres {args[0]}" in err
         assert f"argument {option}: count" in err and "Traceback" not in err
+
+    def test_count_options_accept_the_maximum(self):
+        top = str(MAX_COUNT)
+        for argv, key in ((["match-dist", "a", "b", "--lines", top], "lines"),
+                          (["match-dist", "a", "b", "--adaptive", top], "adaptive"),
+                          (["match-dist", "a", "b", "--extra", top], "extra"),
+                          (["path-length", "a", "b", "--lines", top], "lines"),
+                          (["experiment", "example31", "--lines", top], "lines"),
+                          (["experiment", "sandwich", "--instances", top], "instances")):
+            assert getattr(build_parser().parse_args(argv), key) == MAX_COUNT
 
     @pytest.mark.parametrize("pair", [("cube", "rect"), ("rect", "cube"), ("rect", "rect_f3")])
     def test_match_dist_mismatch_exits_one_without_traceback(self, files, pair):
@@ -447,6 +467,9 @@ class TestCli:
         assert code == 0 and "rect oo [-2, 0) x [0, 2)" in out
         code, out, _ = run_cli("blocks", "dist", str(files / "A.blocks"), str(files / "B.blocks"))
         assert code == 0 and "block-matching-distance inf" in out
+        # a distance of 0 is a rational like any other, with its decimal
+        code, out, _ = run_cli("blocks", "dist", str(files / "A.blocks"), str(files / "A.blocks"))
+        assert code == 0 and out == "block-matching-distance 0 (0.000000)\n"
         path = files / "infinite.blocks"
         path.write_text("blocks 1\nblk co 0 inf\n")
         code, out, err = run_cli("blocks", "dist", str(files / "A.blocks"), str(path))

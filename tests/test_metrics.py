@@ -178,6 +178,24 @@ class TestBottleneck:
         # distance 1/2, two doubled units at scale 2
         assert [bottleneck_at_most(A, B, F(k, 4)) for k in range(-1, 5)] == [False] * 3 + [True] * 3
 
+    def test_bars_in_birth_order_need_no_sort(self):
+        # the pairing hands _Bars its bars sorted by birth only; the order
+        # among equal births must not change any probe or the distance
+        rng = random.Random(70)
+        for _ in range(120):
+            def bars():
+                out = [(b, INF if rng.random() < 0.2 else b + rng.randint(1, 6))
+                       for b in (rng.randint(0, 4) for _ in range(rng.randint(0, 10)))]
+                rng.shuffle(out)
+                return sorted(out, key=lambda bar: bar[0])  # stable: equal births stay shuffled
+
+            xs, ys = bars(), bars()
+            birth_ordered, fully_sorted = metrics._Bars(xs, ys), metrics._Bars(sorted(xs), sorted(ys))
+            for c in range(-1, 24):
+                assert birth_ordered.at_most(c) == fully_sorted.at_most(c), (xs, ys, c)
+                if not fully_sorted.at_most(c):
+                    assert birth_ordered.least_above(c) == fully_sorted.least_above(c), (xs, ys, c)
+
     def test_saturates_after_greedy_conflict(self):
         # left vertices 1 and 2 both need right vertex 2, which the greedy pass
         # gives to vertex 0; after vertex 1 takes it over, vertex 2 must fail
@@ -231,6 +249,25 @@ class TestMatchingDistance:
         assert matching_distance(P, Z, sample=LineSample.of((near,))).value == F(1, 2)
         report = matching_distance(P, Z, sample=LineSample.of((near, far)))
         assert (report.value, report.argmax_line) == (1, far)
+
+    def test_no_line_is_restricted_after_an_infinite_value(self, monkeypatch):
+        # one free generator against two: every line gives INF, so the first
+        # line settles the distance and no later line, sampled or refined, is
+        # restricted
+        P, Q = free([g(0, 0)]), free([g(0, 0), g(1, 1)])
+        sample = sample_lines(P, Q, slopes=8)
+        assert len(sample) > 1
+        restricted = []
+        original = metrics.restrict
+
+        def counting(view, line):
+            restricted.append(line)
+            return original(view, line)
+
+        monkeypatch.setattr(metrics, "restrict", counting)
+        report = matching_distance(P, Q, sample=sample, adaptive_rounds=2)
+        assert (report.value, report.argmax_line) == (INF, sample.lines[0])
+        assert len(restricted) == 2
 
     def test_adaptive_never_decreases(self):
         rng = random.Random(65)
