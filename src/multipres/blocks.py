@@ -19,6 +19,7 @@ threshold is the matched pairs of a perfect matching with deletion slots.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -180,7 +181,7 @@ def unextended_block_distance(x: Block, y: Block):
 
 
 def matched_pairs_witness_entries(A: list[Block], B: list[Block], eps):
-    """Identity entries for a shift/deletion witness at threshold eps.
+    """Identity entries for a shift/deletion witness at a rational threshold eps.
 
     The block pairs of a perfect matching with deletion slots: A's blocks
     and one slot per B block on the left, B's blocks and one slot per A
@@ -188,12 +189,27 @@ def matched_pairs_witness_entries(A: list[Block], B: list[Block], eps):
     each other within eps, a block meets its own slot when its radius is
     <= eps, and slots meet slots.  None when there is no such matching,
     i.e. eps < block_matching_distance.
+
+    Rectangles shift onto each other only within one kind, by the
+    l-infinity distance of the blocks' (a, b) (see block_matching_distance),
+    so A[i]'s row lists, by increasing j, the blocks of its kind whose a
+    lies within eps of its own, bisected in endpoints scaled to integers,
+    and whose b does too.
     """
-    ra, rb = [extend_block(x) for x in A], [extend_block(y) for y in B]
-    m, k = len(ra), len(rb)
-    rows = [[j for j, y in enumerate(rb) if rectangle_shift(x, y) <= eps]
-            + ([k + i] if x.radius() <= eps else []) for i, x in enumerate(ra)]
-    rows += [([j] if y.radius() <= eps else []) + list(range(k, k + m)) for j, y in enumerate(rb)]
+    e = rat(eps)
+    scale = common_scale([e] + [c for x in A + B for c in (x.a, x.b)])
+    h = e.numerator * scale // e.denominator
+    ends = [((y.a * scale).numerator, (y.b * scale).numerator) for y in B]
+    near = {kind: sorted((ends[j][0], j) for j, y in enumerate(B) if y.kind == kind) for kind in KINDS}
+    starts = {kind: [a for a, _ in own] for kind, own in near.items()}
+    m, k = len(A), len(B)
+    rows = []
+    for i, x in enumerate(A):
+        a, b = (x.a * scale).numerator, (x.b * scale).numerator
+        own, at = near[x.kind], starts[x.kind]
+        row = sorted(j for _, j in own[bisect_left(at, a - h):bisect_right(at, a + h)] if abs(ends[j][1] - b) <= h)
+        rows.append(row + ([k + i] if extend_block(x).radius() <= e else []))
+    rows += [([j] if extend_block(y).radius() <= e else []) + list(range(k, k + m)) for j, y in enumerate(B)]
     match = saturates(rows, m + k, range(m + k))
     if match is None:
         return None

@@ -595,3 +595,25 @@ def sample_lines_by_fractions(P, Q, slopes: int = 64, seed: int | None = None,
             jitter = Grade([c + Fraction(rng.randint(-64, 64), 128) for c in anchor.coords])
             add(LineSpec.through(jitter, d))
     return tuple(lines[k] for k in sorted(lines))
+
+
+def matched_pairs_by_dense_shifts(A, B, eps):
+    """blocks.matched_pairs_witness_entries by the whole m x k rectangle_shift matrix.
+
+    Every pair of blocks, of any kinds, gets its Fraction rectangle shift,
+    and A[i]'s row lists the j with shift <= eps in increasing order, then
+    its slot when its radius is <= eps; B's rows are as in the library.
+    """
+    from multipres.blocks import extend_block, rectangle_shift
+    from multipres.metrics import saturates
+
+    ra, rb = [extend_block(x) for x in A], [extend_block(y) for y in B]
+    m, k = len(ra), len(rb)
+    rows = [[j for j, y in enumerate(rb) if rectangle_shift(x, y) <= eps]
+            + ([k + i] if x.radius() <= eps else []) for i, x in enumerate(ra)]
+    rows += [([j] if y.radius() <= eps else []) + list(range(k, k + m)) for j, y in enumerate(rb)]
+    match = saturates(rows, m + k, range(m + k))
+    if match is None:
+        return None
+    pairs = [(match[j], j) for j in range(k) if match[j] < m]
+    return {(i, j): 1 for i, j in pairs}, {(j, i): 1 for i, j in pairs}

@@ -18,7 +18,7 @@ from multipres.blocks import (
 from multipres.experiments import random_block
 from multipres.functors import InterleavingWitness
 
-from oracles import dim_at, slot_min_max_assignment
+from oracles import dim_at, matched_pairs_by_dense_shifts, slot_min_max_assignment
 
 INF = math.inf
 
@@ -193,6 +193,29 @@ class TestBlockMatching:
             w = InterleavingWitness(value, tuple((i, j, c) for (i, j), c in sorted(f.items())),
                                     tuple((i, j, c) for (i, j), c in sorted(gmat.items())))
             assert verify_interleaving(block_presentation(A), block_presentation(B), w).accepted
+
+    def test_witness_rows_match_the_dense_shift_matrix(self):
+        # all four kinds, ties (blocks drawn from a small pool), negative
+        # endpoints, and thresholds at, below and between the distances
+        rng = random.Random(88)
+
+        def block(kind):
+            a = F(rng.randint(-12, 12), rng.choice([1, 2, 3]))
+            b = a + F(rng.randint(1, 12), rng.choice([1, 2]))
+            if kind == "oc" and a + b <= 0:
+                a, b = -a + 1, b - 2 * a + 1
+            return Block(kind, a, b)
+
+        found = 0
+        for trial in range(60):
+            pool = [block(rng.choice(KINDS)) for _ in range(6)]
+            A, B = ([rng.choice(pool) for _ in range(rng.randint(0, 10))] for _ in range(2))
+            value = block_matching_distance(A, B)
+            for eps in {F(0), F(1, 3), F(5, 2), F(40), F(-1)} | ({value, value - F(1, 1000)} if value != INF else set()):
+                got = matched_pairs_witness_entries(A, B, eps)
+                assert got == matched_pairs_by_dense_shifts(A, B, eps), (A, B, eps)
+                found += got is not None
+        assert found > 40
 
 
 class TestSandwich:
