@@ -1,26 +1,29 @@
 """Text formats: FPRES presentations, BLOCKS, barcodes, witnesses, joints.
 
 All formats are line-based with '#' comments and blank lines ignored, one
-datum per line, rationals as grades.rational reads them and integers as
+datum per line, rationals as grades.ratio reads them and integers as
 grades.integer does (an FPRES column entry 'coeff:index' as
 grades.integer_pair does); 'inf' is read only for bar deaths, the one
 field whose format takes an infinite upper end (block endpoints are
-finite, as Block requires).  Parsers report the offending line; relation
-columns are checked by Presentation alone, and the parsers map its errors
-to lines.  A barcode file holds at most MAX_BARS
-bars, counted with multiplicity, so reading one never expands into more
-memory than that.  Serializers round-trip bit-exact.
+finite, as Block requires).  An FPRES block is read straight into a
+module's integer form, and written from it, with no Fraction per grade.
+Parsers report the offending line; relation columns are checked by
+Presentation alone, and the parsers map its errors to lines.  A barcode
+file holds at most MAX_BARS bars, counted with multiplicity, so reading
+one never expands into more memory than that.  Serializers round-trip
+bit-exact.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
+from fractions import Fraction
 
 from .blocks import Block
 from .fibered import Barcode
 from .functors import InterleavingWitness, JointPresentation
-from .grades import Grade, integer, integer_pair, rat_str, rational
+from .grades import grade_text, integer, integer_pair, rat_str, ratio, unscaled
 from .presentation import Generator, Presentation, PresentationError, Relation, check_field
 
 INF = math.inf
@@ -36,12 +39,17 @@ class FormatError(ValueError):
         self.lineno = lineno
 
 
-def parse_rational(tok: str, lineno: int = 0):
-    """A finite exact rational, as grades.rational reads it."""
+def parse_ratio(tok: str, lineno: int = 0) -> tuple[int, int]:
+    """A finite exact rational as grades.ratio reads it, (numerator, denominator)."""
     try:
-        return rational(tok)
+        return ratio(tok)
     except ValueError as exc:
         raise FormatError(lineno, f"bad rational {tok!r}") from exc
+
+
+def parse_rational(tok: str, lineno: int = 0) -> Fraction:
+    """A finite exact rational, as grades.ratio reads it."""
+    return Fraction(*parse_ratio(tok, lineno))
 
 
 def parse_bound(tok: str, lineno: int = 0):
@@ -82,18 +90,21 @@ class _Cursor:
 
 
 def _fpres_block(n: int, p: int, gens, rels) -> list[str]:
-    """The lines of one fpres block, from its header to its last relation."""
+    """The lines of one fpres block, from its header to its last relation;
+    gens are (label, grade text) pairs and rels (grade text, column) pairs."""
     out = ["fpres 1", f"field {p}", f"params {n}", f"generators {len(gens)}"]
-    out += [f"g {g.label} {g.grade}" for g in gens]
+    out += [f"g {label} {grade}" for label, grade in gens]
     out.append(f"relations {len(rels)}")
-    for r in rels:
-        entries = " ".join(f"{c}:{i}" for i, c in r.col)
-        out.append(f"r {r.grade} ; {entries}".rstrip())
+    for grade, col in rels:
+        entries = " ".join(f"{c}:{i}" for i, c in col)
+        out.append(f"r {grade} ; {entries}".rstrip())
     return out
 
 
 def serialize_fpres(P: Presentation) -> str:
-    return "\n".join(_fpres_block(P.n, P.p, P.gens, P.rels)) + "\n"
+    gens = list(zip(P.labels, grade_text(P.scaled_gens, P.scale)))
+    rels = list(zip(grade_text(P.scaled_rels, P.scale), P.cols))
+    return "\n".join(_fpres_block(P.n, P.p, gens, rels)) + "\n"
 
 
 def _parse_header(cur: _Cursor, key: str, what: str) -> tuple[int, list[str]]:
@@ -128,18 +139,20 @@ def _header_count(cur: _Cursor, key: str, what: str, least: int = 0, check=None)
 
 
 def _parse_fpres_block(cur: _Cursor):
-    """One fpres block as (header line, n, p, gens, rels, each relation's line), columns unchecked.
+    """One fpres block as (header line, the arguments of
+    Presentation.from_integers, each relation's line), columns unchecked.
 
-    Each distinct grade token is read once per block, and each column entry
-    with one grades.integer_pair match.
+    Each distinct grade token is read once per block, as a grades.ratio
+    pair, and each column entry with one grades.integer_pair match.  The
+    scale is the lcm of the tokens' denominators.
     """
     seen = {}
 
-    def grade(toks: list[str], lineno: int) -> Grade:
+    def grade(toks: list[str], lineno: int) -> list[str]:
         for t in toks:
             if t not in seen:
-                seen[t] = parse_rational(t, lineno)
-        return Grade.exact(tuple(map(seen.__getitem__, toks)))
+                seen[t] = parse_ratio(t, lineno)
+        return toks
 
     start, toks = _parse_header(cur, "fpres", "'fpres 1' header")
     if toks[1:] != ["1"]:
@@ -147,14 +160,15 @@ def _parse_fpres_block(cur: _Cursor):
     p = _header_count(cur, "field", "'field <p>'", check=check_field)
     n = _header_count(cur, "params", "'params <n>'", least=1)
     k = _header_count(cur, "generators", "'generators <k>'")
-    gens = []
+    labels, gens = [], []
     for _ in range(k):
         lineno, toks = cur.next("generator line")
         if toks[0] != "g" or len(toks) != 2 + n:
             raise FormatError(lineno, f"expected 'g <label> <{n} rationals>'")
-        gens.append(Generator(toks[1], grade(toks[2:], lineno)))
+        labels.append(toks[1])
+        gens.append(grade(toks[2:], lineno))
     m = _header_count(cur, "relations", "'relations <m>'")
-    rels, lines = [], []
+    rels, cols, lines = [], [], []
     for _ in range(m):
         lineno, toks = cur.next("relation line")
         if toks[0] != "r" or ";" not in toks:
@@ -170,9 +184,13 @@ def _parse_fpres_block(cur: _Cursor):
             except ValueError as exc:
                 raise FormatError(lineno, f"bad column entry {ent!r}") from exc
             col.append((i, c))
-        rels.append(Relation(at, tuple(sorted(col))))
+        rels.append(at)
+        cols.append(tuple(sorted(col)))
         lines.append(lineno)
-    return start, n, p, tuple(gens), tuple(rels), lines
+    scale = math.lcm(1, *{d for _, d in seen.values()})
+    value = {t: v * (scale // d) for t, (v, d) in seen.items()}
+    gens, rels = ([tuple(map(value.__getitem__, toks)) for toks in points] for points in (gens, rels))
+    return start, n, p, scale, labels, gens, rels, cols, lines
 
 
 def _validated(lines: list[int], build, *fields):
@@ -185,9 +203,9 @@ def _validated(lines: list[int], build, *fields):
 
 def parse_fpres(text: str) -> Presentation:
     cur = _Cursor(text)
-    _, n, p, gens, rels, lines = _parse_fpres_block(cur)
+    _, *fields, lines = _parse_fpres_block(cur)
     cur.end()
-    return _validated(lines, Presentation, n, p, gens, rels)
+    return _validated(lines, Presentation.from_integers, *fields)
 
 
 # -- joint presentations -------------------------------------------------------------
@@ -198,8 +216,16 @@ def serialize_joint(J: JointPresentation) -> str:
     concatenation of both generator lists (first block's generators first)."""
     out = [f"epsilon {rat_str(J.epsilon)}"]
     for gens, rels in ((J.x_m, J.r_m), (J.x_n, J.r_n)):
-        out += _fpres_block(J.n, J.p, gens, rels)
+        out += _fpres_block(J.n, J.p, [(g.label, g.grade) for g in gens], [(r.grade, r.col) for r in rels])
     return "\n".join(out) + "\n"
+
+
+def _joint_block(cur: _Cursor):
+    """A joint file's fpres block with Generators and Relations: its columns
+    index both blocks' generators, so JointPresentation checks them."""
+    start, n, p, scale, labels, gens, rels, cols, lines = _parse_fpres_block(cur)
+    return (start, n, p, tuple(map(Generator, labels, unscaled(gens, scale))),
+            tuple(map(Relation, unscaled(rels, scale), cols)), lines)
 
 
 def parse_joint(text: str) -> JointPresentation:
@@ -208,8 +234,8 @@ def parse_joint(text: str) -> JointPresentation:
     eps = parse_rational(tok, lineno)
     if eps < 0:
         raise FormatError(lineno, "epsilon must be nonnegative")
-    _, n, p, gens_m, rels_m, lines_m = _parse_fpres_block(cur)
-    start, n2, p2, gens_n, rels_n, lines_n = _parse_fpres_block(cur)
+    _, n, p, gens_m, rels_m, lines_m = _joint_block(cur)
+    start, n2, p2, gens_n, rels_n, lines_n = _joint_block(cur)
     if (n, p) != (n2, p2):
         raise FormatError(start, "joint blocks disagree on field or parameter count")
     cur.end()
@@ -281,23 +307,23 @@ def parse_blocks(text: str) -> list[Block]:
 def serialize_witness(w: InterleavingWitness, P: Presentation, Q: Presentation) -> str:
     out = [f"witness {rat_str(w.epsilon)}"]
     fd, gd = w.f_dict(), w.g_dict()
-    for i, g in enumerate(P.gens):
+    for i, label in enumerate(P.labels):
         entries = " ".join(
-            f"{c}:{Q.gens[j].label}" for (i2, j), c in sorted(fd.items()) if i2 == i
+            f"{c}:{Q.labels[j]}" for (i2, j), c in sorted(fd.items()) if i2 == i
         )
-        out.append(f"f {g.label} -> {entries}".rstrip())
-    for j, g in enumerate(Q.gens):
+        out.append(f"f {label} -> {entries}".rstrip())
+    for j, label in enumerate(Q.labels):
         entries = " ".join(
-            f"{c}:{P.gens[i].label}" for (j2, i), c in sorted(gd.items()) if j2 == j
+            f"{c}:{P.labels[i]}" for (j2, i), c in sorted(gd.items()) if j2 == j
         )
-        out.append(f"g {g.label} -> {entries}".rstrip())
+        out.append(f"g {label} -> {entries}".rstrip())
     return "\n".join(out) + "\n"
 
 
 def parse_witness(text: str, P: Presentation, Q: Presentation) -> InterleavingWitness:
-    p_index = {g.label: i for i, g in enumerate(P.gens)}
-    q_index = {g.label: i for i, g in enumerate(Q.gens)}
-    if len(p_index) != len(P.gens) or len(q_index) != len(Q.gens):
+    p_index = {label: i for i, label in enumerate(P.labels)}
+    q_index = {label: i for i, label in enumerate(Q.labels)}
+    if len(p_index) != len(P.labels) or len(q_index) != len(Q.labels):
         raise FormatError(1, "witness files need unique generator labels on both sides")
     cur = _Cursor(text)
     lineno, tok = _header_value(cur, "witness", "'witness <epsilon>' header")

@@ -11,10 +11,12 @@ in the interleaving distance:
 * grid_align chains simplify/merge twice with factors (2, 10, 20) of a base
   step, for a composed witness of 34 steps total.
 
-Witnesses are sparse generator-to-generator matrices with the grade shift
-implied: entry (i -> j, c) means c * x^(gr_i + eps - gr_j) applied to the
-target generator.  They compose by matrix product, and the metrics module
-checks them independently.
+They read a module's integer grades and build their output in the same
+form, at a common scale of the module, eps and the grid, with no Fraction
+grade.  Witnesses are sparse generator-to-generator matrices with the
+grade shift implied: entry (i -> j, c) means c * x^(gr_i + eps - gr_j)
+applied to the target generator.  They compose by matrix product, and the
+metrics module checks them independently.
 
 Joint presentations interpolate between two modules along the straight-line
 path of an eps-interleaving, with endpoints isomorphic to the two modules.
@@ -28,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import kernels
-from .grades import Grade, GridFunction, controlling_constant, merge_delta, rat, snap_coordinates
+from .grades import GridFunction, controlling_constant, merge_delta, rat, snap_coordinates
 from .presentation import (
     Generator,
     Presentation,
@@ -38,6 +40,7 @@ from .presentation import (
     bits,
     leq,
     make_column,
+    rescaled,
     shift,
 )
 
@@ -95,6 +98,12 @@ def apply_rows(rows: dict[int, list[tuple[int, int]]], vec: dict[int, int], p: i
     return out
 
 
+def _identity_witness(P: Presentation, eps: Fraction) -> InterleavingWitness:
+    """Each generator of P to itself, both ways, at eps."""
+    ident = tuple((i, i, 1) for i in range(len(P.labels)))
+    return InterleavingWitness(eps, ident, ident)
+
+
 def compose_witnesses(w1: InterleavingWitness, w2: InterleavingWitness, p: int) -> InterleavingWitness:
     """Witness for the composite interleaving at epsilon_1 + epsilon_2."""
     def product(a: dict, b: dict) -> dict:
@@ -127,29 +136,22 @@ def merge_with_witness(P: Presentation, grid: GridFunction, delta, variant: str 
     f(b) = x^(delta + (b - merge(b))) merge(b) and symmetrically for g, the
     grade gaps being bounded by delta coordinate-wise.
 
-    The grades snap on integer axes: the grid, delta and P's integer grades
-    times one scale S that clears all three.  A coordinate comes back as it
-    was or as an axis value, so the output grades reuse P's Fractions and
-    the grid's, and no new Fraction is built.
+    The grades snap on integer axes, the grid, delta and P's integer grades
+    times one scale S that clears all three, and the output is stored at S.
     """
     d = merge_delta(grid, delta, P.n, variant)
     S = math.lcm(P.scale, d.denominator, *(v.denominator for axis in grid.axes for v in axis))
     axes = [[v.numerator * S // v.denominator for v in axis] for axis in grid.axes]
-    values = [dict(zip(scaled, axis)) for scaled, axis in zip(axes, grid.axes)]
-    d_s, factor = d.numerator * S // d.denominator, S // P.scale
+    d_s = d.numerator * S // d.denominator
 
-    def merged(grade: Grade, point: tuple[int, ...]) -> Grade:
-        snapped = snap_coordinates(axes, d_s, [v * factor for v in point], variant)
-        return Grade.exact(tuple(value.get(x, c) for value, x, c in zip(values, snapped, grade.coords)))
+    def merged(points):
+        return [tuple(snap_coordinates(axes, d_s, a, variant)) for a in rescaled(points, S // P.scale)]
 
-    gens = tuple(Generator(g.label, merged(g.grade, a)) for g, a in zip(P.gens, P.scaled_gens))
-    rels = tuple(Relation(merged(r.grade, a), r.col) for r, a in zip(P.rels, P.scaled_rels))
-    out = Presentation(P.n, P.p, gens, rels)
-    ident = _matrix({(i, i): 1 for i in range(len(P.gens))}, P.p)
-    return out, InterleavingWitness(d, ident, ident)
+    out = Presentation.from_integers(P.n, P.p, S, P.labels, merged(P.scaled_gens), merged(P.scaled_rels), P.cols)
+    return out, _identity_witness(P, d)
 
 
-def _image_relations(P: Presentation, e: Fraction) -> list[tuple[Grade, dict[int, int]]]:
+def _image_relations(P: Presentation, e: Fraction) -> tuple[ScaledModule, int, list[tuple[tuple[int, ...], dict]]]:
     """Relations of the eps-translation image, graded in the image's frame.
 
     At a grade s the image's relation space is the span of the original
@@ -163,10 +165,11 @@ def _image_relations(P: Presentation, e: Fraction) -> list[tuple[Grade, dict[int
     eps this reduces to regrading each column to gr(r) v (support + eps);
     entangled columns additionally shed eliminated combinations early.
 
-    The sweep runs on integer grades, on ScaledModule(P, S) with S the lcm
-    of P's own scale and eps's denominator, and the grid points, integer
-    tuples in lexicographic order, become Grades again only when a relation
-    is kept.  The active relations at s and the early generators are the
+    The sweep runs on integer grades, on M = ScaledModule(P, S) with S the
+    lcm of P's own scale and eps's denominator, and returns M, eps * S and
+    the kept relations as (grid point, column), the grid points integer
+    tuples in lexicographic order.  The active relations at s and the early
+    generators are the
     bitmasks that ScaledModule reports below s and below s - eps * S: a
     generator is early exactly when its scaled grade is <= s - eps * S.  A
     point whose key (active relations, early generators) already occurred
@@ -186,16 +189,15 @@ def _image_relations(P: Presentation, e: Fraction) -> list[tuple[Grade, dict[int
     span lies in pure(s) and at most len(pure) minus its rank can be kept
     at s: the loop stops once that many are, as every later residual is 0.
     """
-    if not P.rels:
-        return []
     S = math.lcm(P.scale, e.denominator)
     M = ScaledModule(P, S)
     e_s = e.numerator * (S // e.denominator)
+    if not M.rels:
+        return M, e_s, []
     grades = [g for g, _ in M.rels] + [tuple(v + e_s for v in g) for g in M.gens]
     axes = [sorted({x[k] for x in grades}) for k in range(P.n)]
 
-    out: list[tuple[Grade, dict[int, int]]] = []
-    out_grades: list[tuple[int, ...]] = []
+    out: list[tuple[tuple[int, ...], dict[int, int]]] = []
     known = kernels.EchelonStack(P.p)
     seen = set()
     for s in itertools.product(*axes):
@@ -206,17 +208,16 @@ def _image_relations(P: Presentation, e: Fraction) -> list[tuple[Grade, dict[int
         pure = kernels.intersect([M.rels[k][1] for k in bits(act)], bits(ear), P.p)
         if not pure:
             continue
-        known.rebase([(k, col) for k, (t, (_, col)) in enumerate(zip(out_grades, out)) if leq(t, s)])
+        known.rebase([(k, col) for k, (t, col) in enumerate(out) if leq(t, s)])
         room = len(pure) - len(known.pivots)
         for col in pure:
             if not room:
                 break
             if kernels.residual(col, known.pivots, P.p):
                 known.push(len(out), col)
-                out.append((Grade.exact(tuple(Fraction(v, S) for v in s)), col))
-                out_grades.append(s)
+                out.append((s, col))
                 room -= 1
-    return out
+    return M, e_s, out
 
 
 def translate_image(P: Presentation, eps) -> Presentation:
@@ -232,11 +233,9 @@ def translate_image(P: Presentation, eps) -> Presentation:
         raise PresentationError("eps must be nonnegative")
     if e == 0:
         return P
-    gens = tuple(Generator(g.label, g.grade.translate(e)) for g in P.gens)
-    rels = tuple(
-        Relation(grade, make_column(col, P.p)) for grade, col in _image_relations(P, e)
-    )
-    return Presentation(P.n, P.p, gens, rels)
+    M, e_s, rels = _image_relations(P, e)
+    return Presentation.from_integers(P.n, P.p, M.scale, P.labels, [tuple(v + e_s for v in a) for a in M.gens],
+                                      [s for s, _ in rels], [make_column(col, P.p) for _, col in rels])
 
 
 def simplify(P: Presentation, eps, minimized: bool = True) -> Presentation:
@@ -257,16 +256,12 @@ def simplify_with_witness(P: Presentation, eps):
     e = rat(eps)
     if e < 0:
         raise PresentationError("eps must be nonnegative")
-    ident = _matrix({(i, i): 1 for i in range(len(P.gens))}, P.p)
     if e == 0:
-        return P, InterleavingWitness(e, ident, ident)
-    gens = tuple(P.gens)
-    rels = tuple(
-        Relation(grade.translate(-e), make_column(col, P.p))
-        for grade, col in _image_relations(P, e)
-    )
-    out = Presentation(P.n, P.p, gens, rels)
-    return out, InterleavingWitness(e, ident, ident)
+        return P, _identity_witness(P, e)
+    M, e_s, rels = _image_relations(P, e)
+    out = Presentation.from_integers(P.n, P.p, M.scale, P.labels, M.gens, [tuple(v - e_s for v in s) for s, _ in rels],
+                                     [make_column(col, P.p) for _, col in rels])
+    return out, _identity_witness(P, e)
 
 
 def shift_with_witness(P: Presentation, delta):
@@ -275,8 +270,7 @@ def shift_with_witness(P: Presentation, delta):
     if d < 0:
         raise PresentationError("shift witness needs delta >= 0")
     out = shift(P, d)
-    ident = _matrix({(i, i): 1 for i in range(len(P.gens))}, P.p)
-    return out, InterleavingWitness(d, ident, ident)
+    return out, _identity_witness(P, d)
 
 
 def interleaving_witness(P: Presentation, kind: str, **params):

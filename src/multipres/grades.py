@@ -10,12 +10,14 @@ Everything here is an immutable value and every operation is a pure
 function; rationals stay exact end to end (fractions.Fraction), so the
 projection/idempotence/bound identities below hold with equality rather
 than up to tolerance.  The text edge is here too: integer, integer_pair
-and rational are the strict readers of file and argument tokens, and
-rat_str the one printer.
+and ratio are the strict readers of file and argument tokens, and
+rat_str the one printer, which grade_text applies to a module's integer
+grades.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 from bisect import bisect_left, bisect_right
@@ -56,8 +58,10 @@ def integer_pair(text: str) -> tuple[int, int]:
     return int(m[1]), int(m[2])
 
 
-def rational(text: str) -> Fraction:
-    """Read '[+-]digits[/digits]' as a Fraction in one match, the one string-to-rational conversion.
+def ratio(text: str) -> tuple[int, int]:
+    """Read '[+-]digits[/digits]' as (numerator, denominator) in one match, the
+    one string-to-rational conversion; the denominator is positive, and 1
+    when absent, and the pair is not reduced.
 
     Any other string, '1/0' and exponents such as '1e9' included, raises
     ValueError.
@@ -66,15 +70,15 @@ def rational(text: str) -> Fraction:
     if m is None:
         raise ValueError(f"bad rational {text!r}, expected [+-]digits[/digits]")
     num, den = m.groups()
-    return Fraction(int(num), int(den)) if den else Fraction(int(num))
+    return int(num), int(den) if den else 1
 
 
 def rat(x) -> Fraction:
-    """Coerce ints, Fractions and strings (as rational reads them) to an exact rational."""
+    """Coerce ints, Fractions and strings (as ratio reads them) to an exact rational."""
     if isinstance(x, Fraction):
         return x
     if isinstance(x, str):
-        return rational(x)
+        return Fraction(*ratio(x))
     if isinstance(x, float):
         raise TypeError(f"refusing float {x!r}; pass a Fraction, int or 'p/q' string")
     return Fraction(x)
@@ -95,6 +99,12 @@ def rat_str(x) -> str:
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
+def grade_text(points: Sequence[Sequence[int]], scale: int) -> list[str]:
+    """The text of integer grades at scale, as str prints their Grades; each distinct value is formatted once."""
+    text = {v: rat_str(Fraction(v, scale)) for v in set(itertools.chain(*points))}
+    return [" ".join([text[v] for v in a]) for a in points]
+
+
 def rat_dec(x) -> str:
     """rat_str followed by a 6-place decimal in parentheses; infinities alone."""
     if x in (INF, -INF):
@@ -112,13 +122,6 @@ class Grade:
         object.__setattr__(self, "coords", tuple(map(rat, coords)))
         if not self.coords:
             raise ValueError("grades need at least one coordinate")
-
-    @classmethod
-    def exact(cls, coords: tuple[Fraction, ...]) -> "Grade":
-        """The grade of a nonempty tuple of Fractions, taken as it is, with no coercion."""
-        out = object.__new__(cls)
-        object.__setattr__(out, "coords", coords)
-        return out
 
     @property
     def n(self) -> int:
@@ -159,6 +162,12 @@ class Grade:
 
     def __str__(self) -> str:
         return " ".join(map(rat_str, self.coords))
+
+
+def unscaled(points: Sequence[Sequence[int]], scale: int) -> list[Grade]:
+    """The Grades of integer points at scale; each distinct value is divided once."""
+    value = {v: Fraction(v, scale) for v in set(itertools.chain(*points))}
+    return [Grade([value[v] for v in a]) for a in points]
 
 
 @dataclass(frozen=True)

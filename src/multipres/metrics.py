@@ -520,25 +520,25 @@ def verify_interleaving(P: Presentation, Q: Presentation, w: InterleavingWitness
     sides = (("f", fd, fr, P, Q, VP, VQ), ("g", gd, gr, Q, P, VQ, VP))
     for name, mat, _, src, dst, vs, vd in sides:
         for (i, j), c in mat.items():
-            if not (0 <= i < len(src.gens) and 0 <= j < len(dst.gens)):
+            if not (0 <= i < len(src.labels) and 0 <= j < len(dst.labels)):
                 return VerifyReport(False, eps, f"{name} entry ({i},{j}) out of range")
             if not 0 < c < P.p:
                 return VerifyReport(False, eps, f"{name} coefficient {c} out of range")
             if not leq(vd.gens[j], up(vs.gens[i], 1)):
                 return VerifyReport(
                     False, eps,
-                    f"{name} entry {src.gens[i].label} -> {dst.gens[j].label} violates grades",
+                    f"{name} entry {src.labels[i]} -> {dst.labels[j]} violates grades",
                 )
     for name, _, rows, src, dst, vs, vd in sides:
-        for k, r in enumerate(src.rels):
-            image = apply_rows(rows, r.as_dict(), P.p)
-            if not vd.in_span(image, up(vs.rels[k][0], 1)):
+        for k, (a, col) in enumerate(vs.rels):
+            image = apply_rows(rows, col, P.p)
+            if not vd.in_span(image, up(a, 1)):
                 return VerifyReport(
                     False, eps,
-                    f"{name} sends relation {k} (grade {r.grade}) outside the relation submodule",
+                    f"{name} sends relation {k} (grade {src.rels[k].grade}) outside the relation submodule",
                 )
     for name, first, second, side, view in (("g.f", fr, gr, P, VP), ("f.g", gr, fr, Q, VQ)):
-        for i, gen in enumerate(side.gens):
+        for i, label in enumerate(side.labels):
             vec = apply_rows(second, apply_rows(first, {i: 1}, P.p), P.p)
             vec[i] = (vec.get(i, 0) - 1) % P.p
             if not vec[i]:
@@ -546,7 +546,7 @@ def verify_interleaving(P: Presentation, Q: Presentation, w: InterleavingWitness
             if not view.in_span(vec, up(view.gens[i], 2)):
                 return VerifyReport(
                     False, eps,
-                    f"coherence {name} fails at generator {gen.label}",
+                    f"coherence {name} fails at generator {label}",
                 )
     return VerifyReport(True, eps)
 

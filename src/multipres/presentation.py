@@ -3,14 +3,15 @@
 A Presentation is a graded generator set X plus homogeneous relation columns
 R, standing for the module Free[X] / <R>.  Coefficients live in F_p (default
 p = 2, any prime accepted) and are stored sparsely; grades are exact
-rationals.  Homogeneity means every relation dominates the grades of the
-generators it touches, so the monomial carrying each entry exists.
-Presentation.__post_init__ derives the integer form once (scale, the lcm
-of the grades' denominators, and every grade times it as an integer
-tuple), is the one check of relation columns (index range, strictly
-increasing indices, coefficients in [0, p), homogeneity on the integer
-tuples) and drops zero entries; its PresentationError carries the
-column's index.
+rationals, stored once as integers: scale, the lcm of the grades'
+denominators, and every grade times it as an integer tuple.  Homogeneity
+means every relation dominates the grades of the generators it touches,
+so the monomial carrying each entry exists.  Both constructors end in the
+one check of relation columns (index range, strictly increasing indices,
+coefficients in [0, p), homogeneity on the integer grades), which drops
+zero entries; its PresentationError carries the column's index.
+Generator and Relation objects with Fraction grades are built only when
+a caller asks for gens or rels.
 
 The operations here are construction and validation, minimization by
 grade-ordered column reduction with generator/relation cancellation (each
@@ -23,7 +24,8 @@ ScaledModule alone answers which generators and relations lie below a
 grade, on integer grades; it starts from the presentation's integer form,
 multiplied when a caller needs a common scale with other grades.
 minimize sweeps the presentation's own cached ScaledModule, and hilbert and
-rank_between floor their rational queries into it.  common_scale and
+rank_between floor their rational queries into it.  minimize, shift and
+direct_sum build their output in the integer form.  common_scale and
 scale_grade serve the grades that are not a module's: probes, corners and
 line bases.
 """
@@ -35,18 +37,21 @@ import math
 import operator
 from bisect import bisect_right
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 from . import kernels
 from .grades import (
+    DimensionMismatch,
     Grade,
     GridFunction,
     controlling_constant,
+    grade_text,
     grid_from_grades,
     rat,
+    unscaled,
 )
 
 
@@ -121,59 +126,85 @@ def make_column(entries: dict[int, int] | Iterable[tuple[int, int]], p: int) -> 
     return tuple(sorted(d.items()))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Presentation:
-    """The module Free[gens] / <rels>, with its integer form derived once.
+    """The module Free[gens] / <rels>, stored once in its integer form.
 
     scale is the lcm of the denominators of every generator and relation
-    grade; scaled_gens and scaled_rels are those grades times scale, as
-    integer tuples in input order.  Homogeneity is checked on them, and
-    every ScaledModule of the presentation starts from them.
+    grade (1 when there are none); scaled_gens and scaled_rels are those
+    grades times scale, as integer tuples in input order; cols are the
+    relation columns, ((generator index, coefficient), ...) with indices
+    increasing and coefficients in [1, p).  With the scale canonical, equal
+    fields mean equal labels, rational grades and columns.  gens and rels,
+    the same data as Generators and Relations with Fraction grades, are
+    built on first use, for printing and for callers at the edge.
+
+    Presentation(n, p, gens, rels) reads Generators and Relations;
+    from_integers takes the integer form at any common scale.
     """
 
     n: int
     p: int
-    gens: tuple[Generator, ...]
-    rels: tuple[Relation, ...]
-    scale: int = field(init=False, repr=False, compare=False)
-    scaled_gens: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
-    scaled_rels: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+    scale: int
+    labels: tuple[str, ...]
+    scaled_gens: tuple[tuple[int, ...], ...]
+    scaled_rels: tuple[tuple[int, ...], ...]
+    cols: tuple[tuple[tuple[int, int], ...], ...]
 
-    def __post_init__(self):
-        if self.n < 1:
+    def __new__(cls, n: int, p: int, gens: Sequence[Generator], rels: Sequence[Relation]) -> Presentation:
+        grades = [g.grade for g in gens] + [r.grade for r in rels]
+        scale = common_scale(c for a in grades for c in a.coords)
+        points = [scale_grade(a, scale) for a in grades]
+        return cls.from_integers(n, p, scale, [g.label for g in gens], points[:len(gens)], points[len(gens):],
+                                 [r.col for r in rels])
+
+    @classmethod
+    def from_integers(cls, n: int, p: int, scale: int, labels: Sequence[str], gens: Sequence[tuple[int, ...]],
+                      rels: Sequence[tuple[int, ...]], cols: Sequence[tuple[tuple[int, int], ...]]) -> Presentation:
+        """The module whose grades are the integer tuples gens and rels divided
+        by scale, checked and stored at the canonical scale."""
+        if n < 1:
             raise PresentationError("parameter count must be at least 1")
-        check_field(self.p)
-        for g in self.gens:
-            if g.grade.n != self.n:
-                raise PresentationError(f"generator {g.label!r} has dimension {g.grade.n}, expected {self.n}")
-        grades = [g.grade for g in self.gens] + [r.grade for r in self.rels]
-        ratios = [c.as_integer_ratio() for a in grades for c in a.coords]
-        scale = math.lcm(1, *{d for _, d in ratios})
-        scaled = iter([v * scale // d for v, d in ratios])
-        points = [tuple(itertools.islice(scaled, a.n)) for a in grades]
-        G, R = tuple(points[:len(self.gens)]), tuple(points[len(self.gens):])
-        object.__setattr__(self, "scale", scale)
-        object.__setattr__(self, "scaled_gens", G)
-        object.__setattr__(self, "scaled_rels", R)
-        gens, p, zeros = self.gens, self.p, False
-        for k, r in enumerate(self.rels):
-            if r.grade.n != self.n:
-                raise PresentationError(f"relation {k} has dimension {r.grade.n}, expected {self.n}", k)
+        check_field(p)
+        G, R, labels, cols = tuple(gens), tuple(rels), tuple(labels), tuple(cols)
+        common = math.gcd(scale, *itertools.chain(*G, *R))
+        if common > 1:
+            scale //= common
+            G, R = (tuple(tuple(v // common for v in a) for a in points) for points in (G, R))
+        for label, a in zip(labels, G):
+            if len(a) != n:
+                raise PresentationError(f"generator {label!r} has dimension {len(a)}, expected {n}")
+        zeros = False
+        for k, (a, col) in enumerate(zip(R, cols)):
+            if len(a) != n:
+                raise PresentationError(f"relation {k} has dimension {len(a)}, expected {n}", k)
             last = -1
-            for i, c in r.col:
-                if not 0 <= i < len(gens):
+            for i, c in col:
+                if not 0 <= i < len(G):
                     raise PresentationError(f"relation {k} references generator index {i}", k)
                 if i <= last:
                     raise PresentationError(f"relation {k} names generator {i} twice or out of order", k)
                 if not 0 <= c < p:
                     raise PresentationError(f"relation {k} coefficient {c} out of range for F_{p}", k)
-                if not leq(G[i], R[k]):
-                    raise PresentationError(f"relation {k} at grade ({r.grade}) lies below generator "
-                                            f"{gens[i].label!r} at ({gens[i].grade})", k)
+                if not leq(G[i], a):
+                    at, below = grade_text([a, G[i]], scale)
+                    raise PresentationError(f"relation {k} at grade ({at}) lies below generator "
+                                            f"{labels[i]!r} at ({below})", k)
                 zeros = zeros or not c
                 last = i
         if zeros:  # text formats may write entries with coefficient 0: checked above, dropped here
-            object.__setattr__(self, "rels", tuple(Relation(r.grade, make_column(r.col, p)) for r in self.rels))
+            cols = tuple(tuple((i, c) for i, c in col if c) for col in cols)
+        out = object.__new__(cls)
+        out.__dict__.update(n=n, p=p, scale=scale, labels=labels, scaled_gens=G, scaled_rels=R, cols=cols)
+        return out
+
+    @cached_property
+    def gens(self) -> tuple[Generator, ...]:
+        return tuple(map(Generator, self.labels, unscaled(self.scaled_gens, self.scale)))
+
+    @cached_property
+    def rels(self) -> tuple[Relation, ...]:
+        return tuple(map(Relation, unscaled(self.scaled_rels, self.scale), self.cols))
 
     # -- pointwise linear algebra -------------------------------------------
 
@@ -200,9 +231,6 @@ class Presentation:
     def minimal(self) -> Presentation:
         """The minimal presentation of the same module, computed once per object."""
         return minimize(self)
-
-    def labels(self) -> list[str]:
-        return [g.label for g in self.gens]
 
     def betti_grades(self) -> list[Grade]:
         return [g.grade for g in self.gens] + [r.grade for r in self.rels]
@@ -293,32 +321,46 @@ def construct(kind: str, **data) -> Presentation:
 # -- structural operations -----------------------------------------------------
 
 
+def rescaled(points: Sequence[tuple[int, ...]], factor: int) -> Sequence[tuple[int, ...]]:
+    """Integer grades times factor; the same points when factor is 1."""
+    if factor == 1:
+        return points
+    return [tuple(v * factor for v in a) for a in points]
+
+
 def shift(P: Presentation, v) -> Presentation:
     """Translate every generator and relation grade by +v (vector or scalar)."""
     if isinstance(v, (int, str, Fraction)):
         vec = [rat(v)] * P.n
     else:
         vec = [rat(c) for c in v]
-    gens = tuple(Generator(g.label, g.grade.plus(vec)) for g in P.gens)
-    rels = tuple(Relation(r.grade.plus(vec), r.col) for r in P.rels)
-    return Presentation(P.n, P.p, gens, rels)
+    if len(vec) != P.n:
+        raise DimensionMismatch(f"shift vector has {len(vec)} coordinates, grade has {P.n}")
+    S = math.lcm(P.scale, *(c.denominator for c in vec))
+    w = scale_grade(Grade(vec), S)
+
+    def moved(points):
+        return [tuple(x + d for x, d in zip(a, w)) for a in rescaled(points, S // P.scale)]
+
+    return Presentation.from_integers(P.n, P.p, S, P.labels, moved(P.scaled_gens), moved(P.scaled_rels), P.cols)
 
 
 def direct_sum(P: Presentation, Q: Presentation) -> Presentation:
     if P.n != Q.n or P.p != Q.p:
         raise PresentationError("direct sum needs matching dimension and field")
-    taken = set(P.labels())
+    taken = set(P.labels)
     def qlabel(l: str) -> str:
         while l in taken:
             l = f"r.{l}"
         taken.add(l)
         return l
-    gens = P.gens + tuple(Generator(qlabel(g.label), g.grade) for g in Q.gens)
-    off = len(P.gens)
-    rels = P.rels + tuple(
-        Relation(r.grade, tuple((i + off, c) for i, c in r.col)) for r in Q.rels
-    )
-    return Presentation(P.n, P.p, gens, rels)
+    S = math.lcm(P.scale, Q.scale)
+    off = len(P.labels)
+    return Presentation.from_integers(
+        P.n, P.p, S, P.labels + tuple(map(qlabel, Q.labels)),
+        [*rescaled(P.scaled_gens, S // P.scale), *rescaled(Q.scaled_gens, S // Q.scale)],
+        [*rescaled(P.scaled_rels, S // P.scale), *rescaled(Q.scaled_rels, S // Q.scale)],
+        P.cols + tuple(tuple((i + off, c) for i, c in col) for col in Q.cols))
 
 
 # -- minimization ---------------------------------------------------------------
@@ -420,17 +462,18 @@ def minimize(P: Presentation) -> Presentation:
         start, b = hit
         rels, dirty = _cancel(rels, start, b, P.p)
         cancelled.add(b)
-    live = [i for i in range(len(P.gens)) if i not in cancelled]
+    live = [i for i in range(len(M.gens)) if i not in cancelled]
     index = {i: k for k, i in enumerate(live)}
-    return Presentation(P.n, P.p, tuple(P.gens[i] for i in live), tuple(
-        Relation(P.rels[k].grade, make_column({index[i]: c for i, c in col.items()}, P.p)) for k, col in rels))
+    return Presentation.from_integers(
+        P.n, P.p, P.scale, [P.labels[i] for i in live], [M.gens[i] for i in live], [M.rels[k][0] for k, _ in rels],
+        [tuple(sorted((index[i], c) for i, c in col.items())) for _, col in rels])
 
 
 def betti_and_grid(P: Presentation) -> BettiData:
     """Betti multisets xi0/xi1 of P.minimal, plus grid and c."""
     M = P.minimal
-    xi0 = Counter(g.grade for g in M.gens)
-    xi1 = Counter(r.grade for r in M.rels)
+    xi0, xi1 = (Counter(dict(zip(unscaled(list(c), M.scale), c.values())))
+                for c in map(Counter, (M.scaled_gens, M.scaled_rels)))
     grid = grid_from_grades(set(xi0) | set(xi1)) if (xi0 or xi1) else GridFunction([[]] * M.n)
     return BettiData(xi0, xi1, grid, controlling_constant(grid))
 
@@ -444,14 +487,8 @@ def common_scale(values: Iterable) -> int:
 
 
 def scale_grade(a: Grade, scale: int) -> tuple[int, ...]:
-    """The integer coordinates of scale * a; scale must clear a's denominators."""
-    out = []
-    for c in a.coords:
-        q, r = divmod(scale, c.denominator)
-        if r:
-            raise PresentationError(f"scale {scale} does not clear the denominators of ({a})")
-        out.append(c.numerator * q)
-    return tuple(out)
+    """scale * a rounded down: its integer coordinates when scale clears a's denominators."""
+    return tuple(c.numerator * scale // c.denominator for c in a.coords)
 
 
 def leq(a, b) -> bool:
@@ -576,12 +613,8 @@ class ScaledModule:
         if rest:
             raise PresentationError(f"scale {scale} is not a multiple of the module's scale {P.scale}")
         self.n, self.p, self.scale = P.n, P.p, scale
-        gens, rels = P.scaled_gens, P.scaled_rels
-        if factor != 1:
-            gens = [tuple(v * factor for v in a) for a in gens]
-            rels = [tuple(v * factor for v in a) for a in rels]
-        self.gens = list(gens)
-        self.rels = [(a, r.as_dict()) for a, r in zip(rels, P.rels)]
+        self.gens = list(rescaled(P.scaled_gens, factor))
+        self.rels = [(a, dict(col)) for a, col in zip(rescaled(P.scaled_rels, factor), P.cols)]
         self.gens_below = Below(self.gens, self.n)
         self.rels_below = Below([g for g, _ in self.rels], self.n)
         self._bases: dict[int, dict[int, dict[int, int]]] = {0: {}}  # in the order built
@@ -591,7 +624,7 @@ class ScaledModule:
         """scale * a rounded down: scaled grades are integers, so g <= scale * a iff g <= floor(a)."""
         if a.n != self.n:
             raise PresentationError(f"grade dimension {a.n} != {self.n}")
-        return tuple(c.numerator * self.scale // c.denominator for c in a.coords)
+        return scale_grade(a, self.scale)
 
     def gens_leq(self, a) -> list[int]:
         return bits(self.gens_below(a))

@@ -24,8 +24,9 @@ from multipres import (
     verify_interleaving,
     zero_module,
 )
-from multipres.experiments import incompleteness_pair, random_module, random_staircase
-from multipres.functors import InterleavingWitness, shift_with_witness
+from multipres.experiments import incompleteness_pair, jitter_module, random_module, random_staircase
+from multipres.functors import InterleavingWitness, merge_with_witness, shift_with_witness, translate_image
+from multipres.grades import GridFunction
 from multipres.metrics import _interval_probes
 from multipres.presentation import (
     DISCONNECTED,
@@ -343,10 +344,10 @@ class TestRankBetween:
         with pytest.raises(PresentationError, match="needs a <= b"):
             P.rank_between(g(3, F(7, 2)), g(F(7, 2), 3))
 
-    def test_scale_grade_is_exact_or_rejected(self):
+    def test_scale_grade_is_exact_or_floored(self):
         assert scale_grade(g(F(3, 4), F(-5, 6), 2), 12) == (9, -10, 24)
-        with pytest.raises(PresentationError, match="does not clear"):
-            scale_grade(g(F(1, 4), F(1, 3)), 6)
+        # a scale that does not clear the denominators rounds down, as ScaledModule.floor
+        assert scale_grade(g(F(1, 4), F(-1, 4), F(1, 3)), 6) == (1, -2, 2)
 
     def test_wrong_dimension_query_rejected(self):
         P = staircase_interval([g(0, 0)], [g(4, 4)])
@@ -407,14 +408,85 @@ class TestIntegerForm:
                 fio.parse_fpres(fpres_text(n, 3, gens, rels))
                 accepted += 1
                 continue
-            with pytest.raises(PresentationError, match="lies below generator") as err:
+            # the message prints both grades as their Fraction Grades print
+            r = rels[want]
+            i = next(i for i, _ in r.col if not gens[i].grade.leq(r.grade))
+            message = (f"relation {want} at grade ({r.grade}) lies below generator "
+                       f"{gens[i].label!r} at ({gens[i].grade})")
+            with pytest.raises(PresentationError) as err:
                 Presentation(n, 3, gens, rels)
-            assert err.value.relation == want
-            with pytest.raises(fio.FormatError, match="lies below generator") as err:
+            assert (str(err.value), err.value.relation) == (message, want)
+            S = 5 * common_scale(c for x in gens + rels for c in x.grade.coords)
+            with pytest.raises(PresentationError) as err:
+                Presentation.from_integers(n, 3, S, [x.label for x in gens], [scale_grade(x.grade, S) for x in gens],
+                                           [scale_grade(x.grade, S) for x in rels], [x.col for x in rels])
+            assert (str(err.value), err.value.relation) == (message, want)
+            with pytest.raises(fio.FormatError) as err:
                 fio.parse_fpres(fpres_text(n, 3, gens, rels))
-            assert err.value.lineno == 6 + len(gens) + want
+            assert str(err.value) == f"line {6 + len(gens) + want}: {message}"
             rejected += 1
         assert rejected > 20 and accepted > 20, (rejected, accepted)
+
+    def test_both_constructors_reject_columns_alike(self):
+        gens = (Generator("a", g(0, F(1, 2))), Generator("b", g(1, 0)))
+        cases = [((Relation(g(2, 2), ((0, 1),)), Relation(g(2, 2), ((2, 1),))), "relation 1 references generator index 2"),
+                 ((Relation(g(2, 2), ((1, 1), (0, 1))),), "relation 0 names generator 0 twice or out of order"),
+                 ((Relation(g(2, 2), ((0, 1), (0, 1))),), "relation 0 names generator 0 twice or out of order"),
+                 ((Relation(g(2, 2), ((0, 3),)),), "relation 0 coefficient 3 out of range for F_3"),
+                 ((Relation(g(2, 2), ()), Relation(g(2, 2, 2), ())), "relation 1 has dimension 3, expected 2"),
+                 ((Relation(g(F(1, 3), 1), ((1, 1),)),), "relation 0 at grade (1/3 1) lies below generator 'b' at (1 0)")]
+        for rels, message in cases:
+            k = int(message.split()[1])
+            with pytest.raises(PresentationError) as err:
+                Presentation(2, 3, gens, rels)
+            assert (str(err.value), err.value.relation) == (message, k)
+            with pytest.raises(PresentationError) as err:
+                Presentation.from_integers(2, 3, 12, ["a", "b"], [(0, 6), (12, 0)],
+                                           [scale_grade(r.grade, 12) for r in rels], [r.col for r in rels])
+            assert (str(err.value), err.value.relation) == (message, k)
+        with pytest.raises(PresentationError, match="^generator 'b' has dimension 1, expected 2$"):
+            Presentation.from_integers(2, 3, 1, ["a", "b"], [(0, 0), (1,)], [], [])
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_lazy_objects_and_both_constructors_agree(self, n):
+        # gens and rels built on first use equal the Generators and
+        # Relations given, and the integer form at any multiple of the scale
+        # stores the same module
+        rng = random.Random(190 + n)
+        for _ in range(40):
+            gens, rels = self.random_columns(rng, n)
+            rels = tuple(r for r in rels if all(gens[i].grade.leq(r.grade) for i, _ in r.col))
+            P = Presentation(n, 3, gens, rels)
+            parsed = fio.parse_fpres(fpres_text(n, 3, gens, rels))
+            for M in (P, parsed):
+                assert M.gens == gens and M.rels == rels
+                assert all(type(c) is F for x in M.gens + M.rels for c in x.grade.coords)
+            for k in (1, 2, 6):
+                Q = Presentation.from_integers(n, 3, k * P.scale, P.labels,
+                                               [tuple(k * v for v in a) for a in P.scaled_gens],
+                                               [tuple(k * v for v in a) for a in P.scaled_rels], P.cols)
+                assert Q == P and hash(Q) == hash(P) and Q.scale == P.scale
+
+    def test_functor_outputs_store_the_canonical_scale(self):
+        # each functor works at a common scale of the module, eps and the
+        # grid, and what it stores equals, and hashes like, its printed text
+        # read back
+        rng = random.Random(195)
+        far = GridFunction([[F(1000, 7)], [F(1000, 7)]])
+        for trial in range(24):
+            P = random_module(rng, p=3, summands=3)
+            if trial % 2:
+                P = jitter_module(P, rng, F(1, 3))
+            outs = [simplify_with_witness(P, F(1, 6))[0], translate_image(P, F(5, 7)), P.minimal,
+                    merge_with_witness(P, GridFunction([[F(1, 5), 3], [0, F(7, 10)]]), F(1, 10))[0],
+                    shift(P, [F(1, 4), F(-3, 4)]), direct_sum(P, shift(P, F(1, 2)))]
+            for out in outs:
+                back = fio.parse_fpres(fio.serialize_fpres(out))
+                assert back == out and hash(back) == hash(out) and back.scale == out.scale
+                assert Presentation(out.n, out.p, out.gens, out.rels) == out
+            # nothing snaps onto a grid this far away: merged at scale 7, stored at P's
+            merged, _ = merge_with_witness(P, far, F(1, 2))
+            assert merged == P and merged.scale == P.scale
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_scaled_module_matches_scale_grade(self, n):

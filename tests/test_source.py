@@ -1,11 +1,13 @@
 """Static checks on the package source that need no linter."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "multipres"
+SPANS = SRC.parent.parent / "clibench" / "spans.py"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -125,3 +127,25 @@ def test_no_nested_imports(path):
 @pytest.mark.parametrize("name", ["fio.py", "cli.py"])
 def test_input_integers_are_read_strictly(name):
     assert builtin_int_uses((SRC / name).read_text()) == []
+
+
+def traced_names(source: str) -> tuple[list[tuple[str, str]], list[tuple[str, str, str]]]:
+    """The (module, function) rows of FUNCTIONS and the (module, class, method)
+    rows of METHODS in the tracer's source, read without importing it."""
+    lists = {target.id: node.value for node in ast.parse(source).body if isinstance(node, ast.Assign)
+             for target in node.targets if isinstance(target, ast.Name)}
+    functions = [(row.elts[0].value, row.elts[1].value) for row in lists["FUNCTIONS"].elts]
+    methods = [tuple(part.value for part in row.elts) for row in lists["METHODS"].elts]
+    return functions, methods
+
+
+def test_every_name_the_tracer_wraps_resolves():
+    # Tracer.install looks these up by name, and a missing one fails only when the benchmark runs
+    functions, methods = traced_names(SPANS.read_text())
+    assert functions and methods
+    for module, name in functions:
+        assert callable(getattr(importlib.import_module(f"multipres.{module}"), name, None)), (module, name)
+    for module, cls, name in methods:
+        assert callable(vars(getattr(importlib.import_module(f"multipres.{module}"), cls)).get(name)), (cls, name)
+    # run.py prints it
+    assert hasattr(importlib.import_module("multipres.kernels"), "BACKEND")
