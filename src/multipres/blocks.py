@@ -111,22 +111,6 @@ def block_presentation(blocks: list[Block], p: int = 2) -> Presentation:
     return out
 
 
-def rectangle_shift(r1: ExtendedRectangle, r2: ExtendedRectangle):
-    """Largest corner distance; INF unless the same sides are infinite (same kind)."""
-
-    def coord_gap(u, v):
-        if (u == INF) != (v == INF):
-            return INF
-        return Fraction(0) if u == INF else abs(u - v)
-
-    return max([r1.lower.linf(r2.lower)] + [coord_gap(u, v) for u, v in zip(r1.upper, r2.upper)])
-
-
-def rectangle_distance(r1: ExtendedRectangle, r2: ExtendedRectangle):
-    """Closed-form interleaving distance: slide one onto the other, or delete both."""
-    return min(rectangle_shift(r1, r2), max(r1.radius(), r2.radius()))
-
-
 def block_matching_distance(A: list[Block], B: list[Block]):
     """Least eps at which each list's blocks of radius > eps can be shifted
     within eps onto distinct blocks of the other list; INF when never.

@@ -60,9 +60,9 @@ def parse_bound(tok: str, lineno: int = 0):
 def _lines(text: str):
     """Meaningful lines as (lineno, tokens)."""
     for k, raw in enumerate(text.splitlines(), start=1):
-        body = raw.split("#", 1)[0].strip()
-        if body:
-            yield k, body.split()
+        toks = raw.split("#", 1)[0].split()
+        if toks:
+            yield k, toks
 
 
 class _Cursor:

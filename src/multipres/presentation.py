@@ -167,7 +167,7 @@ class Presentation:
             raise PresentationError("parameter count must be at least 1")
         check_field(p)
         G, R, labels, cols = tuple(gens), tuple(rels), tuple(labels), tuple(cols)
-        common = math.gcd(scale, *itertools.chain(*G, *R))
+        common = math.gcd(scale, *itertools.chain(*G, *R)) if scale > 1 else 1
         if common > 1:
             scale //= common
             G, R = (tuple(tuple(v // common for v in a) for a in points) for points in (G, R))

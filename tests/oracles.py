@@ -597,6 +597,24 @@ def sample_lines_by_fractions(P, Q, slopes: int = 64, seed: int | None = None,
     return tuple(lines[k] for k in sorted(lines))
 
 
+def rectangle_shift(r1, r2):
+    """Largest corner distance of two extended rectangles; INF unless the
+    same sides are infinite (same kind)."""
+
+    def coord_gap(u, v):
+        if (u == INF) != (v == INF):
+            return INF
+        return Fraction(0) if u == INF else abs(u - v)
+
+    return max([r1.lower.linf(r2.lower)] + [coord_gap(u, v) for u, v in zip(r1.upper, r2.upper)])
+
+
+def rectangle_distance(r1, r2):
+    """Closed-form interleaving distance of two extended rectangles: slide
+    one onto the other, or delete both."""
+    return min(rectangle_shift(r1, r2), max(r1.radius(), r2.radius()))
+
+
 def matched_pairs_by_dense_shifts(A, B, eps):
     """blocks.matched_pairs_witness_entries by the whole m x k rectangle_shift matrix.
 
@@ -604,7 +622,7 @@ def matched_pairs_by_dense_shifts(A, B, eps):
     and A[i]'s row lists the j with shift <= eps in increasing order, then
     its slot when its radius is <= eps; B's rows are as in the library.
     """
-    from multipres.blocks import extend_block, rectangle_shift
+    from multipres.blocks import extend_block
     from multipres.metrics import saturates
 
     ra, rb = [extend_block(x) for x in A], [extend_block(y) for y in B]

@@ -12,13 +12,12 @@ from multipres.blocks import (
     block_presentation,
     extend_block,
     matched_pairs_witness_entries,
-    rectangle_distance,
     unextended_block_distance,
 )
 from multipres.experiments import random_block
 from multipres.functors import InterleavingWitness
 
-from oracles import dim_at, matched_pairs_by_dense_shifts, slot_min_max_assignment
+from oracles import dim_at, matched_pairs_by_dense_shifts, rectangle_distance, slot_min_max_assignment
 
 INF = math.inf
 
