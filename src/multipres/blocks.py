@@ -174,11 +174,9 @@ def matched_pairs_witness_entries(A: list[Block], B: list[Block], eps):
     <= eps, and slots meet slots.  None when there is no such matching,
     i.e. eps < block_matching_distance.
 
-    Rectangles shift onto each other only within one kind, by the
-    l-infinity distance of the blocks' (a, b) (see block_matching_distance),
-    so A[i]'s row lists, by increasing j, the blocks of its kind whose a
-    lies within eps of its own, bisected in endpoints scaled to integers,
-    and whose b does too.
+    Rectangles shift only within one kind, by the l-infinity distance of
+    the blocks' (a, b), so A[i]'s row lists by increasing j the blocks of
+    its kind with a within eps, bisected on integer endpoints, and b too.
     """
     e = rat(eps)
     scale = common_scale([e] + [c for x in A + B for c in (x.a, x.b)])

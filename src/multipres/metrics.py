@@ -33,6 +33,7 @@ argmax a LineSpec.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from bisect import bisect_left, bisect_right
@@ -42,9 +43,8 @@ from typing import Iterable, NamedTuple, Sequence
 
 from .fibered import Barcode, barcode, integer_lines, restrict
 from .functors import InterleavingWitness, apply_rows, by_source
-from .grades import Grade, LineSpec, rat, rat_dec, rat_str
+from .grades import Grade, LineSpec, rat, rat_dec, rat_str, unscaled
 from .presentation import (
-    BettiData,
     Presentation,
     PresentationError,
     ScaledModule,
@@ -52,6 +52,7 @@ from .presentation import (
     common_scale,
     leq,
     minimal_elements,
+    rescaled,
     scale_grade,
 )
 
@@ -298,14 +299,17 @@ def _direction_for_slope(m: Fraction) -> tuple[Fraction, Fraction]:
     return (Fraction(1), m)
 
 
-def _anchor_points(data: Sequence[BettiData], grid_limit: int) -> list[Grade]:
-    """The Betti grades, plus the points of each grid with at most grid_limit points, in lex order."""
-    pts: set[Grade] = set()
-    for d in data:
-        pts |= set(d.xi0) | set(d.xi1)
-        if 0 < d.grid.image_size() <= grid_limit:
-            pts |= set(d.grid.points())
-    return sorted(pts, key=lambda g: g.lex_key())
+def _anchor_points(minimal: Sequence[Presentation], scale: int, grid_limit: int) -> list[tuple[int, ...]]:
+    """The Betti grades of minimal presentations, plus the points of each one's
+    Betti grid with at most grid_limit points, times scale, in lex order."""
+    pts: set[tuple[int, ...]] = set()
+    for M in minimal:
+        betti = set(rescaled(M.scaled_gens + M.scaled_rels, scale // M.scale))
+        axes = [sorted({a[i] for a in betti}) for i in range(M.n)]
+        pts |= betti
+        if 0 < math.prod(map(len, axes)) <= grid_limit:
+            pts |= set(itertools.product(*axes))
+    return sorted(pts)
 
 
 def sample_lines(P: Presentation, Q: Presentation, slopes: int = 64,
@@ -337,12 +341,10 @@ def sample_lines(P: Presentation, Q: Presentation, slopes: int = 64,
         raise ValueError("extra jittered lines need a seed (--seed)")
     if seed is not None and not extra:
         raise ValueError("a seed needs extra jittered lines (--extra)")
-    data = (betti_and_grid(P), betti_and_grid(Q))
-    n = P.n
-    pts = _anchor_points(data, 0) or [Grade([0] * n)]
-    anchors = _anchor_points(data, 64) or pts
-    scale = common_scale(c for g in anchors for c in g.coords)
-    points = [scale_grade(g, scale) for g in pts]  # in lex order, as pts
+    n, minimal = P.n, (P.minimal, Q.minimal)
+    scale = math.lcm(P.minimal.scale, Q.minimal.scale)
+    points = _anchor_points(minimal, scale, 0) or [(0,) * n]
+    anchors = _anchor_points(minimal, scale, 64) or points
     # direction -> denominator -> integer bases
     found: dict[tuple, dict[int, set[tuple[int, ...]]]] = {}
 
@@ -350,7 +352,7 @@ def sample_lines(P: Presentation, Q: Presentation, slopes: int = 64,
         found.setdefault(direction, {}).setdefault(den, set()).update(bases)
 
     add((Fraction(1),) * n, 2 * scale,
-        {tuple(2 * (c - g[-1]) for c in g[:-1]) for g in (scale_grade(a, scale) for a in anchors)})
+        {tuple(2 * (c - g[-1]) for c in g[:-1]) for g in anchors})
     if n == 2:
         # pad times the scale: the bounding box's l-infinity diameter, or 1
         pad = max(max(g[i] for g in points) - min(g[i] for g in points) for i in range(n)) or scale
@@ -466,7 +468,7 @@ def matching_distance(P: Presentation, Q: Presentation, sample: LineSample | Non
     views = (ScaledModule(P.minimal, scale), ScaledModule(Q.minimal, scale))
     best, arg = _best_line(views, sample, Fraction(0))
     if adaptive_rounds and arg is not None:
-        pts = _anchor_points((betti_and_grid(P), betti_and_grid(Q)), 0)
+        pts = unscaled(_anchor_points((P.minimal, Q.minimal), scale, 0), scale)
         for _ in range(adaptive_rounds):
             refined = _refine_near(arg, pts)
             if not refined:
@@ -630,16 +632,14 @@ def rank_lower_bound(P: Presentation, Q: Presentation,
     """
     if P.n != Q.n or P.p != Q.p:
         raise PresentationError("rank bound needs matching dimension and field")
-    probe_list = _anchor_points((betti_and_grid(P), betti_and_grid(Q)), 128)
-    if probes is not None:
-        probe_list = sorted(set(probe_list) | set(probes), key=lambda g: g.lex_key())
-    for a in probe_list:
+    probes = sorted(probes or (), key=lambda g: g.lex_key())
+    for a in probes:
         if a.n != P.n:
             raise PresentationError(f"probe ({a}) has dimension {a.n}, expected {P.n}")
     # quarter units: candidates include halved differences, and their midpoints
-    scale = 4 * math.lcm(P.minimal.scale, Q.minimal.scale, common_scale(c for a in probe_list for c in a.coords))
+    scale = 4 * math.lcm(P.minimal.scale, Q.minimal.scale, common_scale(c for a in probes for c in a.coords))
     views = [ScaledModule(M.minimal, scale) for M in (P, Q)]
-    points = [scale_grade(a, scale) for a in probe_list]
+    points = sorted(set(_anchor_points((P.minimal, Q.minimal), scale, 128)) | {scale_grade(a, scale) for a in probes})
     betti_points = [a for M in views for a in M.gens + [r for r, _ in M.rels]]
     intervals = []
     if P.n == 2 and betti_points:

@@ -198,6 +198,11 @@ class Presentation:
         out.__dict__.update(n=n, p=p, scale=scale, labels=labels, scaled_gens=G, scaled_rels=R, cols=cols)
         return out
 
+    def __reduce__(self):
+        # copy and pickle rebuild through from_integers, as __new__ takes Generators and Relations
+        return Presentation.from_integers, (self.n, self.p, self.scale, self.labels, self.scaled_gens,
+                                            self.scaled_rels, self.cols)
+
     @cached_property
     def gens(self) -> tuple[Generator, ...]:
         return tuple(map(Generator, self.labels, unscaled(self.scaled_gens, self.scale)))

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import random
 import time
 from collections import Counter
@@ -466,6 +468,7 @@ class TestIntegerForm:
                                                [tuple(k * v for v in a) for a in P.scaled_gens],
                                                [tuple(k * v for v in a) for a in P.scaled_rels], P.cols)
                 assert Q == P and hash(Q) == hash(P) and Q.scale == P.scale
+            assert copy.copy(P) == pickle.loads(pickle.dumps(parsed)) == P
 
     def test_functor_outputs_store_the_canonical_scale(self):
         # each functor works at a common scale of the module, eps and the
