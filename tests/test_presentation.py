@@ -487,7 +487,7 @@ class TestIntegerForm:
                 back = fio.parse_fpres(fio.serialize_fpres(out))
                 assert back == out and hash(back) == hash(out) and back.scale == out.scale
                 assert Presentation(out.n, out.p, out.gens, out.rels) == out
-            # nothing snaps onto a grid this far away: merged at scale 7, stored at P's
+            # nothing snaps onto a grid this far away: merged at a multiple of 14, stored at P's scale
             merged, _ = merge_with_witness(P, far, F(1, 2))
             assert merged == P and merged.scale == P.scale
 
