@@ -104,11 +104,8 @@ def block_presentation(blocks: list[Block], p: int = 2) -> Presentation:
     """Direct sum of the extended-rectangle presentations."""
     if not blocks:
         raise PresentationError("block list is empty")
-    out = None
-    for i, blk in enumerate(blocks):
-        piece = rectangle_presentation(extend_block(blk), p=p, label=f"blk{i}")
-        out = piece if out is None else direct_sum(out, piece)
-    return out
+    return direct_sum(*(rectangle_presentation(extend_block(blk), p=p, label=f"blk{i}")
+                         for i, blk in enumerate(blocks)))
 
 
 def block_matching_distance(A: list[Block], B: list[Block]):

@@ -160,10 +160,8 @@ def random_staircase(rng: random.Random, p: int = 2, max_births: int = 3,
 
 
 def random_module(rng: random.Random, p: int = 2, summands: int = 2, **kw) -> Presentation:
-    out = random_staircase(rng, p=p, **kw)
-    for _ in range(rng.randint(0, summands - 1)):
-        out = direct_sum(out, random_staircase(rng, p=p, **kw))
-    return out
+    first = random_staircase(rng, p=p, **kw)
+    return direct_sum(first, *[random_staircase(rng, p=p, **kw) for _ in range(rng.randint(0, summands - 1))])
 
 
 def jitter_module(P: Presentation, rng: random.Random, amount) -> Presentation:

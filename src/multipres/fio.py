@@ -5,25 +5,23 @@ datum per line, rationals as grades.ratio reads them and integers as
 grades.integer does (an FPRES column entry 'coeff:index' as
 grades.integer_pair does); 'inf' is read only for bar deaths, the one
 field whose format takes an infinite upper end (block endpoints are
-finite, as Block requires).  An FPRES block is read straight into a
-module's integer form, and written from it, with no Fraction per grade.
-Parsers report the offending line; relation columns are checked by
-Presentation alone, and the parsers map its errors to lines.  A barcode
-file holds at most MAX_BARS bars, counted with multiplicity, so reading
-one never expands into more memory than that.  Serializers round-trip
-bit-exact.
+finite, as Block requires).  An FPRES block is read into, and written
+from, a module's integer form.  Parsers report the offending line; relation
+columns are checked by Presentation alone, and the parsers map its errors
+to lines.  A barcode file holds at most MAX_BARS bars, counted with
+multiplicity, so reading one never expands into more memory than that.
+Serializers round-trip bit-exact.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-from fractions import Fraction
 
 from .blocks import Block
 from .fibered import Barcode
 from .functors import InterleavingWitness, JointPresentation
-from .grades import grade_text, integer, integer_pair, rat_str, ratio, unscaled
+from .grades import grade_text, integer, integer_pair, rat, rat_str, ratio, unscaled
 from .presentation import Generator, Presentation, PresentationError, Relation, check_field
 
 INF = math.inf
@@ -39,17 +37,12 @@ class FormatError(ValueError):
         self.lineno = lineno
 
 
-def parse_ratio(tok: str, lineno: int = 0) -> tuple[int, int]:
-    """A finite exact rational as grades.ratio reads it, (numerator, denominator)."""
+def parse_rational(tok: str, lineno: int = 0):
+    """A finite exact rational, as grades.ratio reads it."""
     try:
-        return ratio(tok)
+        return rat(tok)
     except ValueError as exc:
         raise FormatError(lineno, f"bad rational {tok!r}") from exc
-
-
-def parse_rational(tok: str, lineno: int = 0) -> Fraction:
-    """A finite exact rational, as grades.ratio reads it."""
-    return Fraction(*parse_ratio(tok, lineno))
 
 
 def parse_bound(tok: str, lineno: int = 0):
@@ -139,19 +132,21 @@ def _header_count(cur: _Cursor, key: str, what: str, least: int = 0, check=None)
 
 
 def _parse_fpres_block(cur: _Cursor):
-    """One fpres block as (header line, the arguments of
-    Presentation.from_integers, each relation's line), columns unchecked.
+    """One fpres block as (header line, the arguments of Presentation.from_integers,
+    each relation's line), columns unchecked.
 
     Each distinct grade token is read once per block, as a grades.ratio
-    pair, and each column entry with one grades.integer_pair match.  The
-    scale is the lcm of the tokens' denominators.
+    pair, and each column entry with one grades.integer_pair match.
     """
     seen = {}
 
     def grade(toks: list[str], lineno: int) -> list[str]:
         for t in toks:
             if t not in seen:
-                seen[t] = parse_ratio(t, lineno)
+                try:
+                    seen[t] = ratio(t)
+                except ValueError as exc:
+                    raise FormatError(lineno, f"bad rational {t!r}") from exc
         return toks
 
     start, toks = _parse_header(cur, "fpres", "'fpres 1' header")
@@ -220,27 +215,24 @@ def serialize_joint(J: JointPresentation) -> str:
     return "\n".join(out) + "\n"
 
 
-def _joint_block(cur: _Cursor):
-    """A joint file's fpres block with Generators and Relations: its columns
-    index both blocks' generators, so JointPresentation checks them."""
-    start, n, p, scale, labels, gens, rels, cols, lines = _parse_fpres_block(cur)
-    return (start, n, p, tuple(map(Generator, labels, unscaled(gens, scale))),
-            tuple(map(Relation, unscaled(rels, scale), cols)), lines)
-
-
 def parse_joint(text: str) -> JointPresentation:
     cur = _Cursor(text)
     lineno, tok = _header_value(cur, "epsilon", "'epsilon <rational>' header")
     eps = parse_rational(tok, lineno)
     if eps < 0:
         raise FormatError(lineno, "epsilon must be nonnegative")
-    _, n, p, gens_m, rels_m, lines_m = _joint_block(cur)
-    start, n2, p2, gens_n, rels_n, lines_n = _joint_block(cur)
+    blocks = [_parse_fpres_block(cur) for _ in range(2)]
+    (_, n, p, *_), (start, n2, p2, *_) = blocks
     if (n, p) != (n2, p2):
         raise FormatError(start, "joint blocks disagree on field or parameter count")
     cur.end()
-    # the waypoints that validate a joint list r_m before r_n
-    return _validated(lines_m + lines_n, JointPresentation, n, p, eps, gens_m, gens_n, rels_m, rels_n)
+    # the columns index both blocks' generators, so the joint's waypoints check them, r_m before r_n
+    gens, rels, lines = [], [], []
+    for _, _, _, scale, labels, G, R, cols, rows in blocks:
+        gens.append(tuple(map(Generator, labels, unscaled(G, scale))))
+        rels.append(tuple(map(Relation, unscaled(R, scale), cols)))
+        lines += rows
+    return _validated(lines, JointPresentation, n, p, eps, *gens, *rels)
 
 
 # -- barcodes ------------------------------------------------------------------------

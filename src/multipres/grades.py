@@ -99,10 +99,15 @@ def rat_str(x) -> str:
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
+def per_value(points: Sequence[Sequence[int]], scale: int, f) -> list[list]:
+    """f of each coordinate of integer points at scale, as a Fraction, called once per distinct value."""
+    value = {v: f(Fraction(v, scale)) for v in set(itertools.chain(*points))}
+    return [[value[v] for v in a] for a in points]
+
+
 def grade_text(points: Sequence[Sequence[int]], scale: int) -> list[str]:
-    """The text of integer grades at scale, as str prints their Grades; each distinct value is formatted once."""
-    text = {v: rat_str(Fraction(v, scale)) for v in set(itertools.chain(*points))}
-    return [" ".join([text[v] for v in a]) for a in points]
+    """The text of integer grades at scale, as str prints their Grades."""
+    return list(map(" ".join, per_value(points, scale, rat_str)))
 
 
 def rat_dec(x) -> str:
@@ -165,9 +170,8 @@ class Grade:
 
 
 def unscaled(points: Sequence[Sequence[int]], scale: int) -> list[Grade]:
-    """The Grades of integer points at scale; each distinct value is divided once."""
-    value = {v: Fraction(v, scale) for v in set(itertools.chain(*points))}
-    return [Grade([value[v] for v in a]) for a in points]
+    """The Grades of integer points at scale."""
+    return list(map(Grade, per_value(points, scale, rat)))
 
 
 @dataclass(frozen=True)

@@ -3,15 +3,12 @@
 A Presentation is a graded generator set X plus homogeneous relation columns
 R, standing for the module Free[X] / <R>.  Coefficients live in F_p (default
 p = 2, any prime accepted) and are stored sparsely; grades are exact
-rationals, stored once as integers: scale, the lcm of the grades'
-denominators, and every grade times it as an integer tuple.  Homogeneity
-means every relation dominates the grades of the generators it touches,
-so the monomial carrying each entry exists.  Both constructors end in the
-one check of relation columns (index range, strictly increasing indices,
-coefficients in [0, p), homogeneity on the integer grades), which drops
-zero entries; its PresentationError carries the column's index.
-Generator and Relation objects with Fraction grades are built only when
-a caller asks for gens or rels.
+rationals, stored as integers at a common scale (see Presentation).
+Homogeneity means every relation dominates the grades of the generators it
+touches, so the monomial carrying each entry exists.  Both constructors end
+in the one check of relation columns (index range, strictly increasing
+indices, coefficients in [0, p), homogeneity on the integer grades), which
+drops zero entries; its PresentationError carries the column's index.
 
 The operations here are construction and validation, minimization by
 grade-ordered column reduction with generator/relation cancellation (each
@@ -44,7 +41,6 @@ from typing import Iterable, Sequence
 
 from . import kernels
 from .grades import (
-    DimensionMismatch,
     Grade,
     GridFunction,
     controlling_constant,
@@ -130,17 +126,13 @@ def make_column(entries: dict[int, int] | Iterable[tuple[int, int]], p: int) -> 
 class Presentation:
     """The module Free[gens] / <rels>, stored once in its integer form.
 
-    scale is the lcm of the denominators of every generator and relation
-    grade (1 when there are none); scaled_gens and scaled_rels are those
-    grades times scale, as integer tuples in input order; cols are the
-    relation columns, ((generator index, coefficient), ...) with indices
-    increasing and coefficients in [1, p).  With the scale canonical, equal
-    fields mean equal labels, rational grades and columns.  gens and rels,
-    the same data as Generators and Relations with Fraction grades, are
-    built on first use, for printing and for callers at the edge.
-
-    Presentation(n, p, gens, rels) reads Generators and Relations;
-    from_integers takes the integer form at any common scale.
+    scale is the lcm of the grades' denominators (1 when there are none);
+    scaled_gens and scaled_rels are the grades times scale, as integer
+    tuples in input order; cols are the relation columns, with indices
+    increasing and coefficients in [1, p).  Equal fields mean equal labels,
+    rational grades and columns.  gens and rels, with Fraction grades, are
+    built on first use.  Presentation(n, p, gens, rels) reads Generators and
+    Relations; from_integers takes the integer form at any common scale.
     """
 
     n: int
@@ -151,18 +143,22 @@ class Presentation:
     scaled_rels: tuple[tuple[int, ...], ...]
     cols: tuple[tuple[tuple[int, int], ...], ...]
 
-    def __new__(cls, n: int, p: int, gens: Sequence[Generator], rels: Sequence[Relation]) -> Presentation:
+    def __init__(self, n: int, p: int, gens: Sequence[Generator], rels: Sequence[Relation]):
         grades = [g.grade for g in gens] + [r.grade for r in rels]
         scale = common_scale(c for a in grades for c in a.coords)
         points = [scale_grade(a, scale) for a in grades]
-        return cls.from_integers(n, p, scale, [g.label for g in gens], points[:len(gens)], points[len(gens):],
-                                 [r.col for r in rels])
+        self._store(n, p, scale, [g.label for g in gens], points[:len(gens)], points[len(gens):], [r.col for r in rels])
 
     @classmethod
     def from_integers(cls, n: int, p: int, scale: int, labels: Sequence[str], gens: Sequence[tuple[int, ...]],
                       rels: Sequence[tuple[int, ...]], cols: Sequence[tuple[tuple[int, int], ...]]) -> Presentation:
-        """The module whose grades are the integer tuples gens and rels divided
-        by scale, checked and stored at the canonical scale."""
+        """The module whose grades are the integer tuples gens and rels divided by scale."""
+        out = object.__new__(cls)
+        out._store(n, p, scale, labels, gens, rels, cols)
+        return out
+
+    def _store(self, n, p, scale, labels, gens, rels, cols) -> None:
+        """Check the integer form and store it at the canonical scale."""
         if n < 1:
             raise PresentationError("parameter count must be at least 1")
         check_field(p)
@@ -194,14 +190,7 @@ class Presentation:
                 last = i
         if zeros:  # text formats may write entries with coefficient 0: checked above, dropped here
             cols = tuple(tuple((i, c) for i, c in col if c) for col in cols)
-        out = object.__new__(cls)
-        out.__dict__.update(n=n, p=p, scale=scale, labels=labels, scaled_gens=G, scaled_rels=R, cols=cols)
-        return out
-
-    def __reduce__(self):
-        # copy and pickle rebuild through from_integers, as __new__ takes Generators and Relations
-        return Presentation.from_integers, (self.n, self.p, self.scale, self.labels, self.scaled_gens,
-                                            self.scaled_rels, self.cols)
+        self.__dict__.update(n=n, p=p, scale=scale, labels=labels, scaled_gens=G, scaled_rels=R, cols=cols)
 
     @cached_property
     def gens(self) -> tuple[Generator, ...]:
@@ -335,14 +324,9 @@ def rescaled(points: Sequence[tuple[int, ...]], factor: int) -> Sequence[tuple[i
 
 def shift(P: Presentation, v) -> Presentation:
     """Translate every generator and relation grade by +v (vector or scalar)."""
-    if isinstance(v, (int, str, Fraction)):
-        vec = [rat(v)] * P.n
-    else:
-        vec = [rat(c) for c in v]
-    if len(vec) != P.n:
-        raise DimensionMismatch(f"shift vector has {len(vec)} coordinates, grade has {P.n}")
-    S = math.lcm(P.scale, *(c.denominator for c in vec))
-    w = scale_grade(Grade(vec), S)
+    w = Grade([0] * P.n).plus([v] * P.n if isinstance(v, (int, str, Fraction)) else v)
+    S = math.lcm(P.scale, common_scale(w.coords))
+    w = scale_grade(w, S)
 
     def moved(points):
         return [tuple(x + d for x, d in zip(a, w)) for a in rescaled(points, S // P.scale)]
@@ -350,22 +334,24 @@ def shift(P: Presentation, v) -> Presentation:
     return Presentation.from_integers(P.n, P.p, S, P.labels, moved(P.scaled_gens), moved(P.scaled_rels), P.cols)
 
 
-def direct_sum(P: Presentation, Q: Presentation) -> Presentation:
-    if P.n != Q.n or P.p != Q.p:
+def direct_sum(P: Presentation, *others: Presentation) -> Presentation:
+    """P plus the others in order, built once; a later summand's label that
+    is already taken gets 'r.' prefixes until it is free."""
+    if any(Q.n != P.n or Q.p != P.p for Q in others):
         raise PresentationError("direct sum needs matching dimension and field")
-    taken = set(P.labels)
-    def qlabel(l: str) -> str:
-        while l in taken:
-            l = f"r.{l}"
-        taken.add(l)
-        return l
-    S = math.lcm(P.scale, Q.scale)
-    off = len(P.labels)
-    return Presentation.from_integers(
-        P.n, P.p, S, P.labels + tuple(map(qlabel, Q.labels)),
-        [*rescaled(P.scaled_gens, S // P.scale), *rescaled(Q.scaled_gens, S // Q.scale)],
-        [*rescaled(P.scaled_rels, S // P.scale), *rescaled(Q.scaled_rels, S // Q.scale)],
-        P.cols + tuple(tuple((i + off, c) for i, c in col) for col in Q.cols))
+    S = math.lcm(P.scale, *(Q.scale for Q in others))
+    labels, taken, gens, rels, cols = list(P.labels), set(P.labels), [], [], []
+    for k, Q in enumerate((P, *others)):
+        for label in Q.labels if k else ():
+            while label in taken:
+                label = f"r.{label}"
+            taken.add(label)
+            labels.append(label)
+        off = len(gens)
+        gens += rescaled(Q.scaled_gens, S // Q.scale)
+        rels += rescaled(Q.scaled_rels, S // Q.scale)
+        cols += [tuple((i + off, c) for i, c in col) for col in Q.cols]
+    return Presentation.from_integers(P.n, P.p, S, labels, gens, rels, cols)
 
 
 # -- minimization ---------------------------------------------------------------

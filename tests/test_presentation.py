@@ -539,6 +539,21 @@ class TestDirectSum:
             direct_sum(free([g(0, 0)]), zero_module(3, 2))
         with pytest.raises(PresentationError):
             direct_sum(free([g(0, 0)], p=2), free([g(0, 0)], p=5))
+        with pytest.raises(PresentationError):
+            direct_sum(free([g(0, 0)]), free([g(0, 0)]), zero_module(3, 2))
+
+    def test_many_summands_equal_the_pairwise_sums(self):
+        rng = random.Random(27)
+        for _ in range(20):
+            parts = [random_staircase(rng, p=3) for _ in range(rng.randint(1, 5))]
+            parts += [shift(parts[0], F(1, rng.randint(1, 6))), zero_module(2, 3)]
+            rng.shuffle(parts)
+            folded = parts[0]
+            for Q in parts[1:]:
+                folded = direct_sum(folded, Q)
+            S = direct_sum(*parts)
+            assert S == folded and S.labels == folded.labels
+            assert len(set(S.labels[len(parts[0].labels):])) == len(S.labels) - len(parts[0].labels)
 
 
 class TestShift:
