@@ -12,19 +12,17 @@ rectangle in the plane with one generator and at most two relations:
 Lists of blocks become direct sums of rectangle presentations.  The
 block-matching interleaving distance pairs same-kind blocks that shift onto
 each other and deletes the rest at their rectangles' radii.  The distance
-bisects the bottleneck probe over the blocks' endpoints; the witness at a
-threshold is the matched pairs of a perfect matching with deletion slots.
+bisects the bottleneck probe over the blocks' endpoints.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .grades import Grade, rat, rat_str
-from .metrics import cover_within, least, saturates
+from .metrics import cover_within, least
 from .presentation import Generator, Presentation, PresentationError, Relation, common_scale, direct_sum
 
 INF = math.inf
@@ -159,38 +157,3 @@ def unextended_block_distance(x: Block, y: Block):
         return (blk.b - blk.a) / 2
 
     return min(corner, max(radius(x), radius(y)))
-
-
-def matched_pairs_witness_entries(A: list[Block], B: list[Block], eps):
-    """Identity entries for a shift/deletion witness at a rational threshold eps.
-
-    The block pairs of a perfect matching with deletion slots: A's blocks
-    and one slot per B block on the left, B's blocks and one slot per A
-    block on the right.  A[i] meets B[j] when their rectangles shift onto
-    each other within eps, a block meets its own slot when its radius is
-    <= eps, and slots meet slots.  None when there is no such matching,
-    i.e. eps < block_matching_distance.
-
-    Rectangles shift only within one kind, by the l-infinity distance of
-    the blocks' (a, b), so A[i]'s row lists by increasing j the blocks of
-    its kind with a within eps, bisected on integer endpoints, and b too.
-    """
-    e = rat(eps)
-    scale = common_scale([e] + [c for x in A + B for c in (x.a, x.b)])
-    h = e.numerator * scale // e.denominator
-    ends = [((y.a * scale).numerator, (y.b * scale).numerator) for y in B]
-    near = {kind: sorted((ends[j][0], j) for j, y in enumerate(B) if y.kind == kind) for kind in KINDS}
-    starts = {kind: [a for a, _ in own] for kind, own in near.items()}
-    m, k = len(A), len(B)
-    rows = []
-    for i, x in enumerate(A):
-        a, b = (x.a * scale).numerator, (x.b * scale).numerator
-        own, at = near[x.kind], starts[x.kind]
-        row = sorted(j for _, j in own[bisect_left(at, a - h):bisect_right(at, a + h)] if abs(ends[j][1] - b) <= h)
-        rows.append(row + ([k + i] if extend_block(x).radius() <= e else []))
-    rows += [([j] if extend_block(y).radius() <= e else []) + list(range(k, k + m)) for j, y in enumerate(B)]
-    match = saturates(rows, m + k, range(m + k))
-    if match is None:
-        return None
-    pairs = [(match[j], j) for j in range(k) if match[j] < m]
-    return {(i, j): 1 for i, j in pairs}, {(j, i): 1 for i, j in pairs}

@@ -13,8 +13,8 @@ in the interleaving distance:
 
 They read a module's integer grades and build their output in the same
 form, at a common scale of the module, eps and the grid, with no Fraction
-grade.  Witnesses are sparse generator-to-generator matrices with the
-grade shift implied: entry (i -> j, c) means c * x^(gr_i + eps - gr_j)
+grade and unchecked (Presentation.trusted).  Witnesses are sparse
+generator-to-generator matrices with the grade shift implied: entry (i -> j, c) means c * x^(gr_i + eps - gr_j)
 applied to the target generator.  They compose by matrix product, and the
 metrics module checks them independently.
 
@@ -147,7 +147,7 @@ def merge_with_witness(P: Presentation, grid: GridFunction, delta, variant: str 
     def merged(points):
         return [tuple(snap_coordinates(axes, d_s, a, variant)) for a in rescaled(points, S // P.scale)]
 
-    out = Presentation.from_integers(P.n, P.p, S, P.labels, merged(P.scaled_gens), merged(P.scaled_rels), P.cols)
+    out = Presentation.trusted(P.n, P.p, S, P.labels, merged(P.scaled_gens), merged(P.scaled_rels), P.cols)
     return out, _identity_witness(P, d)
 
 
@@ -169,25 +169,33 @@ def _image_relations(P: Presentation, e: Fraction) -> tuple[ScaledModule, int, l
     lcm of P's own scale and eps's denominator, and returns M, eps * S and
     the kept relations as (grid point, column), the grid points integer
     tuples in lexicographic order.  The active relations at s and the early
-    generators are the
-    bitmasks that ScaledModule reports below s and below s - eps * S: a
-    generator is early exactly when its scaled grade is <= s - eps * S.  A
-    point whose key (active relations, early generators) already occurred
-    is skipped, and the skip is exact.
-    Let s0 be the first point in lex order with key K and s a later one.
-    Their meet is a grid point with key K and is not lex-later than s0, so it
-    is s0, and s0 <= s.  The pure columns at s are those at s0, and every
-    relation kept at or before s0 is known at s, so every residual at s is 0.
+    generators are the bitmasks that ScaledModule reports below s and below
+    s - eps * S: a generator is early exactly when its scaled grade is
+    <= s - eps * S.
+
+    Each block of M.blocks is swept alone: the meet is the sum of the
+    blocks' meets, and a reduction reads only pivots of its own block.  A
+    block is intersected again only at a point where its key, its part of
+    (active relations, early generators), changed and is new, and holds
+    both (else the meet is 0); a key already seen is skipped, and the skip
+    is exact.  Let s0 be the first point in
+    lex order with the block's key K and s a later one.  Their meet is a
+    grid point with key K (masks below a meet are ANDs) and is not
+    lex-later than s0, so it is s0, and s0 <= s.  The pure columns at s are
+    those at s0, and every relation kept at or before s0 is known at s, so
+    every residual at s is 0.
 
     A pure column is kept when it is not in the span of the relations kept
     at grades <= s and the ones kept before it at s.  That span is one
-    EchelonStack in generator indices, keyed by each kept relation's index
-    in the output and rebased at every point with pure columns, so the
-    prefix of kept relations two points share is reduced once.  Membership
-    in a span depends neither on its basis nor on the order of the rows.
-    A relation kept at t <= s lies in pure(t), inside pure(s), so the known
-    span lies in pure(s) and at most len(pure) minus its rank can be kept
-    at s: the loop stops once that many are, as every later residual is 0.
+    EchelonStack per block in generator indices, keyed by each kept
+    relation's index in the block's list and rebased at every point with
+    pure columns, so the prefix of kept relations two points share is
+    reduced once.  Membership in a span depends neither on its basis nor on
+    the order of the rows.  A relation kept at t <= s lies in pure(t),
+    inside pure(s), so the known span lies in pure(s) and at most len(pure)
+    minus its rank can be kept at s: the loop stops once that many are, as
+    every later residual is 0.  The blocks' kept relations are merged by
+    (grid point, source relation), intersect's order over the whole module.
     """
     S = math.lcm(P.scale, e.denominator)
     M = ScaledModule(P, S)
@@ -197,27 +205,43 @@ def _image_relations(P: Presentation, e: Fraction) -> tuple[ScaledModule, int, l
     grades = [g for g, _ in M.rels] + [tuple(v + e_s for v in g) for g in M.gens]
     axes = [sorted({x[k] for x in grades}) for k in range(P.n)]
 
-    out: list[tuple[tuple[int, ...], dict[int, int]]] = []
-    known = kernels.EchelonStack(P.p)
-    seen = set()
-    for s in itertools.product(*axes):
-        act, ear = M.rels_below(s), M.gens_below(tuple(v - e_s for v in s))
-        if not act or (act, ear) in seen:
+    blocks = [masks for masks in M.blocks if masks[1]]
+    gen_block = {i: b for b, (gens, _) in enumerate(blocks) for i in bits(gens)}
+    rel_block = {k: b for b, (_, rels) in enumerate(blocks) for k in bits(rels)}
+    kept: list[list[tuple[tuple[int, ...], int, dict[int, int]]]] = [[] for _ in blocks]
+    known = [kernels.EchelonStack(P.p) for _ in blocks]
+    seen: list[set] = [set() for _ in blocks]
+    act = ear = 0
+    shifted = itertools.product(*([x - e_s for x in axis] for axis in axes))  # s - eps * S, point by point
+    for s, s_early in zip(itertools.product(*axes), shifted):
+        rels_now, gens_now = M.rels_below(s), M.gens_below(s_early)
+        if rels_now == act and gens_now == ear:
             continue
-        seen.add((act, ear))
-        pure = kernels.intersect([M.rels[k][1] for k in bits(act)], bits(ear), P.p)
-        if not pure:
-            continue
-        known.rebase([(k, col) for k, (t, col) in enumerate(out) if leq(t, s)])
-        room = len(pure) - len(known.pivots)
-        for col in pure:
-            if not room:
-                break
-            if kernels.residual(col, known.pivots, P.p):
-                known.push(len(out), col)
-                out.append((s, col))
-                room -= 1
-    return M, e_s, out
+        changed = {rel_block.get(k) for k in bits(rels_now ^ act)} | {gen_block.get(i) for i in bits(gens_now ^ ear)}
+        changed.discard(None)
+        act, ear = rels_now, gens_now
+        for b in changed:
+            gens, rels = blocks[b]
+            key = act & rels, ear & gens
+            if not (key[0] and key[1]) or key in seen[b]:
+                continue
+            seen[b].add(key)
+            sources = bits(key[0])
+            pure = kernels.intersect([M.rels[k][1] for k in sources], bits(key[1]), P.p)
+            if not pure:
+                continue
+            out, stack = kept[b], known[b]
+            stack.rebase([(k, col) for k, (t, _, col) in enumerate(out) if leq(t, s)])
+            room = len(pure) - len(stack.pivots)
+            for k, col in pure:
+                if not room:
+                    break
+                if kernels.residual(col, stack.pivots, P.p):
+                    stack.push(len(out), col)
+                    out.append((s, sources[k], col))
+                    room -= 1
+    merged = sorted(itertools.chain(*kept), key=lambda item: item[:2])
+    return M, e_s, [(s, col) for s, _, col in merged]
 
 
 def translate_image(P: Presentation, eps) -> Presentation:
@@ -234,8 +258,8 @@ def translate_image(P: Presentation, eps) -> Presentation:
     if e == 0:
         return P
     M, e_s, rels = _image_relations(P, e)
-    return Presentation.from_integers(P.n, P.p, M.scale, P.labels, [tuple(v + e_s for v in a) for a in M.gens],
-                                      [s for s, _ in rels], [make_column(col, P.p) for _, col in rels])
+    return Presentation.trusted(P.n, P.p, M.scale, P.labels, [tuple(v + e_s for v in a) for a in M.gens],
+                                [s for s, _ in rels], [make_column(col, P.p) for _, col in rels])
 
 
 def simplify(P: Presentation, eps, minimized: bool = True) -> Presentation:
@@ -259,8 +283,8 @@ def simplify_with_witness(P: Presentation, eps):
     if e == 0:
         return P, _identity_witness(P, e)
     M, e_s, rels = _image_relations(P, e)
-    out = Presentation.from_integers(P.n, P.p, M.scale, P.labels, M.gens, [tuple(v - e_s for v in s) for s, _ in rels],
-                                     [make_column(col, P.p) for _, col in rels])
+    out = Presentation.trusted(P.n, P.p, M.scale, P.labels, M.gens, [tuple(v - e_s for v in s) for s, _ in rels],
+                               [make_column(col, P.p) for _, col in rels])
     return out, _identity_witness(P, e)
 
 

@@ -4,17 +4,17 @@ Columns are dicts {row index: nonzero coefficient mod p}.  Reduction is the
 standard left-to-right scheme with max-index pivots, which serves three
 masters: persistence pairing (pivot row = paired row), rank computation
 (count of nonzero pivots) and span membership (residual after reducing
-against an echelon basis).  extend builds every echelon basis: it reduces
-columns into a copy of a given one, empty for echelonize and rank.
+against an echelon basis).  extend builds the basis of a whole column list:
+it reduces columns into a copy of a given one, empty for echelonize and rank.
 reduce_pivots takes its columns with the caller's indices and a row map,
 and relabels each entry once as it reads the column; over F_2 it reads the
 relabelled rows as the bits of a Python int and adds columns by XOR.
 intersect meets a column span with the coordinate subspace on a set of
-rows, the step behind the translation image's relations and the interval
-ranks.  EchelonStack is an echelon basis grown column by column that can be
-cut back to any prefix; its rebase moves it to a new list of columns
-through the longest prefix the two share, for sweeps whose spans share long
-prefixes.
+rows, naming the column each basis vector came from, the step behind the
+translation image's relations and the interval ranks.  EchelonStack is an
+echelon basis grown column by column that can be cut back to any prefix;
+its rebase moves it to a new list of columns through the longest prefix
+the two share, for sweeps whose spans share long prefixes.
 """
 
 from __future__ import annotations
@@ -95,23 +95,28 @@ def rank(columns, p):
     return len(extend({}, columns, p))
 
 
-def intersect(columns, inside, p) -> list[dict[int, int]]:
+def intersect(columns, inside, p) -> list[tuple[int, dict[int, int]]]:
     """Echelon basis of span(columns) meet the coordinate subspace on the
-    rows in inside, which lists them in increasing order.
+    rows in inside, which lists them in increasing order, as (position,
+    column) pairs: each basis column with the position in columns of the
+    column it was reduced from.
 
     The inside rows are relabelled below every other row, each class in
-    index order, and the columns are echelonized once; the reduced columns
-    whose pivot is inside are returned on their original rows, in
-    echelonize's order.  They are a basis of the meet.  Each lies inside:
-    its pivot is its top row, and every outside row lies above every inside
-    one.  A vector of the meet has its top row inside, and the pivots are
-    distinct, so its top row is the highest pivot of the basis columns that
-    write it, and all of those pivots are inside.
+    index order, and the columns are pushed once onto an EchelonStack; the
+    reduced columns whose pivot is inside are returned on their original
+    rows, in the order of their positions.  They are a basis of the meet.
+    Each lies inside: its pivot is its top row, and every outside row lies
+    above every inside one.  A vector of the meet has its top row inside,
+    and the pivots are distinct, so its top row is the highest pivot of the
+    basis columns that write it, and all of those pivots are inside.
     """
     row_of = {i: k for k, i in enumerate(inside)}
     m = len(inside)
-    cols = [{row_of.get(i, m + i): c for i, c in col.items()} for col in columns]
-    return [{inside[r]: c for r, c in v.items()} for low, v in echelonize(cols, p).items() if low < m]
+    stack = EchelonStack(p)
+    for k, col in enumerate(columns):
+        stack.push(k, {row_of.get(i, m + i): c for i, c in col.items()})
+    return [(k, {inside[r]: c for r, c in stack.pivots[low].items()})
+            for k, low in enumerate(stack._lows) if low is not None and low < m]
 
 
 def rank_over(basis, vectors, p) -> int:

@@ -49,6 +49,7 @@ from .presentation import (
     PresentationError,
     ScaledModule,
     betti_and_grid,
+    bits,
     common_scale,
     leq,
     minimal_elements,
@@ -559,29 +560,19 @@ def verify_interleaving(P: Presentation, Q: Presentation, w: InterleavingWitness
 def _interval_probes(M: ScaledModule, top: tuple[int, int]) -> list[tuple[list, list]]:
     """Staircase intervals read off a minimal presentation, in scaled grades.
 
-    One per connected component (generators linked through shared relation
-    columns) that has a relation on two or more generators: its births are
-    the component's minimal generator grades, its deaths the minimal grades
-    of its single-generator relations plus two corners that close it at top.
+    One per block (ScaledModule.blocks) that has a relation on two or more
+    generators: its births are the block's minimal generator grades, its
+    deaths the minimal grades of its single-generator relations plus two
+    corners that close it at top.
     """
-    parent = list(range(len(M.gens)))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            i = parent[i]
-        return i
-
-    for _, col in M.rels:
-        first, *rest = col
-        for i in rest:
-            parent[find(i)] = find(first)
-    linked = sorted({find(next(iter(col))) for _, col in M.rels if len(col) >= 2})
     out = []
-    for root in linked:
-        comp = {i for i in range(len(M.gens)) if find(i) == root}
-        births = minimal_elements(M.gens[i] for i in comp)
+    for gens, rels in M.blocks:
+        rels = [M.rels[k] for k in bits(rels)]
+        if all(len(col) < 2 for _, col in rels):
+            continue
+        births = minimal_elements(M.gens[i] for i in bits(gens))
         x0, y0 = births[0][0], births[-1][1]
-        singles = [g for g, col in M.rels if len(col) == 1 and next(iter(col)) in comp]
+        singles = [g for g, col in rels if len(col) == 1]
         out.append((births, minimal_elements(singles + [(x0, top[1]), (top[0], y0)])))
     return out
 

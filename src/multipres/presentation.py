@@ -20,10 +20,10 @@ staircase intervals, direct sums and grade shifts.
 ScaledModule alone answers which generators and relations lie below a
 grade, on integer grades; it starts from the presentation's integer form,
 multiplied when a caller needs a common scale with other grades.
-minimize sweeps the presentation's own cached ScaledModule, and hilbert and
-rank_between floor their rational queries into it.  minimize, shift and
-direct_sum build their output in the integer form.  common_scale and
-scale_grade serve the grades that are not a module's: probes, corners and
+minimize sweeps the presentation's own cached ScaledModule, block by block,
+and hilbert and rank_between floor their rational queries into it.
+minimize, shift and direct_sum build their output unchecked (trusted).
+common_scale and scale_grade serve the grades that are not a module's: probes, corners and
 line bases.
 """
 
@@ -157,16 +157,21 @@ class Presentation:
         out._store(n, p, scale, labels, gens, rels, cols)
         return out
 
+    @classmethod
+    def trusted(cls, n: int, p: int, scale: int, labels: Sequence[str], gens: Sequence[tuple[int, ...]],
+                rels: Sequence[tuple[int, ...]], cols: Sequence[tuple[tuple[int, int], ...]]) -> Presentation:
+        """from_integers without the checks, for what the library derives
+        from checked modules: only the scale is made canonical."""
+        out = object.__new__(cls)
+        out._keep(n, p, scale, tuple(labels), tuple(gens), tuple(rels), tuple(cols))
+        return out
+
     def _store(self, n, p, scale, labels, gens, rels, cols) -> None:
         """Check the integer form and store it at the canonical scale."""
         if n < 1:
             raise PresentationError("parameter count must be at least 1")
         check_field(p)
         G, R, labels, cols = tuple(gens), tuple(rels), tuple(labels), tuple(cols)
-        common = math.gcd(scale, *itertools.chain(*G, *R)) if scale > 1 else 1
-        if common > 1:
-            scale //= common
-            G, R = (tuple(tuple(v // common for v in a) for a in points) for points in (G, R))
         for label, a in zip(labels, G):
             if len(a) != n:
                 raise PresentationError(f"generator {label!r} has dimension {len(a)}, expected {n}")
@@ -190,6 +195,14 @@ class Presentation:
                 last = i
         if zeros:  # text formats may write entries with coefficient 0: checked above, dropped here
             cols = tuple(tuple((i, c) for i, c in col if c) for col in cols)
+        self._keep(n, p, scale, labels, G, R, cols)
+
+    def _keep(self, n, p, scale, labels, G, R, cols) -> None:
+        """Store the integer form with the grades and scale divided by their gcd."""
+        common = math.gcd(scale, *itertools.chain(*G, *R)) if scale > 1 else 1
+        if common > 1:
+            scale //= common
+            G, R = (tuple(tuple(v // common for v in a) for a in points) for points in (G, R))
         self.__dict__.update(n=n, p=p, scale=scale, labels=labels, scaled_gens=G, scaled_rels=R, cols=cols)
 
     @cached_property
@@ -331,7 +344,7 @@ def shift(P: Presentation, v) -> Presentation:
     def moved(points):
         return [tuple(x + d for x, d in zip(a, w)) for a in rescaled(points, S // P.scale)]
 
-    return Presentation.from_integers(P.n, P.p, S, P.labels, moved(P.scaled_gens), moved(P.scaled_rels), P.cols)
+    return Presentation.trusted(P.n, P.p, S, P.labels, moved(P.scaled_gens), moved(P.scaled_rels), P.cols)
 
 
 def direct_sum(P: Presentation, *others: Presentation) -> Presentation:
@@ -351,7 +364,7 @@ def direct_sum(P: Presentation, *others: Presentation) -> Presentation:
         gens += rescaled(Q.scaled_gens, S // Q.scale)
         rels += rescaled(Q.scaled_rels, S // Q.scale)
         cols += [tuple((i + off, c) for i, c in col) for col in Q.cols]
-    return Presentation.from_integers(P.n, P.p, S, labels, gens, rels, cols)
+    return Presentation.trusted(P.n, P.p, S, labels, gens, rels, cols)
 
 
 # -- minimization ---------------------------------------------------------------
@@ -414,9 +427,17 @@ def minimize(P: Presentation) -> Presentation:
     with generator/relation cancellation wherever a relation carries a unit
     pivot on a generator of equal grade, until neither applies.  The Hilbert
     function is preserved at every grade.  The sweep runs on P._scaled: the
-    relations are sorted once by (scaled grade, input index), an order that
-    dropping and cancelling keep, and the ones below each are read off its
-    Below index.  Columns keep the input generator indices until the output.
+    relations are visited in (scaled grade, input index) order, an order
+    that dropping and cancelling keep, and the ones below each are read off
+    its Below index.  Columns keep the input generator indices until the
+    output.
+
+    Each block of P._scaled.blocks is swept alone, with its own kept list
+    and EchelonStack, and the kept relations are merged back into visiting
+    order: the output of one sweep over all relations.  A reduction reads
+    only pivots of its own block, a cancellation rewrites only relations of
+    its block, and a block's next cancellation is its first hit in visiting
+    order, as in the whole sweep.  Empty columns lie in no block: dropped.
 
     Each pass after the first does only what the last cancellation changed,
     with the same output as a full pass:
@@ -440,24 +461,31 @@ def minimize(P: Presentation) -> Presentation:
     """
     M = P._scaled
     below = [M.rels_below(g) for g, _ in M.rels]
-    rels = [(k, M.rels[k][1]) for k in sorted(range(len(M.rels)), key=lambda k: (M.rels[k][0], k))]
-    cancelled = set()
-    dirty, start = set(range(len(M.rels))), 0
-    while True:
-        rels = _reduction_pass(rels, below, dirty, P.p)
-        # the first relation with a unit pivot on a generator of its own grade
-        hit = next(((j, i) for j in range(start, len(rels)) for i in sorted(rels[j][1])
-                    if M.gens[i] == M.rels[rels[j][0]][0]), None)
-        if hit is None:
-            break
-        start, b = hit
-        rels, dirty = _cancel(rels, start, b, P.p)
-        cancelled.add(b)
+
+    def visit(k):
+        return M.rels[k][0], k
+
+    cancelled, kept = set(), []
+    for _, rel_mask in M.blocks:
+        rels = [(k, M.rels[k][1]) for k in sorted(bits(rel_mask), key=visit)]
+        dirty, start = {k for k, _ in rels}, 0
+        while True:
+            rels = _reduction_pass(rels, below, dirty, P.p)
+            # the first relation with a unit pivot on a generator of its own grade
+            hit = next(((j, i) for j in range(start, len(rels)) for i in sorted(rels[j][1])
+                        if M.gens[i] == M.rels[rels[j][0]][0]), None)
+            if hit is None:
+                break
+            start, b = hit
+            rels, dirty = _cancel(rels, start, b, P.p)
+            cancelled.add(b)
+        kept += rels
+    kept.sort(key=lambda item: visit(item[0]))
     live = [i for i in range(len(M.gens)) if i not in cancelled]
     index = {i: k for k, i in enumerate(live)}
-    return Presentation.from_integers(
-        P.n, P.p, P.scale, [P.labels[i] for i in live], [M.gens[i] for i in live], [M.rels[k][0] for k, _ in rels],
-        [tuple(sorted((index[i], c) for i, c in col.items())) for _, col in rels])
+    return Presentation.trusted(
+        P.n, P.p, P.scale, [P.labels[i] for i in live], [M.gens[i] for i in live], [M.rels[k][0] for k, _ in kept],
+        [tuple(sorted((index[i], c) for i, c in col.items())) for _, col in kept])
 
 
 def betti_and_grid(P: Presentation) -> BettiData:
@@ -597,6 +625,8 @@ class ScaledModule:
     scale_grade of a corner, or floor of any rational grade.  For
     restriction to lines it keeps one entry: its grades times the slopes of
     the last line it was restricted along (along).
+    blocks are its direct summands: no column has an entry outside its
+    block, so reducing one block's columns reads no other block's pivots.
     """
 
     def __init__(self, P: Presentation, scale: int):
@@ -610,6 +640,32 @@ class ScaledModule:
         self.rels_below = Below([g for g, _ in self.rels], self.n)
         self._bases: dict[int, dict[int, dict[int, int]]] = {0: {}}  # in the order built
         self._along: tuple | None = None
+
+    @cached_property
+    def blocks(self) -> list[tuple[int, int]]:
+        """The connected components of the generator-relation incidence, as
+        (generator mask, relation mask) pairs in order of their lowest
+        generator.  A relation with an empty column joins no block; a
+        generator no relation holds is a block with an empty relation mask."""
+        parent = list(range(len(self.gens)))
+        for _, col in self.rels:
+            first = None
+            for i in col:
+                while parent[i] != i:
+                    parent[i] = i = parent[parent[i]]
+                first = i if first is None else first
+                parent[i] = first
+        masks: dict[int, list[int]] = {}
+        for i in range(len(parent)):
+            root = i
+            while parent[root] != root:
+                root = parent[root]
+            parent[i] = root
+            masks.setdefault(root, [0, 0])[0] |= 1 << i
+        for k, (_, col) in enumerate(self.rels):
+            if col:
+                masks[parent[next(iter(col))]][1] |= 1 << k
+        return [(gens, rels) for gens, rels in masks.values()]
 
     def floor(self, a: Grade) -> tuple[int, ...]:
         """scale * a rounded down: scaled grades are integers, so g <= scale * a iff g <= floor(a)."""
@@ -712,7 +768,7 @@ class ScaledModule:
         B, joins, tops = fences
         T = [{i: 1} for i in self.gens_leq(B[-1])]
         for b, j in zip(reversed(B[:-1]), reversed(joins)):
-            T = kernels.intersect(T + self.rels_leq(j), self.gens_leq(b), self.p)
+            T = [v for _, v in kernels.intersect(T + self.rels_leq(j), self.gens_leq(b), self.p)]
         if not T:
             return 0
         key = 0

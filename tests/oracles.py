@@ -5,6 +5,9 @@ package: dense textbook row reduction instead of the sparse pivot kernel,
 inclusion-exclusion of ranks instead of reduction pairing for barcodes,
 exhaustive enumeration for matchings and grids, and for larger matchings
 the textbook diagonal-slot reduction to perfect bipartite matching.
+matched_pairs_witness_entries, the block-matching witness at a threshold,
+lives here too, beside the dense reference it is checked against: no
+command of the package builds that witness.
 """
 
 from __future__ import annotations
@@ -12,10 +15,11 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from fractions import Fraction
 
-from multipres.grades import Grade, LineSpec
+from multipres.grades import Grade, LineSpec, rat
 from multipres.presentation import betti_and_grid
 
 INF = math.inf
@@ -616,7 +620,7 @@ def rectangle_distance(r1, r2):
 
 
 def matched_pairs_by_dense_shifts(A, B, eps):
-    """blocks.matched_pairs_witness_entries by the whole m x k rectangle_shift matrix.
+    """matched_pairs_witness_entries by the whole m x k rectangle_shift matrix.
 
     Every pair of blocks, of any kinds, gets its Fraction rectangle shift,
     and A[i]'s row lists the j with shift <= eps in increasing order, then
@@ -630,6 +634,45 @@ def matched_pairs_by_dense_shifts(A, B, eps):
     rows = [[j for j, y in enumerate(rb) if rectangle_shift(x, y) <= eps]
             + ([k + i] if x.radius() <= eps else []) for i, x in enumerate(ra)]
     rows += [([j] if y.radius() <= eps else []) + list(range(k, k + m)) for j, y in enumerate(rb)]
+    match = saturates(rows, m + k, range(m + k))
+    if match is None:
+        return None
+    pairs = [(match[j], j) for j in range(k) if match[j] < m]
+    return {(i, j): 1 for i, j in pairs}, {(j, i): 1 for i, j in pairs}
+
+
+def matched_pairs_witness_entries(A, B, eps):
+    """Identity entries for a shift/deletion witness at a rational threshold eps.
+
+    The block pairs of a perfect matching with deletion slots: A's blocks
+    and one slot per B block on the left, B's blocks and one slot per A
+    block on the right.  A[i] meets B[j] when their rectangles shift onto
+    each other within eps, a block meets its own slot when its radius is
+    <= eps, and slots meet slots.  None when there is no such matching,
+    i.e. eps < block_matching_distance.
+
+    Rectangles shift only within one kind, by the l-infinity distance of
+    the blocks' (a, b), so A[i]'s row lists by increasing j the blocks of
+    its kind with a within eps, bisected on integer endpoints, and b too.
+    """
+    from multipres.blocks import KINDS, extend_block
+    from multipres.metrics import saturates
+    from multipres.presentation import common_scale
+
+    e = rat(eps)
+    scale = common_scale([e] + [c for x in A + B for c in (x.a, x.b)])
+    h = e.numerator * scale // e.denominator
+    ends = [((y.a * scale).numerator, (y.b * scale).numerator) for y in B]
+    near = {kind: sorted((ends[j][0], j) for j, y in enumerate(B) if y.kind == kind) for kind in KINDS}
+    starts = {kind: [a for a, _ in own] for kind, own in near.items()}
+    m, k = len(A), len(B)
+    rows = []
+    for i, x in enumerate(A):
+        a, b = (x.a * scale).numerator, (x.b * scale).numerator
+        own, at = near[x.kind], starts[x.kind]
+        row = sorted(j for _, j in own[bisect_left(at, a - h):bisect_right(at, a + h)] if abs(ends[j][1] - b) <= h)
+        rows.append(row + ([k + i] if extend_block(x).radius() <= e else []))
+    rows += [([j] if extend_block(y).radius() <= e else []) + list(range(k, k + m)) for j, y in enumerate(B)]
     match = saturates(rows, m + k, range(m + k))
     if match is None:
         return None

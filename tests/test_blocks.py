@@ -11,13 +11,18 @@ from multipres.blocks import (
     block_matching_distance,
     block_presentation,
     extend_block,
-    matched_pairs_witness_entries,
     unextended_block_distance,
 )
 from multipres.experiments import random_block
 from multipres.functors import InterleavingWitness
 
-from oracles import dim_at, matched_pairs_by_dense_shifts, rectangle_distance, slot_min_max_assignment
+from oracles import (
+    dim_at,
+    matched_pairs_by_dense_shifts,
+    matched_pairs_witness_entries,
+    rectangle_distance,
+    slot_min_max_assignment,
+)
 
 INF = math.inf
 

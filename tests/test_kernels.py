@@ -165,7 +165,16 @@ def test_intersect_is_a_basis_of_the_meet(p):
         nrows = rng.randint(1, 12)
         cols = dependent_columns(rng, nrows, rng.randint(0, 12), p)
         for inside in ([], list(range(nrows)), sorted(rng.sample(range(nrows), rng.randint(1, nrows)))):
-            meet = kernels.intersect(cols, inside, p)
+            pairs = kernels.intersect(cols, inside, p)
+            meet = [v for _, v in pairs]
+            positions = [k for k, _ in pairs]
+            assert positions == sorted(set(positions))
+            for k, v in pairs:
+                # v is column k less a combination of the columns before it
+                before = to_dense_rows(cols[:k], nrows)
+                upto = to_dense_rows(cols[:k + 1], nrows)
+                assert dense_rank_mod_p(before + to_dense_rows([v], nrows), p) == dense_rank_mod_p(before, p) + 1
+                assert dense_rank_mod_p(upto + to_dense_rows([v], nrows), p) == dense_rank_mod_p(upto, p)
             span = to_dense_rows(cols, nrows)
             units = to_dense_rows([{i: 1} for i in inside], nrows)
             rk = dense_rank_mod_p(span, p)

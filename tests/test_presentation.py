@@ -470,6 +470,21 @@ class TestIntegerForm:
                 assert Q == P and hash(Q) == hash(P) and Q.scale == P.scale
             assert copy.copy(P) == pickle.loads(pickle.dumps(parsed)) == P
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_trusted_and_checked_store_steps_agree(self, n):
+        # on the same valid data at any multiple of the scale, the unchecked
+        # store step of derived modules keeps what the checked one keeps
+        rng = random.Random(200 + n)
+        for _ in range(40):
+            gens, rels = self.random_columns(rng, n)
+            P = Presentation(n, 3, gens, tuple(r for r in rels if all(gens[i].grade.leq(r.grade) for i, _ in r.col)))
+            for k in (1, 2, 6):
+                data = (n, 3, k * P.scale, P.labels, [tuple(k * v for v in a) for a in P.scaled_gens],
+                        [tuple(k * v for v in a) for a in P.scaled_rels], P.cols)
+                checked, trusted = Presentation.from_integers(*data), Presentation.trusted(*data)
+                assert trusted == checked == P and hash(trusted) == hash(checked)
+                assert trusted.scale == checked.scale == P.scale
+
     def test_functor_outputs_store_the_canonical_scale(self):
         # each functor works at a common scale of the module, eps and the
         # grid, and what it stores equals, and hashes like, its printed text
