@@ -433,11 +433,12 @@ def minimize(P: Presentation) -> Presentation:
     output.
 
     Each block of P._scaled.blocks is swept alone, with its own kept list
-    and EchelonStack, and the kept relations are merged back into visiting
-    order: the output of one sweep over all relations.  A reduction reads
-    only pivots of its own block, a cancellation rewrites only relations of
-    its block, and a block's next cancellation is its first hit in visiting
-    order, as in the whole sweep.  Empty columns lie in no block: dropped.
+    and EchelonStack, and the kept relations of two or more blocks are
+    merged back into visiting order: the output of one sweep over all
+    relations.  A reduction reads only pivots of its own block, a
+    cancellation rewrites only relations of its block, and a block's next
+    cancellation is its first hit in visiting order, as in the whole sweep.
+    Empty columns lie in no block: dropped.
 
     Each pass after the first does only what the last cancellation changed,
     with the same output as a full pass:
@@ -471,16 +472,20 @@ def minimize(P: Presentation) -> Presentation:
         dirty, start = {k for k, _ in rels}, 0
         while True:
             rels = _reduction_pass(rels, below, dirty, P.p)
-            # the first relation with a unit pivot on a generator of its own grade
-            hit = next(((j, i) for j in range(start, len(rels)) for i in sorted(rels[j][1])
-                        if M.gens[i] == M.rels[rels[j][0]][0]), None)
-            if hit is None:
+            # the first relation with a unit pivot on a generator of its own grade, at the least such generator
+            for start in range(start, len(rels)):
+                k, col = rels[start]
+                own = [i for i in col if M.gens[i] == M.rels[k][0]]
+                if own:
+                    break
+            else:
                 break
-            start, b = hit
+            b = min(own)
             rels, dirty = _cancel(rels, start, b, P.p)
             cancelled.add(b)
         kept += rels
-    kept.sort(key=lambda item: visit(item[0]))
+    if len(M.blocks) > 1:
+        kept.sort(key=lambda item: visit(item[0]))
     live = [i for i in range(len(M.gens)) if i not in cancelled]
     index = {i: k for k, i in enumerate(live)}
     return Presentation.trusted(
@@ -673,13 +678,6 @@ class ScaledModule:
             raise PresentationError(f"grade dimension {a.n} != {self.n}")
         return scale_grade(a, self.scale)
 
-    def gens_leq(self, a) -> list[int]:
-        return bits(self.gens_below(a))
-
-    def rels_leq(self, a) -> list[dict[int, int]]:
-        """The columns of the relations <= a, by input index."""
-        return [self.rels[k][1] for k in bits(self.rels_below(a))]
-
     def along(self, slopes: tuple[int, ...]) -> tuple[list, list, list]:
         """Per axis i, the generators' and the relations' coordinate i times
         slopes[i], and the relation columns.
@@ -753,7 +751,13 @@ class ScaledModule:
         None when K is empty or disconnected.  The limit is the set of
         values at B[0] that extend along the lower fence, found by walking
         it from the right: T_i = V_i meet (T_{i+1} + R_{join}), with V_i the
-        span of the generators born by B[i], one kernels.intersect each.
+        span of the generators born by B[i].  T is units(U) + span(W): U a
+        generator mask, first the generators <= B[-1], W vectors with no entry
+        in U, first none.  x is in units(U) + S iff x off U (U's rows deleted)
+        is in S off U.  So a vector on G, the generators <= B[i], is in T_i iff
+        its part on G minus U is in (W + R_{join}) off U: a step is U <- U & G
+        and W <- the meet of (W + R_{join}) off U with units(G minus U), one
+        kernels.intersect that pushes no unit vector.
         A generator lies strictly below a run of consecutive tops (they run
         x-increasing and y-decreasing), and strictly below the meet of two
         tops iff below both, so the colimit glues its copies into one:
@@ -766,15 +770,18 @@ class ScaledModule:
         if isinstance(fences, str):
             return None
         B, joins, tops = fences
-        T = [{i: 1} for i in self.gens_leq(B[-1])]
+        U, W = self.gens_below(B[-1]), []
         for b, j in zip(reversed(B[:-1]), reversed(joins)):
-            T = [v for _, v in kernels.intersect(T + self.rels_leq(j), self.gens_leq(b), self.p)]
-        if not T:
+            G = self.gens_below(b)
+            rels = [{i: c for i, c in self.rels[k][1].items() if not U >> i & 1} for k in bits(self.rels_below(j))]
+            W = [v for _, v in kernels.intersect(W + rels, bits(G & ~U), self.p)]
+            U &= G
+        if not U and not W:
             return 0
         key = 0
         for top in tops:
             key |= self.rels_below(_just_below(top))
-        return kernels.rank_over(self.rel_basis(key), T, self.p)
+        return kernels.rank_over(self.rel_basis(key), [{i: 1} for i in bits(U)] + W, self.p)
 
 
 def interval_rank(P: Presentation, births: Sequence[Grade], deaths: Sequence[Grade]) -> int | None:

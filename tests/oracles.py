@@ -7,7 +7,10 @@ exhaustive enumeration for matchings and grids, and for larger matchings
 the textbook diagonal-slot reduction to perfect bipartite matching.
 matched_pairs_witness_entries, the block-matching witness at a threshold,
 lives here too, beside the dense reference it is checked against: no
-command of the package builds that witness.
+command of the package builds that witness.  interval_rank_by_units and
+rank_violation_by_ranks are the plain routes of the rank lower bound's
+probes: the lower-fence walk over unit vectors, and every point probe's
+rank computed.
 """
 
 from __future__ import annotations
@@ -410,6 +413,53 @@ def interval_rank_dense(P, births, deaths):
                 row = [(a - f * b) % p for a, b in zip(row, pivot_row)]
         image.append(row)
     return dense_rank_mod_p(image, p)
+
+
+def interval_rank_by_units(M, births, deaths) -> int | None:
+    """ScaledModule.interval_rank by the lower-fence walk over unit vectors.
+
+    The reference for the walk that carries a generator mask: T starts as
+    the unit vectors of the generators <= B[-1], and each step pushes all
+    of T with the relations <= the join into one kernels.intersect.
+    """
+    from multipres import kernels
+    from multipres.presentation import _just_below, bits, staircase_fences
+
+    fences = staircase_fences(births, deaths)
+    if isinstance(fences, str):
+        return None
+    B, joins, tops = fences
+    T = [{i: 1} for i in bits(M.gens_below(B[-1]))]
+    for b, j in zip(reversed(B[:-1]), reversed(joins)):
+        rels = [M.rels[k][1] for k in bits(M.rels_below(j))]
+        T = [v for _, v in kernels.intersect(T + rels, bits(M.gens_below(b)), M.p)]
+    if not T:
+        return 0
+    key = 0
+    for top in tops:
+        key |= M.rels_below(_just_below(top))
+    return kernels.rank_over(M.rel_basis(key), T, M.p)
+
+
+def rank_violation_by_ranks(views, points, intervals, e: int) -> bool:
+    """metrics._rank_violation with every point probe's rank computed.
+
+    The reference for the count settles: each point probe compares
+    rank_between with dim on both sides, and each interval probe walks
+    its erosion with interval_rank_by_units.
+    """
+    P, Q = views
+    for a in points:
+        up = tuple(c + 2 * e for c in a)
+        mid = tuple(c + e for c in a)
+        if P.rank_between(a, up) > Q.dim(mid) or Q.rank_between(a, up) > P.dim(mid):
+            return True
+    for src, births, deaths, r in intervals:
+        eroded = interval_rank_by_units(views[1 - src], [(x + e, y + e) for x, y in births],
+                                        [(x - e, y - e) for x, y in deaths])
+        if eroded is not None and r > eroded:
+            return True
+    return False
 
 
 def image_relations_by_full_sweep(P, e: Fraction) -> list[tuple[Grade, dict[int, int]]]:

@@ -9,9 +9,9 @@ from pathlib import Path
 
 import pytest
 
-from multipres import Grade, fio
+from multipres import Grade, fio, metrics
 from multipres.blocks import Block
-from multipres.cli import MAX_COUNT, build_parser
+from multipres.cli import MAX_COUNT, build_parser, main
 from multipres.experiments import (
     incompleteness_pair,
     incompleteness_witness,
@@ -345,6 +345,27 @@ class TestCli:
         code, out, err = run_cli(*args, "--adaptive", "2")
         assert code == 0 and "argmax line" in out, err
         assert run_cli(*args) == (code, out, err)
+
+    def test_match_dist_adaptive_rounds_in_two_parameters(self, files, monkeypatch, capsys):
+        # a 2-parameter pair with an argmax line: each round samples the
+        # refinement around it through LineSample.of
+        args = ["match-dist", str(files / "rect.fpres"), str(files / "rect_shift.fpres"), "--lines", "2"]
+        samples = []
+        of = metrics.LineSample.of
+
+        def counting(lines):
+            samples.append(of(lines))
+            return samples[-1]
+
+        def value():
+            return F(re.search(r"^matching-distance (\S+) ", capsys.readouterr().out, re.M).group(1))
+
+        assert main(args) == 0
+        plain = value()
+        monkeypatch.setattr(metrics.LineSample, "of", staticmethod(counting))
+        assert main([*args, "--adaptive", "2"]) == 0
+        assert value() >= plain == F(1, 2)
+        assert samples and all(len(s) for s in samples)
 
     def test_help_exits_zero(self):
         code, out, _ = run_cli("match-dist", "--help")
