@@ -13,12 +13,9 @@ from .grades import (
     LineSpec,
     controlling_constant,
     grid_from_grades,
-    line_weight,
-    merge_grade,
     push,
     rat,
     rat_str,
-    unmerge,
 )
 from .presentation import (
     BettiData,
@@ -27,14 +24,12 @@ from .presentation import (
     PresentationError,
     Relation,
     betti_and_grid,
-    construct,
     direct_sum,
     free,
     interval_rank,
     minimize,
     shift,
     staircase_interval,
-    zero_module,
 )
 from .fibered import Barcode, barcode, restrict, simplify_barcode
 from .functors import (
@@ -45,7 +40,6 @@ from .functors import (
     PIPELINE_TOTAL,
     compose_witnesses,
     grid_align,
-    interleaving_witness,
     interpolate,
     merge_module,
     merge_with_witness,
@@ -53,7 +47,6 @@ from .functors import (
     simplify,
     simplify_with_witness,
     translate_image,
-    translate_joint,
 )
 from .metrics import (
     DistanceReport,
@@ -67,13 +60,11 @@ from .metrics import (
     rank_lower_bound,
     sample_lines,
     verify_interleaving,
-    weighted_bottleneck,
 )
 from .blocks import (
     Block,
     ExtendedRectangle,
     block_matching_distance,
-    block_presentation,
     extend_block,
 )
 

@@ -9,9 +9,8 @@ rectangle in the plane with one generator and at most two relations:
     oc (a,b]  ->  [-b, a ) x [a, oo)
     cc [a,b]  ->  [-b, oo) x [a, oo)
 
-Lists of blocks become direct sums of rectangle presentations.  The
-block-matching interleaving distance pairs same-kind blocks that shift onto
-each other and deletes the rest at their rectangles' radii.  The distance
+The block-matching interleaving distance pairs same-kind blocks that shift
+onto each other and deletes the rest at their rectangles' radii.  The distance
 bisects the bottleneck probe over the blocks' endpoints.
 """
 
@@ -23,7 +22,7 @@ from fractions import Fraction
 
 from .grades import Grade, rat, rat_str
 from .metrics import cover_within, least
-from .presentation import Generator, Presentation, PresentationError, Relation, common_scale, direct_sum
+from .presentation import common_scale
 
 INF = math.inf
 
@@ -83,27 +82,6 @@ def extend_block(blk: Block) -> ExtendedRectangle:
     a, b = blk.a, blk.b
     upper = {"oo": (-a, b), "co": (INF, b), "oc": (a, INF), "cc": (INF, INF)}[blk.kind]
     return ExtendedRectangle(Grade([-b, a]), upper)
-
-
-def rectangle_presentation(rect: ExtendedRectangle, p: int = 2, label: str = "g") -> Presentation:
-    """One generator at the lower corner, one relation per finite upper side."""
-    gens = (Generator(label, rect.lower),)
-    rels = []
-    l1, l2 = rect.lower.coords
-    u1, u2 = rect.upper
-    if u1 != INF:
-        rels.append(Relation(Grade([u1, l2]), ((0, 1),)))
-    if u2 != INF:
-        rels.append(Relation(Grade([l1, u2]), ((0, 1),)))
-    return Presentation(2, p, gens, tuple(rels))
-
-
-def block_presentation(blocks: list[Block], p: int = 2) -> Presentation:
-    """Direct sum of the extended-rectangle presentations."""
-    if not blocks:
-        raise PresentationError("block list is empty")
-    return direct_sum(*(rectangle_presentation(extend_block(blk), p=p, label=f"blk{i}")
-                         for i, blk in enumerate(blocks)))
 
 
 def block_matching_distance(A: list[Block], B: list[Block]):

@@ -159,11 +159,6 @@ def random_staircase(rng: random.Random, p: int = 2, max_births: int = 3,
     return staircase_interval(births, deaths, p=p)
 
 
-def random_module(rng: random.Random, p: int = 2, summands: int = 2, **kw) -> Presentation:
-    first = random_staircase(rng, p=p, **kw)
-    return direct_sum(first, *[random_staircase(rng, p=p, **kw) for _ in range(rng.randint(0, summands - 1))])
-
-
 def jitter_module(P: Presentation, rng: random.Random, amount) -> Presentation:
     """Homogeneity-safe perturbation: generators move down, relations up,
     by random multiples of amount/4 up to amount per coordinate."""
@@ -227,8 +222,7 @@ def run_local_equiv(seed: int = 0, instances: int = 5, eps=Fraction(1, 2),
 # -- blocks sandwich harness -----------------------------------------------------------
 
 
-def random_block(rng: random.Random, kind: str | None = None) -> Block:
-    kind = kind or rng.choice(KINDS)
+def random_block(rng: random.Random, kind: str) -> Block:
     a = Fraction(rng.randint(0, 16), 2)
     width = Fraction(rng.randint(1, 12), 2)
     return Block(kind, a, a + width)

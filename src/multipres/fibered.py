@@ -59,19 +59,9 @@ class Barcode:
                 counts[(b, d)] += m
         object.__setattr__(self, "bars", tuple(sorted((b, d, m) for (b, d), m in counts.items())))
 
-    def as_counter(self) -> Counter:
-        return Counter({(b, d): m for b, d, m in self.bars})
-
     def expand(self) -> list[tuple[Fraction, object]]:
         """Every bar repeated by multiplicity, in birth order."""
         return [(b, d) for b, d, m in self.bars for _ in range(m)]
-
-    def union(self, other: "Barcode") -> "Barcode":
-        return Barcode(self.as_counter() + other.as_counter())
-
-    def count_containing(self, t) -> int:
-        tq = rat(t)
-        return sum(m for b, d, m in self.bars if b <= tq and (d == INF or tq < d))
 
     def total(self) -> int:
         return sum(m for _, _, m in self.bars)

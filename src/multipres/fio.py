@@ -10,7 +10,8 @@ from, a module's integer form.  Parsers report the offending line; relation
 columns are checked by Presentation alone, and the parsers map its errors
 to lines.  A barcode file holds at most MAX_BARS bars, counted with
 multiplicity, so reading one never expands into more memory than that.
-Serializers round-trip bit-exact.
+The CLI writes FPRES and barcodes, and their serializers round-trip
+bit-exact.
 """
 
 from __future__ import annotations
@@ -82,22 +83,14 @@ class _Cursor:
 # -- FPRES -------------------------------------------------------------------------
 
 
-def _fpres_block(n: int, p: int, gens, rels) -> list[str]:
-    """The lines of one fpres block, from its header to its last relation;
-    gens are (label, grade text) pairs and rels (grade text, column) pairs."""
-    out = ["fpres 1", f"field {p}", f"params {n}", f"generators {len(gens)}"]
-    out += [f"g {label} {grade}" for label, grade in gens]
-    out.append(f"relations {len(rels)}")
-    for grade, col in rels:
+def serialize_fpres(P: Presentation) -> str:
+    out = ["fpres 1", f"field {P.p}", f"params {P.n}", f"generators {len(P.labels)}"]
+    out += [f"g {label} {grade}" for label, grade in zip(P.labels, grade_text(P.scaled_gens, P.scale))]
+    out.append(f"relations {len(P.cols)}")
+    for grade, col in zip(grade_text(P.scaled_rels, P.scale), P.cols):
         entries = " ".join(f"{c}:{i}" for i, c in col)
         out.append(f"r {grade} ; {entries}".rstrip())
-    return out
-
-
-def serialize_fpres(P: Presentation) -> str:
-    gens = list(zip(P.labels, grade_text(P.scaled_gens, P.scale)))
-    rels = list(zip(grade_text(P.scaled_rels, P.scale), P.cols))
-    return "\n".join(_fpres_block(P.n, P.p, gens, rels)) + "\n"
+    return "\n".join(out) + "\n"
 
 
 def _parse_header(cur: _Cursor, key: str, what: str) -> tuple[int, list[str]]:
@@ -206,16 +199,9 @@ def parse_fpres(text: str) -> Presentation:
 # -- joint presentations -------------------------------------------------------------
 
 
-def serialize_joint(J: JointPresentation) -> str:
+def parse_joint(text: str) -> JointPresentation:
     """An 'epsilon' header then two fpres blocks; relation columns index the
     concatenation of both generator lists (first block's generators first)."""
-    out = [f"epsilon {rat_str(J.epsilon)}"]
-    for gens, rels in ((J.x_m, J.r_m), (J.x_n, J.r_n)):
-        out += _fpres_block(J.n, J.p, [(g.label, g.grade) for g in gens], [(r.grade, r.col) for r in rels])
-    return "\n".join(out) + "\n"
-
-
-def parse_joint(text: str) -> JointPresentation:
     cur = _Cursor(text)
     lineno, tok = _header_value(cur, "epsilon", "'epsilon <rational>' header")
     eps = parse_rational(tok, lineno)
@@ -269,11 +255,6 @@ def parse_barcode(text: str) -> Barcode:
 # -- blocks --------------------------------------------------------------------------
 
 
-def serialize_blocks(blocks: list[Block]) -> str:
-    out = ["blocks 1"] + [f"blk {b.kind} {rat_str(b.a)} {rat_str(b.b)}" for b in blocks]
-    return "\n".join(out) + "\n"
-
-
 def parse_blocks(text: str) -> list[Block]:
     cur = _Cursor(text)
     lineno, toks = _parse_header(cur, "blocks", "'blocks 1' header")
@@ -294,22 +275,6 @@ def parse_blocks(text: str) -> list[Block]:
 
 
 # -- witnesses -----------------------------------------------------------------------
-
-
-def serialize_witness(w: InterleavingWitness, P: Presentation, Q: Presentation) -> str:
-    out = [f"witness {rat_str(w.epsilon)}"]
-    fd, gd = w.f_dict(), w.g_dict()
-    for i, label in enumerate(P.labels):
-        entries = " ".join(
-            f"{c}:{Q.labels[j]}" for (i2, j), c in sorted(fd.items()) if i2 == i
-        )
-        out.append(f"f {label} -> {entries}".rstrip())
-    for j, label in enumerate(Q.labels):
-        entries = " ".join(
-            f"{c}:{P.labels[i]}" for (j2, i), c in sorted(gd.items()) if j2 == j
-        )
-        out.append(f"g {label} -> {entries}".rstrip())
-    return "\n".join(out) + "\n"
 
 
 def parse_witness(text: str, P: Presentation, Q: Presentation) -> InterleavingWitness:

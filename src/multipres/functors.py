@@ -297,18 +297,6 @@ def shift_with_witness(P: Presentation, delta):
     return out, _identity_witness(P, d)
 
 
-def interleaving_witness(P: Presentation, kind: str, **params):
-    """Transformed module plus witness; kind is 'shift', 'merge' or 'simplify'."""
-    if kind == "shift":
-        return shift_with_witness(P, params["delta"])
-    if kind == "merge":
-        return merge_with_witness(P, params["grid"], params["delta"],
-                                  params.get("variant", "two_sided"))
-    if kind == "simplify":
-        return simplify_with_witness(P, params["eps"])
-    raise ValueError(f"unknown witness kind {kind!r}")
-
-
 @dataclass(frozen=True)
 class GridAlignResult:
     module: Presentation        # minimized final module
@@ -390,26 +378,3 @@ def interpolate(J: JointPresentation, t) -> Presentation:
     )
     return Presentation(J.n, J.p, gens, rels)
 
-
-def translate_joint(P: Presentation, eps) -> JointPresentation:
-    """Joint presentation of P and its diagonal eps-translate.
-
-    Cross relations identify each generator with its shifted copy on both
-    sides, so every waypoint is isomorphic to the fractional translate.
-    """
-    e = rat(eps)
-    if e < 0:
-        raise PresentationError("translate joints need eps >= 0")
-    k = len(P.gens)
-    x_m = tuple(P.gens)
-    x_n = tuple(Generator(g.label, g.grade.translate(e)) for g in P.gens)
-    minus_one = P.p - 1
-    r_m = list(P.rels)
-    for i, g in enumerate(P.gens):
-        col = make_column({k + i: 1, i: minus_one}, P.p)
-        r_m.append(Relation(g.grade.translate(2 * e), col))
-    r_n = [Relation(r.grade.translate(e), r.col) for r in P.rels]
-    for i, g in enumerate(P.gens):
-        col = make_column({k + i: 1, i: minus_one}, P.p)
-        r_n.append(Relation(g.grade.translate(e), col))
-    return JointPresentation(P.n, P.p, e, x_m, x_n, tuple(r_m), tuple(r_n))

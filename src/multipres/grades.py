@@ -2,9 +2,9 @@
 
 Grades are points of R^n with exact rational coordinates under the
 coordinate-wise partial order.  This module owns the primitive geometry the
-rest of the package is built on: joins, the l-infinity metric, positively
-sloped lines and the push projection onto them, line weights, grid functions
-with their controlling constants, and the merge/unmerge snapping maps.
+rest of the package is built on: joins, positively sloped lines and the
+push projection onto them, grid functions with their controlling
+constants, and the merge map that snaps coordinates onto a grid.
 
 Everything here is an immutable value and every operation is a pure
 function; rationals stay exact end to end (fractions.Fraction), so the
@@ -145,11 +145,6 @@ class Grade:
         self._check(other)
         return Grade(max(a, b) for a, b in zip(self.coords, other.coords))
 
-    def linf(self, other: "Grade") -> Fraction:
-        """Exact l-infinity distance."""
-        self._check(other)
-        return max(abs(a - b) for a, b in zip(self.coords, other.coords))
-
     def translate(self, eps) -> "Grade":
         """Diagonal shift by eps * (1, ..., 1)."""
         e = rat(eps)
@@ -202,31 +197,6 @@ class GridFunction:
         for axis in self.axes:
             size *= len(axis)
         return size
-
-    def points(self) -> list[Grade]:
-        """Im G, the product grid, enumerated lexicographically."""
-        out = [[]]
-        for axis in self.axes:
-            out = [pref + [v] for pref in out for v in axis]
-        return [Grade(p) for p in out if p]
-
-    def on_grid(self, p: Grade) -> bool:
-        """Whether p lies on Grid_G (some coordinate hits its axis list)."""
-        if p.n != self.n:
-            raise DimensionMismatch(f"grade dim {p.n} != grid dim {self.n}")
-        return any(c in axis for c, axis in zip(p.coords, self.axes))
-
-    def grid_distance(self, p: Grade):
-        """l-infinity distance from p to Grid_G (inf if every axis is empty)."""
-        if p.n != self.n:
-            raise DimensionMismatch(f"grade dim {p.n} != grid dim {self.n}")
-        best = INF
-        for c, axis in zip(p.coords, self.axes):
-            for v in axis:
-                d = abs(c - v)
-                if d < best:
-                    best = d
-        return best
 
     def min_axis_gap(self):
         """Smallest gap between adjacent values on any single axis (inf if none)."""
@@ -310,14 +280,6 @@ class LineSpec:
         base = Grade(c - t * dc for c, dc in zip(point.coords, d))
         return cls(d, base)
 
-    @classmethod
-    def slope_one(cls, point: Grade) -> "LineSpec":
-        return cls.through(point, [1] * point.n)
-
-    def point_at(self, t) -> Grade:
-        tq = rat(t)
-        return Grade(b + tq * d for b, d in zip(self.base.coords, self.direction))
-
     def __str__(self) -> str:
         d = ",".join(rat_str(c) for c in self.direction)
         b = ",".join(rat_str(c) for c in self.base.coords)
@@ -333,15 +295,6 @@ def push(line: LineSpec, p: Grade) -> Fraction:
     if p.n != line.n:
         raise DimensionMismatch(f"grade dim {p.n} != line dim {line.n}")
     return max((pc - bc) / dc for pc, bc, dc in zip(p.coords, line.base.coords, line.direction))
-
-
-def line_weight(line: LineSpec) -> Fraction:
-    """Weight w(L) = min_i d_i of the normalized direction.
-
-    Equals 1/||push_L(L(0)+1) - L(0)||_inf, is 1 for slope-1 lines, and makes
-    w(L) * d_B(M^L, N^L) a lower bound for the interleaving distance.
-    """
-    return min(line.direction)
 
 
 _MERGE_VARIANTS = ("two_sided", "plus", "minus")
@@ -365,28 +318,12 @@ def _merge_coordinate(axis: Sequence, delta, x, variant: str):
     return x
 
 
-def _check_merge_delta(grid: GridFunction, delta: Fraction) -> None:
-    gap = grid.min_axis_gap()
-    if gap == INF or delta < gap / 2:
-        return
-    if grid.image_size() > 1:
-        # the gap is the controlling constant here (see controlling_constant)
-        raise ValueError(f"delta {rat_str(delta)} must be below half the controlling constant {rat_str(gap)}")
-    # only reachable on degenerate grids with an empty axis next to a
-    # populated one; snapping would be ambiguous there
-    raise ValueError(f"delta {rat_str(delta)} must be below half the axis gap {rat_str(gap)}")
-
-
-def merge_grade(grid: GridFunction, delta, p: Grade, variant: str = "two_sided") -> Grade:
-    """Snap each coordinate of p lying delta-close to an axis value onto it.
-
-    Idempotent, order-preserving projection; two_sided = minus o plus.
-    """
-    return snap_grade(grid, merge_delta(grid, delta, p.n, variant), p, variant)
-
-
 def merge_delta(grid: GridFunction, delta, n: int, variant: str = "two_sided") -> Fraction:
-    """Check the arguments of merge_grade for n-parameter grades; delta as a Fraction."""
+    """Check the arguments of a merge onto grid of n-parameter grades; delta as a Fraction.
+
+    delta must lie below half the smallest axis gap, so that a coordinate
+    can snap onto at most one value of its axis.
+    """
     if variant not in _MERGE_VARIANTS:
         raise ValueError(f"unknown merge variant {variant!r}")
     if n != grid.n:
@@ -394,43 +331,29 @@ def merge_delta(grid: GridFunction, delta, n: int, variant: str = "two_sided") -
     d = rat(delta)
     if d < 0:
         raise ValueError("delta must be nonnegative")
-    _check_merge_delta(grid, d)
-    return d
+    gap = grid.min_axis_gap()
+    if gap == INF or d < gap / 2:
+        return d
+    if grid.image_size() > 1:
+        # the gap is the controlling constant here (see controlling_constant)
+        raise ValueError(f"delta {rat_str(d)} must be below half the controlling constant {rat_str(gap)}")
+    # only reachable on degenerate grids with an empty axis next to a
+    # populated one; snapping would be ambiguous there
+    raise ValueError(f"delta {rat_str(d)} must be below half the axis gap {rat_str(gap)}")
 
 
 def snap_coordinates(axes: Sequence[Sequence], delta, coords: Sequence, variant: str) -> list:
-    """The coordinates of merge_grade, for a delta that merge_delta has accepted.
+    """The grid merge map on coordinates, for a delta that merge_delta has accepted.
 
-    Each coordinate comes back as it is or as a value of its axis.  Axes,
-    delta and coordinates are all Fractions, or all integers: the same
-    values times one scale that clears them, which snap to the same values
-    times that scale.
+    Each coordinate lying delta-close to a value of its axis, on the
+    variant's side, snaps onto it: an idempotent, order-preserving
+    projection, with two_sided = minus o plus.  Each coordinate comes back
+    as it is or as a value of its axis.  Axes, delta and coordinates are
+    all Fractions, or all integers: the same values times one scale that
+    clears them, which snap to the same values times that scale.
     """
     if variant == "two_sided":
         return [_merge_coordinate(a, delta, _merge_coordinate(a, delta, x, "plus"), "minus")
                 for a, x in zip(axes, coords)]
     return [_merge_coordinate(a, delta, x, variant) for a, x in zip(axes, coords)]
 
-
-def snap_grade(grid: GridFunction, delta: Fraction, p: Grade, variant: str = "two_sided") -> Grade:
-    """merge_grade for a delta that merge_delta has accepted on this grid."""
-    return Grade(snap_coordinates(grid.axes, delta, p.coords, variant))
-
-
-def unmerge(grid: GridFunction, delta, p: Grade) -> Grade:
-    """Maximum of the merge fiber through p, for p on Grid_G.
-
-    Returns merge(p) + delta * sum of e_i over the coordinates within delta
-    of an axis value; the result sits exactly delta from Grid_G in every
-    merged coordinate.
-    """
-    d = rat(delta)
-    if d < 0:
-        raise ValueError("delta must be nonnegative")
-    if not grid.on_grid(p):
-        raise ValueError(f"grade {p} does not lie on the grid hyperplanes")
-    _check_merge_delta(grid, d)
-    merged = snap_grade(grid, d, p)
-    # a coordinate within delta of an axis value snaps onto it, and one that
-    # lands on the axis was within delta
-    return merged.plus([d if x in axis else Fraction(0) for axis, x in zip(grid.axes, merged.coords)])

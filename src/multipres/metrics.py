@@ -15,17 +15,16 @@ both modules, which witness diagonal translates exactly.  Each module is
 minimized once (Presentation.minimal): sample_lines reads its Betti data
 from that minimal form, and matching_distance scales the minimal forms'
 grades to integers once.  Lines are held in integer units, grouped by
-direction: each group has one denominator and a sorted list of integer base
+direction: each group has one denominator and a list of integer base
 offsets (LineSample, LineGroup), and a LineSpec is built only on demand.
-Every line is evaluated by one loop, _best_line: the sampled lines, the
-lines each adaptive round refines around the argmax, and the one line of
-weighted_bottleneck, each as a LineSample.  The weighted bottleneck on a
-line is an invariant of the modules, so the loop restricts the minimal
-presentations and runs on Python ints in the line's own units
-(fibered.IntegerLine, with restrict and barcode in their integer form),
-from the pushes through the bar pairing to the bottleneck value; the lines
-of a group share their slopes, so each module multiplies its grades once
-per direction.  A line is first probed at the floor of best * 2L / w(L): if
+Every line is evaluated by one loop, _best_line: the sampled lines and the
+lines each adaptive round refines around the argmax, each as a LineSample.
+The weighted bottleneck on a line is an invariant of the modules, so the
+loop restricts the minimal presentations and runs on Python ints in the
+line's own units (fibered.IntegerLine, with restrict and barcode in their
+integer form), from the pushes through the bar pairing to the bottleneck
+value; the lines of a group share their slopes, so each module multiplies
+its grades once per direction.  A line is first probed at the floor of best * 2L / w(L): if
 the bottleneck is feasible there, the line cannot raise the maximum and is
 skipped.  Only the reported value becomes a Fraction again, and only the
 argmax a LineSpec.
@@ -226,8 +225,11 @@ def bottleneck_at_most(B1: Barcode, B2: Barcode, c) -> bool:
 class LineGroup(NamedTuple):
     """Lines of one direction, through the base points (k, 0) / denominator.
 
-    bases holds the integer vectors k of the first n - 1 base coordinates,
-    sorted, so the lines are in the order of their rational bases.
+    bases holds the integer vectors k of the first n - 1 base coordinates.
+    sample_lines sorts them, so its lines are in the order of their
+    rational bases; LineSample.of keeps the caller's order, which the
+    adaptive rounds rely on to report the first line that attains the
+    maximum.
     """
 
     direction: tuple[Fraction, ...]
@@ -240,12 +242,12 @@ class LineGroup(NamedTuple):
 
 @dataclass(frozen=True)
 class LineSample:
-    """Lines grouped by direction with integer bases: a sample, a
-    refinement or a single line.
+    """Lines grouped by direction with integer bases: a sample or a
+    refinement.
 
     The line loop (_best_line) reads the groups: each group's lines share
     the slopes of their IntegerLines, so restrict multiplies the grades once
-    per group.  LineSpecs are built only on demand, by lines.
+    per group.  LineSpecs are built only on demand, by LineGroup.line.
     """
 
     groups: tuple[LineGroup, ...]
@@ -271,10 +273,6 @@ class LineSample:
 
     def __len__(self) -> int:
         return sum(len(group.bases) for group in self.groups)
-
-    @property
-    def lines(self) -> tuple[LineSpec, ...]:
-        return tuple(group.line(k) for group in self.groups for k in group.bases)
 
 
 def _mediant_slopes(count: int) -> list[Fraction]:
@@ -424,12 +422,6 @@ def _best_line(views: Sequence[ScaledModule], sample: LineSample, best):
                     return INF, group.line(k)
                 best = w * Fraction(floor, 2 * units.unit)
     return best, None if top is None else top[0].line(top[1])
-
-
-def weighted_bottleneck(P: Presentation, Q: Presentation, line: LineSpec):
-    """w(L) times the bottleneck of the two restricted barcodes: the sampled
-    matching distance of the one-line sample."""
-    return matching_distance(P, Q, LineSample.of((line,))).value
 
 
 def _refine_near(line: LineSpec, pts: list[Grade]) -> list[LineSpec]:

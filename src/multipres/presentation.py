@@ -239,9 +239,6 @@ class Presentation:
         """The minimal presentation of the same module, computed once per object."""
         return minimize(self)
 
-    def betti_grades(self) -> list[Grade]:
-        return [g.grade for g in self.gens] + [r.grade for r in self.rels]
-
 
 @dataclass(frozen=True)
 class BettiData:
@@ -266,10 +263,6 @@ def free(grades: Sequence[Grade], p: int = 2, labels: Sequence[str] | None = Non
         labels = [f"g{i}" for i in range(len(grades))]
     n = grades[0].n if grades else 1
     return Presentation(n, p, tuple(Generator(l, g) for l, g in zip(labels, grades)), ())
-
-
-def zero_module(n: int = 2, p: int = 2) -> Presentation:
-    return Presentation(n, p, (), ())
 
 
 def _is_antichain(points: Sequence[Grade]) -> bool:
@@ -312,17 +305,6 @@ def staircase_interval(births: Sequence[Grade], deaths: Sequence[Grade] = (), p:
             raise PresentationError(f"death bound ({d}) dominates no birth corner")
         rels.append(Relation(d, make_column({under[0]: 1}, p)))
     return Presentation(2, p, gens, tuple(rels))
-
-
-def construct(kind: str, **data) -> Presentation:
-    """Dispatch for the three construction modes: free, staircase_interval, explicit."""
-    if kind == "free":
-        return free(**data)
-    if kind == "staircase_interval":
-        return staircase_interval(**data)
-    if kind == "explicit":
-        return Presentation(**data)
-    raise PresentationError(f"unknown construction kind {kind!r}")
 
 
 # -- structural operations -----------------------------------------------------

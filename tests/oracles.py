@@ -11,6 +11,11 @@ command of the package builds that witness.  interval_rank_by_units and
 rank_violation_by_ranks are the plain routes of the rank lower bound's
 probes: the lower-fence walk over unit vectors, and every point probe's
 rank computed.
+
+The last section holds the builders that tests use as tools and no command
+of the package runs: random sums of staircases, the zero module, the joint
+presentation of a module and its translate, presentations of block lists,
+and a few grade and line helpers.
 """
 
 from __future__ import annotations
@@ -22,8 +27,11 @@ from bisect import bisect_left, bisect_right
 from collections import Counter
 from fractions import Fraction
 
+from multipres.blocks import extend_block
+from multipres.experiments import random_staircase
+from multipres.functors import JointPresentation
 from multipres.grades import Grade, LineSpec, rat
-from multipres.presentation import betti_and_grid
+from multipres.presentation import Generator, Presentation, Relation, betti_and_grid, direct_sum, make_column
 
 INF = math.inf
 
@@ -221,7 +229,7 @@ def push_by_scan(line, p: Grade, step=Fraction(1, 64), span: int = 4096):
     """Smallest grid parameter whose line point dominates p, by linear scan."""
     t = -span * step
     while t <= span * step:
-        pt = line.point_at(t)
+        pt = point_at(line, t)
         if p.leq(pt):
             return t
         t += step
@@ -248,7 +256,7 @@ def min_pairwise_linf(points: list[Grade]):
     for i, a in enumerate(points):
         for b in points[i + 1:]:
             if a != b:
-                best = min(best, a.linf(b))
+                best = min(best, linf(a, b))
     return best
 
 
@@ -558,7 +566,7 @@ def minimize_by_scan(P):
             out.append((g2, key, {(i if i < b else i - 1): v for i, v in new.items()}))
         return [g for i, g in enumerate(gens) if i != b], out
 
-    scale = common_scale(c for g in P.betti_grades() for c in g.coords)
+    scale = common_scale(c for g in betti_grades(P) for c in g.coords)
     gens = [(g, scale_grade(g.grade, scale)) for g in P.gens]
     rels = [(r.grade, scale_grade(r.grade, scale), r.as_dict()) for r in P.rels]
     while True:
@@ -619,17 +627,17 @@ def sample_lines_by_fractions(P, Q, slopes: int = 64, seed: int | None = None,
     anchors = set(pts)
     for grid in (d.grid for d in data):
         if 0 < grid.image_size() <= 64:
-            anchors |= set(grid.points())
+            anchors |= set(grid_points(grid))
     lines: dict[tuple, LineSpec] = {}
 
     def add(line: LineSpec):
         lines.setdefault((line.direction, line.base.coords), line)
 
     for g in sorted(anchors, key=lambda x: x.lex_key()):
-        add(LineSpec.slope_one(g))
+        add(LineSpec.through(g, [1] * n))
     lo = Grade([min(p.coords[i] for p in pts) for i in range(n)])
     hi = Grade([max(p.coords[i] for p in pts) for i in range(n)])
-    diam = lo.linf(hi)
+    diam = linf(lo, hi)
     pad = diam if diam else Fraction(1)
     if n == 2:
         for m in _mediant_slopes(slopes):
@@ -660,7 +668,7 @@ def rectangle_shift(r1, r2):
             return INF
         return Fraction(0) if u == INF else abs(u - v)
 
-    return max([r1.lower.linf(r2.lower)] + [coord_gap(u, v) for u, v in zip(r1.upper, r2.upper)])
+    return max([linf(r1.lower, r2.lower)] + [coord_gap(u, v) for u, v in zip(r1.upper, r2.upper)])
 
 
 def rectangle_distance(r1, r2):
@@ -728,3 +736,69 @@ def matched_pairs_witness_entries(A, B, eps):
         return None
     pairs = [(match[j], j) for j in range(k) if match[j] < m]
     return {(i, j): 1 for i, j in pairs}, {(j, i): 1 for i, j in pairs}
+
+
+# -- builders the tests use as tools -----------------------------------------------
+
+
+def linf(a: Grade, b: Grade):
+    """Exact l-infinity distance of two grades."""
+    return max(abs(x - y) for x, y in zip(a.coords, b.coords))
+
+
+def point_at(line: LineSpec, t) -> Grade:
+    """The point of the line at parameter t."""
+    return Grade(b + rat(t) * d for b, d in zip(line.base.coords, line.direction))
+
+
+def grid_points(grid) -> list[Grade]:
+    """Im G, the product of a grid's axes, in lexicographic order."""
+    return [Grade(p) for p in itertools.product(*grid.axes)]
+
+
+def betti_grades(P) -> list[Grade]:
+    """The generator grades, then the relation grades, of a presentation."""
+    return [g.grade for g in P.gens] + [r.grade for r in P.rels]
+
+
+def lines_of(sample) -> tuple[LineSpec, ...]:
+    """The LineSpecs of a LineSample, in its order."""
+    return tuple(group.line(k) for group in sample.groups for k in group.bases)
+
+
+def zero_module(n: int = 2, p: int = 2) -> Presentation:
+    return Presentation(n, p, (), ())
+
+
+def random_module(rng: random.Random, p: int = 2, summands: int = 2, **kw) -> Presentation:
+    """A direct sum of 1 to summands random staircases (experiments.random_staircase)."""
+    first = random_staircase(rng, p=p, **kw)
+    return direct_sum(first, *[random_staircase(rng, p=p, **kw) for _ in range(rng.randint(0, summands - 1))])
+
+
+def translate_joint(P: Presentation, eps) -> JointPresentation:
+    """Joint presentation of P and its diagonal eps-translate.
+
+    Cross relations identify each generator with its shifted copy on both
+    sides, so every waypoint is isomorphic to the fractional translate.
+    """
+    e = rat(eps)
+    k = len(P.gens)
+    cross = [make_column({k + i: 1, i: P.p - 1}, P.p) for i in range(k)]
+    x_n = tuple(Generator(g.label, g.grade.translate(e)) for g in P.gens)
+    r_m = tuple(P.rels) + tuple(Relation(g.grade.translate(2 * e), col) for g, col in zip(P.gens, cross))
+    r_n = (tuple(Relation(r.grade.translate(e), r.col) for r in P.rels)
+           + tuple(Relation(g.grade.translate(e), col) for g, col in zip(P.gens, cross)))
+    return JointPresentation(P.n, P.p, e, tuple(P.gens), x_n, r_m, r_n)
+
+
+def block_presentation(blocks, p: int = 2) -> Presentation:
+    """Direct sum of the blocks' extended rectangles: one generator at the
+    lower corner, one relation per finite upper side."""
+    parts = []
+    for i, blk in enumerate(blocks):
+        rect = extend_block(blk)
+        (l1, l2), (u1, u2) = rect.lower.coords, rect.upper
+        rels = [Relation(Grade(c), ((0, 1),)) for c, u in (([u1, l2], u1), ([l1, u2], u2)) if u != INF]
+        parts.append(Presentation(2, p, (Generator(f"blk{i}", rect.lower),), tuple(rels)))
+    return direct_sum(*parts)

@@ -9,7 +9,6 @@ from multipres.blocks import (
     Block,
     KINDS,
     block_matching_distance,
-    block_presentation,
     extend_block,
     unextended_block_distance,
 )
@@ -17,11 +16,12 @@ from multipres.experiments import random_block
 from multipres.functors import InterleavingWitness
 
 from oracles import (
-    dim_at,
+    block_presentation,
     matched_pairs_by_dense_shifts,
     matched_pairs_witness_entries,
     rectangle_distance,
     slot_min_max_assignment,
+    zero_module,
 )
 
 INF = math.inf
@@ -60,43 +60,6 @@ class TestExtendBlock:
             Block("xx", 0, 1)
         with pytest.raises(ValueError):
             Block("co", 0, INF)
-
-
-class TestBlockPresentation:
-    def test_single_quadrant_is_free(self):
-        P = block_presentation([Block("cc", 0, 0)])
-        assert len(P.gens) == 1 and not P.rels
-        assert P.gens[0].grade == g(0, 0)
-
-    def test_open_block_rectangle(self):
-        P = block_presentation([Block("oo", 1, 3)])
-        assert P.gens[0].grade == g(-3, 1)
-        assert sorted(str(r.grade) for r in P.rels) == ["-1 1", "-3 3"]
-        for x in range(-4, 1):
-            for y in range(0, 4):
-                inside = -3 <= x < -1 and 1 <= y < 3
-                assert P.hilbert(g(x, y)) == int(inside) == dim_at(P, g(x, y))
-
-    def test_two_blocks_additive(self):
-        P = block_presentation([Block("oo", 1, 3), Block("co", 2, 5)])
-        assert len(P.gens) == 2 and len(P.rels) == 3
-        A = block_presentation([Block("oo", 1, 3)])
-        B = block_presentation([Block("co", 2, 5)])
-        rng = random.Random(81)
-        for _ in range(30):
-            a = g(F(rng.randint(-12, 6), 2), F(rng.randint(-2, 12), 2))
-            assert P.hilbert(a) == A.hilbert(a) + B.hilbert(a)
-
-    def test_empty_rejected(self):
-        with pytest.raises(Exception):
-            block_presentation([])
-
-    def test_summand_count_is_xi0(self):
-        rng = random.Random(82)
-        for _ in range(10):
-            blocks = [random_block(rng) for _ in range(rng.randint(1, 4))]
-            data = betti_and_grid(block_presentation(blocks))
-            assert sum(data.xi0.values()) == len(blocks)
 
 
 class TestBlockMatching:
@@ -138,8 +101,6 @@ class TestBlockMatching:
     def test_deletion_certified_both_ways(self):
         # cost-to-zero of an open block: rank bound below, witness above
         P = block_presentation([Block("oo", 0, 2)])
-        from multipres.presentation import zero_module
-
         Z = zero_module(2, 2)
         assert rank_lower_bound(P, Z).value == 1
         w = InterleavingWitness(F(1), (), ())
@@ -164,9 +125,7 @@ class TestBlockMatching:
                 kinds = [k for k in kinds if k != "cc"][:12 - quadrants] + ["cc"] * quadrants
             B = [random_block(rng, k) for k in kinds]
             value = block_matching_distance(A, B)
-            PA, PB = block_presentation(A, 2), None
-            from multipres.presentation import zero_module
-
+            PA = block_presentation(A, 2)
             PB = block_presentation(B, 2) if B else zero_module(2, 2)
             if value != INF:
                 assert rank_lower_bound(PA, PB).value <= value

@@ -12,15 +12,11 @@ import pytest
 from multipres import Grade, fio, metrics
 from multipres.blocks import Block
 from multipres.cli import MAX_COUNT, build_parser, main
-from multipres.experiments import (
-    incompleteness_pair,
-    incompleteness_witness,
-    random_module,
-    random_staircase,
-)
+from multipres.experiments import incompleteness_pair, incompleteness_witness, random_staircase
 from multipres.fibered import Barcode
-from multipres.functors import translate_joint
 from multipres.presentation import Generator, Presentation, Relation, direct_sum, free, staircase_interval
+
+from oracles import random_module, translate_joint, zero_module
 
 INF = math.inf
 
@@ -83,8 +79,6 @@ class TestFpresFormat:
             assert fio.parse_fpres(text) == P
 
     def test_round_trip_zero_module(self):
-        from multipres import zero_module
-
         Z = zero_module(2, 2)
         assert fio.parse_fpres(fio.serialize_fpres(Z)) == Z
 
@@ -159,9 +153,9 @@ class TestOtherFormats:
         B = Barcode({(0, 2): 2, (F(1, 2), INF): 1})
         assert fio.parse_barcode(fio.serialize_barcode(B)).bars == B.bars
 
-    def test_blocks_round_trip(self):
+    def test_blocks_file(self):
         blocks = [Block("oo", 1, 3), Block("cc", 0, 0), Block("co", F(1, 2), 5)]
-        assert fio.parse_blocks(fio.serialize_blocks(blocks)) == blocks
+        assert fio.parse_blocks("blocks 1\nblk oo 1 3\n# a comment\nblk cc 0 0\nblk co 1/2 5\n") == blocks
 
     def test_block_infinite_endpoint_rejected(self):
         # block endpoints are finite rationals; 'inf' is read only for bar deaths
@@ -182,20 +176,13 @@ class TestOtherFormats:
         with pytest.raises(fio.FormatError, match=r"^line 3: bad entry '1_1:a'$"):
             fio.parse_witness("witness 0\nf a -> 1:a\ng a -> 1_1:a\n", P, P)
 
-    def test_witness_round_trip(self):
+    def test_witness_fixture(self):
         N, O = incompleteness_pair()
-        w = incompleteness_witness()
-        text = fio.serialize_witness(w, N, O)
-        assert fio.parse_witness(text, N, O) == w
         fixture = (FIXTURES / "example31_witness.txt").read_text()
-        assert fio.parse_witness(fixture, N, O) == w
+        assert fio.parse_witness(fixture, N, O) == incompleteness_witness()
 
-    def test_joint_round_trip(self):
-        rng = random.Random(92)
-        J = translate_joint(random_module(rng), 1)
-        text = fio.serialize_joint(J)
-        back = fio.parse_joint(text)
-        assert back == J
+    def test_joint_file(self):
+        assert fio.parse_joint(RECT_JOINT) == translate_joint(RECT, 1)
 
 
 def run_cli(*args):
@@ -207,16 +194,40 @@ def run_cli(*args):
     return proc.returncode, proc.stdout, proc.stderr
 
 
+RECT = staircase_interval([g(0, 0)], [g(2, 0), g(0, 3)])
+# RECT and its translate by 1, joined by a relation from each generator to its copy on both sides
+RECT_JOINT = """epsilon 1
+fpres 1
+field 2
+params 2
+generators 1
+g b0 0 0
+relations 3
+r 2 0 ; 1:0
+r 0 3 ; 1:0
+r 2 2 ; 1:0 1:1
+fpres 1
+field 2
+params 2
+generators 1
+g b0 1 1
+relations 3
+r 3 1 ; 1:0
+r 1 4 ; 1:0
+r 1 1 ; 1:0 1:1
+"""
+
+
 @pytest.fixture(scope="module")
 def files(tmp_path_factory):
     root = tmp_path_factory.mktemp("cli")
     N, O = incompleteness_pair()
     (root / "N.fpres").write_text(fio.serialize_fpres(N))
     (root / "O.fpres").write_text(fio.serialize_fpres(O))
-    (root / "w.txt").write_text(fio.serialize_witness(incompleteness_witness(), N, O))
-    bad = fio.serialize_witness(incompleteness_witness(F(1, 2)), N, O)
-    (root / "w_bad.txt").write_text(bad)
-    rect = staircase_interval([g(0, 0)], [g(2, 0), g(0, 3)])
+    witness = (FIXTURES / "example31_witness.txt").read_text()
+    (root / "w.txt").write_text(witness)
+    (root / "w_bad.txt").write_text(witness.replace("witness 1\n", "witness 1/2\n"))
+    rect = RECT
     (root / "rect.fpres").write_text(fio.serialize_fpres(rect))
     (root / "rect_shift.fpres").write_text(
         fio.serialize_fpres(Presentation(
@@ -225,9 +236,9 @@ def files(tmp_path_factory):
             tuple(Relation(r.grade.translate(F(1, 2)), r.col) for r in rect.rels),
         ))
     )
-    (root / "J.joint").write_text(fio.serialize_joint(translate_joint(rect, 1)))
-    (root / "A.blocks").write_text(fio.serialize_blocks([Block("oo", 0, 2), Block("cc", 1, 1)]))
-    (root / "B.blocks").write_text(fio.serialize_blocks([Block("oo", F(1, 2), 2)]))
+    (root / "J.joint").write_text(RECT_JOINT)
+    (root / "A.blocks").write_text("blocks 1\nblk oo 0 2\nblk cc 1 1\n")
+    (root / "B.blocks").write_text("blocks 1\nblk oo 1/2 2\n")
     (root / "B1.bars").write_text("bar 0 10 1\nbar 0 1 1\n")
     (root / "B2.bars").write_text("bar 1 9 1\n")
     (root / "long1.bars").write_text("".join(f"bar {i} {i + 10} 1\n" for i in range(1000)))

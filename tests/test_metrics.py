@@ -19,15 +19,12 @@ from multipres import (
     shift,
     simplify_with_witness,
     staircase_interval,
-    translate_joint,
     interpolate,
     verify_interleaving,
-    weighted_bottleneck,
-    zero_module,
 )
 from multipres.functors import InterleavingWitness, shift_with_witness
 from multipres.fibered import barcode, integer_lines, restrict
-from multipres.grades import LineSpec, line_weight, push
+from multipres.grades import LineSpec, push
 from multipres import metrics, presentation
 from multipres.metrics import (
     LineSample,
@@ -40,7 +37,6 @@ from multipres.experiments import (
     incompleteness_pair,
     incompleteness_witness,
     jitter_module,
-    random_module,
     random_staircase,
 )
 from multipres.presentation import (
@@ -57,6 +53,7 @@ from multipres.presentation import (
 )
 
 from oracles import brute_bottleneck, sample_lines_by_fractions, slot_min_max_assignment
+from oracles import betti_grades, lines_of, random_module, translate_joint, zero_module
 
 INF = math.inf
 
@@ -230,7 +227,7 @@ class TestMatchingDistance:
         rng = random.Random(64)
         P, Q = random_module(rng), random_module(rng)
         small = sample_lines(P, Q, slopes=4)
-        big = LineSample.of(small.lines + sample_lines(P, Q, slopes=10).lines)
+        big = LineSample.of(lines_of(small) + lines_of(sample_lines(P, Q, slopes=10)))
         assert matching_distance(P, Q, sample=small).value <= \
             matching_distance(P, Q, sample=big).value
 
@@ -266,7 +263,7 @@ class TestMatchingDistance:
 
         monkeypatch.setattr(metrics, "restrict", counting)
         report = matching_distance(P, Q, sample=sample, adaptive_rounds=2)
-        assert (report.value, report.argmax_line) == (INF, sample.lines[0])
+        assert (report.value, report.argmax_line) == (INF, lines_of(sample)[0])
         assert len(restricted) == 2
 
     def test_adaptive_never_decreases(self):
@@ -301,11 +298,16 @@ def entangled(P, rng):
     return Presentation(2, p, P.gens + (Generator("z", a),), tuple(rels))
 
 
+def weighted_bottleneck(P, Q, line):
+    """w(L) times the bottleneck of the two restricted barcodes, by the line loop: the one-line sample's value."""
+    return matching_distance(P, Q, LineSample.of((line,))).value
+
+
 def reference_distance(P, Q, lines, adaptive_rounds=0):
     """The sampled matching distance composed from restrict, barcode and bottleneck."""
 
     def value(line):
-        return line_weight(line) * bottleneck(barcode(restrict(P, line)), barcode(restrict(Q, line)))
+        return min(line.direction) * bottleneck(barcode(restrict(P, line)), barcode(restrict(Q, line)))
 
     best, arg = F(0), None
     for line in lines:
@@ -373,7 +375,7 @@ class TestIntegerLineLoop:
 
     def test_bars_match_restricted_barcode(self):
         for n, (P, Q) in enumerate(self.pairs()):
-            scale = common_scale(c for M in (P, Q) for x in M.betti_grades() for c in x.coords)
+            scale = common_scale(c for M in (P, Q) for x in betti_grades(M) for c in x.coords)
             views = [ScaledModule(M, scale) for M in (P, Q)]
             for line in self.lines(P, Q, n):
                 units = units_of(line, scale)
@@ -404,7 +406,7 @@ class TestIntegerLineLoop:
     def test_weighted_bottleneck_matches_composition(self):
         for n, (P, Q) in enumerate(self.pairs()):
             for line in self.lines(P, Q, n)[::5]:
-                assert weighted_bottleneck(P, Q, line) == line_weight(line) * bottleneck(
+                assert weighted_bottleneck(P, Q, line) == min(line.direction) * bottleneck(
                     barcode(restrict(P, line)), barcode(restrict(Q, line)))
 
     @pytest.mark.parametrize("rounds", [0, 2])
@@ -465,8 +467,8 @@ class TestSampleOracle:
     @staticmethod
     def check(P, Q, **kw):
         sample = sample_lines(P, Q, **kw)
-        assert sample.lines == sample_lines_by_fractions(P, Q, **kw)
-        assert len(sample) == len(sample.lines)
+        assert lines_of(sample) == sample_lines_by_fractions(P, Q, **kw)
+        assert len(sample) == len(lines_of(sample))
 
     def test_slope_counts(self):
         for n, (P, Q) in enumerate(self.pairs()):
@@ -481,7 +483,7 @@ class TestSampleOracle:
         P, Q = next(self.pairs())
         lines = sample_lines_by_fractions(P, Q, slopes=3, seed=1, extra=3)
         mixed = lines[::2] + lines[1::2] + lines[:3]
-        assert LineSample.of(mixed).lines == mixed
+        assert lines_of(LineSample.of(mixed)) == mixed
         assert len(LineSample.of(mixed)) == len(mixed)
 
 
@@ -505,7 +507,7 @@ class TestRestrictCache:
                   [LineSpec([1, F(1, 2), F(3, 4)], g(F(1, 3), -1, 0)), LineSpec([1, 1, 1], g(0, 0, 0)),
                    LineSpec([1, F(1, 2), F(3, 4)], g(2, F(-2, 5), 0))])]
         for M, lines in cases:
-            scale = common_scale(c for x in M.betti_grades() for c in x.coords)
+            scale = common_scale(c for x in betti_grades(M) for c in x.coords)
             view = ScaledModule(M, scale)
             for line in lines:
                 units = units_of(line, scale)
@@ -657,7 +659,7 @@ class TestVerifyInterleaving:
             P = random_module(rng)
             Q, w = simplify_with_witness(P, F(3, 4))
             sample = sample_lines(P, Q, slopes=6)
-            for line in sample.lines:
+            for line in lines_of(sample):
                 assert weighted_bottleneck(P, Q, line) <= w.epsilon
 
 

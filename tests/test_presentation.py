@@ -14,7 +14,6 @@ from multipres import (
     presentation,
     PresentationError,
     betti_and_grid,
-    construct,
     direct_sum,
     fio,
     free,
@@ -24,9 +23,8 @@ from multipres import (
     simplify_with_witness,
     staircase_interval,
     verify_interleaving,
-    zero_module,
 )
-from multipres.experiments import incompleteness_pair, jitter_module, random_module, random_staircase
+from multipres.experiments import incompleteness_pair, jitter_module, random_staircase
 from multipres.functors import InterleavingWitness, merge_with_witness, shift_with_witness, translate_image
 from multipres.grades import GridFunction
 from multipres.metrics import _interval_probes
@@ -47,7 +45,8 @@ from multipres.presentation import (
     staircase_fences,
 )
 
-from oracles import dim_at, interval_rank_by_summands, interval_rank_dense, minimize_by_scan
+from oracles import dim_at, grid_points, interval_rank_by_summands, interval_rank_dense, minimize_by_scan
+from oracles import betti_grades, random_module, zero_module
 from oracles import rank_between as oracle_rank_between
 
 INF = float("inf")
@@ -109,12 +108,6 @@ class TestConstruct:
         assert P.rels == (Relation(g(1, 1), ((1, 1),)),)
         with pytest.raises(PresentationError):
             Presentation(2, 2, a, (Relation(g(1, 1), ((2, 0),)),))
-
-    def test_construct_dispatch(self):
-        P = construct("free", grades=[g(0, 0)])
-        assert len(P.gens) == 1
-        with pytest.raises(PresentationError):
-            construct("mystery")
 
     def test_staircase_needs_two_params(self):
         with pytest.raises(PresentationError):
@@ -187,7 +180,7 @@ class TestMinimize:
             P = random_module(rng, summands=2)
             M = minimize(P)
             data = betti_and_grid(P)
-            points = list(data.grid.points())[:60]
+            points = grid_points(data.grid)[:60]
             points += [g(F(rng.randint(-4, 60), 2), F(rng.randint(-4, 60), 2)) for _ in range(40)]
             for a in points:
                 assert M.hilbert(a) == P.hilbert(a) == dim_at(P, a)
@@ -513,7 +506,7 @@ class TestIntegerForm:
             gens, rels = self.random_columns(rng, n)
             P = Presentation(n, 3, gens, tuple(r for r in rels
                                                if all(gens[i].grade.leq(r.grade) for i, _ in r.col)))
-            grades = P.betti_grades()
+            grades = betti_grades(P)
             assert P.scale == common_scale(c for a in grades for c in a.coords)
             for S in (P.scale, 4 * P.scale, math.lcm(P.scale, 7)):
                 M = ScaledModule(P, S)

@@ -7,7 +7,17 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "multipres"
-SPANS = SRC.parent.parent / "clibench" / "spans.py"
+CLIBENCH = SRC.parent.parent / "clibench"
+SPANS = CLIBENCH / "spans.py"
+# the package stays below this many lines, all of src/multipres/*.py together
+MAX_SRC_LINES = 4000
+# public names that nothing in src/ or clibench/ calls, kept because each is a
+# construction of the paper offered to library users, with what it constructs
+UNCALLED_CONSTRUCTIONS = {
+    "free": "the free module on generators at given grades",
+    "interval_rank": "the generalized rank rank(lim_K M -> colim_K M) over a staircase interval K",
+    "translate_image": "the image of the internal eps-translation of a module",
+}
 
 
 def unused_imports(source: str) -> list[str]:
@@ -82,6 +92,81 @@ def builtin_int_uses(source: str) -> list[int]:
             found |= {kw.value.lineno for kw in node.keywords
                       if kw.arg == "type" and isinstance(kw.value, ast.Name) and kw.value.id == "int"}
     return sorted(found)
+
+
+def public_definitions(source: str) -> list[tuple[str, ast.FunctionDef]]:
+    """The public top-level functions and the public methods of public
+    classes, as (name, node); a method's name is Class.method."""
+    out = []
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            out.append((node.name, node))
+        elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            out += [(f"{node.name}.{item.name}", item) for item in node.body
+                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")]
+    return out
+
+
+def name_lines(source: str, strings: bool = False) -> dict[str, list[int]]:
+    """The lines on which a module reads each name, as a variable or as an
+    attribute; with strings, also each string constant, which is how the
+    tracer names what it wraps.  Imports read nothing."""
+    found: dict[str, list[int]] = {}
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            name = node.id
+        elif isinstance(node, ast.Attribute):
+            name = node.attr
+        elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
+            name = node.value
+        else:
+            continue
+        found.setdefault(name, []).append(node.lineno)
+    return found
+
+
+def uncalled_definitions(sources: dict[str, str], users: dict[str, str]) -> list[str]:
+    """Public functions and methods of the modules in sources that no module
+    of sources or users references outside the definition itself.
+
+    A reference is by the last part of the name, so a method counts as
+    called when any attribute of that name is read.  users are read with
+    their string constants too.
+    """
+    reads = {module: name_lines(text) for module, text in sources.items()}
+    elsewhere = set().union(*(name_lines(text, strings=True) for text in users.values()))
+    found = []
+    for module, text in sources.items():
+        for name, node in public_definitions(text):
+            short = name.rsplit(".", 1)[-1]
+            if short in elsewhere or any(short in lines for other, lines in reads.items() if other != module):
+                continue
+            if not any(line < node.lineno or line > node.end_lineno for line in reads[module].get(short, ())):
+                found.append(f"{module}:{name}")
+    return found
+
+
+def test_uncalled_definition_is_found():
+    sources = {"a": "def used():\n    return used()\n\ndef helper():\n    pass\n\nclass C:\n"
+                    "    def run(self):\n        return helper()\n    def idle(self):\n        pass\n",
+               "b": "from .a import used\n\ndef _private():\n    return C().run\n"}
+    assert uncalled_definitions(sources, {"t": "WRAPPED = [('a', 'idle')]\n"}) == ["a:used"]
+    assert uncalled_definitions(sources, {}) == ["a:used", "a:C.idle"]
+
+
+def test_source_stays_below_its_line_budget():
+    lines = sum(len(path.read_text().splitlines()) for path in SRC.glob("*.py"))
+    assert lines < MAX_SRC_LINES
+
+
+def test_every_public_function_has_a_caller():
+    # __init__.py re-exports names, which calls none of them
+    sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"}
+    users = {path.name: path.read_text() for path in sorted(CLIBENCH.glob("*.py"))}
+    uncalled = uncalled_definitions(sources, users)
+    assert [name for name in uncalled if name.split(":")[1] not in UNCALLED_CONSTRUCTIONS] == []
+    for name in UNCALLED_CONSTRUCTIONS:
+        assert callable(getattr(importlib.import_module("multipres"), name, None)), name
 
 
 def test_foreign_private_name_is_found():
