@@ -79,12 +79,6 @@ def cases(tmp_path_factory):
     return root, witnesses, bars
 
 
-def run(capsys, argv):
-    code = main(argv)
-    out, err = capsys.readouterr()
-    return code, out, err
-
-
 @pytest.mark.parametrize("seed", [0, 1])
 def test_mutants_exit_cleanly_or_fail_at_a_line(cases, capsys, seed):
     root, witnesses, bars = cases
@@ -97,7 +91,8 @@ def test_mutants_exit_cleanly_or_fail_at_a_line(cases, capsys, seed):
         mutant = mutate(rng, source.splitlines())
         Path(path).write_text(mutant)
         for argv in (["verify", P, Q, path], ["bottleneck", path, str(root / "other.bars")]):
-            code, out, err = run(capsys, argv)
+            code = main(argv)
+            out, err = capsys.readouterr()
             assert code in (0, 1, 2), (argv[0], mutant, code)
             if code == 1:
                 m = LINE_PATTERN.search(err)
