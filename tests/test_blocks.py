@@ -17,6 +17,7 @@ from multipres.functors import InterleavingWitness
 
 from oracles import (
     block_presentation,
+    dim_at,
     matched_pairs_by_dense_shifts,
     matched_pairs_witness_entries,
     rectangle_distance,
@@ -60,6 +61,39 @@ class TestExtendBlock:
             Block("xx", 0, 1)
         with pytest.raises(ValueError):
             Block("co", 0, INF)
+
+
+class TestBlockPresentation:
+    def test_single_quadrant_is_free(self):
+        P = block_presentation([Block("cc", 0, 0)])
+        assert len(P.gens) == 1 and not P.rels
+        assert P.gens[0].grade == g(0, 0)
+
+    def test_open_block_rectangle(self):
+        P = block_presentation([Block("oo", 1, 3)])
+        assert P.gens[0].grade == g(-3, 1)
+        assert sorted(str(r.grade) for r in P.rels) == ["-1 1", "-3 3"]
+        for x in range(-4, 1):
+            for y in range(0, 4):
+                inside = -3 <= x < -1 and 1 <= y < 3
+                assert P.hilbert(g(x, y)) == int(inside) == dim_at(P, g(x, y))
+
+    def test_two_blocks_additive(self):
+        P = block_presentation([Block("oo", 1, 3), Block("co", 2, 5)])
+        assert len(P.gens) == 2 and len(P.rels) == 3
+        A = block_presentation([Block("oo", 1, 3)])
+        B = block_presentation([Block("co", 2, 5)])
+        rng = random.Random(81)
+        for _ in range(30):
+            a = g(F(rng.randint(-12, 6), 2), F(rng.randint(-2, 12), 2))
+            assert P.hilbert(a) == A.hilbert(a) + B.hilbert(a)
+
+    def test_summand_count_is_xi0(self):
+        rng = random.Random(82)
+        for _ in range(10):
+            blocks = [random_block(rng, rng.choice(KINDS)) for _ in range(rng.randint(1, 4))]
+            data = betti_and_grid(block_presentation(blocks))
+            assert sum(data.xi0.values()) == len(blocks)
 
 
 class TestBlockMatching:

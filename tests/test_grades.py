@@ -3,6 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from multipres import LineSample, free, matching_distance
 from multipres.grades import (
     DimensionMismatch,
     Grade,
@@ -90,6 +91,33 @@ class TestPush:
             assert any(a == b for a, b in zip(hit.coords, p.coords))
 
 
+class TestLineWeight:
+    """w(L) = min_i d_i scales the bottleneck on L in matching_distance.
+
+    A free module and its translate by (1, ..., 1) are 1-interleaved, and
+    the weighted bottleneck on every line is exactly 1.
+    """
+
+    @staticmethod
+    def weighted(L):
+        corner = [0] * L.n
+        P, Q = free([Grade(corner)]), free([Grade([1] * L.n)])
+        return matching_distance(P, Q, sample=LineSample.of([L])).value
+
+    def test_slope_one(self):
+        assert self.weighted(LineSpec.through(g(0, 0), [1, 1])) == 1
+
+    def test_half_direction(self):
+        L = LineSpec([F(1, 2), 1], g(0, 0))
+        # the bars start at pushes 0 and t = 2 apart; the weight 1/t = 1/2
+        # brings the bottleneck down to 1
+        t = push(L, g(1, 1))
+        assert t == 2
+        assert self.weighted(L) == F(1, 2) * t == 1
+
+    def test_diagonal_3d(self):
+        assert self.weighted(LineSpec([1, 1, 1], g(0, 0, 0))) == 1
+
     def test_rejects_nonpositive_direction(self):
         with pytest.raises(ValueError):
             LineSpec([1, 0], g(0, 0))
@@ -157,6 +185,42 @@ class TestMerge:
                     assert snap_coordinates(grid.axes, delta, coords, variant) == want, (grid, delta, p, variant)
                     assert merge(grid, delta, p, variant) == Grade(want)
 
+
+
+class TestUnmerge:
+    """The fiber of the merge map through a grade on Grid_G has a maximum:
+    the merged grade plus delta in each coordinate that snapped onto an
+    axis value."""
+
+    @staticmethod
+    def assert_fiber_max(grid, delta, p, u):
+        # u merges where p does, and raising any one coordinate leaves the fiber
+        assert merge(grid, delta, u) == merge(grid, delta, p)
+        tiny = F(1, 10**6)
+        for i in range(p.n):
+            up = u.plus([tiny if j == i else 0 for j in range(p.n)])
+            assert merge(grid, delta, up) != merge(grid, delta, p), (p, i)
+
+    def test_one_axis_coordinate(self):
+        self.assert_fiber_max(GridFunction([[0], [0]]), F(1, 4), g(0, 5), g(F(1, 4), 5))
+
+    def test_both_coordinates(self):
+        self.assert_fiber_max(GridFunction([[0], [0]]), F(1, 4), g(0, 0), g(F(1, 4), F(1, 4)))
+
+    def test_mixed_axes(self):
+        self.assert_fiber_max(GridFunction([[0, 1], [0]]), F(1, 4), g(1, F(1, 8)), g(F(5, 4), F(1, 4)))
+
+    def test_maximum_of_merge_fiber(self):
+        rng = random.Random(14)
+        grid = GridFunction([[0, 3, 6], [0, 3]])
+        delta = F(1, 2)
+        for p, u in ((g(3, 0), g(F(7, 2), F(1, 2))), (g(0, 3), g(F(1, 2), F(7, 2))),
+                     (g(6, F(7, 4)), g(F(13, 2), F(7, 4))), (g(3, 3), g(F(7, 2), F(7, 2)))):
+            self.assert_fiber_max(grid, delta, p, u)
+            for _ in range(200):
+                q = g(F(rng.randint(-8, 56), 8), F(rng.randint(-8, 32), 8))
+                if merge(grid, delta, q) == merge(grid, delta, p):
+                    assert q.leq(u)
 
 class TestControllingConstant:
     def test_enumeration_oracle(self):
