@@ -13,7 +13,6 @@ from .grades import (
     LineSpec,
     controlling_constant,
     grid_from_grades,
-    push,
     rat,
     rat_str,
 )
@@ -31,7 +30,7 @@ from .presentation import (
     shift,
     staircase_interval,
 )
-from .fibered import Barcode, barcode, restrict, simplify_barcode
+from .fibered import Barcode, LineSample, barcode, restrict, simplify_barcode
 from .functors import (
     GridAlignResult,
     InterleavingWitness,
@@ -50,7 +49,6 @@ from .functors import (
 )
 from .metrics import (
     DistanceReport,
-    LineSample,
     LocalEquivalenceReport,
     VerifyReport,
     bottleneck,

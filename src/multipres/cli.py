@@ -180,11 +180,14 @@ def _cmd_restrict(args) -> int:
 
 def _cmd_barcode(args) -> int:
     P = _load_fpres(args.module)
-    if P.n != 1:
-        if not args.direction:
-            raise InputError("multiparameter module: pass --direction (and --base/--through) to restrict first")
-        line = _parse_line(args, P.n)
-        P = restrict(P, line)
+    if P.n == 1:
+        given = [f"--{name}" for name in ("direction", "base", "through") if getattr(args, name)]
+        if given:
+            args.usage_error(f"a 1-parameter module takes no {', '.join(given)}")
+    elif not args.direction:
+        raise InputError("multiparameter module: pass --direction (and --base/--through) to restrict first")
+    else:
+        P = restrict(P, _parse_line(args, P.n))
     B = barcode(P)
     if args.simplify is not None:
         B = simplify_barcode(B, _rational(args.simplify))
@@ -371,6 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
     point.add_argument("--base")
     point.add_argument("--through")
     p.add_argument("--simplify", help="apply barcode simplification at this eps")
+    p.set_defaults(usage_error=p.error)
 
     p = sub.add_parser("match-dist", help="sampled matching distance")
     p.add_argument("module")

@@ -1,24 +1,24 @@
 """Restriction to positively sloped lines and 1-parameter barcodes.
 
-Restricting a presentation to a line regrades every generator and relation
-by its push parameter; the columns are untouched and stay homogeneous
-because the push is order-preserving.  Barcodes then come out of the usual
-left-to-right column reduction over F_p: a pivot pairs a relation with the
-generator it kills, unpaired generators live forever, zero-length bars are
-dropped.  Bars are half-open [b, d) multisets, listed in birth order.
+Restricting a module to a line regrades every generator and relation by its
+push parameter, the parameter of the least point of the line above it; the
+columns are untouched and stay homogeneous because the push is
+order-preserving.  Barcodes then come out of the usual left-to-right column
+reduction over F_p: a pivot pairs a relation with the generator it kills,
+unpaired generators live forever, zero-length bars are dropped.  Bars are
+half-open [b, d) multisets, listed in birth order.
 
-restrict and barcode work in two number systems.  On a Presentation and a
-LineSpec they build a 1-parameter Presentation with Fraction grades and its
-Barcode.  The matching-distance line loop, which evaluates every line the
-library compares modules on, uses the integer form: IntegerLine puts a line
-into integer units for grades scaled by a common S, so restricting a
-ScaledModule gives a Fiber whose pushes are Python ints in the same order,
-and barcode pairs them into bars in those units.  integer_lines builds the
-IntegerLines of the lines of one direction, which share their slopes; the
-ScaledModule keeps its grades times the last slopes it was restricted
-along, so a loop over the lines grouped by direction multiplies the grades
-once per direction and subtracts one offset per line.  Both forms share one
-pairing routine, pair_bars.
+There is one restriction and one pairing, both on integers.  A LineGroup
+holds lines of one direction with one denominator and integer base offsets,
+and LineSample.of is the one conversion of LineSpecs into groups.
+IntegerLine puts a line into integer units for grades scaled by a common S,
+so restricting a ScaledModule gives a Fiber of integer pushes in the same
+order, which pair_bars pairs into bars in those units.  The lines of a
+group share their slopes, and a ScaledModule keeps its grades times the
+last slopes, so a loop over a group multiplies the grades once.  A
+Presentation and a LineSpec go the same way at the presentation's own
+scale: restrict stores the pushes T over the unit L, and barcode divides
+the bars of those integer grades by the scale.
 """
 
 from __future__ import annotations
@@ -27,11 +27,11 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 from . import kernels
-from .grades import Grade, LineSpec, push, rat, rat_str
-from .presentation import Generator, Presentation, Relation, ScaledModule
+from .grades import Grade, LineSpec, rat, rat_str
+from .presentation import Presentation, ScaledModule, common_scale, scale_grade
 
 INF = math.inf
 
@@ -68,6 +68,57 @@ class Barcode:
 
     def __str__(self) -> str:
         return "; ".join(f"[{rat_str(b)}, {rat_str(d)})x{m}" for b, d, m in self.bars) or "(empty)"
+
+
+class LineGroup(NamedTuple):
+    """Lines of one direction, through the base points (k, 0) / denominator.
+
+    bases holds the integer vectors k of the first n - 1 base coordinates,
+    in the order the lines are evaluated, repeats included.
+    """
+
+    direction: tuple[Fraction, ...]
+    denominator: int
+    bases: tuple[tuple[int, ...], ...]
+
+    def line(self, k: tuple[int, ...]) -> LineSpec:
+        return LineSpec(self.direction, Grade([Fraction(c, self.denominator) for c in k] + [0]))
+
+
+@dataclass(frozen=True)
+class LineSample:
+    """Lines grouped by direction with integer bases: a sample or a
+    refinement.
+
+    The matching distance's line loop reads the groups: each group's lines
+    share the slopes of their IntegerLines, so restrict multiplies the
+    grades once per group.  LineSpecs are built only on demand, by
+    LineGroup.line.
+    """
+
+    groups: tuple[LineGroup, ...]
+
+    def __post_init__(self):
+        if not any(group.bases for group in self.groups):
+            raise ValueError("line sample is empty")
+
+    @classmethod
+    def of(cls, lines: Iterable[LineSpec]) -> "LineSample":
+        """The given lines in their order; each run of one direction is one group."""
+        runs: list[tuple[tuple, list[Grade]]] = []
+        for line in lines:
+            if runs and runs[-1][0] == line.direction:
+                runs[-1][1].append(line.base)
+            else:
+                runs.append((line.direction, [line.base]))
+        groups = []
+        for direction, bases in runs:
+            den = common_scale(c for b in bases for c in b.coords)
+            groups.append(LineGroup(direction, den, tuple(scale_grade(b, den)[:-1] for b in bases)))
+        return cls(tuple(groups))
+
+    def __len__(self) -> int:
+        return sum(len(group.bases) for group in self.groups)
 
 
 class IntegerLine(NamedTuple):
@@ -125,26 +176,29 @@ class Fiber(NamedTuple):
 def restrict(P: Presentation | ScaledModule, line: LineSpec | IntegerLine):
     """1-parameter restriction of the module along the line.
 
-    For a Presentation and a LineSpec: a 1-parameter Presentation, with
-    generators and relations at their push parameters and the columns
-    unchanged.  Bar endpoints are reported in the line's own parameter, with
-    t = 0 at the base point on {x_n = 0}.  For a ScaledModule and the
-    IntegerLine of its scale: the Fiber holding the same restriction in the
-    line's integer parameters T = L push.  The grades times the line's
-    slopes come from the ScaledModule's cache for the last slopes (see
-    ScaledModule.along), so a line of the same direction as the one before
-    costs one subtraction and one max per grade.
+    For a ScaledModule and the IntegerLine of its scale: the Fiber holding
+    the restriction in the line's integer parameters T = L push.  The grades
+    times the line's slopes come from the ScaledModule's cache for the last
+    slopes (see ScaledModule.along), so a line of the same direction as the
+    one before costs one subtraction and one max per grade.  For a
+    Presentation and a LineSpec: the same restriction of the presentation's
+    own ScaledModule, along the line's IntegerLine at its scale, as a
+    1-parameter Presentation with the grades T over the unit L and the
+    columns unchanged.  Bar endpoints are then in the line's own parameter,
+    with t = 0 at the base point on {x_n = 0}.
     """
-    if isinstance(line, IntegerLine):
-        if len(line.slopes) != P.n:
-            raise ValueError(f"line dimension {len(line.slopes)} != module dimension {P.n}")
-        gens, rels, cols = P.along(line.slopes)
-        return Fiber(_params(gens, line.offsets), _params(rels, line.offsets), cols, P.p)
-    if line.n != P.n:
-        raise ValueError(f"line dimension {line.n} != module dimension {P.n}")
-    gens = tuple(Generator(g.label, Grade([push(line, g.grade)])) for g in P.gens)
-    rels = tuple(Relation(Grade([push(line, r.grade)]), r.col) for r in P.rels)
-    return Presentation(1, P.p, gens, rels)
+    M, units = P, line
+    if isinstance(line, LineSpec):
+        (group,) = LineSample.of((line,)).groups
+        M, units = P._scaled, next(integer_lines(group.direction, group.denominator, group.bases, P.scale))
+    if len(units.slopes) != M.n:
+        raise ValueError(f"line dimension {len(units.slopes)} != module dimension {M.n}")
+    gens, rels, cols = M.along(units.slopes)
+    gen_params, rel_params = _params(gens, units.offsets), _params(rels, units.offsets)
+    if M is P:
+        return Fiber(gen_params, rel_params, cols, M.p)
+    return Presentation.trusted(1, P.p, units.unit, P.labels, [(t,) for t in gen_params],
+                                [(t,) for t in rel_params], P.cols)
 
 
 def barcode(Q: Presentation | Fiber):
@@ -154,27 +208,28 @@ def barcode(Q: Presentation | Fiber):
     generators come first at ties, so a relation at a generator's own
     parameter kills it into a zero-length bar, which is dropped.  The bar
     multiset does not depend on the tie-breaking.  A Fiber gives the list of
-    its bars (birth, death) in birth order, in its integer units, death INF when unpaired.
+    its bars (birth, death) in birth order, in its integer units, death INF
+    when unpaired; a Presentation the Barcode of its integer grades' bars
+    divided by its scale.
     """
     if isinstance(Q, Fiber):
         return pair_bars(*Q)
     if Q.n != 1:
         raise ValueError("barcode extraction needs a 1-parameter presentation")
-    return Barcode(pair_bars([g.grade.coords[0] for g in Q.gens],
-                             [r.grade.coords[0] for r in Q.rels],
-                             [r.as_dict() for r in Q.rels], Q.p))
+    bars = pair_bars([a for a, in Q.scaled_gens], [a for a, in Q.scaled_rels], list(map(dict, Q.cols)), Q.p)
+    return Barcode([(Fraction(b, Q.scale), d if d == INF else Fraction(d, Q.scale)) for b, d in bars])
 
 
-def pair_bars(gen_params, rel_params, cols, p: int) -> list[tuple]:
+def pair_bars(gen_params: list[int], rel_params: list[int], cols, p: int) -> list[tuple]:
     """Bars [birth, death) of a 1-parameter presentation in birth order, death INF if unpaired.
 
-    The parameters may be Fractions or the integers of one IntegerLine; the
-    columns are {generator index: coefficient} dicts.  Rows and columns are
-    ordered by (parameter, input index): the columns go to the kernel as
-    they are, in relation order, with the row of each generator, and the
-    kernel relabels each column once as it reads it.  A pivot sets the death
-    of the row it kills, and the rows' (birth, death) less the zero-length
-    bars are the bars, ties in generator order.
+    The parameters are integers in one unit; the columns are {generator
+    index: coefficient} dicts.  Rows and columns are ordered by (parameter,
+    input index): the columns go to the kernel as they are, in relation
+    order, with the row of each generator, and the kernel relabels each
+    column once as it reads it.  A pivot sets the death of the row it kills,
+    and the rows' (birth, death) less the zero-length bars are the bars,
+    ties in generator order.
     """
     gen_order = sorted(range(len(gen_params)), key=gen_params.__getitem__)
     row_of = sorted(range(len(gen_order)), key=gen_order.__getitem__)

@@ -250,16 +250,10 @@ def translate_image(P: Presentation, eps) -> Presentation:
     Generators move up by eps diagonally; the relations generate, grade by
     grade, exactly the kernel of the induced surjection, which contains each
     original column at gr(r) v (support + eps) plus any combinations that
-    eliminate late generators.
+    eliminate late generators: the raw simplified presentation moved up by eps.
     """
-    e = rat(eps)
-    if e < 0:
-        raise PresentationError("eps must be nonnegative")
-    if e == 0:
-        return P
-    M, e_s, rels = _image_relations(P, e)
-    return Presentation.trusted(P.n, P.p, M.scale, P.labels, [tuple(v + e_s for v in a) for a in M.gens],
-                                [s for s, _ in rels], [make_column(col, P.p) for _, col in rels])
+    out, _ = simplify_with_witness(P, eps)
+    return shift(out, rat(eps))
 
 
 def simplify(P: Presentation, eps, minimized: bool = True) -> Presentation:

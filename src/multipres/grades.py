@@ -2,9 +2,10 @@
 
 Grades are points of R^n with exact rational coordinates under the
 coordinate-wise partial order.  This module owns the primitive geometry the
-rest of the package is built on: joins, positively sloped lines and the
-push projection onto them, grid functions with their controlling
-constants, and the merge map that snaps coordinates onto a grid.
+rest of the package is built on: joins, positively sloped lines, grid
+functions with their controlling constants, and the merge map that snaps
+coordinates onto a grid.  The push onto a line is computed in integer
+units, by fibered.restrict.
 
 Everything here is an immutable value and every operation is a pure
 function; rationals stay exact end to end (fractions.Fraction), so the
@@ -284,17 +285,6 @@ class LineSpec:
         d = ",".join(rat_str(c) for c in self.direction)
         b = ",".join(rat_str(c) for c in self.base.coords)
         return f"line dir=({d}) base=({b})"
-
-
-def push(line: LineSpec, p: Grade) -> Fraction:
-    """Line parameter of the smallest point of L that dominates p.
-
-    t = max_i (p_i - base_i) / d_i; monotone in p, and L(t) agrees with p in
-    at least one coordinate (the arg max).
-    """
-    if p.n != line.n:
-        raise DimensionMismatch(f"grade dim {p.n} != line dim {line.n}")
-    return max((pc - bc) / dc for pc, bc, dc in zip(p.coords, line.base.coords, line.direction))
 
 
 _MERGE_VARIANTS = ("two_sided", "plus", "minus")

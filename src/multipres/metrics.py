@@ -15,19 +15,19 @@ both modules, which witness diagonal translates exactly.  Each module is
 minimized once (Presentation.minimal): sample_lines reads its Betti data
 from that minimal form, and matching_distance scales the minimal forms'
 grades to integers once.  Lines are held in integer units, grouped by
-direction: each group has one denominator and a list of integer base
-offsets (LineSample, LineGroup), and a LineSpec is built only on demand.
-Every line is evaluated by one loop, _best_line: the sampled lines and the
-lines each adaptive round refines around the argmax, each as a LineSample.
-The weighted bottleneck on a line is an invariant of the modules, so the
-loop restricts the minimal presentations and runs on Python ints in the
-line's own units (fibered.IntegerLine, with restrict and barcode in their
-integer form), from the pushes through the bar pairing to the bottleneck
-value; the lines of a group share their slopes, so each module multiplies
-its grades once per direction.  A line is first probed at the floor of best * 2L / w(L): if
-the bottleneck is feasible there, the line cannot raise the maximum and is
-skipped.  Only the reported value becomes a Fraction again, and only the
-argmax a LineSpec.
+direction (fibered.LineSample and LineGroup), and a LineSpec is built only
+for the reported argmax.  Every line is evaluated by one loop, _best_line:
+the sampled lines, and the lines each adaptive round refines around the
+argmax, which _refine_near builds as integer groups from the integer
+anchors.  The weighted bottleneck on a line is an invariant of the modules,
+so the loop restricts the minimal presentations with fibered.restrict, the
+package's one restriction, and runs on Python ints in the line's own units
+(fibered.IntegerLine), from the pushes through the bar pairing to the
+bottleneck value; the lines of a group share their slopes, so each module
+multiplies its grades once per direction.  A line is first probed at the
+floor of best * 2L / w(L): if the bottleneck is feasible there, the line
+cannot raise the maximum and is skipped.  Only the reported value becomes a
+Fraction again.
 """
 
 from __future__ import annotations
@@ -38,11 +38,11 @@ import random
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
-from .fibered import Barcode, barcode, integer_lines, restrict
+from .fibered import Barcode, LineGroup, LineSample, barcode, integer_lines, restrict
 from .functors import InterleavingWitness, apply_rows, by_source
-from .grades import Grade, LineSpec, rat, rat_dec, rat_str, unscaled
+from .grades import Grade, LineSpec, rat, rat_dec, rat_str
 from .presentation import (
     Presentation,
     PresentationError,
@@ -110,22 +110,29 @@ def saturates(rows, size: int, must) -> list[int] | None:
 def cover_within(side, must, other, h: int) -> bool:
     """Can the points u in must go to distinct points of other within h in
     both coordinates?  Points are (births, deaths) lists, other's sorted by
-    birth.  A greedy pass settles most probes; saturates gets the rest.
+    birth.  A greedy pass, whose scans skip the prefix of taken points,
+    settles most probes; saturates gets the rest, unless a row is empty.
     """
     births, deaths = side
     others, other_deaths = other
-    taken = [False] * len(others)
+    taken = [False] * (len(others) + 1)  # the last entry is never taken and ends the prefix
+    first = 0
     for u in must:
         b, d = births[u], deaths[u]
-        for v in range(bisect_left(others, b - h), bisect_right(others, b + h)):
+        while taken[first]:
+            first += 1
+        for v in range(bisect_left(others, b - h, first), bisect_right(others, b + h)):
             if not taken[v] and d - h <= other_deaths[v] <= d + h:
                 taken[v] = True
                 break
         else:
-            rows = {w: [v for v in range(bisect_left(others, births[w] - h),
-                                         bisect_right(others, births[w] + h))
-                        if deaths[w] - h <= other_deaths[v] <= deaths[w] + h] for w in must}
-            return all(rows.values()) and saturates(rows, len(others), must) is not None
+            rows = {}
+            for w in must:
+                rows[w] = [v for v in range(bisect_left(others, births[w] - h), bisect_right(others, births[w] + h))
+                           if deaths[w] - h <= other_deaths[v] <= deaths[w] + h]
+                if not rows[w]:
+                    return False
+            return saturates(rows, len(others), must) is not None
     return True
 
 
@@ -220,59 +227,6 @@ def bottleneck_at_most(B1: Barcode, B2: Barcode, c) -> bool:
 
 
 # -- line sampling ----------------------------------------------------------------
-
-
-class LineGroup(NamedTuple):
-    """Lines of one direction, through the base points (k, 0) / denominator.
-
-    bases holds the integer vectors k of the first n - 1 base coordinates.
-    sample_lines sorts them, so its lines are in the order of their
-    rational bases; LineSample.of keeps the caller's order, which the
-    adaptive rounds rely on to report the first line that attains the
-    maximum.
-    """
-
-    direction: tuple[Fraction, ...]
-    denominator: int
-    bases: tuple[tuple[int, ...], ...]
-
-    def line(self, k: tuple[int, ...]) -> LineSpec:
-        return LineSpec(self.direction, Grade([Fraction(c, self.denominator) for c in k] + [0]))
-
-
-@dataclass(frozen=True)
-class LineSample:
-    """Lines grouped by direction with integer bases: a sample or a
-    refinement.
-
-    The line loop (_best_line) reads the groups: each group's lines share
-    the slopes of their IntegerLines, so restrict multiplies the grades once
-    per group.  LineSpecs are built only on demand, by LineGroup.line.
-    """
-
-    groups: tuple[LineGroup, ...]
-
-    def __post_init__(self):
-        if not any(group.bases for group in self.groups):
-            raise ValueError("line sample is empty")
-
-    @classmethod
-    def of(cls, lines: Iterable[LineSpec]) -> "LineSample":
-        """The given lines in their order; each run of one direction is one group."""
-        runs: list[tuple[tuple, list[Grade]]] = []
-        for line in lines:
-            if runs and runs[-1][0] == line.direction:
-                runs[-1][1].append(line.base)
-            else:
-                runs.append((line.direction, [line.base]))
-        groups = []
-        for direction, bases in runs:
-            den = common_scale(c for b in bases for c in b.coords)
-            groups.append(LineGroup(direction, den, tuple(scale_grade(b, den)[:-1] for b in bases)))
-        return cls(tuple(groups))
-
-    def __len__(self) -> int:
-        return sum(len(group.bases) for group in self.groups)
 
 
 def _mediant_slopes(count: int) -> list[Fraction]:
@@ -392,7 +346,8 @@ class DistanceReport:
 
 def _best_line(views: Sequence[ScaledModule], sample: LineSample, best):
     """The maximum of best and w(L) * d_B over the sample's lines, with the
-    first line that attains it, or None when no line beats best.
+    first line that attains it as (group, base), or None when no line beats
+    best.
 
     This is the one place lines are evaluated.  views are two modules'
     minimal forms scaled by one S, and each line is evaluated as an
@@ -401,10 +356,9 @@ def _best_line(views: Sequence[ScaledModule], sample: LineSample, best):
     floor(best * 2L / w(L)) in doubled units: if it is feasible there, the
     line cannot beat best and is skipped.  A group shares L and w, so the
     floor is computed once per group and is c after a line beats best with
-    c; the loop stops at INF.  Only the returned value is a Fraction, and
-    only the argmax a LineSpec.
+    c; the loop stops at INF.  Only the returned value is a Fraction.
     """
-    top = None  # (group, base) of the argmax
+    top = None
     if best == INF:
         return best, None
     for group in sample.groups:
@@ -419,25 +373,30 @@ def _best_line(views: Sequence[ScaledModule], sample: LineSample, best):
                 floor = bars.least_above(floor)
                 top = group, k
                 if floor == INF:
-                    return INF, group.line(k)
+                    return INF, top
                 best = w * Fraction(floor, 2 * units.unit)
-    return best, None if top is None else top[0].line(top[1])
+    return best, top
 
 
-def _refine_near(line: LineSpec, pts: list[Grade]) -> list[LineSpec]:
-    """Halved local slope/offset grid around a 2-d argmax line."""
-    if line.n != 2:
+def _refine_near(group: LineGroup, k: tuple[int, ...], anchors, scale: int) -> list[LineGroup]:
+    """Halved local slope/offset grid around the 2-d line (group, k).
+
+    One group per slope 3/4, 7/8, 9/8 and 5/4 times the line's, of the lines
+    through every anchor in order, then the line's own group moved by -1/2,
+    -1/4, 1/4 and 1/2 along the first axis.  The anchors are integer points
+    at scale S, so a line of slope a/b through one has the base offset
+    X a - Y b in units of 1/(S a), as in sample_lines.
+    """
+    if len(group.direction) != 2:
         return []
-    dx, dy = line.direction
-    m = dy / dx
+    dx, dy = group.direction
     out = []
     for factor in (Fraction(3, 4), Fraction(7, 8), Fraction(9, 8), Fraction(5, 4)):
-        d = _direction_for_slope(m * factor)
-        for p in pts:
-            out.append(LineSpec.through(p, d))
-    base = line.base.coords[0]
-    for shift in (Fraction(-1, 2), Fraction(-1, 4), Fraction(1, 4), Fraction(1, 2)):
-        out.append(LineSpec(line.direction, Grade([base + shift, 0])))
+        m = dy / dx * factor
+        a, b = m.numerator, m.denominator
+        out.append(LineGroup(_direction_for_slope(m), scale * a, tuple((x * a - y * b,) for x, y in anchors)))
+    den = group.denominator
+    out.append(LineGroup(group.direction, 4 * den, tuple((4 * k[0] + s * den,) for s in (-2, -1, 1, 2))))
     return out
 
 
@@ -459,18 +418,18 @@ def matching_distance(P: Presentation, Q: Presentation, sample: LineSample | Non
         sample = sample_lines(P, Q, slopes=slopes)
     scale = math.lcm(P.minimal.scale, Q.minimal.scale)
     views = (ScaledModule(P.minimal, scale), ScaledModule(Q.minimal, scale))
-    best, arg = _best_line(views, sample, Fraction(0))
-    if adaptive_rounds and arg is not None:
-        pts = unscaled(_anchor_points((P.minimal, Q.minimal), scale, 0), scale)
+    best, top = _best_line(views, sample, Fraction(0))
+    if adaptive_rounds and top is not None:
+        anchors = _anchor_points((P.minimal, Q.minimal), scale, 0)
         for _ in range(adaptive_rounds):
-            refined = _refine_near(arg, pts)
+            refined = _refine_near(*top, anchors, scale)
             if not refined:
                 break
-            best, line = _best_line(views, LineSample.of(refined), best)
+            best, line = _best_line(views, LineSample(tuple(refined)), best)
             if line is None:
                 break
-            arg = line
-    return DistanceReport(best, arg, "lower_bound")
+            top = line
+    return DistanceReport(best, None if top is None else top[0].line(top[1]), "lower_bound")
 
 
 # -- witness verification -----------------------------------------------------------

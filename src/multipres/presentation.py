@@ -105,9 +105,6 @@ class Relation:
     grade: Grade
     col: tuple[tuple[int, int], ...]  # (generator index, nonzero coefficient mod p), indices increasing
 
-    def as_dict(self) -> dict[int, int]:
-        return dict(self.col)
-
 
 def make_column(entries: dict[int, int] | Iterable[tuple[int, int]], p: int) -> tuple[tuple[int, int], ...]:
     """Canonicalize a column: reduce mod p, drop zeros, sort by index."""

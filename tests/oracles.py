@@ -10,7 +10,10 @@ lives here too, beside the dense reference it is checked against: no
 command of the package builds that witness.  interval_rank_by_units and
 rank_violation_by_ranks are the plain routes of the rank lower bound's
 probes: the lower-fence walk over unit vectors, and every point probe's
-rank computed.
+rank computed.  The Fraction restriction is the plain route of the
+integer line loop: push puts each grade on the line in Fractions,
+barcode_by_push pairs those parameters with fibered.pair_bars, and
+refine_near_by_fractions builds the adaptive rounds' lines as LineSpecs.
 
 The last section holds the builders that tests use as tools and no command
 of the package runs: random sums of staircases, the zero module, the joint
@@ -29,8 +32,9 @@ from fractions import Fraction
 
 from multipres.blocks import extend_block
 from multipres.experiments import random_staircase
+from multipres.fibered import Barcode, pair_bars
 from multipres.functors import JointPresentation
-from multipres.grades import Grade, LineSpec, rat
+from multipres.grades import DimensionMismatch, Grade, LineSpec, rat
 from multipres.presentation import Generator, Presentation, Relation, betti_and_grid, direct_sum, make_column
 
 INF = math.inf
@@ -568,7 +572,7 @@ def minimize_by_scan(P):
 
     scale = common_scale(c for g in betti_grades(P) for c in g.coords)
     gens = [(g, scale_grade(g.grade, scale)) for g in P.gens]
-    rels = [(r.grade, scale_grade(r.grade, scale), r.as_dict()) for r in P.rels]
+    rels = [(r.grade, scale_grade(r.grade, scale), dict(r.col)) for r in P.rels]
     while True:
         rels = reduction_pass(rels)
         hit = find_cancellation(gens, rels)
@@ -600,6 +604,52 @@ def _direction_for_slope(m: Fraction) -> tuple[Fraction, Fraction]:
     if m >= 1:
         return (Fraction(1) / m, Fraction(1))
     return (Fraction(1), m)
+
+
+def push(line: LineSpec, p: Grade) -> Fraction:
+    """Line parameter of the smallest point of L that dominates p.
+
+    t = max_i (p_i - base_i) / d_i; monotone in p, and L(t) agrees with p in
+    at least one coordinate (the arg max).
+    """
+    if p.n != line.n:
+        raise DimensionMismatch(f"grade dim {p.n} != line dim {line.n}")
+    return max((pc - bc) / dc for pc, bc, dc in zip(p.coords, line.base.coords, line.direction))
+
+
+def restrict_by_push(P, line: LineSpec) -> Presentation:
+    """The 1-parameter restriction of P along the line, each grade pushed in Fractions."""
+    if line.n != P.n:
+        raise ValueError(f"line dimension {line.n} != module dimension {P.n}")
+    gens = tuple(Generator(g.label, Grade([push(line, g.grade)])) for g in P.gens)
+    rels = tuple(Relation(Grade([push(line, r.grade)]), r.col) for r in P.rels)
+    return Presentation(1, P.p, gens, rels)
+
+
+def barcode_by_push(P, line: LineSpec) -> Barcode:
+    """The barcode of P on the line: pair_bars on the Fraction pushes of its grades."""
+    Q = restrict_by_push(P, line)
+    return Barcode(pair_bars([g.grade.coords[0] for g in Q.gens], [r.grade.coords[0] for r in Q.rels],
+                             [dict(r.col) for r in Q.rels], Q.p))
+
+
+def refine_near_by_fractions(line: LineSpec, pts: list[Grade]) -> list[LineSpec]:
+    """The adaptive refinement around a 2-d line as LineSpecs: the lines
+    through every point at 3/4, 7/8, 9/8 and 5/4 of its slope, then the
+    line moved by -1/2, -1/4, 1/4 and 1/2 along the first axis."""
+    if line.n != 2:
+        return []
+    dx, dy = line.direction
+    m = dy / dx
+    out = []
+    for factor in (Fraction(3, 4), Fraction(7, 8), Fraction(9, 8), Fraction(5, 4)):
+        d = _direction_for_slope(m * factor)
+        for p in pts:
+            out.append(LineSpec.through(p, d))
+    base = line.base.coords[0]
+    for shift in (Fraction(-1, 2), Fraction(-1, 4), Fraction(1, 4), Fraction(1, 2)):
+        out.append(LineSpec(line.direction, Grade([base + shift, 0])))
+    return out
 
 
 def _betti_points(data) -> list[Grade]:

@@ -1,8 +1,10 @@
-"""Seeded mutations of witness and barcode files, run through the CLI.
+"""Seeded mutations of witness, barcode, joint and blocks files, run through the CLI.
 
-Every mutant goes to `verify` as the witness file and to `bottleneck` as
-the first barcode file.  Each run exits 0, or 2 for a rejected witness, or
-1 with a message that names a line of the file; none raises.
+Every witness or barcode mutant goes to `verify` as the witness file and to
+`bottleneck` as the first barcode file; every joint mutant to `interpolate
+--t 1/2`, and every blocks mutant to `blocks extend` and to `blocks dist` as
+the first file.  Each run exits 0, or 2 for a rejected witness, or 1 with a
+message that names a line of the file; none raises.
 """
 
 import random
@@ -15,8 +17,10 @@ from multipres import fio
 from multipres.cli import main
 from multipres.experiments import incompleteness_pair, jitter_module, random_staircase
 from multipres.fibered import barcode, restrict
-from multipres.grades import Grade, LineSpec
+from multipres.grades import Grade, LineSpec, rat_str
 from multipres.presentation import direct_sum
+
+from oracles import translate_joint
 
 FIXTURES = Path(__file__).resolve().parent.parent / "src" / "multipres" / "fixtures"
 # tokens a mutation inserts or substitutes: malformed ones, and valid ones
@@ -79,6 +83,31 @@ def cases(tmp_path_factory):
     return root, witnesses, bars
 
 
+def joint_text(J) -> str:
+    """The joint file of a JointPresentation: its epsilon, then one fpres block per module."""
+    out = [f"epsilon {rat_str(J.epsilon)}"]
+    for gens, rels in ((J.x_m, J.r_m), (J.x_n, J.r_n)):
+        out += ["fpres 1", f"field {J.p}", f"params {J.n}", f"generators {len(gens)}"]
+        out += [f"g {x.label} {x.grade}" for x in gens] + [f"relations {len(rels)}"]
+        out += [f"r {r.grade} ; " + " ".join(f"{c}:{i}" for i, c in r.col) for r in rels]
+    return "\n".join(out) + "\n"
+
+
+def check_run(argv, mutant, capsys, codes) -> None:
+    """main(argv) exits 0 with output, or 2 from verify, or 1 naming a line of the mutant."""
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert code in (0, 1, 2), (argv[0], mutant, code)
+    if code == 1:
+        m = LINE_PATTERN.search(err)
+        assert not out and m is not None, (argv[0], mutant, err)
+        assert 1 <= int(m[1]) <= max(1, len(mutant.splitlines())), (argv[0], mutant, err)
+    else:
+        assert out and not err, (argv[0], mutant, err)
+    assert code != 2 or argv[0] == "verify", (mutant, out)
+    codes[code] += 1
+
+
 @pytest.mark.parametrize("seed", [0, 1])
 def test_mutants_exit_cleanly_or_fail_at_a_line(cases, capsys, seed):
     root, witnesses, bars = cases
@@ -91,15 +120,24 @@ def test_mutants_exit_cleanly_or_fail_at_a_line(cases, capsys, seed):
         mutant = mutate(rng, source.splitlines())
         Path(path).write_text(mutant)
         for argv in (["verify", P, Q, path], ["bottleneck", path, str(root / "other.bars")]):
-            code = main(argv)
-            out, err = capsys.readouterr()
-            assert code in (0, 1, 2), (argv[0], mutant, code)
-            if code == 1:
-                m = LINE_PATTERN.search(err)
-                assert not out and m is not None, (argv[0], mutant, err)
-                assert 1 <= int(m[1]) <= max(1, len(mutant.splitlines())), (argv[0], mutant, err)
-            else:
-                assert out and not err, (argv[0], mutant, err)
-            assert code != 2 or argv[0] == "verify", (mutant, out)
-            codes[code] += 1
+            check_run(argv, mutant, capsys, codes)
     assert min(codes.values()) >= 5, codes
+
+
+def test_joint_and_blocks_mutants_exit_cleanly_or_fail_at_a_line(tmp_path, capsys):
+    rng = random.Random(3200)
+    joints = [joint_text(translate_joint(direct_sum(random_staircase(rng, p=p), random_staircase(rng, p=p)), eps))
+              for p, eps in ((2, "1/2"), (3, "2"))]
+    blocks = ["blocks 1\nblk oo 0 2\nblk cc 1 1\nblk co 1/2 5/2\nblk oc -1 3/4\n"]
+    other = tmp_path / "other.blocks"
+    other.write_text("blocks 1\nblk oo 1/2 2\nblk cc 1 3/2\n")
+    path = str(tmp_path / "mutant.txt")
+    codes = {0: 0, 1: 0, 2: 0}
+    for k in range(800):
+        source, runs = ((rng.choice(joints), [["interpolate", path, "--t", "1/2"]]) if k % 2 else
+                        (blocks[0], [["blocks", "extend", path], ["blocks", "dist", path, str(other)]]))
+        mutant = mutate(rng, source.splitlines())
+        Path(path).write_text(mutant)
+        for argv in runs:
+            check_run(argv, mutant, capsys, codes)
+    assert codes[0] >= 20 and codes[1] >= 500, codes

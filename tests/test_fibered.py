@@ -14,6 +14,7 @@ from multipres import (
     free,
     minimize,
     restrict,
+    shift,
     simplify,
     simplify_barcode,
     staircase_interval,
@@ -22,7 +23,8 @@ from multipres.experiments import incompleteness_pair
 from multipres.fibered import pair_bars
 from multipres.presentation import Generator, Presentation, Relation
 
-from oracles import barcode_by_rank_counts, dim_at, point_at, random_module
+from oracles import barcode_by_push, barcode_by_rank_counts, dim_at, point_at, push, random_module
+from oracles import restrict_by_push
 
 INF = math.inf
 
@@ -73,6 +75,23 @@ class TestRestrict:
         with pytest.raises(ValueError):
             restrict(free([g(0, 0)]), LineSpec.through(g(0, 0, 0), [1, 1, 1]))
 
+    def test_against_push_oracle(self):
+        # the integer restriction of a Presentation equals the grade-by-grade
+        # Fraction push, field for field, and so does its barcode
+        rng = random.Random(37)
+        for trial in range(60):
+            p = (2, 3, 5)[trial % 3]
+            P = random_module(rng, p=p, summands=3)
+            if trial % 4 == 0:
+                P = shift(P, F(rng.randint(-9, 9), rng.randint(1, 7)))
+            point = g(*(F(rng.randint(-40, 40), rng.randint(1, 9)) for _ in range(2)))
+            line = LineSpec.through(point, [F(rng.randint(1, 30), rng.randint(1, 30)), 1])
+            assert restrict(P, line) == restrict_by_push(P, line), (trial, str(line))
+            assert barcode(restrict(P, line)) == barcode_by_push(P, line), (trial, str(line))
+        Q = one_param([F(1, 3), 2], [(F(7, 2), {0: 1})])
+        line = LineSpec([1], g(0))
+        assert restrict(Q, line) == restrict_by_push(Q, line) == Q
+
 
 class TestBarcode:
     def test_free_at_zero(self):
@@ -112,8 +131,7 @@ class TestBarcode:
                 rels.append((max(gens[i] for i in support) + rng.randint(0, 3),
                              {i: rng.randint(1, p - 1) for i in support}))
             Q = one_param(gens, rels, p)
-            bars = pair_bars([x.grade.coords[0] for x in Q.gens], [r.grade.coords[0] for r in Q.rels],
-                             [r.as_dict() for r in Q.rels], p)
+            bars = pair_bars([a for a, in Q.scaled_gens], [a for a, in Q.scaled_rels], list(map(dict, Q.cols)), p)
             assert [b for b, _ in bars] == sorted(b for b, _ in bars)
             assert Counter(bars) == barcode_by_rank_counts(Q)
 
@@ -180,8 +198,6 @@ class TestBarcodeProperties:
                 assert left == right
 
     def test_minimal_generators_open_bars(self):
-        from multipres.grades import push
-
         rng = random.Random(36)
         for _ in range(15):
             M = minimize(random_module(rng, summands=2))

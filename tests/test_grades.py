@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from multipres import LineSample, free, matching_distance
+from multipres import LineSample, free, matching_distance, restrict
 from multipres.grades import (
     DimensionMismatch,
     Grade,
@@ -12,12 +12,11 @@ from multipres.grades import (
     controlling_constant,
     grid_from_grades,
     merge_delta,
-    push,
     rat_str,
     snap_coordinates,
 )
 
-from oracles import grid_points, linf, merge_coordinate_by_scan, min_pairwise_linf, point_at, push_by_scan
+from oracles import grid_points, linf, merge_coordinate_by_scan, min_pairwise_linf, point_at, push, push_by_scan
 
 INF = float("inf")
 
@@ -42,6 +41,9 @@ class TestText:
 
 
 class TestPush:
+    """push is the Fraction push of tests/oracles.py, checked here against a
+    scan; the library's integer restriction is checked against it."""
+
     def test_slope_one_through_origin(self):
         L = LineSpec.through(g(0, 0), [1, 1])
         assert push(L, g(2, 0)) == 2
@@ -89,6 +91,15 @@ class TestPush:
             p = g(*[F(rng.randint(-16, 16), 4) for _ in range(n)])
             hit = point_at(L, push(L, p))
             assert any(a == b for a, b in zip(hit.coords, p.coords))
+
+    def test_restrict_pushes_every_grade(self):
+        rng = random.Random(13)
+        for _ in range(40):
+            n = rng.choice([1, 2, 3])
+            d = [F(rng.randint(1, 8), rng.randint(1, 8)) for _ in range(n)]
+            L = LineSpec.through(g(*[F(rng.randint(-8, 8), rng.randint(1, 6)) for _ in range(n)]), d)
+            points = [g(*[F(rng.randint(-16, 16), rng.randint(1, 9)) for _ in range(n)]) for _ in range(5)]
+            assert [x.grade for x in restrict(free(points), L).gens] == [Grade([push(L, a)]) for a in points]
 
 
 class TestLineWeight:

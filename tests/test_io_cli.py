@@ -4,6 +4,7 @@ import random
 import re
 import subprocess
 import sys
+import time
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -229,6 +230,7 @@ def files(tmp_path_factory):
     (root / "w_bad.txt").write_text(witness.replace("witness 1\n", "witness 1/2\n"))
     rect = RECT
     (root / "rect.fpres").write_text(fio.serialize_fpres(rect))
+    (root / "one.fpres").write_text("fpres 1\nfield 2\nparams 1\ngenerators 1\ng a 1/2\nrelations 1\nr 3 ; 1:0\n")
     (root / "rect_shift.fpres").write_text(
         fio.serialize_fpres(Presentation(
             2, 2,
@@ -278,6 +280,9 @@ class TestCli:
         ("match-dist", "N.fpres"),
         ("restrict", "rect.fpres", "--direction", "1 1", "--base", "0 0", "--through", "1 1"),
         ("barcode", "rect.fpres", "--direction", "1 1", "--through", "1 1", "--base", "0 0"),
+        # a 1-parameter module is its own restriction: line options would change nothing
+        ("barcode", "one.fpres", "--through", "3"),
+        ("barcode", "one.fpres", "--direction", "1", "--base", "0"),
         # one grid, from --grid or from --grid-of
         ("merge", "N.fpres", "--grid", "0 5; 0 5", "--grid-of", "N.fpres", "--delta", "2", "--raw"),
         ("grid-align", "rect.fpres", "--kap-eps", "1/128"),
@@ -358,22 +363,22 @@ class TestCli:
         assert run_cli(*args) == (code, out, err)
 
     def test_match_dist_adaptive_rounds_in_two_parameters(self, files, monkeypatch, capsys):
-        # a 2-parameter pair with an argmax line: each round samples the
-        # refinement around it through LineSample.of
+        # a 2-parameter pair with an argmax line: each round builds the
+        # refinement around it with _refine_near
         args = ["match-dist", str(files / "rect.fpres"), str(files / "rect_shift.fpres"), "--lines", "2"]
         samples = []
-        of = metrics.LineSample.of
+        refine = metrics._refine_near
 
-        def counting(lines):
-            samples.append(of(lines))
-            return samples[-1]
+        def counting(*args):
+            samples.append(metrics.LineSample(tuple(refine(*args))))
+            return samples[-1].groups
 
         def value():
             return F(re.search(r"^matching-distance (\S+) ", capsys.readouterr().out, re.M).group(1))
 
         assert main(args) == 0
         plain = value()
-        monkeypatch.setattr(metrics.LineSample, "of", staticmethod(counting))
+        monkeypatch.setattr(metrics, "_refine_near", counting)
         assert main([*args, "--adaptive", "2"]) == 0
         assert value() >= plain == F(1, 2)
         assert samples and all(len(s) for s in samples)
@@ -406,6 +411,7 @@ class TestCli:
         code, out, _ = run_cli("barcode", str(files / "rect.fpres"),
                                "--direction", "1 1", "--base", "0 0", "--simplify", "1")
         assert code == 0 and out.strip() == "bar 0 1 1"
+        assert run_cli("barcode", str(files / "one.fpres"), "--simplify", "1") == (0, "bar 1/2 2 1\n", "")
         code, out, err = run_cli("restrict", str(files / "rect.fpres"),
                                  "--direction", "1 1", "--through", "1 2 2")
         assert code == 1 and not out and "error:" in err and "Traceback" not in err
@@ -434,6 +440,18 @@ class TestCli:
         # a recursive augmenting-path search overflowed the stack on this pair
         code, out, err = run_cli("bottleneck", str(files / "long1.bars"), str(files / "long2.bars"))
         assert code == 0 and out.strip() == "bottleneck 1/2 (0.500000)", err
+
+    def test_bottleneck_of_twenty_thousand_equal_bars(self, tmp_path):
+        # the greedy probe skips the bars it has taken, and a bar with no
+        # neighbour ends the probe, so each run is linear in the bars
+        short, long_ = tmp_path / "short.bars", tmp_path / "long.bars"
+        short.write_text("bar 0 1 20000\n")
+        long_.write_text("bar 0 3 20000\n")
+        for other, want in ((short, "bottleneck 0 (0.000000)"), (long_, "bottleneck 3/2 (1.500000)")):
+            start = time.perf_counter()
+            code, out, err = run_cli("bottleneck", str(short), str(other))
+            assert (code, out.strip()) == (0, want), err
+            assert time.perf_counter() - start < 5
 
     def test_tabular_format(self, files):
         code, out, _ = run_cli("bottleneck", str(files / "B1.bars"), str(files / "B2.bars"),

@@ -24,12 +24,11 @@ from multipres import (
 )
 from multipres.functors import InterleavingWitness, shift_with_witness
 from multipres.fibered import barcode, integer_lines, restrict
-from multipres.grades import LineSpec, push
+from multipres.grades import LineSpec
 from multipres import metrics, presentation
 from multipres.metrics import (
     LineSample,
     _rank_violation,
-    _refine_near,
     bottleneck_at_most,
     saturates,
 )
@@ -54,6 +53,7 @@ from multipres.presentation import (
 
 from oracles import brute_bottleneck, sample_lines_by_fractions, slot_min_max_assignment
 from oracles import betti_grades, lines_of, random_module, translate_joint, zero_module
+from oracles import barcode_by_push, push, refine_near_by_fractions
 
 INF = math.inf
 
@@ -304,10 +304,11 @@ def weighted_bottleneck(P, Q, line):
 
 
 def reference_distance(P, Q, lines, adaptive_rounds=0):
-    """The sampled matching distance composed from restrict, barcode and bottleneck."""
+    """The sampled matching distance composed from the Fraction restriction, bottleneck
+    and the LineSpec refinement (tests/oracles.py)."""
 
     def value(line):
-        return min(line.direction) * bottleneck(barcode(restrict(P, line)), barcode(restrict(Q, line)))
+        return min(line.direction) * bottleneck(barcode_by_push(P, line), barcode_by_push(Q, line))
 
     best, arg = F(0), None
     for line in lines:
@@ -322,7 +323,7 @@ def reference_distance(P, Q, lines, adaptive_rounds=0):
         pts = sorted(pts, key=lambda x: x.lex_key())
         for _ in range(adaptive_rounds):
             improved = False
-            for line in _refine_near(arg, pts):
+            for line in refine_near_by_fractions(arg, pts):
                 v = value(line)
                 if v > best:
                     best, arg, improved = v, line, True
@@ -382,7 +383,7 @@ class TestIntegerLineLoop:
                 for M, view in zip((P, Q), views):
                     got = Barcode([(F(b, units.unit), d if d == INF else F(d, units.unit))
                                    for b, d in barcode(restrict(view, units))])
-                    assert got == barcode(restrict(M, line)), (n, str(line))
+                    assert got == barcode_by_push(M, line), (n, str(line))
 
     @staticmethod
     def assert_refused(P, Q):
@@ -407,7 +408,7 @@ class TestIntegerLineLoop:
         for n, (P, Q) in enumerate(self.pairs()):
             for line in self.lines(P, Q, n)[::5]:
                 assert weighted_bottleneck(P, Q, line) == min(line.direction) * bottleneck(
-                    barcode(restrict(P, line)), barcode(restrict(Q, line)))
+                    barcode_by_push(P, line), barcode_by_push(Q, line))
 
     @pytest.mark.parametrize("rounds", [0, 2])
     def test_distance_and_argmax_match_reference(self, rounds):
@@ -427,6 +428,27 @@ class TestIntegerLineLoop:
             lines = sample_lines_by_fractions(P, Q, slopes=3, seed=n, extra=6)
             assert (report.value, report.argmax_line) == reference_distance(P, Q, lines, rounds), n
         assert {0, INF} < values  # and some positive finite distance
+
+    def test_refinement_keeps_the_lines_and_groups(self):
+        # the integer refinement holds the LineSpec refinement's lines, in its
+        # groups and order, repeats included: anchors on a small lattice put
+        # several on one refined line
+        rng = random.Random(73)
+        repeats = 0
+        for _ in range(60):
+            scale = rng.randint(1, 12)
+            anchors = sorted({(rng.randint(-6, 6), rng.randint(-6, 6)) for _ in range(rng.randint(1, 12))})
+            m = F(rng.randint(1, 40), rng.randint(1, 40))
+            group = metrics.LineGroup(metrics._direction_for_slope(m), rng.randint(1, 50), ())
+            k = (rng.randint(-200, 200),)
+            refined = LineSample(tuple(metrics._refine_near(group, k, anchors, scale)))
+            pts = [g(F(x, scale), F(y, scale)) for x, y in anchors]
+            expected = LineSample.of(refine_near_by_fractions(group.line(k), pts))
+            assert [lines_of(LineSample((grp,))) for grp in refined.groups] == \
+                [lines_of(LineSample((grp,))) for grp in expected.groups]
+            repeats += len(refined) - len(set(lines_of(refined)))
+        assert repeats
+        assert metrics._refine_near(metrics.LineGroup((1, 1, 1), 1, ((0, 0),)), (0, 0), [], 1) == []
 
     def test_rounds_stop_without_refinement(self):
         # lines in three parameters have no refinement: the rounds change nothing

@@ -512,7 +512,7 @@ class TestIntegerForm:
                 M = ScaledModule(P, S)
                 assert M.gens == [scale_grade(x.grade, S) for x in P.gens]
                 assert [a for a, _ in M.rels] == [scale_grade(r.grade, S) for r in P.rels]
-                assert [col for _, col in M.rels] == [r.as_dict() for r in P.rels]
+                assert [col for _, col in M.rels] == [dict(r.col) for r in P.rels]
 
     def test_scale_must_be_a_multiple_of_the_module_scale(self):
         P = free([g(F(1, 6), 0)])
@@ -630,7 +630,7 @@ def pair_every_generator(P, rng):
     """
     p = P.p
     gens = [x.grade for x in P.gens]
-    rels = [(r.grade, r.as_dict()) for r in P.rels]
+    rels = [(r.grade, dict(r.col)) for r in P.rels]
     for i in range(len(P.gens)):
         at = rng.choice([gens[i].plus([rng.randint(0, 2), rng.randint(0, 2)])] + [a for a, _ in rels])
         pair = {len(gens): 1}
@@ -808,7 +808,7 @@ class TestBasisMemo:
     def test_growth_reduces_only_the_added_columns(self, monkeypatch):
         P = staircase_interval([g(0, 6), g(3, 3), g(6, 0)], [g(8, 9), g(9, 8)], p=3)
         assert len(P.rels) == 4
-        full = kernels.rank([r.as_dict() for r in P.rels], 3)
+        full = kernels.rank([dict(r.col) for r in P.rels], 3)
         calls = []
         extend = kernels.extend
 

@@ -214,6 +214,18 @@ def test_input_integers_are_read_strictly(name):
     assert builtin_int_uses((SRC / name).read_text()) == []
 
 
+def imported_names(source: str) -> set[str]:
+    """The names a module imports from other modules, as they are named there."""
+    return {a.name for node in ast.parse(source).body if isinstance(node, ast.ImportFrom) for a in node.names}
+
+
+@pytest.mark.parametrize("name", ["fibered.py", "metrics.py"])
+def test_line_code_imports_no_fraction_restriction(name):
+    # one restriction, on integer grades: no per-grade Fraction push, no
+    # Generator/Relation rebuilt per line, no integer grades turned back into Grades
+    assert imported_names((SRC / name).read_text()) & {"push", "Generator", "Relation", "unscaled"} == set()
+
+
 def traced_names(source: str) -> tuple[list[tuple[str, str]], list[tuple[str, str, str]]]:
     """The (module, function) rows of FUNCTIONS and the (module, class, method)
     rows of METHODS in the tracer's source, read without importing it."""
