@@ -618,3 +618,63 @@ class TestCli:
     def test_mersenne_prime_field(self, files):
         code, out, _ = run_cli("minimize", str(files / "mersenne.fpres"))
         assert code == 0 and fio.parse_fpres(out).p == 2 ** 61 - 1
+
+
+# tests/golden: a 3-summand F2 module and its jittered copy (jitter_module,
+# amount 1/2), and two entangled presentations of another one, drawn by
+# clibench/gen.py's staircase_sum and entangle from random.Random(2501)
+# and random.Random(2502)
+GOLDEN = Path(__file__).resolve().parent / "golden"
+# files the golden runs read besides the fixtures and the seeded pairs in tests/golden
+GOLDEN_INPUTS = {
+    "mixed1.bars": "bar 0 10 1\nbar 0 1 1\nbar 1/2 inf 2\nbar 3 7/2 3\n",
+    "mixed2.bars": "bar 1 9 1\nbar 0 inf 1\nbar 2/3 inf 1\nbar 3 4 2\nbar 5 6 1\n",
+    "cube.fpres": "fpres 1\nfield 2\nparams 3\ngenerators 2\ng a 0 0 0\ng b 1 1/2 0\nrelations 1\nr 2 2 1 ; 1:0 1:1\n",
+    "cube_shift.fpres": "fpres 1\nfield 2\nparams 3\ngenerators 2\ng a 0 1/3 0\ng b 1 1/2 1/5\nrelations 1\n"
+                        "r 2 3 1 ; 1:0 1:1\n",
+}
+
+
+@pytest.mark.parametrize("argv, want", [
+    ("match-dist N O --lines 4 --emit-argmax",
+     "matching-distance 0 (0.000000)\nkind lower_bound\nlines 75\n"),
+    ("match-dist N O --lines 4 --emit-argmax --adaptive 2",
+     "matching-distance 0 (0.000000)\nkind lower_bound\nlines 75\n"),
+    ("match-dist jitter_M jitter_J --lines 8 --emit-argmax",
+     "matching-distance 1/2 (0.500000)\nkind lower_bound\nlines 381\nargmax line dir=(1/16,1) base=(-3645/128,0)\n"),
+    ("match-dist jitter_M jitter_J --lines 8 --emit-argmax --adaptive 2",
+     "matching-distance 1/2 (0.500000)\nkind lower_bound\nlines 381\nargmax line dir=(1/16,1) base=(-3645/128,0)\n"),
+    ("match-dist entangled_A entangled_B --lines 4 --seed 5 --extra 8",
+     "matching-distance 0 (0.000000)\nkind lower_bound\nlines 125\n"),
+    ("match-dist entangled_A entangled_B --lines 4 --seed 5 --extra 8 --adaptive 2",
+     "matching-distance 0 (0.000000)\nkind lower_bound\nlines 125\n"),
+    ("match-dist cube cube_shift --seed 3 --extra 12 --emit-argmax --adaptive 2",
+     "matching-distance 1 (1.000000)\nkind lower_bound\nlines 49\n"
+     "argmax line dir=(7/13,2/13,1) base=(-193/1664,671/1664,0)\n"),
+    ("barcode N --direction 1_1 --base 0_0", "bar 1 10 2\n"),
+    ("barcode O --direction 1_2 --through 1_1", "bar 1 10 2\n"),
+    ("barcode jitter_M --direction 2_1 --base 1/3_0", "bar 6 42 1\nbar 12 42 1\nbar 12 48 1\n"),
+    ("barcode entangled_A --direction 1_1 --through 3/2_1 --simplify 3",
+     "bar 6 18 1\nbar 6 21 1\nbar 17/2 47/2 1\n"),
+    ("barcode cube --direction 1_2_3 --through 1/2_1/3_1/4", "bar 0 inf 1\nbar 7/4 19/4 1\n"),
+    ("bottleneck mixed1.bars mixed2.bars", "bottleneck 1 (1.000000)\n"),
+    ("bottleneck mixed1.bars mixed1.bars", "bottleneck 0 (0.000000)\n"),
+])
+def test_golden_stdout(argv, want, tmp_path, capsys):
+    # the exact stdout of the distance and barcode commands on the example-3.1
+    # pair (N, O), a seeded jittered pair, a seeded pair of entangled
+    # presentations of one module, a 3-parameter pair and barcode files;
+    # '_' separates the coordinates of one grade
+    for name, text in GOLDEN_INPUTS.items():
+        (tmp_path / name).write_text(text)
+    paths = {"N": FIXTURES / "example31_N.fpres", "O": FIXTURES / "example31_O.fpres",
+             "cube": tmp_path / "cube.fpres", "cube_shift": tmp_path / "cube_shift.fpres"}
+    paths.update({name: GOLDEN / f"{name}.fpres" for name in ("jitter_M", "jitter_J", "entangled_A", "entangled_B")})
+
+    def arg(a):
+        if a in paths:
+            return str(paths[a])
+        return str(tmp_path / a) if a.endswith(".bars") else a.replace("_", " ")
+
+    assert main([arg(a) for a in argv.split()]) == 0
+    assert capsys.readouterr().out == want
