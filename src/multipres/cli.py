@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import re
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -303,7 +304,13 @@ class _ArgumentParser(argparse.ArgumentParser):
     Each parser reports the arguments it does not know itself, so an unknown
     option of a subcommand shows that subcommand's usage; argparse would
     hand them up to the top parser, whose usage names no subcommand.
+    A negative rational such as '-1/2' is a value, as argparse takes '-1'
+    and '-.5' to be, not an unknown option.
     """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\d+(/\d+)?$|^-\d*\.\d+$")
 
     def parse_known_args(self, args=None, namespace=None):
         namespace, rest = super().parse_known_args(args, namespace)

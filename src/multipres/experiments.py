@@ -61,13 +61,8 @@ def incompleteness_pair(eps=1, p: int = 2) -> tuple[Presentation, Presentation]:
     )
     O = Presentation(
         2, p,
-        (Generator("a", ga), Generator("b", gb), Generator("c", gc)),
-        (
-            Relation(gc, tuple(sorted(((0, minus_one), (1, 1))))),
-            Relation(Grade([10 * e, 0]), ((0, 1),)),
-            Relation(Grade([0, 10 * e]), ((1, 1),)),
-            Relation(Grade([e, 10 * e]), ((0, 1),)),
-            Relation(Grade([10 * e, e]), ((1, 1),)),
+        N.gens + (Generator("c", gc),),
+        (Relation(gc, tuple(sorted(((0, minus_one), (1, 1))))),) + N.rels + (
             Relation(Grade([10 * e, e]), ((2, 1),)),
             Relation(Grade([e, 10 * e]), ((2, 1),)),
         ),

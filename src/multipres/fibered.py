@@ -3,22 +3,18 @@
 Restricting a module to a line regrades every generator and relation by its
 push parameter, the parameter of the least point of the line above it; the
 columns are untouched and stay homogeneous because the push is
-order-preserving.  Barcodes then come out of the usual left-to-right column
+order-preserving.  Barcodes come out of the usual left-to-right column
 reduction over F_p: a pivot pairs a relation with the generator it kills,
-unpaired generators live forever, zero-length bars are dropped.  Bars are
-half-open [b, d) multisets, listed in birth order.
+unpaired generators live forever, zero-length bars are dropped.
 
-There is one restriction and one pairing, both on integers.  A LineGroup
-holds lines of one direction with one denominator and integer base offsets,
-and LineSample.of is the one conversion of LineSpecs into groups.
-IntegerLine puts a line into integer units for grades scaled by a common S,
-so restricting a ScaledModule gives a Fiber of integer pushes in the same
-order, which pair_bars pairs into bars in those units.  The lines of a
-group share their slopes, and a ScaledModule keeps its grades times the
-last slopes, so a loop over a group multiplies the grades once.  A
-Presentation and a LineSpec go the same way at the presentation's own
-scale: restrict stores the pushes T over the unit L, and barcode divides
-the bars of those integer grades by the scale.
+There is one restriction and one pairing, both on integers.  LineSample.of
+turns LineSpecs into LineGroups (one direction, one denominator, integer
+base offsets), and IntegerLine puts a line into integer units for grades
+scaled by a common S.  The lines of a group share the slopes a ScaledModule
+multiplies its grades by once, so restricting it to each is one fold over
+the axes, a Fiber of integer pushes; pair_bars pairs them into bars split
+as the bottleneck probe reads them.  A Presentation and a LineSpec go the
+same way at the presentation's own scale, and barcode divides by it.
 """
 
 from __future__ import annotations
@@ -44,11 +40,7 @@ class Barcode:
 
     def __init__(self, bars):
         counts: Counter = Counter()
-        if isinstance(bars, (Counter, dict)):
-            items = bars.items()
-        else:
-            items = ((bar, 1) for bar in bars)
-        for (b, d), m in items:
+        for (b, d), m in bars.items() if isinstance(bars, dict) else ((bar, 1) for bar in bars):
             b = rat(b)
             d = INF if d == INF else rat(d)
             if d < b:
@@ -88,12 +80,8 @@ class LineGroup(NamedTuple):
 @dataclass(frozen=True)
 class LineSample:
     """Lines grouped by direction with integer bases: a sample or a
-    refinement.
-
-    The matching distance's line loop reads the groups: each group's lines
-    share the slopes of their IntegerLines, so restrict multiplies the
-    grades once per group.  LineSpecs are built only on demand, by
-    LineGroup.line.
+    refinement.  The line loop reads the groups, whose lines share the
+    slopes of their IntegerLines; LineGroup.line builds a LineSpec on demand.
     """
 
     groups: tuple[LineGroup, ...]
@@ -155,12 +143,11 @@ def integer_lines(direction, denominator: int, bases, scale: int):
 
 
 def _params(products, offsets) -> list[int]:
-    """T = max_i (products[i] - offsets[i]), elementwise over the per-axis product lists."""
-    out = None
-    for xs, o in zip(products, offsets):
-        if o:
-            xs = [x - o for x in xs]
-        out = xs if out is None else list(map(max, out, xs))
+    """T = max_i (products[i] - offsets[i]), elementwise over the per-axis
+    product lists: one fold into the last axis's products, whose offset is 0."""
+    out = products[-1]
+    for xs, o in zip(products[:-1], offsets):
+        out = [a if a > x - o else x - o for a, x in zip(out, xs)]
     return out
 
 
@@ -176,16 +163,13 @@ class Fiber(NamedTuple):
 def restrict(P: Presentation | ScaledModule, line: LineSpec | IntegerLine):
     """1-parameter restriction of the module along the line.
 
-    For a ScaledModule and the IntegerLine of its scale: the Fiber holding
-    the restriction in the line's integer parameters T = L push.  The grades
-    times the line's slopes come from the ScaledModule's cache for the last
-    slopes (see ScaledModule.along), so a line of the same direction as the
-    one before costs one subtraction and one max per grade.  For a
-    Presentation and a LineSpec: the same restriction of the presentation's
-    own ScaledModule, along the line's IntegerLine at its scale, as a
-    1-parameter Presentation with the grades T over the unit L and the
-    columns unchanged.  Bar endpoints are then in the line's own parameter,
-    with t = 0 at the base point on {x_n = 0}.
+    For a ScaledModule and the IntegerLine of its scale: the Fiber of the
+    integer parameters T = L push.  The grades times the slopes come from
+    ScaledModule.along's cache, so a line of the direction before costs one
+    fold (_params).  For a Presentation and a LineSpec: the same restriction
+    of its own ScaledModule at its scale, as a 1-parameter Presentation with
+    the grades T over the unit L, in the line's own parameter (t = 0 at the
+    base point on {x_n = 0}).
     """
     M, units = P, line
     if isinstance(line, LineSpec):
@@ -207,39 +191,50 @@ def barcode(Q: Presentation | Fiber):
     Generators and relations are sorted by (parameter, input index);
     generators come first at ties, so a relation at a generator's own
     parameter kills it into a zero-length bar, which is dropped.  The bar
-    multiset does not depend on the tie-breaking.  A Fiber gives the list of
-    its bars (birth, death) in birth order, in its integer units, death INF
-    when unpaired; a Presentation the Barcode of its integer grades' bars
-    divided by its scale.
+    multiset does not depend on the tie-breaking.  A Fiber gives pair_bars'
+    split bars in its integer units; a Presentation the Barcode of its
+    integer grades' bars divided by its scale.
     """
     if isinstance(Q, Fiber):
         return pair_bars(*Q)
     if Q.n != 1:
         raise ValueError("barcode extraction needs a 1-parameter presentation")
-    bars = pair_bars([a for a, in Q.scaled_gens], [a for a, in Q.scaled_rels], list(map(dict, Q.cols)), Q.p)
-    return Barcode([(Fraction(b, Q.scale), d if d == INF else Fraction(d, Q.scale)) for b, d in bars])
+    births, deaths, infinite = pair_bars([a for a, in Q.scaled_gens], [a for a, in Q.scaled_rels],
+                                         list(map(dict, Q.cols)), Q.p)
+    return Barcode([(Fraction(b, Q.scale), Fraction(d, Q.scale)) for b, d in zip(births, deaths)]
+                   + [(Fraction(b, Q.scale), INF) for b in infinite])
 
 
-def pair_bars(gen_params: list[int], rel_params: list[int], cols, p: int) -> list[tuple]:
-    """Bars [birth, death) of a 1-parameter presentation in birth order, death INF if unpaired.
+def pair_bars(gen_params: list[int], rel_params: list[int], cols, p: int):
+    """The bars [birth, death) of a 1-parameter presentation, split as the
+    bottleneck probe reads them: (births, deaths, infinite), the finite
+    bars' births and deaths and the infinite bars' births, each in birth
+    order with ties in generator order.
 
     The parameters are integers in one unit; the columns are {generator
-    index: coefficient} dicts.  Rows and columns are ordered by (parameter,
-    input index): the columns go to the kernel as they are, in relation
-    order, with the row of each generator, and the kernel relabels each
-    column once as it reads it.  A pivot sets the death of the row it kills,
-    and the rows' (birth, death) less the zero-length bars are the bars,
-    ties in generator order.
+    index: coefficient} dicts.  Rows are the generators in (parameter,
+    index) order, and the kernel reads the columns in that order of the
+    relations, relabelling each once; a pivot sets the death of the row it
+    kills.
     """
     gen_order = sorted(range(len(gen_params)), key=gen_params.__getitem__)
-    row_of = sorted(range(len(gen_order)), key=gen_order.__getitem__)
+    row_of = [0] * len(gen_order)
+    for row, i in enumerate(gen_order):
+        row_of[i] = row
     rel_order = sorted(range(len(rel_params)), key=rel_params.__getitem__)
-    pivots = kernels.reduce_pivots([cols[j] for j in rel_order], p, row_of)
-    death = [INF] * len(gen_order)
-    for j, piv in zip(rel_order, pivots):
+    death = [None] * len(gen_order)
+    for j, piv in zip(rel_order, kernels.reduce_pivots([cols[j] for j in rel_order], p, row_of)):
         if piv >= 0:
             death[piv] = rel_params[j]
-    return [(b, d) for b, d in zip(map(gen_params.__getitem__, gen_order), death) if b != d]
+    births, deaths, infinite = [], [], []
+    for i, d in zip(gen_order, death):
+        b = gen_params[i]
+        if d is None:
+            infinite.append(b)
+        elif d != b:
+            births.append(b)
+            deaths.append(d)
+    return births, deaths, infinite
 
 
 def simplify_barcode(B: Barcode, eps) -> Barcode:

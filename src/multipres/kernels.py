@@ -47,7 +47,9 @@ def reduce_pivots(columns, p, rows):
                     masks[low] = v
                     break
                 v ^= other
-            out.append(v.bit_length() - 1)
+            else:
+                low = -1
+            out.append(low)
         return out
     piv: dict[int, dict[int, int]] = {}
     for col in columns:

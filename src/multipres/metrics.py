@@ -4,30 +4,24 @@ The exact bottleneck distance between barcodes is a min-max assignment with
 deletions (infinite bars may only match infinite bars).  It is solved in
 doubled integer units, where a matched pair costs 2 * l-infinity and a
 deletion d - b, testing feasibility at a threshold by augmenting paths (a
-greedy pass, then an explicit stack).  A probe finds each bar's neighbours
-by bisecting the other side's births, which come sorted from the pairing or
-a Barcode, and builds no cost matrix; the exact distance bisects the
+greedy pass, then an explicit stack).  Bars come split as fibered.pair_bars
+returns them; a probe bisects the other side's births for each bar's
+neighbours and builds no cost matrix, and the exact distance bisects the
 integer thresholds with the same probe.
 
 The matching distance is approximated from below by sampling weighted
 lines, always including the slope-1 lines through every Betti-grid point of
 both modules, which witness diagonal translates exactly.  Each module is
-minimized once (Presentation.minimal): sample_lines reads its Betti data
-from that minimal form, and matching_distance scales the minimal forms'
-grades to integers once.  Lines are held in integer units, grouped by
-direction (fibered.LineSample and LineGroup), and a LineSpec is built only
-for the reported argmax.  Every line is evaluated by one loop, _best_line:
-the sampled lines, and the lines each adaptive round refines around the
-argmax, which _refine_near builds as integer groups from the integer
-anchors.  The weighted bottleneck on a line is an invariant of the modules,
-so the loop restricts the minimal presentations with fibered.restrict, the
-package's one restriction, and runs on Python ints in the line's own units
-(fibered.IntegerLine), from the pushes through the bar pairing to the
-bottleneck value; the lines of a group share their slopes, so each module
-multiplies its grades once per direction.  A line is first probed at the
-floor of best * 2L / w(L): if the bottleneck is feasible there, the line
-cannot raise the maximum and is skipped.  Only the reported value becomes a
-Fraction again.
+minimized once (Presentation.minimal), and matching_distance scales the
+minimal forms' grades to integers once.  Lines are held in integer units,
+grouped by direction (fibered.LineSample), and a LineSpec is built only for
+the reported argmax.  One loop, _best_line, evaluates every line: the
+sample, and each adaptive round's refinement around the argmax
+(_refine_near).  Per line it runs fibered.restrict, barcode and the probe
+on Python ints in the line's own units, one pass from the pushes to the
+bottleneck value.  A line is first probed at the floor of best * 2L / w(L):
+if the bottleneck is feasible there, the line cannot raise the maximum and
+is skipped.  Only the reported value becomes a Fraction again.
 """
 
 from __future__ import annotations
@@ -110,21 +104,32 @@ def saturates(rows, size: int, must) -> list[int] | None:
 def cover_within(side, must, other, h: int) -> bool:
     """Can the points u in must go to distinct points of other within h in
     both coordinates?  Points are (births, deaths) lists, other's sorted by
-    birth.  A greedy pass, whose scans skip the prefix of taken points,
-    settles most probes; saturates gets the rest, unless a row is empty.
+    birth.  A greedy pass settles most probes; saturates gets the rest,
+    unless a row is empty.  The greedy pass takes other's points by runs of
+    equal neighbours, found as a scan first reaches them: one step passes a
+    run used up or out of reach, and scans start past the used-up prefix.
     """
     births, deaths = side
     others, other_deaths = other
-    taken = [False] * (len(others) + 1)  # the last entry is never taken and ends the prefix
+    used = [0] * (len(others) + 1)  # per run, at its first point; the last entry ends the prefix
+    end = [0] * len(others)  # per run, at its first point: one past its last point, 0 until found
     first = 0
     for u in must:
         b, d = births[u], deaths[u]
-        while taken[first]:
-            first += 1
-        for v in range(bisect_left(others, b - h, first), bisect_right(others, b + h)):
-            if not taken[v] and d - h <= other_deaths[v] <= d + h:
-                taken[v] = True
+        while used[first] and used[first] == end[first] - first:
+            first = end[first]
+        v, stop = bisect_left(others, b - h, first), bisect_right(others, b + h)
+        while v < stop:
+            e = end[v]
+            if not e:
+                e = v + 1
+                while e < stop and others[e] == others[v] and other_deaths[e] == other_deaths[v]:
+                    e += 1
+                end[v] = e
+            if used[v] < e - v and d - h <= other_deaths[v] <= d + h:
+                used[v] += 1
                 break
+            v = e
         else:
             rows = {}
             for w in must:
@@ -139,11 +144,12 @@ def cover_within(side, must, other, h: int) -> bool:
 class _Bars:
     """The bottleneck problem of two integer bar lists, in doubled units.
 
-    Costs are 2 * l-infinity and a finite bar's deletion is d - b, so every
-    candidate is an integer.  Infinite bars must match infinite bars, which
-    on the line is optimal in sorted order and gives the lower bound low
-    (INF when their counts differ).  Each side's bars come sorted by birth;
-    their order among equal births only relabels the probe's vertices.
+    Each list comes split as fibered.pair_bars returns it.  Costs are 2 *
+    l-infinity and a finite bar's deletion is d - b, so every candidate is
+    an integer.  Infinite bars must match infinite bars, which on the line
+    is optimal in sorted order and gives the lower bound low (INF when
+    their counts differ).  The order among equal births only relabels the
+    probe's vertices.
 
     A threshold c is feasible when some partial matching uses only costs
     <= c and leaves unmatched only bars whose deletion is <= c.  By the
@@ -159,21 +165,18 @@ class _Bars:
     """
 
     def __init__(self, xs, ys):
-        inf1 = [b for b, d in xs if d == INF]
-        inf2 = [b for b, d in ys if d == INF]
         self.low = INF
-        if len(inf1) == len(inf2):
-            self.low = max((2 * abs(u - v) for u, v in zip(inf1, inf2)), default=0)
-            # per side: births and deaths of the finite bars, in birth order
-            self.sides = [([b for b, d in bars if d != INF], [d for _, d in bars if d != INF])
-                          for bars in (xs, ys)]
+        if len(xs[2]) == len(ys[2]):
+            self.low = max((2 * abs(u - v) for u, v in zip(xs[2], ys[2])), default=0)
+            self.sides = (xs[:2], ys[:2])
 
     def at_most(self, c: int) -> bool:
         """Is the distance <= c?"""
         if self.low > c:
             return False
         for side, other in (self.sides, self.sides[::-1]):
-            if not cover_within(side, [u for u, (b, d) in enumerate(zip(*side)) if d - b > c], other, c // 2):
+            must = [u for u, b, d in zip(itertools.count(), *side) if d - b > c]
+            if must and not cover_within(side, must, other, c // 2):
                 return False
         return True
 
@@ -199,11 +202,16 @@ def least(probe, lo: int, hi: int) -> int:
 
 
 def _scaled_bars(B1: Barcode, B2: Barcode):
-    """Both barcodes' bars as integers scaled by the lcm of their denominators."""
+    """Both barcodes' bars as integers scaled by the lcm of their denominators,
+    split as fibered.pair_bars splits them."""
     xs, ys = B1.expand(), B2.expand()
     scale = common_scale(c for bar in xs + ys for c in bar if c != INF)
-    return _Bars(*([(int(b * scale), d if d == INF else int(d * scale)) for b, d in bars]
-                   for bars in (xs, ys))), scale
+
+    def split(bars):
+        finite = [(int(b * scale), int(d * scale)) for b, d in bars if d != INF]
+        return [b for b, _ in finite], [d for _, d in finite], [int(b * scale) for b, d in bars if d == INF]
+
+    return _Bars(split(xs), split(ys)), scale
 
 
 def bottleneck(B1: Barcode, B2: Barcode):
@@ -358,7 +366,7 @@ def _best_line(views: Sequence[ScaledModule], sample: LineSample, best):
     floor is computed once per group and is c after a line beats best with
     c; the loop stops at INF.  Only the returned value is a Fraction.
     """
-    top = None
+    top, (first, second) = None, views
     if best == INF:
         return best, None
     for group in sample.groups:
@@ -368,7 +376,7 @@ def _best_line(views: Sequence[ScaledModule], sample: LineSample, best):
                                                        group.bases, views[0].scale)):
             if floor is None:
                 floor = best.numerator * 2 * units.unit * w.denominator // (best.denominator * w.numerator)
-            bars = _Bars(*(barcode(restrict(view, units)) for view in views))
+            bars = _Bars(barcode(restrict(first, units)), barcode(restrict(second, units)))
             if not bars.at_most(floor):
                 floor = bars.least_above(floor)
                 top = group, k
@@ -603,18 +611,12 @@ def rank_lower_bound(P: Presentation, Q: Presentation,
                     intervals.append((src, births, deaths, r))
     if not points and not intervals:
         return DistanceReport(Fraction(0), None, "lower_bound")
-    axes_vals: list[set[int]] = [set() for _ in range(P.n)]
     corners = points + [q for _, births, deaths, _ in intervals for q in births + deaths]
-    for a in betti_points + corners:
-        for i, c in enumerate(a):
-            axes_vals[i].add(c)
     diffs = {0}
-    for vals in axes_vals:
-        ordered = sorted(vals)
-        for i, v in enumerate(ordered):
-            for w_ in ordered[i + 1:]:
-                diffs.add(w_ - v)
-                diffs.add((w_ - v) // 2)
+    for axis in zip(*betti_points, *corners):
+        for v, w_ in itertools.combinations(sorted(set(axis)), 2):
+            diffs.add(w_ - v)
+            diffs.add((w_ - v) // 2)
     cands = sorted(diffs)
 
     def report(e):
@@ -729,10 +731,7 @@ def local_equivalence_experiment(M: Presentation, N: Presentation, kappa, *,
     threshold = None if eps_hat is None else k * eps_hat
     strict = None if threshold is None else d0 > threshold
     nonstrict = None if threshold is None else d0 >= threshold
-    if not hyp_ok:
-        status = "HYPOTHESIS-FAIL"
-    else:
-        status = "PASS" if strict else "FAIL"
+    status = ("PASS" if strict else "FAIL") if hyp_ok else "HYPOTHESIS-FAIL"
     return LocalEquivalenceReport(
         kappa=k, c_m=c_m, eps_lower=lower, eps_upper=upper, eps_exact=exact,
         hypothesis_ok=hyp_ok, hypothesis_note=note, d0=d0, threshold=threshold,

@@ -629,8 +629,9 @@ def restrict_by_push(P, line: LineSpec) -> Presentation:
 def barcode_by_push(P, line: LineSpec) -> Barcode:
     """The barcode of P on the line: pair_bars on the Fraction pushes of its grades."""
     Q = restrict_by_push(P, line)
-    return Barcode(pair_bars([g.grade.coords[0] for g in Q.gens], [r.grade.coords[0] for r in Q.rels],
-                             [dict(r.col) for r in Q.rels], Q.p))
+    births, deaths, infinite = pair_bars([g.grade.coords[0] for g in Q.gens], [r.grade.coords[0] for r in Q.rels],
+                                         [dict(r.col) for r in Q.rels], Q.p)
+    return Barcode(list(zip(births, deaths)) + [(b, INF) for b in infinite])
 
 
 def refine_near_by_fractions(line: LineSpec, pts: list[Grade]) -> list[LineSpec]:

@@ -51,6 +51,20 @@ def random_one_param(rng, max_gens=8, p=2):
     return one_param(gens, rels, p)
 
 
+def random_presentation(rng, n, p, max_gens=6):
+    """Generators at random grades in n parameters; each relation on one to
+    three of them, at the join of their grades lifted by a random amount."""
+    grades = [g(*(F(rng.randint(-12, 12), rng.randint(1, 4)) for _ in range(n))) for _ in range(rng.randint(1, max_gens))]
+    gens = tuple(Generator(f"g{i}", x) for i, x in enumerate(grades))
+    rels = []
+    for _ in range(rng.randint(0, max_gens + 2)):
+        support = sorted(rng.sample(range(len(grades)), rng.randint(1, min(3, len(grades)))))
+        top = [max(grades[i].coords[axis] for i in support) for axis in range(n)]
+        grade = g(*(c + F(rng.randint(0, 8), rng.randint(1, 3)) for c in top))
+        rels.append(Relation(grade, tuple((i, rng.randint(1, p - 1)) for i in support)))
+    return Presentation(n, p, gens, tuple(rels))
+
+
 class TestRestrict:
     def test_free_on_slope_one(self):
         Q = restrict(free([g(0, 0)]), LineSpec.through(g(0, 0), [1, 1]))
@@ -77,17 +91,22 @@ class TestRestrict:
 
     def test_against_push_oracle(self):
         # the integer restriction of a Presentation equals the grade-by-grade
-        # Fraction push, field for field, and so does its barcode
+        # Fraction push, field for field, and so does its barcode, in two
+        # and three parameters, with base offsets of both signs
         rng = random.Random(37)
-        for trial in range(60):
+        signs = set()
+        for trial in range(120):
             p = (2, 3, 5)[trial % 3]
-            P = random_module(rng, p=p, summands=3)
-            if trial % 4 == 0:
+            n = 2 + trial % 2
+            P = random_module(rng, p=p, summands=3) if n == 2 else random_presentation(rng, n, p)
+            if trial % 4 < 2:
                 P = shift(P, F(rng.randint(-9, 9), rng.randint(1, 7)))
-            point = g(*(F(rng.randint(-40, 40), rng.randint(1, 9)) for _ in range(2)))
-            line = LineSpec.through(point, [F(rng.randint(1, 30), rng.randint(1, 30)), 1])
+            point = g(*(F(rng.randint(-40, 40), rng.randint(1, 9)) for _ in range(n)))
+            line = LineSpec.through(point, [F(rng.randint(1, 30), rng.randint(1, 30)) for _ in range(n - 1)] + [1])
+            signs |= {(n, c > 0) for c in line.base.coords[:-1] if c}
             assert restrict(P, line) == restrict_by_push(P, line), (trial, str(line))
             assert barcode(restrict(P, line)) == barcode_by_push(P, line), (trial, str(line))
+        assert signs == {(n, positive) for n in (2, 3) for positive in (False, True)}
         Q = one_param([F(1, 3), 2], [(F(7, 2), {0: 1})])
         line = LineSpec([1], g(0))
         assert restrict(Q, line) == restrict_by_push(Q, line) == Q
@@ -131,9 +150,13 @@ class TestBarcode:
                 rels.append((max(gens[i] for i in support) + rng.randint(0, 3),
                              {i: rng.randint(1, p - 1) for i in support}))
             Q = one_param(gens, rels, p)
-            bars = pair_bars([a for a, in Q.scaled_gens], [a for a, in Q.scaled_rels], list(map(dict, Q.cols)), p)
-            assert [b for b, _ in bars] == sorted(b for b, _ in bars)
-            assert Counter(bars) == barcode_by_rank_counts(Q)
+            births, deaths, infinite = pair_bars([a for a, in Q.scaled_gens], [a for a, in Q.scaled_rels],
+                                                 list(map(dict, Q.cols)), p)
+            # split as the probe reads them: finite bars in birth order, then the infinite births in order
+            assert births == sorted(births) and infinite == sorted(infinite)
+            assert len(births) == len(deaths) and all(b < d for b, d in zip(births, deaths))
+            bars = Counter(zip(births, deaths)) + Counter((b, INF) for b in infinite)
+            assert bars == barcode_by_rank_counts(Q)
 
     def test_order_independence(self):
         rng = random.Random(32)

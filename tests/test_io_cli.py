@@ -324,6 +324,26 @@ class TestCli:
         assert code == 1 and not out and f"usage: multipres {args[0]}" in err
         assert f"argument {option}: count" in err and "Traceback" not in err
 
+    def test_negative_fraction_arguments(self, files):
+        # '-1/2' is a value, as '-1' is, not an unknown option
+        for argv, key in ((["hilbert", "m", "--at", "-1/2"], "at"),
+                          (["restrict", "m", "--direction", "1", "--through", "-1/2"], "through"),
+                          (["barcode", "m", "--direction", "1", "--base", "-1/2"], "base"),
+                          (["lower-bound", "m", "n", "--probe", "-1/2"], "probe")):
+            assert getattr(build_parser().parse_args(argv), key) in ("-1/2", ["-1/2"])
+        one = str(files / "one.fpres")
+        assert run_cli("hilbert", one, "--at", "-1/2") == (0, "0\n", "")
+        code, out, err = run_cli("restrict", one, "--direction", "1", "--through", "-1/2")
+        assert code == 0 and fio.parse_fpres(out) == fio.parse_fpres((files / "one.fpres").read_text()), err
+        # the value reaches the command, which refuses a base off {x_n = 0}
+        code, out, err = run_cli("restrict", one, "--direction", "1", "--base", "-1/2")
+        assert code == 1 and not out and "{x_n = 0}" in err
+        code, out, err = run_cli("lower-bound", one, one, "--probe", "-1/2")
+        assert code == 0 and out.startswith("interleaving-lower-bound 0 "), err
+        # a token that is no number stays an option
+        code, out, err = run_cli("hilbert", one, "--at", "-x")
+        assert code == 1 and not out and "argument --at: expected one argument" in err
+
     def test_count_options_accept_the_maximum(self):
         top = str(MAX_COUNT)
         for argv, key in ((["match-dist", "a", "b", "--lines", top], "lines"),
@@ -452,6 +472,18 @@ class TestCli:
             code, out, err = run_cli("bottleneck", str(short), str(other))
             assert (code, out.strip()) == (0, want), err
             assert time.perf_counter() - start < 5
+
+    def test_bottleneck_of_equal_births_with_rescans(self, tmp_path):
+        # each long bar of the first file has a partner only after all the
+        # short bars of the second, which share its birth: the probe passes
+        # those in one step per scan, so the run is linear in the bars
+        first, second = tmp_path / "first.bars", tmp_path / "second.bars"
+        first.write_text("bar 0 3 8000\n")
+        second.write_text("bar 0 1 8000\nbar 0 3 8000\n")
+        start = time.perf_counter()
+        code, out, err = run_cli("bottleneck", str(first), str(second))
+        assert (code, out.strip()) == (0, "bottleneck 1/2 (0.500000)"), err
+        assert time.perf_counter() - start < 5
 
     def test_tabular_format(self, files):
         code, out, _ = run_cli("bottleneck", str(files / "B1.bars"), str(files / "B2.bars"),

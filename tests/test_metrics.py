@@ -84,6 +84,12 @@ def slot_distance(B1, B2):
                                    [deletion(x) for x in xs], [deletion(y) for y in ys])
 
 
+def split(bars):
+    """Bars (birth, death) in birth order, split as fibered.pair_bars returns them."""
+    finite = [(b, d) for b, d in bars if d != INF]
+    return [b for b, _ in finite], [d for _, d in finite], [b for b, d in bars if d == INF]
+
+
 def random_barcode(rng, max_bars=4, allow_inf=True):
     bars = {}
     for _ in range(rng.randint(0, max_bars)):
@@ -187,11 +193,44 @@ class TestBottleneck:
                 return sorted(out, key=lambda bar: bar[0])  # stable: equal births stay shuffled
 
             xs, ys = bars(), bars()
-            birth_ordered, fully_sorted = metrics._Bars(xs, ys), metrics._Bars(sorted(xs), sorted(ys))
+            birth_ordered = metrics._Bars(split(xs), split(ys))
+            fully_sorted = metrics._Bars(split(sorted(xs)), split(sorted(ys)))
             for c in range(-1, 24):
                 assert birth_ordered.at_most(c) == fully_sorted.at_most(c), (xs, ys, c)
                 if not fully_sorted.at_most(c):
                     assert birth_ordered.least_above(c) == fully_sorted.least_above(c), (xs, ys, c)
+
+    def test_split_bars_against_brute_force(self):
+        # _Bars on the split form, against exhaustive matching: zero-length
+        # bars, which pair_bars drops but the probe must read as free to
+        # delete, equal births in shuffled order, and unequal infinite counts
+        rng = random.Random(73)
+        seen = set()
+        for trial in range(150):
+            def bars():
+                out = []
+                for _ in range(rng.randint(0, 4)):
+                    b = rng.randint(0, 3)
+                    out.append((b, INF if rng.random() < 0.25 else b + rng.randint(0, 4)))
+                rng.shuffle(out)
+                return sorted(out, key=lambda bar: bar[0])
+
+            xs, ys = bars(), bars()
+            seen |= {"zero-length" for b, d in xs + ys if b == d}
+            seen |= {"equal births" for bars_ in (xs, ys) for x, y in zip(bars_, bars_[1:]) if x[0] == y[0]}
+            seen |= {"unequal infinite counts"} if len(split(xs)[2]) != len(split(ys)[2]) else set()
+            bars_ = metrics._Bars(split(xs), split(ys))
+            d = 2 * brute_bottleneck(xs, ys)  # doubled units
+            for c in range(-1, 16):
+                assert bars_.at_most(c) == (d <= c), (xs, ys, c)
+                if d > c:
+                    assert bars_.least_above(c) == d, (xs, ys, c)
+        assert seen == {"zero-length", "equal births", "unequal infinite counts"}
+
+    def test_equal_bars_are_not_cancelled(self):
+        # matching [0, 2) with its copy leaves [-1, 3) to delete at 2; the
+        # optimum moves [0, 2) onto [-1, 3) and deletes the copy, both at 1
+        assert bottleneck(Barcode([(0, 2)]), Barcode([(0, 2), (-1, 3)])) == 1
 
     def test_saturates_after_greedy_conflict(self):
         # left vertices 1 and 2 both need right vertex 2, which the greedy pass
@@ -381,8 +420,9 @@ class TestIntegerLineLoop:
             for line in self.lines(P, Q, n):
                 units = units_of(line, scale)
                 for M, view in zip((P, Q), views):
-                    got = Barcode([(F(b, units.unit), d if d == INF else F(d, units.unit))
-                                   for b, d in barcode(restrict(view, units))])
+                    births, deaths, infinite = barcode(restrict(view, units))
+                    got = Barcode([(F(b, units.unit), F(d, units.unit)) for b, d in zip(births, deaths)]
+                                  + [(F(b, units.unit), INF) for b in infinite])
                     assert got == barcode_by_push(M, line), (n, str(line))
 
     @staticmethod
