@@ -166,7 +166,7 @@ class _Bars:
 
     def __init__(self, xs, ys):
         self.low = INF
-        if len(xs[2]) == len(ys[2]):
+        if len(xs[2]) == len(ys[2]):  # the infinite births
             self.low = max((2 * abs(u - v) for u, v in zip(xs[2], ys[2])), default=0)
             self.sides = (xs[:2], ys[:2])
 
@@ -366,7 +366,8 @@ def _best_line(views: Sequence[ScaledModule], sample: LineSample, best):
     floor is computed once per group and is c after a line beats best with
     c; the loop stops at INF.  Only the returned value is a Fraction.
     """
-    top, (first, second) = None, views
+    top = None
+    first, second = views
     if best == INF:
         return best, None
     for group in sample.groups:
