@@ -22,6 +22,14 @@ on Python ints in the line's own units, one pass from the pushes to the
 bottleneck value.  A line is first probed at the floor of best * 2L / w(L):
 if the bottleneck is feasible there, the line cannot raise the maximum and
 is skipped.  Only the reported value becomes a Fraction again.
+
+When both inputs have the same field, parameter count, generator count and
+relation columns, the identity on generator indices is an eps-interleaving,
+with eps the largest l-infinity gap between matching grades
+(identity_bound).  Then d_0 <= d_I <= eps bounds every line, and the loop
+stops once the maximum reaches eps: later lines could only tie it.  The
+value and the argmax are those of the full walk; the lines row of the CLI
+still counts the lines sampled, not the lines evaluated.
 """
 
 from __future__ import annotations
@@ -352,10 +360,29 @@ class DistanceReport:
     kind: str  # lower_bound
 
 
-def _best_line(views: Sequence[ScaledModule], sample: LineSample, best):
+def identity_bound(P: Presentation, Q: Presentation) -> Fraction | None:
+    """The eps of the identity interleaving of P and Q, or None when there is none.
+
+    When P and Q have the same n, p, generator count and relation columns,
+    the identity on generator indices, both ways, is an eps-interleaving for
+    eps the largest l-infinity gap between matching generator grades and
+    matching relation grades: each side's generator i and relation k lie
+    within eps of the other's.  So d_0(P, Q) <= d_I(P, Q) <= eps, and no
+    line gives w(L) * d_B > eps.
+    """
+    if (P.n, P.p, len(P.scaled_gens), P.cols) != (Q.n, Q.p, len(Q.scaled_gens), Q.cols):
+        return None
+    scale = math.lcm(P.scale, Q.scale)
+    pairs = zip(rescaled(P.scaled_gens + P.scaled_rels, scale // P.scale),
+                rescaled(Q.scaled_gens + Q.scaled_rels, scale // Q.scale))
+    return Fraction(max((abs(x - y) for a, b in pairs for x, y in zip(a, b)), default=0), scale)
+
+
+def _best_line(views: Sequence[ScaledModule], sample: LineSample, best, upper=INF):
     """The maximum of best and w(L) * d_B over the sample's lines, with the
     first line that attains it as (group, base), or None when no line beats
-    best.
+    best.  upper, INF or identity_bound, bounds every line's value, so the
+    walk returns as soon as best reaches it: no later line could beat best.
 
     This is the one place lines are evaluated.  views are two modules'
     minimal forms scaled by one S, and each line is evaluated as an
@@ -364,11 +391,11 @@ def _best_line(views: Sequence[ScaledModule], sample: LineSample, best):
     floor(best * 2L / w(L)) in doubled units: if it is feasible there, the
     line cannot beat best and is skipped.  A group shares L and w, so the
     floor is computed once per group and is c after a line beats best with
-    c; the loop stops at INF.  Only the returned value is a Fraction.
+    c.  Only the returned value is a Fraction.
     """
     top = None
     first, second = views
-    if best == INF:
+    if best >= upper:
         return best, None
     for group in sample.groups:
         w = min(group.direction)
@@ -381,9 +408,9 @@ def _best_line(views: Sequence[ScaledModule], sample: LineSample, best):
             if not bars.at_most(floor):
                 floor = bars.least_above(floor)
                 top = group, k
-                if floor == INF:
-                    return INF, top
-                best = w * Fraction(floor, 2 * units.unit)
+                best = INF if floor == INF else w * Fraction(floor, 2 * units.unit)
+                if best >= upper:
+                    return best, top
     return best, top
 
 
@@ -420,6 +447,13 @@ def matching_distance(P: Presentation, Q: Presentation, sample: LineSample | Non
     adaptive round evaluates the refinement around the current argmax in
     the same way, against the running maximum; the rounds stop early when
     there is no refinement (n != 2) or no refined line beats the maximum.
+
+    When P and Q share their matrix, the identity interleaving bounds every
+    line by eps = identity_bound(P, Q), since d_0 <= d_I <= eps.  The sample
+    and each round then stop at the first line whose value reaches eps.
+    The value and the argmax are those of evaluating every line; only the
+    number of lines evaluated falls, and the lines row of the CLI still
+    counts the lines sampled.
     """
     if P.n != Q.n or P.p != Q.p:
         raise PresentationError("matching distance needs matching dimension and field")
@@ -427,14 +461,16 @@ def matching_distance(P: Presentation, Q: Presentation, sample: LineSample | Non
         sample = sample_lines(P, Q, slopes=slopes)
     scale = math.lcm(P.minimal.scale, Q.minimal.scale)
     views = (ScaledModule(P.minimal, scale), ScaledModule(Q.minimal, scale))
-    best, top = _best_line(views, sample, Fraction(0))
+    upper = identity_bound(P, Q)
+    upper = INF if upper is None else upper
+    best, top = _best_line(views, sample, Fraction(0), upper)
     if adaptive_rounds and top is not None:
         anchors = _anchor_points((P.minimal, Q.minimal), scale, 0)
         for _ in range(adaptive_rounds):
             refined = _refine_near(*top, anchors, scale)
             if not refined:
                 break
-            best, line = _best_line(views, LineSample(tuple(refined)), best)
+            best, line = _best_line(views, LineSample(tuple(refined)), best, upper)
             if line is None:
                 break
             top = line

@@ -13,9 +13,9 @@ import pytest
 from multipres import Grade, fio, metrics
 from multipres.blocks import Block
 from multipres.cli import MAX_COUNT, build_parser, main
-from multipres.experiments import incompleteness_pair, incompleteness_witness, random_staircase
+from multipres.experiments import incompleteness_pair, incompleteness_witness, jitter_module, random_staircase
 from multipres.fibered import Barcode
-from multipres.presentation import Generator, Presentation, Relation, direct_sum, free, staircase_interval
+from multipres.presentation import Generator, Presentation, Relation, direct_sum, free, shift, staircase_interval
 
 from oracles import random_module, translate_joint, zero_module
 
@@ -676,6 +676,9 @@ GOLDEN_INPUTS = {
      "matching-distance 1/2 (0.500000)\nkind lower_bound\nlines 381\nargmax line dir=(1/16,1) base=(-3645/128,0)\n"),
     ("match-dist jitter_M jitter_J --lines 8 --emit-argmax --adaptive 2",
      "matching-distance 1/2 (0.500000)\nkind lower_bound\nlines 381\nargmax line dir=(1/16,1) base=(-3645/128,0)\n"),
+    ("match-dist jitter_M jitter_J --lines 8 --seed 5 --extra 8 --emit-argmax",
+     "matching-distance 1/2 (0.500000)\nkind lower_bound\nlines 389\nargmax line dir=(1/16,1) base=(-3645/128,0)\n"),
+    ("path-length jitter_M jitter_J jitter_M", "path-length 1 (1.000000)\n"),
     ("match-dist entangled_A entangled_B --lines 4 --seed 5 --extra 8",
      "matching-distance 0 (0.000000)\nkind lower_bound\nlines 125\n"),
     ("match-dist entangled_A entangled_B --lines 4 --seed 5 --extra 8 --adaptive 2",
@@ -710,3 +713,36 @@ def test_golden_stdout(argv, want, tmp_path, capsys):
 
     assert main([arg(a) for a in argv.split()]) == 0
     assert capsys.readouterr().out == want
+
+
+def test_distances_are_symmetric_and_below_accepted_identity_witnesses(tmp_path, capsys):
+    # metamorphic checks on seeded pairs: match-dist prints one value both
+    # ways, and an identity witness that verify accepts at eps bounds the
+    # match-dist and lower-bound values by eps
+    def value(*argv):
+        assert main([str(a) for a in argv]) == 0
+        return F(capsys.readouterr().out.split()[1])
+
+    rng = random.Random(86)
+    pairs = [(free([g(0, 0, 0), g(1, F(1, 2), 0)]), free([g(0, F(1, 3), 0), g(1, F(1, 2), F(1, 5))]), True)]
+    for p in (2, 3):
+        P = random_module(rng, p=p)
+        pairs += [(P, jitter_module(P, rng, F(1, 2)), True), (P, shift(P, [F(1, 3), F(-1, 4)]), True),
+                  (P, random_module(rng, p=p), False)]
+    verdicts = []
+    for n, (P, Q, related) in enumerate(pairs):
+        a, b, w = tmp_path / f"{n}A.fpres", tmp_path / f"{n}B.fpres", tmp_path / f"{n}W.txt"
+        a.write_text(fio.serialize_fpres(P))
+        b.write_text(fio.serialize_fpres(Q))
+        d = value("match-dist", a, b, "--lines", 2)
+        assert value("match-dist", b, a, "--lines", 2) == d, n
+        if not related:
+            continue
+        low = value("lower-bound", a, b)
+        for eps in (F(1, 4), F(1, 3), F(1, 2), F(3, 4)):
+            w.write_text("\n".join([f"witness {eps}"] + [f"{side} {x} -> 1:{x}" for side in "fg" for x in P.labels]))
+            verdicts.append(main(["verify", str(a), str(b), str(w)]))
+            capsys.readouterr()
+            if verdicts[-1] == 0:
+                assert d <= eps and low <= eps, (n, eps)
+    assert set(verdicts) == {0, 2}

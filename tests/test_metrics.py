@@ -509,6 +509,72 @@ def three_parameter_pair():
     return P, Q
 
 
+def random_cube_module(rng, p):
+    """A 3-parameter module: one to three generators on a small lattice, and
+    up to three relations above the join of the generators each one names."""
+    k = rng.randint(1, 3)
+    gens = [Generator(f"x{i}", g(*(rng.randint(0, 6) for _ in range(3)))) for i in range(k)]
+    rels = []
+    for _ in range(rng.randint(0, 3)):
+        named = sorted(rng.sample(range(k), rng.randint(1, k)))
+        top = gens[named[0]].grade
+        for i in named[1:]:
+            top = top.join(gens[i].grade)
+        rels.append(Relation(top.plus([rng.randint(0, 6) for _ in range(3)]),
+                             make_column([(i, rng.randint(1, p - 1)) for i in named], p)))
+    return Presentation(3, p, tuple(gens), tuple(rels))
+
+
+class TestIdentityBound:
+    """Pairs that share their matrix stop at eps = identity_bound with the full walk's result."""
+
+    @staticmethod
+    def pairs():
+        rng = random.Random(84)
+        for p in (2, 3, 5):
+            for _ in range(25):
+                P = random_module(rng, p=p)
+                yield P, jitter_module(P, rng, F(rng.randint(1, 4), 3))
+                yield P, shift(P, [F(rng.randint(-4, 4), 4), F(rng.randint(-4, 4), 3)])
+                C = random_cube_module(rng, p)
+                yield C, jitter_module(C, rng, F(1, 2))
+                yield C, shift(C, [F(rng.randint(-4, 4), 4), 0, F(rng.randint(-4, 4), 5)])
+
+    def test_early_exit_matches_the_full_walk(self, monkeypatch):
+        reached = 0
+        for i, (P, Q) in enumerate(self.pairs()):
+            bound = metrics.identity_bound(P, Q)
+            assert bound is not None and bound == metrics.identity_bound(Q, P)
+            kw = {"sample": sample_lines(P, Q, slopes=2, seed=i, extra=4) if i % 2 else sample_lines(P, Q, slopes=2),
+                  "adaptive_rounds": 2 if i % 3 == 0 else 0}
+            report = matching_distance(P, Q, **kw)
+            # without the bound, every _best_line call walks every line (upper=INF)
+            with monkeypatch.context() as m:
+                m.setattr(metrics, "identity_bound", lambda P, Q: None)
+                full = matching_distance(P, Q, **kw)
+            assert report == full, i
+            assert full.value <= bound, i
+            reached += full.value == bound
+        assert i == 299 and reached > 100
+
+    def test_none_without_a_shared_matrix(self):
+        rng = random.Random(85)
+        for p, other in ((2, 3), (3, 5), (5, 7)):
+            P = random_module(rng, p=p, summands=3)
+            Q = jitter_module(P, rng, F(1, 3))
+            assert metrics.identity_bound(P, Q) is not None
+
+            def variant(n=Q.n, p=Q.p, labels=Q.labels, gens=Q.scaled_gens, rels=Q.scaled_rels, cols=Q.cols):
+                return Presentation.from_integers(n, p, Q.scale, labels, gens, rels, cols)
+
+            k = rng.randrange(len(Q.cols))
+            for R in (variant(cols=Q.cols[:k] + ((),) + Q.cols[k + 1:]),
+                      variant(labels=Q.labels + ("y",), gens=Q.scaled_gens + Q.scaled_gens[:1]),
+                      variant(p=other),
+                      variant(n=3, gens=[a + (0,) for a in Q.scaled_gens], rels=[a + (0,) for a in Q.scaled_rels])):
+                assert metrics.identity_bound(P, R) is None and metrics.identity_bound(R, P) is None
+
+
 class TestSampleOracle:
     """The integer sample holds the Fraction-built sample's lines, in its order."""
 
@@ -582,10 +648,15 @@ class TestRestrictCache:
                 restrict(view, units_of(LineSpec([1] * (M.n + 1), g(*[0] * (M.n + 1))), scale))
 
     def test_line_loop_builds_no_line_spec_per_line(self, monkeypatch):
+        # a non-minimal presentation of a jittered copy shares no matrix with
+        # P, so every group is walked; the jittered copy itself shares P's
+        # matrix, and the walk stops at its identity bound before the last group
         rng = random.Random(83)
         P = direct_sum(random_staircase(rng), random_staircase(rng))
-        Q = jitter_module(P, rng, F(1, 3))
-        sample = sample_lines(P, Q, slopes=16)
+        J = jitter_module(P, rng, F(1, 3))
+        Q = entangled(J, rng)
+        assert metrics.identity_bound(P, Q) is None
+        sample, shared = sample_lines(P, Q, slopes=16), sample_lines(P, J, slopes=16)
         assert len(sample) > 50
         specs, units = [], []
         original_init, original_lines = LineSpec.__init__, metrics.integer_lines
@@ -603,6 +674,11 @@ class TestRestrictCache:
         report = matching_distance(P, Q)
         assert report.value > 0 and report.argmax_line is not None
         assert (len(specs), len(units)) == (1, len(sample.groups))
+        specs.clear()
+        units.clear()
+        report = matching_distance(P, J)
+        assert report.value == metrics.identity_bound(P, J) and report.argmax_line is not None
+        assert len(specs) == 1 and len(units) < len(shared.groups)
 
 
 class TestMinimalFormsOnce:
