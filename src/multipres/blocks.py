@@ -92,15 +92,16 @@ def block_matching_distance(A: list[Block], B: list[Block]):
     one that deletes only blocks of radius <= eps.  Blocks of one kind shift
     by the l-infinity distance of their endpoints (a, b), and never onto
     another kind, so the probe is metrics.cover_within on each kind's
-    endpoints times S.  The distance is 0, a shift or a radius: an integer
-    in units of 1/S, at most the largest finite radius or endpoint gap.
+    endpoints times S, every block a bar of count 1: one copy to place,
+    room for one.  The distance is 0, a shift or a radius: an integer in
+    units of 1/S, at most the largest finite radius or endpoint gap.
     """
     scale = 2 * common_scale(c for x in A + B for c in (x.a, x.b))
 
     def points(blocks, kind):
-        """The kind's blocks in order of a: scaled endpoints (a's, b's) and radii."""
+        """The kind's blocks in order of a: scaled endpoints (a's, b's), a count of 1 each, and radii."""
         own = sorted((x for x in blocks if x.kind == kind), key=lambda x: x.a)
-        return (([int(x.a * scale) for x in own], [int(x.b * scale) for x in own]),
+        return (([int(x.a * scale) for x in own], [int(x.b * scale) for x in own], [1] * len(own)),
                 [r if r == INF else int(r * scale) for r in (extend_block(x).radius() for x in own)])
 
     sides = [[points(blocks, kind) for kind in KINDS] for blocks in (A, B)]
@@ -109,7 +110,7 @@ def block_matching_distance(A: list[Block], B: list[Block]):
         return all(cover_within(side, [u for u, r in enumerate(radii) if r > e], near, e)
                    for one, other in (sides, sides[::-1]) for (side, radii), (near, _) in zip(one, other))
 
-    ends = [c for per in sides for (a, b), _ in per for c in a + b]
+    ends = [c for per in sides for (a, b, _), _ in per for c in a + b]
     hi = max([r for per in sides for _, radii in per for r in radii if r != INF]
              + [max(ends, default=0) - min(ends, default=0)])
     return Fraction(least(feasible, 0, hi), scale) if feasible(hi) else INF

@@ -12,9 +12,10 @@ turns LineSpecs into LineGroups (one direction, one denominator, integer
 base offsets), and IntegerLine puts a line into integer units for grades
 scaled by a common S.  The lines of a group share the slopes a ScaledModule
 multiplies its grades by once, so restricting it to each is one fold over
-the axes, a Fiber of integer pushes; pair_bars pairs them into bars split
-as the bottleneck probe reads them.  A Presentation and a LineSpec go the
-same way at the presentation's own scale, and barcode divides by it.
+the axes, a Fiber of integer pushes; pair_bars pairs them into counted
+bars split as the bottleneck probe reads them.  A Presentation and a
+LineSpec go the same way at the presentation's own scale, and barcode
+divides by it.
 """
 
 from __future__ import annotations
@@ -50,10 +51,6 @@ class Barcode:
             if b != d and m:
                 counts[(b, d)] += m
         object.__setattr__(self, "bars", tuple(sorted((b, d, m) for (b, d), m in counts.items())))
-
-    def expand(self) -> list[tuple[Fraction, object]]:
-        """Every bar repeated by multiplicity, in birth order."""
-        return [(b, d) for b, d, m in self.bars for _ in range(m)]
 
     def total(self) -> int:
         return sum(m for _, _, m in self.bars)
@@ -199,17 +196,19 @@ def barcode(Q: Presentation | Fiber):
         return pair_bars(*Q)
     if Q.n != 1:
         raise ValueError("barcode extraction needs a 1-parameter presentation")
-    births, deaths, infinite = pair_bars([a for a, in Q.scaled_gens], [a for a, in Q.scaled_rels],
-                                         list(map(dict, Q.cols)), Q.p)
-    return Barcode([(Fraction(b, Q.scale), Fraction(d, Q.scale)) for b, d in zip(births, deaths)]
-                   + [(Fraction(b, Q.scale), INF) for b in infinite])
+    births, deaths, counts, infinite = pair_bars([a for a, in Q.scaled_gens], [a for a, in Q.scaled_rels],
+                                                 list(map(dict, Q.cols)), Q.p)
+    bars = Counter((Fraction(b, Q.scale), INF) for b in infinite)
+    for b, d, m in zip(births, deaths, counts):
+        bars[Fraction(b, Q.scale), Fraction(d, Q.scale)] += m
+    return Barcode(bars)
 
 
 def pair_bars(gen_params: list[int], rel_params: list[int], cols, p: int):
     """The bars [birth, death) of a 1-parameter presentation, split as the
-    bottleneck probe reads them: (births, deaths, infinite), the finite
-    bars' births and deaths and the infinite bars' births, each in birth
-    order with ties in generator order.
+    bottleneck probe reads them: (births, deaths, counts, infinite), in
+    birth order with ties in generator order.  Equal finite bars next to
+    each other are one entry with their count; infinite births come singly.
 
     The parameters are integers in one unit; the columns are {generator
     index: coefficient} dicts.  Rows are the generators in (parameter,
@@ -226,15 +225,18 @@ def pair_bars(gen_params: list[int], rel_params: list[int], cols, p: int):
     for j, piv in zip(rel_order, kernels.reduce_pivots([cols[j] for j in rel_order], p, row_of)):
         if piv >= 0:
             death[piv] = rel_params[j]
-    births, deaths, infinite = [], [], []
+    births, deaths, counts, infinite = [], [], [], []
     for i, d in zip(gen_order, death):
         b = gen_params[i]
         if d is None:
             infinite.append(b)
+        elif deaths and deaths[-1] == d and births[-1] == b:
+            counts[-1] += 1
         elif d != b:
             births.append(b)
             deaths.append(d)
-    return births, deaths, infinite
+            counts.append(1)
+    return births, deaths, counts, infinite
 
 
 def simplify_barcode(B: Barcode, eps) -> Barcode:

@@ -3,11 +3,9 @@
 The exact bottleneck distance between barcodes is a min-max assignment with
 deletions (infinite bars may only match infinite bars).  It is solved in
 doubled integer units, where a matched pair costs 2 * l-infinity and a
-deletion d - b, testing feasibility at a threshold by augmenting paths (a
-greedy pass, then an explicit stack).  Bars come split as fibered.pair_bars
-returns them; a probe bisects the other side's births for each bar's
-neighbours and builds no cost matrix, and the exact distance bisects the
-integer thresholds with the same probe.
+deletion d - b, on the distinct bars with their counts.  One matcher tests
+feasibility at a threshold without a cost matrix (cover_within), and the
+exact distance bisects the integer thresholds with it.
 
 The matching distance is approximated from below by sampling weighted
 lines, always including the slope-1 lines through every Betti-grid point of
@@ -38,13 +36,14 @@ import itertools
 import math
 import random
 from bisect import bisect_left, bisect_right
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .fibered import Barcode, LineGroup, LineSample, barcode, integer_lines, restrict
 from .functors import InterleavingWitness, apply_rows, by_source
-from .grades import Grade, LineSpec, rat, rat_dec, rat_str
+from .grades import Grade, LineSpec, grade_text, rat, rat_dec, rat_str
 from .presentation import (
     Presentation,
     PresentationError,
@@ -64,126 +63,133 @@ INF = math.inf
 # -- min-max assignment with deletions ------------------------------------------
 
 
-def saturates(rows, size: int, must) -> list[int] | None:
-    """A matching that covers every left vertex in must, or None if none does.
+def _in_order_gap(xs, ys):
+    """The largest |u - v| over two sorted multisets paired in order, each
+    given as (value, count) runs; INF when their sizes differ."""
+    gap, m, n, xs, ys = 0, 0, 0, iter(xs), iter(ys)
+    while True:
+        if not m:
+            u, m = next(xs, (0, 0))
+        if not n:
+            v, n = next(ys, (0, 0))
+        if not (m and n):
+            return gap if m == n else INF
+        gap, k = max(gap, abs(u - v)), min(m, n)
+        m, n = m - k, n - k
 
-    rows[u] lists u's right neighbours.  A greedy pass matches what it can,
-    then augmenting paths are searched depth first with an explicit stack.
-    The matching is returned as match_right: the left vertex matched to
-    each of the size right vertices, or -1.
+
+def _augmenting_path(root, held, room, side, other, h: int):
+    """A shortest path [root, v1, w1, ..., vk] to move copies along, or None:
+    root takes copies on v1, each w_i moves copies from v_i (held[v_i][w_i])
+    to v_(i+1), and vk has room.  Breadth first over cover_within's box
+    query; every bar is reached once.
     """
-    match_right = [-1] * size
-    free = []
-    for u in must:
-        for v in rows[u]:
-            if match_right[v] < 0:
-                match_right[v] = u
-                break
-        else:
-            free.append(u)
-    for root in free:
-        seen = [False] * size
-        stack = [(root, 0)]
-        path = []  # path[k]: the right vertex taken out of stack[k]
-        while stack:
-            u, k = stack[-1]
-            row = rows[u]
-            while k < len(row) and seen[row[k]]:
-                k += 1
-            if k == len(row):
-                stack.pop()
-                if path:
-                    path.pop()
+    births, deaths, others, other_deaths = side[0], side[1], other[0], other[1]
+    came = {}  # bar of other -> the must bar that reached it
+    via = {root: None}  # must bar -> the full bar of other it was reached through
+    queue = [root]
+    for w in queue:
+        b, d = births[w], deaths[w]
+        for v in range(bisect_left(others, b - h), bisect_right(others, b + h)):
+            if v in came or not d - h <= other_deaths[v] <= d + h:
                 continue
-            v = row[k]
-            seen[v] = True
-            stack[-1] = (u, k + 1)
-            path.append(v)
-            if match_right[v] < 0:
-                for (w, _), x in zip(stack, path):
-                    match_right[x] = w
-                break
-            stack.append((match_right[v], 0))
-        else:
-            return None
-    return match_right
+            came[v] = w
+            if room[v]:
+                path = [v, w]
+                while via[w] is not None:
+                    v, w = via[w], came[via[w]]
+                    path += (v, w)
+                return path[::-1]
+            for x, copies in held[v].items():
+                if copies and x not in via:
+                    via[x] = v
+                    queue.append(x)
+    return None
 
 
 def cover_within(side, must, other, h: int) -> bool:
-    """Can the points u in must go to distinct points of other within h in
-    both coordinates?  Points are (births, deaths) lists, other's sorted by
-    birth.  A greedy pass settles most probes; saturates gets the rest,
-    unless a row is empty.  The greedy pass takes other's points by runs of
-    equal neighbours, found as a scan first reaches them: one step passes a
-    run used up or out of reach, and scans start past the used-up prefix.
+    """Can each bar u in must place its counts[u] copies on bars of other
+    within h in both coordinates, each bar of other taking at most its
+    count?  Bars are (births, deaths, counts) lists, other's sorted by birth.
+
+    Each must bar first takes room on its neighbours, found by bisecting
+    other's births past the prefix of full bars and filtering on the death.
+    The rest moves along augmenting paths over the same box query, backed
+    by the logged placements (_augmenting_path); a bar left with no path
+    ends the probe, as the bars its search reached violate Hall's condition.
     """
-    births, deaths = side
-    others, other_deaths = other
-    used = [0] * (len(others) + 1)  # per run, at its first point; the last entry ends the prefix
-    end = [0] * len(others)  # per run, at its first point: one past its last point, 0 until found
-    first = 0
+    births, deaths, counts = side
+    others, other_deaths = other[0], other[1]
+    room = other[2] + [1]  # the last entry ends the prefix of full bars
+    log, short, first = [], [], 0
     for u in must:
-        b, d = births[u], deaths[u]
-        while used[first] and used[first] == end[first] - first:
-            first = end[first]
+        b, d, r = births[u], deaths[u], counts[u]
+        while not room[first]:
+            first += 1
         v, stop = bisect_left(others, b - h, first), bisect_right(others, b + h)
         while v < stop:
-            e = end[v]
-            if not e:
-                e = v + 1
-                while e < stop and others[e] == others[v] and other_deaths[e] == other_deaths[v]:
-                    e += 1
-                end[v] = e
-            if used[v] < e - v and d - h <= other_deaths[v] <= d + h:
-                used[v] += 1
-                break
-            v = e
+            k = room[v]
+            if k and d - h <= other_deaths[v] <= d + h:
+                k = k if k < r else r
+                room[v] -= k
+                r -= k
+                log.append((u, v, k))
+                if not r:
+                    break
+            v += 1
         else:
-            rows = {}
-            for w in must:
-                rows[w] = [v for v in range(bisect_left(others, births[w] - h), bisect_right(others, births[w] + h))
-                           if deaths[w] - h <= other_deaths[v] <= deaths[w] + h]
-                if not rows[w]:
-                    return False
-            return saturates(rows, len(others), must) is not None
+            short.append((u, r))
+    if not short:
+        return True
+    held = defaultdict(Counter)  # bar of other -> {must bar: copies on it}
+    for u, v, k in log:
+        held[v][u] = k
+    for root, r in short:
+        while r:
+            path = _augmenting_path(root, held, room, side, other, h)
+            if path is None:
+                return False
+            moves = list(zip(path[1:-1:2], path[2::2]))  # (v_i, w_i): w_i leaves v_i
+            k = min([r, room[path[-1]]] + [held[v][w] for v, w in moves])
+            room[path[-1]] -= k
+            r -= k
+            for w, v in zip(path[::2], path[1::2]):
+                held[v][w] += k
+            for v, w in moves:
+                held[v][w] -= k
     return True
 
 
 class _Bars:
     """The bottleneck problem of two integer bar lists, in doubled units.
 
-    Each list comes split as fibered.pair_bars returns it.  Costs are 2 *
-    l-infinity and a finite bar's deletion is d - b, so every candidate is
-    an integer.  Infinite bars must match infinite bars, which on the line
-    is optimal in sorted order and gives the lower bound low (INF when
-    their counts differ).  The order among equal births only relabels the
-    probe's vertices.
+    Each list comes as fibered.pair_bars returns it, or with infinite
+    holding both sides' infinite births as (birth, count) runs.  Costs are
+    2 * l-infinity and a finite bar's deletion is d - b, so every candidate
+    is an integer.  Infinite bars must match infinite bars, which on the
+    line is optimal in sorted order and gives the lower bound low (INF when
+    their totals differ).  The order among equal births only relabels bars.
 
     A threshold c is feasible when some partial matching uses only costs
     <= c and leaves unmatched only bars whose deletion is <= c.  By the
-    Mendelsohn-Dulmage theorem that holds exactly when the bars of the
-    first side with deletion > c can all be matched, and so can those of
-    the second side, each side on its own.  A probe at c tests these two
-    conditions without a cost matrix (cover_within): a bar's neighbours are
-    the other side's bars whose birth and death both lie within c // 2 of
-    its own, found by bisecting that side's births (after Kerber, Morozov
-    and Nigmetov, "Geometry helps to compare persistence diagrams", JEA 2017).
-    Feasibility is monotone in c, so least_above bisects the integers with
-    the same probe.
+    Mendelsohn-Dulmage theorem that holds exactly when every copy of the
+    first side's bars with deletion > c can be matched, and so can those of
+    the second side, each side on its own: two cover_within probes with
+    h = c // 2 (after Kerber, Morozov and Nigmetov, "Geometry helps to
+    compare persistence diagrams", JEA 2017).  Feasibility is monotone in
+    c, so least_above bisects it with the same probe.
     """
 
-    def __init__(self, xs, ys):
-        self.low = INF
-        if len(xs[2]) == len(ys[2]):  # the infinite births
-            self.low = max((2 * abs(u - v) for u, v in zip(xs[2], ys[2])), default=0)
-            self.sides = (xs[:2], ys[:2])
+    def __init__(self, xs, ys, infinite=None):
+        self.low = 2 * _in_order_gap(*infinite or [zip(side[3], itertools.repeat(1)) for side in (xs, ys)])
+        self.sides = (xs[:3], ys[:3])
 
     def at_most(self, c: int) -> bool:
         """Is the distance <= c?"""
         if self.low > c:
             return False
         for side, other in (self.sides, self.sides[::-1]):
-            must = [u for u, b, d in zip(itertools.count(), *side) if d - b > c]
+            must = [u for u, b, d in zip(itertools.count(), side[0], side[1]) if d - b > c]
             if must and not cover_within(side, must, other, c // 2):
                 return False
         return True
@@ -194,7 +200,7 @@ class _Bars:
             return INF
         lo = max(floor + 1, self.low)
         # deleting every finite bar is feasible once c covers each deletion
-        hi = max([lo] + [d - b for births, deaths in self.sides for b, d in zip(births, deaths)])
+        hi = max([lo] + [d - b for births, deaths, _ in self.sides for b, d in zip(births, deaths)])
         return least(self.at_most, lo, hi)
 
 
@@ -210,16 +216,13 @@ def least(probe, lo: int, hi: int) -> int:
 
 
 def _scaled_bars(B1: Barcode, B2: Barcode):
-    """Both barcodes' bars as integers scaled by the lcm of their denominators,
-    split as fibered.pair_bars splits them."""
-    xs, ys = B1.expand(), B2.expand()
-    scale = common_scale(c for bar in xs + ys for c in bar if c != INF)
-
-    def split(bars):
-        finite = [(int(b * scale), int(d * scale)) for b, d in bars if d != INF]
-        return [b for b, _ in finite], [d for _, d in finite], [int(b * scale) for b, d in bars if d == INF]
-
-    return _Bars(split(xs), split(ys)), scale
+    """Both barcodes' distinct bars with their multiplicities, as integers
+    scaled by the lcm of their denominators."""
+    scale = common_scale(c for B in (B1, B2) for b, d, _ in B.bars for c in (b, d) if c != INF)
+    sides = [[(int(b * scale), d if d == INF else int(d * scale), m) for b, d, m in B.bars] for B in (B1, B2)]
+    finite = [[[bar[i] for bar in bars if bar[1] != INF] for i in range(3)] for bars in sides]
+    infinite = [[(b, m) for b, d, m in bars if d == INF] for bars in sides]
+    return _Bars(*finite, infinite), scale
 
 
 def bottleneck(B1: Barcode, B2: Barcode):
@@ -524,18 +527,14 @@ def verify_interleaving(P: Presentation, Q: Presentation, w: InterleavingWitness
             if not 0 < c < P.p:
                 return VerifyReport(False, eps, f"{name} coefficient {c} out of range")
             if not leq(vd.gens[j], up(vs.gens[i], 1)):
-                return VerifyReport(
-                    False, eps,
-                    f"{name} entry {src.labels[i]} -> {dst.labels[j]} violates grades",
-                )
+                return VerifyReport(False, eps, f"{name} entry {src.labels[i]} -> {dst.labels[j]} violates grades")
     for name, _, rows, src, dst, vs, vd in sides:
         for k, (a, col) in enumerate(vs.rels):
             image = apply_rows(rows, col, P.p)
             if not vd.in_span(image, up(a, 1)):
-                return VerifyReport(
-                    False, eps,
-                    f"{name} sends relation {k} (grade {src.rels[k].grade}) outside the relation submodule",
-                )
+                (grade,) = grade_text([src.scaled_rels[k]], src.scale)
+                return VerifyReport(False, eps,
+                                    f"{name} sends relation {k} (grade {grade}) outside the relation submodule")
     for name, first, second, side, view in (("g.f", fr, gr, P, VP), ("f.g", gr, fr, Q, VQ)):
         for i, label in enumerate(side.labels):
             vec = apply_rows(second, apply_rows(first, {i: 1}, P.p), P.p)
@@ -543,10 +542,7 @@ def verify_interleaving(P: Presentation, Q: Presentation, w: InterleavingWitness
             if not vec[i]:
                 del vec[i]
             if not view.in_span(vec, up(view.gens[i], 2)):
-                return VerifyReport(
-                    False, eps,
-                    f"coherence {name} fails at generator {label}",
-                )
+                return VerifyReport(False, eps, f"coherence {name} fails at generator {label}")
     return VerifyReport(True, eps)
 
 

@@ -7,7 +7,9 @@ exhaustive enumeration for matchings and grids, and for larger matchings
 the textbook diagonal-slot reduction to perfect bipartite matching.
 matched_pairs_witness_entries, the block-matching witness at a threshold,
 lives here too, beside the dense reference it is checked against: no
-command of the package builds that witness.  interval_rank_by_units and
+command of the package builds that witness.  Both find their matching with
+saturates, an augmenting-path search on explicit neighbour rows, which the
+package's bottleneck probe does without.  interval_rank_by_units and
 rank_violation_by_ranks are the plain routes of the rank lower bound's
 probes: the lower-fence walk over unit vectors, and every point probe's
 rank computed.  The Fraction restriction is the plain route of the
@@ -152,6 +154,11 @@ def barcode_by_rank_counts(Q) -> Counter:
         if m_inf:
             bars[(b, INF)] += m_inf
     return bars
+
+
+def bars_of(B: Barcode) -> list[tuple]:
+    """Every bar (birth, death) of B repeated by its multiplicity, in birth order."""
+    return [(b, d) for b, d, m in B.bars for _ in range(m)]
 
 
 def brute_bottleneck(bars1: list[tuple], bars2: list[tuple]):
@@ -629,9 +636,12 @@ def restrict_by_push(P, line: LineSpec) -> Presentation:
 def barcode_by_push(P, line: LineSpec) -> Barcode:
     """The barcode of P on the line: pair_bars on the Fraction pushes of its grades."""
     Q = restrict_by_push(P, line)
-    births, deaths, infinite = pair_bars([g.grade.coords[0] for g in Q.gens], [r.grade.coords[0] for r in Q.rels],
-                                         [dict(r.col) for r in Q.rels], Q.p)
-    return Barcode(list(zip(births, deaths)) + [(b, INF) for b in infinite])
+    births, deaths, counts, infinite = pair_bars([g.grade.coords[0] for g in Q.gens],
+                                                 [r.grade.coords[0] for r in Q.rels], [dict(r.col) for r in Q.rels], Q.p)
+    bars = Counter((b, INF) for b in infinite)
+    for bar, m in zip(zip(births, deaths), counts):
+        bars[bar] += m
+    return Barcode(bars)
 
 
 def refine_near_by_fractions(line: LineSpec, pts: list[Grade]) -> list[LineSpec]:
@@ -728,6 +738,51 @@ def rectangle_distance(r1, r2):
     return min(rectangle_shift(r1, r2), max(r1.radius(), r2.radius()))
 
 
+def saturates(rows, size: int, must) -> list[int] | None:
+    """A matching that covers every left vertex in must, or None if none does.
+
+    rows[u] lists u's right neighbours.  A greedy pass matches what it can,
+    then augmenting paths are searched depth first with an explicit stack.
+    The matching is returned as match_right: the left vertex matched to
+    each of the size right vertices, or -1.
+    """
+    match_right = [-1] * size
+    free = []
+    for u in must:
+        for v in rows[u]:
+            if match_right[v] < 0:
+                match_right[v] = u
+                break
+        else:
+            free.append(u)
+    for root in free:
+        seen = [False] * size
+        stack = [(root, 0)]
+        path = []  # path[k]: the right vertex taken out of stack[k]
+        while stack:
+            u, k = stack[-1]
+            row = rows[u]
+            while k < len(row) and seen[row[k]]:
+                k += 1
+            if k == len(row):
+                stack.pop()
+                if path:
+                    path.pop()
+                continue
+            v = row[k]
+            seen[v] = True
+            stack[-1] = (u, k + 1)
+            path.append(v)
+            if match_right[v] < 0:
+                for (w, _), x in zip(stack, path):
+                    match_right[x] = w
+                break
+            stack.append((match_right[v], 0))
+        else:
+            return None
+    return match_right
+
+
 def matched_pairs_by_dense_shifts(A, B, eps):
     """matched_pairs_witness_entries by the whole m x k rectangle_shift matrix.
 
@@ -736,7 +791,6 @@ def matched_pairs_by_dense_shifts(A, B, eps):
     its slot when its radius is <= eps; B's rows are as in the library.
     """
     from multipres.blocks import extend_block
-    from multipres.metrics import saturates
 
     ra, rb = [extend_block(x) for x in A], [extend_block(y) for y in B]
     m, k = len(ra), len(rb)
@@ -765,7 +819,6 @@ def matched_pairs_witness_entries(A, B, eps):
     its kind with a within eps, bisected on integer endpoints, and b too.
     """
     from multipres.blocks import KINDS, extend_block
-    from multipres.metrics import saturates
     from multipres.presentation import common_scale
 
     e = rat(eps)

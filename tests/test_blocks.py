@@ -21,6 +21,7 @@ from oracles import (
     matched_pairs_by_dense_shifts,
     matched_pairs_witness_entries,
     rectangle_distance,
+    saturates,
     slot_min_max_assignment,
     zero_module,
 )
@@ -213,6 +214,14 @@ class TestBlockMatching:
                 assert got == matched_pairs_by_dense_shifts(A, B, eps), (A, B, eps)
                 found += got is not None
         assert found > 40
+
+    def test_saturates_after_greedy_conflict(self):
+        # the matcher of the two witness oracles: left vertices 1 and 2 both
+        # need right vertex 2, which the greedy pass gives to vertex 0; after
+        # vertex 1 takes it over, vertex 2 must fail
+        rows = [[2, 0, 1], [2], [2]]
+        assert saturates(rows, 3, [0, 1, 2]) is None
+        assert saturates(rows, 3, [0, 1]) == [0, -1, 1]
 
 
 class TestSandwich:

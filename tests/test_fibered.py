@@ -23,7 +23,7 @@ from multipres.experiments import incompleteness_pair
 from multipres.fibered import pair_bars
 from multipres.presentation import Generator, Presentation, Relation
 
-from oracles import barcode_by_push, barcode_by_rank_counts, dim_at, point_at, push, random_module
+from oracles import bars_of, barcode_by_push, barcode_by_rank_counts, dim_at, point_at, push, random_module
 from oracles import restrict_by_push
 
 INF = math.inf
@@ -150,13 +150,18 @@ class TestBarcode:
                 rels.append((max(gens[i] for i in support) + rng.randint(0, 3),
                              {i: rng.randint(1, p - 1) for i in support}))
             Q = one_param(gens, rels, p)
-            births, deaths, infinite = pair_bars([a for a, in Q.scaled_gens], [a for a, in Q.scaled_rels],
-                                                 list(map(dict, Q.cols)), p)
+            births, deaths, counts, infinite = pair_bars([a for a, in Q.scaled_gens], [a for a, in Q.scaled_rels],
+                                                         list(map(dict, Q.cols)), p)
             # split as the probe reads them: finite bars in birth order, then the infinite births in order
             assert births == sorted(births) and infinite == sorted(infinite)
             assert len(births) == len(deaths) and all(b < d for b, d in zip(births, deaths))
-            bars = Counter(zip(births, deaths)) + Counter((b, INF) for b in infinite)
+            bars = Counter((b, INF) for b in infinite)
+            for bar, m in zip(zip(births, deaths), counts):
+                bars[bar] += m
             assert bars == barcode_by_rank_counts(Q)
+            # equal neighbours are one entry with their count
+            finite = list(zip(births, deaths))
+            assert len(counts) == len(finite) and all(x != y for x, y in zip(finite, finite[1:]))
 
     def test_order_independence(self):
         rng = random.Random(32)
@@ -196,7 +201,7 @@ class TestBarcodeProperties:
             line = LineSpec.through(g(F(rng.randint(1, 8), 2), F(rng.randint(1, 8), 4)),
                                     [F(rng.randint(1, 8), 8), 1])
             left = barcode(restrict(direct_sum(P, Q), line))
-            right = Barcode(barcode(restrict(P, line)).expand() + barcode(restrict(Q, line)).expand())
+            right = Barcode(bars_of(barcode(restrict(P, line))) + bars_of(barcode(restrict(Q, line))))
             assert left == right
 
     def test_pointwise_dimension_consistency(self):

@@ -1,3 +1,4 @@
+import io
 import itertools
 import math
 import random
@@ -5,6 +6,8 @@ import re
 import subprocess
 import sys
 import time
+import tracemalloc
+from contextlib import redirect_stdout
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -462,8 +465,8 @@ class TestCli:
         assert code == 0 and out.strip() == "bottleneck 1/2 (0.500000)", err
 
     def test_bottleneck_of_twenty_thousand_equal_bars(self, tmp_path):
-        # the greedy probe skips the bars it has taken, and a bar with no
-        # neighbour ends the probe, so each run is linear in the bars
+        # each file is one bar with its count, and the probe places copies by
+        # the count: a demand of 20000 on a capacity of 20000 is one step
         short, long_ = tmp_path / "short.bars", tmp_path / "long.bars"
         short.write_text("bar 0 1 20000\n")
         long_.write_text("bar 0 3 20000\n")
@@ -475,8 +478,8 @@ class TestCli:
 
     def test_bottleneck_of_equal_births_with_rescans(self, tmp_path):
         # each long bar of the first file has a partner only after all the
-        # short bars of the second, which share its birth: the probe passes
-        # those in one step per scan, so the run is linear in the bars
+        # short bars of the second, which share its birth: both are counted
+        # bars, so the probe passes the short ones in one step
         first, second = tmp_path / "first.bars", tmp_path / "second.bars"
         first.write_text("bar 0 3 8000\n")
         second.write_text("bar 0 1 8000\nbar 0 3 8000\n")
@@ -484,6 +487,40 @@ class TestCli:
         code, out, err = run_cli("bottleneck", str(first), str(second))
         assert (code, out.strip()) == (0, "bottleneck 1/2 (0.500000)"), err
         assert time.perf_counter() - start < 5
+
+    @staticmethod
+    def bounded_bottleneck(first, second, seconds, megabytes):
+        """The stdout of bottleneck first second, run in-process within a
+        wall time and a tracemalloc peak."""
+        out = io.StringIO()
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            with redirect_stdout(out):
+                assert main(["bottleneck", str(first), str(second)]) == 0
+            wall, peak = time.perf_counter() - start, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert wall < seconds and peak < megabytes * 2**20, (wall, peak)
+        return out.getvalue()
+
+    def test_bottleneck_of_counted_bars_and_one_without_a_partner(self, tmp_path):
+        # [1, 2) has no partner and is deleted at 1/2, while the 10^5 copies
+        # of [0, 3) match their own: a search that lists every copy's
+        # neighbours before it meets [1, 2) is quadratic in time and memory
+        first, second = tmp_path / "first.bars", tmp_path / "second.bars"
+        first.write_text("bar 0 3 100000\nbar 1 2 1\n")
+        second.write_text("bar 0 3 100000\n")
+        assert self.bounded_bottleneck(first, second, 5, 20) == "bottleneck 1/2 (0.500000)\n"
+
+    def test_bottleneck_of_distinct_bars_and_one_without_a_partner(self, tmp_path):
+        # the same shape with 5000 distinct bars [k/n, 3 + k/n), count 1 each
+        n = 5000
+        chain = "".join(f"bar {k}/{n} {3 * n + k}/{n} 1\n" for k in range(n))
+        first, second = tmp_path / "first.bars", tmp_path / "second.bars"
+        first.write_text(chain + "bar 1 2 1\n")
+        second.write_text(chain)
+        assert self.bounded_bottleneck(first, second, 30, 40) == "bottleneck 1/2 (0.500000)\n"
 
     def test_tabular_format(self, files):
         code, out, _ = run_cli("bottleneck", str(files / "B1.bars"), str(files / "B2.bars"),

@@ -1,5 +1,6 @@
 import math
 import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -30,7 +31,6 @@ from multipres.metrics import (
     LineSample,
     _rank_violation,
     bottleneck_at_most,
-    saturates,
 )
 from multipres.experiments import (
     incompleteness_pair,
@@ -51,7 +51,7 @@ from multipres.presentation import (
     minimize,
 )
 
-from oracles import brute_bottleneck, sample_lines_by_fractions, slot_min_max_assignment
+from oracles import bars_of, brute_bottleneck, sample_lines_by_fractions, slot_min_max_assignment
 from oracles import betti_grades, lines_of, random_module, translate_joint, zero_module
 from oracles import barcode_by_push, push, refine_near_by_fractions
 
@@ -70,7 +70,7 @@ def units_of(line, scale):
 
 def slot_distance(B1, B2):
     """The bottleneck distance by tests/oracles.py's slot matching."""
-    xs, ys = B1.expand(), B2.expand()
+    xs, ys = bars_of(B1), bars_of(B2)
 
     def cost(x, y):
         if (x[1] == INF) != (y[1] == INF):
@@ -85,9 +85,19 @@ def slot_distance(B1, B2):
 
 
 def split(bars):
-    """Bars (birth, death) in birth order, split as fibered.pair_bars returns them."""
-    finite = [(b, d) for b, d in bars if d != INF]
-    return [b for b, _ in finite], [d for _, d in finite], [b for b, d in bars if d == INF]
+    """Bars (birth, death) in birth order, split as fibered.pair_bars returns
+    them: equal finite bars one after the other are one entry with a count."""
+    births, deaths, counts = [], [], []
+    for b, d in bars:
+        if d == INF:
+            continue
+        if births and (births[-1], deaths[-1]) == (b, d):
+            counts[-1] += 1
+        else:
+            births.append(b)
+            deaths.append(d)
+            counts.append(1)
+    return births, deaths, counts, [b for b, d in bars if d == INF]
 
 
 def random_barcode(rng, max_bars=4, allow_inf=True):
@@ -114,7 +124,7 @@ class TestBottleneck:
         B1 = Barcode({(0, 10): 1, (0, 1): 1})
         B2 = Barcode({(1, 9): 1})
         assert bottleneck(B1, B2) == 1
-        assert brute_bottleneck(B1.expand(), B2.expand()) == 1
+        assert brute_bottleneck(bars_of(B1), bars_of(B2)) == 1
 
     def test_unmatched_infinite_bars(self):
         assert bottleneck(Barcode({(0, INF): 1}), Barcode({})) == INF
@@ -124,7 +134,7 @@ class TestBottleneck:
         rng = random.Random(61)
         for _ in range(60):
             B1, B2 = random_barcode(rng), random_barcode(rng)
-            assert bottleneck(B1, B2) == brute_bottleneck(B1.expand(), B2.expand())
+            assert bottleneck(B1, B2) == brute_bottleneck(bars_of(B1), bars_of(B2))
 
     def test_at_most_probe(self):
         rng = random.Random(66)
@@ -183,12 +193,17 @@ class TestBottleneck:
 
     def test_bars_in_birth_order_need_no_sort(self):
         # the pairing hands _Bars its bars sorted by birth only; the order
-        # among equal births must not change any probe or the distance
+        # among equal births must not change any probe or the distance.
+        # Every other trial repeats bars: fully sorted, each repeated bar is
+        # one entry with its count, and in birth order alone the shuffled
+        # ties can split it into several entries
         rng = random.Random(70)
-        for _ in range(120):
+        for trial in range(120):
             def bars():
                 out = [(b, INF if rng.random() < 0.2 else b + rng.randint(1, 6))
                        for b in (rng.randint(0, 4) for _ in range(rng.randint(0, 10)))]
+                if trial % 2:
+                    out = [bar for bar in out for _ in range(rng.randint(1, 3))]
                 rng.shuffle(out)
                 return sorted(out, key=lambda bar: bar[0])  # stable: equal births stay shuffled
 
@@ -200,44 +215,57 @@ class TestBottleneck:
                 if not fully_sorted.at_most(c):
                     assert birth_ordered.least_above(c) == fully_sorted.least_above(c), (xs, ys, c)
 
-    def test_split_bars_against_brute_force(self):
+    def test_split_bars_against_brute_force(self, monkeypatch):
         # _Bars on the split form, against exhaustive matching: zero-length
         # bars, which pair_bars drops but the probe must read as free to
-        # delete, equal births in shuffled order, and unequal infinite counts
+        # delete, equal births in shuffled order, unequal infinite counts,
+        # and repeated bars, which reach _Bars as counts above 1 on both
+        # sides.  Some probe must move copies off a full counted bar along
+        # an augmenting path, not only place them greedily.
         rng = random.Random(73)
         seen = set()
-        for trial in range(150):
-            def bars():
-                out = []
-                for _ in range(rng.randint(0, 4)):
-                    b = rng.randint(0, 3)
-                    out.append((b, INF if rng.random() < 0.25 else b + rng.randint(0, 4)))
-                rng.shuffle(out)
-                return sorted(out, key=lambda bar: bar[0])
+        find_path = metrics._augmenting_path
 
-            xs, ys = bars(), bars()
+        def spy(root, held, room, side, other, h):
+            path = find_path(root, held, room, side, other, h)
+            if path and any(other[2][v] > 1 for v in path[1:-1:2]):
+                seen.add("copies moved off a counted bar")
+            return path
+
+        monkeypatch.setattr(metrics, "_augmenting_path", spy)
+
+        def bars(repeated):
+            out = []
+            for _ in range(rng.randint(1, 2) if repeated else rng.randint(0, 4)):
+                b = rng.randint(0, 3)
+                bar = (b, INF if rng.random() < 0.25 else b + rng.randint(0, 4))
+                out += [bar] * (rng.randint(1, 3) if repeated else 1)
+            rng.shuffle(out)
+            return sorted(out, key=lambda bar: bar[0])
+
+        pairs = [(bars(trial >= 150), bars(trial >= 150)) for trial in range(300)]
+        # at c = 2 the greedy pass gives both copies of [0, 4) to the two
+        # [0, 3), and [1, 5) is covered only once a copy moves on to [1, 3)
+        pairs.append(([(0, 3), (0, 3), (1, 5)], [(0, 4), (0, 4), (1, 3)]))
+        for xs, ys in pairs:
             seen |= {"zero-length" for b, d in xs + ys if b == d}
             seen |= {"equal births" for bars_ in (xs, ys) for x, y in zip(bars_, bars_[1:]) if x[0] == y[0]}
-            seen |= {"unequal infinite counts"} if len(split(xs)[2]) != len(split(ys)[2]) else set()
+            seen |= {"unequal infinite counts"} if len(split(xs)[3]) != len(split(ys)[3]) else set()
+            if min(max(split(bars_)[2], default=0) for bars_ in (xs, ys)) > 1:
+                seen.add("counts above 1 on both sides")
             bars_ = metrics._Bars(split(xs), split(ys))
             d = 2 * brute_bottleneck(xs, ys)  # doubled units
             for c in range(-1, 16):
                 assert bars_.at_most(c) == (d <= c), (xs, ys, c)
                 if d > c:
                     assert bars_.least_above(c) == d, (xs, ys, c)
-        assert seen == {"zero-length", "equal births", "unequal infinite counts"}
+        assert seen == {"zero-length", "equal births", "unequal infinite counts",
+                        "counts above 1 on both sides", "copies moved off a counted bar"}
 
     def test_equal_bars_are_not_cancelled(self):
         # matching [0, 2) with its copy leaves [-1, 3) to delete at 2; the
         # optimum moves [0, 2) onto [-1, 3) and deletes the copy, both at 1
         assert bottleneck(Barcode([(0, 2)]), Barcode([(0, 2), (-1, 3)])) == 1
-
-    def test_saturates_after_greedy_conflict(self):
-        # left vertices 1 and 2 both need right vertex 2, which the greedy pass
-        # gives to vertex 0; after vertex 1 takes it over, vertex 2 must fail
-        rows = [[2, 0, 1], [2], [2]]
-        assert saturates(rows, 3, [0, 1, 2]) is None
-        assert saturates(rows, 3, [0, 1]) == [0, -1, 1]
 
     def test_five_hundred_shifted_bars(self):
         # a recursive augmenting-path search overflowed the stack on this pair
@@ -420,9 +448,11 @@ class TestIntegerLineLoop:
             for line in self.lines(P, Q, n):
                 units = units_of(line, scale)
                 for M, view in zip((P, Q), views):
-                    births, deaths, infinite = barcode(restrict(view, units))
-                    got = Barcode([(F(b, units.unit), F(d, units.unit)) for b, d in zip(births, deaths)]
-                                  + [(F(b, units.unit), INF) for b in infinite])
+                    births, deaths, counts, infinite = barcode(restrict(view, units))
+                    got = Counter((F(b, units.unit), INF) for b in infinite)
+                    for b, d, m in zip(births, deaths, counts):
+                        got[F(b, units.unit), F(d, units.unit)] += m
+                    got = Barcode(got)
                     assert got == barcode_by_push(M, line), (n, str(line))
 
     @staticmethod
