@@ -692,7 +692,10 @@ class TestCli:
 # tests/golden: a 3-summand F2 module and its jittered copy (jitter_module,
 # amount 1/2), and two entangled presentations of another one, drawn by
 # clibench/gen.py's staircase_sum and entangle from random.Random(2501)
-# and random.Random(2502)
+# and random.Random(2502); f3.joint, the joint file of a 2-summand F3
+# staircase sum jittered by 1/3 and its translate by 1/2 (translate_joint,
+# random.Random(2801)); and the *.out files, the expected stdout of the
+# rows too long to write inline
 GOLDEN = Path(__file__).resolve().parent / "golden"
 # files the golden runs read besides the fixtures and the seeded pairs in tests/golden
 GOLDEN_INPUTS = {
@@ -731,17 +734,24 @@ GOLDEN_INPUTS = {
     ("barcode cube --direction 1_2_3 --through 1/2_1/3_1/4", "bar 0 inf 1\nbar 7/4 19/4 1\n"),
     ("bottleneck mixed1.bars mixed2.bars", "bottleneck 1 (1.000000)\n"),
     ("bottleneck mixed1.bars mixed1.bars", "bottleneck 0 (0.000000)\n"),
+    ("interpolate f3 --t 0", GOLDEN / "f3_t0.out"),
+    ("interpolate f3 --t 1/3", GOLDEN / "f3_t1-3.out"),
+    ("interpolate f3 --t 1", GOLDEN / "f3_t1.out"),
+    ("experiment example31", GOLDEN / "example31.out"),
+    ("experiment local-equiv", GOLDEN / "local-equiv.out"),
 ])
 def test_golden_stdout(argv, want, tmp_path, capsys):
     # the exact stdout of the distance and barcode commands on the example-3.1
     # pair (N, O), a seeded jittered pair, a seeded pair of entangled
-    # presentations of one module, a 3-parameter pair and barcode files;
-    # '_' separates the coordinates of one grade
+    # presentations of one module, a 3-parameter pair and barcode files, of
+    # interpolate on a joint file and of two experiments; '_' separates the
+    # coordinates of one grade, and a Path names a file holding the stdout
     for name, text in GOLDEN_INPUTS.items():
         (tmp_path / name).write_text(text)
     paths = {"N": FIXTURES / "example31_N.fpres", "O": FIXTURES / "example31_O.fpres",
              "cube": tmp_path / "cube.fpres", "cube_shift": tmp_path / "cube_shift.fpres"}
     paths.update({name: GOLDEN / f"{name}.fpres" for name in ("jitter_M", "jitter_J", "entangled_A", "entangled_B")})
+    paths["f3"] = GOLDEN / "f3.joint"
 
     def arg(a):
         if a in paths:
@@ -749,7 +759,7 @@ def test_golden_stdout(argv, want, tmp_path, capsys):
         return str(tmp_path / a) if a.endswith(".bars") else a.replace("_", " ")
 
     assert main([arg(a) for a in argv.split()]) == 0
-    assert capsys.readouterr().out == want
+    assert capsys.readouterr().out == (want.read_text() if isinstance(want, Path) else want)
 
 
 def test_distances_are_symmetric_and_below_accepted_identity_witnesses(tmp_path, capsys):
