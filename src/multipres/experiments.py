@@ -14,6 +14,7 @@ eps' < eps is 0.  So d_I(N, O) = eps exactly.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -29,13 +30,7 @@ from .metrics import (
     sample_lines,
     verify_interleaving,
 )
-from .presentation import (
-    Generator,
-    Presentation,
-    Relation,
-    direct_sum,
-    staircase_interval,
-)
+from .presentation import Presentation, direct_sum, staircase_interval
 from .blocks import Block, KINDS, block_matching_distance, unextended_block_distance
 
 
@@ -44,29 +39,17 @@ def incompleteness_pair(eps=1, p: int = 2) -> tuple[Presentation, Presentation]:
 
     N = <a:(e,0), b:(0,e) | x1^9e a, x2^9e b, x2^10e a, x1^10e b>, and O adds
     a generator c at (e,e) with the merge relation x1^e b - x2^e a and the
-    relations x1^9e c, x2^9e c.
+    relations x1^9e c, x2^9e c.  Both are built in units of 1/den(e), in
+    which e is the integer u.
     """
     e = rat(eps)
-    ga, gb, gc = Grade([e, 0]), Grade([0, e]), Grade([e, e])
-    minus_one = p - 1
-    N = Presentation(
-        2, p,
-        (Generator("a", ga), Generator("b", gb)),
-        (
-            Relation(Grade([10 * e, 0]), ((0, 1),)),
-            Relation(Grade([0, 10 * e]), ((1, 1),)),
-            Relation(Grade([e, 10 * e]), ((0, 1),)),
-            Relation(Grade([10 * e, e]), ((1, 1),)),
-        ),
-    )
-    O = Presentation(
-        2, p,
-        N.gens + (Generator("c", gc),),
-        (Relation(gc, tuple(sorted(((0, minus_one), (1, 1))))),) + N.rels + (
-            Relation(Grade([10 * e, e]), ((2, 1),)),
-            Relation(Grade([e, 10 * e]), ((2, 1),)),
-        ),
-    )
+    u = e.numerator
+    rels = [(10 * u, 0), (0, 10 * u), (u, 10 * u), (10 * u, u)]
+    cols = [((0, 1),), ((1, 1),), ((0, 1),), ((1, 1),)]
+    N = Presentation.from_integers(2, p, e.denominator, ["a", "b"], [(u, 0), (0, u)], rels, cols)
+    O = Presentation.from_integers(2, p, e.denominator, ["a", "b", "c"], [(u, 0), (0, u), (u, u)],
+                                   [(u, u)] + rels + [(10 * u, u), (u, 10 * u)],
+                                   [((0, p - 1), (1, 1))] + cols + [((2, 1),), ((2, 1),)])
     return N, O
 
 
@@ -106,17 +89,18 @@ class Example31Report:
         return "\n".join(out)
 
 
-def run_example31(eps=1, p: int = 2, min_lines: int = 500, slopes: int = 64) -> Example31Report:
-    """Sampled matching distance 0 across >= min_lines lines, with the
-    interleaving distance certified from both sides: a positive rank lower
-    bound and the witness upper bound."""
-    N, O = incompleteness_pair(eps, p)
-    sample = sample_lines(N, O, slopes=slopes)
+def run_example31(min_lines: int = 500) -> Example31Report:
+    """Sampled matching distance 0 across >= min_lines lines (64 slopes, more
+    lines if needed) for the pair at eps 1 over F_2, with the interleaving
+    distance certified from both sides: a positive rank lower bound and the
+    witness upper bound."""
+    N, O = incompleteness_pair()
+    sample = sample_lines(N, O, slopes=64)
     if len(sample) < min_lines:
-        sample = sample_lines(N, O, slopes=slopes, seed=0, extra=min_lines - len(sample))
+        sample = sample_lines(N, O, slopes=64, seed=0, extra=min_lines - len(sample))
     d0 = matching_distance(N, O, sample=sample)
     lower = rank_lower_bound(N, O).value
-    w = incompleteness_witness(eps, p)
+    w = incompleteness_witness()
     check = verify_interleaving(N, O, w)
     passed = d0.value == 0 and check.accepted and len(sample) >= min_lines and lower > 0
     return Example31Report(d0, len(sample), lower, check.accepted, w.epsilon, passed)
@@ -124,49 +108,42 @@ def run_example31(eps=1, p: int = 2, min_lines: int = 500, slopes: int = 64) -> 
 
 # -- random module generators (shared by the harnesses and the test suite) ------------
 
+# a random staircase has at most MAX_BIRTHS birth corners, on scale * {0..SPREAD-1}^2
+MAX_BIRTHS, SPREAD = 3, 4
 
-def random_staircase(rng: random.Random, p: int = 2, max_births: int = 3,
-                     scale: int = 3, spread: int = 4, immortal: bool = False) -> Presentation:
+
+def random_staircase(rng: random.Random, p: int = 2, scale: int = 3, immortal: bool = False) -> Presentation:
     """Random 2-d staircase interval on a coarse lattice (grid gaps >= scale).
 
-    Births form an antichain on scale * {0..spread-1}^2.  Unless immortal,
-    one or two death corners sit a margin of scale*(spread+1) above the join
+    Births form an antichain on scale * {0..SPREAD-1}^2.  Unless immortal,
+    one or two death corners sit a margin of scale*(SPREAD+1) above the join
     of the births, so every bar a birth opens on its slope-1 line is long
     relative to the step sizes used in the harnesses.
     """
-    k = rng.randint(1, max_births)
-    xs = sorted(rng.sample(range(spread), k))
-    ys = sorted(rng.sample(range(spread), k), reverse=True)
+    k = rng.randint(1, MAX_BIRTHS)
+    xs = sorted(rng.sample(range(SPREAD), k))
+    ys = sorted(rng.sample(range(SPREAD), k), reverse=True)
     births = [Grade([scale * x, scale * y]) for x, y in zip(xs, ys)]
     deaths = []
     if not immortal:
-        top = births[0]
-        for g in births[1:]:
-            top = top.join(g)
-        margin = scale * (spread + 1)
-        if rng.random() < 0.5:
-            deaths = [top.translate(margin)]
-        else:
-            deaths = [
-                top.plus([margin, margin + scale]),
-                top.plus([margin + scale, margin]),
-            ]
+        x, y = scale * (xs[-1] + SPREAD + 1), scale * (ys[0] + SPREAD + 1)  # the join of the births plus the margin
+        deaths = [Grade([x, y])] if rng.random() < 0.5 else [Grade([x, y + scale]), Grade([x + scale, y])]
     return staircase_interval(births, deaths, p=p)
 
 
 def jitter_module(P: Presentation, rng: random.Random, amount) -> Presentation:
     """Homogeneity-safe perturbation: generators move down, relations up,
-    by random multiples of amount/4 up to amount per coordinate."""
+    by random multiples of amount/4 up to amount per coordinate.
+
+    The module is built at the scale S = lcm(P.scale, 4 * amount's
+    denominator), where amount/4 is the integer step.
+    """
     amt = rat(amount)
-    def wiggle():
-        return amt * rng.randint(0, 4) / 4
-    gens = tuple(
-        Generator(g.label, Grade([c - wiggle() for c in g.grade.coords])) for g in P.gens
-    )
-    rels = tuple(
-        Relation(Grade([c + wiggle() for c in r.grade.coords]), r.col) for r in P.rels
-    )
-    return Presentation(P.n, P.p, gens, rels)
+    S = math.lcm(P.scale, 4 * amt.denominator)
+    step, factor = amt.numerator * S // (4 * amt.denominator), S // P.scale
+    gens = [tuple(v * factor - step * rng.randint(0, 4) for v in a) for a in P.scaled_gens]
+    rels = [tuple(v * factor + step * rng.randint(0, 4) for v in a) for a in P.scaled_rels]
+    return Presentation.from_integers(P.n, P.p, S, P.labels, gens, rels, P.cols)
 
 
 # -- local equivalence harness ---------------------------------------------------------
@@ -188,15 +165,15 @@ class LocalEquivSweep:
         return "\n".join(out)
 
 
-def run_local_equiv(seed: int = 0, instances: int = 5, eps=Fraction(1, 2),
-                    slopes: int = 8) -> LocalEquivSweep:
-    """Certified diagonal translates must satisfy d0 > kappa * eps; the
-    incompleteness pair glued to a common anchor must stay at d0 = 0."""
+def run_local_equiv(seed: int = 0, instances: int = 5) -> LocalEquivSweep:
+    """Certified diagonal translates by eps = 1/2 must satisfy d0 > kappa * eps;
+    the incompleteness pair glued to a common anchor must stay at d0 = 0.
+    Each d0 samples 8 slopes."""
     rng = random.Random(seed)
     kappa = Fraction(1, 34) - Fraction(1, 1000)
     reports = []
     ok = True
-    e = rat(eps)
+    e, slopes = Fraction(1, 2), 8
     for _ in range(instances):
         M = random_staircase(rng, immortal=True)
         Nmod, w = shift_with_witness(M, e)

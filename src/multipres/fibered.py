@@ -21,7 +21,6 @@ divides by it.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, NamedTuple
@@ -40,8 +39,12 @@ class Barcode:
     bars: tuple[tuple[Fraction, object, int], ...]  # (birth, death, multiplicity), sorted
 
     def __init__(self, bars):
-        counts: Counter = Counter()
-        for (b, d), m in bars.items() if isinstance(bars, dict) else ((bar, 1) for bar in bars):
+        """bars: a {(birth, death): multiplicity} mapping, or (birth, death)
+        pairs and (birth, death, multiplicity) triples; equal bars add up,
+        each bar hashed once."""
+        counts: dict = {}
+        for b, d, m in (((b, d, m) for (b, d), m in bars.items()) if isinstance(bars, dict)
+                        else (bar if len(bar) == 3 else (*bar, 1) for bar in bars)):
             b = rat(b)
             d = INF if d == INF else rat(d)
             if d < b:
@@ -49,8 +52,8 @@ class Barcode:
             if m < 0:
                 raise ValueError("negative multiplicity")
             if b != d and m:
-                counts[(b, d)] += m
-        object.__setattr__(self, "bars", tuple(sorted((b, d, m) for (b, d), m in counts.items())))
+                counts.setdefault((b, d), [0])[0] += m
+        object.__setattr__(self, "bars", tuple(sorted((b, d, m) for (b, d), (m,) in counts.items())))
 
     def total(self) -> int:
         return sum(m for _, _, m in self.bars)
@@ -198,17 +201,17 @@ def barcode(Q: Presentation | Fiber):
         raise ValueError("barcode extraction needs a 1-parameter presentation")
     births, deaths, counts, infinite = pair_bars([a for a, in Q.scaled_gens], [a for a, in Q.scaled_rels],
                                                  list(map(dict, Q.cols)), Q.p)
-    bars = Counter((Fraction(b, Q.scale), INF) for b in infinite)
-    for b, d, m in zip(births, deaths, counts):
-        bars[Fraction(b, Q.scale), Fraction(d, Q.scale)] += m
-    return Barcode(bars)
+    S = Q.scale
+    return Barcode([(Fraction(b, S), INF, m) for b, m in infinite]
+                   + [(Fraction(b, S), Fraction(d, S), m) for b, d, m in zip(births, deaths, counts)])
 
 
 def pair_bars(gen_params: list[int], rel_params: list[int], cols, p: int):
     """The bars [birth, death) of a 1-parameter presentation, split as the
     bottleneck probe reads them: (births, deaths, counts, infinite), in
     birth order with ties in generator order.  Equal finite bars next to
-    each other are one entry with their count; infinite births come singly.
+    each other are one entry with their count; infinite holds the infinite
+    bars as [birth, count] runs, one per distinct birth.
 
     The parameters are integers in one unit; the columns are {generator
     index: coefficient} dicts.  Rows are the generators in (parameter,
@@ -229,7 +232,10 @@ def pair_bars(gen_params: list[int], rel_params: list[int], cols, p: int):
     for i, d in zip(gen_order, death):
         b = gen_params[i]
         if d is None:
-            infinite.append(b)
+            if infinite and infinite[-1][0] == b:
+                infinite[-1][1] += 1
+            else:
+                infinite.append([b, 1])
         elif deaths and deaths[-1] == d and births[-1] == b:
             counts[-1] += 1
         elif d != b:
@@ -248,10 +254,4 @@ def simplify_barcode(B: Barcode, eps) -> Barcode:
     e = rat(eps)
     if e < 0:
         raise ValueError("eps must be nonnegative")
-    out: Counter = Counter()
-    for b, d, m in B.bars:
-        if d == INF:
-            out[(b, INF)] += m
-        elif d - b > e:
-            out[(b, d - e)] += m
-    return Barcode(out)
+    return Barcode([(b, d if d == INF else d - e, m) for b, d, m in B.bars if d == INF or d - b > e])

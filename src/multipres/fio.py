@@ -6,10 +6,13 @@ grades.integer does (an FPRES column entry 'coeff:index' as
 grades.integer_pair does); 'inf' is read only for bar deaths, the one
 field whose format takes an infinite upper end (block endpoints are
 finite, as Block requires).  An FPRES block is read into, and written
-from, a module's integer form.  Parsers report the offending line; relation
-columns are checked by Presentation alone, and the parsers map its errors
-to lines.  A barcode file holds at most MAX_BARS bars, counted with
-multiplicity, so reading one never expands into more memory than that.
+from, a module's integer form; a joint file's two blocks are put at one
+scale and read into JointPresentation's integer form.  Parsers report the
+offending line; relation columns are checked by Presentation alone, and
+the parsers map its errors to lines.  A barcode file holds at most
+MAX_BARS bars, counted with multiplicity, so reading one never expands
+into more memory than that; each line is one (birth, death, multiplicity)
+triple that Barcode counts.
 The CLI writes FPRES and barcodes, and their serializers round-trip
 bit-exact.
 """
@@ -17,13 +20,12 @@ bit-exact.
 from __future__ import annotations
 
 import math
-from collections import Counter
 
 from .blocks import Block
 from .fibered import Barcode
 from .functors import InterleavingWitness, JointPresentation
-from .grades import grade_text, integer, integer_pair, rat, rat_str, ratio, unscaled
-from .presentation import Generator, Presentation, PresentationError, Relation, check_field
+from .grades import grade_text, integer, integer_pair, rat, rat_str, ratio
+from .presentation import Presentation, PresentationError, check_field, rescaled
 
 INF = math.inf
 # the most bars, counted with multiplicity, that a barcode file may hold
@@ -207,18 +209,17 @@ def parse_joint(text: str) -> JointPresentation:
     eps = parse_rational(tok, lineno)
     if eps < 0:
         raise FormatError(lineno, "epsilon must be nonnegative")
-    blocks = [_parse_fpres_block(cur) for _ in range(2)]
-    (_, n, p, *_), (start, n2, p2, *_) = blocks
+    (_, n, p, s_m, labels_m, G_m, R_m, cols_m, lines_m), (start, n2, p2, s_n, labels_n, G_n, R_n, cols_n, lines_n) = (
+        _parse_fpres_block(cur) for _ in range(2))
     if (n, p) != (n2, p2):
         raise FormatError(start, "joint blocks disagree on field or parameter count")
     cur.end()
-    # the columns index both blocks' generators, so the joint's waypoints check them, r_m before r_n
-    gens, rels, lines = [], [], []
-    for _, _, _, scale, labels, G, R, cols, rows in blocks:
-        gens.append(tuple(map(Generator, labels, unscaled(G, scale))))
-        rels.append(tuple(map(Relation, unscaled(R, scale), cols)))
-        lines += rows
-    return _validated(lines, JointPresentation, n, p, eps, *gens, *rels)
+    # the columns index both blocks' generators, so the joint's endpoints check them, first block's relations first
+    S = math.lcm(s_m, s_n)
+    gens = [*rescaled(G_m, S // s_m), *rescaled(G_n, S // s_n)]
+    rels = [*rescaled(R_m, S // s_m), *rescaled(R_n, S // s_n)]
+    return _validated(lines_m + lines_n, JointPresentation.from_integers, n, p, eps, S, labels_m + labels_n, gens,
+                      rels, cols_m + cols_n, len(labels_m), len(cols_m))
 
 
 # -- barcodes ------------------------------------------------------------------------
@@ -230,7 +231,7 @@ def serialize_barcode(B: Barcode) -> str:
 
 
 def parse_barcode(text: str) -> Barcode:
-    bars: Counter = Counter()
+    bars = []
     total = 0
     for lineno, toks in _lines(text):
         if toks[0] != "bar" or len(toks) != 4:
@@ -248,7 +249,7 @@ def parse_barcode(text: str) -> Barcode:
         total += m
         if total > MAX_BARS:
             raise FormatError(lineno, f"more than {MAX_BARS} bars in the file")
-        bars[(b, d)] += m
+        bars.append((b, d, m))
     return Barcode(bars)
 
 

@@ -20,6 +20,8 @@ metrics module checks them independently.
 
 Joint presentations interpolate between two modules along the straight-line
 path of an eps-interleaving, with endpoints isomorphic to the two modules.
+A joint presentation is one integer form, its waypoint at t = 0, and each
+waypoint slides the two generator families by t*eps in its integer units.
 """
 
 from __future__ import annotations
@@ -32,10 +34,8 @@ from fractions import Fraction
 from . import kernels
 from .grades import GridFunction, controlling_constant, merge_delta, rat, snap_coordinates
 from .presentation import (
-    Generator,
     Presentation,
     PresentationError,
-    Relation,
     ScaledModule,
     bits,
     leq,
@@ -329,25 +329,49 @@ def grid_align(P: Presentation, grid: GridFunction, kap_eps) -> GridAlignResult:
 class JointPresentation:
     """Presentations of two eps-interleaved modules over a shared generator pool.
 
-    x_m/x_n hold each module's generators at their own grades; r_m/r_n are
-    homogeneous relation sets over the concatenated generators (x_m first),
-    graded in the owning module's frame.  interpolate() slides x_m up by
-    t*eps and x_n up by (1-t)*eps.
+    Stored as one integer form, start = interpolate(J, 0): the first
+    module's generators (labels m.*) then the second's (labels n.*), and the
+    first module's relations then the second's, every column over both
+    generator lists.  The first gens_m generators and rels_m relations are
+    the first module's, at their own grades; the others are the second
+    module's, moved up by eps.  interpolate(J, t) moves the first family up
+    by t*eps and the second down by t*eps.
     """
 
-    n: int
-    p: int
     epsilon: Fraction
-    x_m: tuple[Generator, ...]
-    x_n: tuple[Generator, ...]
-    r_m: tuple[Relation, ...]
-    r_n: tuple[Relation, ...]
+    start: Presentation
+    gens_m: int
+    rels_m: int
 
-    def __post_init__(self):
-        if rat(self.epsilon) < 0:
+    @classmethod
+    def from_integers(cls, n: int, p: int, eps, scale: int, labels, gens, rels, cols, gens_m: int,
+                      rels_m: int) -> JointPresentation:
+        """The joint presentation of two modules given as one integer form:
+        labels, generator and relation grades at scale (each in its own
+        module's frame) and columns, the first gens_m generators and rels_m
+        relations the first module's.  Both endpoints are checked as
+        Presentation.from_integers checks a module, t = 0 first; a rejected
+        relation is indexed in that order."""
+        e = rat(eps)
+        if e < 0:
             raise PresentationError("joint presentation needs eps >= 0")
-        for t in (0, 1):
-            interpolate(self, t)  # the endpoint presentations check every relation column
+        S = math.lcm(scale, e.denominator)
+        e_s = e.numerator * (S // e.denominator)
+        labels = [("m." if i < gens_m else "n.") + label for i, label in enumerate(labels)]
+        gens, rels = rescaled(gens, S // scale), rescaled(rels, S // scale)
+
+        def at(up_m, up_n):
+            return Presentation.from_integers(n, p, S, labels, _slid(gens, gens_m, up_m, up_n),
+                                              _slid(rels, rels_m, up_m, up_n), cols)
+
+        start = at(0, e_s)
+        at(e_s, 0)
+        return cls(e, start, gens_m, rels_m)
+
+
+def _slid(points, k: int, up_m: int, up_n: int) -> list[tuple[int, ...]]:
+    """Integer grades with the first k moved up by up_m and the others by up_n, on every axis."""
+    return [tuple(v + (up_m if i < k else up_n) for v in a) for i, a in enumerate(points)]
 
 
 def interpolate(J: JointPresentation, t) -> Presentation:
@@ -355,20 +379,14 @@ def interpolate(J: JointPresentation, t) -> Presentation:
 
     gamma(0) presents the first module, gamma(1) the second; in between the
     two generator families slide toward each other by t*eps and (1-t)*eps.
+    Homogeneity is linear in t, so the two checked endpoints vouch for every
+    waypoint, built unchecked at a scale that clears t*eps.
     """
     tq = rat(t)
     if not 0 <= tq <= 1:
         raise PresentationError(f"interpolation parameter {tq} outside [0, 1]")
-    e = rat(J.epsilon)
-    up_m = tq * e
-    up_n = (1 - tq) * e
-    gens = tuple(
-        [Generator(f"m.{g.label}", g.grade.translate(up_m)) for g in J.x_m]
-        + [Generator(f"n.{g.label}", g.grade.translate(up_n)) for g in J.x_n]
-    )
-    rels = tuple(
-        [Relation(r.grade.translate(up_m), r.col) for r in J.r_m]
-        + [Relation(r.grade.translate(up_n), r.col) for r in J.r_n]
-    )
-    return Presentation(J.n, J.p, gens, rels)
-
+    P, e = J.start, tq * J.epsilon
+    S = math.lcm(P.scale, e.denominator)
+    d, factor = e.numerator * (S // e.denominator), S // P.scale
+    return Presentation.trusted(P.n, P.p, S, P.labels, _slid(rescaled(P.scaled_gens, factor), J.gens_m, d, -d),
+                                _slid(rescaled(P.scaled_rels, factor), J.rels_m, d, -d), P.cols)

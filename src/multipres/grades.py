@@ -146,11 +146,6 @@ class Grade:
         self._check(other)
         return Grade(max(a, b) for a, b in zip(self.coords, other.coords))
 
-    def translate(self, eps) -> "Grade":
-        """Diagonal shift by eps * (1, ..., 1)."""
-        e = rat(eps)
-        return Grade(c + e for c in self.coords)
-
     def plus(self, vector: Sequence) -> "Grade":
         vec = [rat(v) for v in vector]
         if len(vec) != self.n:

@@ -163,12 +163,12 @@ def cover_within(side, must, other, h: int) -> bool:
 class _Bars:
     """The bottleneck problem of two integer bar lists, in doubled units.
 
-    Each list comes as fibered.pair_bars returns it, or with infinite
-    holding both sides' infinite births as (birth, count) runs.  Costs are
-    2 * l-infinity and a finite bar's deletion is d - b, so every candidate
-    is an integer.  Infinite bars must match infinite bars, which on the
-    line is optimal in sorted order and gives the lower bound low (INF when
-    their totals differ).  The order among equal births only relabels bars.
+    Each list comes as fibered.pair_bars returns it, the infinite births
+    as (birth, count) runs.  Costs are 2 * l-infinity and a finite bar's
+    deletion is d - b, so every candidate is an integer.  Infinite bars
+    must match infinite bars, which on the line is optimal in sorted order
+    and gives the lower bound low (INF when their totals differ).  The
+    order among equal births only relabels bars.
 
     A threshold c is feasible when some partial matching uses only costs
     <= c and leaves unmatched only bars whose deletion is <= c.  By the
@@ -180,8 +180,8 @@ class _Bars:
     c, so least_above bisects it with the same probe.
     """
 
-    def __init__(self, xs, ys, infinite=None):
-        self.low = 2 * _in_order_gap(*infinite or [zip(side[3], itertools.repeat(1)) for side in (xs, ys)])
+    def __init__(self, xs, ys):
+        self.low = 2 * _in_order_gap(xs[3], ys[3])
         self.sides = (xs[:3], ys[:3])
 
     def at_most(self, c: int) -> bool:
@@ -220,9 +220,9 @@ def _scaled_bars(B1: Barcode, B2: Barcode):
     scaled by the lcm of their denominators."""
     scale = common_scale(c for B in (B1, B2) for b, d, _ in B.bars for c in (b, d) if c != INF)
     sides = [[(int(b * scale), d if d == INF else int(d * scale), m) for b, d, m in B.bars] for B in (B1, B2)]
-    finite = [[[bar[i] for bar in bars if bar[1] != INF] for i in range(3)] for bars in sides]
-    infinite = [[(b, m) for b, d, m in bars if d == INF] for bars in sides]
-    return _Bars(*finite, infinite), scale
+    split = [[[bar[i] for bar in bars if bar[1] != INF] for i in range(3)] + [[(b, m) for b, d, m in bars if d == INF]]
+             for bars in sides]
+    return _Bars(*split), scale
 
 
 def bottleneck(B1: Barcode, B2: Barcode):

@@ -22,9 +22,12 @@ grade, on integer grades; it starts from the presentation's integer form,
 multiplied when a caller needs a common scale with other grades.
 minimize sweeps the presentation's own cached ScaledModule, block by block,
 and hilbert and rank_between floor their rational queries into it.
-minimize, shift and direct_sum build their output unchecked (trusted).
-common_scale and scale_grade serve the grades that are not a module's: probes, corners and
-line bases.
+free and staircase_interval build their output in integer form, checked
+(from_integers); minimize, shift and direct_sum build theirs unchecked
+(trusted).  common_scale and scale_grade serve the grades that are not a
+module's: probes, corners and line bases.  Generator and Relation, the
+Fraction views gens and rels, and the constructor that reads them are an
+adapter for callers outside the package; no module of it calls them.
 """
 
 from __future__ import annotations
@@ -127,9 +130,10 @@ class Presentation:
     scaled_gens and scaled_rels are the grades times scale, as integer
     tuples in input order; cols are the relation columns, with indices
     increasing and coefficients in [1, p).  Equal fields mean equal labels,
-    rational grades and columns.  gens and rels, with Fraction grades, are
-    built on first use.  Presentation(n, p, gens, rels) reads Generators and
-    Relations; from_integers takes the integer form at any common scale.
+    rational grades and columns.  from_integers takes the integer form at
+    any common scale, and trusted takes it unchecked.  The adapter
+    Presentation(n, p, gens, rels) reads Generators and Relations, and gens
+    and rels, with Fraction grades, are built on first use.
     """
 
     n: int
@@ -169,6 +173,9 @@ class Presentation:
             raise PresentationError("parameter count must be at least 1")
         check_field(p)
         G, R, labels, cols = tuple(gens), tuple(rels), tuple(labels), tuple(cols)
+        if (len(labels), len(cols)) != (len(G), len(R)):
+            raise PresentationError(f"{len(labels)} labels and {len(cols)} columns for {len(G)} generators "
+                                    f"and {len(R)} relations")
         for label, a in zip(labels, G):
             if len(a) != n:
                 raise PresentationError(f"generator {label!r} has dimension {len(a)}, expected {n}")
@@ -258,16 +265,13 @@ class BettiData:
 def free(grades: Sequence[Grade], p: int = 2, labels: Sequence[str] | None = None) -> Presentation:
     if labels is None:
         labels = [f"g{i}" for i in range(len(grades))]
-    n = grades[0].n if grades else 1
-    return Presentation(n, p, tuple(Generator(l, g) for l, g in zip(labels, grades)), ())
+    scale = common_scale(c for a in grades for c in a.coords)
+    return Presentation.from_integers(grades[0].n if grades else 1, p, scale, labels,
+                                      [scale_grade(a, scale) for a in grades], (), ())
 
 
-def _is_antichain(points: Sequence[Grade]) -> bool:
-    for i, a in enumerate(points):
-        for b in points[i + 1:]:
-            if a.leq(b) or b.leq(a):
-                return False
-    return True
+def _is_antichain(points) -> bool:
+    return not any(leq(a, b) or leq(b, a) for a, b in itertools.combinations(points, 2))
 
 
 def staircase_interval(births: Sequence[Grade], deaths: Sequence[Grade] = (), p: int = 2) -> Presentation:
@@ -278,30 +282,27 @@ def staircase_interval(births: Sequence[Grade], deaths: Sequence[Grade] = (), p:
     generator below it.  Both corner sets must be antichains and every death
     must dominate some birth.
     """
-    births = list(births)
-    deaths = list(deaths)
+    births, deaths = list(births), list(deaths)
     if not births:
         raise PresentationError("staircase needs at least one birth corner")
     if any(g.n != 2 for g in births + deaths):
         raise PresentationError("staircase intervals are 2-parameter only")
-    if not _is_antichain(births):
+    scale = common_scale(c for g in births + deaths for c in g.coords)
+    B, D = ([scale_grade(g, scale) for g in corners] for corners in (births, deaths))
+    if not _is_antichain(B):
         raise PresentationError("birth corners must form an antichain")
-    if not _is_antichain(deaths):
+    if not _is_antichain(D):
         raise PresentationError("death bounds must form an antichain")
-    order = sorted(range(len(births)), key=lambda i: (births[i].coords[0], births[i].coords[1]))
-    births = [births[i] for i in order]
-    gens = tuple(Generator(f"b{i}", g) for i, g in enumerate(births))
-    rels: list[Relation] = []
-    minus_one = p - 1
-    for i in range(len(births) - 1):
-        j = births[i].join(births[i + 1])
-        rels.append(Relation(j, make_column({i: 1, i + 1: minus_one}, p)))
-    for d in deaths:
-        under = [i for i, g in enumerate(births) if g.leq(d)]
+    B.sort()
+    rels = [tuple(map(max, a, b)) for a, b in zip(B, B[1:])]
+    cols = [((i, 1), (i + 1, p - 1)) for i in range(len(B) - 1)]
+    for d, a in zip(deaths, D):
+        under = [i for i, b in enumerate(B) if leq(b, a)]
         if not under:
             raise PresentationError(f"death bound ({d}) dominates no birth corner")
-        rels.append(Relation(d, make_column({under[0]: 1}, p)))
-    return Presentation(2, p, gens, tuple(rels))
+        rels.append(a)
+        cols.append(((under[0], 1),))
+    return Presentation.from_integers(2, p, scale, [f"b{i}" for i in range(len(B))], B, rels, cols)
 
 
 # -- structural operations -----------------------------------------------------

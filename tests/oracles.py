@@ -17,10 +17,13 @@ integer line loop: push puts each grade on the line in Fractions,
 barcode_by_push pairs those parameters with fibered.pair_bars, and
 refine_near_by_fractions builds the adaptive rounds' lines as LineSpecs.
 
-The last section holds the builders that tests use as tools and no command
+The next section holds the builders that tests use as tools and no command
 of the package runs: random sums of staircases, the zero module, the joint
 presentation of a module and its translate, presentations of block lists,
-and a few grade and line helpers.
+and a few grade and line helpers.  The last holds the Fraction routes of
+the constructions the package builds in integer form: the incompleteness
+pair, the jitter, and joint presentations with their waypoints, each from
+Generator and Relation objects through Presentation(n, p, gens, rels).
 """
 
 from __future__ import annotations
@@ -30,14 +33,24 @@ import math
 import random
 from bisect import bisect_left, bisect_right
 from collections import Counter
+from dataclasses import dataclass
 from fractions import Fraction
 
 from multipres.blocks import extend_block
 from multipres.experiments import random_staircase
 from multipres.fibered import Barcode, pair_bars
 from multipres.functors import JointPresentation
-from multipres.grades import DimensionMismatch, Grade, LineSpec, rat
-from multipres.presentation import Generator, Presentation, Relation, betti_and_grid, direct_sum, make_column
+from multipres.grades import DimensionMismatch, Grade, LineSpec, rat, rat_str
+from multipres.presentation import (
+    Generator,
+    Presentation,
+    PresentationError,
+    Relation,
+    betti_and_grid,
+    direct_sum,
+    make_column,
+    scale_grade,
+)
 
 INF = math.inf
 
@@ -506,7 +519,7 @@ def image_relations_by_full_sweep(P, e: Fraction) -> list[tuple[Grade, dict[int,
         active = [r for r in P.rels if r.grade.leq(s)]
         if not active:
             continue
-        early = [i for i, g in enumerate(P.gens) if g.grade.translate(e).leq(s)]
+        early = [i for i, g in enumerate(P.gens) if translated(g.grade, e).leq(s)]
         order = early + [i for i in range(len(P.gens)) if i not in set(early)]
         row_of = {i: k for k, i in enumerate(order)}
         cols = [{row_of[i]: c for i, c in r.col} for r in active]
@@ -638,7 +651,7 @@ def barcode_by_push(P, line: LineSpec) -> Barcode:
     Q = restrict_by_push(P, line)
     births, deaths, counts, infinite = pair_bars([g.grade.coords[0] for g in Q.gens],
                                                  [r.grade.coords[0] for r in Q.rels], [dict(r.col) for r in Q.rels], Q.p)
-    bars = Counter((b, INF) for b in infinite)
+    bars = Counter({(b, INF): m for b, m in infinite})
     for bar, m in zip(zip(births, deaths), counts):
         bars[bar] += m
     return Barcode(bars)
@@ -845,6 +858,11 @@ def matched_pairs_witness_entries(A, B, eps):
 # -- builders the tests use as tools -----------------------------------------------
 
 
+def translated(a: Grade, eps) -> Grade:
+    """a moved up by eps on every axis."""
+    return a.plus([eps] * a.n)
+
+
 def linf(a: Grade, b: Grade):
     """Exact l-infinity distance of two grades."""
     return max(abs(x - y) for x, y in zip(a.coords, b.coords))
@@ -880,7 +898,7 @@ def random_module(rng: random.Random, p: int = 2, summands: int = 2, **kw) -> Pr
     return direct_sum(first, *[random_staircase(rng, p=p, **kw) for _ in range(rng.randint(0, summands - 1))])
 
 
-def translate_joint(P: Presentation, eps) -> JointPresentation:
+def translate_joint_by_fractions(P: Presentation, eps) -> FractionJoint:
     """Joint presentation of P and its diagonal eps-translate.
 
     Cross relations identify each generator with its shifted copy on both
@@ -889,11 +907,16 @@ def translate_joint(P: Presentation, eps) -> JointPresentation:
     e = rat(eps)
     k = len(P.gens)
     cross = [make_column({k + i: 1, i: P.p - 1}, P.p) for i in range(k)]
-    x_n = tuple(Generator(g.label, g.grade.translate(e)) for g in P.gens)
-    r_m = tuple(P.rels) + tuple(Relation(g.grade.translate(2 * e), col) for g, col in zip(P.gens, cross))
-    r_n = (tuple(Relation(r.grade.translate(e), r.col) for r in P.rels)
-           + tuple(Relation(g.grade.translate(e), col) for g, col in zip(P.gens, cross)))
-    return JointPresentation(P.n, P.p, e, tuple(P.gens), x_n, r_m, r_n)
+    x_n = tuple(Generator(g.label, translated(g.grade, e)) for g in P.gens)
+    r_m = tuple(P.rels) + tuple(Relation(translated(g.grade, 2 * e), col) for g, col in zip(P.gens, cross))
+    r_n = (tuple(Relation(translated(r.grade, e), r.col) for r in P.rels)
+           + tuple(Relation(translated(g.grade, e), col) for g, col in zip(P.gens, cross)))
+    return FractionJoint(P.n, P.p, e, tuple(P.gens), x_n, r_m, r_n)
+
+
+def translate_joint(P: Presentation, eps) -> JointPresentation:
+    """The library's joint presentation of P and its diagonal eps-translate."""
+    return joint_of(translate_joint_by_fractions(P, eps))
 
 
 def block_presentation(blocks, p: int = 2) -> Presentation:
@@ -906,3 +929,91 @@ def block_presentation(blocks, p: int = 2) -> Presentation:
         rels = [Relation(Grade(c), ((0, 1),)) for c, u in (([u1, l2], u1), ([l1, u2], u2)) if u != INF]
         parts.append(Presentation(2, p, (Generator(f"blk{i}", rect.lower),), tuple(rels)))
     return direct_sum(*parts)
+
+
+# -- the Fraction constructions: Generator and Relation objects built into a
+# module through Presentation(n, p, gens, rels), the plain route of the
+# library's integer constructions
+
+def incompleteness_pair_by_fractions(eps=1, p: int = 2) -> tuple[Presentation, Presentation]:
+    """experiments.incompleteness_pair from Fraction grades."""
+    e = rat(eps)
+    ga, gb, gc = Grade([e, 0]), Grade([0, e]), Grade([e, e])
+    N = Presentation(2, p, (Generator("a", ga), Generator("b", gb)),
+                     (Relation(Grade([10 * e, 0]), ((0, 1),)), Relation(Grade([0, 10 * e]), ((1, 1),)),
+                      Relation(Grade([e, 10 * e]), ((0, 1),)), Relation(Grade([10 * e, e]), ((1, 1),))))
+    O = Presentation(2, p, N.gens + (Generator("c", gc),),
+                     (Relation(gc, ((0, p - 1), (1, 1))),) + N.rels
+                     + (Relation(Grade([10 * e, e]), ((2, 1),)), Relation(Grade([e, 10 * e]), ((2, 1),))))
+    return N, O
+
+
+def jitter_by_fractions(P: Presentation, rng: random.Random, amount) -> Presentation:
+    """experiments.jitter_module on Fraction grades: generators move down and
+    relations up by amount * randint(0, 4) / 4 per coordinate, drawn in the
+    same order."""
+    amt = rat(amount)
+
+    def wiggle():
+        return amt * rng.randint(0, 4) / 4
+
+    gens = tuple(Generator(g.label, Grade([c - wiggle() for c in g.grade.coords])) for g in P.gens)
+    rels = tuple(Relation(Grade([c + wiggle() for c in r.grade.coords]), r.col) for r in P.rels)
+    return Presentation(P.n, P.p, gens, rels)
+
+
+@dataclass(frozen=True)
+class FractionJoint:
+    """A joint presentation as Fraction Generators and Relations.
+
+    x_m/x_n hold each module's generators at their own grades; r_m/r_n are
+    homogeneous relation sets over the concatenated generators (x_m first),
+    graded in the owning module's frame.  Both endpoints are checked.
+    """
+
+    n: int
+    p: int
+    epsilon: Fraction
+    x_m: tuple[Generator, ...]
+    x_n: tuple[Generator, ...]
+    r_m: tuple[Relation, ...]
+    r_n: tuple[Relation, ...]
+
+    def __post_init__(self):
+        if rat(self.epsilon) < 0:
+            raise PresentationError("joint presentation needs eps >= 0")
+        for t in (0, 1):
+            interpolate_by_fractions(self, t)
+
+
+def interpolate_by_fractions(J: FractionJoint, t) -> Presentation:
+    """functors.interpolate on Fraction grades: x_m and r_m slide up by t*eps,
+    x_n and r_n by (1-t)*eps."""
+    tq = rat(t)
+    if not 0 <= tq <= 1:
+        raise PresentationError(f"interpolation parameter {tq} outside [0, 1]")
+    up_m, up_n = tq * J.epsilon, (1 - tq) * J.epsilon
+    gens = ([Generator(f"m.{g.label}", translated(g.grade, up_m)) for g in J.x_m]
+            + [Generator(f"n.{g.label}", translated(g.grade, up_n)) for g in J.x_n])
+    rels = ([Relation(translated(r.grade, up_m), r.col) for r in J.r_m]
+            + [Relation(translated(r.grade, up_n), r.col) for r in J.r_n])
+    return Presentation(J.n, J.p, tuple(gens), tuple(rels))
+
+
+def joint_text(J: FractionJoint) -> str:
+    """The joint file of a FractionJoint: its epsilon, then one fpres block per module."""
+    out = [f"epsilon {rat_str(J.epsilon)}"]
+    for gens, rels in ((J.x_m, J.r_m), (J.x_n, J.r_n)):
+        out += ["fpres 1", f"field {J.p}", f"params {J.n}", f"generators {len(gens)}"]
+        out += [f"g {x.label} {x.grade}" for x in gens] + [f"relations {len(rels)}"]
+        out += [f"r {r.grade} ; " + " ".join(f"{c}:{i}" for i, c in r.col) for r in rels]
+    return "\n".join(out) + "\n"
+
+
+def joint_of(J: FractionJoint) -> JointPresentation:
+    """The library's JointPresentation of a FractionJoint."""
+    gens, rels = [g.grade for g in J.x_m + J.x_n], [r.grade for r in J.r_m + J.r_n]
+    S = math.lcm(J.epsilon.denominator, *(c.denominator for a in gens + rels for c in a.coords))
+    return JointPresentation.from_integers(
+        J.n, J.p, J.epsilon, S, [g.label for g in J.x_m + J.x_n], [scale_grade(a, S) for a in gens],
+        [scale_grade(a, S) for a in rels], [r.col for r in J.r_m + J.r_n], len(J.x_m), len(J.r_m))

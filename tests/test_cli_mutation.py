@@ -17,10 +17,10 @@ from multipres import fio
 from multipres.cli import main
 from multipres.experiments import incompleteness_pair, jitter_module, random_staircase
 from multipres.fibered import barcode, restrict
-from multipres.grades import Grade, LineSpec, rat_str
+from multipres.grades import Grade, LineSpec
 from multipres.presentation import direct_sum
 
-from oracles import translate_joint
+from oracles import joint_text, translate_joint_by_fractions
 
 FIXTURES = Path(__file__).resolve().parent.parent / "src" / "multipres" / "fixtures"
 # tokens a mutation inserts or substitutes: malformed ones, and valid ones
@@ -83,16 +83,6 @@ def cases(tmp_path_factory):
     return root, witnesses, bars
 
 
-def joint_text(J) -> str:
-    """The joint file of a JointPresentation: its epsilon, then one fpres block per module."""
-    out = [f"epsilon {rat_str(J.epsilon)}"]
-    for gens, rels in ((J.x_m, J.r_m), (J.x_n, J.r_n)):
-        out += ["fpres 1", f"field {J.p}", f"params {J.n}", f"generators {len(gens)}"]
-        out += [f"g {x.label} {x.grade}" for x in gens] + [f"relations {len(rels)}"]
-        out += [f"r {r.grade} ; " + " ".join(f"{c}:{i}" for i, c in r.col) for r in rels]
-    return "\n".join(out) + "\n"
-
-
 def check_run(argv, mutant, capsys, codes) -> None:
     """main(argv) exits 0 with output, or 2 from verify, or 1 naming a line of the mutant."""
     code = main(argv)
@@ -126,8 +116,8 @@ def test_mutants_exit_cleanly_or_fail_at_a_line(cases, capsys, seed):
 
 def test_joint_and_blocks_mutants_exit_cleanly_or_fail_at_a_line(tmp_path, capsys):
     rng = random.Random(3200)
-    joints = [joint_text(translate_joint(direct_sum(random_staircase(rng, p=p), random_staircase(rng, p=p)), eps))
-              for p, eps in ((2, "1/2"), (3, "2"))]
+    joints = [joint_text(translate_joint_by_fractions(direct_sum(random_staircase(rng, p=p), random_staircase(rng, p=p)),
+                                                      eps)) for p, eps in ((2, "1/2"), (3, "2"))]
     blocks = ["blocks 1\nblk oo 0 2\nblk cc 1 1\nblk co 1/2 5/2\nblk oc -1 3/4\n"]
     other = tmp_path / "other.blocks"
     other.write_text("blocks 1\nblk oo 1/2 2\nblk cc 1 3/2\n")

@@ -155,7 +155,7 @@ class TestBarcode:
             # split as the probe reads them: finite bars in birth order, then the infinite births in order
             assert births == sorted(births) and infinite == sorted(infinite)
             assert len(births) == len(deaths) and all(b < d for b, d in zip(births, deaths))
-            bars = Counter((b, INF) for b in infinite)
+            bars = Counter({(b, INF): m for b, m in infinite})
             for bar, m in zip(zip(births, deaths), counts):
                 bars[bar] += m
             assert bars == barcode_by_rank_counts(Q)

@@ -25,6 +25,7 @@ from multipres import (
     translate_image,
     verify_interleaving,
 )
+from multipres import fio
 from multipres.functors import (
     PIPELINE_FACTORS,
     PIPELINE_TOTAL,
@@ -36,7 +37,8 @@ from multipres.experiments import jitter_module, random_staircase
 from multipres.presentation import Generator, Presentation, Relation, make_column
 
 from oracles import dim_at, grid_points, image_relations_by_full_sweep, merge_coordinate_by_scan, random_module
-from oracles import translate_joint
+from oracles import interpolate_by_fractions, joint_of, joint_text, translate_joint, translate_joint_by_fractions
+from oracles import translated
 
 
 def g(*coords):
@@ -245,7 +247,7 @@ class TestImageRelationSweep:
                 ref = tuple(Relation(grade, make_column(col, P.p))
                             for grade, col in image_relations_by_full_sweep(P, e))
                 assert translate_image(P, e).rels == ref, (n, e)
-                lowered = tuple(Relation(r.grade.translate(-e), r.col) for r in ref)
+                lowered = tuple(Relation(translated(r.grade, -e), r.col) for r in ref)
                 assert simplify(P, e, minimized=False).rels == lowered, (n, e)
 
 
@@ -372,6 +374,20 @@ class TestInterpolate:
             d = matching_distance(interpolate(J, t), interpolate(J, s), slopes=4).value
             assert d <= abs(t - s)
 
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_waypoints_match_fraction_reference(self, p):
+        # joints of jittered staircase sums (grades in twelfths) and their
+        # translates, at eps and t whose denominators the grades' scale does
+        # not clear; the joint file reads back to the same joint presentation
+        rng = random.Random(2820 + p)
+        for _ in range(8):
+            P = jitter_module(random_module(rng, p=p), rng, F(1, 3))
+            R = translate_joint_by_fractions(P, F(rng.randint(0, 9), rng.choice([1, 5, 7])))
+            J = joint_of(R)
+            assert fio.parse_joint(joint_text(R)) == J
+            for t in (0, 1, F(1, 3), F(rng.randint(0, 11), 11)):
+                assert interpolate(J, t) == interpolate_by_fractions(R, t), (R, t)
+
     def test_out_of_range_rejected(self):
         J = translate_joint(free([g(0, 0)]), 1)
         with pytest.raises(PresentationError):
@@ -380,15 +396,10 @@ class TestInterpolate:
     def test_malformed_joint_rejected(self):
         from multipres.functors import JointPresentation
 
-        # cross relation sits below the generator it references at one endpoint
+        # cross relation sits below the generator it references at one endpoint:
+        # a at (0, 0) and a2 at (5, 5) with one relation of the first module at (1, 1) on a2
         with pytest.raises(PresentationError):
-            JointPresentation(
-                2, 2, F(1),
-                x_m=(Generator("a", g(0, 0)),),
-                x_n=(Generator("a2", g(5, 5)),),
-                r_m=(Relation(g(1, 1), ((1, 1),)),),
-                r_n=(),
-            )
+            JointPresentation.from_integers(2, 2, F(1), 1, ["a", "a2"], [(0, 0), (5, 5)], [(1, 1)], [((1, 1),)], 1, 1)
 
 
 class TestFunctorDistanceBounds:

@@ -20,7 +20,7 @@ from multipres.experiments import incompleteness_pair, incompleteness_witness, j
 from multipres.fibered import Barcode
 from multipres.presentation import Generator, Presentation, Relation, direct_sum, free, shift, staircase_interval
 
-from oracles import random_module, translate_joint, zero_module
+from oracles import random_module, translate_joint, translated, zero_module
 
 INF = math.inf
 
@@ -188,6 +188,15 @@ class TestOtherFormats:
     def test_joint_file(self):
         assert fio.parse_joint(RECT_JOINT) == translate_joint(RECT, 1)
 
+    def test_joint_entry_with_coefficient_zero_is_checked_at_both_ends(self):
+        # the second module's relation at (1, 1) holds m.a with coefficient 0:
+        # it lies below m.a at t = 1 only, where m.a sits at (3/2, 3/2)
+        text = ("epsilon 1\nfpres 1\nfield 3\nparams 2\ngenerators 1\ng a 1/2 1/2\nrelations 1\nr 2 2 ; 1:0 2:1\n"
+                "fpres 1\nfield 3\nparams 2\ngenerators 1\ng a 1 1\nrelations 1\nr 1 1 ; 0:0 1:1\n")
+        with pytest.raises(fio.FormatError, match=r"^line 15: relation 1 at grade \(1 1\) lies below generator "
+                                                  r"'m.a' at \(3/2 3/2\)$"):
+            fio.parse_joint(text)
+
 
 def run_cli(*args):
     # a hanging input fails its test instead of stalling the suite
@@ -237,8 +246,8 @@ def files(tmp_path_factory):
     (root / "rect_shift.fpres").write_text(
         fio.serialize_fpres(Presentation(
             2, 2,
-            tuple(Generator(x.label, x.grade.translate(F(1, 2))) for x in rect.gens),
-            tuple(Relation(r.grade.translate(F(1, 2)), r.col) for r in rect.rels),
+            tuple(Generator(x.label, translated(x.grade, F(1, 2))) for x in rect.gens),
+            tuple(Relation(translated(r.grade, F(1, 2)), r.col) for r in rect.rels),
         ))
     )
     (root / "J.joint").write_text(RECT_JOINT)

@@ -46,7 +46,8 @@ from multipres.presentation import (
 )
 
 from oracles import dim_at, grid_points, interval_rank_by_summands, interval_rank_dense, minimize_by_scan
-from oracles import betti_grades, random_module, zero_module
+from oracles import betti_grades, incompleteness_pair_by_fractions, jitter_by_fractions, random_module
+from oracles import translated, zero_module
 from oracles import rank_between as oracle_rank_between
 
 INF = float("inf")
@@ -668,7 +669,7 @@ class TestIntervalRank:
                                  random_antichain(rng, rng.randint(1, 3), 3, 30))]
             for births, deaths in list(intervals):
                 e = F(rng.randint(1, 12), 2)
-                intervals.append(([b.translate(e) for b in births], [d.translate(-e) for d in deaths]))
+                intervals.append(([translated(b, e) for b in births], [translated(d, -e) for d in deaths]))
             E = entangle(P, rng)
             assert betti_and_grid(E).xi0 == betti_and_grid(P).xi0
             assert len(E.gens) > len(minimize(E).gens)
@@ -727,7 +728,7 @@ class TestIntervalRank:
         assert interval_rank(O, *union) == 1
         assert interval_rank(N, *union) == 0
         for e in (F(1, 2), F(9, 10), 1):
-            births, deaths = ([b.translate(e) for b in union[0]], [d.translate(-e) for d in union[1]])
+            births, deaths = ([translated(b, e) for b in union[0]], [translated(d, -e) for d in union[1]])
             assert interval_rank(N, births, deaths) == (2 if e == 1 else 0)
         # a rectangle of N has rank 1 in both modules
         rect = ([g(1, 0)], [g(10, 0), g(1, 10)])
@@ -746,8 +747,8 @@ class TestIntervalRank:
         births, deaths = [g(0, 4), g(4, 0)], [g(0, 10), g(6, 6), g(10, 0)]
         assert interval_rank(P, births, deaths) == interval_rank_dense(P, births, deaths) == 1
         # eroded by 1 the join (5, 5) of the births meets the death corner (5, 5)
-        births = [b.translate(1) for b in births]
-        deaths = [d.translate(-1) for d in deaths]
+        births = [translated(b, 1) for b in births]
+        deaths = [translated(d, -1) for d in deaths]
         assert interval_rank(P, births, deaths) is None
         assert interval_rank_dense(P, births, deaths) is None
         assert staircase_fences([(1, 5), (5, 1)], [(-1, 9), (5, 5), (9, -1)]) == DISCONNECTED
@@ -781,7 +782,7 @@ class TestBasisMemo:
                                  random_antichain(rng, rng.randint(1, 3), 3, 30)) for _ in range(2)]
             for births, deaths in list(intervals):
                 e = F(rng.randint(1, 8), 2)
-                intervals.append(([b.translate(e) for b in births], [d.translate(-e) for d in deaths]))
+                intervals.append(([translated(b, e) for b in births], [translated(d, -e) for d in deaths]))
             queries = []
             for _ in range(12):
                 a = g(F(rng.randint(-2, 50), 2), F(rng.randint(-2, 50), 2))
@@ -897,3 +898,38 @@ class TestSpanCertificate:
         changed = tuple((i, i, 2 if i == 0 else 1) for i in range(len(P.gens)))
         report = verify_interleaving(P, P, InterleavingWitness(F(0), changed, ident))
         assert report.reason == "f sends relation 0 (grade 6 6) outside the relation submodule"
+
+
+class TestIntegerConstructions:
+    """The modules the library builds from integer grades, against their
+    Fraction routes in tests/oracles.py."""
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_jitter_matches_fraction_reference(self, p):
+        # amounts whose denominators the module's scale does not clear, on
+        # integer modules and on modules already jittered to twelfths
+        rng = random.Random(2810 + p)
+        for trial in range(30):
+            P = random_module(rng, p=p, summands=3)
+            if trial % 2:
+                P = jitter_module(P, rng, F(1, 3))
+            amount = F(rng.randint(0, 9), rng.choice([1, 2, 5, 7, 12]))
+            seed = rng.random()
+            Q = jitter_module(P, random.Random(seed), amount)
+            assert Q == jitter_by_fractions(P, random.Random(seed), amount), (P, amount)
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_incompleteness_pair_matches_fraction_reference(self, p):
+        for eps in (0, 1, 2, F(1, 2), F(3, 7), "5/3"):
+            assert incompleteness_pair(eps, p) == incompleteness_pair_by_fractions(eps, p), eps
+
+    def test_labels_and_columns_must_match_the_grades(self):
+        with pytest.raises(PresentationError, match="^1 labels and 0 columns for 2 generators and 0 relations$"):
+            free([g(0, 0), g(1, 1)], labels=["a"])
+        with pytest.raises(PresentationError, match="^1 labels and 0 columns for 1 generators and 1 relations$"):
+            Presentation.from_integers(2, 2, 1, ["a"], [(0, 0)], [(1, 1)], [])
+
+    def test_incompleteness_pair_with_negative_eps_is_rejected(self):
+        for build in (incompleteness_pair, incompleteness_pair_by_fractions):
+            with pytest.raises(PresentationError, match="lies below generator"):
+                build(-1)

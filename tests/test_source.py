@@ -219,11 +219,32 @@ def imported_names(source: str) -> set[str]:
     return {a.name for node in ast.parse(source).body if isinstance(node, ast.ImportFrom) for a in node.names}
 
 
-@pytest.mark.parametrize("name", ["fibered.py", "metrics.py"])
-def test_line_code_imports_no_fraction_restriction(name):
+def fraction_constructor_calls(source: str) -> list[int]:
+    """Line numbers where a module calls Presentation(...), the constructor
+    that reads Generator and Relation objects, by name or as an attribute."""
+    calls = [node for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Call)]
+    return sorted({node.lineno for node in calls
+                   if "Presentation" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))})
+
+
+def test_fraction_constructor_call_is_found():
+    source = ("from . import presentation\nfrom .presentation import Presentation\n"
+              "a = Presentation(2, 2, (), ())\nb = Presentation.from_integers(2, 2, 1, [], [], [], [])\n"
+              "c = presentation.Presentation(1, 2, (), ())\nd = isinstance(a, Presentation)\n")
+    assert fraction_constructor_calls(source) == [3, 5]
+
+
+# presentation.py defines the Fraction constructor path, and __init__.py re-exports its names
+@pytest.mark.parametrize("path", sorted(p for p in SRC.glob("*.py") if p.name not in ("presentation.py", "__init__.py")),
+                         ids=lambda p: p.name)
+def test_line_code_imports_no_fraction_restriction(path):
     # one restriction, on integer grades: no per-grade Fraction push, no
-    # Generator/Relation rebuilt per line, no integer grades turned back into Grades
-    assert imported_names((SRC / name).read_text()) & {"push", "Generator", "Relation", "unscaled"} == set()
+    # Generator/Relation rebuilt per line, no integer grades turned back into
+    # Grades; and every module is built from integer grades, through
+    # Presentation.from_integers or Presentation.trusted
+    source = path.read_text()
+    assert imported_names(source) & {"push", "Generator", "Relation", "unscaled"} == set()
+    assert fraction_constructor_calls(source) == []
 
 
 def traced_names(source: str) -> tuple[list[tuple[str, str]], list[tuple[str, str, str]]]:
