@@ -710,6 +710,10 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 GOLDEN_INPUTS = {
     "mixed1.bars": "bar 0 10 1\nbar 0 1 1\nbar 1/2 inf 2\nbar 3 7/2 3\n",
     "mixed2.bars": "bar 1 9 1\nbar 0 inf 1\nbar 2/3 inf 1\nbar 3 4 2\nbar 5 6 1\n",
+    "empty.bars": "",
+    "inf.bars": "bar 0 inf 1\nbar 1/3 2/3 2\n",
+    "line.fpres": "fpres 1\nfield 3\nparams 1\ngenerators 4\ng a 0\ng b 1/3\ng c 1/2\ng d 2/7\nrelations 3\n"
+                  "r 5/6 ; 1:0 2:1\nr 7/4 ; 1:1 1:2\nr 9/14 ; 2:3\n",
     "cube.fpres": "fpres 1\nfield 2\nparams 3\ngenerators 2\ng a 0 0 0\ng b 1 1/2 0\nrelations 1\nr 2 2 1 ; 1:0 1:1\n",
     "cube_shift.fpres": "fpres 1\nfield 2\nparams 3\ngenerators 2\ng a 0 1/3 0\ng b 1 1/2 1/5\nrelations 1\n"
                         "r 2 3 1 ; 1:0 1:1\n",
@@ -743,6 +747,10 @@ GOLDEN_INPUTS = {
     ("barcode cube --direction 1_2_3 --through 1/2_1/3_1/4", "bar 0 inf 1\nbar 7/4 19/4 1\n"),
     ("bottleneck mixed1.bars mixed2.bars", "bottleneck 1 (1.000000)\n"),
     ("bottleneck mixed1.bars mixed1.bars", "bottleneck 0 (0.000000)\n"),
+    ("bottleneck empty.bars inf.bars", "bottleneck inf\n"),
+    ("bottleneck empty.bars inf.bars --format tabular", "bottleneck\tinf\n"),
+    ("bottleneck empty.bars empty.bars", "bottleneck 0 (0.000000)\n"),
+    ("barcode line --simplify 1/4", "bar 0 inf 1\nbar 2/7 11/28 1\nbar 1/3 7/12 1\nbar 1/2 3/2 1\n"),
     ("interpolate f3 --t 0", GOLDEN / "f3_t0.out"),
     ("interpolate f3 --t 1/3", GOLDEN / "f3_t1-3.out"),
     ("interpolate f3 --t 1", GOLDEN / "f3_t1.out"),
@@ -752,13 +760,15 @@ GOLDEN_INPUTS = {
 def test_golden_stdout(argv, want, tmp_path, capsys):
     # the exact stdout of the distance and barcode commands on the example-3.1
     # pair (N, O), a seeded jittered pair, a seeded pair of entangled
-    # presentations of one module, a 3-parameter pair and barcode files, of
+    # presentations of one module, a 3-parameter pair, a 1-parameter F3 module
+    # with unlike denominators and barcode files (empty ones included), of
     # interpolate on a joint file and of two experiments; '_' separates the
     # coordinates of one grade, and a Path names a file holding the stdout
     for name, text in GOLDEN_INPUTS.items():
         (tmp_path / name).write_text(text)
     paths = {"N": FIXTURES / "example31_N.fpres", "O": FIXTURES / "example31_O.fpres",
-             "cube": tmp_path / "cube.fpres", "cube_shift": tmp_path / "cube_shift.fpres"}
+             "cube": tmp_path / "cube.fpres", "cube_shift": tmp_path / "cube_shift.fpres",
+             "line": tmp_path / "line.fpres"}
     paths.update({name: GOLDEN / f"{name}.fpres" for name in ("jitter_M", "jitter_J", "entangled_A", "entangled_B")})
     paths["f3"] = GOLDEN / "f3.joint"
 
