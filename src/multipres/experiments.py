@@ -53,14 +53,9 @@ def incompleteness_pair(eps=1, p: int = 2) -> tuple[Presentation, Presentation]:
     return N, O
 
 
-def incompleteness_witness(eps=1, p: int = 2) -> InterleavingWitness:
+def incompleteness_witness(eps=1) -> InterleavingWitness:
     """Explicit eps-interleaving between the pair: f: a->a, b->c; g: a->a, b->a, c->b."""
-    e = rat(eps)
-    return InterleavingWitness(
-        e,
-        f=((0, 0, 1), (1, 2, 1)),
-        g=((0, 0, 1), (1, 0, 1), (2, 1, 1)),
-    )
+    return InterleavingWitness(rat(eps), f=((0, 0, 1), (1, 2, 1)), g=((0, 0, 1), (1, 0, 1), (2, 1, 1)))
 
 
 @dataclass(frozen=True)

@@ -14,8 +14,8 @@ scaled by a common S.  The lines of a group share the slopes a ScaledModule
 multiplies its grades by once, so restricting it to each is one fold over
 the axes, a Fiber of integer pushes; pair_bars pairs them into counted
 bars split as the bottleneck probe reads them.  A Presentation and a
-LineSpec go the same way at the presentation's own scale, and barcode
-divides by it.
+LineSpec go the same way at the presentation's own scale, and a Barcode
+keeps its bars as integers at that scale.
 """
 
 from __future__ import annotations
@@ -26,40 +26,42 @@ from fractions import Fraction
 from typing import Iterable, NamedTuple
 
 from . import kernels
-from .grades import Grade, LineSpec, rat, rat_str
+from .grades import Grade, LineSpec, rat
 from .presentation import Presentation, ScaledModule, common_scale, scale_grade
 
 INF = math.inf
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Barcode:
-    """Multiset of half-open intervals [birth, death), death possibly inf."""
+    """Multiset of half-open intervals [birth, death): the distinct bars as sorted
+    (birth, death, multiplicity) ints in units of 1/scale, a death possibly
+    INF.  The scale is divided by its gcd with every finite end, as in
+    Presentation, so equal multisets are equal whatever scale built them.
+    """
 
-    bars: tuple[tuple[Fraction, object, int], ...]  # (birth, death, multiplicity), sorted
+    scale: int
+    bars: tuple[tuple[int, object, int], ...]
 
-    def __init__(self, bars):
-        """bars: a {(birth, death): multiplicity} mapping, or (birth, death)
-        pairs and (birth, death, multiplicity) triples; equal bars add up,
-        each bar hashed once."""
+    def __init__(self, scale: int, bars):
+        """bars: (birth, death, multiplicity) int triples at scale, which math.gcd
+        checks; equal bars add up, each hashed once, and empty bars are dropped."""
+        if scale < 1:
+            raise ValueError("barcode scale must be positive")
         counts: dict = {}
-        for b, d, m in (((b, d, m) for (b, d), m in bars.items()) if isinstance(bars, dict)
-                        else (bar if len(bar) == 3 else (*bar, 1) for bar in bars)):
-            b = rat(b)
-            d = INF if d == INF else rat(d)
+        for b, d, m in bars:
             if d < b:
                 raise ValueError(f"bar death {d} before birth {b}")
             if m < 0:
                 raise ValueError("negative multiplicity")
             if b != d and m:
                 counts.setdefault((b, d), [0])[0] += m
-        object.__setattr__(self, "bars", tuple(sorted((b, d, m) for (b, d), (m,) in counts.items())))
+        common = math.gcd(scale, *(c for bar in counts for c in bar if c != INF))
+        self.__dict__.update(scale=scale // common, bars=tuple(sorted(
+            (b // common, d if d == INF else d // common, m) for (b, d), (m,) in counts.items())))
 
     def total(self) -> int:
         return sum(m for _, _, m in self.bars)
-
-    def __str__(self) -> str:
-        return "; ".join(f"[{rat_str(b)}, {rat_str(d)})x{m}" for b, d, m in self.bars) or "(empty)"
 
 
 class LineGroup(NamedTuple):
@@ -192,8 +194,8 @@ def barcode(Q: Presentation | Fiber):
     generators come first at ties, so a relation at a generator's own
     parameter kills it into a zero-length bar, which is dropped.  The bar
     multiset does not depend on the tie-breaking.  A Fiber gives pair_bars'
-    split bars in its integer units; a Presentation the Barcode of its
-    integer grades' bars divided by its scale.
+    split bars in its integer units; a Presentation the Barcode of those
+    bars at its scale.
     """
     if isinstance(Q, Fiber):
         return pair_bars(*Q)
@@ -201,9 +203,7 @@ def barcode(Q: Presentation | Fiber):
         raise ValueError("barcode extraction needs a 1-parameter presentation")
     births, deaths, counts, infinite = pair_bars([a for a, in Q.scaled_gens], [a for a, in Q.scaled_rels],
                                                  list(map(dict, Q.cols)), Q.p)
-    S = Q.scale
-    return Barcode([(Fraction(b, S), INF, m) for b, m in infinite]
-                   + [(Fraction(b, S), Fraction(d, S), m) for b, d, m in zip(births, deaths, counts)])
+    return Barcode(Q.scale, [(b, INF, m) for b, m in infinite] + list(zip(births, deaths, counts)))
 
 
 def pair_bars(gen_params: list[int], rel_params: list[int], cols, p: int):
@@ -249,9 +249,11 @@ def simplify_barcode(B: Barcode, eps) -> Barcode:
     """Shorten every finite bar by eps from the top, dropping the short ones.
 
     [b, inf) is kept; [b, d) becomes [b, d - eps) when d - b > eps and is
-    removed otherwise.
+    removed otherwise.  Works at the lcm of B's scale and eps' denominator.
     """
     e = rat(eps)
     if e < 0:
         raise ValueError("eps must be nonnegative")
-    return Barcode([(b, d if d == INF else d - e, m) for b, d, m in B.bars if d == INF or d - b > e])
+    S = math.lcm(B.scale, e.denominator)
+    f, e = S // B.scale, e.numerator * (S // e.denominator)
+    return Barcode(S, [(b * f, d * f - e, m) for b, d, m in B.bars if (d - b) * f > e])

@@ -5,16 +5,15 @@ datum per line, rationals as grades.ratio reads them and integers as
 grades.integer does (an FPRES column entry 'coeff:index' as
 grades.integer_pair does); 'inf' is read only for bar deaths, the one
 field whose format takes an infinite upper end (block endpoints are
-finite, as Block requires).  An FPRES block is read into, and written
-from, a module's integer form; a joint file's two blocks are put at one
-scale and read into JointPresentation's integer form.  Parsers report the
-offending line; relation columns are checked by Presentation alone, and
-the parsers map its errors to lines.  A barcode file holds at most
-MAX_BARS bars, counted with multiplicity, so reading one never expands
-into more memory than that; each line is one (birth, death, multiplicity)
-triple that Barcode counts.
-The CLI writes FPRES and barcodes, and their serializers round-trip
-bit-exact.
+finite, as Block requires).  An FPRES block and a barcode file are read
+into, and written from, integer forms: each distinct rational token is
+read once (_ratios), then all are put at the lcm of their denominators
+(_at_lcm).  A joint file's two blocks are put at one scale.  Parsers
+report the offending line; relation columns are checked by Presentation
+alone, and the parsers map its errors to lines.  A barcode file holds at
+most MAX_BARS bars, counted with multiplicity, so reading one never
+expands into more memory than that.  The CLI writes FPRES and barcodes,
+and their serializers round-trip bit-exact.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ import math
 from .blocks import Block
 from .fibered import Barcode
 from .functors import InterleavingWitness, JointPresentation
-from .grades import grade_text, integer, integer_pair, rat, rat_str, ratio
+from .grades import grade_text, integer, integer_pair, rat, ratio
 from .presentation import Presentation, PresentationError, check_field, rescaled
 
 INF = math.inf
@@ -46,11 +45,6 @@ def parse_rational(tok: str, lineno: int = 0):
         return rat(tok)
     except ValueError as exc:
         raise FormatError(lineno, f"bad rational {tok!r}") from exc
-
-
-def parse_bound(tok: str, lineno: int = 0):
-    """A rational or 'inf', for a bar's death, the one field whose format takes an infinite upper end."""
-    return INF if tok == "inf" else parse_rational(tok, lineno)
 
 
 def _lines(text: str):
@@ -80,6 +74,23 @@ class _Cursor:
         if self.pos < len(self.items):
             lineno, toks = self.items[self.pos]
             raise FormatError(lineno, f"trailing content {' '.join(toks)!r}")
+
+
+def _ratios(seen: dict[str, tuple[int, int]], toks: list[str], lineno: int) -> list[str]:
+    """toks, after reading each token not yet in seen into it as a grades.ratio pair."""
+    for t in toks:
+        if t not in seen:
+            try:
+                seen[t] = ratio(t)
+            except ValueError as exc:
+                raise FormatError(lineno, f"bad rational {t!r}") from exc
+    return toks
+
+
+def _at_lcm(seen: dict[str, tuple[int, int]]) -> tuple[int, dict[str, int]]:
+    """The lcm of the denominators of the ratio pairs seen, and each token's value times it."""
+    scale = math.lcm(1, *{d for _, d in seen.values()})
+    return scale, {t: v * (scale // d) for t, (v, d) in seen.items()}
 
 
 # -- FPRES -------------------------------------------------------------------------
@@ -130,20 +141,10 @@ def _parse_fpres_block(cur: _Cursor):
     """One fpres block as (header line, the arguments of Presentation.from_integers,
     each relation's line), columns unchecked.
 
-    Each distinct grade token is read once per block, as a grades.ratio
-    pair, and each column entry with one grades.integer_pair match.
+    Each distinct grade token is read once per block (_ratios), and each
+    column entry with one grades.integer_pair match.
     """
-    seen = {}
-
-    def grade(toks: list[str], lineno: int) -> list[str]:
-        for t in toks:
-            if t not in seen:
-                try:
-                    seen[t] = ratio(t)
-                except ValueError as exc:
-                    raise FormatError(lineno, f"bad rational {t!r}") from exc
-        return toks
-
+    seen: dict[str, tuple[int, int]] = {}
     start, toks = _parse_header(cur, "fpres", "'fpres 1' header")
     if toks[1:] != ["1"]:
         raise FormatError(start, "unsupported fpres version")
@@ -156,7 +157,7 @@ def _parse_fpres_block(cur: _Cursor):
         if toks[0] != "g" or len(toks) != 2 + n:
             raise FormatError(lineno, f"expected 'g <label> <{n} rationals>'")
         labels.append(toks[1])
-        gens.append(grade(toks[2:], lineno))
+        gens.append(_ratios(seen, toks[2:], lineno))
     m = _header_count(cur, "relations", "'relations <m>'")
     rels, cols, lines = [], [], []
     for _ in range(m):
@@ -166,7 +167,7 @@ def _parse_fpres_block(cur: _Cursor):
         sep = toks.index(";")
         if sep != 1 + n:
             raise FormatError(lineno, f"relation needs {n} grade coordinates before ';'")
-        at = grade(toks[1:sep], lineno)
+        at = _ratios(seen, toks[1:sep], lineno)
         col = []
         for ent in toks[sep + 1:]:
             try:
@@ -177,8 +178,7 @@ def _parse_fpres_block(cur: _Cursor):
         rels.append(at)
         cols.append(tuple(sorted(col)))
         lines.append(lineno)
-    scale = math.lcm(1, *{d for _, d in seen.values()})
-    value = {t: v * (scale // d) for t, (v, d) in seen.items()}
+    scale, value = _at_lcm(seen)
     gens, rels = ([tuple(map(value.__getitem__, toks)) for toks in points] for points in (gens, rels))
     return start, n, p, scale, labels, gens, rels, cols, lines
 
@@ -226,23 +226,23 @@ def parse_joint(text: str) -> JointPresentation:
 
 
 def serialize_barcode(B: Barcode) -> str:
-    out = [f"bar {rat_str(b)} {rat_str(d)} {m}" for b, d, m in B.bars]
+    ends = grade_text([(b,) if d == INF else (b, d) for b, d, _ in B.bars], B.scale)
+    out = [f"bar {t}{' inf' if d == INF else ''} {m}" for t, (_, d, m) in zip(ends, B.bars)]
     return "\n".join(out) + ("\n" if out else "")
 
 
 def parse_barcode(text: str) -> Barcode:
-    bars = []
-    total = 0
+    seen, bars, total = {}, [], 0
     for lineno, toks in _lines(text):
         if toks[0] != "bar" or len(toks) != 4:
             raise FormatError(lineno, "expected 'bar <birth> <death|inf> <multiplicity>'")
-        b = parse_rational(toks[1], lineno)
-        d = parse_bound(toks[2], lineno)
+        b, d = toks[1:3]
+        _ratios(seen, [b] if d == "inf" else [b, d], lineno)
         try:
             m = integer(toks[3])
         except ValueError as exc:
             raise FormatError(lineno, f"bad multiplicity {toks[3]!r}") from exc
-        if d != INF and d < b:
+        if d != "inf" and seen[d][0] * seen[b][1] < seen[b][0] * seen[d][1]:
             raise FormatError(lineno, "bar dies before it is born")
         if m < 0:
             raise FormatError(lineno, "negative multiplicity")
@@ -250,7 +250,9 @@ def parse_barcode(text: str) -> Barcode:
         if total > MAX_BARS:
             raise FormatError(lineno, f"more than {MAX_BARS} bars in the file")
         bars.append((b, d, m))
-    return Barcode(bars)
+    scale, value = _at_lcm(seen)
+    value["inf"] = INF
+    return Barcode(scale, [(value[b], value[d], m) for b, d, m in bars])
 
 
 # -- blocks --------------------------------------------------------------------------

@@ -2,10 +2,11 @@
 
 The exact bottleneck distance between barcodes is a min-max assignment with
 deletions (infinite bars may only match infinite bars).  It is solved in
-doubled integer units, where a matched pair costs 2 * l-infinity and a
-deletion d - b, on the distinct bars with their counts.  One matcher tests
-feasibility at a threshold without a cost matrix (cover_within), and the
-exact distance bisects the integer thresholds with it.
+doubled units of the lcm of two Barcodes' scales, where a matched pair
+costs 2 * l-infinity and a deletion d - b, on the distinct bars with their
+counts.  One matcher tests feasibility at a threshold without a cost
+matrix (cover_within), and the exact distance bisects the integer
+thresholds with it; only the distance returned is a Fraction.
 
 The matching distance is approximated from below by sampling weighted
 lines, always including the slope-1 lines through every Betti-grid point of
@@ -216,10 +217,10 @@ def least(probe, lo: int, hi: int) -> int:
 
 
 def _scaled_bars(B1: Barcode, B2: Barcode):
-    """Both barcodes' distinct bars with their multiplicities, as integers
-    scaled by the lcm of their denominators."""
-    scale = common_scale(c for B in (B1, B2) for b, d, _ in B.bars for c in (b, d) if c != INF)
-    sides = [[(int(b * scale), d if d == INF else int(d * scale), m) for b, d, m in B.bars] for B in (B1, B2)]
+    """Both barcodes' distinct bars with their multiplicities, as integers at
+    the lcm of their scales (an INF death times a factor stays INF)."""
+    scale = math.lcm(B1.scale, B2.scale)
+    sides = [[(b * f, d * f, m) for b, d, m in B.bars] for B, f in ((B1, scale // B1.scale), (B2, scale // B2.scale))]
     split = [[[bar[i] for bar in bars if bar[1] != INF] for i in range(3)] + [[(b, m) for b, d, m in bars if d == INF]]
              for bars in sides]
     return _Bars(*split), scale
@@ -381,7 +382,7 @@ def identity_bound(P: Presentation, Q: Presentation) -> Fraction | None:
     return Fraction(max((abs(x - y) for a, b in pairs for x, y in zip(a, b)), default=0), scale)
 
 
-def _best_line(views: Sequence[ScaledModule], sample: LineSample, best, upper=INF):
+def _best_line(views: Sequence[ScaledModule], sample: LineSample, best, upper):
     """The maximum of best and w(L) * d_B over the sample's lines, with the
     first line that attains it as (group, base), or None when no line beats
     best.  upper, INF or identity_bound, bounds every line's value, so the

@@ -20,10 +20,12 @@ refine_near_by_fractions builds the adaptive rounds' lines as LineSpecs.
 The next section holds the builders that tests use as tools and no command
 of the package runs: random sums of staircases, the zero module, the joint
 presentation of a module and its translate, presentations of block lists,
-and a few grade and line helpers.  The last holds the Fraction routes of
-the constructions the package builds in integer form: the incompleteness
-pair, the jitter, and joint presentations with their waypoints, each from
-Generator and Relation objects through Presentation(n, p, gens, rels).
+barcode_of, which builds a Barcode from rational bars in any of the forms
+tests write them in, and a few grade and line helpers.  The last holds the
+Fraction routes of the constructions the package builds in integer form:
+the incompleteness pair, the jitter, and joint presentations with their
+waypoints, each from Generator and Relation objects through
+Presentation(n, p, gens, rels).
 """
 
 from __future__ import annotations
@@ -170,8 +172,9 @@ def barcode_by_rank_counts(Q) -> Counter:
 
 
 def bars_of(B: Barcode) -> list[tuple]:
-    """Every bar (birth, death) of B repeated by its multiplicity, in birth order."""
-    return [(b, d) for b, d, m in B.bars for _ in range(m)]
+    """Every bar (birth, death) of B, as Fractions, repeated by its multiplicity, in birth order."""
+    S = B.scale
+    return [(Fraction(b, S), d if d == INF else Fraction(d, S)) for b, d, m in B.bars for _ in range(m)]
 
 
 def brute_bottleneck(bars1: list[tuple], bars2: list[tuple]):
@@ -654,7 +657,7 @@ def barcode_by_push(P, line: LineSpec) -> Barcode:
     bars = Counter({(b, INF): m for b, m in infinite})
     for bar, m in zip(zip(births, deaths), counts):
         bars[bar] += m
-    return Barcode(bars)
+    return barcode_of(bars)
 
 
 def refine_near_by_fractions(line: LineSpec, pts: list[Grade]) -> list[LineSpec]:
@@ -886,6 +889,18 @@ def betti_grades(P) -> list[Grade]:
 def lines_of(sample) -> tuple[LineSpec, ...]:
     """The LineSpecs of a LineSample, in its order."""
     return tuple(group.line(k) for group in sample.groups for k in group.bases)
+
+
+def barcode_of(bars) -> Barcode:
+    """The Barcode of rational bars: a {(birth, death): multiplicity} mapping,
+    or (birth, death) pairs and (birth, death, multiplicity) triples, each end
+    an int, Fraction or string and a death possibly INF, put at the lcm of
+    their denominators."""
+    triples = ([(b, d, m) for (b, d), m in bars.items()] if isinstance(bars, dict)
+               else [bar if len(bar) == 3 else (*bar, 1) for bar in bars])
+    ends = [(rat(b), d if d == INF else rat(d), m) for b, d, m in triples]
+    scale = math.lcm(1, *(c.denominator for b, d, _ in ends for c in (b, d) if c != INF))
+    return Barcode(scale, [(int(b * scale), d if d == INF else int(d * scale), m) for b, d, m in ends])
 
 
 def zero_module(n: int = 2, p: int = 2) -> Presentation:

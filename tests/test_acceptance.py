@@ -41,10 +41,10 @@ from multipres.experiments import (
 from multipres.functors import PIPELINE_TOTAL, merge_with_witness, shift_with_witness, simplify_with_witness
 from multipres.grades import grid_from_grades
 from multipres.blocks import KINDS, block_matching_distance, unextended_block_distance
-from multipres.fibered import Barcode
 from multipres.presentation import Generator, Presentation, Relation
 
-from oracles import bars_of, betti_grades, brute_bottleneck, grid_points, lines_of, random_module, translate_joint
+from oracles import barcode_of, bars_of, betti_grades, brute_bottleneck, grid_points, lines_of, random_module
+from oracles import translate_joint
 
 INF = math.inf
 FIXTURES = Path(__file__).resolve().parent.parent / "src" / "multipres" / "fixtures"
@@ -142,7 +142,7 @@ def test_criterion_4_bottleneck_oracle():
             b = F(rng.randint(0, 16), 2)
             d = INF if rng.random() < 0.2 else b + F(rng.randint(1, 12), 2)
             bars[(b, d)] += 1
-        return Barcode(bars)
+        return barcode_of(bars)
 
     for i in range(200):
         B1, B2 = rand_barcode(), rand_barcode()

@@ -19,11 +19,12 @@ from multipres import (
     simplify_barcode,
     staircase_interval,
 )
+from multipres import fio
 from multipres.experiments import incompleteness_pair
 from multipres.fibered import pair_bars
 from multipres.presentation import Generator, Presentation, Relation
 
-from oracles import bars_of, barcode_by_push, barcode_by_rank_counts, dim_at, point_at, push, random_module
+from oracles import barcode_by_push, barcode_by_rank_counts, barcode_of, bars_of, dim_at, point_at, push, random_module
 from oracles import restrict_by_push
 
 INF = math.inf
@@ -69,21 +70,21 @@ class TestRestrict:
     def test_free_on_slope_one(self):
         Q = restrict(free([g(0, 0)]), LineSpec.through(g(0, 0), [1, 1]))
         assert Q.n == 1 and Q.gens[0].grade == g(0)
-        assert barcode(Q).bars == ((F(0), INF, 1),)
+        assert barcode(Q) == barcode_of([(0, INF)])
 
     def test_rectangle_bar(self):
         P = staircase_interval([g(0, 0)], [g(2, 0), g(0, 3)])
         B = barcode(restrict(P, LineSpec.through(g(0, 0), [1, 1])))
-        assert B.bars == ((F(0), F(2), 1),)
+        assert B == barcode_of([(0, 2)])
         # pointwise dimension oracle along the line
         line = LineSpec.through(g(0, 0), [1, 1])
         for t in (F(-1), F(0), F(1), F(3, 2), F(2), F(5, 2), F(3)):
-            assert sum(m for b, d, m in B.bars if b <= t < d) == dim_at(P, point_at(line, t))
+            assert sum(b <= t < d for b, d in bars_of(B)) == dim_at(P, point_at(line, t))
 
     def test_incompleteness_n(self):
         N, _ = incompleteness_pair()
         B = barcode(restrict(N, LineSpec.through(g(0, 0), [1, 1])))
-        assert B.bars == ((F(1), F(10), 2),)
+        assert B == barcode_of({(1, 10): 2})
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
@@ -114,29 +115,54 @@ class TestRestrict:
 
 class TestBarcode:
     def test_free_at_zero(self):
-        assert barcode(one_param([0], [])).bars == ((F(0), INF, 1),)
+        assert barcode(one_param([0], [])) == barcode_of([(0, INF)])
 
     def test_two_generators_with_mixing_column(self):
         Q = one_param([0, 0], [(1, {0: 1, 1: 1}), (3, {1: 1})])
-        assert barcode(Q).bars == ((F(0), F(1), 1), (F(0), F(3), 1))
-        assert barcode(Q) == Barcode(barcode_by_rank_counts(Q))
+        assert barcode(Q) == barcode_of([(0, 1), (0, 3)])
+        assert barcode(Q) == barcode_of(barcode_by_rank_counts(Q))
 
     def test_no_relations(self):
         Q = one_param([0, 1, 2], [])
-        assert barcode(Q).bars == ((F(0), INF, 1), (F(1), INF, 1), (F(2), INF, 1))
+        assert barcode(Q) == barcode_of([(0, INF), (1, INF), (2, INF)])
 
     def test_rejects_multiparameter(self):
         with pytest.raises(ValueError):
             barcode(free([g(0, 0)]))
 
+    def test_scale_is_canonical(self):
+        # one multiset built at 1, 2 and 6 times its scale is one value
+        bars = [(1, INF, 2), (-1, 5, 3), (0, 2, 1)]
+        built = [Barcode(3 * k, [(b * k, d * k, m) for b, d, m in bars]) for k in (1, 2, 6)]
+        assert built[0] == built[1] == built[2] and len({hash(B) for B in built}) == 1
+        assert all(B.scale == 3 and B.bars == tuple(sorted(bars)) for B in built)
+        assert Barcode(6, []) == Barcode(1, []) and Barcode(4, [(2, 6, 1)]) == Barcode(2, [(1, 3, 1)])
+
+    def test_bars_hold_only_integers_and_inf(self):
+        rng = random.Random(39)
+        for _ in range(20):
+            B = barcode(random_one_param(rng))
+            for C in (B, simplify_barcode(B, F(1, 3)), fio.parse_barcode(fio.serialize_barcode(B))):
+                assert type(C.scale) is int
+                assert all(type(b) is type(m) is int and (type(d) is int or d == INF) for b, d, m in C.bars)
+        for bad in ((F(1, 2), 1, 1), (0, 0.5, 1)):
+            with pytest.raises(TypeError):
+                Barcode(2, [bad])
+
+    def test_input_checks(self):
+        for scale, bar in ((1, (2, 1, 1)), (1, (0, 1, -1)), (0, (0, 1, 1))):
+            with pytest.raises(ValueError):
+                Barcode(scale, [bar])
+        assert Barcode(1, [(0, 0, 5), (0, 1, 0), (0, 1, 2), (0, 1, 1)]).bars == ((0, 1, 3),)
+
     def test_against_rank_count_oracle(self):
         rng = random.Random(31)
         for _ in range(40):
             Q = random_one_param(rng)
-            assert barcode(Q) == Barcode(barcode_by_rank_counts(Q))
+            assert barcode(Q) == barcode_of(barcode_by_rank_counts(Q))
         for _ in range(10):
             Q = random_one_param(rng, p=5)
-            assert barcode(Q) == Barcode(barcode_by_rank_counts(Q))
+            assert barcode(Q) == barcode_of(barcode_by_rank_counts(Q))
 
     @pytest.mark.parametrize("p", [2, 3, 5])
     def test_pair_bars_come_in_birth_order(self, p):
@@ -180,16 +206,16 @@ class TestBarcode:
 
 class TestSimplifyBarcode:
     def test_eps_zero(self):
-        B = Barcode({(0, 3): 1, (5, INF): 2})
-        assert simplify_barcode(B, 0).bars == B.bars
+        B = barcode_of({(0, 3): 1, (5, INF): 2})
+        assert simplify_barcode(B, 0) == B
 
     def test_short_bars_die(self):
-        B = Barcode({(0, 3): 1, (0, 1): 1})
-        assert simplify_barcode(B, 1).bars == ((F(0), F(2), 1),)
+        B = barcode_of({(0, 3): 1, (0, 1): 1})
+        assert simplify_barcode(B, 1) == barcode_of([(0, 2)])
 
     def test_infinite_bars_survive(self):
-        B = Barcode({(5, INF): 1})
-        assert simplify_barcode(B, 100).bars == ((F(5), INF, 1),)
+        B = barcode_of({(5, INF): 1})
+        assert simplify_barcode(B, 100) == B
 
 
 class TestBarcodeProperties:
@@ -201,7 +227,7 @@ class TestBarcodeProperties:
             line = LineSpec.through(g(F(rng.randint(1, 8), 2), F(rng.randint(1, 8), 4)),
                                     [F(rng.randint(1, 8), 8), 1])
             left = barcode(restrict(direct_sum(P, Q), line))
-            right = Barcode(bars_of(barcode(restrict(P, line))) + bars_of(barcode(restrict(Q, line))))
+            right = barcode_of(bars_of(barcode(restrict(P, line))) + bars_of(barcode(restrict(Q, line))))
             assert left == right
 
     def test_pointwise_dimension_consistency(self):
@@ -211,7 +237,7 @@ class TestBarcodeProperties:
         B = barcode(restrict(P, line))
         for _ in range(50):
             t = F(rng.randint(-20, 80), 4)
-            assert sum(m for b, d, m in B.bars if b <= t < d) == P.hilbert(point_at(line, t))
+            assert sum(b <= t < d for b, d in bars_of(B)) == P.hilbert(point_at(line, t))
 
     def test_slope_one_simplification_commutes(self):
         rng = random.Random(35)
@@ -231,5 +257,5 @@ class TestBarcodeProperties:
             M = minimize(random_module(rng, summands=2))
             for gen in M.gens:
                 line = LineSpec.through(gen.grade, [1, 1])
-                births = [b for b, d, m in barcode(restrict(M, line)).bars]
+                births = [b for b, d in bars_of(barcode(restrict(M, line)))]
                 assert push(line, gen.grade) in births

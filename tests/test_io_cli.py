@@ -14,13 +14,14 @@ from pathlib import Path
 import pytest
 
 from multipres import Grade, fio, metrics
+from multipres.grades import rat_str
 from multipres.blocks import Block
 from multipres.cli import MAX_COUNT, build_parser, main
 from multipres.experiments import incompleteness_pair, incompleteness_witness, jitter_module, random_staircase
 from multipres.fibered import Barcode
 from multipres.presentation import Generator, Presentation, Relation, direct_sum, free, shift, staircase_interval
 
-from oracles import random_module, translate_joint, translated, zero_module
+from oracles import barcode_of, random_module, translate_joint, translated, zero_module
 
 INF = math.inf
 
@@ -146,16 +147,30 @@ class TestFpresFormat:
             with pytest.raises(fio.FormatError):
                 fio.parse_rational(bad, 3)
         # only the fields that take an infinite upper end read 'inf'
-        assert fio.parse_bound("inf") == INF
-        assert fio.parse_bound("-3/4") == F(-3, 4)
-        with pytest.raises(fio.FormatError):
-            fio.parse_bound("-inf", 3)
+        assert fio.parse_barcode("bar 0 inf 1\nbar -1 -3/4 1\n") == barcode_of([(0, INF), (-1, F(-3, 4))])
+        for text in ("bar 0 -inf 1\n", "bar inf inf 1\n"):
+            with pytest.raises(fio.FormatError, match="^line 1: bad rational"):
+                fio.parse_barcode(text)
 
 
 class TestOtherFormats:
     def test_barcode_round_trip(self):
-        B = Barcode({(0, 2): 2, (F(1, 2), INF): 1})
-        assert fio.parse_barcode(fio.serialize_barcode(B)).bars == B.bars
+        B = barcode_of({(0, 2): 2, (F(1, 2), INF): 1})
+        assert fio.parse_barcode(fio.serialize_barcode(B)) == B
+
+    def test_shuffled_distinct_bars_at_large_scales(self):
+        # distinct bars in no order, with denominators near 10^6 and 10^9,
+        # are read at the lcm of all of them and written back unchanged
+        rng = random.Random(96)
+        bars = {}
+        for i in range(3000):
+            b = F(rng.randint(-10**9, 10**9), rng.choice((999_983, 1_000_003)))
+            d = INF if i % 7 == 0 else b + F(rng.randint(1, 10**12), rng.choice((999_999_937, 1_000_000_007)))
+            bars[b, d] = rng.randint(1, 3)
+        B = fio.parse_barcode("".join(f"bar {rat_str(b)} {rat_str(d)} {m}\n" for (b, d), m in bars.items()))
+        assert B == barcode_of(bars) and B.total() == sum(bars.values())
+        assert B.scale == 999_983 * 1_000_003 * 999_999_937 * 1_000_000_007
+        assert fio.parse_barcode(fio.serialize_barcode(B)) == B
 
     def test_blocks_file(self):
         blocks = [Block("oo", 1, 3), Block("cc", 0, 0), Block("co", F(1, 2), 5)]

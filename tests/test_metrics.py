@@ -1,6 +1,5 @@
 import math
 import random
-from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -51,7 +50,7 @@ from multipres.presentation import (
     minimize,
 )
 
-from oracles import bars_of, brute_bottleneck, sample_lines_by_fractions, slot_min_max_assignment
+from oracles import barcode_of, bars_of, brute_bottleneck, sample_lines_by_fractions, slot_min_max_assignment
 from oracles import betti_grades, lines_of, random_module, translate_joint, zero_module
 from oracles import barcode_by_push, push, refine_near_by_fractions
 
@@ -113,26 +112,26 @@ def random_barcode(rng, max_bars=4, allow_inf=True):
         else:
             d = b + F(rng.randint(1, 10), 2)
         bars[(b, d)] = bars.get((b, d), 0) + 1
-    return Barcode(bars)
+    return barcode_of(bars)
 
 
 class TestBottleneck:
     def test_self_distance_zero(self):
-        B = Barcode({(0, 2): 1, (1, INF): 1})
+        B = barcode_of({(0, 2): 1, (1, INF): 1})
         assert bottleneck(B, B) == 0
 
     def test_single_deletion(self):
-        assert bottleneck(Barcode({(0, 2): 1}), Barcode({})) == 1
+        assert bottleneck(barcode_of({(0, 2): 1}), barcode_of({})) == 1
 
     def test_mixed_example(self):
-        B1 = Barcode({(0, 10): 1, (0, 1): 1})
-        B2 = Barcode({(1, 9): 1})
+        B1 = barcode_of({(0, 10): 1, (0, 1): 1})
+        B2 = barcode_of({(1, 9): 1})
         assert bottleneck(B1, B2) == 1
         assert brute_bottleneck(bars_of(B1), bars_of(B2)) == 1
 
     def test_unmatched_infinite_bars(self):
-        assert bottleneck(Barcode({(0, INF): 1}), Barcode({})) == INF
-        assert bottleneck(Barcode({(0, INF): 1}), Barcode({(3, INF): 1})) == 3
+        assert bottleneck(barcode_of({(0, INF): 1}), barcode_of({})) == INF
+        assert bottleneck(barcode_of({(0, INF): 1}), barcode_of({(3, INF): 1})) == 3
 
     def test_against_brute_force(self):
         rng = random.Random(61)
@@ -186,12 +185,12 @@ class TestBottleneck:
             xs = bars()
             # a near copy shares most bars with ties, a fresh list shares few
             ys = [(b + rng.randint(-1, 1), d) for b, d in xs if d == INF or d > b + 1] if trial % 2 else bars()
-            B1, B2 = Barcode(xs), Barcode(ys)
+            B1, B2 = barcode_of(xs), barcode_of(ys)
             d = slot_distance(B1, B2)
             for k in range(-1, 2 * span + 3):
                 assert bottleneck_at_most(B1, B2, F(k, 2)) == (d <= F(k, 2)), (xs, ys, k)
-        A = Barcode([(i, i + 10) for i in range(500)])
-        B = Barcode([(i + F(1, 2), i + 10) for i in range(500)])
+        A = Barcode(1, [(i, i + 10, 1) for i in range(500)])
+        B = Barcode(2, [(2 * i + 1, 2 * i + 20, 1) for i in range(500)])
         # distance 1/2, two doubled units at scale 2
         assert [bottleneck_at_most(A, B, F(k, 4)) for k in range(-1, 5)] == [False] * 3 + [True] * 3
 
@@ -270,12 +269,12 @@ class TestBottleneck:
     def test_equal_bars_are_not_cancelled(self):
         # matching [0, 2) with its copy leaves [-1, 3) to delete at 2; the
         # optimum moves [0, 2) onto [-1, 3) and deletes the copy, both at 1
-        assert bottleneck(Barcode([(0, 2)]), Barcode([(0, 2), (-1, 3)])) == 1
+        assert bottleneck(Barcode(1, [(0, 2, 1)]), Barcode(1, [(0, 2, 1), (-1, 3, 1)])) == 1
 
     def test_five_hundred_shifted_bars(self):
         # a recursive augmenting-path search overflowed the stack on this pair
-        A = Barcode([(i, i + 10) for i in range(500)])
-        B = Barcode([(i + F(1, 2), i + 10) for i in range(500)])
+        A = Barcode(1, [(i, i + 10, 1) for i in range(500)])
+        B = Barcode(2, [(2 * i + 1, 2 * i + 20, 1) for i in range(500)])
         assert bottleneck(A, B) == F(1, 2)
 
 
@@ -454,10 +453,7 @@ class TestIntegerLineLoop:
                 units = units_of(line, scale)
                 for M, view in zip((P, Q), views):
                     births, deaths, counts, infinite = barcode(restrict(view, units))
-                    got = Counter({(F(b, units.unit), INF): m for b, m in infinite})
-                    for b, d, m in zip(births, deaths, counts):
-                        got[F(b, units.unit), F(d, units.unit)] += m
-                    got = Barcode(got)
+                    got = Barcode(units.unit, [(b, INF, m) for b, m in infinite] + list(zip(births, deaths, counts)))
                     assert got == barcode_by_push(M, line), (n, str(line))
 
     @staticmethod
@@ -887,7 +883,7 @@ class TestRankLowerBound:
     @pytest.mark.parametrize("p", [2, 3])
     def test_incompleteness_pair_certified(self, eps, p):
         N, O = incompleteness_pair(eps, p)
-        w = incompleteness_witness(eps, p)
+        w = incompleteness_witness(eps)
         assert verify_interleaving(N, O, w).accepted
         assert rank_lower_bound(N, O).value == rank_lower_bound(O, N).value == w.epsilon == eps
 
