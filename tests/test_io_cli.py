@@ -718,8 +718,10 @@ class TestCli:
 # clibench/gen.py's staircase_sum and entangle from random.Random(2501)
 # and random.Random(2502); f3.joint, the joint file of a 2-summand F3
 # staircase sum jittered by 1/3 and its translate by 1/2 (translate_joint,
-# random.Random(2801)); and the *.out files, the expected stdout of the
-# rows too long to write inline
+# random.Random(2801)); f3_M and f3_B, a 2-summand F3 staircase sum and
+# an entangled presentation of its jitter by 1/3 (random.Random(2901):
+# staircase_sum, jitter_module, entangle); and the *.out files, the
+# expected stdout of the rows too long to write inline
 GOLDEN = Path(__file__).resolve().parent / "golden"
 # files the golden runs read besides the fixtures and the seeded pairs in tests/golden
 GOLDEN_INPUTS = {
@@ -751,6 +753,9 @@ GOLDEN_INPUTS = {
      "matching-distance 0 (0.000000)\nkind lower_bound\nlines 125\n"),
     ("match-dist entangled_A entangled_B --lines 4 --seed 5 --extra 8 --adaptive 2",
      "matching-distance 0 (0.000000)\nkind lower_bound\nlines 125\n"),
+    ("match-dist entangled_A entangled_B --lines 16", "matching-distance 0 (0.000000)\nkind lower_bound\nlines 393\n"),
+    ("match-dist f3_M f3_B --lines 8 --emit-argmax",
+     "matching-distance 1/3 (0.333333)\nkind lower_bound\nlines 314\nargmax line dir=(1,2/17) base=(-411/2,0)\n"),
     ("match-dist cube cube_shift --seed 3 --extra 12 --emit-argmax --adaptive 2",
      "matching-distance 1 (1.000000)\nkind lower_bound\nlines 49\n"
      "argmax line dir=(7/13,2/13,1) base=(-193/1664,671/1664,0)\n"),
@@ -775,16 +780,18 @@ GOLDEN_INPUTS = {
 def test_golden_stdout(argv, want, tmp_path, capsys):
     # the exact stdout of the distance and barcode commands on the example-3.1
     # pair (N, O), a seeded jittered pair, a seeded pair of entangled
-    # presentations of one module, a 3-parameter pair, a 1-parameter F3 module
-    # with unlike denominators and barcode files (empty ones included), of
-    # interpolate on a joint file and of two experiments; '_' separates the
-    # coordinates of one grade, and a Path names a file holding the stdout
+    # presentations of one module, a seeded F3 pair, a 3-parameter pair, a
+    # 1-parameter F3 module with unlike denominators and barcode files (empty
+    # ones included), of interpolate on a joint file and of two experiments;
+    # '_' separates the coordinates of one grade, and a Path names a file
+    # holding the stdout
     for name, text in GOLDEN_INPUTS.items():
         (tmp_path / name).write_text(text)
     paths = {"N": FIXTURES / "example31_N.fpres", "O": FIXTURES / "example31_O.fpres",
              "cube": tmp_path / "cube.fpres", "cube_shift": tmp_path / "cube_shift.fpres",
              "line": tmp_path / "line.fpres"}
-    paths.update({name: GOLDEN / f"{name}.fpres" for name in ("jitter_M", "jitter_J", "entangled_A", "entangled_B")})
+    seeded = ("jitter_M", "jitter_J", "entangled_A", "entangled_B", "f3_M", "f3_B")
+    paths.update({name: GOLDEN / f"{name}.fpres" for name in seeded})
     paths["f3"] = GOLDEN / "f3.joint"
 
     def arg(a):
