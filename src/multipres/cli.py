@@ -38,16 +38,15 @@ class InputError(ValueError):
     """Bad input or arguments; main reports it, like any ValueError, with exit 1."""
 
 
-def _read(path: str) -> str:
+def _load(path: str, parse=fio.parse_fpres):
+    """The file's text read by parse, an FPRES module by default; an
+    unreadable file and a format error (line N: ...) both name the path."""
     try:
-        return Path(path).read_text()
+        text = Path(path).read_text()
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
-
-
-def _load_fpres(path: str):
     try:
-        return fio.parse_fpres(_read(path))
+        return parse(text)
     except fio.FormatError as exc:
         raise InputError(f"{path}: {exc}") from exc
 
@@ -69,7 +68,7 @@ def _parse_grade(text: str) -> Grade:
 def _parse_grid(args) -> GridFunction:
     """The grid of --grid or --grid-of, which argparse lets through one at a time."""
     if args.grid_of:
-        return betti_and_grid(_load_fpres(args.grid_of)).grid
+        return betti_and_grid(_load(args.grid_of)).grid
     try:
         axes = [
             [rat(tok) for tok in axis.replace(",", " ").split()]
@@ -121,13 +120,13 @@ def _report(args, rows: list[tuple[str, object]]) -> None:
 
 
 def _cmd_minimize(args) -> int:
-    P = _load_fpres(args.module)
+    P = _load(args.module)
     _emit(fio.serialize_fpres(P.minimal), args.output)
     return 0
 
 
 def _cmd_betti(args) -> int:
-    data = betti_and_grid(_load_fpres(args.module))
+    data = betti_and_grid(_load(args.module))
     lines = []
     for name, counter in (("xi0", data.xi0), ("xi1", data.xi1)):
         for g in sorted(counter, key=lambda x: x.lex_key()):
@@ -141,14 +140,14 @@ def _cmd_betti(args) -> int:
 
 
 def _cmd_hilbert(args) -> int:
-    P = _load_fpres(args.module)
+    P = _load(args.module)
     a = _parse_grade(args.at)
     print(P.hilbert(a))
     return 0
 
 
 def _cmd_merge(args) -> int:
-    P = _load_fpres(args.module)
+    P = _load(args.module)
     grid = _parse_grid(args)
     out = merge_module(P, grid, _rational(args.delta), args.variant,
                        minimized=not args.raw)
@@ -157,14 +156,14 @@ def _cmd_merge(args) -> int:
 
 
 def _cmd_simplify(args) -> int:
-    P = _load_fpres(args.module)
+    P = _load(args.module)
     out = simplify(P, _rational(args.eps), minimized=not args.raw)
     _emit(fio.serialize_fpres(out), args.output)
     return 0
 
 
 def _cmd_grid_align(args) -> int:
-    P = _load_fpres(args.module)
+    P = _load(args.module)
     grid = _parse_grid(args)
     result = grid_align(P, grid, _rational(args.kap_eps))
     _emit(fio.serialize_fpres(result.module), args.output)
@@ -173,14 +172,14 @@ def _cmd_grid_align(args) -> int:
 
 
 def _cmd_restrict(args) -> int:
-    P = _load_fpres(args.module)
+    P = _load(args.module)
     line = _parse_line(args, P.n)
     _emit(fio.serialize_fpres(restrict(P, line)), args.output)
     return 0
 
 
 def _cmd_barcode(args) -> int:
-    P = _load_fpres(args.module)
+    P = _load(args.module)
     if P.n == 1:
         given = [f"--{name}" for name in ("direction", "base", "through") if getattr(args, name)]
         if given:
@@ -197,8 +196,8 @@ def _cmd_barcode(args) -> int:
 
 
 def _cmd_match_dist(args) -> int:
-    P = _load_fpres(args.module)
-    Q = _load_fpres(args.other)
+    P = _load(args.module)
+    Q = _load(args.other)
     sample = sample_lines(P, Q, slopes=args.lines, seed=args.seed, extra=args.extra)
     report = matching_distance(P, Q, sample=sample, adaptive_rounds=args.adaptive)
     rows = [("matching-distance", report.value), ("kind", report.kind),
@@ -210,27 +209,24 @@ def _cmd_match_dist(args) -> int:
 
 
 def _cmd_bottleneck(args) -> int:
-    B1 = fio.parse_barcode(_read(args.first))
-    B2 = fio.parse_barcode(_read(args.second))
+    B1 = _load(args.first, fio.parse_barcode)
+    B2 = _load(args.second, fio.parse_barcode)
     _report(args, [("bottleneck", bottleneck(B1, B2))])
     return 0
 
 
 def _cmd_verify(args) -> int:
-    P = _load_fpres(args.module)
-    Q = _load_fpres(args.other)
-    try:
-        w = fio.parse_witness(_read(args.witness), P, Q)
-    except fio.FormatError as exc:
-        raise InputError(f"{args.witness}: {exc}") from exc
+    P = _load(args.module)
+    Q = _load(args.other)
+    w = _load(args.witness, lambda text: fio.parse_witness(text, P, Q))
     report = verify_interleaving(P, Q, w)
     print(report.render())
     return 0 if report.accepted else 2
 
 
 def _cmd_lower_bound(args) -> int:
-    P = _load_fpres(args.module)
-    Q = _load_fpres(args.other)
+    P = _load(args.module)
+    Q = _load(args.other)
     probes = [_parse_grade(s) for s in args.probe] if args.probe else None
     report = rank_lower_bound(P, Q, probes)
     _report(args, [("interleaving-lower-bound", report.value), ("kind", report.kind)])
@@ -238,21 +234,21 @@ def _cmd_lower_bound(args) -> int:
 
 
 def _cmd_interpolate(args) -> int:
-    J = fio.parse_joint(_read(args.joint))
+    J = _load(args.joint, fio.parse_joint)
     out = interpolate(J, _rational(args.t))
     _emit(fio.serialize_fpres(out), args.output)
     return 0
 
 
 def _cmd_path_length(args) -> int:
-    mods = [_load_fpres(p) for p in args.modules]
+    mods = [_load(p) for p in args.modules]
     total = path_length_d0(mods, slopes=args.lines)
     _report(args, [("path-length", total)])
     return 0
 
 
 def _cmd_blocks(args) -> int:
-    A = fio.parse_blocks(_read(args.first))
+    A = _load(args.first, fio.parse_blocks)
     if args.blocks_cmd == "extend":
         lines = []
         for blk in A:
@@ -264,7 +260,7 @@ def _cmd_blocks(args) -> int:
             )
         _emit("\n".join(lines), None)
         return 0
-    B = fio.parse_blocks(_read(args.second))
+    B = _load(args.second, fio.parse_blocks)
     _report(args, [("block-matching-distance", block_matching_distance(A, B))])
     return 0
 

@@ -13,9 +13,11 @@ base offsets), and IntegerLine puts a line into integer units for grades
 scaled by a common S.  The lines of a group share the slopes a ScaledModule
 multiplies its grades by once, so restricting it to each is one fold over
 the axes, a Fiber of integer pushes; pair_bars pairs them into counted
-bars split as the bottleneck probe reads them.  A Presentation and a
-LineSpec go the same way at the presentation's own scale, and a Barcode
-keeps its bars as integers at that scale.
+bars split as the bottleneck probe reads them.  The pairing depends only
+on the generator and relation orders, so a ScaledModule keeps it per pair
+of orders (a barcode template) and reduces each pair once.  A Presentation
+and a LineSpec go the same way at the presentation's own scale, with a
+fresh memo, and a Barcode keeps its bars as integers at that scale.
 """
 
 from __future__ import annotations
@@ -154,12 +156,14 @@ def _params(products, offsets) -> list[int]:
 
 
 class Fiber(NamedTuple):
-    """A ScaledModule restricted to an IntegerLine: parameters T, columns unchanged."""
+    """A ScaledModule restricted to an IntegerLine: parameters T, columns
+    unchanged, and the module's template memo for pair_bars."""
 
     gen_params: list[int]
     rel_params: list[int]
     cols: list[dict[int, int]]
     p: int
+    templates: dict
 
 
 def restrict(P: Presentation | ScaledModule, line: LineSpec | IntegerLine):
@@ -182,7 +186,7 @@ def restrict(P: Presentation | ScaledModule, line: LineSpec | IntegerLine):
     gens, rels, cols = M.along(units.slopes)
     gen_params, rel_params = _params(gens, units.offsets), _params(rels, units.offsets)
     if M is P:
-        return Fiber(gen_params, rel_params, cols, M.p)
+        return Fiber(gen_params, rel_params, cols, M.p, M.templates)
     return Presentation.trusted(1, P.p, units.unit, P.labels, [(t,) for t in gen_params],
                                 [(t,) for t in rel_params], P.cols)
 
@@ -202,11 +206,11 @@ def barcode(Q: Presentation | Fiber):
     if Q.n != 1:
         raise ValueError("barcode extraction needs a 1-parameter presentation")
     births, deaths, counts, infinite = pair_bars([a for a, in Q.scaled_gens], [a for a, in Q.scaled_rels],
-                                                 list(map(dict, Q.cols)), Q.p)
+                                                 list(map(dict, Q.cols)), Q.p, {})
     return Barcode(Q.scale, [(b, INF, m) for b, m in infinite] + list(zip(births, deaths, counts)))
 
 
-def pair_bars(gen_params: list[int], rel_params: list[int], cols, p: int):
+def pair_bars(gen_params: list[int], rel_params: list[int], cols, p: int, templates: dict):
     """The bars [birth, death) of a 1-parameter presentation, split as the
     bottleneck probe reads them: (births, deaths, counts, infinite), in
     birth order with ties in generator order.  Equal finite bars next to
@@ -216,27 +220,36 @@ def pair_bars(gen_params: list[int], rel_params: list[int], cols, p: int):
     The parameters are integers in one unit; the columns are {generator
     index: coefficient} dicts.  Rows are the generators in (parameter,
     index) order, and the kernel reads the columns in that order of the
-    relations, relabelling each once; a pivot sets the death of the row it
-    kills.
+    relations, relabelling each once; a pivot names the relation that kills
+    its row.  That pairing depends on the two orders alone, RIVET's barcode
+    template (Lesnick and Wright), so templates, a memo kept for one set of
+    columns, maps the orders as one flat tuple to the killing relation of
+    each row (-1 for none), and each pair of orders is reduced once.
     """
     gen_order = sorted(range(len(gen_params)), key=gen_params.__getitem__)
-    row_of = [0] * len(gen_order)
-    for row, i in enumerate(gen_order):
-        row_of[i] = row
     rel_order = sorted(range(len(rel_params)), key=rel_params.__getitem__)
-    death = [None] * len(gen_order)
-    for j, piv in zip(rel_order, kernels.reduce_pivots([cols[j] for j in rel_order], p, row_of)):
-        if piv >= 0:
-            death[piv] = rel_params[j]
+    key = tuple(gen_order + rel_order)
+    killers = templates.get(key)
+    if killers is None:
+        row_of = [0] * len(gen_order)
+        for row, i in enumerate(gen_order):
+            row_of[i] = row
+        killer = [-1] * len(gen_order)
+        for j, piv in zip(rel_order, kernels.reduce_pivots([cols[j] for j in rel_order], p, row_of)):
+            if piv >= 0:
+                killer[piv] = j
+        killers = templates[key] = tuple(killer)
     births, deaths, counts, infinite = [], [], [], []
-    for i, d in zip(gen_order, death):
+    for i, j in zip(gen_order, killers):
         b = gen_params[i]
-        if d is None:
+        if j < 0:
             if infinite and infinite[-1][0] == b:
                 infinite[-1][1] += 1
             else:
                 infinite.append([b, 1])
-        elif deaths and deaths[-1] == d and births[-1] == b:
+            continue
+        d = rel_params[j]
+        if deaths and deaths[-1] == d and births[-1] == b:
             counts[-1] += 1
         elif d != b:
             births.append(b)

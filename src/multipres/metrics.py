@@ -18,9 +18,11 @@ the reported argmax.  One loop, _best_line, evaluates every line: the
 sample, and each adaptive round's refinement around the argmax
 (_refine_near).  Per line it runs fibered.restrict, barcode and the probe
 on Python ints in the line's own units, one pass from the pushes to the
-bottleneck value.  A line is first probed at the floor of best * 2L / w(L):
-if the bottleneck is feasible there, the line cannot raise the maximum and
-is skipped.  Only the reported value becomes a Fraction again.
+bottleneck value; the two views' template memos reduce each generator and
+relation order once per call.  A line is first probed at the floor of
+best * 2L / w(L): if the bottleneck is feasible there, the line cannot
+raise the maximum and is skipped.  Only the reported value becomes a
+Fraction again.
 
 When both inputs have the same field, parameter count, generator count and
 relation columns, the identity on generator indices is an eps-interleaving,

@@ -609,7 +609,9 @@ class ScaledModule:
     and in_span.  Query grades are integer tuples in the same units:
     scale_grade of a corner, or floor of any rational grade.  For
     restriction to lines it keeps one entry: its grades times the slopes of
-    the last line it was restricted along (along).
+    the last line it was restricted along (along), and a template memo
+    (templates): the pairing fibered.pair_bars reduced for each (generator
+    order, relation order) of its fibers, which lives as long as the view.
     blocks are its direct summands: no column has an entry outside its
     block, so reducing one block's columns reads no other block's pivots.
     """
@@ -625,6 +627,7 @@ class ScaledModule:
         self.rels_below = Below([g for g, _ in self.rels], self.n)
         self._bases: dict[int, dict[int, dict[int, int]]] = {0: {}}  # in the order built
         self._along: tuple | None = None
+        self.templates: dict = {}
 
     @cached_property
     def blocks(self) -> list[tuple[int, int]]:

@@ -18,10 +18,11 @@ barcode_by_push pairs those parameters with fibered.pair_bars, and
 refine_near_by_fractions builds the adaptive rounds' lines as LineSpecs.
 
 The next section holds the builders that tests use as tools and no command
-of the package runs: random sums of staircases, the zero module, the joint
-presentation of a module and its translate, presentations of block lists,
-barcode_of, which builds a Barcode from rational bars in any of the forms
-tests write them in, and a few grade and line helpers.  The last holds the
+of the package runs: random sums of staircases, non-minimal presentations
+of a module (entangled), the zero module, the joint presentation of a
+module and its translate, presentations of block lists, barcode_of, which
+builds a Barcode from rational bars in any of the forms tests write them
+in, and a few grade and line helpers.  The last holds the
 Fraction routes of the constructions the package builds in integer form:
 the incompleteness pair, the jitter, and joint presentations with their
 waypoints, each from Generator and Relation objects through
@@ -653,7 +654,7 @@ def barcode_by_push(P, line: LineSpec) -> Barcode:
     """The barcode of P on the line: pair_bars on the Fraction pushes of its grades."""
     Q = restrict_by_push(P, line)
     births, deaths, counts, infinite = pair_bars([g.grade.coords[0] for g in Q.gens],
-                                                 [r.grade.coords[0] for r in Q.rels], [dict(r.col) for r in Q.rels], Q.p)
+                                                 [r.grade.coords[0] for r in Q.rels], [dict(r.col) for r in Q.rels], Q.p, {})
     bars = Counter({(b, INF): m for b, m in infinite})
     for bar, m in zip(zip(births, deaths), counts):
         bars[bar] += m
@@ -911,6 +912,30 @@ def random_module(rng: random.Random, p: int = 2, summands: int = 2, **kw) -> Pr
     """A direct sum of 1 to summands random staircases (experiments.random_staircase)."""
     first = random_staircase(rng, p=p, **kw)
     return direct_sum(first, *[random_staircase(rng, p=p, **kw) for _ in range(rng.randint(0, summands - 1))])
+
+
+def entangled(P, rng):
+    """A non-minimal presentation of P's module.
+
+    Adds a generator z with the cancelling relation z + c * x_i at z's grade,
+    mixes that relation into some relations above it, and appends the sum
+    of two relations at a grade above both.
+    """
+    p = P.p
+    i = rng.randrange(len(P.gens))
+    a = P.gens[i].grade.plus([rng.randint(0, 2), rng.randint(0, 2)])
+    pair = [(len(P.gens), 1), (i, rng.randint(1, p - 1))]
+    rels = []
+    for r in P.rels:
+        col = list(r.col)
+        if a.leq(r.grade) and rng.random() < 0.5:
+            col += [(j, rng.randint(1, p - 1) * c) for j, c in pair]
+        rels.append(Relation(r.grade, make_column(col, p)))
+    rels.append(Relation(a, make_column(pair, p)))
+    r1, r2 = rng.sample(rels, 2)
+    rels.append(Relation(r1.grade.join(r2.grade).plus([Fraction(1, 3), 0]),
+                         make_column(list(r1.col) + list(r2.col), p)))
+    return Presentation(2, p, P.gens + (Generator("z", a),), tuple(rels))
 
 
 def translate_joint_by_fractions(P: Presentation, eps) -> FractionJoint:

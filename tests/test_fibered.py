@@ -177,7 +177,7 @@ class TestBarcode:
                              {i: rng.randint(1, p - 1) for i in support}))
             Q = one_param(gens, rels, p)
             births, deaths, counts, infinite = pair_bars([a for a, in Q.scaled_gens], [a for a, in Q.scaled_rels],
-                                                         list(map(dict, Q.cols)), p)
+                                                         list(map(dict, Q.cols)), p, {})
             # split as the probe reads them: finite bars in birth order, then the infinite births in order
             assert births == sorted(births) and infinite == sorted(infinite)
             assert len(births) == len(deaths) and all(b < d for b, d in zip(births, deaths))

@@ -21,7 +21,7 @@ from multipres.experiments import incompleteness_pair, incompleteness_witness, j
 from multipres.fibered import Barcode
 from multipres.presentation import Generator, Presentation, Relation, direct_sum, free, shift, staircase_interval
 
-from oracles import barcode_of, random_module, translate_joint, translated, zero_module
+from oracles import barcode_of, betti_grades, entangled, random_module, translate_joint, translated, zero_module
 
 INF = math.inf
 
@@ -708,6 +708,24 @@ class TestCli:
         code, _, err = run_cli("interpolate", str(path), "--t", "1/2")
         assert code == 1 and f"line {lineno}:" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("command, first, bad, lineno", [
+        (["bottleneck"], "B1.bars", "bar 0 1 1\nbar 2 1 1\n", 2),
+        (["blocks", "dist"], "A.blocks", "blocks 1\nblk oo 0 2\nblk zz 1 2\n", 3),
+        (["blocks", "extend"], None, "blocks 1\nblk oo 0 2\nblk zz 1 2\n", 3),
+        # the second block of the joint file has a generator with one coordinate
+        (["interpolate", "--t", "1/2"], None, RECT_JOINT.replace("g b0 1 1", "g b0 1"), 15),
+        (["verify", "N.fpres", "O.fpres"], None, "witness 1\nf a -> 1:zz\n", 2),
+    ])
+    def test_format_error_names_the_malformed_file(self, files, tmp_path, capsys, command, first, bad, lineno):
+        # the file named last is malformed; the message names it before the line
+        path = tmp_path / "malformed"
+        path.write_text(bad)
+        argv = [str(files / a) if a.endswith(".fpres") else a for a in command]
+        argv += [str(files / first)] if first else []
+        assert main(argv + [str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert not out and err.startswith(f"error: {path}: line {lineno}: ") and err.count("\n") == 1
+
     def test_mersenne_prime_field(self, files):
         code, out, _ = run_cli("minimize", str(files / "mersenne.fpres"))
         assert code == 0 and fio.parse_fpres(out).p == 2 ** 61 - 1
@@ -834,3 +852,27 @@ def test_distances_are_symmetric_and_below_accepted_identity_witnesses(tmp_path,
             if verdicts[-1] == 0:
                 assert d <= eps and low <= eps, (n, eps)
     assert set(verdicts) == {0, 2}
+
+
+def test_fpres_round_trip_and_minimize_through_the_cli(tmp_path, capsys):
+    # metamorphic checks on seeded non-minimal F2, F3 and F5 modules: parsing
+    # an FPRES text gives back the module it was written from, minimize run
+    # on its own output prints the same text, and the minimal form has the
+    # raw module's hilbert value at each of the raw module's Betti grades
+    def run(*argv):
+        assert main([str(a) for a in argv]) == 0
+        return capsys.readouterr().out
+
+    rng = random.Random(88)
+    for p in (2, 3, 5):
+        P = entangled(random_module(rng, p=p), rng)
+        raw, least = tmp_path / f"raw{p}.fpres", tmp_path / f"least{p}.fpres"
+        raw.write_text(fio.serialize_fpres(P))
+        assert fio.parse_fpres(raw.read_text()) == P
+        text = run("minimize", raw)
+        least.write_text(text)
+        assert fio.parse_fpres(text) == P.minimal and len(P.minimal.gens) < len(P.gens)
+        assert run("minimize", least) == text
+        for x in betti_grades(P):
+            at = "--at=" + " ".join(map(rat_str, x.coords))
+            assert run("hilbert", raw, at) == run("hilbert", least, at), (p, x)

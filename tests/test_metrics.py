@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -23,9 +24,10 @@ from multipres import (
     verify_interleaving,
 )
 from multipres.functors import InterleavingWitness, shift_with_witness
-from multipres.fibered import barcode, integer_lines, restrict
+from multipres.cli import main
+from multipres.fibered import barcode, integer_lines, pair_bars, restrict
 from multipres.grades import LineSpec
-from multipres import metrics, presentation
+from multipres import kernels, metrics, presentation
 from multipres.metrics import (
     LineSample,
     _rank_violation,
@@ -52,9 +54,10 @@ from multipres.presentation import (
 
 from oracles import barcode_of, bars_of, brute_bottleneck, sample_lines_by_fractions, slot_min_max_assignment
 from oracles import betti_grades, lines_of, random_module, translate_joint, zero_module
-from oracles import barcode_by_push, push, refine_near_by_fractions
+from oracles import barcode_by_push, entangled, push, refine_near_by_fractions
 
 INF = math.inf
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def g(*coords):
@@ -343,30 +346,6 @@ class TestMatchingDistance:
         base = matching_distance(P, Q, slopes=6)
         refined = matching_distance(P, Q, slopes=6, adaptive_rounds=2)
         assert refined.value >= base.value
-
-
-def entangled(P, rng):
-    """A non-minimal presentation of P's module.
-
-    Adds a generator z with the cancelling relation z + c * x_i at z's grade,
-    mixes that relation into some relations above it, and appends the sum
-    of two relations at a grade above both.
-    """
-    p = P.p
-    i = rng.randrange(len(P.gens))
-    a = P.gens[i].grade.plus([rng.randint(0, 2), rng.randint(0, 2)])
-    pair = [(len(P.gens), 1), (i, rng.randint(1, p - 1))]
-    rels = []
-    for r in P.rels:
-        col = list(r.col)
-        if a.leq(r.grade) and rng.random() < 0.5:
-            col += [(j, rng.randint(1, p - 1) * c) for j, c in pair]
-        rels.append(Relation(r.grade, make_column(col, p)))
-    rels.append(Relation(a, make_column(pair, p)))
-    r1, r2 = rng.sample(rels, 2)
-    rels.append(Relation(r1.grade.join(r2.grade).plus([F(1, 3), 0]),
-                         make_column(list(r1.col) + list(r2.col), p)))
-    return Presentation(2, p, P.gens + (Generator("z", a),), tuple(rels))
 
 
 def weighted_bottleneck(P, Q, line):
@@ -671,7 +650,9 @@ class TestRestrictCache:
             for line in lines:
                 units = units_of(line, scale)
                 fiber = restrict(view, units)
-                assert tuple(fiber) == self.fresh(ScaledModule(M, scale), units)
+                # the four restriction fields, and the view's own template memo
+                assert fiber[:4] == self.fresh(ScaledModule(M, scale), units)
+                assert fiber.templates is view.templates
                 assert fiber.gen_params == [push(line, x.grade) * units.unit for x in M.gens]
             # the last direction's products are reused, and a wrong dimension is still refused
             assert view.along(units.slopes)[0] is view.along(units.slopes)[0]
@@ -710,6 +691,78 @@ class TestRestrictCache:
         report = matching_distance(P, J)
         assert report.value == metrics.identity_bound(P, J) and report.argmax_line is not None
         assert len(specs) == 1 and len(units) < len(shared.groups)
+
+
+class TestBarcodeTemplates:
+    """pair_bars reduces once per (generator order, relation order) of a view,
+    and the memo that holds the pairings lives one matching_distance call."""
+
+    @staticmethod
+    def module(rng, p):
+        return entangled(direct_sum(random_staircase(rng, p=p), random_staircase(rng, p=p)), rng)
+
+    @staticmethod
+    def orders(fiber):
+        return (tuple(sorted(range(len(fiber.gen_params)), key=fiber.gen_params.__getitem__)),
+                tuple(sorted(range(len(fiber.rel_params)), key=fiber.rel_params.__getitem__)))
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_templated_bars_equal_a_fresh_pairing(self, p):
+        # lines of a few slopes on a coarse grid of bases, lines through every
+        # generator and relation grade (ties), and all of them again (repeats)
+        rng = random.Random(91 + p)
+        M = self.module(rng, p)
+        directions = [[1, 1], [1, F(1, 2)], [F(1, 3), 1], [1, F(2, 3)]]
+        lines = [LineSpec(d, g(F(rng.randint(-24, 24), 2), 0)) for d in directions for _ in range(6)]
+        lines += [LineSpec.through(x, d) for d in directions for x in betti_grades(M)]
+        lines += rng.sample(lines, len(lines))
+        view = ScaledModule(M, M.scale)
+        ties = 0
+        for line in lines:
+            fiber = restrict(view, units_of(line, M.scale))
+            ties += len(set(fiber.gen_params + fiber.rel_params)) < len(fiber.gen_params + fiber.rel_params)
+            assert pair_bars(*fiber) == pair_bars(*fiber[:4], {}), line
+        # distinct lines shared templates, and some lines had tied parameters
+        assert 0 < len(view.templates) < len(set(lines)) and ties
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_one_reduction_per_distinct_orders_in_a_call(self, monkeypatch, p):
+        rng = random.Random(95 + p)
+        P, Q = self.module(rng, p), self.module(rng, p)
+        assert metrics.identity_bound(P, Q) is None
+        keys, reductions = [], []
+        original_restrict, original_reduce = metrics.restrict, kernels.reduce_pivots
+
+        def recording(view, units):
+            fiber = original_restrict(view, units)
+            keys.append((id(view), self.orders(fiber)))
+            return fiber
+
+        def counting(*args):
+            reductions.append(1)
+            return original_reduce(*args)
+
+        monkeypatch.setattr(metrics, "restrict", recording)
+        monkeypatch.setattr(kernels, "reduce_pivots", counting)
+        matching_distance(P, Q, slopes=8, adaptive_rounds=2)
+        assert len(reductions) == len(set(keys)) < len(keys)
+
+    def test_no_memo_outlives_a_cli_call(self, monkeypatch, capsys):
+        argv = ["match-dist", str(GOLDEN / "entangled_A.fpres"), str(GOLDEN / "entangled_B.fpres"), "--lines", "4"]
+        reductions, original = [], kernels.reduce_pivots
+
+        def counting(*args):
+            reductions.append(1)
+            return original(*args)
+
+        monkeypatch.setattr(kernels, "reduce_pivots", counting)
+        counts, outs = [], []
+        for _ in range(2):
+            reductions.clear()
+            assert main(argv) == 0
+            counts.append(len(reductions))
+            outs.append(capsys.readouterr().out)
+        assert counts[0] == counts[1] > 0 and outs[0] == outs[1]
 
 
 class TestMinimalFormsOnce:
