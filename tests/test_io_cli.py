@@ -739,7 +739,8 @@ class TestCli:
 # random.Random(2801)); f3_M and f3_B, a 2-summand F3 staircase sum and
 # an entangled presentation of its jitter by 1/3 (random.Random(2901):
 # staircase_sum, jitter_module, entangle); and the *.out files, the
-# expected stdout of the rows too long to write inline
+# expected stdout of the rows too long to write inline (grid-align's: its
+# stdout only)
 GOLDEN = Path(__file__).resolve().parent / "golden"
 # files the golden runs read besides the fixtures and the seeded pairs in tests/golden
 GOLDEN_INPUTS = {
@@ -752,6 +753,13 @@ GOLDEN_INPUTS = {
     "cube.fpres": "fpres 1\nfield 2\nparams 3\ngenerators 2\ng a 0 0 0\ng b 1 1/2 0\nrelations 1\nr 2 2 1 ; 1:0 1:1\n",
     "cube_shift.fpres": "fpres 1\nfield 2\nparams 3\ngenerators 2\ng a 0 1/3 0\ng b 1 1/2 1/5\nrelations 1\n"
                         "r 2 3 1 ; 1:0 1:1\n",
+    # the identity witness of the jittered pair, and a witness of the F3 pair
+    # that sends each summand of f3_M to its jittered copy in f3_B and each
+    # generator of f3_B to its class in f3_M
+    "jitter.wit": "witness 1/2\n" + "".join(f"{s} g{i} -> 1:g{i}\n" for s in "fg" for i in range(5)),
+    "f3.wit": "witness 1/3\nf g0 -> 1:g6\nf g1 -> 1:g5\nf g2 -> 1:g3\nf g3 -> 1:g2\n"
+              "g g0 -> 2:g0\ng g1 -> 1:g3 2:g0\ng g2 -> 1:g3\ng g3 -> 1:g2\ng g4 -> 1:g0\n"
+              "g g5 -> 1:g1\ng g6 -> 1:g0\ng g7 -> 2:g3 1:g1\n",
 }
 
 
@@ -794,15 +802,32 @@ GOLDEN_INPUTS = {
     ("interpolate f3 --t 1", GOLDEN / "f3_t1.out"),
     ("experiment example31", GOLDEN / "example31.out"),
     ("experiment local-equiv", GOLDEN / "local-equiv.out"),
+    ("minimize jitter_J", GOLDEN / "jitter_J_minimize.out"),
+    ("minimize f3_B", GOLDEN / "f3_B_minimize.out"),
+    ("betti jitter_J", GOLDEN / "jitter_J_betti.out"),
+    ("betti f3_B", GOLDEN / "f3_B_betti.out"),
+    ("hilbert jitter_J --at 9_9", "3\n"),
+    ("hilbert f3_B --at 9_9", "4\n"),
+    ("simplify jitter_J --eps 3", GOLDEN / "jitter_J_simplify3.out"),
+    ("simplify jitter_J --eps 3 --raw", GOLDEN / "jitter_J_simplify3_raw.out"),
+    ("simplify f3_B --eps 1/2", GOLDEN / "f3_B_simplify1-2.out"),
+    ("simplify f3_B --eps 1/2 --raw", GOLDEN / "f3_B_simplify1-2_raw.out"),
+    ("grid-align jitter_J --grid-of jitter_M --kap-eps 1/64", GOLDEN / "jitter_J_grid-align.out"),
+    ("grid-align f3_B --grid-of f3_M --kap-eps 1/64", GOLDEN / "f3_B_grid-align.out"),
+    ("verify jitter_M jitter_J jitter.wit", "accept at epsilon 1/2\n"),
+    ("verify f3_M f3_B f3.wit", "accept at epsilon 1/3\n"),
+    ("lower-bound jitter_M jitter_J", "interleaving-lower-bound 1/2 (0.500000)\nkind lower_bound\n"),
+    ("lower-bound f3_M f3_B", "interleaving-lower-bound 1/4 (0.250000)\nkind lower_bound\n"),
 ])
 def test_golden_stdout(argv, want, tmp_path, capsys):
     # the exact stdout of the distance and barcode commands on the example-3.1
     # pair (N, O), a seeded jittered pair, a seeded pair of entangled
     # presentations of one module, a seeded F3 pair, a 3-parameter pair, a
     # 1-parameter F3 module with unlike denominators and barcode files (empty
-    # ones included), of interpolate on a joint file and of two experiments;
-    # '_' separates the coordinates of one grade, and a Path names a file
-    # holding the stdout
+    # ones included), of interpolate on a joint file, of two experiments, and
+    # of the commands that print modules, Betti data, ranks and certificates
+    # on the jittered and F3 pairs; '_' separates the coordinates of one
+    # grade, and a Path names a file holding the stdout
     for name, text in GOLDEN_INPUTS.items():
         (tmp_path / name).write_text(text)
     paths = {"N": FIXTURES / "example31_N.fpres", "O": FIXTURES / "example31_O.fpres",
@@ -815,7 +840,7 @@ def test_golden_stdout(argv, want, tmp_path, capsys):
     def arg(a):
         if a in paths:
             return str(paths[a])
-        return str(tmp_path / a) if a.endswith(".bars") else a.replace("_", " ")
+        return str(tmp_path / a) if a.endswith((".bars", ".wit")) else a.replace("_", " ")
 
     assert main([arg(a) for a in argv.split()]) == 0
     assert capsys.readouterr().out == (want.read_text() if isinstance(want, Path) else want)
