@@ -38,15 +38,15 @@ class InputError(ValueError):
     """Bad input or arguments; main reports it, like any ValueError, with exit 1."""
 
 
-def _load(path: str, parse=fio.parse_fpres):
-    """The file's text read by parse, an FPRES module by default; an
-    unreadable file and a format error (line N: ...) both name the path."""
+def _load(path: str, parse=None):
+    """The file's text read by parse, by default fio.parse_fpres as it is at the
+    call; an unreadable file and a format error (line N: ...) both name the path."""
     try:
         text = Path(path).read_text()
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
     try:
-        return parse(text)
+        return (parse or fio.parse_fpres)(text)
     except fio.FormatError as exc:
         raise InputError(f"{path}: {exc}") from exc
 

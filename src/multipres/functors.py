@@ -39,7 +39,6 @@ from .presentation import (
     ScaledModule,
     bits,
     leq,
-    make_column,
     rescaled,
     shift,
 )
@@ -278,7 +277,7 @@ def simplify_with_witness(P: Presentation, eps):
         return P, _identity_witness(P, e)
     M, e_s, rels = _image_relations(P, e)
     out = Presentation.trusted(P.n, P.p, M.scale, P.labels, M.gens, [tuple(v - e_s for v in s) for s, _ in rels],
-                               [make_column(col, P.p) for _, col in rels])
+                               [tuple(sorted(col.items())) for _, col in rels])
     return out, _identity_witness(P, e)
 
 

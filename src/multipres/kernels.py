@@ -3,12 +3,12 @@
 Columns are dicts {row index: nonzero coefficient mod p}.  Reduction is the
 standard left-to-right scheme with max-index pivots, which serves three
 masters: persistence pairing (pivot row = paired row), rank computation
-(count of nonzero pivots) and span membership (residual after reducing
-against an echelon basis).  extend builds the basis of a whole column list:
-it reduces columns into a copy of a given one, empty for echelonize and rank.
-reduce_pivots takes its columns with the caller's indices and a row map,
-and relabels each entry once as it reads the column; over F_2 it reads the
-relabelled rows as the bits of a Python int and adds columns by XOR.
+(count of pivots; the rank vectors add to an echelon basis is the length of
+extend's result minus the basis's) and span membership (residual against an
+echelon basis).  extend reduces columns into a copy of a basis, empty for
+echelonize and rank.  reduce_pivots relabels each entry of its columns once
+by a row map; over F_2 it adds the relabelled rows as the bits of a Python
+int by XOR, over an odd prime it pushes them onto one EchelonStack.
 intersect meets a column span with the coordinate subspace on a set of
 rows, naming the column each basis vector came from, the step behind the
 translation image's relations and the interval ranks.  EchelonStack is an
@@ -22,10 +22,6 @@ from __future__ import annotations
 BACKEND = "pure"
 
 
-def _inv_mod(c: int, p: int) -> int:
-    return pow(c, p - 2, p)
-
-
 def reduce_pivots(columns, p, rows):
     """Reduce columns in order; return the pivot row of each (-1 if zeroed).
 
@@ -33,8 +29,8 @@ def reduce_pivots(columns, p, rows):
     reduced against the previously committed columns sharing its current
     max-index row until the row is fresh or the column dies.
     """
-    out = []
     if p == 2:
+        out = []
         masks: dict[int, int] = {}
         for col in columns:
             v = 0
@@ -51,14 +47,10 @@ def reduce_pivots(columns, p, rows):
                 low = -1
             out.append(low)
         return out
-    piv: dict[int, dict[int, int]] = {}
-    for col in columns:
-        c = _residual_dict({rows[i]: v for i, v in col.items()}, piv, p)
-        low = max(c, default=-1)
-        if c:
-            piv[low] = c
-        out.append(low)
-    return out
+    stack = EchelonStack(p)
+    for k, col in enumerate(columns):
+        stack.push(k, {rows[i]: v for i, v in col.items()})
+    return [-1 if low is None else low for low in stack._lows]
 
 
 def _residual_dict(c, piv, p):
@@ -67,7 +59,7 @@ def _residual_dict(c, piv, p):
         other = piv.get(low)
         if other is None:
             return c
-        factor = (c[low] * _inv_mod(other[low], p)) % p if p != 2 else 1
+        factor = (c[low] * pow(other[low], p - 2, p)) % p if p != 2 else 1
         for row, val in other.items():
             new = (c.get(row, 0) - factor * val) % p
             if new:
@@ -119,12 +111,6 @@ def intersect(columns, inside, p) -> list[tuple[int, dict[int, int]]]:
         stack.push(k, {row_of.get(i, m + i): c for i, c in col.items()})
     return [(k, {inside[r]: c for r, c in stack.pivots[low].items()})
             for k, low in enumerate(stack._lows) if low is not None and low < m]
-
-
-def rank_over(basis, vectors, p) -> int:
-    """rank(span(basis) + span(vectors)) - len(basis), for an echelon basis
-    {pivot row: column}, which is left as it was."""
-    return len(extend(basis, vectors, p)) - len(basis)
 
 
 def residual(vector, basis, p):
@@ -184,7 +170,3 @@ class EchelonStack:
         self.truncate(size)
         for key, column in items[size:]:
             self.push(key, column)
-
-    def residual(self, vector) -> dict[int, int]:
-        """residual(vector, echelonize(columns), p) for the columns on the stack."""
-        return _residual_dict(dict(vector), self.pivots, self.p)

@@ -578,20 +578,16 @@ def _rank_violation(views: Sequence[ScaledModule], points: Sequence[tuple[int, .
 
     Point probes come first; the interval probes are consulted only when
     none of them violates.  rank(M_a -> M_{a+2e}) is at most #generators
-    <= a and dim M_{a+2e}, so its basis is built only when neither count
+    <= a and dim M_{a+2e}, so it is computed only when neither count
     settles the check against dim N_{a+e}.
     """
     for a in points:
         up = tuple(c + 2 * e for c in a)
         mid = tuple(c + e for c in a)
         for M, N in (views, views[::-1]):
-            gens = M.gens_below(a)
-            if gens and gens.bit_count() > (bound := N.dim(mid)):
-                key = M.rels_below(up)
-                rels = len(M.rel_basis(key))
-                if M.gens_below(up).bit_count() - rels > bound \
-                        and len(M.rel_basis(key | gens << len(M.rels))) - rels > bound:
-                    return True
+            gens = M.gens_below(a).bit_count()
+            if gens and gens > (bound := N.dim(mid)) and M.dim(up) > bound and M.rank_between(a, up) > bound:
+                return True
     for src, births, deaths, r in intervals:
         eroded = views[1 - src].interval_rank([(x + e, y + e) for x, y in births],
                                               [(x - e, y - e) for x, y in deaths])

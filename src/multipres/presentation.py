@@ -368,7 +368,7 @@ def _reduction_pass(rels, below, dirty, p):
         if k in dirty:
             mask = below[k]
             stack.rebase([(j, c) for j, c in kept if mask >> j & 1])
-            col = stack.residual(col)
+            col = kernels.residual(col, stack.pivots, p)
             if not col:
                 continue
         kept.append((k, col))
@@ -764,7 +764,8 @@ class ScaledModule:
         key = 0
         for top in tops:
             key |= self.rels_below(_just_below(top))
-        return kernels.rank_over(self.rel_basis(key), [{i: 1} for i in bits(U)] + W, self.p)
+        basis = self.rel_basis(key)
+        return len(kernels.extend(basis, [{i: 1} for i in bits(U)] + W, self.p)) - len(basis)
 
 
 def interval_rank(P: Presentation, births: Sequence[Grade], deaths: Sequence[Grade]) -> int | None:

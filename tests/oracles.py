@@ -474,7 +474,8 @@ def interval_rank_by_units(M, births, deaths) -> int | None:
     key = 0
     for top in tops:
         key |= M.rels_below(_just_below(top))
-    return kernels.rank_over(M.rel_basis(key), T, M.p)
+    basis = M.rel_basis(key)
+    return len(kernels.extend(basis, T, M.p)) - len(basis)
 
 
 def rank_violation_by_ranks(views, points, intervals, e: int) -> bool:

@@ -901,3 +901,44 @@ def test_fpres_round_trip_and_minimize_through_the_cli(tmp_path, capsys):
         for x in betti_grades(P):
             at = "--at=" + " ".join(map(rat_str, x.coords))
             assert run("hilbert", raw, at) == run("hilbert", least, at), (p, x)
+
+
+def test_load_reads_with_the_parser_bound_at_the_call(tmp_path, monkeypatch, capsys):
+    # a wrapper put on fio.parse_fpres after the CLI is imported sees its one read
+    path = tmp_path / "M.fpres"
+    path.write_text(fio.serialize_fpres(free([g(0, 0), g(1, 2)])))
+    calls, parse = [], fio.parse_fpres
+    monkeypatch.setattr(fio, "parse_fpres", lambda text: calls.append(text) or parse(text))
+    assert main(["minimize", str(path)]) == 0
+    assert calls == [path.read_text()] and capsys.readouterr().out == calls[0]
+
+
+@pytest.mark.parametrize("kind", ["fpres", "bars"])
+def test_parsing_reads_each_distinct_rational_once(kind, monkeypatch):
+    # 10^5 lines whose coordinates are 20 rationals with 30-digit
+    # denominators: grades.ratio reads each of the 20 once, however often it
+    # repeats, and the bars' inf deaths not at all
+    rng = random.Random(31)
+    values = sorted({F(rng.randrange(-10 ** 31, 10 ** 31), rng.randrange(10 ** 29, 10 ** 30)) for _ in range(20)})
+    assert len(values) == 20
+    toks = [rat_str(v) for v in values]
+    count = 10 ** 5
+    if kind == "fpres":
+        rows = [f"g x{k} {rng.choice(toks)} {rng.choice(toks)}" for k in range(count)]
+        text = "\n".join(["fpres 1", "field 2", "params 2", f"generators {count}", *rows, "relations 0"]) + "\n"
+    else:
+        rows = []
+        for _ in range(count):
+            b, d = sorted(rng.sample(range(20), 2))
+            rows.append(f"bar {toks[b]} {'inf' if rng.random() < 0.2 else toks[d]} 1")
+        text = "\n".join(rows) + "\n"
+    reads, ratio = [], fio.ratio
+    monkeypatch.setattr(fio, "ratio", lambda t: reads.append(t) or ratio(t))
+    if kind == "fpres":
+        P = fio.parse_fpres(text)
+        assert len(P.labels) == count and not P.cols
+    else:
+        B = fio.parse_barcode(text)
+        assert sum(m for _, _, m in B.bars) == count
+        assert sum(m for _, d, m in B.bars if d == math.inf) == text.count(" inf ")
+    assert sorted(reads) == sorted(toks)

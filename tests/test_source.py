@@ -240,10 +240,11 @@ def test_fraction_constructor_call_is_found():
 def test_line_code_imports_no_fraction_restriction(path):
     # one restriction, on integer grades: no per-grade Fraction push, no
     # Generator/Relation rebuilt per line, no integer grades turned back into
-    # Grades; and every module is built from integer grades, through
-    # Presentation.from_integers or Presentation.trusted
+    # Grades, no column put through the adapter's make_column; and every
+    # module is built from integer grades, through Presentation.from_integers
+    # or Presentation.trusted
     source = path.read_text()
-    assert imported_names(source) & {"push", "Generator", "Relation", "unscaled"} == set()
+    assert imported_names(source) & {"push", "Generator", "Relation", "unscaled", "make_column"} == set()
     assert fraction_constructor_calls(source) == []
 
 
