@@ -13,11 +13,12 @@ base offsets), and IntegerLine puts a line into integer units for grades
 scaled by a common S.  The lines of a group share the slopes a ScaledModule
 multiplies its grades by once, so restricting it to each is one fold over
 the axes, a Fiber of integer pushes; pair_bars pairs them into counted
-bars split as the bottleneck probe reads them.  The pairing depends only
-on the generator and relation orders, so a ScaledModule keeps it per pair
-of orders (a barcode template) and reduces each pair once.  A Presentation
-and a LineSpec go the same way at the presentation's own scale, with a
-fresh memo, and a Barcode keeps its bars as integers at that scale.
+bars, sorted and distinct as in a Barcode, split as the bottleneck probe
+reads them.  The pairing depends only on the generator and relation
+orders, so a ScaledModule keeps it per pair of orders (a barcode template)
+and reduces each pair once.  A Presentation and a LineSpec go the same way
+at the presentation's own scale, with a fresh memo, and a Barcode keeps its
+bars as integers at that scale.
 """
 
 from __future__ import annotations
@@ -212,10 +213,11 @@ def barcode(Q: Presentation | Fiber):
 
 def pair_bars(gen_params: list[int], rel_params: list[int], cols, p: int, templates: dict):
     """The bars [birth, death) of a 1-parameter presentation, split as the
-    bottleneck probe reads them: (births, deaths, counts, infinite), in
-    birth order with ties in generator order.  Equal finite bars next to
-    each other are one entry with their count; infinite holds the infinite
-    bars as [birth, count] runs, one per distinct birth.
+    bottleneck probe reads them: (births, deaths, counts, infinite).  The
+    finite bars are in canonical form, as Barcode keeps them: sorted by
+    (birth, death), each distinct bar once with its full count.  infinite
+    holds the infinite bars as [birth, count] runs, one per distinct birth,
+    in birth order.  So two fibers with one bar multiset give equal lists.
 
     The parameters are integers in one unit; the columns are {generator
     index: coefficient} dicts.  Rows are the generators in (parameter,
@@ -239,7 +241,7 @@ def pair_bars(gen_params: list[int], rel_params: list[int], cols, p: int, templa
             if piv >= 0:
                 killer[piv] = j
         killers = templates[key] = tuple(killer)
-    births, deaths, counts, infinite = [], [], [], []
+    finite, infinite = [], []
     for i, j in zip(gen_order, killers):
         b = gen_params[i]
         if j < 0:
@@ -247,11 +249,14 @@ def pair_bars(gen_params: list[int], rel_params: list[int], cols, p: int, templa
                 infinite[-1][1] += 1
             else:
                 infinite.append([b, 1])
-            continue
-        d = rel_params[j]
+        elif rel_params[j] != b:
+            finite.append((b, rel_params[j]))
+    finite.sort()
+    births, deaths, counts = [], [], []
+    for b, d in finite:
         if deaths and deaths[-1] == d and births[-1] == b:
             counts[-1] += 1
-        elif d != b:
+        else:
             births.append(b)
             deaths.append(d)
             counts.append(1)

@@ -6,7 +6,9 @@ doubled units of the lcm of two Barcodes' scales, where a matched pair
 costs 2 * l-infinity and a deletion d - b, on the distinct bars with their
 counts.  One matcher tests feasibility at a threshold without a cost
 matrix (cover_within), and the exact distance bisects the integer
-thresholds with it; only the distance returned is a Fraction.
+thresholds with it; only the distance returned is a Fraction.  Bars come
+in one canonical form, so two equal multisets are two equal lists, at
+distance 0 with no matching.
 
 The matching distance is approximated from below by sampling weighted
 lines, always including the slope-1 lines through every Betti-grid point of
@@ -171,7 +173,10 @@ class _Bars:
     deletion is d - b, so every candidate is an integer.  Infinite bars
     must match infinite bars, which on the line is optimal in sorted order
     and gives the lower bound low (INF when their totals differ).  The
-    order among equal births only relabels bars.
+    order among equal births only relabels bars.  Two equal lists are one
+    multiset, feasible at every c >= 0 with no matching: pair_bars and
+    Barcode keep their bars in one canonical form, so two fibers that agree
+    and a barcode against itself cost one comparison.
 
     A threshold c is feasible when some partial matching uses only costs
     <= c and leaves unmatched only bars whose deletion is <= c.  By the
@@ -184,13 +189,16 @@ class _Bars:
     """
 
     def __init__(self, xs, ys):
-        self.low = 2 * _in_order_gap(xs[3], ys[3])
         self.sides = (xs[:3], ys[:3])
+        self.low = 2 * _in_order_gap(xs[3], ys[3])
+        self.equal = self.sides[0] == self.sides[1] and xs[3] == ys[3]
 
     def at_most(self, c: int) -> bool:
         """Is the distance <= c?"""
         if self.low > c:
             return False
+        if self.equal:
+            return True
         for side, other in (self.sides, self.sides[::-1]):
             must = [u for u, b, d in zip(itertools.count(), side[0], side[1]) if d - b > c]
             if must and not cover_within(side, must, other, c // 2):

@@ -1,6 +1,5 @@
 import math
 import random
-from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -165,29 +164,36 @@ class TestBarcode:
             assert barcode(Q) == barcode_of(barcode_by_rank_counts(Q))
 
     @pytest.mark.parametrize("p", [2, 3, 5])
-    def test_pair_bars_come_in_birth_order(self, p):
-        # few distinct parameters, in no order: births and deaths tie often
-        rng = random.Random(36 + p)
-        for _ in range(40):
-            gens = [rng.randint(0, 4) for _ in range(rng.randint(1, 8))]
+    def test_pair_bars_split_the_barcode_triples(self, p):
+        # births and deaths on a few values tie often, in every generator
+        # order: the split lists are Barcode's sorted distinct triples, which
+        # it counts by hash, so one multiset gives one split form
+        rng = random.Random(40 + p)
+        repeats = 0
+        for _ in range(60):
+            gens = [rng.randint(0, 3) for _ in range(rng.randint(1, 9))]
             rels = []
-            for _ in range(rng.randint(0, 9)):
-                support = rng.sample(range(len(gens)), rng.randint(1, min(3, len(gens))))
-                rels.append((max(gens[i] for i in support) + rng.randint(0, 3),
+            for _ in range(rng.randint(0, 10)):
+                support = rng.sample(range(len(gens)), rng.randint(1, min(2, len(gens))))
+                rels.append((max(gens[i] for i in support) + rng.randint(0, 2),
                              {i: rng.randint(1, p - 1) for i in support}))
             Q = one_param(gens, rels, p)
-            births, deaths, counts, infinite = pair_bars([a for a, in Q.scaled_gens], [a for a, in Q.scaled_rels],
-                                                         list(map(dict, Q.cols)), p, {})
-            # split as the probe reads them: finite bars in birth order, then the infinite births in order
-            assert births == sorted(births) and infinite == sorted(infinite)
-            assert len(births) == len(deaths) and all(b < d for b, d in zip(births, deaths))
-            bars = Counter({(b, INF): m for b, m in infinite})
-            for bar, m in zip(zip(births, deaths), counts):
-                bars[bar] += m
-            assert bars == barcode_by_rank_counts(Q)
-            # equal neighbours are one entry with their count
-            finite = list(zip(births, deaths))
-            assert len(counts) == len(finite) and all(x != y for x, y in zip(finite, finite[1:]))
+            split = pair_bars([a for a, in Q.scaled_gens], [a for a, in Q.scaled_rels], list(map(dict, Q.cols)), p, {})
+            reference = barcode_of(barcode_by_rank_counts(Q))
+            assert reference.scale == 1
+            bars = reference.bars
+            finite = [bar for bar in bars if bar[1] != INF]
+            assert split == tuple([list(column) for column in zip(*finite)] or [[], [], []]) + (
+                [[b, m] for b, d, m in bars if d == INF],)
+            repeats += any(m > 1 for m in split[2])
+        assert repeats
+
+    def test_equal_bars_apart_in_generator_order_are_one_entry(self):
+        # three generators born at 0, killed at 2, 3 and 2 in generator order:
+        # the two bars [0, 2) are one entry with count 2, whatever the order
+        cols = [{0: 1}, {1: 1}, {2: 1}]
+        assert pair_bars([0, 0, 0], [2, 3, 2], cols, 2, {}) == ([0, 0], [2, 3], [2, 1], [])
+        assert pair_bars([0, 0, 0], [3, 2, 2], cols, 2, {}) == ([0, 0], [2, 3], [2, 1], [])
 
     def test_order_independence(self):
         rng = random.Random(32)

@@ -1,5 +1,6 @@
 import math
 import random
+from collections import Counter
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -27,7 +28,7 @@ from multipres.functors import InterleavingWitness, shift_with_witness
 from multipres.cli import main
 from multipres.fibered import barcode, integer_lines, pair_bars, restrict
 from multipres.grades import LineSpec
-from multipres import kernels, metrics, presentation
+from multipres import fio, kernels, metrics, presentation
 from multipres.metrics import (
     LineSample,
     _rank_violation,
@@ -198,8 +199,9 @@ class TestBottleneck:
         assert [bottleneck_at_most(A, B, F(k, 4)) for k in range(-1, 5)] == [False] * 3 + [True] * 3
 
     def test_bars_in_birth_order_need_no_sort(self):
-        # the pairing hands _Bars its bars sorted by birth only; the order
-        # among equal births must not change any probe or the distance.
+        # _Bars needs its bars sorted by birth only (the pairing hands it the
+        # canonical form, sorted by birth and death); the order among equal
+        # births must not change any probe or the distance.
         # Every other trial repeats bars: fully sorted, each repeated bar is
         # one entry with its count, and in birth order alone the shuffled
         # ties can split it into several entries
@@ -279,6 +281,43 @@ class TestBottleneck:
         A = Barcode(1, [(i, i + 10, 1) for i in range(500)])
         B = Barcode(2, [(2 * i + 1, 2 * i + 20, 1) for i in range(500)])
         assert bottleneck(A, B) == F(1, 2)
+
+    def test_equal_inputs_make_no_matching_calls(self, monkeypatch):
+        # equal split lists are feasible at every c >= 0: the entangled golden
+        # pair (distance 0) and 22 000 shuffled distinct bars at a 30-digit
+        # scale against themselves run no cover_within probe at all
+        calls, lines = [], []
+        original_cover, original_restrict = metrics.cover_within, metrics.restrict
+
+        def counting_cover(*args):
+            calls.append(1)
+            return original_cover(*args)
+
+        def counting_restrict(*args):
+            lines.append(1)
+            return original_restrict(*args)
+
+        monkeypatch.setattr(metrics, "cover_within", counting_cover)
+        monkeypatch.setattr(metrics, "restrict", counting_restrict)
+        A, B = (fio.parse_fpres((GOLDEN / f"entangled_{side}.fpres").read_text()) for side in "AB")
+        assert metrics.identity_bound(A, B) is None
+        assert matching_distance(A, B).value == 0 and lines and calls == []
+        rng = random.Random(102)
+        scale = 999_983 * 1_000_003 * 999_999_937 * 1_000_000_007
+        bars = set()
+        while len(bars) < 22_000:
+            b = rng.randint(-10**9, 10**9) * (scale // rng.choice((999_983, 1_000_003)))
+            d = INF if rng.random() < 0.1 else b + rng.randint(1, 10**12) * (scale // rng.choice((999_999_937, 1_000_000_007)))
+            bars.add((b, d))
+        bars = list(bars)
+        rng.shuffle(bars)
+        C = Barcode(scale, [(b, d, 1) for b, d in bars])
+        assert C.scale == scale and len(C.bars) == 22_000
+        assert bottleneck(C, C) == 0 and calls == []
+        # one bar moved by one unit is another multiset, and the probes run again
+        C = Barcode(scale, [(b, d, 1) for b, d in bars[:200]])
+        D = Barcode(scale, [(b, d, 1) for b, d in bars[1:200]] + [(bars[0][0] - 1, bars[0][1], 1)])
+        assert bottleneck(C, D) == F(1, scale) and calls
 
 
 class TestMatchingDistance:
@@ -478,6 +517,30 @@ class TestIntegerLineLoop:
             lines = sample_lines_by_fractions(P, Q, slopes=3, seed=n, extra=6)
             assert (report.value, report.argmax_line) == reference_distance(P, Q, lines, rounds), n
         assert {0, INF} < values  # and some positive finite distance
+
+    def test_lines_with_equal_fibers_keep_the_reference(self, monkeypatch):
+        # a staircase sum against an entangled copy of it with one summand
+        # moved along the first axis: on lines where the second coordinate
+        # sets that summand's pushes the two fibers agree, and _Bars settles
+        # them without a probe; the other lines run the matching.  Value and
+        # argmax are the Fraction composition's
+        seen = Counter()
+
+        class Recording(metrics._Bars):
+            def __init__(self, xs, ys):
+                super().__init__(xs, ys)
+                seen[self.equal] += 1
+
+        monkeypatch.setattr(metrics, "_Bars", Recording)
+        rng = random.Random(76)
+        for n, p in enumerate((2, 3, 2)):
+            S = [random_staircase(rng, p=p) for _ in range(3)]
+            P = direct_sum(*S)
+            Q = entangled(direct_sum(S[0], S[1], shift(S[2], [F(1, 2), 0])), rng)
+            report = matching_distance(P, Q, sample=self.sample(P, Q, n), adaptive_rounds=2)
+            assert (report.value, report.argmax_line) == reference_distance(P, Q, self.lines(P, Q, n), 2), n
+            assert report.value > 0
+        assert seen[True] and seen[False]
 
     def test_refinement_keeps_the_lines_and_groups(self):
         # the integer refinement holds the LineSpec refinement's lines, in its

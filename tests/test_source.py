@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import re
 from pathlib import Path
 
 import pytest
@@ -9,6 +10,7 @@ import pytest
 SRC = Path(__file__).resolve().parent.parent / "src" / "multipres"
 CLIBENCH = SRC.parent.parent / "clibench"
 SPANS = CLIBENCH / "spans.py"
+README = SRC.parent.parent / "README.md"
 # the package stays below this many lines, all of src/multipres/*.py together
 MAX_SRC_LINES = 4000
 # public names that nothing in src/ or clibench/ calls, kept because each is a
@@ -268,3 +270,30 @@ def test_every_name_the_tracer_wraps_resolves():
         assert callable(vars(getattr(importlib.import_module(f"multipres.{module}"), cls)).get(name)), (cls, name)
     # run.py prints it
     assert hasattr(importlib.import_module("multipres.kernels"), "BACKEND")
+
+
+def unresolved_references(text: str, modules: set[str]) -> list[str]:
+    """Backticked `module.name` references in text, module one of the
+    package's modules, whose name is not an attribute of multipres.module."""
+    found, missing = [], object()
+    for module, name in re.findall(r"`([A-Za-z_]\w*)\.([A-Za-z_][\w.]*)`", text):
+        if module not in modules:
+            continue
+        target = importlib.import_module(f"multipres.{module}")
+        for part in name.split("."):
+            target = getattr(target, part, missing)
+        if target is missing:
+            found.append(f"{module}.{name}")
+    return found
+
+
+def test_unresolved_reference_is_found():
+    text = "`fibered.pair_bars`, `metrics._Bars.at_most`, `metrics.no_such`, `fibered.Barcode.nope` and `os.path`"
+    assert unresolved_references(text, {"fibered", "metrics"}) == ["metrics.no_such", "fibered.Barcode.nope"]
+
+
+def test_every_module_name_in_the_readme_resolves():
+    modules = {path.stem for path in SRC.glob("*.py")}
+    text = README.read_text()
+    assert re.search(r"`metrics\._Bars`", text)
+    assert unresolved_references(text, modules) == []
