@@ -804,8 +804,11 @@ GOLDEN_INPUTS = {
     ("experiment local-equiv", GOLDEN / "local-equiv.out"),
     ("minimize jitter_J", GOLDEN / "jitter_J_minimize.out"),
     ("minimize f3_B", GOLDEN / "f3_B_minimize.out"),
+    ("minimize entangled_B", GOLDEN / "entangled_B_minimize.out"),
+    ("merge f3_B --grid-of f3_M --delta 1/64", GOLDEN / "f3_B_merge.out"),
     ("betti jitter_J", GOLDEN / "jitter_J_betti.out"),
     ("betti f3_B", GOLDEN / "f3_B_betti.out"),
+    ("betti entangled_B", GOLDEN / "entangled_B_betti.out"),
     ("hilbert jitter_J --at 9_9", "3\n"),
     ("hilbert f3_B --at 9_9", "4\n"),
     ("simplify jitter_J --eps 3", GOLDEN / "jitter_J_simplify3.out"),
@@ -818,6 +821,7 @@ GOLDEN_INPUTS = {
     ("verify f3_M f3_B f3.wit", "accept at epsilon 1/3\n"),
     ("lower-bound jitter_M jitter_J", "interleaving-lower-bound 1/2 (0.500000)\nkind lower_bound\n"),
     ("lower-bound f3_M f3_B", "interleaving-lower-bound 1/4 (0.250000)\nkind lower_bound\n"),
+    ("lower-bound entangled_A entangled_B", "interleaving-lower-bound 0 (0.000000)\nkind lower_bound\n"),
 ])
 def test_golden_stdout(argv, want, tmp_path, capsys):
     # the exact stdout of the distance and barcode commands on the example-3.1
@@ -826,7 +830,7 @@ def test_golden_stdout(argv, want, tmp_path, capsys):
     # 1-parameter F3 module with unlike denominators and barcode files (empty
     # ones included), of interpolate on a joint file, of two experiments, and
     # of the commands that print modules, Betti data, ranks and certificates
-    # on the jittered and F3 pairs; '_' separates the coordinates of one
+    # on the jittered, entangled and F3 pairs; '_' separates the coordinates of one
     # grade, and a Path names a file holding the stdout
     for name, text in GOLDEN_INPUTS.items():
         (tmp_path / name).write_text(text)
