@@ -11,10 +11,13 @@ by a row map; over F_2 it adds the relabelled rows as the bits of a Python
 int by XOR, over an odd prime it pushes them onto one EchelonStack.
 intersect meets a column span with the coordinate subspace on a set of
 rows, naming the column each basis vector came from, the step behind the
-translation image's relations and the interval ranks.  EchelonStack is an
-echelon basis grown column by column that can be cut back to any prefix;
-its rebase moves it to a new list of columns through the longest prefix
-the two share, for sweeps whose spans share long prefixes.
+translation image's relations and the interval ranks.  cleared takes a
+vector to its normal form modulo a span, for minimize's columns; eliminate
+is the one step of every reduction here but the F_2 bitmasks.
+EchelonStack is an echelon basis grown column by column that can be cut
+back to any prefix; its rebase moves it to a new list of columns through
+the longest prefix the two share, for sweeps whose spans share long
+prefixes.
 """
 
 from __future__ import annotations
@@ -53,19 +56,25 @@ def reduce_pivots(columns, p, rows):
     return [-1 if low is None else low for low in stack._lows]
 
 
+def eliminate(c, other, row, p) -> None:
+    """Subtract from the column c, in place, the multiple of other that
+    zeroes c's entry in row, where other has a nonzero entry."""
+    factor = c[row] if other[row] == 1 else c[row] * pow(other[row], p - 2, p) % p
+    for i, val in other.items():
+        new = (c.get(i, 0) - factor * val) % p
+        if new:
+            c[i] = new
+        else:
+            c.pop(i, None)
+
+
 def _residual_dict(c, piv, p):
     while c:
         low = max(c)
         other = piv.get(low)
         if other is None:
             return c
-        factor = (c[low] * pow(other[low], p - 2, p)) % p if p != 2 else 1
-        for row, val in other.items():
-            new = (c.get(row, 0) - factor * val) % p
-            if new:
-                c[row] = new
-            else:
-                c.pop(row, None)
+        eliminate(c, other, low, p)
     return c
 
 
@@ -116,9 +125,25 @@ def intersect(columns, inside, p) -> list[tuple[int, dict[int, int]]]:
 def residual(vector, basis, p):
     """Reduce a vector against an echelon basis {pivot row: column}; {} means it lies in the span.
 
-    The basis is read, not copied or changed.
+    The basis is read, not copied or changed.  Reduction stops at the first
+    top row that is no pivot, which is all a membership test needs.
     """
     return _residual_dict(dict(vector), basis, p)
+
+
+def cleared(vector, basis, p):
+    """The vector minus the combination of an echelon basis {pivot row:
+    column} that leaves no entry on a pivot row: the one such member of its
+    coset modulo the span, whatever basis of it is given.
+
+    Pivot rows are cleared from the top down, so a cleared row is never
+    written again.  The basis is read, not copied or changed.
+    """
+    c = dict(vector)
+    while rows := c.keys() & basis.keys():
+        low = max(rows)
+        eliminate(c, basis[low], low, p)
+    return c
 
 
 class EchelonStack:

@@ -10,8 +10,8 @@ in the one check of relation columns (index range, strictly increasing
 indices, coefficients in [0, p), homogeneity on the integer grades), which
 drops zero entries; its PresentationError carries the column's index.
 
-The operations here are construction and validation, minimization by
-grade-ordered column reduction with generator/relation cancellation (each
+The operations here are construction and validation, minimization to a
+canonical minimal presentation in one grade-ordered sweep (each
 Presentation keeps its minimal form once computed, as .minimal), Betti
 multisets with their grid and controlling constant, the pointwise Hilbert
 function, internal-morphism ranks, the generalized rank over 2-parameter
@@ -350,127 +350,80 @@ def direct_sum(P: Presentation, *others: Presentation) -> Presentation:
 # -- minimization ---------------------------------------------------------------
 
 
-def _reduction_pass(rels, below, dirty, p):
-    """One grade-ordered reduction sweep over (input index, column) pairs.
+def minimize(P: Presentation) -> Presentation:
+    """Minimal presentation of the same module, in a normal form fixed by the
+    generator order and the relation module alone.
 
-    Each relation k in dirty is reduced against the already-kept relations
-    of dominated grade, the bits of below[k], which are the only ones that
-    may act on it through monomial-shifted column ops; the others keep their
-    column.  Dependent relations are dropped, so the kept list keeps the
-    visiting order.  One EchelonStack serves the pass, keyed by input
-    index: for each relation it is rebased onto its kept-below list, which
-    reuses the prefix that list shares with the last one and gives the
-    basis echelonize would build from it.
+    One sweep per block of P._scaled (its direct summands) visits the
+    relations in (grade, index) order, each once.  A column first gets the
+    earlier cancellations substituted in.  If it then holds a generator of
+    its own grade g, the least-index one is cancelled against it.  Otherwise
+    it is cleared (kernels.cleared) of the pivot rows of L_g, the span of the
+    kept relations at grades strictly below g, on an EchelonStack rebased
+    per grade; the columns of grade g are then brought to reduced echelon
+    form, top entry 1, and dependent ones drop.  The output is in (grade,
+    pivot row) order; empty columns lie in no block and drop.
+
+    The kept generators are the ones every reduce-and-cancel order keeps: no
+    relation below g holds a generator of grade g, so a column's own-grade
+    entries change only through the substitutions.  The kept generators X'
+    fix the relation module on them, <R> meet Free[X'], and with it L_g and
+    the relations at g.  A coset modulo L_g has one member with no entry on
+    a pivot row of L_g, and a space one reduced echelon basis: so the output
+    is unique.  The Hilbert function is preserved at every grade.
     """
-    kept: list[tuple[int, dict[int, int]]] = []
-    stack = kernels.EchelonStack(p)
-    for k, col in rels:
-        if k in dirty:
-            mask = below[k]
-            stack.rebase([(j, c) for j, c in kept if mask >> j & 1])
-            col = kernels.residual(col, stack.pivots, p)
+    M, p = P._scaled, P.p
+    cancelled: dict[int, dict[int, int]] = {}  # generator -> the multiple of its relation with a 1 on it
+    at_grade: dict[tuple, list[int]] = {}
+    for i, a in enumerate(M.gens):
+        at_grade.setdefault(a, []).append(i)
+    kept = []
+    for _, rel_mask in M.blocks:
+        done: list[tuple[int, dict[int, int]]] = []  # (a relation of its grade, column), keyed by position
+        stack, last = kernels.EchelonStack(p), None
+        for k in sorted(bits(rel_mask), key=lambda k: (M.rels[k][0], k)):
+            g, col = M.rels[k]
+            if g != last:
+                last, units, basis = g, [], None  # basis: the reduced echelon basis of grade g, once rebased
+            if cancelled and not cancelled.keys().isdisjoint(col):
+                col = dict(col)
+                for b in [i for i in col if i in cancelled]:
+                    kernels.eliminate(col, cancelled[b], b, p)
+            own = g in at_grade and col.keys() & at_grade[g]
+            if own:
+                b = min(own)
+                inv = pow(col[b], p - 2, p)
+                unit = cancelled[b] = {i: v * inv % p for i, v in col.items()}
+                for u in units:  # only a unit of this grade can hold b
+                    if b in u:
+                        kernels.eliminate(u, unit, b, p)
+                units.append(unit)
+                continue
+            if basis is None:
+                mask, basis = M.rels_below(g), {}
+                stack.rebase([(n, c) for n, (j, c) in enumerate(done) if mask >> j & 1])
+            col = kernels.cleared(col, stack.pivots, p)
+            for low, u in basis.items():
+                if low in col:
+                    kernels.eliminate(col, u, low, p)
             if not col:
                 continue
-        kept.append((k, col))
-    return kept
-
-
-def _cancel(rels, j, b, p):
-    """Remove relation j and generator b, substituting b's expression everywhere.
-
-    Returns the new relation list and the input indices of the relations it
-    rewrote, those with an entry on b.  None of them comes before j.
-    """
-    col = rels[j][1]
-    cinv = pow(col[b], p - 2, p)
-    rest = {i: v for i, v in col.items() if i != b}
-    out, rewritten = rels[:j], set()
-    for k, col2 in rels[j + 1:]:
-        d = col2.get(b)
-        if d is not None:
-            col2 = {i: v for i, v in col2.items() if i != b}
-            for i, v in rest.items():
-                w = (col2.get(i, 0) - d * cinv * v) % p
-                if w:
-                    col2[i] = w
-                else:
-                    col2.pop(i, None)
-            rewritten.add(k)
-        out.append((k, col2))
-    return out, rewritten
-
-
-def minimize(P: Presentation) -> Presentation:
-    """Minimal presentation of the same module.
-
-    Alternates grade-ordered column reduction (dropping dependent relations)
-    with generator/relation cancellation wherever a relation carries a unit
-    pivot on a generator of equal grade, until neither applies.  The Hilbert
-    function is preserved at every grade.  The sweep runs on P._scaled: the
-    relations are visited in (scaled grade, input index) order, an order
-    that dropping and cancelling keep, and the ones below each are read off
-    its Below index.  Columns keep the input generator indices until the
-    output.
-
-    Each block of P._scaled.blocks is swept alone, with its own kept list
-    and EchelonStack, and the kept relations of two or more blocks are
-    merged back into visiting order: the output of one sweep over all
-    relations.  A reduction reads only pivots of its own block, a
-    cancellation rewrites only relations of its block, and a block's next
-    cancellation is its first hit in visiting order, as in the whole sweep.
-    Empty columns lie in no block: dropped.
-
-    Each pass after the first does only what the last cancellation changed,
-    with the same output as a full pass:
-
-    - Only the relations the cancellation rewrote are reduced again.  A
-      relation k it did not touch holds a residual of the last pass: its top
-      row is not a pivot row of the span of the relations kept below it, and
-      the pivot rows of an echelon basis depend on the span alone.  Its new
-      kept-below span lies inside the old one, by induction along the
-      sweep: a rewritten relation r below k differs from its old residual
-      by a multiple of the cancelled relation j and by relations kept below
-      r, and r holds the cancelled generator b, so grade(r) >= grade(b) =
-      grade(j): j was kept below r, hence below k.  So reducing k again
-      would return its column unchanged.
-    - The next search for a cancellation starts at j's position.  The
-      relations before it are unchanged, and none of them holds b: one that
-      did would have j's grade and so a unit on b, an earlier hit.
-    - The pass keeps one echelon basis, cut back and extended per relation
-      (_reduction_pass); the same columns in the same order give the same
-      pivot map, so the residuals are those of a basis built from scratch.
-    """
-    M = P._scaled
-    below = [M.rels_below(g) for g, _ in M.rels]
-
-    def visit(k):
-        return M.rels[k][0], k
-
-    cancelled, kept = set(), []
-    for _, rel_mask in M.blocks:
-        rels = [(k, M.rels[k][1]) for k in sorted(bits(rel_mask), key=visit)]
-        dirty, start = {k for k, _ in rels}, 0
-        while True:
-            rels = _reduction_pass(rels, below, dirty, P.p)
-            # the first relation with a unit pivot on a generator of its own grade, at the least such generator
-            for start in range(start, len(rels)):
-                k, col = rels[start]
-                own = [i for i in col if M.gens[i] == M.rels[k][0]]
-                if own:
-                    break
-            else:
-                break
-            b = min(own)
-            rels, dirty = _cancel(rels, start, b, P.p)
-            cancelled.add(b)
-        kept += rels
-    if len(M.blocks) > 1:
-        kept.sort(key=lambda item: visit(item[0]))
+            low = max(col)
+            if col[low] != 1:
+                inv = pow(col[low], p - 2, p)
+                col = {i: v * inv % p for i, v in col.items()}
+            for u in basis.values():
+                if low in u:
+                    kernels.eliminate(u, col, low, p)
+            basis[low] = col
+            done.append((k, col))
+            kept.append((g, low, col))
+    kept.sort(key=lambda item: item[:2])
     live = [i for i in range(len(M.gens)) if i not in cancelled]
     index = {i: k for k, i in enumerate(live)}
     return Presentation.trusted(
-        P.n, P.p, P.scale, [P.labels[i] for i in live], [M.gens[i] for i in live], [M.rels[k][0] for k, _ in kept],
-        [tuple(sorted((index[i], c) for i, c in col.items())) for _, col in kept])
+        P.n, P.p, P.scale, [P.labels[i] for i in live], [M.gens[i] for i in live], [g for g, _, _ in kept],
+        [tuple(sorted((index[i], c) for i, c in col.items())) for _, _, col in kept])
 
 
 def betti_and_grid(P: Presentation) -> BettiData:

@@ -16,10 +16,14 @@ rank computed.  The Fraction restriction is the plain route of the
 integer line loop: push puts each grade on the line in Fractions,
 barcode_by_push pairs those parameters with fibered.pair_bars, and
 refine_near_by_fractions builds the adaptive rounds' lines as LineSpecs.
+minimize_by_scan is the plain reduce-and-cancel loop, and normal_form
+brings its output to the normal form minimize prints by dense row
+reduction.
 
 The next section holds the builders that tests use as tools and no command
 of the package runs: random sums of staircases, non-minimal presentations
-of a module (entangled), the zero module, the joint presentation of a
+of a module (entangled), small presentations with tied grades and chained
+cancellations (tangled_module), the zero module, the joint presentation of a
 module and its translate, presentations of block lists, barcode_of, which
 builds a Barcode from rational bars in any of the forms tests write them
 in, and a few grade and line helpers.  The last holds the
@@ -608,6 +612,41 @@ def minimize_by_scan(P):
                         tuple(Relation(g, make_column(col, P.p)) for g, _, col in rels))
 
 
+def normal_form(Q):
+    """Q with its relations in the normal form presentation.minimize prints,
+    by dense row reduction over F_p.
+
+    For each relation grade g, in lexicographic order: the relations at g,
+    each reduced modulo L_g, the span of the relations at grades strictly
+    below g, until it has no entry on a pivot row of L_g, then brought to
+    reduced row echelon form with top entry 1 and ordered by pivot row.  A
+    pivot row is the highest generator index of a vector of the span.  Rows
+    are handled in reverse, so the textbook leading column is the top row.
+    """
+    m, p = len(Q.gens), Q.p
+
+    def flipped(col):
+        v = [0] * m
+        for i, c in col:
+            v[m - 1 - i] = c
+        return v
+
+    rels = []
+    for g in sorted({r.grade for r in Q.rels}, key=lambda a: a.lex_key()):
+        lower = _rref_mod_p([flipped(r.col) for r in Q.rels if r.grade.leq(g) and r.grade != g], m, p)
+        same = []
+        for r in Q.rels:
+            if r.grade == g:
+                v = flipped(r.col)
+                for lead, row in lower:
+                    f = v[lead]
+                    v = [(a - f * b) % p for a, b in zip(v, row)]
+                same.append(v)
+        for lead, row in sorted(_rref_mod_p(same, m, p), reverse=True):
+            rels.append(Relation(g, make_column({m - 1 - j: c for j, c in enumerate(row) if c}, p)))
+    return Presentation(Q.n, p, Q.gens, tuple(rels))
+
+
 def _mediant_slopes(count: int) -> list[Fraction]:
     """Log-spaced rational slopes in [1/16, 16] by mediant subdivision.
 
@@ -913,6 +952,30 @@ def random_module(rng: random.Random, p: int = 2, summands: int = 2, **kw) -> Pr
     """A direct sum of 1 to summands random staircases (experiments.random_staircase)."""
     first = random_staircase(rng, p=p, **kw)
     return direct_sum(first, *[random_staircase(rng, p=p, **kw) for _ in range(rng.randint(0, summands - 1))])
+
+
+def tangled_module(rng: random.Random, n: int, p: int) -> Presentation:
+    """A small presentation on which the reduction path shows.
+
+    Grades lie on {0, 1, 2}^n, so generators and relations tie often.  About
+    half the relations sit at a generator's grade, where they often hold
+    several generators of that grade, so cancellations chain; the others
+    sit at the join of two generator grades, some lifted by up to 1 per
+    coordinate.  Each column holds about 70% of the generators below its
+    grade; up to two more relations are combinations of two drawn before.
+    """
+    gens = [Grade([rng.randint(0, 2) for _ in range(n)]) for _ in range(rng.randint(1, 7))]
+    rels = []
+    for _ in range(rng.randint(1, 9)):
+        at = rng.choice(gens)
+        if rng.random() < 0.5:
+            at = at.join(rng.choice(gens)).plus([rng.randint(0, 1) for _ in range(n)])
+        rels.append((at, {i: rng.randint(1, p - 1) for i, a in enumerate(gens) if a.leq(at) and rng.random() < 0.7}))
+    for _ in range(rng.randint(0, 2)):
+        (a, c), (b, d), f = rng.choice(rels), rng.choice(rels), rng.randint(1, p - 1)
+        rels.append((a.join(b), {i: c.get(i, 0) + f * d.get(i, 0) for i in set(c) | set(d)}))
+    return Presentation(n, p, tuple(Generator(f"g{i}", a) for i, a in enumerate(gens)),
+                        tuple(Relation(a, make_column(col, p)) for a, col in rels))
 
 
 def entangled(P, rng):

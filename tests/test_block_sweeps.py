@@ -15,7 +15,7 @@ import pytest
 from multipres import Grade, kernels, minimize, translate_image
 from multipres.presentation import Generator, Presentation, Relation, make_column
 
-from oracles import image_relations_by_full_sweep, minimize_by_scan
+from oracles import image_relations_by_full_sweep, minimize_by_scan, normal_form
 
 
 def grade(rng, n):
@@ -123,7 +123,7 @@ def test_minimize_equals_scan_reference(n):
     cancelled = 0
     for P in modules(n):
         M = minimize(P)
-        assert M == minimize_by_scan(P)
+        assert M == normal_form(minimize_by_scan(P))
         cancelled += len(P.gens) - len(M.gens)
     assert cancelled >= 3, cancelled
 

@@ -128,6 +128,27 @@ def test_membership_large_prime():
     assert kernels.residual({2: 1}, basis, p)
 
 
+@pytest.mark.parametrize("p", [2, 3, 5, 2**61 - 1])
+def test_cleared_is_the_normal_form_modulo_the_span(p):
+    # no entry on a pivot row, the same vector from two bases of one span,
+    # and the difference from the input lies in the span
+    rng = random.Random(106)
+    for _ in range(40):
+        nrows = rng.randint(1, 14)
+        cols = dependent_columns(rng, nrows, rng.randint(1, 10), p)
+        basis = kernels.echelonize(cols, p)
+        other = kernels.echelonize(rng.sample(cols, len(cols)), p)
+        assert set(other) == set(basis)
+        before = copy.deepcopy(basis)
+        vec = random_columns(rng, nrows, 1, p)[0]
+        out = kernels.cleared(vec, basis, p)
+        assert basis == before and out == kernels.cleared(vec, other, p)
+        assert not set(out) & set(basis) and all(0 < c < p for c in out.values())
+        diff = {i: (vec.get(i, 0) - out.get(i, 0)) % p for i in set(vec) | set(out)}
+        rows = to_dense_rows(cols, nrows)
+        assert dense_rank_mod_p(rows + to_dense_rows([diff], nrows), p) == dense_rank_mod_p(rows, p)
+
+
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_echelon_stack_matches_echelonize_of_its_prefix(p):
     rng = random.Random(107)
