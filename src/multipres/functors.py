@@ -8,8 +8,8 @@ in the interleaving distance:
 * translate_image presents the image of the internal diagonal translation;
 * simplify is the shifted translation image, which deletes features shorter
   than eps (distance at most eps);
-* grid_align chains simplify/merge twice with factors (2, 10, 20) of a base
-  step, for a composed witness of 34 steps total.
+* grid_align chains simplify, merge, simplify, merge with the factors
+  (2, 2, 10, 20) of a base step, for a composed witness of 34 steps total.
 
 They read a module's integer grades and build their output in the same
 form, at a common scale of the module, eps and the grid, with no Fraction
@@ -34,6 +34,7 @@ from fractions import Fraction
 from . import kernels
 from .grades import GridFunction, controlling_constant, merge_delta, rat, snap_coordinates
 from .presentation import (
+    Below,
     Presentation,
     PresentationError,
     ScaledModule,
@@ -160,29 +161,33 @@ def _image_relations(P: Presentation, e: Fraction) -> tuple[ScaledModule, int, l
     intersection only jumps on the product grid of relation coordinates and
     translated generator coordinates, so sweeping those grid points in a
     linear extension and keeping each new intersection element yields a
-    finite generating set.  When every relation dominates its support by
-    eps this reduces to regrading each column to gr(r) v (support + eps);
-    entangled columns additionally shed eliminated combinations early.
+    finite generating set.
 
     The sweep runs on integer grades, on M = ScaledModule(P, S) with S the
     lcm of P's own scale and eps's denominator, and returns M, eps * S and
     the kept relations as (grid point, column), the grid points integer
-    tuples in lexicographic order.  The active relations at s and the early
-    generators are the bitmasks that ScaledModule reports below s and below
-    s - eps * S: a generator is early exactly when its scaled grade is
-    <= s - eps * S.
+    tuples in lexicographic order.
 
-    Each block of M.blocks is swept alone: the meet is the sum of the
-    blocks' meets, and a reduction reads only pivots of its own block.  A
-    block is intersected again only at a point where its key, its part of
-    (active relations, early generators), changed and is new, and holds
-    both (else the meet is 0); a key already seen is skipped, and the skip
-    is exact.  Let s0 be the first point in
-    lex order with the block's key K and s a later one.  Their meet is a
-    grid point with key K (masks below a meet are ANDs) and is not
-    lex-later than s0, so it is s0, and s0 <= s.  The pure columns at s are
-    those at s0, and every relation kept at or before s0 is known at s, so
-    every residual at s is 0.
+    The image of a direct sum is the sum of the images, so each block of
+    M.blocks with relations is swept alone, in lex order over its own grid:
+    its R relations' grades and its generators' grades plus eps * S.  Per
+    axis, Below.runs gives each value with the mask of the block's points
+    at or below it, relations first, so a point's key, the AND of its axis
+    masks, holds the active relations in its low R bits and the early
+    generators above them.  A point is intersected only where its key holds
+    both (else the meet is 0) and is new.  The skip is exact: the points
+    with key K are closed under meets (masks below a meet are ANDs), so the
+    first of them in lex order, s0, is their meet and lies below every later
+    one s.  The pure columns at s are those at s0, and every relation kept
+    at or before s0 is known at s, so every residual at s is 0.
+
+    The output is byte for byte that of one sweep over the whole module's
+    grid, with a block's key its part of (active relations, early
+    generators).  There too the points with key K are closed under meets,
+    so their lex-least point is their meet.  Lowering any coordinate of it
+    to the largest value of the block's own axis below it keeps the key, so
+    that point lies on the block's own grid.  The same keys are therefore
+    met in the same lex order, with the same intersect calls.
 
     A pure column is kept when it is not in the span of the relations kept
     at grades <= s and the ones kept before it at s.  That span is one
@@ -199,37 +204,24 @@ def _image_relations(P: Presentation, e: Fraction) -> tuple[ScaledModule, int, l
     S = math.lcm(P.scale, e.denominator)
     M = ScaledModule(P, S)
     e_s = e.numerator * (S // e.denominator)
-    if not M.rels:
-        return M, e_s, []
-    grades = [g for g, _ in M.rels] + [tuple(v + e_s for v in g) for g in M.gens]
-    axes = [sorted({x[k] for x in grades}) for k in range(P.n)]
-
-    blocks = [masks for masks in M.blocks if masks[1]]
-    gen_block = {i: b for b, (gens, _) in enumerate(blocks) for i in bits(gens)}
-    rel_block = {k: b for b, (_, rels) in enumerate(blocks) for k in bits(rels)}
-    kept: list[list[tuple[tuple[int, ...], int, dict[int, int]]]] = [[] for _ in blocks]
-    known = [kernels.EchelonStack(P.p) for _ in blocks]
-    seen: list[set] = [set() for _ in blocks]
-    act = ear = 0
-    shifted = itertools.product(*([x - e_s for x in axis] for axis in axes))  # s - eps * S, point by point
-    for s, s_early in zip(itertools.product(*axes), shifted):
-        rels_now, gens_now = M.rels_below(s), M.gens_below(s_early)
-        if rels_now == act and gens_now == ear:
-            continue
-        changed = {rel_block.get(k) for k in bits(rels_now ^ act)} | {gen_block.get(i) for i in bits(gens_now ^ ear)}
-        changed.discard(None)
-        act, ear = rels_now, gens_now
-        for b in changed:
-            gens, rels = blocks[b]
-            key = act & rels, ear & gens
-            if not (key[0] and key[1]) or key in seen[b]:
+    kept: list[tuple[tuple[int, ...], int, dict[int, int]]] = []
+    for gens, rels in (block for block in M.blocks if block[1]):
+        R, G = bits(rels), bits(gens)
+        low = (1 << len(R)) - 1  # the relation part of a key
+        points = [M.rels[k][0] for k in R] + [tuple(v + e_s for v in M.gens[i]) for i in G]
+        out, stack, seen = [], kernels.EchelonStack(P.p), set()
+        for corner in itertools.product(*Below(points, P.n).runs()):
+            key = -1
+            for _, mask in corner:
+                key &= mask
+            if not (key & low and key >> len(R)) or key in seen:
                 continue
-            seen[b].add(key)
-            sources = bits(key[0])
-            pure = kernels.intersect([M.rels[k][1] for k in sources], bits(key[1]), P.p)
+            seen.add(key)
+            s = tuple(v for v, _ in corner)
+            sources = [R[j] for j in bits(key & low)]
+            pure = kernels.intersect([M.rels[k][1] for k in sources], [G[j] for j in bits(key >> len(R))], P.p)
             if not pure:
                 continue
-            out, stack = kept[b], known[b]
             stack.rebase([(k, col) for k, (t, _, col) in enumerate(out) if leq(t, s)])
             room = len(pure) - len(stack.pivots)
             for k, col in pure:
@@ -239,8 +231,9 @@ def _image_relations(P: Presentation, e: Fraction) -> tuple[ScaledModule, int, l
                     stack.push(len(out), col)
                     out.append((s, sources[k], col))
                     room -= 1
-    merged = sorted(itertools.chain(*kept), key=lambda item: item[:2])
-    return M, e_s, [(s, col) for s, _, col in merged]
+        kept += out
+    kept.sort(key=lambda item: item[:2])
+    return M, e_s, [(s, col) for s, _, col in kept]
 
 
 def translate_image(P: Presentation, eps) -> Presentation:

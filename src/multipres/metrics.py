@@ -735,11 +735,11 @@ def local_equivalence_experiment(M: Presentation, N: Presentation, kappa, *,
                                  slopes: int = 16) -> LocalEquivalenceReport:
     """Check d0(M, N) > kappa * eps under eps < c_M / (2 (34 kappa + 1)).
 
-    eps-hat is exact when a certified value is supplied (and consistent with
-    the verifier), otherwise the [rank lower bound, witness upper bound]
-    interval is used; a hypothesis failure is reported, never silently
-    passed.  The sampled d0 under-approximates the supremum, so PASS is
-    sound while FAIL only means the sampling did not find a witness line.
+    eps-hat is the certified value when one is supplied, and must lie in
+    [rank lower bound, accepted witness's epsilon], else ValueError;
+    otherwise that interval is used.  A hypothesis failure is reported,
+    never silently passed.  The sampled d0 under-approximates the supremum,
+    so PASS is sound while FAIL only means the sampling found no witness line.
     """
     k = rat(kappa)
     if not (0 <= k < KAPPA_MAX):
@@ -747,13 +747,14 @@ def local_equivalence_experiment(M: Presentation, N: Presentation, kappa, *,
     c_m = betti_and_grid(M).c
     lower = rank_lower_bound(M, N).value
     upper = None
-    if witness is not None:
-        check = verify_interleaving(M, N, witness)
-        if check.accepted:
-            upper = rat(witness.epsilon)
+    if witness is not None and verify_interleaving(M, N, witness).accepted:
+        upper = rat(witness.epsilon)
     exact = None
     if certified_eps is not None:
         exact = rat(certified_eps)
+        if exact < lower or upper is not None and exact > upper:
+            raise ValueError(f"certified eps {rat_str(exact)} lies outside the verified interval "
+                             f"[{rat_str(lower)}, {rat_str(INF if upper is None else upper)}]")
     elif upper is not None and upper == lower:
         exact = upper
     eps_hat = exact if exact is not None else upper

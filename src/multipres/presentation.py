@@ -532,6 +532,10 @@ class Below:
             mask &= masks[bisect_right(vals, v)]
         return mask
 
+    def runs(self) -> list[list[tuple[int, int]]]:
+        """Per axis, each distinct coordinate in increasing order with the mask of the points at or below it."""
+        return [list(dict(zip(vals, masks[1:])).items()) for vals, masks in self.axes]
+
 
 def _monic(vector: dict[int, int], p: int) -> tuple:
     """The entries of a nonzero vector's multiple whose lowest-index entry is 1, in index order."""

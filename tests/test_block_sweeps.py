@@ -4,16 +4,20 @@ The inputs are block-diagonal presentations whose generators and relations
 are shuffled, so the blocks interleave by index.  Each also holds a block
 of free generators (no relations) and a relation whose column is all zero
 coefficients.  Blocks share their grades, so several of them keep relations
-at one grid point of the sweep.
+at one grid point of the sweep.  The simplify sweep also runs on sums of
+staircases in general position, whose blocks share no grade coordinate.
 """
 
+import itertools
+import math
 import random
 from fractions import Fraction as F
 
 import pytest
 
 from multipres import Grade, kernels, minimize, translate_image
-from multipres.presentation import Generator, Presentation, Relation, make_column
+from multipres.experiments import random_staircase
+from multipres.presentation import Generator, Presentation, Relation, direct_sum, make_column, shift
 
 from oracles import image_relations_by_full_sweep, minimize_by_scan, normal_form
 
@@ -102,6 +106,19 @@ def modules(n):
             yield block_module(rng, n, p, rng.randint(2, 4 if n < 3 else 3))
 
 
+def gp_sum(rng, k, p):
+    """A sum of k random staircases, the i-th moved up by i/97 on both axes,
+    so no two summands share a grade coordinate."""
+    return direct_sum(*[shift(random_staircase(rng, p=p), F(i, 97)) for i in range(k)])
+
+
+def gp_sums():
+    rng = random.Random(402)
+    for p in (2, 3):
+        for k in (2, 3, 4):
+            yield gp_sum(rng, k, p)
+
+
 def mask(indices):
     return sum(1 << i for i in indices)
 
@@ -131,7 +148,7 @@ def test_minimize_equals_scan_reference(n):
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_image_relations_equal_full_sweep_in_order(n):
     tied = 0
-    for P in modules(n):
+    for P in itertools.chain(modules(n), gp_sums() if n == 2 else ()):
         owner = components(P)
         for e in (F(1, 2), F(1, 3), F(2)):
             ref = image_relations_by_full_sweep(P, e)
@@ -167,3 +184,33 @@ def test_no_intersect_call_or_minimize_push_mixes_two_blocks(monkeypatch):
                 counted[k] += len(seen)
                 assert all(len({owner[i] for i in rows}) == 1 for rows in seen)
     assert min(counted) >= 20, counted
+
+
+def test_sweep_visits_only_each_blocks_own_grid(monkeypatch):
+    """Work contract: the simplify sweep reads the product grid of each
+    block's own relation grades and translated generator grades once, and
+    not the grid of the whole module."""
+    P, e = gp_sum(random.Random(403), 32, 3), F(1, 2)
+    owner = components(P)
+    points = {}
+    for r in P.rels:
+        if r.col:
+            points.setdefault(owner[r.col[0][0]], []).append(r.grade.coords)
+    for i, g in enumerate(P.gens):
+        if owner[i] in points:
+            points[owner[i]].append([c + e for c in g.grade.coords])
+    want = sum(math.prod(len({a[k] for a in block}) for k in range(P.n)) for block in points.values())
+    whole = math.prod(len({a[k] for block in points.values() for a in block}) for k in range(P.n))
+    assert len(points) >= 16 and 20 * want < whole, (len(points), want, whole)
+
+    visited = []
+    product = itertools.product
+
+    def counting(*axes):
+        for point in product(*axes):
+            visited.append(point)
+            yield point
+
+    monkeypatch.setattr(itertools, "product", counting)
+    translate_image(P, e)
+    assert len(visited) == want

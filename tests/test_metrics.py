@@ -1052,6 +1052,14 @@ class TestLocalEquivalence:
         assert rep.hypothesis_ok and rep.status == "PASS"
         assert rep.d0 == eps and rep.strict_holds and rep.nonstrict_holds
 
+    @pytest.mark.parametrize("certified", [F(1, 100), F(1)])
+    def test_certified_eps_outside_the_verified_interval_is_refused(self, certified):
+        # the rank lower bound and the accepted witness both give 1/2
+        M = random_staircase(random.Random(73))
+        N, w = shift_with_witness(M, F(1, 2))
+        with pytest.raises(ValueError, match=r"outside the verified interval \[1/2, 1/2\]"):
+            local_equivalence_experiment(M, N, self.KAPPA, certified_eps=certified, witness=w, slopes=4)
+
     def test_anchor_counterexample_reports_caveat(self):
         rng = random.Random(74)
         N, O = incompleteness_pair()
