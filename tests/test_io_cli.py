@@ -760,6 +760,24 @@ GOLDEN_INPUTS = {
     "f3.wit": "witness 1/3\nf g0 -> 1:g6\nf g1 -> 1:g5\nf g2 -> 1:g3\nf g3 -> 1:g2\n"
               "g g0 -> 2:g0\ng g1 -> 1:g3 2:g0\ng g2 -> 1:g3\ng g3 -> 1:g2\ng g4 -> 1:g0\n"
               "g g5 -> 1:g1\ng g6 -> 1:g0\ng g7 -> 2:g3 1:g1\n",
+    # witnesses of the jittered pair that verify rejects, one reason each:
+    # the identity at -1/2 and at 1/8; an f coefficient 2 listed after g rows
+    # that violate grades (f's entries are checked first); an f row whose
+    # later target violates grades and whose earlier one has coefficient 2
+    # (a row's targets are checked in increasing order); the identity without
+    # the row of g3, a generator of the relation at (9, 9); and no rows at all
+    "negative.wit": "witness -1/2\n" + "".join(f"{s} g{i} -> 1:g{i}\n" for s in "fg" for i in range(5)),
+    "eighth.wit": "witness 1/8\n" + "".join(f"{s} g{i} -> 1:g{i}\n" for s in "fg" for i in range(5)),
+    "coefficient.wit": "witness 1/2\ng g0 -> 1:g0\ng g1 -> 1:g0 1:g1\ng g2 -> 1:g2\ng g3 -> 1:g3\ng g4 -> 1:g4\n"
+                       "f g0 -> 1:g0\nf g1 -> 1:g1\nf g2 -> 1:g2\nf g3 -> 2:g3\nf g4 -> 1:g4\n",
+    "f-grades.wit": "witness 1/2\nf g0 -> 1:g0\nf g1 -> 2:g1 1:g0\nf g2 -> 1:g2\nf g3 -> 1:g3\nf g4 -> 1:g4\n"
+                    + "".join(f"g g{i} -> 1:g{i}\n" for i in range(5)),
+    "no-g3.wit": "witness 1/2\n" + "".join(f"{s} g{i} -> 1:g{i}\n" for s in "fg" for i in range(5)
+                                           if (s, i) != ("g", 3)),
+    "header.wit": "witness 1/2\n",
+    # a one-generator free module and the zero module
+    "free1.fpres": "fpres 1\nfield 2\nparams 2\ngenerators 1\ng a 0 0\nrelations 0\n",
+    "zero.fpres": "fpres 1\nfield 2\nparams 2\ngenerators 0\nrelations 0\n",
 }
 
 
@@ -822,6 +840,11 @@ GOLDEN_INPUTS = {
     ("lower-bound jitter_M jitter_J", "interleaving-lower-bound 1/2 (0.500000)\nkind lower_bound\n"),
     ("lower-bound f3_M f3_B", "interleaving-lower-bound 1/4 (0.250000)\nkind lower_bound\n"),
     ("lower-bound entangled_A entangled_B", "interleaving-lower-bound 0 (0.000000)\nkind lower_bound\n"),
+    ("lower-bound N O", "interleaving-lower-bound 1 (1.000000)\nkind lower_bound\n"),
+    ("lower-bound jitter_M jitter_J --probe 1/3_7/5 --probe 40_2",
+     "interleaving-lower-bound 1/2 (0.500000)\nkind lower_bound\n"),
+    ("lower-bound f3_M f3_B --format tabular", "interleaving-lower-bound\t1/4\t0.250000\nkind\tlower_bound\n"),
+    ("lower-bound free1 zero", "interleaving-lower-bound inf\nkind lower_bound\n"),
 ])
 def test_golden_stdout(argv, want, tmp_path, capsys):
     # the exact stdout of the distance and barcode commands on the example-3.1
@@ -832,11 +855,34 @@ def test_golden_stdout(argv, want, tmp_path, capsys):
     # of the commands that print modules, Betti data, ranks and certificates
     # on the jittered, entangled and F3 pairs; '_' separates the coordinates of one
     # grade, and a Path names a file holding the stdout
+    assert _golden_main(argv, tmp_path) == 0
+    assert capsys.readouterr().out == (want.read_text() if isinstance(want, Path) else want)
+
+
+@pytest.mark.parametrize("argv, want", [
+    ("verify jitter_M jitter_J negative.wit", "negative epsilon"),
+    ("verify jitter_M jitter_J coefficient.wit", "f coefficient 2 out of range"),
+    ("verify jitter_M jitter_J eighth.wit", "g entry g0 -> g0 violates grades"),
+    ("verify jitter_M jitter_J f-grades.wit", "f entry g1 -> g0 violates grades"),
+    ("verify jitter_M jitter_J no-g3.wit", "g sends relation 2 (grade 9 9) outside the relation submodule"),
+    ("verify jitter_M jitter_J header.wit", "coherence g.f fails at generator g0"),
+    ("verify jitter_M f3_M header.wit", "dimension or field mismatch"),
+])
+def test_golden_verify_rejections(argv, want, tmp_path, capsys):
+    # verify's stdout and exit 2 on witnesses it rejects: the reason printed
+    # is the first failure in the order the entries are checked
+    eps = GOLDEN_INPUTS[argv.split()[-1]].split()[1]
+    assert _golden_main(argv, tmp_path) == 2
+    assert capsys.readouterr().out == f"reject at epsilon {eps}: {want}\n"
+
+
+def _golden_main(argv: str, tmp_path) -> int:
+    """main on a golden row's arguments, with its input files written to tmp_path."""
     for name, text in GOLDEN_INPUTS.items():
         (tmp_path / name).write_text(text)
     paths = {"N": FIXTURES / "example31_N.fpres", "O": FIXTURES / "example31_O.fpres",
              "cube": tmp_path / "cube.fpres", "cube_shift": tmp_path / "cube_shift.fpres",
-             "line": tmp_path / "line.fpres"}
+             "line": tmp_path / "line.fpres", "free1": tmp_path / "free1.fpres", "zero": tmp_path / "zero.fpres"}
     seeded = ("jitter_M", "jitter_J", "entangled_A", "entangled_B", "f3_M", "f3_B")
     paths.update({name: GOLDEN / f"{name}.fpres" for name in seeded})
     paths["f3"] = GOLDEN / "f3.joint"
@@ -846,8 +892,7 @@ def test_golden_stdout(argv, want, tmp_path, capsys):
             return str(paths[a])
         return str(tmp_path / a) if a.endswith((".bars", ".wit")) else a.replace("_", " ")
 
-    assert main([arg(a) for a in argv.split()]) == 0
-    assert capsys.readouterr().out == (want.read_text() if isinstance(want, Path) else want)
+    return main([arg(a) for a in argv.split()])
 
 
 def test_distances_are_symmetric_and_below_accepted_identity_witnesses(tmp_path, capsys):
