@@ -28,7 +28,7 @@ from .metrics import (
     sample_lines,
     verify_interleaving,
 )
-from .presentation import betti_and_grid
+from .presentation import PresentationError, betti_and_grid
 from .blocks import block_matching_distance, extend_block
 
 INF = math.inf
@@ -216,8 +216,12 @@ def _cmd_bottleneck(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    P = _load(args.module)
-    Q = _load(args.other)
+    P, Q = _load(args.module), _load(args.other)
+    for path, M in ((args.module, P), (args.other, Q)):
+        try:
+            fio.label_index(M)
+        except PresentationError as exc:
+            raise InputError(f"{path}: {exc}") from None
     w = _load(args.witness, lambda text: fio.parse_witness(text, P, Q))
     report = verify_interleaving(P, Q, w)
     print(report.render())

@@ -55,7 +55,7 @@ def incompleteness_pair(eps=1, p: int = 2) -> tuple[Presentation, Presentation]:
 
 def incompleteness_witness(eps=1) -> InterleavingWitness:
     """Explicit eps-interleaving between the pair: f: a->a, b->c; g: a->a, b->a, c->b."""
-    return InterleavingWitness(rat(eps), f=((0, 0, 1), (1, 2, 1)), g=((0, 0, 1), (1, 0, 1), (2, 1, 1)))
+    return InterleavingWitness(rat(eps), f={0: ((0, 1),), 1: ((2, 1),)}, g={0: ((0, 1),), 1: ((0, 1),), 2: ((1, 1),)})
 
 
 @dataclass(frozen=True)

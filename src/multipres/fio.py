@@ -280,16 +280,22 @@ def parse_blocks(text: str) -> list[Block]:
 # -- witnesses -----------------------------------------------------------------------
 
 
+def label_index(P: Presentation) -> dict[str, int]:
+    """{label: index} of P's generators, which a witness file names, so no label may repeat."""
+    index = {label: i for i, label in enumerate(P.labels)}
+    if len(index) < len(P.labels):
+        label = next(label for i, label in enumerate(P.labels) if index[label] != i)
+        raise PresentationError(f"repeated generator label {label!r}, which a witness file cannot name")
+    return index
+
+
 def parse_witness(text: str, P: Presentation, Q: Presentation) -> InterleavingWitness:
-    p_index = {label: i for i, label in enumerate(P.labels)}
-    q_index = {label: i for i, label in enumerate(Q.labels)}
-    if len(p_index) != len(P.labels) or len(q_index) != len(Q.labels):
-        raise FormatError(1, "witness files need unique generator labels on both sides")
+    """The witness file's f and g rows, sources and targets in increasing order."""
+    p_index, q_index = label_index(P), label_index(Q)
     cur = _Cursor(text)
     lineno, tok = _header_value(cur, "witness", "'witness <epsilon>' header")
     eps = parse_rational(tok, lineno)
-    f: dict[tuple[int, int], int] = {}
-    g: dict[tuple[int, int], int] = {}
+    f, g = {}, {}  # source -> {target: coeff}
     while cur.peek() is not None:
         lineno, toks = cur.next("witness row")
         if toks[0] not in ("f", "g") or len(toks) < 3 or toks[2] != "->":
@@ -297,7 +303,7 @@ def parse_witness(text: str, P: Presentation, Q: Presentation) -> InterleavingWi
         src_index, dst_index, store = (p_index, q_index, f) if toks[0] == "f" else (q_index, p_index, g)
         if toks[1] not in src_index:
             raise FormatError(lineno, f"unknown source generator {toks[1]!r}")
-        i = src_index[toks[1]]
+        row = store.setdefault(src_index[toks[1]], {})
         for ent in toks[3:]:
             try:
                 c_s, label = ent.split(":", 1)
@@ -306,11 +312,8 @@ def parse_witness(text: str, P: Presentation, Q: Presentation) -> InterleavingWi
                 raise FormatError(lineno, f"bad entry {ent!r}") from exc
             if label not in dst_index:
                 raise FormatError(lineno, f"unknown target generator {label!r}")
-            if (i, dst_index[label]) in store:
+            if dst_index[label] in row:
                 raise FormatError(lineno, f"repeated entry {toks[0]} {toks[1]} -> {label}")
-            store[(i, dst_index[label])] = c
-    return InterleavingWitness(
-        eps,
-        tuple((i, j, c) for (i, j), c in sorted(f.items())),
-        tuple((i, j, c) for (i, j), c in sorted(g.items())),
-    )
+            row[dst_index[label]] = c
+    return InterleavingWitness(eps, *({i: tuple(sorted(row.items())) for i, row in sorted(rows.items())}
+                                      for rows in (f, g)))

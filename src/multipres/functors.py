@@ -13,10 +13,11 @@ in the interleaving distance:
 
 They read a module's integer grades and build their output in the same
 form, at a common scale of the module, eps and the grid, with no Fraction
-grade and unchecked (Presentation.trusted).  Witnesses are sparse
-generator-to-generator matrices with the grade shift implied: entry (i -> j, c) means c * x^(gr_i + eps - gr_j)
-applied to the target generator.  They compose by matrix product, and the
-metrics module checks them independently.
+grade and unchecked (Presentation.trusted).  A witness holds each of its two
+maps as the rows of a witness file: source generator i goes to the sum of
+c * x^(gr_i + eps - gr_j) times target generator j over its row's pairs
+(j, c).  Witnesses compose by multiplying rows, and the metrics module
+checks them independently.
 
 Joint presentations interpolate between two modules along the straight-line
 path of an eps-interleaving, with endpoints isomorphic to the two modules.
@@ -49,44 +50,26 @@ PIPELINE_FACTORS: tuple[int, ...] = (2, 2, 10, 20)
 PIPELINE_TOTAL: int = sum(PIPELINE_FACTORS)
 
 
+# a map between generators as the rows of a witness file, sources and targets increasing
+Rows = dict[int, tuple[tuple[int, int], ...]]
+
+
 @dataclass(frozen=True)
 class InterleavingWitness:
     """Candidate eps-interleaving between two presentations.
 
     f maps source generators into the target (grade shift eps), g maps
-    target generators back; entries are (src index, dst index) -> coeff.
+    target generators back, each as rows {source index: ((target index,
+    coeff), ...)}, the rows of a witness file's f and g lines.
     """
 
     epsilon: Fraction
-    f: tuple[tuple[int, int, int], ...]
-    g: tuple[tuple[int, int, int], ...]
-
-    def f_dict(self) -> dict[tuple[int, int], int]:
-        return {(i, j): c for i, j, c in self.f}
-
-    def g_dict(self) -> dict[tuple[int, int], int]:
-        return {(i, j): c for i, j, c in self.g}
+    f: Rows
+    g: Rows
 
 
-def _matrix(entries: dict[tuple[int, int], int], p: int) -> tuple[tuple[int, int, int], ...]:
-    out = []
-    for (i, j), c in sorted(entries.items()):
-        c %= p
-        if c:
-            out.append((i, j, c))
-    return tuple(out)
-
-
-def by_source(matrix: dict[tuple[int, int], int]) -> dict[int, list[tuple[int, int]]]:
-    """A witness matrix {(i, j): coeff} as {i: [(j, coeff), ...]}, entries in matrix order."""
-    rows: dict[int, list[tuple[int, int]]] = {}
-    for (i, j), d in matrix.items():
-        rows.setdefault(i, []).append((j, d))
-    return rows
-
-
-def apply_rows(rows: dict[int, list[tuple[int, int]]], vec: dict[int, int], p: int) -> dict[int, int]:
-    """The image of a vector {i: coeff} under a matrix given by_source."""
+def apply_rows(rows: Rows, vec: dict[int, int], p: int) -> dict[int, int]:
+    """The image of a vector {i: coeff} under a map given by its rows."""
     out: dict[int, int] = {}
     for i, c in vec.items():
         for j, d in rows.get(i, ()):
@@ -100,20 +83,17 @@ def apply_rows(rows: dict[int, list[tuple[int, int]]], vec: dict[int, int], p: i
 
 def _identity_witness(P: Presentation, eps: Fraction) -> InterleavingWitness:
     """Each generator of P to itself, both ways, at eps."""
-    ident = tuple((i, i, 1) for i in range(len(P.labels)))
+    ident = {i: ((i, 1),) for i in range(len(P.labels))}
     return InterleavingWitness(eps, ident, ident)
 
 
 def compose_witnesses(w1: InterleavingWitness, w2: InterleavingWitness, p: int) -> InterleavingWitness:
     """Witness for the composite interleaving at epsilon_1 + epsilon_2."""
-    def product(a: dict, b: dict) -> dict:
-        rows = by_source(b)
-        return {(i, k): c for i, row in by_source(a).items()
-                for k, c in apply_rows(rows, dict(row), p).items()}
+    def product(a: Rows, b: Rows) -> Rows:
+        images = ((i, apply_rows(b, dict(row), p)) for i, row in a.items())
+        return {i: tuple(sorted(image.items())) for i, image in images if image}
 
-    f = product(w1.f_dict(), w2.f_dict())
-    g = product(w2.g_dict(), w1.g_dict())
-    return InterleavingWitness(w1.epsilon + w2.epsilon, _matrix(f, p), _matrix(g, p))
+    return InterleavingWitness(w1.epsilon + w2.epsilon, product(w1.f, w2.f), product(w2.g, w1.g))
 
 
 # -- the functors -----------------------------------------------------------------
@@ -279,8 +259,7 @@ def shift_with_witness(P: Presentation, delta):
     d = rat(delta)
     if d < 0:
         raise PresentationError("shift witness needs delta >= 0")
-    out = shift(P, d)
-    return out, _identity_witness(P, d)
+    return shift(P, d), _identity_witness(P, d)
 
 
 @dataclass(frozen=True)

@@ -37,6 +37,7 @@ still counts the lines sampled, not the lines evaluated.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 import random
@@ -47,7 +48,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .fibered import Barcode, LineGroup, LineSample, barcode, integer_lines, restrict
-from .functors import InterleavingWitness, apply_rows, by_source
+from .functors import InterleavingWitness, apply_rows
 from .grades import Grade, LineSpec, grade_text, rat, rat_dec, rat_str
 from .presentation import (
     Presentation,
@@ -528,25 +529,24 @@ def verify_interleaving(P: Presentation, Q: Presentation, w: InterleavingWitness
     def up(grade, times):
         return tuple(v + times * e for v in grade)
 
-    fd, gd = w.f_dict(), w.g_dict()
-    fr, gr = by_source(fd), by_source(gd)
-    sides = (("f", fd, fr, P, Q, VP, VQ), ("g", gd, gr, Q, P, VQ, VP))
-    for name, mat, _, src, dst, vs, vd in sides:
-        for (i, j), c in mat.items():
-            if not (0 <= i < len(src.labels) and 0 <= j < len(dst.labels)):
-                return VerifyReport(False, eps, f"{name} entry ({i},{j}) out of range")
-            if not 0 < c < P.p:
-                return VerifyReport(False, eps, f"{name} coefficient {c} out of range")
-            if not leq(vd.gens[j], up(vs.gens[i], 1)):
-                return VerifyReport(False, eps, f"{name} entry {src.labels[i]} -> {dst.labels[j]} violates grades")
-    for name, _, rows, src, dst, vs, vd in sides:
+    sides = (("f", w.f, P, Q, VP, VQ), ("g", w.g, Q, P, VQ, VP))
+    for name, rows, src, dst, vs, vd in sides:
+        for i, row in rows.items():
+            for j, c in row:
+                if not (0 <= i < len(src.labels) and 0 <= j < len(dst.labels)):
+                    return VerifyReport(False, eps, f"{name} entry ({i},{j}) out of range")
+                if not 0 < c < P.p:
+                    return VerifyReport(False, eps, f"{name} coefficient {c} out of range")
+                if not leq(vd.gens[j], up(vs.gens[i], 1)):
+                    return VerifyReport(False, eps, f"{name} entry {src.labels[i]} -> {dst.labels[j]} violates grades")
+    for name, rows, src, dst, vs, vd in sides:
         for k, (a, col) in enumerate(vs.rels):
             image = apply_rows(rows, col, P.p)
             if not vd.in_span(image, up(a, 1)):
                 (grade,) = grade_text([src.scaled_rels[k]], src.scale)
                 return VerifyReport(False, eps,
                                     f"{name} sends relation {k} (grade {grade}) outside the relation submodule")
-    for name, first, second, side, view in (("g.f", fr, gr, P, VP), ("f.g", gr, fr, Q, VQ)):
+    for name, first, second, side, view in (("g.f", w.f, w.g, P, VP), ("f.g", w.g, w.f, Q, VQ)):
         for i, label in enumerate(side.labels):
             vec = apply_rows(second, apply_rows(first, {i: 1}, P.p), P.p)
             vec[i] = (vec.get(i, 0) - 1) % P.p
@@ -624,8 +624,9 @@ def rank_lower_bound(P: Presentation, Q: Presentation,
 
     The bound is the largest eps0, from the halved and whole coordinate
     differences of both Betti grids and all probe corners, below which some
-    probe violates its condition everywhere.  The sweep runs on the minimal
-    forms (P.minimal, Q.minimal), with grades scaled to integers.
+    probe violates its condition everywhere, scanned in increasing order as
+    _differences streams them.  The sweep runs on the minimal forms
+    (P.minimal, Q.minimal), with grades scaled to integers.
     """
     if P.n != Q.n or P.p != Q.p:
         raise PresentationError("rank bound needs matching dimension and field")
@@ -640,10 +641,9 @@ def rank_lower_bound(P: Presentation, Q: Presentation,
     betti_points = [a for M in views for a in M.gens + [r for r, _ in M.rels]]
     intervals = []
     if P.n == 2 and betti_points:
-        lo = [min(g[i] for g in betti_points) for i in range(2)]
-        hi = [max(g[i] for g in betti_points) for i in range(2)]
-        pad = max(h - l for h, l in zip(hi, lo)) or scale
-        top = (hi[0] + pad, hi[1] + pad)
+        axes = list(zip(*betti_points))
+        pad = max(max(x) - min(x) for x in axes) or scale
+        top = tuple(max(x) + pad for x in axes)
         for src, M in enumerate(views):
             for births, deaths in _interval_probes(M, top):
                 r = M.interval_rank(births, deaths)
@@ -652,12 +652,6 @@ def rank_lower_bound(P: Presentation, Q: Presentation,
     if not points and not intervals:
         return DistanceReport(Fraction(0), None, "lower_bound")
     corners = points + [q for _, births, deaths, _ in intervals for q in births + deaths]
-    diffs = {0}
-    for axis in zip(*betti_points, *corners):
-        for v, w_ in itertools.combinations(sorted(set(axis)), 2):
-            diffs.add(w_ - v)
-            diffs.add((w_ - v) // 2)
-    cands = sorted(diffs)
 
     def report(e):
         return DistanceReport(e if e == INF else Fraction(e, scale), None, "lower_bound")
@@ -665,15 +659,33 @@ def rank_lower_bound(P: Presentation, Q: Presentation,
     if not _rank_violation(views, points, intervals, 0):
         return report(0)
     prev = 0
-    for c in cands[1:]:
+    for c in _differences(zip(*corners)):
         if not _rank_violation(views, points, intervals, (prev + c) // 2):
             return report(prev)
         if not _rank_violation(views, points, intervals, c):
             return report(c)
         prev = c
-    if _rank_violation(views, points, intervals, cands[-1] + scale):
+    if _rank_violation(views, points, intervals, prev + scale):
         return report(INF)
-    return report(cands[-1])
+    return report(prev)
+
+
+def _differences(axes: Iterable[Sequence[int]]):
+    """Each positive w - v and (w - v) // 2 over values v < w of one axis, in increasing
+    order, from a heap of one pair (v, w) per value v and kind (whole or halved)."""
+    heap = [((xs[a + 1] - xs[a]) >> half, half, k, a, a + 1, xs)
+            for k, xs in enumerate(sorted(set(axis)) for axis in axes) for a in range(len(xs) - 1) for half in (0, 1)]
+    heapq.heapify(heap)
+    last = 0
+    while heap:
+        c, half, k, a, b, xs = heap[0]
+        if c > last:
+            yield c
+            last = c
+        if b + 1 < len(xs):
+            heapq.heapreplace(heap, ((xs[b + 1] - xs[a]) >> half, half, k, a, b + 1, xs))
+        else:
+            heapq.heappop(heap)
 
 
 # -- intrinsic-metric estimate and the local equivalence experiment -------------------

@@ -138,14 +138,14 @@ class TestBlockMatching:
         P = block_presentation([Block("oo", 0, 2)])
         Z = zero_module(2, 2)
         assert rank_lower_bound(P, Z).value == 1
-        w = InterleavingWitness(F(1), (), ())
+        w = InterleavingWitness(F(1), {}, {})
         assert verify_interleaving(P, Z, w).accepted
 
     def test_corner_shift_certified_both_ways(self):
         P = block_presentation([Block("cc", 0, 0)])
         Q = block_presentation([Block("cc", 1, 1)])
         assert rank_lower_bound(P, Q).value == 1
-        w = InterleavingWitness(F(1), ((0, 0, 1),), ((0, 0, 1),))
+        w = InterleavingWitness(F(1), {0: ((0, 1),)}, {0: ((0, 1),)})
         assert verify_interleaving(P, Q, w).accepted
 
     def test_value_certified_on_small_instances(self):
@@ -171,8 +171,8 @@ class TestBlockMatching:
                 f, gmat = entries
                 w = InterleavingWitness(
                     value,
-                    tuple((i, j, c) for (i, j), c in sorted(f.items())),
-                    tuple((i, j, c) for (i, j), c in sorted(gmat.items())),
+                    {i: ((j, c),) for (i, j), c in sorted(f.items())},
+                    {i: ((j, c),) for (i, j), c in sorted(gmat.items())},
                 )
                 assert verify_interleaving(PA, PB, w).accepted
                 certified += 1
@@ -188,8 +188,8 @@ class TestBlockMatching:
             assert 0 < value < INF
             assert matched_pairs_witness_entries(A, B, value - F(1, 1000)) is None
             f, gmat = matched_pairs_witness_entries(A, B, value)
-            w = InterleavingWitness(value, tuple((i, j, c) for (i, j), c in sorted(f.items())),
-                                    tuple((i, j, c) for (i, j), c in sorted(gmat.items())))
+            w = InterleavingWitness(value, {i: ((j, c),) for (i, j), c in sorted(f.items())},
+                                    {i: ((j, c),) for (i, j), c in sorted(gmat.items())})
             assert verify_interleaving(block_presentation(A), block_presentation(B), w).accepted
 
     def test_witness_rows_match_the_dense_shift_matrix(self):

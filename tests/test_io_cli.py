@@ -575,6 +575,18 @@ class TestCli:
                                  str(path))
         assert code == 1 and not out and f"line {lineno}:" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("first", [True, False])
+    def test_repeated_module_label_names_the_module(self, tmp_path, capsys, first):
+        # the fault is in the module file, not on a line of the witness file
+        twice, point, w = tmp_path / "twice.fpres", tmp_path / "point.fpres", tmp_path / "w.txt"
+        twice.write_text(fio.serialize_fpres(free([g(0, 0), g(1, 1)], labels=["a", "a"])))
+        point.write_text(fio.serialize_fpres(free([g(0, 0)], labels=["a"])))
+        w.write_text("# no rows\nwitness 0\n")
+        modules = (twice, point) if first else (point, twice)
+        assert main(["verify", *map(str, modules), str(w)]) == 1
+        out, err = capsys.readouterr()
+        assert not out and err == f"error: {twice}: repeated generator label 'a', which a witness file cannot name\n"
+
     def test_lower_bound(self, files):
         code, out, _ = run_cli("lower-bound", str(files / "rect.fpres"),
                                str(files / "rect_shift.fpres"))

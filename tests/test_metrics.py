@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from collections import Counter
 from fractions import Fraction as F
 from pathlib import Path
@@ -875,7 +876,7 @@ class TestMinimalFormsOnce:
 class TestVerifyInterleaving:
     def test_identity_accepted(self):
         P = staircase_interval([g(0, 0)], [g(2, 0), g(0, 3)])
-        w = InterleavingWitness(F(0), ((0, 0, 1),), ((0, 0, 1),))
+        w = InterleavingWitness(F(0), {0: ((0, 1),)}, {0: ((0, 1),)})
         assert verify_interleaving(P, P, w).accepted
 
     def test_translate_identity_maps(self):
@@ -892,8 +893,8 @@ class TestVerifyInterleaving:
         N, O = incompleteness_pair()
         w = InterleavingWitness(
             F(1, 2),
-            f=((0, 0, 1), (1, 1, 1)),
-            g=((0, 0, 1), (1, 1, 1)),
+            f={0: ((0, 1),), 1: ((1, 1),)},
+            g={0: ((0, 1),), 1: ((1, 1),)},
         )
         report = verify_interleaving(N, O, w)
         assert not report.accepted
@@ -913,14 +914,14 @@ class TestVerifyInterleaving:
     def test_grade_violation_rejected(self):
         P = free([g(0, 0)])
         Q = free([g(5, 5)])
-        w = InterleavingWitness(F(1), ((0, 0, 1),), ())
+        w = InterleavingWitness(F(1), {0: ((0, 1),)}, {})
         report = verify_interleaving(P, Q, w)
         assert not report.accepted and "grades" in report.reason
 
     def test_third_of_a_unit(self):
         P = direct_sum(staircase_interval([g(0, 9), g(6, 3), g(9, 0)], [g(24, 24)], p=3),
                        staircase_interval([g(9, 6)], [g(24, 21)], p=3))
-        ident = tuple((i, i, 1) for i in range(len(P.gens)))
+        ident = {i: ((i, 1),) for i in range(len(P.gens))}
         below = F(1, 3) - F(1, 97)
         Q = shift(P, F(1, 3))
         S, _ = simplify_with_witness(P, F(1, 3))
@@ -934,7 +935,7 @@ class TestVerifyInterleaving:
             assert verify_interleaving(A, B, InterleavingWitness(F(1, 3), ident, ident)).accepted
             report = verify_interleaving(A, B, InterleavingWitness(below, ident, ident))
             assert report.render() == f"reject at epsilon 94/291: {reason}"
-        twice = tuple((i, i, 2) for i in range(len(P.gens)))
+        twice = {i: ((i, 2),) for i in range(len(P.gens))}
         report = verify_interleaving(P, Q, InterleavingWitness(F(1, 3), ident, twice))
         assert report.reason == "coherence g.f fails at generator b0"
 
@@ -1015,6 +1016,38 @@ class TestRankLowerBound:
         for e in (1, 2, 3, 4):
             assert not _rank_violation(views, [], probes, e)
 
+    def test_candidates_stream_in_order_once_each(self):
+        rng = random.Random(74)
+        cases = [[], [[]], [[5]], [[3, 3, 3]], [[-4, 7], [0]]]
+        cases += [[[rng.randint(-30, 30) for _ in range(rng.randint(0, 12))] for _ in range(rng.randint(1, 3))]
+                  for _ in range(200)]
+        for axes in cases:
+            want = {0}
+            for axis in axes:
+                for v in axis:
+                    for w in axis:
+                        if w > v:
+                            want |= {w - v, (w - v) // 2}
+            assert list(metrics._differences(axes)) == sorted(want)[1:], axes
+
+    def test_memory_linear_on_general_position_pairs(self):
+        # a free module of 200 generators with 30-digit coordinates and its
+        # translate by one unit: the bound, that unit, takes five checks, and
+        # the candidates must not all be held at once (a set of every pairwise
+        # difference peaked above 20 MB)
+        rng = random.Random(75)
+        gens = [(rng.randrange(10 ** 29, 10 ** 30), rng.randrange(10 ** 29, 10 ** 30)) for _ in range(200)]
+        labels = [f"x{i}" for i in range(200)]
+        P = Presentation.from_integers(2, 2, 9973, labels, gens, [], [])
+        Q = Presentation.from_integers(2, 2, 9973, labels, [(x + 1, y + 1) for x, y in gens], [], [])
+        tracemalloc.start()
+        try:
+            assert rank_lower_bound(P, Q).value == F(1, 9973)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2 ** 20
+
 
 class TestPathLength:
     def test_constant_path(self):
@@ -1072,7 +1105,7 @@ class TestLocalEquivalence:
 
     def test_identical_modules_trivial(self):
         M = staircase_interval([g(0, 0)], [g(6, 0), g(0, 6)])
-        w = InterleavingWitness(F(0), ((0, 0, 1),), ((0, 0, 1),))
+        w = InterleavingWitness(F(0), {0: ((0, 1),)}, {0: ((0, 1),)})
         rep = local_equivalence_experiment(M, M, self.KAPPA, certified_eps=0, witness=w, slopes=4)
         assert rep.eps_exact == 0 and rep.d0 == 0
         assert rep.hypothesis_ok and rep.nonstrict_holds

@@ -935,7 +935,7 @@ class TestSpanCertificate:
     def test_verify_still_rejects(self, p):
         P = direct_sum(staircase_interval([g(0, 6), g(6, 0)], [g(20, 20)], p=p),
                        staircase_interval([g(3, 3)], [g(9, 9)], p=p))
-        ident = tuple((i, i, 1) for i in range(len(P.gens)))
+        ident = {i: ((i, 1),) for i in range(len(P.gens))}
         eps = F(2)
         S, w = simplify_with_witness(P, eps)
         assert verify_interleaving(P, S, w).accepted and verify_interleaving(S, P, w).accepted
@@ -945,7 +945,7 @@ class TestSpanCertificate:
         assert not report.accepted and "outside the relation submodule" in report.reason
         # f sends generator 0 to 2 times itself: the merge relation's image
         # is no multiple of a relation column
-        changed = tuple((i, i, 2 if i == 0 else 1) for i in range(len(P.gens)))
+        changed = {i: ((i, 2 if i == 0 else 1),) for i in range(len(P.gens))}
         report = verify_interleaving(P, P, InterleavingWitness(F(0), changed, ident))
         assert report.reason == "f sends relation 0 (grade 6 6) outside the relation submodule"
 
