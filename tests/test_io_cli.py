@@ -742,6 +742,30 @@ class TestCli:
         code, out, _ = run_cli("minimize", str(files / "mersenne.fpres"))
         assert code == 0 and fio.parse_fpres(out).p == 2 ** 61 - 1
 
+    @pytest.mark.parametrize("argv, message", [
+        (["path-length", "N"], "path length needs at least two modules"),
+        (["grid-align", "N", "--grid-of", "N", "--kap-eps", "-1/64"], "base budget must be nonnegative"),
+        (["grid-align", "N", "--grid-of", "N", "--kap-eps", "1"],
+         "grid controlling constant must exceed 40x the base budget (got c=1, budget=1)"),
+        (["merge", "N", "--grid", "0 1; 0 1", "--delta", "1/2"],
+         "delta 1/2 must be below half the controlling constant 1"),
+        (["merge", "N", "--grid", "0 1", "--delta", "0"], "grade dim 2 != grid dim 1"),
+        (["simplify", "N", "--eps", "-1"], "eps must be nonnegative"),
+        (["barcode", "N", "--direction", "1 1", "--simplify", "-1"], "eps must be nonnegative"),
+        (["match-dist", "N", "one"], "matching distance needs matching dimension and field"),
+        (["restrict", "N", "--direction", "1 -1"], "line direction components must all be positive"),
+        (["restrict", "N", "--direction", "1 1", "--base", "0 1"], "line base must lie on the hyperplane {x_n = 0}"),
+        (["hilbert", "N", "--at", "1"], "grade dimension 1 != 2"),
+        (["lower-bound", "N", "O", "--probe", "1"], "probe (1) has dimension 1, expected 2"),
+        (["interpolate", "J.joint", "--t", "2"], "interpolation parameter 2 outside [0, 1]"),
+    ])
+    def test_conflicting_or_dependent_arguments_exit_one(self, files, capsys, argv, message):
+        # values each parse, but not together or not for this input: one error line, no usage
+        names = {"N": "N.fpres", "O": "O.fpres", "one": "one.fpres", "J.joint": "J.joint"}
+        assert main([str(files / names[a]) if a in names else a for a in argv]) == 1
+        out, err = capsys.readouterr()
+        assert not out and err == f"error: {message}\n"
+
 
 # tests/golden: a 3-summand F2 module and its jittered copy (jitter_module,
 # amount 1/2), and two entangled presentations of another one, drawn by
@@ -1003,3 +1027,27 @@ def test_parsing_reads_each_distinct_rational_once(kind, monkeypatch):
         assert sum(m for _, _, m in B.bars) == count
         assert sum(m for _, d, m in B.bars if d == math.inf) == text.count(" inf ")
     assert sorted(reads) == sorted(toks)
+
+
+# every parser: the top one, its 16 subcommands and the 5 nested ones
+PARSER_PATHS = ["", "minimize", "betti", "hilbert", "merge", "simplify", "grid-align", "restrict", "barcode",
+                "match-dist", "bottleneck", "verify", "lower-bound", "interpolate", "path-length", "blocks",
+                "experiment", "blocks extend", "blocks dist", "experiment example31", "experiment local-equiv",
+                "experiment sandwich"]
+
+
+def test_usage_of_every_parser(monkeypatch, capsys):
+    # an unknown option exits 1 with the usage of the parser that got it;
+    # usage lists options in the order they were added, so a reordered or
+    # dropped option shows here.  -h is left out: argparse lays out help
+    # text differently across Python versions
+    monkeypatch.setenv("COLUMNS", "80")
+    got = []
+    for path in PARSER_PATHS:
+        argv = [*path.split(), "--bogus"]
+        with pytest.raises(SystemExit) as exit_:
+            main(argv)
+        out, err = capsys.readouterr()
+        assert not out, path
+        got.append(f"$ multipres {' '.join(argv)}\nexit {exit_.value.code}\n{err}")
+    assert "".join(got) == (GOLDEN / "usage.err").read_text()
