@@ -34,21 +34,17 @@ from .blocks import block_matching_distance, extend_block
 INF = math.inf
 
 
-class InputError(ValueError):
-    """Bad input or arguments; main reports it, like any ValueError, with exit 1."""
-
-
 def _load(path: str, parse=None):
     """The file's text read by parse, by default fio.parse_fpres as it is at the
     call; an unreadable file and a format error (line N: ...) both name the path."""
     try:
         text = Path(path).read_text()
     except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc
+        raise ValueError(f"cannot read {path}: {exc}") from exc
     try:
         return (parse or fio.parse_fpres)(text)
     except fio.FormatError as exc:
-        raise InputError(f"{path}: {exc}") from exc
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -62,7 +58,7 @@ def _parse_grade(text: str) -> Grade:
     try:
         return Grade([rat(tok) for tok in text.replace(",", " ").split()])
     except ValueError as exc:
-        raise InputError(f"bad grade {text!r}: {exc}") from exc
+        raise ValueError(f"bad grade {text!r}: {exc}") from exc
 
 
 def _parse_grid(args) -> GridFunction:
@@ -76,16 +72,16 @@ def _parse_grid(args) -> GridFunction:
         ]
         return GridFunction(axes)
     except ValueError as exc:
-        raise InputError(f"bad grid {args.grid!r}: {exc}") from exc
+        raise ValueError(f"bad grid {args.grid!r}: {exc}") from exc
 
 
 def _parse_line(args, n: int) -> LineSpec:
     try:
         direction = [rat(tok) for tok in args.direction.replace(",", " ").split()]
     except ValueError as exc:
-        raise InputError(f"bad direction {args.direction!r}: {exc}") from exc
+        raise ValueError(f"bad direction {args.direction!r}: {exc}") from exc
     if len(direction) != n:
-        raise InputError(f"direction needs {n} components")
+        raise ValueError(f"direction needs {n} components")
     if args.through:
         return LineSpec.through(_parse_grade(args.through), direction)
     base = _parse_grade(args.base) if args.base else Grade([0] * n)
@@ -96,7 +92,7 @@ def _rational(text: str) -> Fraction:
     try:
         return rat(text)
     except ValueError as exc:
-        raise InputError(f"bad rational {text!r}") from exc
+        raise ValueError(f"bad rational {text!r}") from exc
 
 
 def _report(args, rows: list[tuple[str, object]]) -> None:
@@ -185,7 +181,7 @@ def _cmd_barcode(args) -> int:
         if given:
             args.usage_error(f"a 1-parameter module takes no {', '.join(given)}")
     elif not args.direction:
-        raise InputError("multiparameter module: pass --direction (and --base/--through) to restrict first")
+        raise ValueError("multiparameter module: pass --direction (and --base/--through) to restrict first")
     else:
         P = restrict(P, _parse_line(args, P.n))
     B = barcode(P)
@@ -221,7 +217,7 @@ def _cmd_verify(args) -> int:
         try:
             fio.label_index(M)
         except PresentationError as exc:
-            raise InputError(f"{path}: {exc}") from None
+            raise ValueError(f"{path}: {exc}") from None
     w = _load(args.witness, lambda text: fio.parse_witness(text, P, Q))
     report = verify_interleaving(P, Q, w)
     print(report.render())
@@ -323,6 +319,17 @@ class _ArgumentParser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+def _command(sub, name: str, func, help_: str, *positionals: str, output: bool = False):
+    """The parser of a subcommand that runs func: its positionals, then -o when it writes a file."""
+    p = sub.add_parser(name, help=help_)
+    for positional in positionals:
+        p.add_argument(positional)
+    if output:
+        p.add_argument("-o", "--output")
+    p.set_defaults(func=func)
+    return p
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process and shared by every main call."""
@@ -332,50 +339,39 @@ def build_parser() -> argparse.ArgumentParser:
         epilog="identical flags and seed give byte-identical reports",
     )
     sub = top.add_subparsers(dest="command", required=True)
+    _command(sub, "minimize", _cmd_minimize, "emit a minimal presentation", "module", output=True)
+    _command(sub, "betti", _cmd_betti, "Betti multisets, grid and controlling constant", "module", output=True)
 
-    def module_cmd(name, func, help_, other=False):
-        p = sub.add_parser(name, help=help_)
-        p.add_argument("module")
-        if other:
-            p.add_argument("other")
-        p.add_argument("-o", "--output")
-        p.set_defaults(func=func)
-        return p
-
-    module_cmd("minimize", _cmd_minimize, "emit a minimal presentation")
-    module_cmd("betti", _cmd_betti, "Betti multisets, grid and controlling constant")
-
-    p = sub.add_parser("hilbert", help="pointwise dimension at a grade")
-    p.add_argument("module")
+    p = _command(sub, "hilbert", _cmd_hilbert, "pointwise dimension at a grade", "module")
     p.add_argument("--at", required=True, help="grade, e.g. '1 1/2'")
-    p.set_defaults(func=_cmd_hilbert)
 
     def grid_options(p):
         grid = p.add_mutually_exclusive_group(required=True)
         grid.add_argument("--grid", help="axis lists, e.g. '0 1; 0 3'")
         grid.add_argument("--grid-of", help="use this module's Betti grid")
 
-    p = module_cmd("merge", _cmd_merge, "snap grades onto a grid")
+    p = _command(sub, "merge", _cmd_merge, "snap grades onto a grid", "module", output=True)
     grid_options(p)
     p.add_argument("--delta", required=True)
     p.add_argument("--variant", choices=["two_sided", "plus", "minus"], default="two_sided")
     p.add_argument("--raw", action="store_true", help="skip minimization")
 
-    p = module_cmd("simplify", _cmd_simplify, "delete features shorter than eps")
+    p = _command(sub, "simplify", _cmd_simplify, "delete features shorter than eps", "module", output=True)
     p.add_argument("--eps", required=True)
     p.add_argument("--raw", action="store_true", help="skip minimization")
 
-    p = module_cmd("grid-align", _cmd_grid_align, "pull Betti grades onto a grid")
+    p = _command(sub, "grid-align", _cmd_grid_align, "pull Betti grades onto a grid", "module", output=True)
     grid_options(p)
     p.add_argument("--kap-eps", required=True, help="base step budget")
 
-    p = module_cmd("restrict", _cmd_restrict, "1-parameter restriction to a line")
+    p = _command(sub, "restrict", _cmd_restrict, "1-parameter restriction to a line", "module", output=True)
     p.add_argument("--direction", required=True, help="positive components, e.g. '1 2'")
     point = p.add_mutually_exclusive_group()
     point.add_argument("--base", help="base point with last coordinate 0")
     point.add_argument("--through", help="any point the line should pass through")
 
-    p = module_cmd("barcode", _cmd_barcode, "barcode of a 1-parameter module or restriction")
+    p = _command(sub, "barcode", _cmd_barcode, "barcode of a 1-parameter module or restriction", "module",
+                 output=True)
     p.add_argument("--direction", help="restrict first when the module is multiparameter")
     point = p.add_mutually_exclusive_group()
     point.add_argument("--base")
@@ -383,73 +379,51 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--simplify", help="apply barcode simplification at this eps")
     p.set_defaults(usage_error=p.error)
 
-    p = sub.add_parser("match-dist", help="sampled matching distance")
-    p.add_argument("module")
-    p.add_argument("other")
+    p = _command(sub, "match-dist", _cmd_match_dist, "sampled matching distance", "module", "other")
     p.add_argument("--lines", type=_count(), default=64, help="slope count of the sampling grid")
     p.add_argument("--adaptive", type=_count(), default=0, help="refinement rounds")
     p.add_argument("--seed", type=integer, help="seed for jittered extra lines (needs --extra)")
     p.add_argument("--extra", type=_count(), default=0, help="jittered lines to append (needs --seed)")
     p.add_argument("--emit-argmax", action="store_true")
     p.add_argument("--format", choices=["text", "tabular"], default="text")
-    p.set_defaults(func=_cmd_match_dist)
 
-    p = sub.add_parser("bottleneck", help="exact bottleneck distance of two barcode files")
-    p.add_argument("first")
-    p.add_argument("second")
+    p = _command(sub, "bottleneck", _cmd_bottleneck, "exact bottleneck distance of two barcode files",
+                 "first", "second")
     p.add_argument("--format", choices=["text", "tabular"], default="text")
-    p.set_defaults(func=_cmd_bottleneck)
 
-    p = sub.add_parser("verify", help="check an interleaving witness")
-    p.add_argument("module")
-    p.add_argument("other")
-    p.add_argument("witness")
-    p.set_defaults(func=_cmd_verify)
+    _command(sub, "verify", _cmd_verify, "check an interleaving witness", "module", "other", "witness")
 
-    p = sub.add_parser("lower-bound",
-                       help="certified interleaving lower bound from rank conditions at points "
-                            "and over staircase intervals (the incompleteness pair: 1, so its "
-                            "d_I is certified in [1, 1])")
-    p.add_argument("module")
-    p.add_argument("other")
+    p = _command(sub, "lower-bound", _cmd_lower_bound,
+                 "certified interleaving lower bound from rank conditions at points and over staircase "
+                 "intervals (the incompleteness pair: 1, so its d_I is certified in [1, 1])", "module", "other")
     p.add_argument("--probe", action="append", help="extra probe grade, repeatable")
     p.add_argument("--format", choices=["text", "tabular"], default="text")
-    p.set_defaults(func=_cmd_lower_bound)
 
-    p = sub.add_parser("interpolate", help="waypoint of a joint presentation")
-    p.add_argument("joint")
+    p = _command(sub, "interpolate", _cmd_interpolate, "waypoint of a joint presentation", "joint")
     p.add_argument("--t", required=True)
     p.add_argument("-o", "--output")
-    p.set_defaults(func=_cmd_interpolate)
 
-    p = sub.add_parser("path-length", help="summed matching distance over waypoints")
+    p = _command(sub, "path-length", _cmd_path_length, "summed matching distance over waypoints")
     p.add_argument("modules", nargs="+")
     p.add_argument("--lines", type=_count(), default=16,
                    help="slope count of the sampling grid for each pair of waypoints")
     p.add_argument("--format", choices=["text", "tabular"], default="text")
-    p.set_defaults(func=_cmd_path_length)
 
     p = sub.add_parser("blocks", help="interlevel-set block operations")
     bsub = p.add_subparsers(dest="blocks_cmd", required=True)
-    pe = bsub.add_parser("extend", help="print the rectangle extensions")
-    pe.add_argument("first")
-    pe.set_defaults(func=_cmd_blocks)
-    pd = bsub.add_parser("dist", help="block-matching interleaving distance")
-    pd.add_argument("first")
-    pd.add_argument("second")
-    pd.add_argument("--format", choices=["text", "tabular"], default="text")
-    pd.set_defaults(func=_cmd_blocks)
+    _command(bsub, "extend", _cmd_blocks, "print the rectangle extensions", "first")
+    p = _command(bsub, "dist", _cmd_blocks, "block-matching interleaving distance", "first", "second")
+    p.add_argument("--format", choices=["text", "tabular"], default="text")
 
     p = sub.add_parser("experiment", help="built-in experiment harnesses")
-    p.set_defaults(func=_cmd_experiment)
     esub = p.add_subparsers(dest="experiment", required=True)
-    pe = esub.add_parser("example31", help="the incompleteness pair: sampled d0 = 0 < d_I")
-    pe.add_argument("--lines", type=_count(), default=500, help="minimum number of sampled lines")
+    p = _command(esub, "example31", _cmd_experiment, "the incompleteness pair: sampled d0 = 0 < d_I")
+    p.add_argument("--lines", type=_count(), default=500, help="minimum number of sampled lines")
     for name, help_ in (("local-equiv", "certified diagonal translates and the glued incompleteness pair"),
                         ("sandwich", "extended-rectangle distance within [d, 2d] of the block distance")):
-        pe = esub.add_parser(name, help=help_)
-        pe.add_argument("--seed", type=integer, default=0)
-        pe.add_argument("--instances", type=_count(1), default=5)
+        p = _command(esub, name, _cmd_experiment, help_)
+        p.add_argument("--seed", type=integer, default=0)
+        p.add_argument("--instances", type=_count(1), default=5)
 
     return top
 

@@ -56,23 +56,21 @@ def _lines(text: str):
 
 
 class _Cursor:
-    def __init__(self, text: str):
-        self.items = list(_lines(text))
-        self.pos = 0
+    """The meaningful lines (_lines) read one at a time; rest is what is left of them."""
 
-    def peek(self):
-        return self.items[self.pos] if self.pos < len(self.items) else None
+    def __init__(self, text: str):
+        self.rest = _lines(text)
+        self.lineno = 1  # of the last line read, which an unexpected end of file names
 
     def next(self, what: str):
-        if self.pos >= len(self.items):
-            raise FormatError(self.items[-1][0] if self.items else 1, f"unexpected end of file, wanted {what}")
-        item = self.items[self.pos]
-        self.pos += 1
+        item = next(self.rest, None)
+        if item is None:
+            raise FormatError(self.lineno, f"unexpected end of file, wanted {what}")
+        self.lineno = item[0]
         return item
 
     def end(self) -> None:
-        if self.pos < len(self.items):
-            lineno, toks = self.items[self.pos]
+        for lineno, toks in self.rest:
             raise FormatError(lineno, f"trailing content {' '.join(toks)!r}")
 
 
@@ -264,8 +262,7 @@ def parse_blocks(text: str) -> list[Block]:
     if toks[1:] != ["1"]:
         raise FormatError(lineno, "unsupported blocks version")
     out = []
-    while cur.peek() is not None:
-        lineno, toks = cur.next("block line")
+    for lineno, toks in cur.rest:
         if toks[0] != "blk" or len(toks) != 4:
             raise FormatError(lineno, "expected 'blk <kind> <a> <b>'")
         a = parse_rational(toks[2], lineno)
@@ -296,8 +293,7 @@ def parse_witness(text: str, P: Presentation, Q: Presentation) -> InterleavingWi
     lineno, tok = _header_value(cur, "witness", "'witness <epsilon>' header")
     eps = parse_rational(tok, lineno)
     f, g = {}, {}  # source -> {target: coeff}
-    while cur.peek() is not None:
-        lineno, toks = cur.next("witness row")
+    for lineno, toks in cur.rest:
         if toks[0] not in ("f", "g") or len(toks) < 3 or toks[2] != "->":
             raise FormatError(lineno, "expected 'f|g <label> -> <coeff>:<label> ...'")
         src_index, dst_index, store = (p_index, q_index, f) if toks[0] == "f" else (q_index, p_index, g)

@@ -270,10 +270,6 @@ def free(grades: Sequence[Grade], p: int = 2, labels: Sequence[str] | None = Non
                                       [scale_grade(a, scale) for a in grades], (), ())
 
 
-def _is_antichain(points) -> bool:
-    return not any(leq(a, b) or leq(b, a) for a, b in itertools.combinations(points, 2))
-
-
 def staircase_interval(births: Sequence[Grade], deaths: Sequence[Grade] = (), p: int = 2) -> Presentation:
     """Presentation of the 2-d interval up(births) minus up(deaths).
 
@@ -289,9 +285,10 @@ def staircase_interval(births: Sequence[Grade], deaths: Sequence[Grade] = (), p:
         raise PresentationError("staircase intervals are 2-parameter only")
     scale = common_scale(c for g in births + deaths for c in g.coords)
     B, D = ([scale_grade(g, scale) for g in corners] for corners in (births, deaths))
-    if not _is_antichain(B):
+    # a point that repeats or lies above another is not minimal
+    if len(minimal_elements(B)) < len(B):
         raise PresentationError("birth corners must form an antichain")
-    if not _is_antichain(D):
+    if len(minimal_elements(D)) < len(D):
         raise PresentationError("death bounds must form an antichain")
     B.sort()
     rels = [tuple(map(max, a, b)) for a, b in zip(B, B[1:])]
@@ -459,10 +456,13 @@ def _just_below(c) -> tuple[int, ...]:
 
 
 def minimal_elements(points) -> list[tuple[int, int]]:
-    """The minimal elements of a set of 2-d points, by increasing x (so decreasing y)."""
+    """The minimal elements of a set of 2-d points, by increasing x (so decreasing y).
+
+    In (x, y) order, a point is minimal iff its y lies below that of the last one kept.
+    """
     out: list[tuple[int, int]] = []
     for q in sorted(set(points)):
-        if not any(leq(o, q) for o in out):
+        if not out or q[1] < out[-1][1]:
             out.append(q)
     return out
 

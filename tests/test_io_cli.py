@@ -19,7 +19,8 @@ from multipres.blocks import Block
 from multipres.cli import MAX_COUNT, build_parser, main
 from multipres.experiments import incompleteness_pair, incompleteness_witness, jitter_module, random_staircase
 from multipres.fibered import Barcode
-from multipres.presentation import Generator, Presentation, Relation, direct_sum, free, shift, staircase_interval
+from multipres.presentation import (Generator, Presentation, Relation, direct_sum, free, leq, shift,
+                                    staircase_interval)
 
 from oracles import barcode_of, betti_grades, entangled, random_module, translate_joint, translated, zero_module
 
@@ -988,6 +989,39 @@ def test_fpres_round_trip_and_minimize_through_the_cli(tmp_path, capsys):
             assert run("hilbert", raw, at) == run("hilbert", least, at), (p, x)
 
 
+def test_minimal_output_ignores_relation_order_and_row_operations(tmp_path, capsys):
+    # metamorphic checks of the canonical minimal form on seeded entangled
+    # F2, F3 and F5 sums of 1 to 4 staircases: shuffling a file's relations,
+    # or adding to one relation a multiple of another at a lower or equal
+    # grade, keeps the relation submodule, so minimize, betti and simplify
+    # (minimised) print the same (simplify --raw keeps the input order)
+    def run(path):
+        outs = []
+        for argv in (["minimize"], ["betti"], ["simplify", "--eps", "1/2"], ["simplify", "--eps", "3"]):
+            assert main([argv[0], str(path), *argv[1:]]) == 0
+            outs.append(capsys.readouterr().out)
+        return outs
+
+    rng = random.Random(36)
+    for k in range(60):
+        P = entangled(random_module(rng, p=(2, 3, 5)[k % 3], summands=4), rng)
+        n, p, scale, labels, G, R, cols = P.n, P.p, P.scale, P.labels, P.scaled_gens, P.scaled_rels, list(P.cols)
+        order = rng.sample(range(len(R)), len(R))
+        shuffled = Presentation.from_integers(n, p, scale, labels, G, [R[j] for j in order], [cols[j] for j in order])
+        i, j = rng.choice([(i, j) for i in range(len(R)) for j in range(len(R)) if i != j and leq(R[j], R[i])])
+        c, row = rng.randint(1, p - 1), dict(cols[i])
+        for gen, d in cols[j]:
+            row[gen] = (row.get(gen, 0) + c * d) % p
+        cols[i] = tuple(sorted((gen, d) for gen, d in row.items() if d))
+        combined = Presentation.from_integers(n, p, scale, labels, G, R, cols)
+        outs = []
+        for name, Q in (("P", P), ("shuffled", shuffled), ("combined", combined)):
+            path = tmp_path / f"{name}.fpres"
+            path.write_text(fio.serialize_fpres(Q))
+            outs.append(run(path))
+        assert outs[0] == outs[1] == outs[2], k
+
+
 def test_load_reads_with_the_parser_bound_at_the_call(tmp_path, monkeypatch, capsys):
     # a wrapper put on fio.parse_fpres after the CLI is imported sees its one read
     path = tmp_path / "M.fpres"
@@ -996,6 +1030,31 @@ def test_load_reads_with_the_parser_bound_at_the_call(tmp_path, monkeypatch, cap
     monkeypatch.setattr(fio, "parse_fpres", lambda text: calls.append(text) or parse(text))
     assert main(["minimize", str(path)]) == 0
     assert calls == [path.read_text()] and capsys.readouterr().out == calls[0]
+
+
+POINT = "fpres 1\nfield 2\nparams 2\ngenerators 1\ng a 0 0\nrelations 0\n"
+
+
+@pytest.mark.parametrize("kind, text, message", [
+    ("fpres", "", "line 1: unexpected end of file, wanted 'fpres 1' header"),
+    ("fpres", "# nothing\n\n", "line 1: unexpected end of file, wanted 'fpres 1' header"),
+    ("fpres", "fpres 1\nfield 2\n\n# end\nparams 2\n# c\n", "line 5: unexpected end of file, wanted 'generators <k>'"),
+    ("fpres", "fpres 1\nfield 2\nparams 2\ngenerators 2\ng a 0 0\n",
+     "line 5: unexpected end of file, wanted generator line"),
+    ("fpres", POINT + "\n# x\nfoo bar # baz\n", "line 9: trailing content 'foo bar'"),
+    ("joint", "epsilon 1\n" + POINT, "line 7: unexpected end of file, wanted 'fpres 1' header"),
+    ("joint", "epsilon 1\n" + POINT + POINT + "fpres 1\n", "line 14: trailing content 'fpres 1'"),
+    ("blocks", "\n", "line 1: unexpected end of file, wanted 'blocks 1' header"),
+    ("witness", "# only a comment\n", "line 1: unexpected end of file, wanted 'witness <epsilon>' header"),
+])
+def test_end_of_file_and_trailing_content_name_their_line(kind, text, message):
+    # a file that ends early names its last meaningful line (line 1 when it
+    # has none), and content after the last block names its first line
+    P = fio.parse_fpres(POINT)
+    read = (lambda t: fio.parse_witness(t, P, P)) if kind == "witness" else getattr(fio, f"parse_{kind}")
+    with pytest.raises(fio.FormatError) as exc:
+        read(text)
+    assert str(exc.value) == message
 
 
 @pytest.mark.parametrize("kind", ["fpres", "bars"])

@@ -1,4 +1,5 @@
 import copy
+import itertools
 import math
 import pickle
 import random
@@ -40,7 +41,9 @@ from multipres.presentation import (
     _is_prime,
     common_scale,
     interval_rank,
+    leq,
     make_column,
+    minimal_elements,
     scale_grade,
     staircase_fences,
 )
@@ -87,6 +90,28 @@ class TestConstruct:
     def test_non_antichain_rejected(self):
         with pytest.raises(PresentationError):
             staircase_interval([g(0, 0), g(1, 1)])
+
+    def test_minimal_elements_and_antichains_match_the_all_pairs_definitions(self):
+        # seeded 2-d point lists with ties and duplicates, the empty list
+        # included: the one-pass scan keeps exactly the points that no other
+        # point lies below, and staircase_interval takes a list of births or
+        # of deaths iff no two of its points (a repeat included) are comparable
+        rng = random.Random(36)
+        for _ in range(3000):
+            side = rng.randint(1, 6)
+            pts = [(rng.randrange(side), rng.randrange(side)) for _ in range(rng.randint(0, 8))]
+            assert minimal_elements(pts) == sorted(q for q in set(pts)
+                                                   if not any(o != q and leq(o, q) for o in pts))
+            if not pts:
+                continue
+            antichain = not any(leq(a, b) for a, b in itertools.permutations(pts, 2))
+            for births, deaths, what in (([g(*q) for q in pts], [], "birth corners"),
+                                         ([g(-1, -1)], [g(*q) for q in pts], "death bounds")):
+                if antichain:
+                    staircase_interval(births, deaths)
+                else:
+                    with pytest.raises(PresentationError, match=f"^{what} must form an antichain$"):
+                        staircase_interval(births, deaths)
 
     def test_death_below_births_rejected(self):
         with pytest.raises(PresentationError):
